@@ -1,0 +1,77 @@
+package repro_test
+
+import (
+	"context"
+	"fmt"
+	"strings"
+	"testing"
+
+	"repro"
+
+	"repro/internal/translate"
+	"repro/internal/triq"
+	"repro/internal/workload"
+)
+
+// The ceilings sit about 25% above what the layered chase allocates (29 252
+// and 763; AllocsPerRun measures on one processor). An engine that copies
+// the database per run and keeps a second instance per round needs 93 140
+// and 76 570 allocations for the same two evaluations.
+const (
+	transportAllocCeiling = 36_500
+	lookupAllocCeiling    = 950
+)
+
+func TestTransportAllocCeiling(t *testing.T) {
+	db, q := workload.Transport(16, 3, 6), workload.TransportQuery()
+	if db.Len() != 128 {
+		t.Fatalf("transport database has %d facts, want 128", db.Len())
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := triq.Eval(db, q, triq.TriQLite10, triq.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > transportAllocCeiling {
+		t.Errorf("transport at 128 triples: %.0f allocations per evaluation, ceiling %d", allocs, transportAllocCeiling)
+	}
+}
+
+// TestLookupAllocCeiling pins that evaluating a query costs what it derives,
+// not what the database holds: 10 derived facts over 10 000 triples.
+func TestLookupAllocCeiling(t *testing.T) {
+	var nt strings.Builder
+	for i := 0; i < 2500; i++ {
+		fmt.Fprintf(&nt, "<p%d> <knows> <p%d> .\n<p%d> <knows> <p%d> .\n<p%d> <phone> \"t%d\" .\n<p%d> <name> \"n%d\" .\n",
+			i, (i+1)%2500, i, (i+7)%2500, i, i, i, i)
+	}
+	nt.WriteString("<p4> <email> \"m4\" .\n")
+	g, err := repro.ParseGraph(nt.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sq, err := repro.ParseSPARQL("SELECT ?Y ?E WHERE { <p3> <knows> ?Y . OPTIONAL { ?Y <email> ?E } }")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := translate.Translate(sq.Pattern(), translate.Plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := translate.DB(g)
+	if db.Len() < 10_000 {
+		t.Fatalf("lookup database has %d facts, want 10 000", db.Len())
+	}
+	var res *triq.Result
+	allocs := testing.AllocsPerRun(5, func() {
+		if res, err = triq.EvalCtx(context.Background(), db, tr.Query, triq.Unrestricted, triq.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if res.Stats.FactsDerived != 10 || len(res.Answers.Tuples) != 2 {
+		t.Fatalf("lookup derived %d facts and %d answers, want 10 and 2", res.Stats.FactsDerived, len(res.Answers.Tuples))
+	}
+	if allocs > lookupAllocCeiling {
+		t.Errorf("10-fact lookup over %d facts: %.0f allocations per evaluation, ceiling %d", db.Len(), allocs, lookupAllocCeiling)
+	}
+}

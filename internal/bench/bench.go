@@ -8,6 +8,8 @@ package bench
 import (
 	"fmt"
 	"math"
+	"os/exec"
+	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -33,11 +35,50 @@ type Table struct {
 	Columns []string   `json:"columns"`
 	Rows    [][]string `json:"rows"`
 	Notes   []string   `json:"notes,omitempty"`
-	// OK is false when a measured result contradicts the expected shape.
+	// OK is false when a deterministic check failed: answer equality,
+	// identity across worker counts, an expected shape, an invariant. Such a
+	// failure repeats on every host and every run.
 	OK bool `json:"ok"`
+	// GateFailures lists the wall-clock gates that failed (overhead bars,
+	// speedup floors, cost ratios). They depend on the host and on what
+	// else it is running, so the test suite does not assert them; triqbench
+	// does.
+	GateFailures []string `json:"gate_failures,omitempty"`
 	// Breakdown carries per-stage engine metrics (chase rounds, per-rule
 	// hot spots, prover search-space counters) alongside the headline rows.
 	Breakdown []StageMetric `json:"breakdown,omitempty"`
+	// Host says what measured the table; `triqbench -json` stamps it, so a
+	// recorded BENCH file can be compared with another one.
+	Host *Host `json:"host,omitempty"`
+}
+
+// Host identifies the build and the machine behind a recorded table.
+type Host struct {
+	Commit     string `json:"commit"`
+	GoVersion  string `json:"go_version"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+}
+
+// HostStamp describes the running binary and its host. The commit is the
+// build's VCS stamp, "+dirty" for a modified tree; `go run` embeds none, so
+// the checkout is asked instead.
+func HostStamp() *Host {
+	_, commit, goVersion := obs.BuildInfo()
+	if commit == "unknown" {
+		if out, err := exec.Command("git", "rev-parse", "--short=12", "HEAD").Output(); err == nil {
+			commit = strings.TrimSpace(string(out))
+			if out, err := exec.Command("git", "status", "--porcelain", "--untracked-files=no").Output(); err == nil && len(out) > 0 {
+				commit += "+dirty"
+			}
+		}
+	}
+	return &Host{
+		Commit: commit, GoVersion: goVersion, GOOS: runtime.GOOS, GOARCH: runtime.GOARCH,
+		NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
+	}
 }
 
 // StageMetric is one engine-level measurement attributed to a pipeline stage.
@@ -92,6 +133,15 @@ func proverBreakdown(stage string, m triq.ProofMetrics) []StageMetric {
 	}
 }
 
+// Passed reports that every deterministic check and every wall-clock gate
+// held.
+func (t *Table) Passed() bool { return t.OK && len(t.GateFailures) == 0 }
+
+// gate records a failed wall-clock gate.
+func (t *Table) gate(format string, args ...any) {
+	t.GateFailures = append(t.GateFailures, fmt.Sprintf(format, args...))
+}
+
 // Render prints the table as GitHub markdown.
 func (t *Table) Render() string {
 	var b strings.Builder
@@ -112,9 +162,15 @@ func (t *Table) Render() string {
 			fmt.Fprintf(&b, "  %s: %s = %s\n", m.Stage, m.Metric, m.Value)
 		}
 	}
+	for _, g := range t.GateFailures {
+		fmt.Fprintf(&b, "\nTiming gate: %s.\n", g)
+	}
 	status := "reproduced"
-	if !t.OK {
+	switch {
+	case !t.OK:
 		status = "**MISMATCH**"
+	case !t.Passed():
+		status = "**TIMING GATE FAILED**"
 	}
 	fmt.Fprintf(&b, "\nStatus: %s.\n", status)
 	return b.String()

@@ -11,7 +11,10 @@ import (
 )
 
 // Every experiment runner must report OK: the qualitative claims of the
-// paper are assertions, not just measurements.
+// paper are assertions, not just measurements. Wall-clock gates are not
+// asserted here — a test must not fail because the host was busy, or because
+// the engine got faster — only logged; triqbench and the bench-gates CI job
+// enforce them.
 func TestAllExperimentsReproduce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite skipped in -short mode")
@@ -21,6 +24,9 @@ func TestAllExperimentsReproduce(t *testing.T) {
 		t.Run(tbl.ID, func(t *testing.T) {
 			if !tbl.OK {
 				t.Errorf("%s did not reproduce:\n%s", tbl.ID, tbl.Render())
+			}
+			for _, g := range tbl.GateFailures {
+				t.Logf("%s timing gate (not asserted): %s", tbl.ID, g)
 			}
 			if len(tbl.Rows) == 0 {
 				t.Errorf("%s produced no rows", tbl.ID)
@@ -37,6 +43,23 @@ func TestTableRenderMismatch(t *testing.T) {
 	tbl := &Table{ID: "X", Title: "t", Claim: "c", Columns: []string{"a"}, Rows: [][]string{{"1"}}}
 	if !strings.Contains(tbl.Render(), "MISMATCH") {
 		t.Error("OK=false should render as MISMATCH")
+	}
+}
+
+// TestTimingGateIsNotAMismatch pins the split verdict: a failed wall-clock
+// gate leaves OK alone, fails Passed, and renders as its own status.
+func TestTimingGateIsNotAMismatch(t *testing.T) {
+	tbl := &Table{ID: "X", Title: "t", Claim: "c", Columns: []string{"a"}, Rows: [][]string{{"1"}}, OK: true}
+	if !tbl.Passed() {
+		t.Fatal("a table with no failure must pass")
+	}
+	tbl.gate("overhead %d%% over the bar", 12)
+	out := tbl.Render()
+	if !tbl.OK || tbl.Passed() {
+		t.Errorf("after a gate failure: OK=%v Passed=%v, want true and false", tbl.OK, tbl.Passed())
+	}
+	if strings.Contains(out, "MISMATCH") || !strings.Contains(out, "TIMING GATE FAILED") || !strings.Contains(out, "overhead 12% over the bar") {
+		t.Errorf("gate failure rendered as:\n%s", out)
 	}
 }
 

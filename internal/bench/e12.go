@@ -20,8 +20,8 @@ import (
 const e12Reps = 5
 
 // e12Overhead is the telemetry-on overhead the experiment accepts. The
-// target recorded in EXPERIMENTS.md is 5%; the OK gate is doubled so a noisy
-// CI host does not flip the table.
+// target recorded in EXPERIMENTS.md is 5%; the gate is doubled so a noisy CI
+// host does not flip the table.
 const e12Overhead = 0.10
 
 // e12Workload is one E11 workload evaluated with a caller-supplied chase
@@ -147,7 +147,7 @@ func RunE12() *Table {
 		overhead := float64(onBest-offBest) / float64(offBest)
 		ok := overhead <= e12Overhead
 		if !ok {
-			t.OK = false
+			t.gate("%s: telemetry overhead %+.1f%% over the %.0f%% bar", w.name, overhead*100, e12Overhead*100)
 		}
 		t.Rows = append(t.Rows, []string{
 			w.name, dur(offBest), dur(onBest),
@@ -158,7 +158,7 @@ func RunE12() *Table {
 		}
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf(
-		"Best of %d interleaved reps per side. Target ≤5%%; the OK gate allows %.0f%% headroom for scheduler noise.",
+		"Best of %d interleaved reps per side. Target ≤5%%; the gate allows %.0f%% headroom for scheduler noise.",
 		e12Reps, e12Overhead*100))
 	return t
 }

@@ -258,8 +258,9 @@ type engine struct {
 	cur        *RuleStats   // the rule currently being matched/fired
 	span       *obs.Span    // the chase.run span (nil when tracing is off)
 	start      time.Time
-	tick       int  // trigger-attempt counter gating the in-round ctx checks
-	ruleLabels bool // attach per-rule pprof labels (recording traces only)
+	tick       int    // trigger-attempt counter gating the in-round ctx checks
+	ruleLabels bool   // attach per-rule pprof labels (recording traces only)
+	keyBuf     []byte // scratch for the binding keys apply probes its dedup set with
 }
 
 // snapshotStats copies the cumulative counters plus the per-rule breakdown;
@@ -325,11 +326,13 @@ func (e *engine) newRuleStats(r datalog.Rule) *RuleStats {
 	return rs
 }
 
+// newEngine starts a run from a layer over db: the run appends to its own
+// layer and never writes db, which any number of concurrent runs may share.
 func newEngine(ctx context.Context, db *Instance, opts Options) *engine {
 	e := &engine{
 		ctx:    ctx,
 		opts:   opts,
-		inst:   db.Clone(),
+		inst:   db.Overlay(),
 		depth:  make(map[string]int),
 		skolem: make(map[string]string),
 		start:  time.Now(),
@@ -373,7 +376,20 @@ func (e *engine) chaseStratum(rules []datalog.Rule) error {
 		comp[i] = compileRule(r, i)
 		ruleStats[i] = e.newRuleStats(r)
 	}
-	var delta *Instance // nil on the first round = match everything
+	// Own-layer buckets only grow during a run, so "the facts derived in the
+	// previous round" needs no instance of its own: per body predicate it is
+	// the tail its bucket has grown since that round started.
+	var bodyPreds []string
+	started := make(map[string]int) // bucket lengths when the previous round started
+	for _, c := range comp {
+		for _, p := range c.bodyPos {
+			if _, dup := started[p.pred]; !dup {
+				started[p.pred] = 0
+				bodyPreds = append(bodyPreds, p.pred)
+			}
+		}
+	}
+	lastRoundFacts := 0
 	for round := 0; ; round++ {
 		if round > e.opts.MaxRounds {
 			return e.abort(limits.ErrRoundBudget, int64(e.opts.MaxRounds), int64(round))
@@ -386,11 +402,22 @@ func (e *engine) chaseStratum(rules []datalog.Rule) error {
 		}
 		e.stats.Rounds++
 		e.opts.Progress.setRound(int64(e.stats.Rounds), int64(e.inst.Len()))
+		var delta map[string][]datalog.Atom // nil = match everything: the first round
+		if round > 0 && !e.opts.NaiveEvaluation {
+			delta = make(map[string][]datalog.Atom, len(bodyPreds))
+		}
+		for _, p := range bodyPreds {
+			bucket := e.inst.byPred[p]
+			if delta != nil {
+				delta[p] = bucket[started[p]:]
+			}
+			started[p] = len(bucket)
+		}
 		var roundSpan *obs.Span
 		if e.span != nil {
-			deltaSize := e.inst.Len() // first round matches the full instance
+			deltaSize := e.inst.Len()
 			if delta != nil {
-				deltaSize = delta.Len()
+				deltaSize = lastRoundFacts
 			}
 			roundSpan = e.span.Span("chase.round",
 				obs.F("round", e.stats.Rounds),
@@ -399,7 +426,6 @@ func (e *engine) chaseStratum(rules []datalog.Rule) error {
 				obs.F("workers", e.opts.Parallelism))
 		}
 		roundFacts := e.stats.FactsDerived
-		next := NewInstance()
 		for ci, c := range comp {
 			rs := ruleStats[ci]
 			var ruleSpan *obs.Span
@@ -432,7 +458,7 @@ func (e *engine) chaseStratum(rules []datalog.Rule) error {
 				}
 				if fireErr == nil {
 					e.cur = rs
-					fireErr = e.apply(c, rs, shards, delta != nil, next)
+					fireErr = e.apply(c, rs, shards, delta != nil)
 					e.cur = nil
 				}
 			}
@@ -458,22 +484,19 @@ func (e *engine) chaseStratum(rules []datalog.Rule) error {
 				return fireErr
 			}
 		}
+		lastRoundFacts = e.stats.FactsDerived - roundFacts
 		roundSpan.End(
-			obs.F("facts", e.stats.FactsDerived-roundFacts),
-			obs.F("next_delta", next.Len()))
-		if next.Len() == 0 {
+			obs.F("facts", lastRoundFacts),
+			obs.F("next_delta", lastRoundFacts))
+		if lastRoundFacts == 0 {
 			return nil
-		}
-		if e.opts.NaiveEvaluation {
-			delta = nil
-		} else {
-			delta = next
 		}
 	}
 }
 
-func bindingKey(ev *env, slots int) string {
-	buf := make([]byte, 0, 16*slots)
+// appendBindingKey appends a key identifying the binding of the first slots
+// variable slots to buf.
+func appendBindingKey(buf []byte, ev *env, slots int) []byte {
 	for s := 0; s < slots; s++ {
 		if !ev.set[s] {
 			buf = append(buf, 0xFF)
@@ -484,11 +507,11 @@ func bindingKey(ev *env, slots int) string {
 		buf = append(buf, t.Name...)
 		buf = append(buf, 0)
 	}
-	return string(buf)
+	return buf
 }
 
-// fire applies one trigger; it returns the head atoms that were new.
-func (e *engine) fire(c *compiledRule, ev *env) ([]datalog.Atom, error) {
+// fire applies one trigger, adding the head atoms that are new.
+func (e *engine) fire(c *compiledRule, ev *env) error {
 	if len(c.exSlots) > 0 {
 		// Depth control for null invention.
 		d := 1
@@ -504,7 +527,7 @@ func (e *engine) fire(c *compiledRule, ev *env) ([]datalog.Atom, error) {
 				e.opts.Obs.Event("chase.truncated", obs.F("depth", e.opts.MaxDepth))
 			}
 			e.stats.DepthTruncated = true
-			return nil, nil
+			return nil
 		}
 		if e.opts.Mode == Restricted {
 			// Skip when an extension of the frontier binding already maps
@@ -516,7 +539,7 @@ func (e *engine) fire(c *compiledRule, ev *env) ([]datalog.Atom, error) {
 				return false
 			})
 			if satisfied {
-				return nil, nil
+				return nil
 			}
 		}
 		for k, s := range c.exSlots {
@@ -534,7 +557,7 @@ func (e *engine) fire(c *compiledRule, ev *env) ([]datalog.Atom, error) {
 			}
 		}()
 	}
-	var added []datalog.Atom
+	added, overBudget := 0, false
 	for _, h := range c.heads {
 		fact := h.instantiate(ev)
 		// The fact budget is enforced per insertion, not per trigger or per
@@ -542,29 +565,27 @@ func (e *engine) fire(c *compiledRule, ev *env) ([]datalog.Atom, error) {
 		// would exceed the cap aborts before it happens. (The Has probe runs
 		// only at the boundary, so the common path pays nothing.)
 		if e.inst.Len() >= e.opts.MaxFacts && !e.inst.Has(fact) {
-			if len(added) > 0 {
-				e.stats.TriggersFired++
-				if e.cur != nil {
-					e.cur.TriggersFired++
-				}
-			}
-			return added, e.abort(limits.ErrFactBudget, int64(e.opts.MaxFacts), int64(e.inst.Len()))
+			overBudget = true
+			break
 		}
 		if e.inst.Add(fact) {
 			e.stats.FactsDerived++
 			if e.cur != nil {
 				e.cur.FactsDerived++
 			}
-			added = append(added, fact)
+			added++
 		}
 	}
-	if len(added) > 0 {
+	if added > 0 {
 		e.stats.TriggersFired++
 		if e.cur != nil {
 			e.cur.TriggersFired++
 		}
 	}
-	return added, nil
+	if overBudget {
+		return e.abort(limits.ErrFactBudget, int64(e.opts.MaxFacts), int64(e.inst.Len()))
+	}
+	return nil
 }
 
 // skolemKeyFor renders the Skolem-function key of one existential variable

@@ -281,6 +281,80 @@ func TestDifferentialEngines(t *testing.T) {
 	}
 }
 
+// splitLayers rebuilds db as a layer holding the later half of every
+// predicate's atoms over a base holding the earlier half. A run over it
+// cannot start from an overlay (a base must be flat), so it flattens the
+// input first and chases a flat instance.
+func splitLayers(db *Instance) *Instance {
+	base, rest := NewInstance(), []datalog.Atom(nil)
+	for _, bucket := range db.byPred {
+		for k, a := range bucket {
+			if k < len(bucket)/2 {
+				base.Add(a)
+			} else {
+				rest = append(rest, a)
+			}
+		}
+	}
+	l := base.Overlay()
+	for _, a := range rest {
+		l.Add(a)
+	}
+	return l
+}
+
+// TestDifferentialLayeredVsFlat is the layered-vs-flat axis: the engine
+// chasing its own layer over the untouched database must reproduce, bit for
+// bit, the engine chasing a flat private copy — instance, null names, Stats,
+// and the point where an armed fault plan trips — at 1 and at 8 workers.
+func TestDifferentialLayeredVsFlat(t *testing.T) {
+	seeds := []int64{1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233}
+	if testing.Short() {
+		seeds = seeds[:4]
+	}
+	for _, seed := range seeds {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			c, err := genDiffCase(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			flatInput := splitLayers(c.db)
+			if !flatInput.Equal(c.db) || flatInput.base == nil {
+				t.Fatal("splitLayers must return a layered copy of the database")
+			}
+			for _, mode := range []Mode{Skolem, Restricted} {
+				for _, par := range []int{1, 8} {
+					// tripAfter < 0 runs without a plan; the others abort at
+					// the chase.rule hit of that number.
+					for _, tripAfter := range []int{-1, 2, 5 + int(seed%9)} {
+						run := func(db *Instance) diffOutcome {
+							opts := Options{Mode: mode, MaxDepth: 3, MaxFacts: 50_000, MaxRounds: 1_000, Parallelism: par}
+							if tripAfter >= 0 {
+								opts.Faults = limits.NewPlan(limits.Fault{Point: "chase.rule", After: tripAfter})
+							}
+							res, err := Run(db, c.program, opts)
+							return diffOutcome{res: res, err: err}
+						}
+						layered, flat := run(c.db), run(flatInput)
+						if tripAfter < 0 && injectedSomewhere(layered, flat) {
+							t.Skipf("seed=%d: injected fault (TRIQ_FAULTS armed); case not comparable", seed)
+						}
+						if layered.res.Instance.base != c.db || flat.res.Instance.base != nil {
+							t.Fatal("the axis is not exercising a layered and a flat engine instance")
+						}
+						requireIdentical(t, fmt.Sprintf("seed=%d mode=%v P%d trip=%d layered≡flat", seed, mode, par, tripAfter), flat, layered)
+						if t.Failed() {
+							t.Logf("program (db: %d facts):\n%s", c.db.Len(), c.source)
+							return
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestDifferentialBudgetTrip pins the abort path: a fact budget that trips
 // mid-round must abort at the identical fact, with identical partial
 // instances and truncation counters, for every worker count. (ErrFactBudget

@@ -80,7 +80,7 @@ func StableGroundCtx(ctx context.Context, db *Instance, prog *datalog.Program, o
 	if window <= 0 {
 		window = 2
 	}
-	depth := 2
+	depth := min(2, opts.MaxDepth)
 	var prev *Instance
 	stable := 0
 	var last *GroundResult

@@ -109,3 +109,26 @@ func TestStableGroundGivesUpAtCeiling(t *testing.T) {
 		t.Errorf("depth %d exceeded ceiling", gr.Depth)
 	}
 }
+
+func TestStableGroundHonorsMaxDepthOne(t *testing.T) {
+	// Deepening used to start at depth 2 whatever the ceiling, so a ceiling
+	// of 1 invented the null of a null.
+	db := NewInstance(atom("p", "a"))
+	prog := datalog.MustParse(`
+		p(?X) -> exists ?Y r(?X, ?Y).
+		r(?X, ?Y) -> p(?Y).
+	`)
+	opts := Options{MaxDepth: 1}
+	res, err := Run(db, prog, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gr, err := StableGround(db, prog, opts, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gr.Depth != 1 || gr.Stats.NullsInvented != res.Stats.NullsInvented || res.Stats.NullsInvented != 1 {
+		t.Errorf("StableGround at MaxDepth 1: depth %d, %d nulls; Run invents %d",
+			gr.Depth, gr.Stats.NullsInvented, res.Stats.NullsInvented)
+	}
+}

@@ -224,7 +224,8 @@ func (inc *Incremental) freshNull(key string, d int) datalog.Term {
 // triggerKey identifies a trigger for deduplication: the rule index plus the
 // full body binding.
 func triggerKey(c *compiledRule, e *env) string {
-	return "r" + strconv.Itoa(c.idx) + ":" + bindingKey(e, c.bodySlots)
+	buf := append(strconv.AppendInt([]byte{'r'}, int64(c.idx), 10), ':')
+	return string(appendBindingKey(buf, e, c.bodySlots))
 }
 
 // checkRound runs the per-round bookkeeping shared by every maintenance

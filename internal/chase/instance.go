@@ -20,7 +20,14 @@ import (
 // lookups hash packed integer keys instead of structured strings — the
 // dominant cost in the chase inner loop. The zero value is unusable; call
 // NewInstance.
+//
+// An instance is either flat (base == nil) or a layer over a flat base (see
+// Overlay): reads consult the base and then the own layer, while writes, new
+// dictionary ids and new index entries go to the own layer only. The base is
+// never written through a layer, so any number of layers, on any number of
+// goroutines, may share one base.
 type Instance struct {
+	base   *Instance
 	set    map[string]struct{}
 	byPred map[string][]datalog.Atom
 	// idx maps packed (pred, position, term) keys to the atoms with that
@@ -28,10 +35,15 @@ type Instance struct {
 	idx    map[uint64][]datalog.Atom
 	termID map[datalog.Term]uint32
 	predID map[string]uint32
-	n      int
+	n      int // atoms of the own layer
+	// baseTerms, basePreds and baseLen are the base's dictionary sizes and
+	// atom count when the layer was created: own-layer ids start above them,
+	// and a base that no longer matches them was modified under the layer.
+	baseTerms, basePreds, baseLen int
+	hasNull                       bool // some atom of the own layer carries a null
 }
 
-// NewInstance returns an instance containing the given atoms.
+// NewInstance returns a flat instance containing the given atoms.
 func NewInstance(atoms ...datalog.Atom) *Instance {
 	i := &Instance{
 		set:    make(map[string]struct{}),
@@ -46,33 +58,93 @@ func NewInstance(atoms ...datalog.Atom) *Instance {
 	return i
 }
 
-func (i *Instance) internTerm(t datalog.Term) uint32 {
-	if id, ok := i.termID[t]; ok {
-		return id
+// Overlay returns an independent, mutable instance holding the atoms of i.
+// Over a flat instance that is an empty layer on top of i, built in O(1); i
+// is then a frozen base and must not be modified while the layer is in use
+// (the layer panics when it notices). A base must be flat, so the overlay of
+// a layered instance is its flat Clone.
+func (i *Instance) Overlay() *Instance {
+	if i.base != nil {
+		return i.Clone()
 	}
-	id := uint32(len(i.termID))
+	j := NewInstance()
+	j.base = i
+	j.baseTerms, j.basePreds, j.baseLen = len(i.termID), len(i.predID), i.n
+	return j
+}
+
+// keyBufLen sizes the stack buffers that hold a packed key, enough for atoms
+// of up to 8 arguments; longer atoms spill to the heap.
+const keyBufLen = 4 + 4*8
+
+// termOf returns the dictionary id of a term: the base's if the base knows
+// the term (inBase), else the own layer's, which with intern set is assigned
+// on first sight. Interning is monotone, so an id stays valid for the
+// instance's lifetime.
+func (i *Instance) termOf(t datalog.Term, intern bool) (id uint32, inBase, ok bool) {
+	if b := i.base; b != nil {
+		if id, ok = b.termID[t]; ok {
+			return id, true, true
+		}
+	}
+	if id, ok = i.termID[t]; ok || !intern {
+		return id, false, ok
+	}
+	id = uint32(i.baseTerms + len(i.termID))
 	i.termID[t] = id
-	return id
+	return id, false, true
 }
 
-func (i *Instance) internPred(p string) uint32 {
-	if id, ok := i.predID[p]; ok {
-		return id
+// predOf is termOf for predicate names.
+func (i *Instance) predOf(p string, intern bool) (id uint32, inBase, ok bool) {
+	if b := i.base; b != nil {
+		if id, ok = b.predID[p]; ok {
+			return id, true, true
+		}
 	}
-	id := uint32(len(i.predID))
+	if id, ok = i.predID[p]; ok || !intern {
+		return id, false, ok
+	}
+	id = uint32(i.basePreds + len(i.predID))
 	i.predID[p] = id
-	return id
+	return id, false, true
 }
 
-// key packs the atom into a compact byte-string key: predicate id followed
-// by the argument term ids, 4 bytes each.
-func (i *Instance) key(pid uint32, argIDs []uint32) string {
-	buf := make([]byte, 4+4*len(argIDs))
-	binary.LittleEndian.PutUint32(buf, pid)
-	for k, id := range argIDs {
-		binary.LittleEndian.PutUint32(buf[4+4*k:], id)
+// packKey appends the atom's set key to buf: the predicate id followed by
+// the argument term ids, 4 bytes each. Own-layer ids start above the base's,
+// so one key addresses both layers. Without intern, ok is false when the
+// atom mentions a term or predicate the instance has never seen and
+// therefore cannot contain. inBase reports that every id belongs to the
+// base's dictionary, without which the base cannot hold the atom.
+func (i *Instance) packKey(buf []byte, a datalog.Atom, intern bool) (key []byte, inBase, ok bool) {
+	if b := i.base; b != nil && (len(b.termID) != i.baseTerms || b.n != i.baseLen) {
+		panic("chase: base instance modified while a layer over it is in use")
 	}
-	return string(buf)
+	pid, inBase, ok := i.predOf(a.Pred, intern)
+	if !ok {
+		return nil, false, false
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, pid)
+	for _, t := range a.Args {
+		tid, termInBase, ok := i.termOf(t, intern)
+		if !ok {
+			return nil, false, false
+		}
+		inBase = inBase && termInBase
+		buf = binary.LittleEndian.AppendUint32(buf, tid)
+	}
+	return buf, inBase, true
+}
+
+// hasKey probes both layers for a packed key without allocating.
+func (i *Instance) hasKey(key []byte, inBase bool) bool {
+	if inBase {
+		if _, ok := i.base.set[string(key)]; ok {
+			return true
+		}
+	}
+	_, ok := i.set[string(key)]
+	return ok
 }
 
 // idxKey packs (pred, position, term) into one uint64: 24 bits predicate,
@@ -87,76 +159,53 @@ func (i *Instance) Add(a datalog.Atom) bool {
 	if !a.IsGround() {
 		panic(fmt.Sprintf("chase: non-ground atom %v added to instance", a))
 	}
-	pid := i.internPred(a.Pred)
-	var idsArr [8]uint32
-	ids := idsArr[:0]
-	if len(a.Args) > len(idsArr) {
-		ids = make([]uint32, 0, len(a.Args))
-	}
-	for _, t := range a.Args {
-		ids = append(ids, i.internTerm(t))
-	}
-	k := i.key(pid, ids)
-	if _, ok := i.set[k]; ok {
+	var arr [keyBufLen]byte
+	key, inBase, _ := i.packKey(arr[:0], a, true)
+	if i.hasKey(key, inBase) {
 		return false
 	}
-	i.set[k] = struct{}{}
+	i.set[string(key)] = struct{}{}
 	i.byPred[a.Pred] = append(i.byPred[a.Pred], a)
-	for pos, tid := range ids {
-		kk := idxKey(pid, pos, tid)
+	pid := binary.LittleEndian.Uint32(key)
+	for pos := range a.Args {
+		kk := idxKey(pid, pos, binary.LittleEndian.Uint32(key[4+4*pos:]))
 		i.idx[kk] = append(i.idx[kk], a)
 	}
 	i.n++
+	if !i.hasNull && !a.IsConstantGround() {
+		i.hasNull = true
+	}
 	return true
 }
 
 // internKey returns the packed set key for a ground atom, interning any
-// previously-unseen terms and predicate. Unlike factKey it always succeeds;
-// interning is monotone, so the key stays stable for the instance's lifetime
-// whether or not the atom is ever added. The incremental maintenance engine
-// uses it to address support counters for facts that are about to exist.
+// previously-unseen terms and predicate, so unlike factKey it always
+// succeeds. The incremental maintenance engine uses it to address support
+// counters for facts that are about to exist.
 func (i *Instance) internKey(a datalog.Atom) string {
-	pid := i.internPred(a.Pred)
-	var idsArr [8]uint32
-	ids := idsArr[:0]
-	if len(a.Args) > len(idsArr) {
-		ids = make([]uint32, 0, len(a.Args))
-	}
-	for _, t := range a.Args {
-		ids = append(ids, i.internTerm(t))
-	}
-	return i.key(pid, ids)
+	var arr [keyBufLen]byte
+	key, _, _ := i.packKey(arr[:0], a, true)
+	return string(key)
 }
 
 // factKey returns the packed set key for a ground atom without interning new
-// dictionary entries; ok is false when the atom mentions a term or predicate
-// the instance has never seen (and therefore cannot contain).
+// dictionary entries; ok is false when the instance cannot contain the atom.
 func (i *Instance) factKey(a datalog.Atom) (string, bool) {
-	pid, ok := i.predID[a.Pred]
-	if !ok {
-		return "", false
-	}
-	var idsArr [8]uint32
-	ids := idsArr[:0]
-	if len(a.Args) > len(idsArr) {
-		ids = make([]uint32, 0, len(a.Args))
-	}
-	for _, t := range a.Args {
-		tid, ok := i.termID[t]
-		if !ok {
-			return "", false
-		}
-		ids = append(ids, tid)
-	}
-	return i.key(pid, ids), true
+	var arr [keyBufLen]byte
+	key, _, ok := i.packKey(arr[:0], a, false)
+	return string(key), ok
 }
 
 // RemoveBatch deletes the given ground atoms and returns how many were
 // actually present. The dictionary keeps its term/pred ids (interning is
 // monotone), but the set, per-predicate slices, and per-position indexes are
 // filtered in one pass per touched bucket, so a batch removal costs
-// O(|touched buckets|) rather than O(|batch| × |bucket|).
+// O(|touched buckets|) rather than O(|batch| × |bucket|). Layers are
+// append-only: RemoveBatch on a layered instance panics.
 func (i *Instance) RemoveBatch(atoms []datalog.Atom) int {
+	if i.base != nil {
+		panic("chase: RemoveBatch on a layered instance (layers are append-only; Clone it first)")
+	}
 	dropped := make(map[string]struct{}, len(atoms))
 	preds := make(map[string]struct{})
 	for _, a := range atoms {
@@ -227,55 +276,89 @@ func (i *Instance) RemoveBatch(atoms []datalog.Atom) int {
 
 // Has reports whether the ground atom is present.
 func (i *Instance) Has(a datalog.Atom) bool {
-	pid, ok := i.predID[a.Pred]
-	if !ok {
-		return false
-	}
-	var idsArr [8]uint32
-	ids := idsArr[:0]
-	if len(a.Args) > len(idsArr) {
-		ids = make([]uint32, 0, len(a.Args))
-	}
-	for _, t := range a.Args {
-		tid, ok := i.termID[t]
-		if !ok {
-			return false
-		}
-		ids = append(ids, tid)
-	}
-	_, ok = i.set[i.key(pid, ids)]
-	return ok
+	var arr [keyBufLen]byte
+	key, inBase, ok := i.packKey(arr[:0], a, false)
+	return ok && i.hasKey(key, inBase)
 }
 
 // Len returns the number of atoms.
-func (i *Instance) Len() int { return i.n }
+func (i *Instance) Len() int { return i.baseLen + i.n }
+
+// join returns base followed by own, copying only when both are non-empty.
+func join(base, own []datalog.Atom) []datalog.Atom {
+	if len(own) == 0 {
+		return base
+	}
+	if len(base) == 0 {
+		return own
+	}
+	return append(append(make([]datalog.Atom, 0, len(base)+len(own)), base...), own...)
+}
+
+// atomsOf returns the atoms with the given predicate as the base's bucket
+// followed by the own layer's: the insertion order of a flat instance that
+// received the base's atoms first.
+func (i *Instance) atomsOf(pred string) (base, own []datalog.Atom) {
+	if i.base != nil {
+		base = i.base.byPred[pred]
+	}
+	return base, i.byPred[pred]
+}
 
 // AtomsOf returns the atoms with the given predicate; the slice must not be
 // modified.
-func (i *Instance) AtomsOf(pred string) []datalog.Atom { return i.byPred[pred] }
+func (i *Instance) AtomsOf(pred string) []datalog.Atom { return join(i.atomsOf(pred)) }
 
-// Lookup returns the atoms of pred having term t at (0-based) position pos.
+// lookup returns the atoms of pred having term t at (0-based) position pos,
+// split like atomsOf.
+func (i *Instance) lookup(pred string, pos int, t datalog.Term) (base, own []datalog.Atom) {
+	pid, predInBase, ok := i.predOf(pred, false)
+	if !ok {
+		return nil, nil
+	}
+	tid, termInBase, ok := i.termOf(t, false)
+	if !ok {
+		return nil, nil
+	}
+	kk := idxKey(pid, pos, tid)
+	if predInBase && termInBase {
+		base = i.base.idx[kk]
+	}
+	return base, i.idx[kk]
+}
+
+// Lookup returns the atoms of pred having term t at (0-based) position pos;
+// the slice must not be modified.
 func (i *Instance) Lookup(pred string, pos int, t datalog.Term) []datalog.Atom {
-	pid, ok := i.predID[pred]
-	if !ok {
-		return nil
-	}
-	tid, ok := i.termID[t]
-	if !ok {
-		return nil
-	}
-	return i.idx[idxKey(pid, pos, tid)]
+	return join(i.lookup(pred, pos, t))
 }
 
 // All returns every atom, predicate-by-predicate in sorted predicate order.
-func (i *Instance) All() []datalog.Atom {
+func (i *Instance) All() []datalog.Atom { return i.list(i.base) }
+
+// list returns the atoms of the own layer and, when non-nil, of base,
+// predicate-by-predicate in sorted predicate order, a predicate's base atoms
+// before its own.
+func (i *Instance) list(base *Instance) []datalog.Atom {
 	preds := make([]string, 0, len(i.byPred))
 	for p := range i.byPred {
 		preds = append(preds, p)
 	}
+	size := i.n
+	if base != nil {
+		for p := range base.byPred {
+			if _, own := i.byPred[p]; !own {
+				preds = append(preds, p)
+			}
+		}
+		size += base.n
+	}
 	sort.Strings(preds)
-	out := make([]datalog.Atom, 0, i.n)
+	out := make([]datalog.Atom, 0, size)
 	for _, p := range preds {
+		if base != nil {
+			out = append(out, base.byPred[p]...)
+		}
 		out = append(out, i.byPred[p]...)
 	}
 	return out
@@ -288,7 +371,8 @@ func (i *Instance) Sorted() []datalog.Atom {
 	return out
 }
 
-// Clone returns a deep copy of the instance.
+// Clone returns a deep copy of the instance: flat, and independent of the
+// receiver and of its base.
 func (i *Instance) Clone() *Instance {
 	j := NewInstance()
 	for _, a := range i.All() {
@@ -297,11 +381,28 @@ func (i *Instance) Clone() *Instance {
 	return j
 }
 
-// GroundPart returns Π(D)↓-style restriction: the atoms whose arguments are
-// all constants.
+// nullFree reports that no atom of either layer carries a null.
+func (i *Instance) nullFree() bool {
+	return !i.hasNull && (i.base == nil || !i.base.hasNull)
+}
+
+// GroundPart returns the Π(D)↓-style restriction: the atoms whose arguments
+// are all constants. An instance without nulls is its own ground part and is
+// returned as is, so callers must treat the result as read-only. A layer
+// with nulls over a null-free base yields a fresh layer over the same base
+// holding the own layer's constant-only atoms; the base is never re-inserted.
 func (i *Instance) GroundPart() *Instance {
-	j := NewInstance()
-	for _, a := range i.All() {
+	if i.nullFree() {
+		return i
+	}
+	var j *Instance
+	var atoms []datalog.Atom
+	if b := i.base; b != nil && !b.hasNull {
+		j, atoms = b.Overlay(), i.list(nil)
+	} else {
+		j, atoms = NewInstance(), i.All()
+	}
+	for _, a := range atoms {
 		if a.IsConstantGround() {
 			j.Add(a)
 		}
@@ -329,6 +430,9 @@ func (i *Instance) Constants() []datalog.Term {
 
 // Nulls returns the labeled nulls occurring in the instance.
 func (i *Instance) Nulls() []datalog.Term {
+	if i.nullFree() {
+		return nil
+	}
 	seen := make(map[datalog.Term]struct{})
 	for _, a := range i.All() {
 		for _, t := range a.Args {
@@ -350,8 +454,14 @@ func (i *Instance) Equal(j *Instance) bool {
 	if i.Len() != j.Len() {
 		return false
 	}
-	// Dictionaries may assign different ids, so compare atom-wise.
-	for _, a := range i.All() {
+	// Dictionaries may assign different ids, so compare atom-wise. Two
+	// layers over one base differ only in their own atoms, which are
+	// disjoint from the base's.
+	base := i.base
+	if base == j.base {
+		base = nil
+	}
+	for _, a := range i.list(base) {
 		if !j.Has(a) {
 			return false
 		}

@@ -127,10 +127,10 @@ func (p pattern) rollback(e *env, added *[]int, start int) {
 }
 
 // candidatesFor returns the facts possibly matching the pattern under the
-// environment, via the most selective index position.
-func candidatesFor(inst *Instance, p pattern, e *env) []datalog.Atom {
+// environment, via the most selective index position: the base's candidates
+// and then the own layer's, the order of a flat instance holding both.
+func candidatesFor(inst *Instance, p pattern, e *env) (base, own []datalog.Atom) {
 	bestLen := -1
-	var best []datalog.Atom
 	for i, a := range p.args {
 		var ground datalog.Term
 		switch {
@@ -141,18 +141,18 @@ func candidatesFor(inst *Instance, p pattern, e *env) []datalog.Atom {
 		default:
 			continue
 		}
-		c := inst.Lookup(p.pred, i, ground)
-		if bestLen == -1 || len(c) < bestLen {
-			bestLen, best = len(c), c
+		b, o := inst.lookup(p.pred, i, ground)
+		if n := len(b) + len(o); bestLen == -1 || n < bestLen {
+			bestLen, base, own = n, b, o
 			if bestLen == 0 {
-				return nil
+				return nil, nil
 			}
 		}
 	}
 	if bestLen >= 0 {
-		return best
+		return base, own
 	}
-	return inst.AtomsOf(p.pred)
+	return inst.atomsOf(p.pred)
 }
 
 // orderPatterns returns a greedy join order over the pattern indices: start
@@ -224,13 +224,16 @@ func matchPatterns(inst *Instance, pats []pattern, order []int, e *env, yield fu
 			return yield()
 		}
 		p := pats[order[k]]
-		for _, fact := range candidatesFor(inst, p, e) {
-			start := len(added)
-			if p.matchInto(fact, e, &added) {
-				if !rec(k + 1) {
-					return false
+		base, own := candidatesFor(inst, p, e)
+		for _, layer := range [2][]datalog.Atom{base, own} {
+			for _, fact := range layer {
+				start := len(added)
+				if p.matchInto(fact, e, &added) {
+					if !rec(k + 1) {
+						return false
+					}
+					p.rollback(e, &added, start)
 				}
-				p.rollback(e, &added, start)
 			}
 		}
 		return true

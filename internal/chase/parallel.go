@@ -14,7 +14,8 @@ import (
 // phases:
 //
 //  1. enumerate — the candidate space of the rule (per semi-naive seed
-//     position, sharded over the seed's delta candidates) is matched against
+//     position, sharded over the previous round's facts of the seed's
+//     predicate) is matched against
 //     the instance as it stands at the start of the rule's turn. The
 //     instance is not mutated during this phase, so any number of workers
 //     may match concurrently without synchronization; each shard records the
@@ -90,19 +91,20 @@ type shard struct {
 // canonical order. The partition depends only on the candidate lists (which
 // are deterministic products of the apply phase), never on the worker
 // count, so concatenating the shard buffers in slice order always
-// reproduces the sequential enumeration order.
-func (e *engine) buildShards(c *compiledRule, delta *Instance) []*shard {
-	probe := newEnv(len(c.st.vars))
+// reproduces the sequential enumeration order. delta holds, per body
+// predicate, the facts the previous round derived (nil on the first round);
+// the seed pattern's matchInto drops the ones its constants rule out.
+func (e *engine) buildShards(c *compiledRule, delta map[string][]datalog.Atom) []*shard {
 	if delta == nil {
 		if len(c.bodyPos) == 0 {
 			return []*shard{{seed: -1, trivial: true}}
 		}
-		first := c.fullOrder[0]
-		return e.shardRange(nil, -1, candidatesFor(e.inst, c.bodyPos[first], probe))
+		first := c.bodyPos[c.fullOrder[0]]
+		return e.shardRange(nil, -1, join(candidatesFor(e.inst, first, newEnv(len(c.st.vars)))))
 	}
 	var out []*shard
-	for j := range c.bodyPos {
-		out = e.shardRange(out, j, candidatesFor(delta, c.bodyPos[j], probe))
+	for j, p := range c.bodyPos {
+		out = e.shardRange(out, j, delta[p.pred])
 	}
 	return out
 }
@@ -185,7 +187,7 @@ func (e *engine) enumShard(c *compiledRule, s *shard, stop *atomic.Bool) error {
 // enumerate runs phase one of the round for one rule, inline or on a worker
 // pool, and returns the shards with their buffers filled. On a context
 // abort the first worker error wins and no shard output is applied.
-func (e *engine) enumerate(c *compiledRule, delta *Instance, ruleSpan *obs.Span) ([]*shard, error) {
+func (e *engine) enumerate(c *compiledRule, delta map[string][]datalog.Atom, ruleSpan *obs.Span) ([]*shard, error) {
 	shards := e.buildShards(c, delta)
 	if len(shards) == 0 {
 		return nil, nil
@@ -266,7 +268,7 @@ func (e *engine) enumerate(c *compiledRule, delta *Instance, ruleSpan *obs.Span)
 // goroutine: phase two of the round. dedup enables the cross-seed
 // deduplication of semi-naive matching (a trigger whose body holds two
 // delta facts is enumerated once per seed position).
-func (e *engine) apply(c *compiledRule, rs *RuleStats, shards []*shard, dedup bool, next *Instance) error {
+func (e *engine) apply(c *compiledRule, rs *RuleStats, shards []*shard, dedup bool) error {
 	if len(shards) == 0 {
 		return nil
 	}
@@ -279,11 +281,12 @@ func (e *engine) apply(c *compiledRule, rs *RuleStats, shards []*shard, dedup bo
 		for i := 0; i < s.buf.n; i++ {
 			s.buf.load(i, c.bodySlots, ev)
 			if seen != nil {
-				key := bindingKey(ev, c.bodySlots)
-				if _, dup := seen[key]; dup {
+				// The probe converts in place; only a new key is copied.
+				e.keyBuf = appendBindingKey(e.keyBuf[:0], ev, c.bodySlots)
+				if _, dup := seen[string(e.keyBuf)]; dup {
 					continue
 				}
-				seen[key] = struct{}{}
+				seen[string(e.keyBuf)] = struct{}{}
 			}
 			rs.TriggersAttempted++
 			// Cancellation is polled inside the apply loop (not just per
@@ -307,12 +310,8 @@ func (e *engine) apply(c *compiledRule, rs *RuleStats, shards []*shard, dedup bo
 			if negated {
 				continue
 			}
-			newFacts, err := e.fire(c, ev)
-			if err != nil {
+			if err := e.fire(c, ev); err != nil {
 				return err
-			}
-			for _, f := range newFacts {
-				next.Add(f)
 			}
 		}
 	}

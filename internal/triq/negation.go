@@ -76,43 +76,38 @@ func EliminateNegationCtx(ctx context.Context, db *chase.Instance, prog *datalog
 	}
 
 	for i, rules := range strata {
-		if i > 0 {
-			// Materialize complements for the predicates negated in this
-			// stratum, against the ground semantics of the accumulated
-			// positive program.
-			negPreds := make(map[string]bool)
-			for _, r := range rules {
-				for _, a := range r.BodyNeg {
-					negPreds[a.Pred] = true
-				}
+		// Materialize complements for the predicates negated in this
+		// stratum. In stratum 0 they are purely extensional; above it the
+		// reference is the ground semantics of the accumulated positive
+		// program.
+		negPreds := make(map[string]bool)
+		for _, r := range rules {
+			for _, a := range r.BodyNeg {
+				negPreds[a.Pred] = true
 			}
-			if len(negPreds) > 0 {
-				gr, err := chase.StableGroundCtx(ctx, dbPlus, progPlus, opts, 0)
-				if err != nil {
-					return nil, nil, err
-				}
-				if gr.Inconsistent {
-					return nil, nil, fmt.Errorf("triq: unexpected ⊤ during negation elimination")
-				}
-				for pred := range negPreds {
-					if err := addComplement(dbPlus, gr.Ground, pred, sch[pred], dom); err != nil {
-						return nil, nil, err
-					}
-				}
+		}
+		ref := dbPlus
+		if i > 0 && len(negPreds) > 0 {
+			gr, err := chase.StableGroundCtx(ctx, dbPlus, progPlus, opts, 0)
+			if err != nil {
+				return nil, nil, err
 			}
-		} else {
-			// Predicates negated in stratum 0 are purely extensional.
-			negPreds := make(map[string]bool)
-			for _, r := range rules {
-				for _, a := range r.BodyNeg {
-					negPreds[a.Pred] = true
-				}
+			if gr.Inconsistent {
+				return nil, nil, fmt.Errorf("triq: unexpected ⊤ during negation elimination")
 			}
-			for pred := range negPreds {
-				if err := addComplement(dbPlus, dbPlus, pred, sch[pred], dom); err != nil {
-					return nil, nil, err
-				}
+			ref = gr.Ground
+		}
+		// The reference may be a layer over dbPlus, which must stay as it is
+		// until the last complement has been read off it.
+		var complements []datalog.Atom
+		for pred := range negPreds {
+			var err error
+			if complements, err = appendComplement(complements, ref, pred, sch[pred], dom); err != nil {
+				return nil, nil, err
 			}
+		}
+		for _, a := range complements {
+			dbPlus.Add(a)
 		}
 		for _, r := range rules {
 			progPlus.Add(positivize(r))
@@ -132,11 +127,11 @@ func positivize(r datalog.Rule) datalog.Rule {
 	return out
 }
 
-// addComplement inserts s̄(t) for every constant tuple t over the domain
+// appendComplement appends s̄(t) for every constant tuple t over the domain
 // with s(t) absent from the reference instance.
-func addComplement(dbPlus, ref *chase.Instance, pred string, arity int, dom []datalog.Term) error {
+func appendComplement(out []datalog.Atom, ref *chase.Instance, pred string, arity int, dom []datalog.Term) ([]datalog.Atom, error) {
 	if arity > 4 && len(dom) > 32 {
-		return fmt.Errorf("triq: complement of %s would need |dom|^%d = %d^%d facts", pred, arity, len(dom), arity)
+		return nil, fmt.Errorf("triq: complement of %s would need |dom|^%d = %d^%d facts", pred, arity, len(dom), arity)
 	}
 	tuple := make([]datalog.Term, arity)
 	var rec func(k int)
@@ -144,7 +139,7 @@ func addComplement(dbPlus, ref *chase.Instance, pred string, arity int, dom []da
 		if k == arity {
 			a := datalog.Atom{Pred: pred, Args: append([]datalog.Term(nil), tuple...)}
 			if !ref.Has(a) {
-				dbPlus.Add(datalog.Atom{Pred: complementPred(pred), Args: a.Args})
+				out = append(out, datalog.Atom{Pred: complementPred(pred), Args: a.Args})
 			}
 			return
 		}
@@ -154,7 +149,7 @@ func addComplement(dbPlus, ref *chase.Instance, pred string, arity int, dom []da
 		}
 	}
 	rec(0)
-	return nil
+	return out, nil
 }
 
 // NewProverWithNegation eliminates grounded negation per Step 1 and builds a

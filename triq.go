@@ -28,9 +28,10 @@
 //
 // A Graph is immutable after parsing and safe for any number of concurrent
 // readers, and every evaluation entry point (Ask, AskSPARQL, AskExact and
-// their Ctx variants) builds its own working state per call — the chase
-// clones the database, the translation materializes a fresh instance, and
-// the exact enumeration builds a private prover. Many goroutines may
+// their Ctx variants) builds its own working state per call — the
+// translation materializes a fresh instance of τ_db(G), the chase appends to
+// a private layer over that instance and never writes it, and the exact
+// enumeration builds a private prover. Many goroutines may
 // therefore evaluate queries over one shared Graph (and shared parsed Query
 // / SPARQLQuery / Translation values) without external locking; this is the
 // contract the triqd server (cmd/triqd, internal/serve) relies on. The one
