@@ -8,6 +8,7 @@ import (
 
 	"repro"
 
+	"repro/internal/mat"
 	"repro/internal/translate"
 	"repro/internal/triq"
 	"repro/internal/workload"
@@ -20,6 +21,9 @@ import (
 const (
 	transportAllocCeiling = 36_500
 	lookupAllocCeiling    = 950
+	// An explained warm read measures 88, of which the private registry and
+	// the report are all but the plain read's share.
+	warmExplainedAllocCeiling = 110
 )
 
 func TestTransportAllocCeiling(t *testing.T) {
@@ -37,9 +41,9 @@ func TestTransportAllocCeiling(t *testing.T) {
 	}
 }
 
-// TestLookupAllocCeiling pins that evaluating a query costs what it derives,
-// not what the database holds: 10 derived facts over 10 000 triples.
-func TestLookupAllocCeiling(t *testing.T) {
+// lookupGraph is the 10 001-triple graph of the lookup ceilings.
+func lookupGraph(t *testing.T) *repro.Graph {
+	t.Helper()
 	var nt strings.Builder
 	for i := 0; i < 2500; i++ {
 		fmt.Fprintf(&nt, "<p%d> <knows> <p%d> .\n<p%d> <knows> <p%d> .\n<p%d> <phone> \"t%d\" .\n<p%d> <name> \"n%d\" .\n",
@@ -50,6 +54,13 @@ func TestLookupAllocCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return g
+}
+
+// TestLookupAllocCeiling pins that evaluating a query costs what it derives,
+// not what the database holds: 10 derived facts over 10 000 triples.
+func TestLookupAllocCeiling(t *testing.T) {
+	g := lookupGraph(t)
 	sq, err := repro.ParseSPARQL("SELECT ?Y ?E WHERE { <p3> <knows> ?Y . OPTIONAL { ?Y <email> ?E } }")
 	if err != nil {
 		t.Fatal(err)
@@ -73,5 +84,46 @@ func TestLookupAllocCeiling(t *testing.T) {
 	}
 	if allocs > lookupAllocCeiling {
 		t.Errorf("10-fact lookup over %d facts: %.0f allocations per evaluation, ceiling %d", db.Len(), allocs, lookupAllocCeiling)
+	}
+}
+
+// TestWarmExplainedReadAllocCeiling pins that asking for a report does not
+// change the order of Eval's steps: the materializer is consulted before
+// τ_db(G) is loaded, so an explained warm read over the 10 000-triple graph
+// costs its report and not a copy of the graph (37 918 allocations when the
+// explain path loaded the graph first; the plain warm read takes 80).
+func TestWarmExplainedReadAllocCeiling(t *testing.T) {
+	g := lookupGraph(t)
+	q, err := repro.ParseQuery("triple(p3, knows, ?Y) -> query(?Y).", "query")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := mat.New(mat.Config{})
+	st, _, err := repro.OpenStore(repro.StoreConfig{OnCommit: m.OnCommit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	m.Reset(st.Current().Seq)
+	if _, _, err := st.Insert(g.Triples()); err != nil {
+		t.Fatal(err)
+	}
+	ep := st.Current()
+	req := repro.Request{Query: q, Language: repro.TriQLite10, Explain: true,
+		Options: repro.Options{Mat: m, MatEpoch: ep.Seq}}
+	if _, err := repro.Eval(context.Background(), ep.Graph, req); err != nil { // cold build
+		t.Fatal(err)
+	}
+	var resp *repro.Response
+	allocs := testing.AllocsPerRun(5, func() {
+		if resp, err = repro.Eval(context.Background(), ep.Graph, req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if len(resp.Tuples) != 2 || resp.Explain.Path != triq.PathMaterialized {
+		t.Fatalf("warm read: %d answers by path %q, want 2 by %q", len(resp.Tuples), resp.Explain.Path, triq.PathMaterialized)
+	}
+	if allocs > warmExplainedAllocCeiling {
+		t.Errorf("explained warm read over %d triples: %.0f allocations, ceiling %d", ep.Graph.Len(), allocs, warmExplainedAllocCeiling)
 	}
 }

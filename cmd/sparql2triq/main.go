@@ -26,13 +26,13 @@ import (
 	"strings"
 	"time"
 
+	"repro"
 	"repro/internal/chase"
 	"repro/internal/limits"
 	"repro/internal/obs"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
 	"repro/internal/translate"
-	"repro/internal/triq"
 )
 
 // Exit codes of the resource-governance contract (see README "Resource
@@ -147,10 +147,6 @@ func run(ctx context.Context, cfg config) (err error) {
 	if err != nil {
 		return err
 	}
-	if cfg.explain && o == nil {
-		// EXPLAIN needs a registry even when -trace/-metrics are off.
-		o = obs.New()
-	}
 	err = translateAndEval(ctx, cfg, o)
 	if cerr := closeObs(); err == nil {
 		err = cerr
@@ -193,8 +189,13 @@ func translateAndEval(ctx context.Context, cfg config, o *obs.Obs) error {
 	default:
 		return fmt.Errorf("unknown regime %q (want plain, u, or all)", cfg.regime)
 	}
-	start := time.Now()
-	tr, err := translate.Traced(q.Pattern(), regime, o)
+	// When the query is evaluated too, Eval runs the traced translation the
+	// telemetry should see; the one printed here then stays out of it.
+	printObs := o
+	if cfg.eval != "" {
+		printObs = nil
+	}
+	tr, err := translate.Traced(q.Pattern(), regime, printObs)
 	if err != nil {
 		return err
 	}
@@ -219,30 +220,32 @@ func translateAndEval(ctx context.Context, cfg config, o *obs.Obs) error {
 	if err != nil {
 		return err
 	}
-	opts := triq.Options{Chase: chase.Options{
-		MaxDepth:  16,
-		MaxFacts:  cfg.maxFacts,
-		MaxRounds: cfg.maxRounds,
-		Obs:       o,
-	}}
-	ms, res, err := tr.EvaluateFullCtx(ctx, g, opts)
+	res, err := repro.Eval(ctx, g, repro.Request{
+		SPARQL:  q,
+		Regime:  regime,
+		Explain: cfg.explain,
+		Options: repro.Options{Chase: chase.Options{
+			MaxDepth:  16,
+			MaxFacts:  cfg.maxFacts,
+			MaxRounds: cfg.maxRounds,
+			Obs:       o,
+		}},
+	})
 	if err != nil {
 		return err
 	}
-	if cfg.explain {
-		rep := triq.BuildExplain(res, o.Registry(), time.Since(start))
-		rep.Kind = "sparql"
-		rep.Regime = regime.String()
-		fmt.Fprint(os.Stderr, rep.String())
+	if res.Explain != nil {
+		fmt.Fprint(os.Stderr, res.Explain.String())
 	}
 	if cfg.metrics {
 		fmt.Fprint(os.Stderr, res.Stats.String())
 		fmt.Fprint(os.Stderr, o.Summary())
 	}
-	if res.Answers != nil && res.Answers.Inconsistent {
+	if res.Inconsistent {
 		fmt.Println("\n% evaluation: ⊤ (inconsistent)")
 		return nil
 	}
+	ms := res.Mappings
 	fmt.Printf("\n%% evaluation over %s: %d mappings\n", cfg.eval, ms.Len())
 	fmt.Println(ms.String())
 	if ms.Incomplete {

@@ -37,6 +37,7 @@ import (
 	"strings"
 	"time"
 
+	"repro"
 	"repro/internal/chase"
 	"repro/internal/datalog"
 	"repro/internal/limits"
@@ -44,6 +45,7 @@ import (
 	"repro/internal/owl"
 	"repro/internal/rdf"
 	"repro/internal/serve"
+	"repro/internal/translate"
 	"repro/internal/triq"
 )
 
@@ -254,30 +256,29 @@ func run(ctx context.Context, cfg config) (err error) {
 	if cfg.regime {
 		prog = owl.Program().Merge(prog)
 	}
-	db, err := chase.FromFacts(owl.GraphToDB(g))
-	if err != nil {
-		closeObs()
-		return err
-	}
 
 	if cfg.prove != "" {
-		err := runProve(ctx, cfg, db, prog, o)
+		err := runProve(ctx, cfg, g, prog, o)
 		if cerr := closeObs(); err == nil {
 			err = cerr
 		}
 		return err
 	}
-	err = runQuery(ctx, cfg, db, prog, o)
+	err = runQuery(ctx, cfg, g, prog, o)
 	if cerr := closeObs(); err == nil {
 		err = cerr
 	}
 	return err
 }
 
-func runProve(ctx context.Context, cfg config, db *chase.Instance, prog *datalog.Program, o *obs.Obs) error {
+func runProve(ctx context.Context, cfg config, g *rdf.Graph, prog *datalog.Program, o *obs.Obs) error {
 	goal, err := datalog.ParseAtom(cfg.prove)
 	if err != nil {
 		return fmt.Errorf("parsing goal: %w", err)
+	}
+	db, err := chase.FromFacts(owl.GraphToDB(g))
+	if err != nil {
+		return err
 	}
 	pv, err := triq.NewProver(db, prog, triq.ProofOptions{Obs: o, MaxVisits: cfg.maxVisits})
 	if err != nil {
@@ -305,42 +306,31 @@ func runProve(ctx context.Context, cfg config, db *chase.Instance, prog *datalog
 	return nil
 }
 
-func runQuery(ctx context.Context, cfg config, db *chase.Instance, prog *datalog.Program, o *obs.Obs) error {
-	var lang triq.Language
+func runQuery(ctx context.Context, cfg config, g *rdf.Graph, prog *datalog.Program, o *obs.Obs) error {
+	req := repro.Request{
+		Query:   datalog.NewQuery(prog, cfg.query),
+		Exact:   cfg.exact,
+		Explain: cfg.explain,
+	}
 	switch strings.ToLower(cfg.lang) {
 	case "triq":
-		lang = triq.TriQ10
+		req.Language = repro.TriQ10
 	case "triqlite":
-		lang = triq.TriQLite10
+		req.Language = repro.TriQLite10
 	case "any":
-		lang = triq.Unrestricted
+		req.Language = repro.Unrestricted
 	default:
 		return fmt.Errorf("unknown language %q (want triq, triqlite, or any)", cfg.lang)
 	}
-	q := datalog.NewQuery(prog, cfg.query)
-	opts := triq.Options{}
 	if cfg.depth > 0 {
-		opts.Chase.MaxDepth = cfg.depth
+		req.Options.Chase.MaxDepth = cfg.depth
 	}
-	opts.Chase.MaxFacts = cfg.maxFacts
-	opts.Chase.MaxRounds = cfg.maxRounds
-	opts.Chase.Parallelism = cfg.workers
-	opts.Chase.Obs = o
-	var res *triq.Result
-	var rep *triq.ExplainReport
-	var err error
-	switch {
-	case cfg.exact && cfg.explain:
-		opts.MaxVisits = cfg.maxVisits
-		res, rep, err = triq.ExplainExactCtx(ctx, db, q, opts)
-	case cfg.exact:
-		opts.MaxVisits = cfg.maxVisits
-		res, err = triq.EvalExactCtx(ctx, db, q, opts)
-	case cfg.explain:
-		res, rep, err = triq.ExplainCtx(ctx, db, q, lang, opts)
-	default:
-		res, err = triq.EvalCtx(ctx, db, q, lang, opts)
-	}
+	req.Options.Chase.MaxFacts = cfg.maxFacts
+	req.Options.Chase.MaxRounds = cfg.maxRounds
+	req.Options.Chase.Parallelism = cfg.workers
+	req.Options.Chase.Obs = o
+	req.Options.MaxVisits = cfg.maxVisits // read by the exact procedure only
+	res, err := repro.Eval(ctx, g, req)
 	if err != nil {
 		return err
 	}
@@ -348,38 +338,30 @@ func runQuery(ctx context.Context, cfg config, db *chase.Instance, prog *datalog
 		// The same body shape a triqd 200 carries (serve.QueryResponse), so
 		// downstream tooling parses CLI and server output identically.
 		resp := serve.QueryResponse{
-			Rows:         make([]string, 0, len(res.Answers.Tuples)),
-			Inconsistent: res.Answers.Inconsistent,
+			Rows:         make([]string, 0, len(res.Tuples)),
+			Inconsistent: res.Inconsistent,
 			Exact:        res.Exact,
 			Incomplete:   res.Incomplete,
 			Truncation:   res.Truncation,
 			Attempts:     1,
-			Explain:      rep,
+			Explain:      res.Explain,
 		}
-		for _, tup := range res.Answers.Tuples {
-			parts := make([]string, len(tup))
-			for i, t := range tup {
-				parts[i] = t.String()
-			}
-			resp.Rows = append(resp.Rows, strings.Join(parts, " "))
+		for _, tup := range res.Tuples {
+			resp.Rows = append(resp.Rows, row(tup, " "))
 		}
 		return json.NewEncoder(os.Stdout).Encode(resp)
 	}
-	if res.Answers.Inconsistent {
+	if res.Inconsistent {
 		fmt.Println("⊤ (the graph is inconsistent with the program's constraints)")
 		return nil
 	}
-	for _, tup := range res.Answers.Tuples {
-		parts := make([]string, len(tup))
-		for i, t := range tup {
-			parts[i] = t.String()
-		}
-		fmt.Println(strings.Join(parts, "\t"))
+	for _, tup := range res.Tuples {
+		fmt.Println(row(tup, "\t"))
 	}
 	fmt.Fprintf(os.Stderr, "%d answers (depth %d, exact=%v, %d facts derived)\n",
-		len(res.Answers.Tuples), res.Depth, res.Exact, res.Stats.FactsDerived)
-	if rep != nil {
-		fmt.Fprint(os.Stderr, rep.String())
+		len(res.Tuples), res.Depth, res.Exact, res.Stats.FactsDerived)
+	if res.Explain != nil {
+		fmt.Fprint(os.Stderr, res.Explain.String())
 	}
 	if cfg.metrics {
 		fmt.Fprint(os.Stderr, res.Stats.String())
@@ -391,4 +373,14 @@ func runQuery(ctx context.Context, cfg config, db *chase.Instance, prog *datalog
 		return res.Truncation.Err()
 	}
 	return nil
+}
+
+// row renders an answer tuple in the program's own spelling of its constants
+// (bare names, as the rules write them) rather than as N-Triples terms.
+func row(tup []repro.Term, sep string) string {
+	parts := make([]string, len(tup))
+	for i, t := range tup {
+		parts[i] = translate.EncodeTerm(t).String()
+	}
+	return strings.Join(parts, sep)
 }

@@ -1,0 +1,320 @@
+package repro
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"sort"
+	"strings"
+	"testing"
+
+	"repro/internal/limits"
+)
+
+// TestEvalMatrix drives the one evaluation path through every combination of
+// its axes — {Datalog, SPARQL} × {chase, ProofTree} × {plain, explained} —
+// over each kind of outcome, and checks what the single path promises: asking
+// for a report never changes the answer, the ProofTree answer equals the
+// chase's wherever the chase is exact, and limits surface the same way on
+// every combination (budget trips degrade, cancellation and panics are typed
+// errors).
+func TestEvalMatrix(t *testing.T) {
+	const reach = `
+		triple(?X, partOf, transportService) -> ts(?X).
+		triple(?X, partOf, ?Y), ts(?Y) -> ts(?X).
+		ts(?X) -> query(?X).
+	`
+	plainGraph, err := ParseGraph(facadeData)
+	if err != nil {
+		t.Fatal(err)
+	}
+	onto, err := ParseOntology(`SubClassOf(student, person) SubClassOf(∃advises⁻, student)
+		DisjointClasses(person, course)
+		ObjectPropertyAssertion(advises, ada, bob) ClassAssertion(course, bob)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topGraph := onto.ToGraph()
+	mustQuery := func(src string) Query {
+		q, err := ParseQuery(src, "query")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	mustSPARQL := func(src string) *SPARQLQuery {
+		q, err := ParseSPARQL(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	// input is one spelling of a request: the language axis.
+	type input struct {
+		name string
+		g    *Graph
+		req  Request
+	}
+	datalog := func(g *Graph, src string) input {
+		return input{"datalog", g, Request{Query: mustQuery(src), Language: TriQLite10}}
+	}
+	sparql := func(g *Graph, src string, regime Regime) input {
+		return input{"sparql", g, Request{SPARQL: mustSPARQL(src), Regime: regime}}
+	}
+	partOf := sparql(plainGraph, `SELECT ?X ?Y WHERE { ?X partOf ?Y }`, PlainRegime)
+
+	type scenario struct {
+		name   string
+		inputs []input
+		ctx    context.Context
+		// tune adjusts the options per evaluator (budgets differ: the chase
+		// counts facts, ProofTree counts visits).
+		tune func(exact bool, o *Options)
+		// check judges one successful response; wantErr, when set, is the
+		// sentinel every combination must fail with instead.
+		check   func(t *testing.T, in input, exact bool, resp *Response)
+		wantErr error
+	}
+	scenarios := []scenario{
+		{
+			name:   "consistent",
+			inputs: []input{datalog(plainGraph, reach), partOf},
+			check: func(t *testing.T, in input, exact bool, resp *Response) {
+				// Two transport services reach; two triples have partOf.
+				if resp.Inconsistent || resp.Incomplete || !resp.Exact || len(resp.Rows()) != 2 {
+					t.Errorf("got %d rows (inconsistent=%v incomplete=%v exact=%v), want 2 exact rows",
+						len(resp.Rows()), resp.Inconsistent, resp.Incomplete, resp.Exact)
+				}
+			},
+		},
+		{
+			name: "inconsistent",
+			inputs: []input{
+				datalog(plainGraph, reach+`ts(?X), triple(?X, partOf, transportService) -> false.`),
+				sparql(topGraph, `SELECT ?X WHERE { ?X rdf:type person }`, ActiveDomainRegime),
+			},
+			// ProofTree's search for the marker of the OWL 2 QL core program
+			// does not finish in any budget worth waiting for (20 M visits
+			// measured); a small one keeps the matrix fast.
+			tune: func(exact bool, o *Options) { o.MaxVisits = 2000 },
+			check: func(t *testing.T, in input, exact bool, resp *Response) {
+				if len(resp.Rows()) != 0 || resp.Mappings != nil && resp.Mappings.Len() != 0 {
+					t.Errorf("⊤ has no rows, got %v", resp.Rows())
+				}
+				if in.name == "sparql" && exact {
+					// The budget trip degrades like any other: incomplete,
+					// no rows, and no claim of ⊤ it could not prove.
+					if resp.Inconsistent || !resp.Incomplete || resp.Truncation == nil || resp.Truncation.Limit != limits.LimitVisits {
+						t.Errorf("got %+v, want a visit-budget truncation", resp)
+					}
+					return
+				}
+				if !resp.Inconsistent || resp.Incomplete {
+					t.Errorf("got inconsistent=%v incomplete=%v, want ⊤", resp.Inconsistent, resp.Incomplete)
+				}
+			},
+		},
+		{
+			name:   "budget",
+			inputs: []input{datalog(plainGraph, reach), partOf},
+			tune: func(exact bool, o *Options) {
+				o.Chase.MaxFacts = 6
+				o.MaxVisits = 1
+			},
+			check: func(t *testing.T, in input, exact bool, resp *Response) {
+				limit := limits.LimitFacts
+				if exact {
+					limit = limits.LimitVisits
+				}
+				if !resp.Incomplete || resp.Exact || resp.Truncation == nil || resp.Truncation.Limit != limit {
+					t.Errorf("got incomplete=%v exact=%v truncation=%v, want a %s trip", resp.Incomplete, resp.Exact, resp.Truncation, limit)
+				}
+				if in.name == "sparql" && (!resp.Mappings.Incomplete || resp.Mappings.Truncation != resp.Truncation) {
+					t.Error("the mapping set does not carry the truncation")
+				}
+				// Soundness: a partial answer is a subset of the full one.
+				full, err := Eval(context.Background(), in.g, in.req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fullRows := strings.Join(full.Rows(), "\n")
+				if len(resp.Rows()) >= len(full.Rows()) {
+					t.Errorf("partial answer has %d rows, the full one %d", len(resp.Rows()), len(full.Rows()))
+				}
+				for _, row := range resp.Rows() {
+					if !strings.Contains(fullRows, row) {
+						t.Errorf("partial row %q is not a certain answer", row)
+					}
+				}
+			},
+		},
+		{
+			name:    "canceled",
+			inputs:  []input{datalog(plainGraph, reach), partOf},
+			ctx:     canceled,
+			wantErr: ErrCanceled,
+		},
+		{
+			name:   "panic",
+			inputs: []input{datalog(plainGraph, reach), partOf},
+			tune: func(exact bool, o *Options) {
+				o.Chase.Faults = limits.NewPlan(
+					limits.Fault{Point: "chase.rule", Action: limits.ActPanic},
+					limits.Fault{Point: "prover.expand", Action: limits.ActPanic})
+			},
+			wantErr: ErrInternal,
+		},
+	}
+
+	// answer is what must not depend on how the request asked.
+	answer := func(resp *Response) string {
+		limit := ""
+		if resp.Truncation != nil {
+			limit = resp.Truncation.Limit
+		}
+		return fmt.Sprintf("rows=%q inconsistent=%v exact=%v incomplete=%v limit=%s",
+			resp.Rows(), resp.Inconsistent, resp.Exact, resp.Incomplete, limit)
+	}
+	for _, sc := range scenarios {
+		for _, in := range sc.inputs {
+			answers := map[bool]string{} // by exact, of the unexplained run
+			for _, exact := range []bool{false, true} {
+				for _, explain := range []bool{false, true} {
+					t.Run(fmt.Sprintf("%s/%s/exact=%v/explain=%v", sc.name, in.name, exact, explain), func(t *testing.T) {
+						req := in.req
+						req.Exact, req.Explain = exact, explain
+						if sc.tune != nil {
+							sc.tune(exact, &req.Options)
+						}
+						ctx := sc.ctx
+						if ctx == nil {
+							ctx = t.Context()
+						}
+						resp, err := Eval(ctx, in.g, req)
+						if sc.wantErr != nil {
+							if !errors.Is(err, sc.wantErr) || resp != nil {
+								t.Fatalf("got (%v, %v), want %v and no response", resp, err, sc.wantErr)
+							}
+							var ie *limits.InternalError
+							if sc.wantErr == ErrInternal && (!errors.As(err, &ie) || len(ie.Stack) == 0) {
+								t.Errorf("ErrInternal must carry the captured stack: %v", err)
+							}
+							return
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						sc.check(t, in, exact, resp)
+						if (resp.Mappings != nil) != (in.name == "sparql" && !resp.Inconsistent) || (in.name == "sparql" && resp.Tuples != nil) {
+							t.Errorf("rows in the wrong shape: tuples=%v mappings=%v", resp.Tuples, resp.Mappings)
+						}
+						if !explain {
+							if resp.Explain != nil {
+								t.Error("a report nobody asked for")
+							}
+							answers[exact] = answer(resp)
+							return
+						}
+						if got := answer(resp); got != answers[exact] {
+							t.Errorf("the explained answer differs:\n explained: %s\n     plain: %s", got, answers[exact])
+						}
+						rep := resp.Explain
+						if rep == nil {
+							t.Fatal("no report")
+						}
+						wantKind := map[string]string{"datalog": "triq", "sparql": "sparql"}[in.name]
+						if exact {
+							wantKind += "-exact"
+						}
+						if rep.Kind != wantKind || (rep.Regime != "") != (in.name == "sparql") || (rep.Language != "") != (in.name == "datalog") {
+							t.Errorf("report labelled kind=%q language=%q regime=%q, want kind %q", rep.Kind, rep.Language, rep.Regime, wantKind)
+						}
+						if rep.Answers != len(resp.Rows()) || rep.Inconsistent != resp.Inconsistent || rep.Exact != resp.Exact || rep.Incomplete != resp.Incomplete {
+							t.Errorf("report (answers=%d inconsistent=%v exact=%v incomplete=%v) disagrees with the response (%s)",
+								rep.Answers, rep.Inconsistent, rep.Exact, rep.Incomplete, answer(resp))
+						}
+						if exact != (rep.Prover != nil) {
+							t.Errorf("prover metrics present = %v on exact = %v", rep.Prover != nil, exact)
+						}
+					})
+				}
+			}
+			if sc.name == "consistent" && answers[false] != answers[true] {
+				t.Errorf("%s/%s: ProofTree and the exact chase disagree:\n chase: %s\n exact: %s", sc.name, in.name, answers[false], answers[true])
+			}
+		}
+	}
+}
+
+// TestEvalRejectsEmptyRequest: a Request naming no query is an error, not a
+// panic recovered as ErrInternal.
+func TestEvalRejectsEmptyRequest(t *testing.T) {
+	g, _ := ParseGraph("a p b .")
+	if _, err := Eval(t.Context(), g, Request{}); err == nil || errors.Is(err, ErrInternal) {
+		t.Fatalf("Eval(Request{}) = %v, want a plain error", err)
+	}
+}
+
+// TestFacadeSurface pins the exported identifiers of triq.go against
+// testdata/facade_api.golden, so a new entry point is a reviewed golden diff
+// rather than drift. Regenerate with: go test -run TestFacadeSurface . -update
+func TestFacadeSurface(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "triq.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	add := func(kind string, id *ast.Ident) {
+		if id.IsExported() {
+			names = append(names, kind+" "+id.Name)
+		}
+	}
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			kind := "func"
+			if d.Recv != nil {
+				recv := d.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				kind = "method " + recv.(*ast.Ident).Name
+			}
+			add(kind, d.Name)
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch spec := spec.(type) {
+				case *ast.TypeSpec:
+					add("type", spec.Name)
+				case *ast.ValueSpec:
+					for _, id := range spec.Names {
+						add(d.Tok.String(), id)
+					}
+				}
+			}
+		}
+	}
+	sort.Strings(names)
+	got := strings.Join(names, "\n") + "\n"
+	const golden = "testdata/facade_api.golden"
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got != string(want) {
+		t.Errorf("the facade's exported surface changed; review and rerun with -update:\n--- got\n%s--- want\n%s", got, want)
+	}
+}

@@ -98,12 +98,12 @@ func TestFacadeAskExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := AskExact(g, q, Options{})
+	res, err := Eval(t.Context(), g, Request{Query: q, Language: TriQLite10, Exact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Exact || len(res.Tuples) != 1 || res.Tuples[0][0].Value != "a" {
-		t.Errorf("AskExact = %+v", res)
+		t.Errorf("exact Eval = %+v", res)
 	}
 }
 

@@ -6,6 +6,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"os/exec"
@@ -415,7 +416,7 @@ func RunE3() *Table {
 			continue
 		}
 		start = time.Now()
-		got, evalRes, err := tr.EvaluateFull(g, triq.Options{Chase: par(chase.Options{})})
+		got, evalRes, err := tr.EvaluateCtx(context.Background(), g, triq.Options{Chase: par(chase.Options{})})
 		transTime := time.Since(start)
 		if err != nil {
 			t.OK = false
@@ -466,7 +467,7 @@ func RunE4() *Table {
 				continue
 			}
 			start := time.Now()
-			regime, evalRes, err := tr.EvaluateFull(g, triq.Options{Chase: par(chase.Options{MaxDepth: 10})})
+			regime, evalRes, err := tr.EvaluateCtx(context.Background(), g, triq.Options{Chase: par(chase.Options{MaxDepth: 10})})
 			elapsed := time.Since(start)
 			if err != nil {
 				t.OK = false

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -93,7 +94,7 @@ func e11Workloads() []e11Workload {
 				if err != nil {
 					return "", chase.Stats{}, err
 				}
-				ans, evalRes, err := tr.EvaluateFull(o.ToGraph(),
+				ans, evalRes, err := tr.EvaluateCtx(context.Background(), o.ToGraph(),
 					triq.Options{Chase: chase.Options{Parallelism: workers, MaxDepth: 10}})
 				if err != nil {
 					return "", chase.Stats{}, err

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -64,7 +65,7 @@ func e12Workloads() []e12Workload {
 					return err
 				}
 				o.MaxDepth = 10
-				_, _, err = tr.EvaluateFull(onto.ToGraph(), triq.Options{Chase: o})
+				_, _, err = tr.EvaluateCtx(context.Background(), onto.ToGraph(), triq.Options{Chase: o})
 				return err
 			},
 		},

@@ -66,7 +66,7 @@ func e13Workloads() []e13Workload {
 					return err
 				}
 				o.MaxDepth = 10
-				_, _, err = tr.EvaluateFullCtx(ctx, onto.ToGraph(), triq.Options{Chase: o})
+				_, _, err = tr.EvaluateCtx(ctx, onto.ToGraph(), triq.Options{Chase: o})
 				return err
 			},
 		},

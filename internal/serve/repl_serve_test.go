@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -146,6 +147,23 @@ func TestServeEpochTokens(t *testing.T) {
 	if qr := decodeResponse(t, body3); qr.Epoch != base+1 || len(qr.Rows) != 3 {
 		t.Fatalf("waited read epoch %d rows %v, want epoch %d with Shuttle visible",
 			qr.Epoch, qr.Rows, base+1)
+	}
+
+	// A header that is not an epoch is a malformed request, not an absent
+	// token: answering it would hand a read-your-writes client a stale 200.
+	for _, garbled := range []string{"12x", "-1", "1e3"} {
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/query",
+			bytes.NewReader(mustJSON(t, QueryRequest{Program: testProgram})))
+		req.Header.Set("X-Triq-Min-Epoch", garbled)
+		resp4, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body4, _ := io.ReadAll(resp4.Body)
+		resp4.Body.Close()
+		if f := decodeFailure(t, body4); resp4.StatusCode != http.StatusBadRequest || !strings.Contains(f.Error, "X-Triq-Min-Epoch") {
+			t.Fatalf("X-Triq-Min-Epoch %q = %d, body %s, want 400 naming the header", garbled, resp4.StatusCode, body4)
+		}
 	}
 }
 

@@ -372,18 +372,15 @@ func (s *Server) Drain(ctx context.Context) error {
 //	     /debug/pprof/    — runtime profiles
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /query", func(w http.ResponseWriter, r *http.Request) {
-		s.serveQuery(w, r, "query")
-	})
-	mux.HandleFunc("POST /sparql", func(w http.ResponseWriter, r *http.Request) {
-		s.serveQuery(w, r, "sparql")
-	})
-	mux.HandleFunc("POST /insert", func(w http.ResponseWriter, r *http.Request) {
-		s.serveMutation(w, r, true)
-	})
-	mux.HandleFunc("POST /delete", func(w http.ResponseWriter, r *http.Request) {
-		s.serveMutation(w, r, false)
-	})
+	post := func(endpoint string, body func(*request) outcome) {
+		mux.HandleFunc("POST /"+endpoint, func(w http.ResponseWriter, r *http.Request) {
+			s.handle(w, r, endpoint, body)
+		})
+	}
+	post("query", s.serveQuery)
+	post("sparql", s.serveQuery)
+	post("insert", s.serveMutation)
+	post("delete", s.serveMutation)
 	mux.HandleFunc("GET /repl/stream", s.serveReplStream)
 	mux.HandleFunc("POST /repl/promote", s.servePromote)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -531,12 +528,13 @@ func (s *Server) serveReplStream(w http.ResponseWriter, r *http.Request) {
 	st := s.storeNow()
 	if st == nil {
 		s.fail(w, http.StatusNotImplemented,
-			errors.New("serve: no store configured (replication needs one)"), 0)
+			errors.New("serve: no store configured (replication needs one)"), "")
 		return
 	}
 	if s.isDraining() {
+		s.count("serve.shed")
 		s.count("serve.shed.draining")
-		s.shed(w, ErrDraining)
+		s.fail(w, http.StatusServiceUnavailable, ErrDraining, "")
 		return
 	}
 	s.count("serve.repl_streams")
@@ -550,7 +548,7 @@ func (s *Server) serveReplStream(w http.ResponseWriter, r *http.Request) {
 func (s *Server) servePromote(w http.ResponseWriter, _ *http.Request) {
 	rep := s.replicaNow()
 	if rep == nil {
-		s.fail(w, http.StatusConflict, errors.New("serve: not a replica"), 0)
+		s.fail(w, http.StatusConflict, errors.New("serve: not a replica"), "")
 		return
 	}
 	rep.Promote("api request")
@@ -626,82 +624,156 @@ func (s *Server) count(name string) {
 	}
 }
 
-// serveQuery is the shared admission → parse → evaluate → respond flow of
-// the two query endpoints.
-func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, endpoint string) {
+// request is the scope handle opens for one request and lends to its body.
+type request struct {
+	w        http.ResponseWriter
+	r        *http.Request
+	endpoint string
+	rt       *reqTrace // nil when tracing is off
+	start    time.Time
+	// queueWait is how long the request waited for its admission slot.
+	queueWait time.Duration
+	// held is what the body acquired and must keep until the response is out
+	// — the admission slot, the drain's in-flight count.
+	held []func()
+}
+
+// hold registers f to run when handle is done with the request, last held
+// first: where a body would defer f, but past its own return.
+func (rq *request) hold(f func()) { rq.held = append(rq.held, f) }
+
+// outcome is what a request body returns to handle: how the request ended,
+// and what is left to do about it on the way out.
+type outcome struct {
+	// status is the HTTP status of the response.
+	status int
+	// ok renders the 200 body. handle calls it after the trace is closed, so
+	// the body carries the final resource account.
+	ok func() any
+	// err is the failure behind a non-200 status, rendered as the taxonomy
+	// wire error.
+	err error
+	// shed marks a load shed: the 503 is counted in serve.shed — the
+	// numerator of the shed-rate SLO — beside its per-cause serve.shed.*
+	// counter. (A client gone while queued and a read-only store are 503s
+	// with a retry hint too, but no sheds.)
+	shed bool
+	// primary is the primary's address when a replica refuses a write.
+	primary string
+	// relayed is set when the response is already out: a proxied write
+	// relays the primary's verbatim.
+	relayed bool
+	// exec is the time the evaluation (or the store apply) took.
+	exec time.Duration
+	// evaluated is set once the request reached its evaluation; only such
+	// requests feed the slow log and the auto-profiler. slow carries what
+	// only the body knows of the entry: the full query text, the report,
+	// truncation, the committed epoch and batch.
+	evaluated bool
+	slow      SlowEntry
+}
+
+func shedding(err error) outcome {
+	return outcome{status: http.StatusServiceUnavailable, err: err, shed: true}
+}
+
+func failing(status int, err error) outcome { return outcome{status: status, err: err} }
+
+// handle is the one way into and the one way out of /query, /sparql, /insert
+// and /delete. Going in, it counts the request, opens its trace — before
+// admission, so queue waits and sheds are visible in it and even a refused
+// request echoes a traceparent — and sheds while draining. Coming out, it
+// closes the trace (before the body is rendered, so the response and the
+// explain report carry the final resource account), writes the response the
+// outcome describes, and feeds the slow log: exactly once per evaluated
+// request, never for one shed before evaluation.
+func (s *Server) handle(w http.ResponseWriter, r *http.Request, endpoint string, body func(*request) outcome) {
 	s.count("serve.requests")
-	start := time.Now()
-
-	// The request trace opens before admission so queue waits and sheds are
-	// visible in it; the response traceparent header is set here, before any
-	// status is written.
-	rt := s.traces.start(w, r, endpoint)
-
+	rq := &request{w: w, r: r, endpoint: endpoint, start: time.Now()}
+	rq.rt = s.traces.start(w, r, endpoint)
+	defer func() { // also when the body or the write panics: a slot must not leak
+		for i := len(rq.held) - 1; i >= 0; i-- {
+			rq.held[i]()
+		}
+	}()
+	var o outcome
 	if s.isDraining() {
 		s.count("serve.shed.draining")
-		s.shed(w, ErrDraining)
-		rt.finish(http.StatusServiceUnavailable, 0, 0, time.Since(start))
-		return
+		o = shedding(ErrDraining)
+	} else {
+		o = body(rq)
 	}
-	done, err := s.breakers[endpoint].allow()
+	rq.rt.finish(o.status, rq.queueWait, o.exec, time.Since(rq.start))
+	switch {
+	case o.relayed: // the body already wrote the primary's response
+	case o.err != nil:
+		if o.shed {
+			s.count("serve.shed")
+		}
+		s.fail(w, o.status, o.err, o.primary)
+	default:
+		writeJSON(w, o.status, o.ok())
+	}
+	if o.evaluated {
+		s.recordSlow(rq, &o)
+	}
+}
+
+// serveQuery is the body of the two query endpoints: breaker → admission →
+// parse → pin an epoch → evaluate.
+func (s *Server) serveQuery(rq *request) (o outcome) {
+	w, r, rt := rq.w, rq.r, rq.rt
+	done, err := s.breakers[rq.endpoint].allow()
 	if err != nil {
 		s.count("serve.shed.breaker")
-		s.shed(w, err)
-		rt.finish(http.StatusServiceUnavailable, 0, 0, time.Since(start))
-		return
+		return shedding(err)
 	}
+	// Only server faults count against the breaker: a shed, a malformed
+	// request or a stale replica is not the endpoint's fault.
+	defer func() {
+		done(o.status == http.StatusInternalServerError || o.status == http.StatusGatewayTimeout)
+	}()
+
 	admSpan := rt.span("serve.admission")
 	release, err := s.adm.acquire(r.Context())
-	queueWait := time.Since(start)
-	admSpan.End(obs.F("queue_us", queueWait.Microseconds()), obs.F("admitted", err == nil))
+	rq.queueWait = time.Since(rq.start)
+	admSpan.End(obs.F("queue_us", rq.queueWait.Microseconds()), obs.F("admitted", err == nil))
 	if err != nil {
-		done(false) // an admission shed is not the endpoint's fault
 		switch {
 		case errors.Is(err, ErrQueueFull):
 			s.count("serve.shed.queue_full")
-			s.shed(w, err)
+			return shedding(err)
 		case errors.Is(err, ErrQueueTimeout):
 			s.count("serve.shed.queue_timeout")
-			s.shed(w, err)
+			return shedding(err)
 		default: // client went away while queued
 			s.count("serve.client_gone")
-			s.fail(w, http.StatusServiceUnavailable, limits.NewError(limits.ErrCanceled, limits.Truncation{}), 0)
+			return failing(http.StatusServiceUnavailable, limits.NewError(limits.ErrCanceled, limits.Truncation{}))
 		}
-		rt.finish(http.StatusServiceUnavailable, queueWait, 0, time.Since(start))
-		return
 	}
-	defer release()
+	rq.hold(release) // the slot covers writing the response too
 
 	var req QueryRequest
 	if err := json.NewDecoder(s.limitBody(w, r)).Decode(&req); err != nil {
-		done(false)
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.count("serve.body_too_large")
-			status = http.StatusRequestEntityTooLarge
-		}
-		s.fail(w, status, fmt.Errorf("bad request body: %w", err), 0)
-		rt.finish(status, queueWait, 0, time.Since(start))
-		return
+		return s.badBody(err)
 	}
 	if r.URL.Query().Get("explain") == "1" {
 		req.Explain = true
 	}
+	min, err := minEpochOf(&req, r)
+	if err != nil {
+		return failing(http.StatusBadRequest, err)
+	}
 	g, epoch, hasStore := s.pinEpoch()
 	if g == nil {
-		done(false)
-		s.shed(w, errors.New("serve: no graph loaded"))
-		rt.finish(http.StatusServiceUnavailable, queueWait, 0, time.Since(start))
-		return
+		return shedding(errors.New("serve: no graph loaded"))
 	}
 
 	// Bounded staleness: a min-epoch token makes the read wait (inside its
 	// admission slot, up to StalenessWait) for the local store to reach that
 	// epoch — read-your-writes across a primary/replica pair — and shed
-	// 503 + Retry-After when it cannot. Staleness sheds are not the
-	// endpoint's fault, so they do not count against the breaker.
-	if min := minEpochOf(&req, r); min > epoch {
+	// 503 + Retry-After when it cannot.
+	if min > epoch {
 		waited := false
 		if st := s.storeNow(); st != nil && s.cfg.StalenessWait > 0 {
 			wctx, wcancel := context.WithTimeout(r.Context(), s.cfg.StalenessWait)
@@ -716,11 +788,8 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, endpoint str
 			s.obs.Observe("serve.staleness_wait_us", float64(staleWait.Microseconds()))
 		}
 		if !waited {
-			done(false)
 			s.count("serve.shed.stale")
-			s.shed(w, fmt.Errorf("serve: local epoch %d behind requested min_epoch %d", epoch, min))
-			rt.finish(http.StatusServiceUnavailable, queueWait, 0, time.Since(start))
-			return
+			return shedding(fmt.Errorf("serve: local epoch %d behind requested min_epoch %d", epoch, min))
 		}
 		g, epoch, hasStore = s.pinEpoch()
 	}
@@ -741,7 +810,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, endpoint str
 	ctx = rt.bind(ctx)
 
 	s.trackBegin()
-	defer s.trackEnd()
+	rq.hold(s.trackEnd)
 
 	execStart := time.Now()
 	var resp *QueryResponse
@@ -749,29 +818,27 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, endpoint str
 	var evalErr error
 	// pprof labels tag the evaluation's CPU samples (and every goroutine it
 	// spawns) with the trace id, so auto-captured profiles slice by request.
-	rtpprof.Do(ctx, rtpprof.Labels("trace_id", rt.traceID(), "endpoint", endpoint), func(ctx context.Context) {
-		resp, report, evalErr = s.evaluate(ctx, g, epoch, hasStore, endpoint, &req)
+	rtpprof.Do(ctx, rtpprof.Labels("trace_id", rt.traceID(), "endpoint", rq.endpoint), func(ctx context.Context) {
+		resp, report, evalErr = s.evaluate(ctx, g, epoch, hasStore, rq.endpoint, &req)
 	})
-	exec := time.Since(execStart)
+	o.exec, o.evaluated = time.Since(execStart), true
+	o.slow.Query, o.slow.Explain = req.Program, report
+	if rq.endpoint == "sparql" {
+		o.slow.Query = req.Query
+	}
 	if evalErr != nil {
-		status := statusOf(evalErr)
-		// Only server faults count against the breaker.
-		done(status == http.StatusInternalServerError || status == http.StatusGatewayTimeout)
-		if status == http.StatusGatewayTimeout {
+		o.status, o.err = statusOf(evalErr), evalErr
+		if o.status == http.StatusGatewayTimeout {
 			s.count("serve.timeouts")
 		}
-		if status == http.StatusInternalServerError {
+		if o.status == http.StatusInternalServerError {
 			s.count("serve.internal_errors")
 		}
 		if errors.Is(evalErr, limits.ErrCanceled) {
 			s.count("serve.canceled")
 		}
-		s.fail(w, status, evalErr, 0)
-		rt.finish(status, queueWait, exec, time.Since(start))
-		s.recordSlow(endpoint, &req, nil, report, status, evalErr, queueWait, exec, rt)
-		return
+		return o
 	}
-	done(false)
 	if resp.Attempts > 1 {
 		s.obs.Count("serve.retries", int64(resp.Attempts-1))
 	}
@@ -782,33 +849,34 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, endpoint str
 	if hasStore {
 		resp.Epoch = epoch
 	}
-	resp.ElapsedUS = time.Since(start).Microseconds()
+	resp.ElapsedUS = time.Since(rq.start).Microseconds()
 	if s.obs.Enabled() {
 		s.obs.Observe("serve.latency_us", float64(resp.ElapsedUS))
-		s.obs.Observe("serve.queue_wait_us", float64(queueWait.Microseconds()))
+		s.obs.Observe("serve.queue_wait_us", float64(rq.queueWait.Microseconds()))
 	}
-	// Close the trace before the body is rendered so the response and the
-	// explain report carry the final resource account.
-	rt.finish(http.StatusOK, queueWait, exec, time.Since(start))
-	resp.TraceID = rt.traceID()
-	if rt != nil {
-		acct := rt.account()
-		if report != nil {
-			report.Resources = &acct
+	o.status = http.StatusOK
+	o.slow.Incomplete, o.slow.Truncation = resp.Incomplete, resp.Truncation
+	o.ok = func() any {
+		resp.TraceID = rt.traceID()
+		if rt != nil {
+			acct := rt.account()
+			if report != nil {
+				report.Resources = &acct
+			}
+			if req.Explain {
+				resp.Resources = &acct
+			}
 		}
 		if req.Explain {
-			resp.Resources = &acct
+			resp.Explain = report
 		}
+		return resp
 	}
-	if req.Explain {
-		resp.Explain = report
-	}
-	writeJSON(w, http.StatusOK, resp)
-	s.recordSlow(endpoint, &req, resp, report, http.StatusOK, nil, queueWait, exec, rt)
+	return o
 }
 
-// limitBody caps the request body at Config.MaxBodyBytes. Reads past the cap
-// surface as *http.MaxBytesError (mapped to 413); a negative cap disables.
+// limitBody caps the request body at Config.MaxBodyBytes; badBody maps a
+// read past the cap to 413. A negative cap disables.
 func (s *Server) limitBody(w http.ResponseWriter, r *http.Request) io.ReadCloser {
 	if s.cfg.MaxBodyBytes < 0 {
 		return r.Body
@@ -816,47 +884,47 @@ func (s *Server) limitBody(w http.ResponseWriter, r *http.Request) io.ReadCloser
 	return http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 }
 
+// badBody is the outcome of a body that could not be read or decoded: 413
+// past the size cap, 400 otherwise.
+func (s *Server) badBody(err error) outcome {
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		s.count("serve.body_too_large")
+		status = http.StatusRequestEntityTooLarge
+	}
+	return failing(status, fmt.Errorf("bad request body: %w", err))
+}
+
 // minEpochOf resolves a request's bounded-staleness floor: the body's
-// min_epoch or the X-Triq-Min-Epoch header, whichever is larger.
-func minEpochOf(req *QueryRequest, r *http.Request) uint64 {
+// min_epoch or the X-Triq-Min-Epoch header, whichever is larger. A header
+// that is not an epoch is an error, not an absent token: serving the read
+// anyway would hand a read-your-writes client a stale epoch with a 200.
+func minEpochOf(req *QueryRequest, r *http.Request) (uint64, error) {
 	min := req.MinEpoch
 	if h := r.Header.Get("X-Triq-Min-Epoch"); h != "" {
-		if v, err := strconv.ParseUint(h, 10, 64); err == nil && v > min {
+		v, err := strconv.ParseUint(h, 10, 64)
+		if err != nil {
+			return 0, fmt.Errorf("bad X-Triq-Min-Epoch header %q: want an unsigned epoch number", h)
+		}
+		if v > min {
 			min = v
 		}
 	}
-	return min
+	return min, nil
 }
 
-// serveMutation is the POST /insert and /delete flow: gate → decode → parse
-// N-Triples → apply one atomic batch through the store → acknowledge with
-// the new epoch. Batches serialize on the store's writer lock; queries are
-// never blocked (they read the previous epoch until the swap).
-func (s *Server) serveMutation(w http.ResponseWriter, r *http.Request, insert bool) {
-	s.count("serve.requests")
-	start := time.Now()
-	endpoint := "delete"
-	if insert {
-		endpoint = "insert"
-	}
-
-	// Mutations are traced like queries: the trace opens before any shed so
-	// even refused writes echo a traceparent, and the store hands the trace
-	// context to the replication stream so a replica's apply span joins the
-	// same distributed trace.
-	rt := s.traces.start(w, r, endpoint)
-
-	if s.isDraining() {
-		s.count("serve.shed.draining")
-		s.shed(w, ErrDraining)
-		rt.finish(http.StatusServiceUnavailable, 0, 0, time.Since(start))
-		return
-	}
+// serveMutation is the body of POST /insert and /delete: gate → decode →
+// parse N-Triples → apply one atomic batch through the store → acknowledge
+// with the new epoch. Batches serialize on the store's writer lock; queries
+// are never blocked (they read the previous epoch until the swap). The store
+// hands the request's trace context to the replication stream, so a
+// replica's apply span joins the same distributed trace.
+func (s *Server) serveMutation(rq *request) (o outcome) {
+	w, r, rt, start := rq.w, rq.r, rq.rt, rq.start
 	if s.recovering.Load() {
 		s.count("serve.shed.recovering")
-		s.shed(w, errors.New("serve: recovering"))
-		rt.finish(http.StatusServiceUnavailable, 0, 0, time.Since(start))
-		return
+		return shedding(errors.New("serve: recovering"))
 	}
 	// A replica refuses local writes: 503 with the primary's address (in
 	// the X-Triq-Primary header and Failure.Primary) so clients re-aim, or
@@ -865,175 +933,114 @@ func (s *Server) serveMutation(w http.ResponseWriter, r *http.Request, insert bo
 	if rep, isReplica := s.asReplica(); isReplica {
 		primary := rep.State().Primary
 		if s.cfg.ProxyWrites {
-			status := s.proxyMutation(w, r, primary)
-			rt.finish(status, 0, 0, time.Since(start))
-			return
+			return s.proxyMutation(w, r, primary)
 		}
-		s.count("serve.shed")
 		s.count("serve.shed.replica")
-		w.Header().Set("X-Triq-Primary", primary)
-		retryAfter := time.Second
-		w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter.Seconds())))
-		writeJSON(w, http.StatusServiceUnavailable, Failure{
-			WireError:    limits.ToWire(fmt.Errorf("serve: read-only replica; write to the primary at %s", primary)),
-			RetryAfterMS: retryAfter.Milliseconds(),
-			Primary:      primary,
-		})
-		rt.finish(http.StatusServiceUnavailable, 0, 0, time.Since(start))
-		return
+		o = shedding(fmt.Errorf("serve: read-only replica; write to the primary at %s", primary))
+		o.primary = primary
+		return o
 	}
 	st := s.storeNow()
 	if st == nil {
-		s.fail(w, http.StatusNotImplemented,
-			errors.New("serve: no store configured (query-only deployment; start triqd with a store to enable mutations)"), 0)
-		rt.finish(http.StatusNotImplemented, 0, 0, time.Since(start))
-		return
+		return failing(http.StatusNotImplemented,
+			errors.New("serve: no store configured (query-only deployment; start triqd with a store to enable mutations)"))
 	}
 
 	var req MutationRequest
 	if err := json.NewDecoder(s.limitBody(w, r)).Decode(&req); err != nil {
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.count("serve.body_too_large")
-			status = http.StatusRequestEntityTooLarge
-		}
-		s.fail(w, status, fmt.Errorf("bad request body: %w", err), 0)
-		rt.finish(status, 0, 0, time.Since(start))
-		return
+		return s.badBody(err)
 	}
 	batch, err := rdf.ParseNTriplesString(req.Triples)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad triples: %w", err), 0)
-		rt.finish(http.StatusBadRequest, 0, 0, time.Since(start))
-		return
+		return failing(http.StatusBadRequest, fmt.Errorf("bad triples: %w", err))
 	}
 	if batch.Len() == 0 {
-		s.fail(w, http.StatusBadRequest, errors.New("empty batch"), 0)
-		rt.finish(http.StatusBadRequest, 0, 0, time.Since(start))
-		return
+		return failing(http.StatusBadRequest, errors.New("empty batch"))
 	}
 
 	s.trackBegin() // drain waits for in-flight mutations too
-	defer s.trackEnd()
+	rq.hold(s.trackEnd)
 
 	triples := batch.SortedTriples()
 	applySpan := rt.span("serve.apply", obs.F("batch", batch.Len()))
 	var epoch store.Epoch
 	var applied int
-	if insert {
+	if rq.endpoint == "insert" {
 		epoch, applied, err = st.InsertTraced(triples, rt.traceparent())
 	} else {
 		epoch, applied, err = st.DeleteTraced(triples, rt.traceparent())
 	}
-	exec := time.Since(start)
+	o.exec, o.evaluated = time.Since(start), true
+	o.slow.Query, o.slow.Batch = req.Triples, batch.Len()
 	applySpan.End(obs.F("applied", applied), obs.F("epoch", int64(epoch.Seq)), obs.F("ok", err == nil))
 	if err != nil {
-		var status int
+		o.status, o.err = http.StatusInternalServerError, err
 		if errors.Is(err, limits.ErrStorage) {
 			// The WAL failed underneath us and the store latched read-only.
 			// Reads stay up; writes shed with a retry hint while an operator
 			// (or a failover) restores the write path.
 			s.count("serve.shed.readonly")
-			status = http.StatusServiceUnavailable
+			o.status = http.StatusServiceUnavailable
 		} else {
 			s.count("serve.internal_errors")
-			status = http.StatusInternalServerError
 		}
-		s.fail(w, status, err, 0)
-		rt.finish(status, 0, exec, time.Since(start))
-		s.recordSlowMutation(endpoint, &req, batch.Len(), 0, status, err, exec, rt)
-		return
+		return o
 	}
-	s.count("serve." + endpoint + "s")
+	s.count("serve." + rq.endpoint + "s")
 	if s.obs.Enabled() {
 		s.obs.Count("serve.mutation_triples", int64(applied))
 		s.obs.Observe("serve.mutation_latency_us", float64(time.Since(start).Microseconds()))
 	}
-	rt.finish(http.StatusOK, 0, exec, time.Since(start))
-	resp := MutationResponse{
-		Epoch:     epoch.Seq,
-		Applied:   applied,
-		Batch:     batch.Len(),
-		Durable:   st.AckDurable(),
-		ElapsedUS: time.Since(start).Microseconds(),
-		TraceID:   rt.traceID(),
+	o.status = http.StatusOK
+	o.slow.Epoch = epoch.Seq
+	if s.slow.enabled() {
+		o.slow.WALSyncWaitUS = walSyncWaitUS(st, epoch.Seq)
 	}
-	writeJSON(w, http.StatusOK, resp)
-	s.recordSlowMutation(endpoint, &req, batch.Len(), epoch.Seq, http.StatusOK, nil, exec, rt)
-}
-
-// recordSlowMutation feeds the slow log from the write path. Beyond the
-// shared fields it records the committed epoch, the batch size, and the
-// WAL-sync wait the batch saw (read back from the store's epoch timeline),
-// so a slow insert is attributable to fsync stalls vs. apply cost.
-func (s *Server) recordSlowMutation(endpoint string, req *MutationRequest, batch int, epoch uint64, status int, evalErr error, exec time.Duration, rt *reqTrace) {
-	cpuFile, heapFile := s.autoprof.maybeCapture(exec, rt.traceID())
-	if !s.slow.enabled() {
-		return
-	}
-	q, cut := truncateQuery(req.Triples)
-	e := SlowEntry{
-		Time:           time.Now(),
-		Endpoint:       endpoint,
-		Query:          q,
-		QueryTruncated: cut,
-		Status:         status,
-		ExecUS:         exec.Microseconds(),
-		TotalUS:        exec.Microseconds(),
-		Epoch:          epoch,
-		Batch:          batch,
-		TraceID:        rt.traceID(),
-		ProfileCPU:     cpuFile,
-		ProfileHeap:    heapFile,
-	}
-	if st := s.storeNow(); st != nil && epoch != 0 {
-		if stamps, ok := st.Timeline().Lookup(epoch); ok {
-			m := stamps.Stages()
-			if a, b := m["append"], m["sync"]; a != 0 && b > a {
-				e.WALSyncWaitUS = (b - a) / 1000
-			}
+	o.ok = func() any {
+		return MutationResponse{
+			Epoch:     epoch.Seq,
+			Applied:   applied,
+			Batch:     batch.Len(),
+			Durable:   st.AckDurable(),
+			ElapsedUS: time.Since(start).Microseconds(),
+			TraceID:   rt.traceID(),
 		}
 	}
-	if rt != nil {
-		acct := rt.account()
-		e.Resources = &acct
+	return o
+}
+
+// walSyncWaitUS reads back, from the store's epoch timeline, how long the
+// commit of the epoch waited on the WAL fsync, so a slow insert is
+// attributable to fsync stalls vs. apply cost (0 under interval/none sync).
+func walSyncWaitUS(st *store.Store, epoch uint64) int64 {
+	if stamps, ok := st.Timeline().Lookup(epoch); ok && epoch != 0 {
+		m := stamps.Stages()
+		if a, b := m["append"], m["sync"]; a != 0 && b > a {
+			return (b - a) / 1000
+		}
 	}
-	if evalErr != nil {
-		e.Error = evalErr.Error()
-	}
-	s.maybeCountSlow(e)
+	return 0
 }
 
 // proxyMutation forwards a write that arrived at a replica to the primary
 // and relays the response verbatim, tagged with X-Triq-Primary so the
-// client can see where the write actually landed. It returns the status it
-// wrote, for the caller's trace.
-func (s *Server) proxyMutation(w http.ResponseWriter, r *http.Request, primary string) int {
+// client can see where the write actually landed.
+func (s *Server) proxyMutation(w http.ResponseWriter, r *http.Request, primary string) outcome {
 	s.count("serve.proxied_writes")
 	body, err := io.ReadAll(s.limitBody(w, r))
 	if err != nil {
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.count("serve.body_too_large")
-			status = http.StatusRequestEntityTooLarge
-		}
-		s.fail(w, status, fmt.Errorf("bad request body: %w", err), 0)
-		return status
+		return s.badBody(err)
 	}
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, primary+r.URL.Path, bytes.NewReader(body))
 	if err != nil {
 		s.count("serve.internal_errors")
-		s.fail(w, http.StatusInternalServerError, err, 0)
-		return http.StatusInternalServerError
+		return failing(http.StatusInternalServerError, err)
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := s.proxy.Do(req)
 	if err != nil {
 		s.count("serve.proxy_errors")
-		s.fail(w, http.StatusServiceUnavailable, fmt.Errorf("serve: primary unreachable: %w", err), 0)
-		return http.StatusServiceUnavailable
+		return failing(http.StatusServiceUnavailable, fmt.Errorf("serve: primary unreachable: %w", err))
 	}
 	defer resp.Body.Close()
 	for _, h := range []string{"Content-Type", "Retry-After"} {
@@ -1044,56 +1051,37 @@ func (s *Server) proxyMutation(w http.ResponseWriter, r *http.Request, primary s
 	w.Header().Set("X-Triq-Primary", primary)
 	w.WriteHeader(resp.StatusCode)
 	_, _ = io.Copy(w, resp.Body)
-	return resp.StatusCode
+	return outcome{status: resp.StatusCode, relayed: true}
 }
 
-// recordSlow feeds the slow-query log and the auto-profiler; it runs exactly
-// once per evaluated request (success or failure) and is a no-op when the
-// log is disabled or the request finished under the threshold.
-func (s *Server) recordSlow(endpoint string, req *QueryRequest, resp *QueryResponse, report *repro.ExplainReport, status int, evalErr error, queueWait, exec time.Duration, rt *reqTrace) {
-	total := queueWait + exec
+// recordSlow feeds the slow-query log and the auto-profiler from an
+// evaluated request's outcome (success or failure); it is a no-op when the
+// log is disabled or the request finished under the threshold. Mutation
+// entries have no queue wait; theirs is the whole of the request.
+func (s *Server) recordSlow(rq *request, o *outcome) {
+	rt, total := rq.rt, rq.queueWait+o.exec
 	cpuFile, heapFile := s.autoprof.maybeCapture(total, rt.traceID())
 	if !s.slow.enabled() {
 		return
 	}
-	text := req.Program
-	if endpoint == "sparql" {
-		text = req.Query
-	}
-	q, cut := truncateQuery(text)
-	e := SlowEntry{
-		Time:           time.Now(),
-		Endpoint:       endpoint,
-		Query:          q,
-		QueryTruncated: cut,
-		Status:         status,
-		QueueWaitUS:    queueWait.Microseconds(),
-		ExecUS:         exec.Microseconds(),
-		TotalUS:        total.Microseconds(),
-		Explain:        report,
-		TraceID:        rt.traceID(),
-		ProfileCPU:     cpuFile,
-		ProfileHeap:    heapFile,
-	}
+	e := o.slow
+	e.Time = time.Now()
+	e.Endpoint = rq.endpoint
+	e.Query, e.QueryTruncated = truncateQuery(e.Query)
+	e.Status = o.status
+	e.QueueWaitUS = rq.queueWait.Microseconds()
+	e.ExecUS = o.exec.Microseconds()
+	e.TotalUS = total.Microseconds()
+	e.TraceID = rt.traceID()
+	e.ProfileCPU, e.ProfileHeap = cpuFile, heapFile
 	if rt != nil {
 		acct := rt.account()
 		e.Resources = &acct
-		if report != nil && report.Resources == nil {
-			report.Resources = &acct
-		}
 	}
-	if resp != nil {
-		e.Incomplete = resp.Incomplete
-		e.Truncation = resp.Truncation
+	if o.err != nil {
+		e.Error = o.err.Error()
 	}
-	if evalErr != nil {
-		e.Error = evalErr.Error()
-	}
-	s.maybeCountSlow(e)
-}
-
-// maybeCountSlow bumps the counter iff the entry was actually recorded.
-func (s *Server) maybeCountSlow(e SlowEntry) {
+	// Bump the counter iff the entry is actually recorded.
 	if time.Duration(e.TotalUS)*time.Microsecond >= s.cfg.SlowLog.Threshold {
 		s.count("serve.slow_queries")
 	}
@@ -1101,31 +1089,25 @@ func (s *Server) maybeCountSlow(e SlowEntry) {
 }
 
 // evaluate parses the request payload and runs the evaluation with retries.
-// Parse and validation failures come back wrapped in errBadRequest. When the
-// request asked for EXPLAIN or the slow-query log is armed, the evaluation
-// runs through the explain entry points and the report comes back alongside
-// the response (the per-query observations still fold into the server
-// registry, so /metrics sees explained runs too).
+// Parse and validation failures come back wrapped in errBadRequest. The
+// evaluation is explained when the request asked for it or the slow-query
+// log is armed, and the report comes back alongside the response (the
+// per-query observations still fold into the server registry, so /metrics
+// sees explained runs too).
 func (s *Server) evaluate(ctx context.Context, g *repro.Graph, epoch uint64, hasStore bool, endpoint string, req *QueryRequest) (*QueryResponse, *repro.ExplainReport, error) {
-	opts := repro.Options{}
-	opts.Chase.MaxFacts = req.MaxFacts
-	opts.Chase.MaxRounds = req.MaxRounds
-	opts.Chase.Parallelism = s.cfg.Parallelism
-	opts.Chase.Obs = s.obs
-	opts.Chase.Progress = s.progress
+	ereq := repro.Request{Exact: req.Exact, Explain: req.Explain || s.slow.enabled()}
+	ereq.Options.Chase.MaxFacts = req.MaxFacts
+	ereq.Options.Chase.MaxRounds = req.MaxRounds
+	ereq.Options.Chase.Parallelism = s.cfg.Parallelism
+	ereq.Options.Chase.Obs = s.obs
+	ereq.Options.Chase.Progress = s.progress
 	if s.cfg.Mat != nil && hasStore {
 		// The request is pinned to this epoch: a materialization may answer
-		// only if it is at exactly the same one. The exact (prover) path
-		// ignores these fields.
-		opts.Mat = s.cfg.Mat
-		opts.MatEpoch = epoch
+		// only if it is at exactly the same one.
+		ereq.Options.Mat = s.cfg.Mat
+		ereq.Options.MatEpoch = epoch
 	}
-	wantReport := req.Explain || s.slow.enabled()
-
-	var report *repro.ExplainReport
-	var eval func() (*QueryResponse, error)
-	switch endpoint {
-	case "query":
+	if endpoint == "query" {
 		lang, err := parseLang(req.Lang)
 		if err != nil {
 			return nil, nil, badRequest(err)
@@ -1141,31 +1123,8 @@ func (s *Server) evaluate(ctx context.Context, g *repro.Graph, epoch uint64, has
 		if err := repro.Validate(q, lang); err != nil {
 			return nil, nil, badRequest(err)
 		}
-		eval = func() (*QueryResponse, error) {
-			var res *repro.Results
-			var err error
-			switch {
-			case req.Exact && wantReport:
-				res, report, err = repro.ExplainExactCtx(ctx, g, q, opts)
-			case req.Exact:
-				res, err = repro.AskExactCtx(ctx, g, q, opts)
-			case wantReport:
-				res, report, err = repro.ExplainCtx(ctx, g, q, lang, opts)
-			default:
-				res, err = repro.AskCtx(ctx, g, q, lang, opts)
-			}
-			if err != nil {
-				return nil, err
-			}
-			return &QueryResponse{
-				Rows:         res.Rows(),
-				Inconsistent: res.Inconsistent,
-				Exact:        res.Exact,
-				Incomplete:   res.Incomplete,
-				Truncation:   res.Truncation,
-			}, nil
-		}
-	default:
+		ereq.Query, ereq.Language = q, lang
+	} else {
 		regime, err := parseRegime(req.Regime)
 		if err != nil {
 			return nil, nil, badRequest(err)
@@ -1174,53 +1133,25 @@ func (s *Server) evaluate(ctx context.Context, g *repro.Graph, epoch uint64, has
 		if err != nil {
 			return nil, nil, badRequest(err)
 		}
-		eval = func() (*QueryResponse, error) {
-			var ms *repro.MappingSet
-			var exact bool
-			var err error
-			switch {
-			case req.Exact && wantReport:
-				ms, report, err = repro.ExplainSPARQLExactCtx(ctx, sq, g, regime, opts)
-				// A visit-budget trip degrades to a certified partial set.
-				exact = err == nil && !ms.Incomplete
-			case req.Exact:
-				ms, _, err = repro.AskSPARQLExactCtx(ctx, sq, g, regime, opts)
-				exact = err == nil && !ms.Incomplete
-			case wantReport:
-				ms, report, err = repro.ExplainSPARQLCtx(ctx, sq, g, regime, opts)
-				if err == nil {
-					exact = report.Exact
-				}
-			default:
-				ms, exact, err = repro.AskSPARQLCtx(ctx, sq, g, regime, opts)
-			}
-			if err != nil {
-				return nil, err
-			}
-			rows := make([]string, 0, ms.Len())
-			for _, m := range ms.Mappings() {
-				rows = append(rows, m.String())
-			}
-			return &QueryResponse{
-				Rows:       rows,
-				Exact:      exact,
-				Incomplete: ms.Incomplete,
-				Truncation: ms.Truncation,
-			}, nil
-		}
+		ereq.SPARQL, ereq.Regime = sq, regime
 	}
 
-	var resp *QueryResponse
-	attempts, err := withRetry(ctx, s.cfg.Retry, s.jit, func() error {
-		var evalErr error
-		resp, evalErr = eval()
-		return evalErr
+	var out *repro.Response
+	attempts, err := withRetry(ctx, s.cfg.Retry, s.jit, func() (err error) {
+		out, err = repro.Eval(ctx, g, ereq)
+		return err
 	})
 	if err != nil {
-		return nil, report, err
+		return nil, nil, err
 	}
-	resp.Attempts = attempts
-	return resp, report, nil
+	return &QueryResponse{
+		Rows:         out.Rows(),
+		Inconsistent: out.Inconsistent,
+		Exact:        out.Exact,
+		Incomplete:   out.Incomplete,
+		Truncation:   out.Truncation,
+		Attempts:     attempts,
+	}, out.Explain, nil
 }
 
 // errBadRequest marks parse/validation failures for the 400 mapping.
@@ -1250,31 +1181,21 @@ func statusOf(err error) int {
 	}
 }
 
-// shed writes the 503 + Retry-After response for load-shedding rejections.
-// Every shed also bumps the aggregate serve.shed counter — the numerator of
-// the shed-rate SLO — alongside the per-cause serve.shed.* counters.
-func (s *Server) shed(w http.ResponseWriter, err error) {
-	s.count("serve.shed")
-	retryAfter := time.Second
-	w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter.Seconds())))
-	writeJSON(w, http.StatusServiceUnavailable, Failure{
-		WireError:    limits.ToWire(err),
-		RetryAfterMS: retryAfter.Milliseconds(),
-	})
-}
-
-// fail writes a non-200 taxonomy error body. Server faults (500/504) also
-// bump the aggregate serve.errors counter — the numerator of the error-rate
-// SLO; client errors and sheds do not burn that budget.
-func (s *Server) fail(w http.ResponseWriter, status int, err error, retryAfter time.Duration) {
+// fail writes a non-200 taxonomy error body; a 503 carries a retry hint, and
+// primary, when set, the address a write-refusing replica sends clients to.
+// Server faults (500/504) also bump the aggregate serve.errors counter — the
+// numerator of the error-rate SLO; client errors and sheds do not burn that
+// budget.
+func (s *Server) fail(w http.ResponseWriter, status int, err error, primary string) {
 	if status == http.StatusInternalServerError || status == http.StatusGatewayTimeout {
 		s.count("serve.errors")
 	}
-	f := Failure{WireError: limits.ToWire(err)}
+	f := Failure{WireError: limits.ToWire(err), Primary: primary}
+	if primary != "" {
+		w.Header().Set("X-Triq-Primary", primary)
+	}
 	if status == http.StatusServiceUnavailable {
-		if retryAfter <= 0 {
-			retryAfter = time.Second
-		}
+		retryAfter := time.Second
 		w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter.Seconds())))
 		f.RetryAfterMS = retryAfter.Milliseconds()
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -654,4 +655,118 @@ func TestRetryBackoffRespectsContext(t *testing.T) {
 	if err == nil {
 		t.Fatal("want a context error")
 	}
+}
+
+// topOntology is inconsistent under the OWL 2 QL core regimes: bob is
+// advised, so a student, so a person — and also a course, disjoint from
+// person.
+const topOntology = `SubClassOf(student, person) SubClassOf(∃advises⁻, student)
+	DisjointClasses(person, course)
+	ObjectPropertyAssertion(advises, ada, bob) ClassAssertion(course, bob)`
+
+// TestServeSPARQLInconsistent pins /sparql over ⊤: 200 {"inconsistent":true}
+// with no rows, with and without a report (the handler used to
+// nil-dereference the mapping set ⊤ does not have), and each request counts
+// serve.ok, reports to the breaker and files its trace. The exact axis is
+// pinned at the facade (TestEvalMatrix) rather than here: ProofTree's search
+// for the inconsistency marker of this ontology runs for seconds before it
+// exhausts the default visit budget, which the facade test can lower and an
+// HTTP request cannot.
+func TestServeSPARQLInconsistent(t *testing.T) {
+	s, ts, o := newTestServer(t, Config{
+		Trace:   TraceConfig{Sample: 1},
+		Breaker: BreakerConfig{Window: 8, MinSamples: 1, FailureRatio: 0.5},
+	})
+	onto, err := repro.ParseOntology(topOntology)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetGraph(onto.ToGraph())
+
+	for _, explain := range []bool{false, true} {
+		status, body := postJSON(t, ts.URL+"/sparql", QueryRequest{
+			Query: "SELECT ?X WHERE { ?X rdf:type person }", Regime: "active-domain", Explain: explain,
+		})
+		if status != http.StatusOK {
+			t.Fatalf("explain=%v: status = %d, body %s", explain, status, body)
+		}
+		qr := decodeResponse(t, body)
+		if !qr.Inconsistent || len(qr.Rows) != 0 || qr.Incomplete {
+			t.Errorf("explain=%v: got %+v, want inconsistent and no rows", explain, qr)
+		}
+		if (qr.Explain != nil) != explain {
+			t.Errorf("explain=%v: report present = %v", explain, qr.Explain != nil)
+		}
+		if s.traces.store.Get(qr.TraceID) == nil {
+			t.Errorf("explain=%v: trace %q was not finished and filed", explain, qr.TraceID)
+		}
+	}
+	if got := o.Registry().Counter("serve.ok"); got != 2 {
+		t.Errorf("serve.ok = %d, want 2", got)
+	}
+	b := s.breakers["sparql"]
+	b.mu.Lock()
+	reported, failures := b.filled, b.failures
+	b.mu.Unlock()
+	if reported != 2 || failures != 0 || b.snapshot() != "closed" {
+		t.Errorf("breaker saw %d outcomes (%d failures), state %s; want 2 clean outcomes, closed",
+			reported, failures, b.snapshot())
+	}
+}
+
+// TestServeExplainDoesNotChangeTheAnswer: what a request is told never
+// depends on whether it asked for a report. For both endpoints, chase and
+// exact, the response with ?explain=1 equals the response without it once the
+// report itself and the per-request measurements are dropped. (/sparql used
+// to report "exact" only when explained.)
+func TestServeExplainDoesNotChangeTheAnswer(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{})
+	answer := func(t *testing.T, url string, req QueryRequest) map[string]any {
+		t.Helper()
+		status, body := postJSON(t, url, req)
+		if status != http.StatusOK {
+			t.Fatalf("%s: status = %d, body %s", url, status, body)
+		}
+		var m map[string]any
+		if err := json.Unmarshal(body, &m); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []string{"explain", "resources", "elapsed_us", "trace_id"} {
+			delete(m, k)
+		}
+		return m
+	}
+	for _, exact := range []bool{false, true} {
+		for endpoint, req := range map[string]QueryRequest{
+			"/query":  {Program: testProgram, Exact: exact},
+			"/sparql": {Query: "SELECT ?X ?Y WHERE { ?X partOf ?Y }", Exact: exact},
+		} {
+			plain := answer(t, ts.URL+endpoint, req)
+			explained := answer(t, ts.URL+endpoint+"?explain=1", req)
+			if !reflect.DeepEqual(plain, explained) {
+				t.Errorf("%s exact=%v: plain %v, explained %v", endpoint, exact, plain, explained)
+			}
+			if plain["exact"] != true {
+				t.Errorf("%s exact=%v: response %v does not report a saturated evaluation", endpoint, exact, plain)
+			}
+		}
+	}
+}
+
+// TestHandleReleasesHeldOnPanic: what a body holds — the admission slot —
+// is released even when the handler panics, as a deferred release was; a
+// leaked slot would shrink the server for good.
+func TestHandleReleasesHeldOnPanic(t *testing.T) {
+	s := New(Config{})
+	released := false
+	defer func() {
+		if recover() == nil || !released {
+			t.Fatalf("released = %v after a panicking body, want the panic passed on and the hold released", released)
+		}
+	}()
+	s.handle(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/query", nil), "query",
+		func(rq *request) outcome {
+			rq.hold(func() { released = true })
+			panic("boom")
+		})
 }

@@ -79,7 +79,6 @@ type reqTrace struct {
 	root    *obs.Span
 	rootSID obs.SpanID
 	heap0   int64
-	done    bool
 }
 
 // start opens a request trace: parse the incoming traceparent (its trace id
@@ -171,12 +170,11 @@ func (rt *reqTrace) account() obs.Account {
 
 // finish closes the root span, fills the timing and heap fields of the
 // account, applies the slow tail-sampling mark, and files the trace in the
-// store. Idempotent so shed paths and the main path can both call it.
+// store. Server.handle calls it once per request.
 func (rt *reqTrace) finish(status int, queueWait, exec, total time.Duration) {
-	if rt == nil || rt.done {
+	if rt == nil {
 		return
 	}
-	rt.done = true
 	rt.root.End(obs.F("status", status))
 	rt.tr.SetTimes(total.Microseconds(), queueWait.Microseconds(), exec.Microseconds())
 	rt.tr.SetHeapAlloc(obs.HeapAllocBytes() - rt.heap0)

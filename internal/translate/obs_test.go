@@ -83,15 +83,15 @@ func TestEvaluateFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, res, err := tr.EvaluateFull(g, triq.Options{Chase: chase.Options{Obs: o}})
+	ms, res, err := tr.EvaluateCtx(t.Context(), g, triq.Options{Chase: chase.Options{Obs: o}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ms == nil || res == nil {
-		t.Fatal("EvaluateFull returned nil result")
+		t.Fatal("EvaluateCtx returned nil result")
 	}
 	if res.Stats.FactsDerived == 0 {
-		t.Error("EvaluateFull result carries no chase stats")
+		t.Error("EvaluateCtx result carries no chase stats")
 	}
 	// Cross-check against the boolean wrapper.
 	ms2, inconsistent, err := tr.Evaluate(g, triq.Options{})
@@ -102,7 +102,7 @@ func TestEvaluateFull(t *testing.T) {
 		t.Error("unexpected inconsistency")
 	}
 	if !ms.Equal(ms2) {
-		t.Error("EvaluateFull and Evaluate disagree on the mappings")
+		t.Error("EvaluateCtx and Evaluate disagree on the mappings")
 	}
 	recs, err := obs.ParseTrace(buf.Bytes())
 	if err != nil {

@@ -172,86 +172,51 @@ func DB(g *rdf.Graph) *chase.Instance {
 // tuples into a mapping set: ⟦(P_dat, τ_db(G))⟧. The boolean reports
 // inconsistency (⊤), which can arise only under the entailment regimes.
 func (tr *Translation) Evaluate(g *rdf.Graph, opts triq.Options) (*sparql.MappingSet, bool, error) {
-	return tr.EvaluateCtx(context.Background(), g, opts)
-}
-
-// EvaluateCtx is Evaluate under a context. On a budget trip the returned
-// mapping set is the sound partial set with MappingSet.Incomplete and the
-// Truncation attached (err nil); cancellation and deadlines return typed
-// limits errors.
-func (tr *Translation) EvaluateCtx(ctx context.Context, g *rdf.Graph, opts triq.Options) (*sparql.MappingSet, bool, error) {
-	ms, res, err := tr.EvaluateFullCtx(ctx, g, opts)
+	ms, res, err := tr.EvaluateCtx(context.Background(), g, opts)
 	if err != nil {
 		return nil, false, err
 	}
-	return ms, res.Answers != nil && res.Answers.Inconsistent, nil
+	return ms, res.Answers.Inconsistent, nil
 }
 
-// EvaluateFull is Evaluate, additionally returning the underlying evaluation
-// Result (chase stats with per-rule breakdown, depth, exactness). When
-// opts.Chase.Obs is set, the load and decode phases emit translate.* spans.
-func (tr *Translation) EvaluateFull(g *rdf.Graph, opts triq.Options) (*sparql.MappingSet, *triq.Result, error) {
-	return tr.EvaluateFullCtx(context.Background(), g, opts)
-}
-
-// EvaluateFullCtx is EvaluateFull under a context; see EvaluateCtx for the
-// limit semantics. The decode phase carries the "translate.decode" fault
-// point.
-func (tr *Translation) EvaluateFullCtx(ctx context.Context, g *rdf.Graph, opts triq.Options) (*sparql.MappingSet, *triq.Result, error) {
-	// Warm-materialization fast path: a materialization of this translated
-	// program pinned to opts.MatEpoch answers without building τ_db(G) at
-	// all. (The materialized instance includes the seed fact, since it was
-	// built from a loadDB instance; store deltas only ever touch triple
-	// atoms.) On a miss, EvalCtx below may still build one from the db.
-	if res, ok := triq.ServeMaterialized(tr.Query, triq.Unrestricted, opts); ok {
-		return tr.decode(ctx, res, opts)
-	}
-	db, err := tr.loadDB(ctx, g, opts)
+// EvaluateCtx is Evaluate under a context, additionally returning the
+// underlying evaluation Result (chase stats with per-rule breakdown, depth,
+// exactness). On a budget trip the mapping set is the sound partial set with
+// MappingSet.Incomplete and the Truncation attached (err nil); cancellation
+// and deadlines return typed limits errors. It is the translation-level
+// pipeline — load, chase, decode — that this package's tests and the
+// experiments drive; requests go through the facade's Eval, which adds the
+// warm-materialization shortcut and the ProofTree evaluator around the same
+// LoadDB and Decode.
+func (tr *Translation) EvaluateCtx(ctx context.Context, g *rdf.Graph, opts triq.Options) (*sparql.MappingSet, *triq.Result, error) {
+	res, err := triq.EvalCtx(ctx, tr.LoadDB(ctx, g, opts), tr.Query, triq.Unrestricted, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := triq.EvalCtx(ctx, db, tr.Query, triq.Unrestricted, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return tr.decode(ctx, res, opts)
+	ms, err := tr.Decode(ctx, res, opts)
+	return ms, res, err
 }
 
-// EvaluateExactFullCtx is EvaluateFullCtx with the bottom-up evaluator
-// replaced by the exact ProofTree procedure (triq.EvalExactCtx): every
-// reported mapping is certified by a proof tree, at the cost of enumerating
-// the answer domain. The translation must be TriQ-Lite 1.0, which the
-// regime variants are by Corollaries 5.4 and 6.2.
-func (tr *Translation) EvaluateExactFullCtx(ctx context.Context, g *rdf.Graph, opts triq.Options) (*sparql.MappingSet, *triq.Result, error) {
-	db, err := tr.loadDB(ctx, g, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := triq.EvalExactCtx(ctx, db, tr.Query, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return tr.decode(ctx, res, opts)
-}
-
-// loadDB builds τ_db(G) under a translate.load_db span.
-func (tr *Translation) loadDB(ctx context.Context, g *rdf.Graph, opts triq.Options) (*chase.Instance, error) {
+// LoadDB builds τ_db(G) under a translate.load_db span.
+func (tr *Translation) LoadDB(ctx context.Context, g *rdf.Graph, opts triq.Options) *chase.Instance {
 	_, sp := obs.StartSpan(ctx, opts.Chase.Obs, "translate.load_db", obs.F("triples", g.Len()))
 	db := DB(g)
 	sp.End(obs.F("facts", db.Len()))
-	return db, nil
+	return db
 }
 
-// decode maps the evaluation result back to ⟦(P_dat, τ_db(G))⟧.
-func (tr *Translation) decode(ctx context.Context, res *triq.Result, opts triq.Options) (*sparql.MappingSet, *triq.Result, error) {
+// Decode maps the evaluation result back to ⟦(P_dat, τ_db(G))⟧; ⊤ decodes to
+// a nil set. The decode phase emits a translate.decode span and carries the
+// "translate.decode" fault point.
+func (tr *Translation) Decode(ctx context.Context, res *triq.Result, opts triq.Options) (*sparql.MappingSet, error) {
 	if res.Answers.Inconsistent {
-		return nil, res, nil
+		return nil, nil
 	}
 	if err := limits.Hit(opts.Chase.Faults, "translate.decode"); err != nil {
-		return nil, res, err
+		return nil, err
 	}
 	_, dec := obs.StartSpan(ctx, opts.Chase.Obs, "translate.decode", obs.F("tuples", len(res.Answers.Tuples)))
-	defer func() { dec.End() }()
+	defer dec.End()
 	out := sparql.NewMappingSet()
 	out.Incomplete = res.Incomplete
 	out.Truncation = res.Truncation
@@ -268,7 +233,7 @@ func (tr *Translation) decode(ctx context.Context, res *triq.Result, opts triq.O
 		}
 		out.Add(m)
 	}
-	return out, res, nil
+	return out, nil
 }
 
 // compiler carries the translation state.

@@ -20,22 +20,19 @@ import (
 // algorithm for computing the ground semantics of a warded Datalog^∃
 // program" the paper lists as future work, in its simplest correct form.
 
-// ExactGround computes Π(D)↓ for a warded program with (optional) stratified
-// grounded negation. Negation is first eliminated per Step 1 of Section 6.3;
-// constraints are not supported (apply the Π⊥ reduction first). The
-// predicates of the result are those of the original program.
+// ExactGroundCtx computes Π(D)↓ for a warded program with (optional)
+// stratified grounded negation. Negation is first eliminated per Step 1 of
+// Section 6.3; constraints are not supported (apply the Π⊥ reduction first).
+// The predicates of the result are those of the original program.
 //
 // Only predicates listed in preds are enumerated; nil means every program
 // predicate. Restricting the predicates keeps |dom|^arity enumeration
 // affordable when only an output relation is needed.
-func ExactGround(db *chase.Instance, prog *datalog.Program, preds []string, chaseOpts chase.Options, opts ProofOptions) (*chase.Instance, error) {
-	return ExactGroundCtx(context.Background(), db, prog, preds, chaseOpts, opts)
-}
-
-// ExactGroundCtx is ExactGround under a context. When the proof search is
-// cut short by a limit mid-enumeration, the atoms certified before the
-// abort are returned alongside the typed error: each carries a proof, so
-// the partial instance is a sound under-approximation of Π(D)↓.
+//
+// When the proof search is cut short by a limit mid-enumeration, the atoms
+// certified before the abort are returned alongside the typed error: each
+// carries a proof, so the partial instance is a sound under-approximation of
+// Π(D)↓.
 func ExactGroundCtx(ctx context.Context, db *chase.Instance, prog *datalog.Program, preds []string, chaseOpts chase.Options, opts ProofOptions) (*chase.Instance, error) {
 	if len(prog.Constraints) > 0 {
 		return nil, fmt.Errorf("triq: ExactGround requires a constraint-free program")
@@ -132,19 +129,14 @@ func ExactGroundCtx(ctx context.Context, db *chase.Instance, prog *datalog.Progr
 	return out, nil
 }
 
-// EvalExact evaluates a TriQ-Lite 1.0 query with the exact procedure: the
+// EvalExactCtx evaluates a TriQ-Lite 1.0 query with the exact procedure: the
 // constraints are reduced per Theorem 4.4, negation is eliminated per
 // Step 1, and the output predicate (plus the inconsistency marker) is
-// enumerated with ProofTree. Slower than Eval, but its answers carry a
+// enumerated with ProofTree. Slower than EvalCtx, but its answers carry a
 // per-tuple proof, and it is exact even when the chase of the program is
-// infinite.
-func EvalExact(db *chase.Instance, q datalog.Query, opts Options) (*Result, error) {
-	return EvalExactCtx(context.Background(), db, q, opts)
-}
-
-// EvalExactCtx is EvalExact under a context. A visit-budget trip degrades to
-// the sound partial answer set (every tuple certified by a proof) with
-// Result.Incomplete set; cancellation and deadlines return typed errors.
+// infinite. A visit-budget trip degrades to the sound partial answer set
+// (every tuple certified by a proof) with Result.Incomplete set;
+// cancellation and deadlines return typed errors.
 func EvalExactCtx(ctx context.Context, db *chase.Instance, q datalog.Query, opts Options) (*Result, error) {
 	if err := Validate(q, TriQLite10); err != nil {
 		return nil, err

@@ -39,7 +39,7 @@ func TestExactGroundAgreesWithStableGround(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			prog := datalog.MustParse(tc.src)
-			exact, err := ExactGround(tc.db, prog, nil, chase.Options{}, ProofOptions{})
+			exact, err := ExactGroundCtx(t.Context(), tc.db, prog, nil, chase.Options{}, ProofOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,7 +75,7 @@ func TestExactGroundPredicateSelection(t *testing.T) {
 		e(?X, ?Y) -> tc(?X, ?Y).
 		e(?X, ?Y), tc(?Y, ?Z) -> tc(?X, ?Z).
 	`)
-	out, err := ExactGround(db, prog, []string{"tc"}, chase.Options{}, ProofOptions{})
+	out, err := ExactGroundCtx(t.Context(), db, prog, []string{"tc"}, chase.Options{}, ProofOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,14 +85,14 @@ func TestExactGroundPredicateSelection(t *testing.T) {
 	if len(out.AtomsOf("e")) != 0 {
 		t.Error("unselected predicate should not be enumerated")
 	}
-	if _, err := ExactGround(db, prog, []string{"absent"}, chase.Options{}, ProofOptions{}); err == nil {
+	if _, err := ExactGroundCtx(t.Context(), db, prog, []string{"absent"}, chase.Options{}, ProofOptions{}); err == nil {
 		t.Error("unknown predicate should error")
 	}
 }
 
 func TestExactGroundRejectsConstraints(t *testing.T) {
 	prog := datalog.MustParse(`p(?X) -> q(?X). q(?X) -> false.`)
-	if _, err := ExactGround(chase.NewInstance(), prog, nil, chase.Options{}, ProofOptions{}); err == nil {
+	if _, err := ExactGroundCtx(t.Context(), chase.NewInstance(), prog, nil, chase.Options{}, ProofOptions{}); err == nil {
 		t.Error("constraints must be rejected")
 	}
 }
@@ -115,7 +115,7 @@ func TestEvalExactMatchesEval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := EvalExact(db, q, Options{})
+	exact, err := EvalExactCtx(t.Context(), db, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestEvalExactConstraints(t *testing.T) {
 		type(?X, ?Y), type(?X, ?Z), disj(?Y, ?Z) -> false.
 	`, "out")
 	bad := chase.NewInstance(atom("type", "a", "C1"), atom("type", "a", "C2"), atom("disj", "C1", "C2"))
-	res, err := EvalExact(bad, q, Options{})
+	res, err := EvalExactCtx(t.Context(), bad, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestEvalExactConstraints(t *testing.T) {
 		t.Error("EvalExact should detect ⊤")
 	}
 	good := chase.NewInstance(atom("type", "a", "C1"))
-	res, err = EvalExact(good, q, Options{})
+	res, err = EvalExactCtx(t.Context(), good, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestEvalExactRejectsNonTriQLite(t *testing.T) {
 		s(?X, ?Y) -> s(?Y, ?X).
 		s(?X, ?Y), s(?Y, ?W) -> out(?X).
 	`).String(), "out")
-	if _, err := EvalExact(chase.NewInstance(), q, Options{}); err == nil {
+	if _, err := EvalExactCtx(t.Context(), chase.NewInstance(), q, Options{}); err == nil {
 		t.Error("non-warded query must be rejected")
 	}
 }

@@ -1,6 +1,6 @@
-// EXPLAIN: per-query structured telemetry. Explain/ExplainCtx evaluate a
-// query exactly like Eval/EvalCtx but under a private observability registry,
-// then distill the run into an ExplainReport: per-rule chase stats with
+// EXPLAIN: per-query structured telemetry. Explained runs an evaluation
+// under a private observability registry, then distills the run into an
+// ExplainReport: per-rule chase stats with
 // provenance (which SPARQL operator or ontology emitted each rule), the
 // per-worker shard balance of the parallel enumeration phase, prover memo
 // behavior when the exact procedure ran, and wall-time percentiles per
@@ -15,10 +15,6 @@ import (
 	"strings"
 	"time"
 
-	"context"
-
-	"repro/internal/chase"
-	"repro/internal/datalog"
 	"repro/internal/limits"
 	"repro/internal/obs"
 )
@@ -72,7 +68,8 @@ type ProverExplain struct {
 
 // ExplainReport is the structured result of an explained evaluation.
 type ExplainReport struct {
-	// Kind names the evaluation path: "triq", "triq-exact", or "sparql".
+	// Kind names the evaluation path: "triq", "triq-exact", "sparql", or
+	// "sparql-exact".
 	Kind string `json:"kind"`
 	// Language is the dialect the query was validated against (TriQ paths).
 	Language string `json:"language,omitempty"`
@@ -116,23 +113,21 @@ type ExplainReport struct {
 	Resources *obs.Account `json:"resources,omitempty"`
 }
 
-// Explain is Eval with a report: the query is evaluated under a private
-// metrics registry and the run is distilled into an ExplainReport. Answers
-// are identical to Eval's.
-func Explain(db *chase.Instance, q datalog.Query, lang Language, opts Options) (*Result, *ExplainReport, error) {
-	return ExplainCtx(context.Background(), db, q, lang, opts)
-}
-
-// ExplainCtx is Explain under a context. The evaluation runs with a fresh
-// private *obs.Obs in place of opts.Chase.Obs (so stage times and worker
-// counters are this query's alone); if the caller had an Obs attached, the
-// private registry is folded back into it afterwards, so long-lived metrics
-// (triqd's /metrics) still see the run. Span JSONL sinks are not forwarded.
-func ExplainCtx(ctx context.Context, db *chase.Instance, q datalog.Query, lang Language, opts Options) (*Result, *ExplainReport, error) {
+// Explained is the one explain wrap: it runs eval — any evaluation, handed
+// the options it must evaluate under — with a fresh private *obs.Obs in place
+// of opts.Chase.Obs, so stage times and worker counters are this query's
+// alone, and distills the run into a report of the given kind. Taking the
+// evaluation as a closure lets a caller put more than the chase inside the
+// measured region (the facade translates and decodes SPARQL there, so the
+// translate.* spans land in the report's stage table). If the caller had an
+// Obs attached, the private registry is folded back into it afterwards, so
+// long-lived metrics (triqd's /metrics) still see the run. Span JSONL sinks
+// are not forwarded. On an error there is no report.
+func Explained(kind string, opts Options, eval func(Options) (*Result, error)) (*Result, *ExplainReport, error) {
 	priv, orig := obs.New(), opts.Chase.Obs
 	opts.Chase.Obs = priv
 	start := time.Now()
-	res, err := EvalCtx(ctx, db, q, lang, opts)
+	res, err := eval(opts)
 	elapsed := time.Since(start)
 	if orig != nil {
 		orig.Registry().MergeFrom(priv.Registry())
@@ -140,37 +135,14 @@ func ExplainCtx(ctx context.Context, db *chase.Instance, q datalog.Query, lang L
 	if err != nil {
 		return res, nil, err
 	}
-	rep := BuildExplain(res, priv.Registry(), elapsed)
-	rep.Kind = "triq"
-	rep.Language = lang.String()
+	rep := buildExplain(res, priv.Registry(), elapsed)
+	rep.Kind = kind
 	return res, rep, nil
 }
 
-// ExplainExactCtx is ExplainCtx over the exact ProofTree procedure
-// (EvalExactCtx); the report carries the prover's memo metrics.
-func ExplainExactCtx(ctx context.Context, db *chase.Instance, q datalog.Query, opts Options) (*Result, *ExplainReport, error) {
-	priv, orig := obs.New(), opts.Chase.Obs
-	opts.Chase.Obs = priv
-	start := time.Now()
-	res, err := EvalExactCtx(ctx, db, q, opts)
-	elapsed := time.Since(start)
-	if orig != nil {
-		orig.Registry().MergeFrom(priv.Registry())
-	}
-	if err != nil {
-		return res, nil, err
-	}
-	rep := BuildExplain(res, priv.Registry(), elapsed)
-	rep.Kind = "triq-exact"
-	rep.Language = TriQLite10.String()
-	return res, rep, nil
-}
-
-// BuildExplain distills an evaluation result plus the private registry it
-// ran under into a report. Exposed so the facade can assemble the SPARQL
-// variant (which adds translation spans and regime info) without this
-// package importing the translator.
-func BuildExplain(res *Result, reg *obs.Registry, elapsed time.Duration) *ExplainReport {
+// buildExplain distills an evaluation result plus the private registry it
+// ran under into a report.
+func buildExplain(res *Result, reg *obs.Registry, elapsed time.Duration) *ExplainReport {
 	rep := &ExplainReport{
 		Path:       res.Path,
 		Exact:      res.Exact,

@@ -35,7 +35,7 @@ func transportFixture() (*chase.Instance, datalog.Query) {
 // behind `triq -explain`).
 func TestExplainMatchesChaseStats(t *testing.T) {
 	db, q := transportFixture()
-	res, rep, err := Explain(db, q, TriQLite10, Options{})
+	res, rep, err := explain(t, db, q, TriQLite10, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,6 +88,13 @@ func TestExplainMatchesChaseStats(t *testing.T) {
 	}
 }
 
+// explain wraps the chase evaluation the way the facade does.
+func explain(t *testing.T, db *chase.Instance, q datalog.Query, lang Language, opts Options) (*Result, *ExplainReport, error) {
+	return Explained("triq", opts, func(opts Options) (*Result, error) {
+		return EvalCtx(t.Context(), db, q, lang, opts)
+	})
+}
+
 func contains(xs []string, want string) bool {
 	for _, x := range xs {
 		if x == want {
@@ -106,7 +113,7 @@ func TestExplainAnswersMatchEval(t *testing.T) {
 		t.Fatal(err)
 	}
 	db2, q2 := transportFixture()
-	explained, _, err := Explain(db2, q2, TriQLite10, Options{})
+	explained, _, err := explain(t, db2, q2, TriQLite10, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +129,7 @@ func TestExplainMergesBackIntoCallerRegistry(t *testing.T) {
 	o := obs.New()
 	opts := Options{}
 	opts.Chase.Obs = o
-	_, rep, err := Explain(db, q, TriQLite10, opts)
+	_, rep, err := explain(t, db, q, TriQLite10, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +147,9 @@ func TestExplainMergesBackIntoCallerRegistry(t *testing.T) {
 // The exact (ProofTree) path reports prover memo metrics.
 func TestExplainExactCarriesProver(t *testing.T) {
 	db, q := transportFixture()
-	res, rep, err := ExplainExactCtx(t.Context(), db, q, Options{})
+	res, rep, err := Explained("triq-exact", Options{}, func(opts Options) (*Result, error) {
+		return EvalExactCtx(t.Context(), db, q, opts)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +170,7 @@ func TestExplainExactCarriesProver(t *testing.T) {
 // The report must render for humans and round-trip as JSON.
 func TestExplainRenderAndJSON(t *testing.T) {
 	db, q := transportFixture()
-	_, rep, err := Explain(db, q, TriQLite10, Options{})
+	_, rep, err := explain(t, db, q, TriQLite10, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +209,7 @@ func TestExplainParallelWorkers(t *testing.T) {
 	`, "query")
 	opts := Options{}
 	opts.Chase.Parallelism = 4
-	_, rep, err := Explain(db, q, TriQLite10, opts)
+	_, rep, err := explain(t, db, q, TriQLite10, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -133,7 +133,7 @@ func TestEvalExactDegradesOnVisitBudget(t *testing.T) {
 		t.Fatalf("Truncation = %+v, want visits", res.Truncation)
 	}
 	// Full run for comparison: the partial answers must be a subset.
-	fullRes, err := EvalExact(limitsChainDB(3), q, Options{})
+	fullRes, err := EvalExactCtx(context.Background(), limitsChainDB(3), q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -189,7 +189,7 @@ func TestAskExactCtxDeadline(t *testing.T) {
 	g, q := facadeQuery(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 0)
 	defer cancel()
-	_, err := AskExactCtx(ctx, g, q, Options{})
+	_, err := Eval(ctx, g, Request{Query: q, Language: TriQLite10, Exact: true})
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("want ErrDeadline, got %v", err)
 	}

@@ -181,12 +181,12 @@ func soakIteration(g *Graph, q, exactQ Query, sq *SPARQLQuery, tr *Translation,
 			return fmt.Errorf("Translation: got %d mappings, want %d", ms2.Len(), wantMappings)
 		}
 	default:
-		res, err := AskExactCtx(ctx, g, exactQ, opts)
+		res, err := Eval(ctx, g, Request{Query: exactQ, Language: TriQLite10, Exact: true, Options: opts})
 		if err != nil {
 			return checkErr(err)
 		}
 		if len(res.Tuples) != wantExactRows {
-			return fmt.Errorf("AskExact: got %d rows, want %d", len(res.Tuples), wantExactRows)
+			return fmt.Errorf("exact Eval: got %d rows, want %d", len(res.Tuples), wantExactRows)
 		}
 	}
 	ok.Add(1)

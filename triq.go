@@ -27,30 +27,29 @@
 // # Concurrency
 //
 // A Graph is immutable after parsing and safe for any number of concurrent
-// readers, and every evaluation entry point (Ask, AskSPARQL, AskExact and
-// their Ctx variants) builds its own working state per call — the
-// translation materializes a fresh instance of τ_db(G), the chase appends to
-// a private layer over that instance and never writes it, and the exact
-// enumeration builds a private prover. Many goroutines may
-// therefore evaluate queries over one shared Graph (and shared parsed Query
-// / SPARQLQuery / Translation values) without external locking; this is the
-// contract the triqd server (cmd/triqd, internal/serve) relies on. The one
-// stateful object is a Prover obtained from NewProver: it carries a memo
-// table across calls, so its Prove methods serialize on an internal mutex —
-// concurrent use is safe but not parallel; build one Prover per goroutine
-// for parallel proof search.
+// readers, and Eval — the one evaluation path; Ask, AskSPARQL and their Ctx
+// variants are thin wrappers over it — keeps all working state private to the
+// call: it translates (SPARQL only), asks a warm materialization first, and
+// only on a miss loads a fresh instance of τ_db(G), over which the chase
+// appends to a private layer that it never writes through, or the exact
+// enumeration builds a private prover. Many goroutines may therefore evaluate
+// Requests over one shared Graph (and shared parsed Query / SPARQLQuery
+// values) without external locking; this is the contract the triqd server
+// (cmd/triqd, internal/serve) relies on. The one stateful object is a Prover
+// obtained from NewProver: it carries a memo table across calls, so its Prove
+// methods serialize on an internal mutex — concurrent use is safe but not
+// parallel; build one Prover per goroutine for parallel proof search.
 package repro
 
 import (
 	"context"
+	"errors"
 	"io"
 	"strings"
-	"time"
 
 	"repro/internal/chase"
 	"repro/internal/datalog"
 	"repro/internal/limits"
-	"repro/internal/obs"
 	"repro/internal/owl"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
@@ -175,27 +174,79 @@ func ParseQuery(src, output string) (Query, error) {
 // Validate checks that a query belongs to the given language.
 func Validate(q Query, lang Language) error { return triq.Validate(q, lang) }
 
-// Results is the outcome of asking a query over a graph.
-type Results struct {
-	// Inconsistent is true when Q(G) = ⊤ (some constraint fired).
-	Inconsistent bool
-	// Tuples holds the answer tuples as decoded RDF terms.
-	Tuples [][]Term
-	// Exact reports whether the evaluation provably saturated (see
-	// internal/chase.StableGround).
+// Request is one evaluation over a graph. Exactly one input language is
+// set: a Datalog Query, checked against Language, or — when SPARQL is
+// non-nil — a SPARQL SELECT query, translated to a TriQ query under Regime
+// (Sections 5.1–5.3). Exact and Explain choose how the answer is computed
+// and what is reported about it; neither changes what the answer is.
+type Request struct {
+	// Query is the Datalog^{∃,¬s,⊥} query (Π, p); ignored when SPARQL is set.
+	Query Query
+	// Language is the dialect Query must belong to.
+	Language Language
+	// SPARQL is the SELECT query to evaluate instead of Query.
+	SPARQL *SPARQLQuery
+	// Regime is the semantics SPARQL is translated under.
+	Regime Regime
+	// Exact answers with the provably-exact ProofTree enumeration
+	// (Section 6.3) instead of the bottom-up chase: slower, but correct even
+	// when the chase is infinite, and every answer is certified by a proof
+	// tree. The query must be TriQ-Lite 1.0, which the regime translations
+	// are by Corollaries 5.4 and 6.2. Materializations are not consulted.
 	Exact bool
-	// Incomplete is true when a resource budget tripped and Tuples is the
+	// Explain runs the evaluation under a private metrics registry and
+	// distills it into Response.Explain. If Options.Chase.Obs is set, the
+	// per-query observations are folded back into it afterwards, so
+	// long-lived metrics still see the run.
+	Explain bool
+	// Options bound and instrument the evaluation.
+	Options Options
+}
+
+// Response is the outcome of evaluating a Request.
+type Response struct {
+	// Inconsistent is true when Q(G) = ⊤ (some constraint fired); there are
+	// no rows then, and Mappings is nil.
+	Inconsistent bool
+	// Tuples holds the answer tuples of a Datalog request as decoded RDF
+	// terms.
+	Tuples [][]Term
+	// Mappings holds the solution mappings of a SPARQL request.
+	Mappings *MappingSet
+	// Exact reports whether the evaluation provably saturated (see
+	// internal/chase.StableGround); on the ProofTree path, that no visit
+	// budget cut the enumeration short.
+	Exact bool
+	// Incomplete is true when a resource budget tripped and the rows are the
 	// sound partial answer set derived before the abort. For positive
-	// programs every listed tuple is a certain answer; only completeness is
+	// programs every listed row is a certain answer; only completeness is
 	// lost. Cancellation and deadlines never degrade — they return errors.
 	Incomplete bool
 	// Truncation reports which limit tripped; non-nil exactly when
 	// Incomplete.
 	Truncation *Truncation
+	// Depth is the null-nesting depth the answer was computed at, and Stats
+	// the chase work behind it (zero on the ProofTree path).
+	Depth int
+	Stats chase.Stats
+	// Explain is the report of an explained evaluation; nil unless
+	// Request.Explain.
+	Explain *ExplainReport
 }
 
-// Rows renders the tuples as strings, one row per answer.
-func (r *Results) Rows() []string {
+// Results is the name Ask and AskCtx return a Response under.
+type Results = Response
+
+// Rows renders the answers as strings, one row per answer: space-joined
+// terms for a Datalog request, "var=term" bindings for a SPARQL one.
+func (r *Response) Rows() []string {
+	if r.Mappings != nil {
+		out := make([]string, 0, r.Mappings.Len())
+		for _, m := range r.Mappings.Mappings() {
+			out = append(out, m.String())
+		}
+		return out
+	}
 	out := make([]string, 0, len(r.Tuples))
 	for _, tup := range r.Tuples {
 		parts := make([]string, len(tup))
@@ -207,54 +258,113 @@ func (r *Results) Rows() []string {
 	return out
 }
 
-// Ask evaluates a TriQ query over an RDF graph: the graph is loaded as the
-// database τ_db(G) over the predicate triple(·,·,·), the query program is
-// validated against the language, and the answers are decoded as RDF terms.
+// Eval is the one evaluation path: every way of asking — Datalog or SPARQL,
+// chase or ProofTree, with or without a report — runs the same steps in the
+// same order, so how a request asks never changes what it is told. The
+// steps: translate (SPARQL only); answer from a materialization of the
+// program pinned to Options.MatEpoch when there is one; only on a miss load
+// the graph as the database τ_db(G) over triple(·,·,·) and run the chase or
+// the ProofTree enumeration; decode the answers as RDF terms or solution
+// mappings.
+//
+// Cancellation and deadlines return typed errors (ErrCanceled, ErrDeadline);
+// budget trips (MaxFacts, MaxRounds, MaxVisits) degrade gracefully to a
+// sound partial Response with Incomplete and Truncation set. Panics in the
+// engine are recovered and returned as ErrInternal.
+func Eval(ctx context.Context, g *Graph, req Request) (_ *Response, err error) {
+	defer limits.Recover(&err)
+	if req.SPARQL == nil && req.Query.Program == nil {
+		return nil, errors.New("repro: Request has neither a Datalog Query nor a SPARQL query")
+	}
+	resp := &Response{} // handed out only on success: a recovered panic returns none
+	eval := func(opts Options) (res *triq.Result, err error) {
+		q, lang := req.Query, req.Language
+		var tr *Translation
+		if req.SPARQL != nil {
+			if tr, err = translate.TracedCtx(ctx, req.SPARQL.Pattern(), req.Regime, opts.Chase.Obs); err != nil {
+				return nil, err
+			}
+			q, lang = tr.Query, triq.Unrestricted
+		}
+		// A warm materialization answers without τ_db(G) being built at all,
+		// so it is asked before the graph is loaded. (On a miss, EvalCtx
+		// still gets a chance to build one from the loaded instance.)
+		if !req.Exact {
+			res, _ = triq.ServeMaterialized(q, lang, opts)
+		}
+		if res == nil {
+			var db *chase.Instance
+			if tr != nil {
+				db = tr.LoadDB(ctx, g, opts) // τ_db(G) plus the seed fact of the empty pattern
+			} else if db, err = chase.FromFacts(owl.GraphToDB(g)); err != nil {
+				return nil, err
+			}
+			if req.Exact {
+				res, err = triq.EvalExactCtx(ctx, db, q, opts)
+			} else {
+				res, err = triq.EvalCtx(ctx, db, q, lang, opts)
+			}
+			if err != nil {
+				return nil, err
+			}
+		}
+		if tr != nil {
+			resp.Mappings, err = tr.Decode(ctx, res, opts)
+			return res, err
+		}
+		if n := len(res.Answers.Tuples); n > 0 {
+			resp.Tuples = make([][]Term, 0, n)
+		}
+		for _, tup := range res.Answers.Tuples {
+			row := make([]Term, len(tup))
+			for i, t := range tup {
+				row[i] = translate.DecodeTerm(t.Name)
+			}
+			resp.Tuples = append(resp.Tuples, row)
+		}
+		return res, nil
+	}
+
+	var res *triq.Result
+	if req.Explain {
+		kind := "triq"
+		if req.SPARQL != nil {
+			kind = "sparql"
+		}
+		if req.Exact {
+			kind += "-exact"
+		}
+		if res, resp.Explain, err = triq.Explained(kind, req.Options, eval); err == nil {
+			switch {
+			case req.SPARQL != nil:
+				resp.Explain.Regime = req.Regime.String()
+			case req.Exact: // the ProofTree procedure validates against TriQ-Lite 1.0
+				resp.Explain.Language = TriQLite10.String()
+			default:
+				resp.Explain.Language = req.Language.String()
+			}
+		}
+	} else {
+		res, err = eval(req.Options)
+	}
+	if err != nil {
+		return nil, err
+	}
+	resp.Inconsistent = res.Answers.Inconsistent
+	resp.Exact, resp.Incomplete, resp.Truncation = res.Exact, res.Incomplete, res.Truncation
+	resp.Depth, resp.Stats = res.Depth, res.Stats
+	return resp, nil
+}
+
+// Ask evaluates a TriQ query over an RDF graph with the chase: Eval with a
+// background context.
 func Ask(g *Graph, q Query, lang Language, opts Options) (*Results, error) {
 	return AskCtx(context.Background(), g, q, lang, opts)
 }
 
-// AskCtx is Ask under a context. Cancellation and deadlines return typed
-// errors (ErrCanceled, ErrDeadline); budget trips (MaxFacts, MaxRounds)
-// degrade gracefully to a sound partial Results with Incomplete and
-// Truncation set. Panics in the engine are recovered and returned as
-// ErrInternal.
-func AskCtx(ctx context.Context, g *Graph, q Query, lang Language, opts Options) (out *Results, err error) {
-	defer limits.Recover(&err)
-	// Warm-materialization fast path: when a materialization of this program
-	// is pinned to opts.MatEpoch, answer from it without even loading the
-	// graph into an instance. On a miss, EvalCtx still gets a chance to
-	// build one (and answers by chase regardless).
-	if res, ok := triq.ServeMaterialized(q, lang, opts); ok {
-		return resultsOf(res), nil
-	}
-	db, err := chase.FromFacts(owl.GraphToDB(g))
-	if err != nil {
-		return nil, err
-	}
-	res, err := triq.EvalCtx(ctx, db, q, lang, opts)
-	if err != nil {
-		return nil, err
-	}
-	return resultsOf(res), nil
-}
-
-// resultsOf decodes a triq.Result into the facade Results.
-func resultsOf(res *triq.Result) *Results {
-	out := &Results{
-		Inconsistent: res.Answers.Inconsistent,
-		Exact:        res.Exact,
-		Incomplete:   res.Incomplete,
-		Truncation:   res.Truncation,
-	}
-	for _, tup := range res.Answers.Tuples {
-		row := make([]Term, len(tup))
-		for i, t := range tup {
-			row[i] = translate.DecodeTerm(t.Name)
-		}
-		out.Tuples = append(out.Tuples, row)
-	}
-	return out
+// AskCtx is Ask under a context; see Eval for the limit semantics.
+func AskCtx(ctx context.Context, g *Graph, q Query, lang Language, opts Options) (*Results, error) {
+	return Eval(ctx, g, Request{Query: q, Language: lang, Options: opts})
 }
 
 // ParseSPARQL parses a SPARQL SELECT or CONSTRUCT query.
@@ -283,48 +393,23 @@ func TranslateSPARQL(p Pattern, regime Regime) (*Translation, error) {
 }
 
 // AskSPARQL evaluates a SELECT query over a graph under the chosen regime by
-// translating it to a TriQ query and running the Datalog machinery.
+// translating it to a TriQ query and running the Datalog machinery: Eval
+// with a background context. The boolean reports inconsistency (⊤), which
+// can arise only under the entailment regimes; the mapping set is nil then.
 func AskSPARQL(q *SPARQLQuery, g *Graph, regime Regime, opts Options) (*MappingSet, bool, error) {
 	return AskSPARQLCtx(context.Background(), q, g, regime, opts)
 }
 
-// AskSPARQLCtx is AskSPARQL under a context. Budget trips degrade to a
-// sound partial MappingSet with ms.Incomplete and ms.Truncation set;
-// cancellation and deadlines return typed errors; panics are recovered as
-// ErrInternal.
-func AskSPARQLCtx(ctx context.Context, q *SPARQLQuery, g *Graph, regime Regime, opts Options) (ms *MappingSet, exact bool, err error) {
-	defer limits.Recover(&err)
-	tr, err := translate.TracedCtx(ctx, q.Pattern(), regime, opts.Chase.Obs)
+// AskSPARQLCtx is AskSPARQL under a context. The boolean is the
+// inconsistency flag, not exactness (read Response.Exact off Eval for that).
+// Budget trips degrade to a sound partial MappingSet with ms.Incomplete and
+// ms.Truncation set; see Eval for the rest of the limit semantics.
+func AskSPARQLCtx(ctx context.Context, q *SPARQLQuery, g *Graph, regime Regime, opts Options) (ms *MappingSet, inconsistent bool, err error) {
+	resp, err := Eval(ctx, g, Request{SPARQL: q, Regime: regime, Options: opts})
 	if err != nil {
 		return nil, false, err
 	}
-	return tr.EvaluateCtx(ctx, g, opts)
-}
-
-// AskSPARQLExact evaluates a SELECT query under the chosen regime with the
-// provably-exact ProofTree procedure instead of the bottom-up chase: the
-// translated query (TriQ-Lite 1.0 by Corollaries 5.4 and 6.2) is answered by
-// enumerating the answer domain and certifying every mapping with a proof
-// tree. Slower than AskSPARQL, but exact even when the chase is infinite.
-func AskSPARQLExact(q *SPARQLQuery, g *Graph, regime Regime, opts Options) (*MappingSet, bool, error) {
-	return AskSPARQLExactCtx(context.Background(), q, g, regime, opts)
-}
-
-// AskSPARQLExactCtx is AskSPARQLExact under a context. The boolean reports
-// inconsistency (⊤). A visit-budget trip degrades to the proof-certified
-// partial mapping set with ms.Incomplete set; cancellation and deadlines
-// return typed errors; panics are recovered as ErrInternal.
-func AskSPARQLExactCtx(ctx context.Context, q *SPARQLQuery, g *Graph, regime Regime, opts Options) (ms *MappingSet, inconsistent bool, err error) {
-	defer limits.Recover(&err)
-	tr, err := translate.TracedCtx(ctx, q.Pattern(), regime, opts.Chase.Obs)
-	if err != nil {
-		return nil, false, err
-	}
-	ms, res, err := tr.EvaluateExactFullCtx(ctx, g, opts)
-	if err != nil {
-		return nil, false, err
-	}
-	return ms, res.Answers != nil && res.Answers.Inconsistent, nil
+	return resp.Mappings, resp.Inconsistent, nil
 }
 
 // NewProver builds a ProofTree decision procedure (Section 6.3) for a
@@ -359,139 +444,6 @@ func ParseOntology(src string) (*Ontology, error) { return owl.ParseOntology(src
 // program (rule (3) of Section 2).
 func TranslateConstruct(q *SPARQLQuery, regime Regime) (*translate.ConstructTranslation, error) {
 	return translate.TranslateConstruct(q, regime)
-}
-
-// AskExact evaluates a TriQ-Lite 1.0 query with the provably-exact ProofTree
-// enumeration (Section 6.3) instead of the fast bottom-up chase. Slower, but
-// correct even on programs with an infinite chase, and every answer carries
-// a proof.
-func AskExact(g *Graph, q Query, opts Options) (*Results, error) {
-	return AskExactCtx(context.Background(), g, q, opts)
-}
-
-// AskExactCtx is AskExact under a context. A visit-budget trip degrades to
-// the proof-certified partial answer set with Incomplete set (and Exact
-// cleared); cancellation and deadlines return typed errors; panics are
-// recovered as ErrInternal.
-func AskExactCtx(ctx context.Context, g *Graph, q Query, opts Options) (out *Results, err error) {
-	defer limits.Recover(&err)
-	db, err := chase.FromFacts(owl.GraphToDB(g))
-	if err != nil {
-		return nil, err
-	}
-	res, err := triq.EvalExactCtx(ctx, db, q, opts)
-	if err != nil {
-		return nil, err
-	}
-	return resultsOf(res), nil
-}
-
-// Explain is Ask with a report: the query is evaluated under a private
-// metrics registry and the run is distilled into an ExplainReport (per-rule
-// chase stats, worker balance, stage times). Answers are identical to Ask's.
-func Explain(g *Graph, q Query, lang Language, opts Options) (*Results, *ExplainReport, error) {
-	return ExplainCtx(context.Background(), g, q, lang, opts)
-}
-
-// ExplainCtx is Explain under a context. If opts.Chase.Obs was set, the
-// per-query observations are folded back into it afterwards, so long-lived
-// metrics still see the run.
-func ExplainCtx(ctx context.Context, g *Graph, q Query, lang Language, opts Options) (out *Results, rep *ExplainReport, err error) {
-	defer limits.Recover(&err)
-	db, err := chase.FromFacts(owl.GraphToDB(g))
-	if err != nil {
-		return nil, nil, err
-	}
-	res, rep, err := triq.ExplainCtx(ctx, db, q, lang, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return resultsOf(res), rep, nil
-}
-
-// ExplainExact is AskExact with a report; the report carries the ProofTree
-// prover's memo metrics alongside the chase breakdown.
-func ExplainExact(g *Graph, q Query, opts Options) (*Results, *ExplainReport, error) {
-	return ExplainExactCtx(context.Background(), g, q, opts)
-}
-
-// ExplainExactCtx is ExplainExact under a context.
-func ExplainExactCtx(ctx context.Context, g *Graph, q Query, opts Options) (out *Results, rep *ExplainReport, err error) {
-	defer limits.Recover(&err)
-	db, err := chase.FromFacts(owl.GraphToDB(g))
-	if err != nil {
-		return nil, nil, err
-	}
-	res, rep, err := triq.ExplainExactCtx(ctx, db, q, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return resultsOf(res), rep, nil
-}
-
-// ExplainSPARQL is AskSPARQL with a report. Every compiled Datalog rule in
-// the report carries the SPARQL operator that emitted it (BGP, AND, UNION,
-// OPT, FILTER, SELECT, τ_out, EQ, ontology), and the stage table includes the
-// translation and decode phases.
-func ExplainSPARQL(q *SPARQLQuery, g *Graph, regime Regime, opts Options) (*MappingSet, *ExplainReport, error) {
-	return ExplainSPARQLCtx(context.Background(), q, g, regime, opts)
-}
-
-// ExplainSPARQLCtx is ExplainSPARQL under a context. The evaluation runs
-// with a fresh private metrics registry; if opts.Chase.Obs was set, the
-// observations are folded back into it afterwards.
-func ExplainSPARQLCtx(ctx context.Context, q *SPARQLQuery, g *Graph, regime Regime, opts Options) (ms *MappingSet, rep *ExplainReport, err error) {
-	defer limits.Recover(&err)
-	priv, orig := obs.New(), opts.Chase.Obs
-	opts.Chase.Obs = priv
-	start := time.Now()
-	tr, err := translate.TracedCtx(ctx, q.Pattern(), regime, priv)
-	if err != nil {
-		return nil, nil, err
-	}
-	ms, res, err := tr.EvaluateFullCtx(ctx, g, opts)
-	elapsed := time.Since(start)
-	if orig != nil {
-		orig.Registry().MergeFrom(priv.Registry())
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	rep = triq.BuildExplain(res, priv.Registry(), elapsed)
-	rep.Kind = "sparql"
-	rep.Regime = regime.String()
-	return ms, rep, nil
-}
-
-// ExplainSPARQLExact is AskSPARQLExact with a report; like ExplainExact, the
-// report carries the prover's memo metrics alongside the chase breakdown.
-func ExplainSPARQLExact(q *SPARQLQuery, g *Graph, regime Regime, opts Options) (*MappingSet, *ExplainReport, error) {
-	return ExplainSPARQLExactCtx(context.Background(), q, g, regime, opts)
-}
-
-// ExplainSPARQLExactCtx is ExplainSPARQLExact under a context; the same
-// private-registry fold-back contract as ExplainSPARQLCtx applies.
-func ExplainSPARQLExactCtx(ctx context.Context, q *SPARQLQuery, g *Graph, regime Regime, opts Options) (ms *MappingSet, rep *ExplainReport, err error) {
-	defer limits.Recover(&err)
-	priv, orig := obs.New(), opts.Chase.Obs
-	opts.Chase.Obs = priv
-	start := time.Now()
-	tr, err := translate.TracedCtx(ctx, q.Pattern(), regime, priv)
-	if err != nil {
-		return nil, nil, err
-	}
-	ms, res, err := tr.EvaluateExactFullCtx(ctx, g, opts)
-	elapsed := time.Since(start)
-	if orig != nil {
-		orig.Registry().MergeFrom(priv.Registry())
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	rep = triq.BuildExplain(res, priv.Registry(), elapsed)
-	rep.Kind = "sparql-exact"
-	rep.Regime = regime.String()
-	return ms, rep, nil
 }
 
 // Isomorphic reports RDF graph isomorphism (equality up to blank renaming).
