@@ -24,6 +24,10 @@ const (
 	// An explained warm read measures 88, of which the private registry and
 	// the report are all but the plain read's share.
 	warmExplainedAllocCeiling = 110
+	// The university evaluation deepens twice (bounds 2, 4, 6). One engine
+	// resumed across the three steps measures 71 365; chasing the database
+	// from scratch at every bound took 139 604.
+	universityAllocCeiling = 89_000
 )
 
 func TestTransportAllocCeiling(t *testing.T) {
@@ -38,6 +42,30 @@ func TestTransportAllocCeiling(t *testing.T) {
 	})
 	if allocs > transportAllocCeiling {
 		t.Errorf("transport at 128 triples: %.0f allocations per evaluation, ceiling %d", allocs, transportAllocCeiling)
+	}
+}
+
+// TestUniversityAllocCeiling pins that deepening derives every fact once: the
+// benchmark's university_regime request, end to end through the facade.
+func TestUniversityAllocCeiling(t *testing.T) {
+	g := workload.University(4, 2, 3, false).ToGraph()
+	sq, err := repro.ParseSPARQL("SELECT ?X WHERE { ?X rdf:type person }")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := repro.Request{SPARQL: sq, Regime: repro.ActiveDomainRegime}
+	var resp *repro.Response
+	allocs := testing.AllocsPerRun(5, func() {
+		if resp, err = repro.Eval(context.Background(), g, req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if resp.Mappings.Len() != 32 || resp.Stats.NullsInvented != 744 || resp.Stats.FactsDerived != 6303 || resp.Depth != 6 {
+		t.Fatalf("university: %d rows, %d nulls, %d facts at depth %d, want 32, 744, 6303 at depth 6",
+			resp.Mappings.Len(), resp.Stats.NullsInvented, resp.Stats.FactsDerived, resp.Depth)
+	}
+	if allocs > universityAllocCeiling {
+		t.Errorf("university regime: %.0f allocations per evaluation, ceiling %d", allocs, universityAllocCeiling)
 	}
 }
 

@@ -13,6 +13,8 @@ import (
 	"testing"
 
 	"repro/internal/limits"
+	"repro/internal/obs"
+	"repro/internal/workload"
 )
 
 // TestEvalMatrix drives the one evaluation path through every combination of
@@ -250,6 +252,66 @@ func TestEvalMatrix(t *testing.T) {
 				t.Errorf("%s/%s: ProofTree and the exact chase disagree:\n chase: %s\n exact: %s", sc.name, in.name, answers[false], answers[true])
 			}
 		}
+	}
+}
+
+// TestDeepenedEvaluationNumbersAgree: every number an operator reads about an
+// evaluation that deepened — Stats, the EXPLAIN report and its per-rule and
+// per-step breakdowns, the request's resource account, the registry counters
+// behind /metrics — counts the same work, because the depth steps share one
+// engine that derives each fact once. (When every step chased from scratch
+// the counters added up three runs, 12 205 facts, and the rest reported the
+// last, 6 303.)
+func TestDeepenedEvaluationNumbersAgree(t *testing.T) {
+	g := workload.University(4, 2, 3, false).ToGraph()
+	sq, err := ParseSPARQL("SELECT ?X WHERE { ?X rdf:type person }")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := obs.New()
+	ids := obs.NewIDSource(16)
+	tr := obs.NewTrace(ids.TraceID(), ids, false)
+	req := Request{SPARQL: sq, Regime: ActiveDomainRegime, Explain: true}
+	req.Options.Chase.Obs = o
+	resp, err := Eval(obs.ContextWithTrace(context.Background(), tr), g, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, rep := resp.Stats, resp.Explain
+	if len(st.Deepening) != 3 || st.FactsDerived != 6303 {
+		t.Fatalf("the university request must take three depth steps to 6303 facts: %+v", st.Deepening)
+	}
+	for name, want := range map[string]int{
+		"chase.runs":            1, // engines, not steps
+		"chase.deepen_restarts": 0,
+		"chase.rounds":          st.Rounds,
+		"chase.triggers_fired":  st.TriggersFired,
+		"chase.facts_derived":   st.FactsDerived,
+		"chase.nulls_invented":  st.NullsInvented,
+	} {
+		if got := o.Registry().Counter(name); got != int64(want) {
+			t.Errorf("counter %s = %d, want %d", name, got, want)
+		}
+	}
+	ruleFacts, stepFacts := 0, 0
+	for _, ru := range rep.Rules {
+		ruleFacts += ru.FactsDerived
+	}
+	for i, d := range rep.Deepening {
+		stepFacts += d.NewFacts
+		if d.Resumed != (i > 0) {
+			t.Errorf("step %d: resumed = %v", i, d.Resumed)
+		}
+	}
+	if rep.FactsDerived != st.FactsDerived || ruleFacts != st.FactsDerived || stepFacts != st.FactsDerived {
+		t.Errorf("EXPLAIN: %d facts, %d over its rules, %d over its steps; Stats: %d",
+			rep.FactsDerived, ruleFacts, stepFacts, st.FactsDerived)
+	}
+	if acct := tr.Account(); acct.ChaseRuns != 1 || acct.FactsDerived != int64(st.FactsDerived) || acct.Rounds != int64(st.Rounds) {
+		t.Errorf("account: %+v", acct)
+	}
+	if want := "deepening: depth 2: +2015 facts, 108 parked → depth 4: +1872 facts, 156 parked, stable ×1 → depth 6: +2416 facts, 204 parked, stable ×2\n"; !strings.Contains(rep.String(), want) {
+		t.Errorf("EXPLAIN text lacks the deepening line %q:\n%s", want, rep)
 	}
 }
 

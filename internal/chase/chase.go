@@ -2,9 +2,11 @@ package chase
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -120,6 +122,9 @@ type Stats struct {
 	Parallelism int
 	// PerRule breaks the run down by rule, in stratum evaluation order.
 	PerRule []RuleStats
+	// Deepening lists the depth steps of the iterative-deepening evaluation
+	// that produced these stats (see StableGround); nil for a plain Run.
+	Deepening []DeepenStep
 }
 
 // RuleStats is the per-rule slice of a chase run. A trigger is "attempted"
@@ -245,23 +250,52 @@ func compileRule(r datalog.Rule, idx int) *compiledRule {
 	return c
 }
 
-// engine holds the mutable chase state shared across strata.
+// engine holds the mutable chase state shared across strata and, when the
+// depth bound is raised between steps, across steps.
 type engine struct {
-	ctx        context.Context
-	opts       Options
-	inst       *Instance
-	depth      map[string]int    // null name → invention depth
-	skolem     map[string]string // skolem key → null name
-	nextNull   int
-	stats      Stats
-	perRule    []*RuleStats // one entry per rule, across strata
-	cur        *RuleStats   // the rule currently being matched/fired
-	span       *obs.Span    // the chase.run span (nil when tracing is off)
-	start      time.Time
-	tick       int    // trigger-attempt counter gating the in-round ctx checks
-	ruleLabels bool   // attach per-rule pprof labels (recording traces only)
-	keyBuf     []byte // scratch for the binding keys apply probes its dedup set with
+	ctx         context.Context
+	opts        Options
+	inst        *Instance
+	strata      []*stratum
+	constraints []datalog.Constraint
+	depth       map[string]int    // null name → invention depth
+	skolem      map[string]string // skolem key → null name
+	nextNull    int
+	stats       Stats
+	ground      int          // constant-only facts derived: how far Π(D)↓ has grown
+	perRule     []*RuleStats // one entry per rule, across strata
+	cur         *RuleStats   // the rule currently being matched/fired
+	park        *triggerBuf  // where fire parks a trigger of that rule the depth bound blocks
+	span        *obs.Span    // the current step's chase.run span (nil when tracing is off)
+	start       time.Time
+	tick        int    // trigger-attempt counter gating the in-round ctx checks
+	ruleLabels  bool   // attach per-rule pprof labels (recording traces only)
+	keyBuf      []byte // scratch for the binding keys apply probes its dedup set with
 }
+
+// stratum is the resumable state of one stratum: what chaseStratum needs to
+// continue from its last fixpoint once the depth bound has been raised.
+type stratum struct {
+	comp   []*compiledRule
+	stats  []*RuleStats
+	parked []triggerBuf // per rule, the triggers the depth bound blocked
+	// Own-layer buckets only grow, so "the facts the stratum has not matched
+	// yet" needs no instance of its own: per positive body predicate it is the
+	// tail its bucket has grown since the stratum's latest round started.
+	bodyPreds []string
+	started   map[string]int
+	// negPreds are the predicates the stratum negates, negLens their bucket
+	// lengths when it last reached its fixpoint (see errNegatedGrew).
+	negPreds []string
+	negLens  []int
+	ran      bool // the first round, which matches the whole instance, has run
+}
+
+// errNegatedGrew is step's verdict on an engine it cannot resume: raising the
+// depth bound let a lower stratum add facts to a predicate that a stratum which
+// already ran negates, so facts that stratum derived may no longer hold. The
+// chase is not monotone there; the caller starts over with a new engine.
+var errNegatedGrew = errors.New("chase: a negated predicate grew under a finished stratum")
 
 // snapshotStats copies the cumulative counters plus the per-rule breakdown;
 // it is used on both the success and the abort path so a truncated run still
@@ -343,6 +377,86 @@ func newEngine(ctx context.Context, db *Instance, opts Options) *engine {
 	return e
 }
 
+// prepare validates, stratifies and compiles the program and returns an engine
+// over db that has not chased anything yet; opts must carry its defaults.
+func prepare(ctx context.Context, db *Instance, prog *datalog.Program, opts Options) (*engine, error) {
+	if err := prog.Validate(); err != nil {
+		return nil, err
+	}
+	// Stratified evaluation needs single-head rules when a multi-head rule
+	// spans strata; normalizing unconditionally keeps the engine simple.
+	work := prog
+	if prog.HasNegation() {
+		for _, r := range prog.Rules {
+			if len(r.Head) > 1 {
+				work = datalog.SingleHead(prog)
+				break
+			}
+		}
+	}
+	strat, err := datalog.Stratify(work)
+	if err != nil {
+		return nil, err
+	}
+	strata, err := strat.Strata(work)
+	if err != nil {
+		return nil, err
+	}
+	e := newEngine(ctx, db, opts)
+	e.stats.Parallelism = opts.Parallelism
+	e.constraints = work.Constraints
+	// Per-rule pprof labels let CPU profiles attribute chase work to rules
+	// (and, via the request labels already on ctx, to trace ids). The extra
+	// label swap per rule turn is only paid when the request is actually
+	// being traced.
+	e.ruleLabels = obs.RecordingTrace(ctx)
+	for _, rules := range strata {
+		if len(rules) > 0 {
+			e.strata = append(e.strata, e.newStratum(rules))
+		}
+	}
+	opts.Obs.Count("chase.runs", 1)
+	return e, nil
+}
+
+// newStratum compiles one stratum's rules and registers their stats slots.
+func (e *engine) newStratum(rules []datalog.Rule) *stratum {
+	s := &stratum{
+		comp:    make([]*compiledRule, len(rules)),
+		stats:   make([]*RuleStats, len(rules)),
+		parked:  make([]triggerBuf, len(rules)),
+		started: make(map[string]int),
+	}
+	for i, r := range rules {
+		c := compileRule(r, i)
+		s.comp[i], s.stats[i] = c, e.newRuleStats(r)
+		for _, p := range c.bodyPos {
+			if _, dup := s.started[p.pred]; !dup {
+				s.started[p.pred] = 0
+				s.bodyPreds = append(s.bodyPreds, p.pred)
+			}
+		}
+		for _, p := range c.bodyNeg {
+			if !slices.Contains(s.negPreds, p.pred) {
+				s.negPreds = append(s.negPreds, p.pred)
+			}
+		}
+	}
+	s.negLens = make([]int, len(s.negPreds))
+	return s
+}
+
+// parkedTriggers counts the triggers the depth bound currently blocks.
+func (e *engine) parkedTriggers() int {
+	n := 0
+	for _, s := range e.strata {
+		for i := range s.parked {
+			n += s.parked[i].n
+		}
+	}
+	return n
+}
+
 func (e *engine) freshNull(key string, d int) datalog.Term {
 	if name, ok := e.skolem[key]; ok {
 		return datalog.N(name)
@@ -358,8 +472,8 @@ func (e *engine) freshNull(key string, d int) datalog.Term {
 	return datalog.N(name)
 }
 
-// chaseStratum exhaustively applies the given rules (one stratum) to the
-// engine instance. Negated atoms are evaluated against the current instance,
+// chaseStratum exhaustively applies one stratum's rules to the engine
+// instance. Negated atoms are evaluated against the current instance,
 // which is correct under stratification: their predicates belong to lower
 // strata and are already final.
 //
@@ -369,23 +483,16 @@ func (e *engine) freshNull(key string, d int) datalog.Term {
 // fires the buffered triggers sequentially in canonical order. Rules earlier
 // in the round feed the instance that later rules enumerate against, and the
 // round reaches its fixpoint when no rule derives a new fact.
-func (e *engine) chaseStratum(rules []datalog.Rule) error {
-	comp := make([]*compiledRule, len(rules))
-	ruleStats := make([]*RuleStats, len(rules))
-	for i, r := range rules {
-		comp[i] = compileRule(r, i)
-		ruleStats[i] = e.newRuleStats(r)
-	}
-	// Own-layer buckets only grow during a run, so "the facts derived in the
-	// previous round" needs no instance of its own: per body predicate it is
-	// the tail its bucket has grown since that round started.
-	var bodyPreds []string
-	started := make(map[string]int) // bucket lengths when the previous round started
-	for _, c := range comp {
-		for _, p := range c.bodyPos {
-			if _, dup := started[p.pred]; !dup {
-				started[p.pred] = 0
-				bodyPreds = append(bodyPreds, p.pred)
+//
+// A stratum that already reached a fixpoint under a lower depth bound resumes
+// instead of starting over: in its first round every rule first re-fires the
+// triggers that bound blocked, then matches semi-naively against whatever its
+// body predicates gained since it last looked.
+func (e *engine) chaseStratum(s *stratum) error {
+	if s.ran {
+		for i, p := range s.negPreds {
+			if len(e.inst.byPred[p]) != s.negLens[i] {
+				return errNegatedGrew
 			}
 		}
 	}
@@ -402,22 +509,28 @@ func (e *engine) chaseStratum(rules []datalog.Rule) error {
 		}
 		e.stats.Rounds++
 		e.opts.Progress.setRound(int64(e.stats.Rounds), int64(e.inst.Len()))
-		var delta map[string][]datalog.Atom // nil = match everything: the first round
-		if round > 0 && !e.opts.NaiveEvaluation {
-			delta = make(map[string][]datalog.Atom, len(bodyPreds))
+		var delta map[string][]datalog.Atom // nil = match everything: the stratum's first round
+		if s.ran && !e.opts.NaiveEvaluation {
+			delta = make(map[string][]datalog.Atom, len(s.bodyPreds))
 		}
-		for _, p := range bodyPreds {
+		for _, p := range s.bodyPreds {
 			bucket := e.inst.byPred[p]
 			if delta != nil {
-				delta[p] = bucket[started[p]:]
+				delta[p] = bucket[s.started[p]:]
 			}
-			started[p] = len(bucket)
+			s.started[p] = len(bucket)
 		}
+		s.ran = true
 		var roundSpan *obs.Span
 		if e.span != nil {
 			deltaSize := e.inst.Len()
 			if delta != nil {
 				deltaSize = lastRoundFacts
+				if round == 0 { // resumed: what the strata below added since
+					for _, d := range delta {
+						deltaSize += len(d)
+					}
+				}
 			}
 			roundSpan = e.span.Span("chase.round",
 				obs.F("round", e.stats.Rounds),
@@ -426,8 +539,8 @@ func (e *engine) chaseStratum(rules []datalog.Rule) error {
 				obs.F("workers", e.opts.Parallelism))
 		}
 		roundFacts := e.stats.FactsDerived
-		for ci, c := range comp {
-			rs := ruleStats[ci]
+		for ci, c := range s.comp {
+			rs, parked := s.stats[ci], &s.parked[ci]
 			var ruleSpan *obs.Span
 			if roundSpan != nil {
 				joinOrder := "seeded(delta)"
@@ -457,9 +570,14 @@ func (e *engine) chaseStratum(rules []datalog.Rule) error {
 					shards, fireErr = e.enumerate(c, delta, ruleSpan)
 				}
 				if fireErr == nil {
-					e.cur = rs
-					fireErr = e.apply(c, rs, shards, delta != nil)
-					e.cur = nil
+					e.cur, e.park = rs, parked
+					if round == 0 && parked.n > 0 {
+						fireErr = e.refire(c, parked)
+					}
+					if fireErr == nil {
+						fireErr = e.apply(c, rs, shards, delta != nil)
+					}
+					e.cur, e.park = nil, nil
 				}
 			}
 			if e.ruleLabels {
@@ -489,6 +607,9 @@ func (e *engine) chaseStratum(rules []datalog.Rule) error {
 			obs.F("facts", lastRoundFacts),
 			obs.F("next_delta", lastRoundFacts))
 		if lastRoundFacts == 0 {
+			for i, p := range s.negPreds {
+				s.negLens[i] = len(e.inst.byPred[p])
+			}
 			return nil
 		}
 	}
@@ -527,6 +648,11 @@ func (e *engine) fire(c *compiledRule, ev *env) error {
 				e.opts.Obs.Event("chase.truncated", obs.F("depth", e.opts.MaxDepth))
 			}
 			e.stats.DepthTruncated = true
+			// Park the trigger for a step with a higher bound. Naive
+			// evaluation re-matches everything each round and finds it again.
+			if !e.opts.NaiveEvaluation {
+				e.park.push(ev, c.bodySlots)
+			}
 			return nil
 		}
 		if e.opts.Mode == Restricted {
@@ -570,6 +696,9 @@ func (e *engine) fire(c *compiledRule, ev *env) error {
 		}
 		if e.inst.Add(fact) {
 			e.stats.FactsDerived++
+			if fact.IsConstantGround() {
+				e.ground++
+			}
 			if e.cur != nil {
 				e.cur.FactsDerived++
 			}
@@ -584,6 +713,28 @@ func (e *engine) fire(c *compiledRule, ev *env) error {
 	}
 	if overBudget {
 		return e.abort(limits.ErrFactBudget, int64(e.opts.MaxFacts), int64(e.inst.Len()))
+	}
+	return nil
+}
+
+// refire replays the triggers of rule c that a lower depth bound blocked, in
+// the order they were parked; fire parks the ones that are still too deep.
+// They passed the negation check when they were enumerated, and a resumed
+// stratum's negated predicates have not changed since (errNegatedGrew).
+func (e *engine) refire(c *compiledRule, parked *triggerBuf) error {
+	buf := *parked
+	*parked = triggerBuf{}
+	ev := newEnv(len(c.st.vars))
+	for i := 0; i < buf.n; i++ {
+		if e.tick++; e.tick&63 == 0 {
+			if err := e.interrupted(); err != nil {
+				return err
+			}
+		}
+		buf.load(i, c.bodySlots, ev)
+		if err := e.fire(c, ev); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -628,86 +779,71 @@ func Run(db *Instance, prog *datalog.Program, opts Options) (*Result, error) {
 // that partial instance is a sound under-approximation of Π(D), which is
 // what the graceful-degradation paths upstream rely on.
 func RunCtx(ctx context.Context, db *Instance, prog *datalog.Program, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
-	if err := prog.Validate(); err != nil {
-		return nil, err
-	}
-	// Stratified evaluation needs single-head rules when a multi-head rule
-	// spans strata; normalizing unconditionally keeps the engine simple.
-	work := prog
-	if prog.HasNegation() {
-		for _, r := range prog.Rules {
-			if len(r.Head) > 1 {
-				work = datalog.SingleHead(prog)
-				break
-			}
-		}
-	}
-	strat, err := datalog.Stratify(work)
+	e, err := prepare(ctx, db, prog, opts.withDefaults())
 	if err != nil {
 		return nil, err
 	}
-	strata, err := strat.Strata(work)
-	if err != nil {
-		return nil, err
-	}
-	e := newEngine(ctx, db, opts)
-	e.stats.Parallelism = opts.Parallelism
-	// Per-rule pprof labels let CPU profiles attribute chase work to rules
-	// (and, via the request labels already on ctx, to trace ids). The extra
-	// label swap per rule turn is only paid when the request is actually
-	// being traced.
-	e.ruleLabels = obs.RecordingTrace(ctx)
+	// Snapshot rather than discard on an abort: the caller gets the instance
+	// and stats reached alongside the typed error.
+	inconsistent, err := e.step()
+	return &Result{Instance: e.inst, Inconsistent: inconsistent, Stats: e.snapshotStats()}, err
+}
+
+// step chases every stratum to its fixpoint under the current
+// e.opts.MaxDepth and checks the constraints. On a new engine that is the
+// whole run; after the bound has been raised it continues from the previous
+// step's instance (see chaseStratum) and fails with errNegatedGrew where it
+// cannot: the strata below the negation have then already run under the new
+// bound, and nothing they added is the caller's to keep. The registry counters
+// receive what this step added, that failed step's part included, so over an
+// engine's life they sum to its Stats — and over an evaluation that abandoned
+// an engine, to more than the Stats of the engine that replaced it.
+func (e *engine) step() (inconsistent bool, err error) {
+	opts, before := e.opts, e.stats
+	e.stats.DepthTruncated = false
 	opts.Progress.runStart()
 	defer opts.Progress.runEnd()
 	if opts.Obs != nil || e.ruleLabels {
 		if opts.Parent != nil {
 			e.span = opts.Parent.Span("chase.run")
 		} else {
-			_, e.span = obs.StartSpan(ctx, opts.Obs, "chase.run")
+			_, e.span = obs.StartSpan(e.ctx, opts.Obs, "chase.run")
 		}
 		e.span.Attr("mode", opts.Mode.String())
 		e.span.Attr("parallelism", opts.Parallelism)
-		e.span.Attr("rules", len(work.Rules))
-		e.span.Attr("strata", len(strata))
-		e.span.Attr("db_facts", db.Len())
+		e.span.Attr("rules", len(e.perRule))
+		e.span.Attr("strata", len(e.strata))
+		e.span.Attr("db_facts", e.inst.Len()-e.stats.FactsDerived)
 		defer func() {
+			rounds, fired := e.stats.Rounds-before.Rounds, e.stats.TriggersFired-before.TriggersFired
+			facts, nulls := e.stats.FactsDerived-before.FactsDerived, e.stats.NullsInvented-before.NullsInvented
 			e.span.End(
-				obs.F("rounds", e.stats.Rounds),
-				obs.F("triggers_fired", e.stats.TriggersFired),
-				obs.F("facts_derived", e.stats.FactsDerived),
-				obs.F("nulls_invented", e.stats.NullsInvented),
+				obs.F("rounds", rounds),
+				obs.F("triggers_fired", fired),
+				obs.F("facts_derived", facts),
+				obs.F("nulls_invented", nulls),
 				obs.F("depth_truncated", e.stats.DepthTruncated))
-			opts.Obs.Count("chase.runs", 1)
-			opts.Obs.Count("chase.rounds", int64(e.stats.Rounds))
-			opts.Obs.Count("chase.triggers_fired", int64(e.stats.TriggersFired))
-			opts.Obs.Count("chase.facts_derived", int64(e.stats.FactsDerived))
-			opts.Obs.Count("chase.nulls_invented", int64(e.stats.NullsInvented))
+			opts.Obs.Count("chase.rounds", int64(rounds))
+			opts.Obs.Count("chase.triggers_fired", int64(fired))
+			opts.Obs.Count("chase.facts_derived", int64(facts))
+			opts.Obs.Count("chase.nulls_invented", int64(nulls))
 		}()
 	}
-	for _, rules := range strata {
-		if len(rules) == 0 {
-			continue
-		}
-		if err := e.chaseStratum(rules); err != nil {
-			// Snapshot rather than discard: the caller gets the instance and
-			// stats reached at the abort alongside the typed error.
-			return &Result{Instance: e.inst, Stats: e.snapshotStats()}, err
+	for _, s := range e.strata {
+		if err := e.chaseStratum(s); err != nil {
+			return false, err
 		}
 	}
-	res := &Result{Instance: e.inst, Stats: e.snapshotStats()}
-	for _, c := range work.Constraints {
-		violated := false
+	for _, c := range e.constraints {
 		matchBody(e.inst, e.inst, c.Body, nil, Binding{}, func(Binding) bool {
-			violated = true
+			inconsistent = true
 			return false
 		})
-		if violated {
-			res.Inconsistent = true
+		if inconsistent {
 			break
 		}
 	}
-	return res, nil
+	return inconsistent, nil
 }
 
 // Answers is the evaluation Q(D) of a query: either ⊤ (Inconsistent) or the

@@ -1,11 +1,15 @@
 package chase
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
+	"sort"
 	"strconv"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/datalog"
@@ -61,7 +65,11 @@ type diffCase struct {
 // genDiffCase derives a valid random case from the seed: a subset of the
 // template pool that parses, is warded, and stratifies, over a random EDB
 // big enough that trigger enumeration crosses the parallel threshold.
-func genDiffCase(seed int64) (diffCase, error) {
+func genDiffCase(seed int64) (diffCase, error) { return genDiffCaseWith(seed, "") }
+
+// genDiffCaseWith is genDiffCase with the rules of always ahead of every
+// sampled program.
+func genDiffCaseWith(seed int64, always string) (diffCase, error) {
 	rng := rand.New(rand.NewSource(seed))
 	var prog *datalog.Program
 	var source string
@@ -71,7 +79,7 @@ func genDiffCase(seed int64) (diffCase, error) {
 		}
 		perm := rng.Perm(len(diffTemplates))
 		k := 3 + rng.Intn(5)
-		source = ""
+		source = always
 		for _, i := range perm[:k] {
 			source += diffTemplates[i] + "\n"
 		}
@@ -353,6 +361,245 @@ func TestDifferentialLayeredVsFlat(t *testing.T) {
 			}
 		})
 	}
+}
+
+// deepKits are what makes deepening deepen, one per seed in turn, ahead of
+// the sampled rules: existential recursion through a null (s2 nests without
+// end, so the chase is never exact) under a negated predicate that grows with
+// every depth step (t2); a chain that reaches a constant-only fact only at
+// depth 3 (deep), negated above, so a shallow step derives shallow(x) facts
+// that a deeper bound has to take back; the positive halves of both; and the
+// two together with nothing to take back (z0 is empty), so the step that starts
+// over differs from the one before it only by the deep(x) facts the abandoned
+// engine had already derived when it gave up.
+var deepKits = []string{
+	`e0(?X, ?Y) -> s2(?X, ?V).
+s2(?X, ?V) -> s2(?V, ?W).
+s2(?X, ?V) -> t2(?X).
+e0(?X, ?Y), not t2(?Y) -> u(?X).
+u(?X), e1(?X, ?Y) -> p(?X, ?Y).
+`,
+	`e1(?X, ?Y) -> d1(?X, ?V).
+d1(?X, ?V) -> d2(?X, ?V, ?W).
+d2(?X, ?V, ?W) -> d3(?X, ?W, ?Z).
+d3(?X, ?W, ?Z) -> deep(?X).
+e0(?X, ?Y), not deep(?X) -> shallow(?X).
+shallow(?X), e0(?X, ?Y) -> q(?X, ?Y).
+`,
+	`e0(?X, ?Y) -> s2(?X, ?V).
+s2(?X, ?V) -> s2(?V, ?W).
+s2(?X, ?V), e1(?X, ?Y) -> q(?X, ?Y).
+e1(?X, ?Y) -> d1(?X, ?V).
+d1(?X, ?V) -> d2(?X, ?V, ?W).
+d2(?X, ?V, ?W) -> d3(?X, ?W, ?Z).
+d3(?X, ?W, ?Z) -> r(?X).
+`,
+	`e0(?X, ?Y) -> s2(?X, ?V).
+s2(?X, ?V) -> s2(?V, ?W).
+e1(?X, ?Y) -> d1(?X, ?V).
+d1(?X, ?V) -> d2(?X, ?V, ?W).
+d2(?X, ?V, ?W) -> d3(?X, ?W, ?Z).
+d3(?X, ?W, ?Z) -> deep(?X).
+z0(?X), not deep(?X) -> shallow(?X).
+`,
+}
+
+// canonicalInstance renders a Skolem-mode engine's instance with every null
+// replaced by its Skolem term — the rule, the existential variable and the
+// (recursively expanded) frontier binding that invented it — so two engines
+// that invented the same nulls in a different order, under different names,
+// render identically.
+func canonicalInstance(e *engine) string {
+	keyOf := make(map[string]string, len(e.skolem))
+	for key, name := range e.skolem {
+		keyOf[name] = key
+	}
+	nullTag := string(rune('0' + datalog.Null))
+	term := make(map[string]string)
+	var expand func(name string) string
+	expand = func(name string) string {
+		if t, ok := term[name]; ok {
+			return t
+		}
+		parts := strings.Split(keyOf[name], "|")
+		for i := 2; i < len(parts); i++ {
+			if strings.HasPrefix(parts[i], nullTag) {
+				parts[i] = expand(parts[i][1:])
+			}
+		}
+		term[name] = "f(" + strings.Join(parts, ",") + ")"
+		return term[name]
+	}
+	var lines []string
+	for _, a := range e.inst.All() {
+		args := make([]string, len(a.Args))
+		for i, t := range a.Args {
+			if args[i] = t.Name; t.IsNull() {
+				args[i] = expand(t.Name)
+			}
+		}
+		lines = append(lines, a.Pred+"("+strings.Join(args, ",")+")")
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
+}
+
+// TestDifferentialResumeVsRestart is the resumed-vs-restarted axis: a
+// deepening evaluation that keeps one engine across its depth steps must
+// return what restarting the chase from the database at every depth returns.
+// Two levels are compared over random warded programs with existential
+// recursion and negation above it, × {Skolem, Restricted} × {semi-naive,
+// naive} × {1, 8 workers}:
+//
+//   - the engine, stepped through depths 2, 4, 6, 7 with the bound raised in
+//     between, against a new engine chasing straight to that depth: the same
+//     Exact and ground part at every depth and, in Skolem mode, the same
+//     instance up to null renaming with the same FactsDerived and
+//     NullsInvented (a restricted chase depends on the order triggers fire in,
+//     so it is held to the ground part, and only where the chase terminated);
+//     an engine that reports errNegatedGrew is replaced, as StableGround does;
+//   - StableGround against restartStableGround: Ground (so every answer),
+//     Exact, Inconsistent, Depth and the Skolem counters.
+func TestDifferentialResumeVsRestart(t *testing.T) {
+	seeds := []int64{1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597}
+	if testing.Short() {
+		seeds = seeds[:5]
+	}
+	if env := os.Getenv("TRIQ_DIFF_SEED"); env != "" {
+		n, err := strconv.ParseInt(env, 10, 64)
+		if err != nil {
+			t.Fatalf("bad TRIQ_DIFF_SEED %q: %v", env, err)
+		}
+		seeds = []int64{n}
+	}
+	deepened, restarted := new(atomic.Int64), new(atomic.Int64)
+	t.Run("seeds", func(t *testing.T) {
+		for _, seed := range seeds {
+			t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+				t.Parallel()
+				c, err := genDiffCaseWith(seed, deepKits[seed%int64(len(deepKits))])
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, mode := range []Mode{Skolem, Restricted} {
+					for _, naive := range []bool{false, true} {
+						var p1 *GroundResult
+						for _, par := range []int{1, 8} {
+							opts := Options{Mode: mode, MaxDepth: 7, MaxFacts: 50_000, MaxRounds: 1_000, NaiveEvaluation: naive, Parallelism: par}
+							label := fmt.Sprintf("seed=%d mode=%v naive=%v P%d", seed, mode, naive, par)
+							diffEngineSteps(t, label, c, opts, restarted)
+							got := diffStableGround(t, label, c, opts, deepened)
+							// Resumed steps are bit-identical across worker counts too.
+							if par == 1 {
+								p1 = got
+							} else if p1 != nil && got != nil && (fmt.Sprintf("%+v", normStats(p1.Stats)) != fmt.Sprintf("%+v", normStats(got.Stats)) || p1.Ground.String() != got.Ground.String()) {
+								t.Errorf("%s: differs from P1:\n%+v\n%+v", label, normStats(p1.Stats), normStats(got.Stats))
+							}
+							if t.Failed() {
+								t.Logf("replay: TRIQ_DIFF_SEED=%d go test -run TestDifferentialResumeVsRestart ./internal/chase\nprogram (db: %d facts):\n%s",
+									seed, c.db.Len(), c.source)
+								return
+							}
+						}
+					}
+				}
+			})
+		}
+	})
+	t.Logf("%d evaluations deepened, %d engine steps started over", deepened.Load(), restarted.Load())
+	if os.Getenv("TRIQ_DIFF_SEED")+os.Getenv("TRIQ_FAULTS") == "" && !t.Failed() && (deepened.Load() == 0 || restarted.Load() == 0) {
+		t.Errorf("the generator no longer exercises the axis: %d evaluations deepened, %d steps started over",
+			deepened.Load(), restarted.Load())
+	}
+}
+
+// diffEngineSteps is the engine-level half of TestDifferentialResumeVsRestart.
+func diffEngineSteps(t *testing.T, label string, c diffCase, opts Options, restarted *atomic.Int64) {
+	t.Helper()
+	opts = opts.withDefaults()
+	var resumed *engine
+	for _, depth := range []int{2, 4, 6, 7} {
+		opts.MaxDepth = depth
+		fresh, err := prepare(context.Background(), c.db, c.program, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantInc, wantErr := fresh.step()
+		gotInc, gotErr := false, errNegatedGrew
+		if resumed != nil {
+			resumed.opts = opts
+			gotInc, gotErr = resumed.step()
+		}
+		if gotErr == errNegatedGrew {
+			if resumed != nil {
+				restarted.Add(1)
+			}
+			if resumed, err = prepare(context.Background(), c.db, c.program, opts); err != nil {
+				t.Fatal(err)
+			}
+			gotInc, gotErr = resumed.step()
+		}
+		if errors.Is(wantErr, limits.ErrInjected) || errors.Is(gotErr, limits.ErrInjected) {
+			return // TRIQ_FAULTS armed: the process-global plan trips wherever its hit count says
+		}
+		if wantErr != nil || gotErr != nil {
+			t.Errorf("%s depth %d: errors: restart %v, resume %v", label, depth, wantErr, gotErr)
+			return
+		}
+		want, got := fresh.stats, resumed.stats
+		if wantInc != gotInc || want.DepthTruncated != got.DepthTruncated {
+			t.Errorf("%s depth %d: inconsistent/truncated: restart %v/%v, resume %v/%v",
+				label, depth, wantInc, want.DepthTruncated, gotInc, got.DepthTruncated)
+		}
+		if opts.Mode == Restricted && want.DepthTruncated {
+			continue
+		}
+		if !fresh.inst.GroundPart().Equal(resumed.inst.GroundPart()) {
+			t.Errorf("%s depth %d: ground parts differ", label, depth)
+		}
+		if opts.Mode != Skolem {
+			continue
+		}
+		if want.FactsDerived != got.FactsDerived || want.NullsInvented != got.NullsInvented {
+			t.Errorf("%s depth %d: facts/nulls: restart %d/%d, resume %d/%d", label, depth,
+				want.FactsDerived, want.NullsInvented, got.FactsDerived, got.NullsInvented)
+		}
+		if canonicalInstance(fresh) != canonicalInstance(resumed) {
+			t.Errorf("%s depth %d: instances differ beyond null renaming", label, depth)
+		}
+	}
+}
+
+// diffStableGround is the StableGround-level half; it returns the resumed
+// evaluation's result, or nil when the case is not comparable.
+func diffStableGround(t *testing.T, label string, c diffCase, opts Options, deepened *atomic.Int64) *GroundResult {
+	t.Helper()
+	want, wantErr := restartStableGround(c.db, c.program, opts, 2)
+	got, gotErr := StableGround(c.db, c.program, opts, 2)
+	if errors.Is(wantErr, limits.ErrInjected) || errors.Is(gotErr, limits.ErrInjected) {
+		return nil
+	}
+	if wantErr != nil || gotErr != nil {
+		t.Errorf("%s: errors: restart %v, resume %v", label, wantErr, gotErr)
+		return nil
+	}
+	if len(got.Stats.Deepening) > 1 {
+		deepened.Add(1)
+	}
+	if want.Exact != got.Exact || want.Inconsistent != got.Inconsistent {
+		t.Errorf("%s: exact/inconsistent: restart %v/%v, resume %v/%v", label, want.Exact, want.Inconsistent, got.Exact, got.Inconsistent)
+	}
+	if (opts.Mode == Skolem || want.Exact) && !want.Ground.Equal(got.Ground) {
+		t.Errorf("%s: ground parts differ", label)
+	}
+	if want.Depth != got.Depth {
+		t.Errorf("%s: depth: restart %d, resume %d", label, want.Depth, got.Depth)
+	}
+	if opts.Mode == Skolem && (want.Stats.FactsDerived != got.Stats.FactsDerived || want.Stats.NullsInvented != got.Stats.NullsInvented) {
+		t.Errorf("%s: facts/nulls: restart %d/%d, resume %d/%d", label,
+			want.Stats.FactsDerived, want.Stats.NullsInvented, got.Stats.FactsDerived, got.Stats.NullsInvented)
+	}
+	return got
 }
 
 // TestDifferentialBudgetTrip pins the abort path: a fact budget that trips

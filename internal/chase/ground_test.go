@@ -1,9 +1,14 @@
 package chase
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/datalog"
+	"repro/internal/limits"
+	"repro/internal/obs"
 )
 
 func TestGroundSemanticsExactOnTerminatingChase(t *testing.T) {
@@ -130,5 +135,252 @@ func TestStableGroundHonorsMaxDepthOne(t *testing.T) {
 	if gr.Depth != 1 || gr.Stats.NullsInvented != res.Stats.NullsInvented || res.Stats.NullsInvented != 1 {
 		t.Errorf("StableGround at MaxDepth 1: depth %d, %d nulls; Run invents %d",
 			gr.Depth, gr.Stats.NullsInvented, res.Stats.NullsInvented)
+	}
+}
+
+// depthChain invents a null of depth 1, 2 and 3 in turn and only then reaches
+// a constant-only fact, which a constant-only recursion spreads along edge.
+const depthChain = `
+	p(?X) -> exists ?Y r(?X, ?Y).
+	r(?X, ?Y) -> exists ?Z s(?X, ?Y, ?Z).
+	s(?X, ?Y, ?Z) -> exists ?W t(?X, ?Z, ?W).
+	t(?X, ?Z, ?W) -> goal(?X).
+	goal(?X), edge(?X, ?Y) -> goal(?Y).
+`
+
+func TestStableGroundReachesOddCeilings(t *testing.T) {
+	// Deepening used to step 2, 4, 6, … and give up once the next even depth
+	// passed the ceiling, so an odd ceiling was never chased: MaxDepth 3
+	// returned the depth-2 result, without goal(a), although Run under the
+	// same options derives it.
+	db := NewInstance(atom("p", "a"))
+	prog := datalog.MustParse(depthChain)
+	for _, tc := range []struct{ ceiling, depth int }{{3, 3}, {4, 4}, {5, 4}} {
+		opts := Options{MaxDepth: tc.ceiling}
+		res, err := Run(db, prog, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.DepthTruncated || !res.Instance.Has(atom("goal", "a")) {
+			t.Fatalf("MaxDepth %d: Run must reach goal(a) untruncated", tc.ceiling)
+		}
+		gr, err := StableGround(db, prog, opts, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gr.Depth != tc.depth || !gr.Exact || !gr.Ground.Has(atom("goal", "a")) {
+			t.Errorf("MaxDepth %d: depth %d exact %v goal(a) %v, want depth %d, exact, goal(a)",
+				tc.ceiling, gr.Depth, gr.Exact, gr.Ground.Has(atom("goal", "a")), tc.depth)
+		}
+	}
+	// A chase that no bound finishes ends at the odd ceiling itself.
+	db = NewInstance(atom("e", "a", "b"), atom("g", "b"))
+	prog = datalog.MustParse(`
+		e(?X, ?Y) -> exists ?Z e(?Y, ?Z).
+		e(?X, ?Y), g(?Y) -> out(?X).
+	`)
+	gr, err := StableGround(db, prog, Options{MaxDepth: 5}, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gr.Depth != 5 || gr.Exact || gr.Stats.NullsInvented != 5 {
+		t.Errorf("ceiling 5: depth %d exact %v nulls %d, want depth 5, inexact, 5 nulls", gr.Depth, gr.Exact, gr.Stats.NullsInvented)
+	}
+}
+
+func TestResumeRefiresParkedTriggers(t *testing.T) {
+	db := NewInstance(atom("p", "a"))
+	prog := datalog.MustParse(depthChain)
+	// Step by step: a trigger the bound blocks is parked (twice here: the
+	// rounds that derived s(a,·) and that had it as their delta both matched
+	// it), one that is still too deep at the next step parks again, and it
+	// fires once the bound allows it — without any rule matching again what
+	// it matched in an earlier step.
+	e, err := prepare(context.Background(), db, prog, Options{MaxDepth: 2}.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []struct {
+		depth, facts, parked int
+		truncated, goal      bool
+	}{
+		{2, 2, 2, true, false}, // r, s; the trigger of t waits
+		{2, 2, 2, true, false}, // same bound: it parks again, nothing new
+		{3, 4, 0, false, true}, // t and goal(a)
+		{4, 4, 0, false, true}, // nothing left to do
+	} {
+		e.opts.MaxDepth = want.depth
+		if _, err := e.step(); err != nil {
+			t.Fatal(err)
+		}
+		if e.stats.FactsDerived != want.facts || e.parkedTriggers() != want.parked ||
+			e.stats.DepthTruncated != want.truncated || e.inst.Has(atom("goal", "a")) != want.goal {
+			t.Errorf("step %d (depth %d): %d facts, %d parked, truncated %v, goal %v; want %+v", i, want.depth,
+				e.stats.FactsDerived, e.parkedTriggers(), e.stats.DepthTruncated, e.inst.Has(atom("goal", "a")), want)
+		}
+	}
+	for _, rs := range e.perRule[:3] {
+		if rs.TriggersAttempted > 2 {
+			t.Errorf("four steps matched %d triggers of %s; the resumed ones must match none again", rs.TriggersAttempted, rs.Rule)
+		}
+	}
+
+	// The same through StableGround, whose steps say what they did.
+	gr, err := StableGround(db, prog, Options{}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !gr.Exact || gr.Depth != 4 || !gr.Ground.Has(atom("goal", "a")) {
+		t.Errorf("depth %d exact %v", gr.Depth, gr.Exact)
+	}
+	want := []DeepenStep{
+		{Depth: 2, NewFacts: 2, Parked: 2},
+		{Depth: 4, Resumed: true, Refired: 2, NewFacts: 2, NewGround: 1},
+	}
+	if fmt.Sprint(gr.Stats.Deepening) != fmt.Sprint(want) {
+		t.Errorf("steps %+v, want %+v", gr.Stats.Deepening, want)
+	}
+}
+
+func TestResumeStartsOverWhenNegatedPredicateGrows(t *testing.T) {
+	// Under bound 2 goal(a) is out of reach, so bad(a) is derived; bound 4
+	// derives goal(a) in the stratum below, and bad(a) must be gone.
+	db := NewInstance(atom("p", "a"))
+	prog := datalog.MustParse(depthChain + `p(?X), not goal(?X) -> bad(?X).`)
+	o := obs.New()
+	gr, err := StableGround(db, prog, Options{Obs: o}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !gr.Exact || !gr.Ground.Has(atom("goal", "a")) || gr.Ground.Has(atom("bad", "a")) {
+		t.Errorf("exact %v, ground part:\n%v", gr.Exact, gr.Ground)
+	}
+	steps := gr.Stats.Deepening
+	if len(steps) != 2 || steps[1].Resumed || steps[1].NewFacts != gr.Stats.FactsDerived {
+		t.Errorf("the second step must have started over: %+v (stats: %d facts)", steps, gr.Stats.FactsDerived)
+	}
+	if got := o.Registry().Counter("chase.deepen_restarts"); got != 1 {
+		t.Errorf("chase.deepen_restarts = %d, want 1", got)
+	}
+	if got := o.Registry().Counter("chase.runs"); got != 2 {
+		t.Errorf("chase.runs = %d, want 2: one engine per start", got)
+	}
+	// The registry counts work done, so it includes the engine given up: r, s and
+	// bad(a) under bound 2, then t and goal(a) before the step noticed. Stats
+	// describe the engine that produced the result.
+	if got, abandoned := o.Registry().Counter("chase.facts_derived"), int64(3+2); gr.Stats.FactsDerived != 4 || got != 4+abandoned {
+		t.Errorf("chase.facts_derived = %d with Stats.FactsDerived = %d, want 9 and 4", got, gr.Stats.FactsDerived)
+	}
+	// Bound 2 alone does derive it, which is what the restart takes back.
+	shallow, err := GroundSemantics(db, prog, Options{MaxDepth: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !shallow.Ground.Has(atom("bad", "a")) {
+		t.Error("bound 2 must derive bad(a), or the test proves nothing")
+	}
+}
+
+func TestRestartComparesWithThePreviousStep(t *testing.T) {
+	// goal(a) appears under bound 4 and forces the restart, but nothing that
+	// negates it changes: bad(b) holds at every depth. The step still changed the
+	// ground part — by goal(a), which the abandoned engine had already added when
+	// it gave up — so it must not count towards the stability window, or
+	// deepening stops before bound 8 reaches goal2(a).
+	db := NewInstance(atom("p", "a"), atom("q", "a"), atom("w", "b"), atom("e", "a", "b"))
+	src := depthChain + `
+		w(?X), not goal(?X) -> bad(?X).
+		e(?X, ?Y) -> exists ?Z e(?Y, ?Z).
+		q(?X) -> exists ?B d1(?X, ?X, ?B).
+	`
+	for k := 1; k < 7; k++ {
+		src += fmt.Sprintf("d%d(?X, ?A, ?B) -> exists ?C d%d(?X, ?B, ?C).\n", k, k+1)
+	}
+	prog := datalog.MustParse(src + `d7(?X, ?A, ?B) -> goal2(?X).`)
+	for _, tc := range []struct {
+		window, depth int
+		goal2         bool
+	}{{1, 6, false}, {2, 12, true}} {
+		o := obs.New()
+		gr, err := StableGround(db, prog, Options{Obs: o}, tc.window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := restartStableGround(db, prog, Options{}, tc.window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gr.Depth != tc.depth || gr.Ground.Has(atom("goal2", "a")) != tc.goal2 || !gr.Ground.Has(atom("bad", "b")) {
+			t.Errorf("window %d: depth %d, want %d; ground part:\n%v", tc.window, gr.Depth, tc.depth, gr.Ground)
+		}
+		if gr.Depth != want.Depth || !gr.Ground.Equal(want.Ground) {
+			t.Errorf("window %d: depth %d, restarting at every depth gives %d", tc.window, gr.Depth, want.Depth)
+		}
+		if steps := gr.Stats.Deepening; steps[1].Resumed || steps[1].Stable != 0 || !steps[2].Resumed || steps[2].Stable != 1 {
+			t.Errorf("window %d: steps %+v", tc.window, steps)
+		}
+		if got := o.Registry().Counter("chase.deepen_restarts"); got != 1 {
+			t.Errorf("window %d: chase.deepen_restarts = %d, want 1", tc.window, got)
+		}
+	}
+}
+
+// TestResumedStepAborts is TestDifferentialBudgetTrip for a step that resumes:
+// a limit that trips after the first depth step has finished returns the typed
+// error with everything derived so far, identically at 1 and 8 workers.
+func TestResumedStepAborts(t *testing.T) {
+	db := NewInstance(atom("p", "v00"))
+	for i := 0; i < 12; i++ {
+		db.Add(atom("edge", nodeName(i), nodeName(i+1)))
+	}
+	prog := datalog.MustParse(depthChain)
+	// Bound 2 takes three rounds and two facts; the resumed step wants
+	// fourteen more facts, one round each.
+	for _, tc := range []struct {
+		name string
+		kind error
+		arm  func(*Options, context.CancelFunc)
+	}{
+		{"facts", limits.ErrFactBudget, func(o *Options, _ context.CancelFunc) { o.MaxFacts = 20 }},
+		{"rounds", limits.ErrRoundBudget, func(o *Options, _ context.CancelFunc) { o.MaxRounds = 5 }},
+		{"canceled", limits.ErrCanceled, func(o *Options, cancel context.CancelFunc) {
+			o.Faults = limits.NewPlan(limits.Fault{Point: "chase.round", After: 5, Action: limits.ActHook, Hook: cancel})
+		}},
+		{"fault", limits.ErrInjected, func(o *Options, _ context.CancelFunc) {
+			o.Faults = limits.NewPlan(limits.Fault{Point: "chase.rule", After: 27})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var base *GroundResult
+			for _, par := range []int{1, 8} {
+				ctx, cancel := context.WithCancel(context.Background())
+				opts := Options{Parallelism: par}
+				tc.arm(&opts, cancel)
+				gr, err := StableGroundCtx(ctx, db, prog, opts, 2)
+				cancel()
+				if !errors.Is(err, tc.kind) {
+					t.Fatalf("P%d: want %v, got %v", par, tc.kind, err)
+				}
+				if _, ok := limits.TruncationOf(err); !ok {
+					t.Errorf("P%d: the error carries no Truncation", par)
+				}
+				steps := gr.Stats.Deepening
+				if gr.Exact || gr.Depth != 4 || len(steps) != 2 || !steps[1].Resumed {
+					t.Fatalf("P%d: the abort must hit the resumed step: depth %d, steps %+v", par, gr.Depth, steps)
+				}
+				// The partial result holds the first step's work and more.
+				if gr.Stats.FactsDerived <= steps[0].NewFacts || !gr.Ground.Has(atom("goal", "v00")) || gr.Ground.Has(atom("goal", nodeName(12))) {
+					t.Errorf("P%d: partial result: %d facts, ground part:\n%v", par, gr.Stats.FactsDerived, gr.Ground)
+				}
+				if opts.MaxFacts > 0 && gr.Ground.Len() > opts.MaxFacts {
+					t.Errorf("P%d: %d atoms overshoot the fact budget", par, gr.Ground.Len())
+				}
+				if base == nil {
+					base = gr
+				} else if fmt.Sprintf("%+v", normStats(base.Stats)) != fmt.Sprintf("%+v", normStats(gr.Stats)) || !base.Ground.Equal(gr.Ground) {
+					t.Errorf("P1 and P%d abort differently:\n%+v\n%+v", par, normStats(base.Stats), normStats(gr.Stats))
+				}
+			}
+		})
 	}
 }

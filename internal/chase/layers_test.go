@@ -56,7 +56,8 @@ func TestRunLeavesInputUntouched(t *testing.T) {
 }
 
 // TestSharedBaseConcurrentRuns chases 16 different programs over one base at
-// once; under -race it proves a run only ever reads its input.
+// once, each in one run and in a deepening evaluation that resumes its engine
+// twice; under -race it proves a run only ever reads its input.
 func TestSharedBaseConcurrentRuns(t *testing.T) {
 	db := NewInstance()
 	for i := 0; i < 60; i++ {
@@ -70,12 +71,20 @@ func TestSharedBaseConcurrentRuns(t *testing.T) {
 			e(?X, ?Y) -> p%d(?X, ?Y).
 			p%d(?X, ?Y), e(?Y, ?Z) -> p%d(?X, ?Z).
 			p%d(?X, ?X) -> exists ?W loop%d(?X, ?W, k%d).
-		`, k, k, k, k, k, k))
+			loop%d(?X, ?W, ?K) -> exists ?V loop%d(?W, ?V, ?K).
+		`, k, k, k, k, k, k, k, k))
 		res, err := Run(db.Clone(), progs[k], Options{Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[k] = res.Instance.String()
+		gr, err := StableGround(db.Clone(), progs[k], Options{Parallelism: 1}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(gr.Stats.Deepening); n != 3 || !gr.Stats.Deepening[2].Resumed {
+			t.Fatalf("program %d must deepen twice on one engine: %+v", k, gr.Stats.Deepening)
+		}
+		want[k] = res.Instance.String() + gr.Ground.String()
 	}
 	var wg sync.WaitGroup
 	for k := range progs {
@@ -87,7 +96,12 @@ func TestSharedBaseConcurrentRuns(t *testing.T) {
 				t.Errorf("program %d: %v", k, err)
 				return
 			}
-			if got := res.Instance.String(); got != want[k] {
+			gr, err := StableGround(db, progs[k], Options{Parallelism: 2}, 2)
+			if err != nil {
+				t.Errorf("program %d: %v", k, err)
+				return
+			}
+			if got := res.Instance.String() + gr.Ground.String(); got != want[k] {
 				t.Errorf("program %d: shared-base run differs from the run over a private copy", k)
 			}
 		}()

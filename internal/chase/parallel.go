@@ -50,8 +50,9 @@ func (shardStoppedError) Error() string { return "chase: shard stopped by siblin
 
 var errShardStopped = shardStoppedError{}
 
-// triggerBuf is one shard's private output: the bindings it enumerated, as
-// flat parallel slices with a stride of one rule body's variable slots.
+// triggerBuf holds body bindings of one rule as flat parallel slices with a
+// stride of the rule body's variable slots: a shard's private output, or the
+// triggers of the rule that the depth bound blocked (see engine.refire).
 type triggerBuf struct {
 	vals []datalog.Term
 	set  []bool

@@ -26,7 +26,7 @@ type Account struct {
 	QueueUS int64 `json:"queue_us"`
 	ExecUS  int64 `json:"exec_us"`
 
-	// Chase work, from the final evaluation's chase.Stats.
+	// Chase work, from the latest evaluation's chase.Stats.
 	ChaseRuns         int64 `json:"chase_runs,omitempty"`
 	Rounds            int64 `json:"rounds,omitempty"`
 	TriggersAttempted int64 `json:"triggers_attempted,omitempty"`
@@ -73,9 +73,10 @@ func (t *Trace) SetTimes(wallUS, queueUS, execUS int64) {
 
 // SetChaseWork records the chase counters of one completed evaluation.
 // Values are stored, not summed, so the account mirrors the chase.Stats of
-// the final (deepest) run — the same snapshot Result.Stats and EXPLAIN
-// carry; ChaseRuns counts how many evaluations wrote here (retries and
-// iterative-deepening restarts each produce one full evaluation).
+// the latest evaluation — the same snapshot Result.Stats and EXPLAIN carry,
+// cumulative over that evaluation's depth steps; ChaseRuns counts how many
+// evaluations wrote here (triq.EvalCtx writes once, whatever the number of
+// steps; a request that evaluates again, such as a retry, writes again).
 func (t *Trace) SetChaseWork(rounds, attempted, fired, facts, nulls int64) {
 	if t == nil {
 		return

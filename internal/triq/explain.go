@@ -15,6 +15,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/chase"
 	"repro/internal/limits"
 	"repro/internal/obs"
 )
@@ -93,6 +94,10 @@ type ExplainReport struct {
 	FactsDerived  int `json:"facts_derived"`
 	NullsInvented int `json:"nulls_invented"`
 
+	// Deepening lists the depth steps the chase took, in order; the counters
+	// above are their sum unless a step started over (a step past the first
+	// that did not resume, whose facts are a whole chase).
+	Deepening []chase.DeepenStep `json:"deepening,omitempty"`
 	// Rules is the per-rule chase breakdown, sorted by cumulative time
 	// (slowest first). Trigger/fact totals equal the run's chase.Stats.
 	Rules []RuleExplain `json:"rules"`
@@ -161,6 +166,7 @@ func buildExplain(res *Result, reg *obs.Registry, elapsed time.Duration) *Explai
 	rep.TriggersFired = st.TriggersFired
 	rep.FactsDerived = st.FactsDerived
 	rep.NullsInvented = st.NullsInvented
+	rep.Deepening = st.Deepening
 	for _, rs := range st.PerRule {
 		rep.Rules = append(rep.Rules, RuleExplain{
 			Index:             rs.Index,
@@ -282,6 +288,25 @@ func (r *ExplainReport) String() string {
 	}
 	fmt.Fprintf(&b, "chase: %d rounds at depth %d, %d triggers fired, %d facts, %d nulls, parallelism %d\n",
 		r.Rounds, r.Depth, r.TriggersFired, r.FactsDerived, r.NullsInvented, r.Parallelism)
+	for i, d := range r.Deepening {
+		sep := " → "
+		if i == 0 {
+			sep = "deepening: "
+		}
+		fmt.Fprintf(&b, "%sdepth %d: +%d facts", sep, d.Depth, d.NewFacts)
+		if i > 0 && !d.Resumed {
+			b.WriteString(" (started over)")
+		}
+		if d.Parked > 0 {
+			fmt.Fprintf(&b, ", %d parked", d.Parked)
+		}
+		if d.Stable > 0 {
+			fmt.Fprintf(&b, ", stable ×%d", d.Stable)
+		}
+		if i == len(r.Deepening)-1 {
+			b.WriteByte('\n')
+		}
+	}
 	if len(r.Rules) > 0 {
 		fmt.Fprintf(&b, "%-5s %-9s %9s %9s %9s %7s %10s  %s\n",
 			"rule", "origin", "attempted", "fired", "facts", "nulls", "time", "definition")
