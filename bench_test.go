@@ -2,7 +2,7 @@ package repro_test
 
 // One benchmark per reproduced paper artifact (see DESIGN.md's
 // per-experiment index and EXPERIMENTS.md for the recorded results). The
-// benchmarks exercise the same code paths as the cmd/triqbench harness but
+// benchmarks exercise the same code paths as the internal/bench runners but
 // at testing.B granularity.
 
 import (
@@ -232,7 +232,7 @@ func BenchmarkE8_FixedOntologyProgram(b *testing.B) {
 }
 
 // BenchmarkExperimentHarness runs the full experiment suite once per
-// iteration; it is the macro-benchmark matching cmd/triqbench.
+// iteration.
 func BenchmarkExperimentHarness(b *testing.B) {
 	if testing.Short() {
 		b.Skip("harness skipped in -short mode")

@@ -13,6 +13,7 @@ import (
 	"repro/internal/chase"
 	"repro/internal/datalog"
 	"repro/internal/limits"
+	"repro/internal/obs"
 	"repro/internal/owl"
 	"repro/internal/rdf"
 	"repro/internal/store"
@@ -135,24 +136,28 @@ func matSeeds(t *testing.T) []int64 {
 }
 
 // matHarness is one schedule's fixture: a volatile store wired into a fresh
-// materializer, plus the chase options shared by both sides of the diff.
+// materializer, plus the chase options shared by both sides of the diff. The
+// store and the materializer report to a live registry, so every schedule
+// also runs the write path with its telemetry on (the goldens run it off).
 type matHarness struct {
 	st    *store.Store
 	m     *Materializer
+	obs   *obs.Obs
 	copts chase.Options
 }
 
 func newMatHarness(t *testing.T) *matHarness {
 	t.Helper()
 	copts := chase.Options{Parallelism: 1}
-	m := New(Config{Chase: copts})
-	st, _, err := store.Open(store.Config{OnCommit: m.OnCommit})
+	o := obs.New()
+	m := New(Config{Chase: copts, Obs: o})
+	st, _, err := store.Open(store.Config{OnCommit: m.OnCommit, Obs: o})
 	if err != nil {
 		t.Fatalf("open store: %v", err)
 	}
 	t.Cleanup(func() { st.Close() })
 	m.Reset(st.Current().Seq)
-	return &matHarness{st: st, m: m, copts: copts}
+	return &matHarness{st: st, m: m, obs: o, copts: copts}
 }
 
 // query evaluates the program's output at the store's current epoch twice —
@@ -332,6 +337,9 @@ func TestMatInsertDeleteRestores(t *testing.T) {
 	after := h.st.Current()
 	if !after.Graph.Equal(before.Graph) {
 		t.Fatalf("graph not restored by insert-then-delete")
+	}
+	if hs, _ := h.obs.Registry().Hist("mat.maintain_us"); hs.Count < 2 && !matFaultsArmed() {
+		t.Fatalf("mat.maintain_us observed %d folds, want the insert and the delete", hs.Count)
 	}
 	res1, err := triq.EvalCtx(ctx, db, q, triq.Unrestricted,
 		triq.Options{Chase: h.copts, Mat: h.m, MatEpoch: after.Seq})

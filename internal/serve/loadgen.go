@@ -18,7 +18,7 @@ import (
 )
 
 // loadgen drives a running triqd from N parallel clients and reports
-// throughput and latency quantiles. cmd/triqbench -server/-parallel wraps
+// throughput and latency quantiles. cmd/triqbench wraps
 // RunLoad; the serve tests use it as a miniature soak client.
 
 // LoadConfig describes one load run.

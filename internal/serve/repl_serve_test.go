@@ -29,8 +29,9 @@ var errFakeDisk = errors.New("fake disk failure")
 // the stream/apply mechanics; these tests cover the HTTP surface.
 
 // newPair boots a primary server and a replica server wired together over
-// real HTTP and waits until the replica is streaming.
-func newPair(t *testing.T, primaryCfg, replicaCfg Config) (pri, rep *httptest.Server, replica *repl.Replica, priStore, repStore *store.Store) {
+// real HTTP and waits until the replica is streaming. rcfg carries the
+// replica's promotion policy; its primary, store and obs are filled in here.
+func newPair(t *testing.T, primaryCfg, replicaCfg Config, rcfg repl.Config) (pri, rep *httptest.Server, replica *repl.Replica, priStore, repStore *store.Store) {
 	t.Helper()
 	var priSrv *Server
 	priSrv, priStore, pri = newStoreServer(t, primaryCfg, store.Config{})
@@ -49,10 +50,8 @@ func newPair(t *testing.T, primaryCfg, replicaCfg Config) (pri, rep *httptest.Se
 	t.Cleanup(func() { repStore.Close() })
 	repSrv.SetStore(repStore)
 
-	replica = repl.New(repl.Config{
-		Primary: pri.URL, Store: repStore, Obs: replicaCfg.Obs,
-		Backoff: 5 * time.Millisecond,
-	})
+	rcfg.Primary, rcfg.Store, rcfg.Obs, rcfg.Backoff = pri.URL, repStore, replicaCfg.Obs, 5*time.Millisecond
+	replica = repl.New(rcfg)
 	repSrv.SetReplica(replica)
 	rep = httptest.NewServer(repSrv.Handler())
 	t.Cleanup(rep.Close)
@@ -168,7 +167,7 @@ func TestServeEpochTokens(t *testing.T) {
 }
 
 func TestServeReplicaRefusesWritesAndPromotes(t *testing.T) {
-	pri, rep, _, priStore, repStore := newPair(t, Config{}, Config{})
+	pri, rep, _, priStore, repStore := newPair(t, Config{}, Config{}, repl.Config{})
 
 	// Readiness reports a live replica with the primary's address.
 	status, m := getReadyz(t, rep.URL)
@@ -227,6 +226,40 @@ func TestServeReplicaRefusesWritesAndPromotes(t *testing.T) {
 	}
 }
 
+// TestServePromoteOnLossOpensWrites is the failover composition: the primary
+// dies, the replica promotes itself once the grace runs out, and its mutation
+// handler goes from 503 to applying the batch at the next epoch.
+func TestServePromoteOnLossOpensWrites(t *testing.T) {
+	pri, rep, _, priStore, repStore := newPair(t, Config{}, Config{},
+		repl.Config{PromoteOnLoss: true, PromoteGrace: 50 * time.Millisecond})
+	write := MutationRequest{Triples: "x partOf y .\n"}
+	if status, body := postMutation(t, rep.URL+"/insert", write); status != http.StatusServiceUnavailable {
+		t.Fatalf("replica insert before the loss = %d, body %s, want 503", status, body)
+	}
+	base := priStore.Current().Seq
+	pri.CloseClientConnections()
+	pri.Close()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		status, body := postMutation(t, rep.URL+"/insert", write)
+		if status == http.StatusOK {
+			var mr MutationResponse
+			if err := json.Unmarshal(body, &mr); err != nil {
+				t.Fatal(err)
+			}
+			if mr.Epoch != base+1 || !repStore.Current().Graph.Has(rdf.T("x", "partOf", "y")) {
+				t.Fatalf("promoted write acked at epoch %d (primary died at %d), store at %d", mr.Epoch, base, repStore.Current().Seq)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no 200 after the primary died (last status %d, body %s)", status, body)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 func TestServePromoteWithoutReplicaIs409(t *testing.T) {
 	_, _, ts := newStoreServer(t, Config{}, store.Config{})
 	resp, err := http.Post(ts.URL+"/repl/promote", "application/json", nil)
@@ -254,7 +287,7 @@ func TestServeReplStreamWithoutStoreIs501(t *testing.T) {
 }
 
 func TestServeProxyWrites(t *testing.T) {
-	pri, rep, _, priStore, repStore := newPair(t, Config{}, Config{ProxyWrites: true})
+	pri, rep, _, priStore, repStore := newPair(t, Config{}, Config{ProxyWrites: true}, repl.Config{})
 
 	status, body := postMutation(t, rep.URL+"/insert", MutationRequest{Triples: "Shuttle partOf TheAirline .\n"})
 	if status != http.StatusOK {
