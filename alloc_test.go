@@ -14,20 +14,20 @@ import (
 	"repro/internal/workload"
 )
 
-// The ceilings sit about 25% above what the layered chase allocates (29 252
-// and 763; AllocsPerRun measures on one processor). An engine that copies
+// The ceilings sit about 25% above what the layered chase allocates (27 631
+// and 696; AllocsPerRun measures on one processor). An engine that copies
 // the database per run and keeps a second instance per round needs 93 140
 // and 76 570 allocations for the same two evaluations.
 const (
-	transportAllocCeiling = 36_500
-	lookupAllocCeiling    = 950
+	transportAllocCeiling = 34_500
+	lookupAllocCeiling    = 870
 	// An explained warm read measures 88, of which the private registry and
 	// the report are all but the plain read's share.
 	warmExplainedAllocCeiling = 110
 	// The university evaluation deepens twice (bounds 2, 4, 6). One engine
-	// resumed across the three steps measures 71 365; chasing the database
+	// resumed across the three steps measures 69 646; chasing the database
 	// from scratch at every bound took 139 604.
-	universityAllocCeiling = 89_000
+	universityAllocCeiling = 87_000
 )
 
 func TestTransportAllocCeiling(t *testing.T) {

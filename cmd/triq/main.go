@@ -75,7 +75,6 @@ type config struct {
 	maxFacts  int           // chase fact budget (0 = none)
 	maxRounds int           // chase round budget (0 = none)
 	maxVisits int           // proof-search visit budget (0 = default)
-	workers   int           // chase worker count (0 = GOMAXPROCS)
 	trace     string        // JSONL span trace file ("" = off)
 	explain   bool          // print the per-query EXPLAIN report to stderr
 	metrics   bool          // print metrics summary to stderr
@@ -100,9 +99,8 @@ func main() {
 	flag.IntVar(&cfg.maxFacts, "max-facts", 0, "abort the chase once the instance holds this many facts (0 = unlimited; partial answers + exit 3)")
 	flag.IntVar(&cfg.maxRounds, "max-rounds", 0, "abort the chase after this many rounds per stratum (0 = unlimited; partial answers + exit 3)")
 	flag.IntVar(&cfg.maxVisits, "max-visits", 0, "proof-search component-visit budget for -prove/-exact (0 = default; exit 3 on trip)")
-	flag.IntVar(&cfg.workers, "parallelism", 0, "chase worker count (0 = GOMAXPROCS, 1 = sequential; answers are identical at every setting)")
 	flag.StringVar(&cfg.trace, "trace", "", "write a JSONL span trace to this file")
-	flag.BoolVar(&cfg.explain, "explain", false, "print the EXPLAIN report (per-rule chase stats with provenance, worker balance, stage times) to stderr; with -json it is embedded in the response")
+	flag.BoolVar(&cfg.explain, "explain", false, "print the EXPLAIN report (per-rule chase stats with provenance, stage times) to stderr; with -json it is embedded in the response")
 	flag.BoolVar(&cfg.metrics, "metrics", false, "print the per-rule chase breakdown and metrics registry to stderr")
 	flag.StringVar(&cfg.pprof, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	flag.BoolVar(&cfg.jsonOut, "json", false, "emit results (and errors) as JSON in the same wire format the triqd server uses")
@@ -327,7 +325,6 @@ func runQuery(ctx context.Context, cfg config, g *rdf.Graph, prog *datalog.Progr
 	}
 	req.Options.Chase.MaxFacts = cfg.maxFacts
 	req.Options.Chase.MaxRounds = cfg.maxRounds
-	req.Options.Chase.Parallelism = cfg.workers
 	req.Options.Chase.Obs = o
 	req.Options.MaxVisits = cfg.maxVisits // read by the exact procedure only
 	res, err := repro.Eval(ctx, g, req)

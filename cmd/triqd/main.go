@@ -13,7 +13,7 @@
 //	      [-checkpoint-every 1024] [-max-body-bytes 8388608] \
 //	      [-concurrency 4] [-queue 16] [-queue-timeout 1s] \
 //	      [-default-timeout 10s] [-max-timeout 60s] [-drain-timeout 15s] \
-//	      [-retries 3] [-parallelism 1] \
+//	      [-retries 3] \
 //	      [-replica-of http://primary:8471 [-promote-on-loss] \
 //	       [-promote-grace 5s] [-proxy-writes]] [-staleness-wait 2s] \
 //	      [-slo-query-p99 250ms] [-slo-commit-p99 50ms] \
@@ -62,7 +62,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/chase"
 	"repro/internal/mat"
 	"repro/internal/obs"
 	"repro/internal/owl"
@@ -93,7 +92,6 @@ type config struct {
 	maxTimeout     time.Duration // cap on client-requested deadlines
 	drainTimeout   time.Duration // graceful-shutdown budget
 	retries        int           // attempts per evaluation (1 = no retries)
-	parallelism    int           // chase workers per evaluation (0 = GOMAXPROCS)
 
 	materialize bool // maintain chased materializations across epochs
 	matMaxFacts int  // cap per materialized instance (0 = chase default)
@@ -148,7 +146,6 @@ func main() {
 	flag.DurationVar(&cfg.maxTimeout, "max-timeout", 60*time.Second, "cap on client-requested deadlines")
 	flag.DurationVar(&cfg.drainTimeout, "drain-timeout", 15*time.Second, "graceful-shutdown budget; stragglers are canceled when it expires")
 	flag.IntVar(&cfg.retries, "retries", 3, "evaluation attempts per request (1 disables retrying)")
-	flag.IntVar(&cfg.parallelism, "parallelism", 1, "chase workers per evaluation (0 = GOMAXPROCS, 1 = sequential; keep slots × workers ≈ cores)")
 	flag.BoolVar(&cfg.materialize, "materialize", false, "maintain chased materializations incrementally across epochs and serve matching queries from them")
 	flag.IntVar(&cfg.matMaxFacts, "mat-max-facts", 0, "with -materialize: drop a materialized instance that grows past this many facts (0 = the chase fact budget)")
 	flag.IntVar(&cfg.matPrograms, "mat-programs", 0, "with -materialize: how many distinct programs stay materialized at once (0 = 4)")
@@ -269,11 +266,10 @@ func run(ctx context.Context, cfg config, ln net.Listener, stop <-chan os.Signal
 	o := obs.New()
 	// The materializer's chase bounds must match the ones serve's evaluate
 	// uses for ordinary requests (it declines to serve under mismatched
-	// bounds), so both are configured from the same flags here.
+	// bounds), so both are left at the chase defaults.
 	var m *mat.Materializer
 	if cfg.materialize {
 		m = mat.New(mat.Config{
-			Chase:       chase.Options{Parallelism: cfg.parallelism},
 			MaxFacts:    cfg.matMaxFacts,
 			MaxPrograms: cfg.matPrograms,
 			Obs:         o,
@@ -290,7 +286,6 @@ func run(ctx context.Context, cfg config, ln net.Listener, stop <-chan os.Signal
 		MaxTimeout:     cfg.maxTimeout,
 		Obs:            o,
 		SlowLog:        slowCfg,
-		Parallelism:    cfg.parallelism,
 		Trace: serve.TraceConfig{
 			Sample:   cfg.traceSample,
 			Capacity: cfg.traceStore,

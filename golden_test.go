@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/chase"
 	"repro/internal/limits"
 	"repro/internal/mat"
 	"repro/internal/triq"
@@ -17,10 +16,9 @@ import (
 
 // The golden corpus pins end-to-end behavior: each fixture under
 // testdata/golden/<name>/ is a graph (or ontology), a query (Datalog or
-// SPARQL), and the expected answers in expected.txt. Every fixture is
-// evaluated twice — sequentially and on the 8-worker parallel chase — and
-// both runs must reproduce the golden file byte for byte. Regenerate after
-// an intentional behavior change with:
+// SPARQL), and the expected answers in expected.txt, which the evaluation
+// must reproduce byte for byte. Regenerate after an intentional behavior
+// change with:
 //
 //	go test -run TestGolden . -update
 
@@ -83,19 +81,18 @@ func goldenGraph(t *testing.T, dir string) *Graph {
 	return g
 }
 
-// goldenRun evaluates the fixture at the given worker count and renders the
-// answers in the canonical golden format.
-func goldenRun(t *testing.T, c goldenCase, dir string, parallelism int) string {
+// goldenRun evaluates the fixture and renders the answers in the canonical
+// golden format.
+func goldenRun(t *testing.T, c goldenCase, dir string) string {
 	t.Helper()
 	g := goldenGraph(t, dir)
-	opts := Options{Chase: chase.Options{Parallelism: parallelism}}
 	var b strings.Builder
 	if src, err := os.ReadFile(filepath.Join(dir, "program.dlog")); err == nil {
 		q, err := ParseQuery(string(src), c.output)
 		if err != nil {
 			t.Fatalf("%s: parse program: %v", dir, err)
 		}
-		res, err := Ask(g, q, c.lang, opts)
+		res, err := Ask(g, q, c.lang, Options{})
 		if err != nil {
 			t.Fatalf("%s: ask: %v", dir, err)
 		}
@@ -114,7 +111,7 @@ func goldenRun(t *testing.T, c goldenCase, dir string, parallelism int) string {
 	if err != nil {
 		t.Fatalf("%s: parse query: %v", dir, err)
 	}
-	ms, inconsistent, err := AskSPARQL(q, g, c.regime, opts)
+	ms, inconsistent, err := AskSPARQL(q, g, c.regime, Options{})
 	if err != nil {
 		t.Fatalf("%s: ask sparql: %v", dir, err)
 	}
@@ -131,14 +128,10 @@ func TestGolden(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			dir := filepath.Join("testdata", "golden", c.name)
-			seq := goldenRun(t, c, dir, 1)
-			par := goldenRun(t, c, dir, 8)
-			if seq != par {
-				t.Fatalf("%s: sequential and parallel runs disagree:\n--- P=1\n%s--- P=8\n%s", c.name, seq, par)
-			}
+			got := goldenRun(t, c, dir)
 			expPath := filepath.Join(dir, "expected.txt")
 			if *updateGolden {
-				if err := os.WriteFile(expPath, []byte(seq), 0o644); err != nil {
+				if err := os.WriteFile(expPath, []byte(got), 0o644); err != nil {
 					t.Fatal(err)
 				}
 				return
@@ -147,8 +140,8 @@ func TestGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v (run with -update to create)", c.name, err)
 			}
-			if string(want) != seq {
-				t.Errorf("%s: answers changed:\n--- want\n%s--- got\n%s", c.name, want, seq)
+			if string(want) != got {
+				t.Errorf("%s: answers changed:\n--- want\n%s--- got\n%s", c.name, want, got)
 			}
 		})
 	}
@@ -167,7 +160,7 @@ var goldenDeleteCases = []goldenCase{
 	{name: "delete-hub", lang: TriQLite10, output: "query"},
 }
 
-func goldenDeleteRun(t *testing.T, c goldenCase, dir string, parallelism int) string {
+func goldenDeleteRun(t *testing.T, c goldenCase, dir string) string {
 	t.Helper()
 	g := goldenGraph(t, dir)
 	delSrc, err := os.ReadFile(filepath.Join(dir, "delete.nt"))
@@ -187,8 +180,7 @@ func goldenDeleteRun(t *testing.T, c goldenCase, dir string, parallelism int) st
 		t.Fatalf("%s: parse program: %v", dir, err)
 	}
 
-	copts := chase.Options{Parallelism: parallelism}
-	m := mat.New(mat.Config{Chase: copts})
+	m := mat.New(mat.Config{})
 	st, _, err := OpenStore(StoreConfig{OnCommit: m.OnCommit})
 	if err != nil {
 		t.Fatalf("%s: open store: %v", dir, err)
@@ -199,7 +191,7 @@ func goldenDeleteRun(t *testing.T, c goldenCase, dir string, parallelism int) st
 		goldenSkipInjected(t, err)
 		t.Fatalf("%s: insert: %v", dir, err)
 	}
-	opts := Options{Chase: copts, Mat: m, MatEpoch: st.Current().Seq}
+	opts := Options{Mat: m, MatEpoch: st.Current().Seq}
 	if _, err := Ask(st.Current().Graph, q, c.lang, opts); err != nil {
 		goldenSkipInjected(t, err)
 		t.Fatalf("%s: cold build: %v", dir, err)
@@ -218,7 +210,7 @@ func goldenDeleteRun(t *testing.T, c goldenCase, dir string, parallelism int) st
 		goldenSkipInjected(t, err)
 		t.Fatalf("%s: ask after delete: %v", dir, err)
 	}
-	plain, err := Ask(ep.Graph, q, c.lang, Options{Chase: copts})
+	plain, err := Ask(ep.Graph, q, c.lang, Options{})
 	if err != nil {
 		goldenSkipInjected(t, err)
 		t.Fatalf("%s: chase after delete: %v", dir, err)
@@ -252,14 +244,10 @@ func TestGoldenDelete(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			dir := filepath.Join("testdata", "golden", c.name)
-			seq := goldenDeleteRun(t, c, dir, 1)
-			par := goldenDeleteRun(t, c, dir, 8)
-			if seq != par {
-				t.Fatalf("%s: sequential and parallel runs disagree:\n--- P=1\n%s--- P=8\n%s", c.name, seq, par)
-			}
+			got := goldenDeleteRun(t, c, dir)
 			expPath := filepath.Join(dir, "expected.txt")
 			if *updateGolden {
-				if err := os.WriteFile(expPath, []byte(seq), 0o644); err != nil {
+				if err := os.WriteFile(expPath, []byte(got), 0o644); err != nil {
 					t.Fatal(err)
 				}
 				return
@@ -268,8 +256,8 @@ func TestGoldenDelete(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v (run with -update to create)", c.name, err)
 			}
-			if string(want) != seq {
-				t.Errorf("%s: answers changed:\n--- want\n%s--- got\n%s", c.name, want, seq)
+			if string(want) != got {
+				t.Errorf("%s: answers changed:\n--- want\n%s--- got\n%s", c.name, want, got)
 			}
 		})
 	}

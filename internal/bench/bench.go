@@ -54,7 +54,6 @@ type StageMetric struct {
 func chaseBreakdown(stage string, s chase.Stats) []StageMetric {
 	rows := []StageMetric{
 		{stage, "rounds", fmt.Sprintf("%d", s.Rounds)},
-		{stage, "parallelism", fmt.Sprintf("%d", s.Parallelism)},
 		{stage, "triggers_fired", fmt.Sprintf("%d", s.TriggersFired)},
 		{stage, "facts_derived", fmt.Sprintf("%d", s.FactsDerived)},
 		{stage, "nulls_invented", fmt.Sprintf("%d", s.NullsInvented)},

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"runtime/pprof"
 	"slices"
 	"strconv"
@@ -61,21 +60,16 @@ type Options struct {
 	// every rule against the full instance each round. Exposed for the
 	// ablation benchmarks; results are identical, only slower.
 	NaiveEvaluation bool
-	// Parallelism is the number of workers enumerating rule triggers within
-	// a round (0 = GOMAXPROCS, 1 = fully sequential). Trigger enumeration is
-	// read-only against the instance as of the rule's turn; derivations are
-	// applied afterwards in one canonical order on a single goroutine, so the
-	// resulting instance, invented null names, and Stats are bit-identical
-	// for every Parallelism value.
+	// Parallelism is ignored: the chase is sequential. Declared only because
+	// benchmark/layers.go sets it (to 1); delete with ROADMAP item 1(a).
 	Parallelism int
 	// Obs attaches the observability layer: when non-nil the engine emits
 	// chase.run / chase.round / chase.rule spans and registry counters. A nil
 	// Obs (the default) adds no tracing work and no I/O.
 	Obs *obs.Obs
 	// Progress, when non-nil, receives lock-free live counters (current
-	// round, instance size, triggers fired, busy workers) that an operator
-	// endpoint can sample while the run is in flight. It never affects
-	// evaluation.
+	// round, instance size, triggers fired) that an operator endpoint can
+	// sample while the run is in flight. It never affects evaluation.
 	Progress *Progress
 	// Parent optionally nests the chase.run span under an enclosing span
 	// (e.g. the iterative-deepening driver). Ignored when Obs is nil.
@@ -101,12 +95,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxRounds == 0 {
 		o.MaxRounds = 1_000_000
 	}
-	if o.Parallelism == 0 {
-		o.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if o.Parallelism < 1 {
-		o.Parallelism = 1
-	}
 	return o
 }
 
@@ -117,9 +105,6 @@ type Stats struct {
 	FactsDerived   int
 	NullsInvented  int
 	DepthTruncated bool
-	// Parallelism is the worker count the run was configured with (after
-	// defaulting); it never changes the other counters.
-	Parallelism int
 	// PerRule breaks the run down by rule, in stratum evaluation order.
 	PerRule []RuleStats
 	// Deepening lists the depth steps of the iterative-deepening evaluation
@@ -266,6 +251,7 @@ type engine struct {
 	perRule     []*RuleStats // one entry per rule, across strata
 	cur         *RuleStats   // the rule currently being matched/fired
 	park        *triggerBuf  // where fire parks a trigger of that rule the depth bound blocks
+	found       triggerBuf   // the triggers enumerate found in that rule's turn, reused across turns
 	span        *obs.Span    // the current step's chase.run span (nil when tracing is off)
 	start       time.Time
 	tick        int    // trigger-attempt counter gating the in-round ctx checks
@@ -403,7 +389,6 @@ func prepare(ctx context.Context, db *Instance, prog *datalog.Program, opts Opti
 		return nil, err
 	}
 	e := newEngine(ctx, db, opts)
-	e.stats.Parallelism = opts.Parallelism
 	e.constraints = work.Constraints
 	// Per-rule pprof labels let CPU profiles attribute chase work to rules
 	// (and, via the request labels already on ctx, to trace ids). The extra
@@ -477,12 +462,11 @@ func (e *engine) freshNull(key string, d int) datalog.Term {
 // which is correct under stratification: their predicates belong to lower
 // strata and are already final.
 //
-// Each rule's turn within a round runs in two phases (see parallel.go):
+// Each rule's turn within a round runs in two phases (see triggers.go):
 // enumerate matches the rule against the instance as of the start of its
-// turn (read-only, optionally on Options.Parallelism workers), then apply
-// fires the buffered triggers sequentially in canonical order. Rules earlier
-// in the round feed the instance that later rules enumerate against, and the
-// round reaches its fixpoint when no rule derives a new fact.
+// turn, then apply fires the buffered triggers in canonical order. Rules
+// earlier in the round feed the instance that later rules enumerate against,
+// and the round reaches its fixpoint when no rule derives a new fact.
 //
 // A stratum that already reached a fixpoint under a lower depth bound resumes
 // instead of starting over: in its first round every rule first re-fires the
@@ -535,8 +519,7 @@ func (e *engine) chaseStratum(s *stratum) error {
 			roundSpan = e.span.Span("chase.round",
 				obs.F("round", e.stats.Rounds),
 				obs.F("delta", deltaSize),
-				obs.F("instance", e.inst.Len()),
-				obs.F("workers", e.opts.Parallelism))
+				obs.F("instance", e.inst.Len()))
 		}
 		roundFacts := e.stats.FactsDerived
 		for ci, c := range s.comp {
@@ -555,11 +538,6 @@ func (e *engine) chaseStratum(s *stratum) error {
 			before := *rs
 			t0 := time.Now()
 			var fireErr error
-			var shards []*shard
-			// The fault and cancellation checks stay on the sequential
-			// control path (never inside workers) so the sequence of
-			// limits.Hit calls — and therefore where an armed fault plan
-			// trips — is identical for every Parallelism value.
 			ruleTurn := func() {
 				if err := limits.Hit(e.opts.Faults, "chase.rule"); err != nil {
 					fireErr = e.fail(err)
@@ -567,7 +545,7 @@ func (e *engine) chaseStratum(s *stratum) error {
 					fireErr = err
 				}
 				if fireErr == nil {
-					shards, fireErr = e.enumerate(c, delta, ruleSpan)
+					fireErr = e.enumerate(c, delta, &e.found)
 				}
 				if fireErr == nil {
 					e.cur, e.park = rs, parked
@@ -575,15 +553,14 @@ func (e *engine) chaseStratum(s *stratum) error {
 						fireErr = e.refire(c, parked)
 					}
 					if fireErr == nil {
-						fireErr = e.apply(c, rs, shards, delta != nil)
+						fireErr = e.apply(c, rs, &e.found, delta != nil)
 					}
 					e.cur, e.park = nil, nil
 				}
 			}
 			if e.ruleLabels {
-				// Workers spawned inside enumerate inherit these goroutine
-				// labels, so CPU samples of traced requests attribute to the
-				// rule (alongside the request-level trace_id label on ctx).
+				// CPU samples of traced requests attribute to the rule
+				// (alongside the request-level trace_id label on ctx).
 				pprof.Do(e.ctx, pprof.Labels("rule", c.rule.Head[0].Pred), func(context.Context) { ruleTurn() })
 			} else {
 				ruleTurn()
@@ -592,7 +569,6 @@ func (e *engine) chaseStratum(s *stratum) error {
 			e.opts.Progress.addTriggers(int64(rs.TriggersFired - before.TriggersFired))
 			e.opts.Progress.setFacts(int64(e.inst.Len()))
 			ruleSpan.End(
-				obs.F("shards", len(shards)),
 				obs.F("attempted", rs.TriggersAttempted-before.TriggersAttempted),
 				obs.F("fired", rs.TriggersFired-before.TriggersFired),
 				obs.F("facts", rs.FactsDerived-before.FactsDerived),
@@ -810,7 +786,6 @@ func (e *engine) step() (inconsistent bool, err error) {
 			_, e.span = obs.StartSpan(e.ctx, opts.Obs, "chase.run")
 		}
 		e.span.Attr("mode", opts.Mode.String())
-		e.span.Attr("parallelism", opts.Parallelism)
 		e.span.Attr("rules", len(e.perRule))
 		e.span.Attr("strata", len(e.strata))
 		e.span.Attr("db_facts", e.inst.Len()-e.stats.FactsDerived)

@@ -16,16 +16,15 @@ import (
 	"repro/internal/limits"
 )
 
-// The differential suite proves the tentpole guarantee of the parallel
-// engine: for the same program and database, every Parallelism value
-// produces the byte-identical instance (including invented null names), the
+// The differential suite drives random warded programs through
+// {Skolem, Restricted} × {semi-naive, naive}. Two engines that differ only in
+// how the database is laid out (layered over a shared base, or flat) must
+// produce the byte-identical instance (including invented null names), the
 // same Stats (down to per-rule trigger counts), and the same typed
-// truncation outcome. Random warded programs are driven through
-// {1, 2, 8 workers} × {Skolem, Restricted} × {semi-naive, naive}; within a
-// (mode, evaluation) cell the runs must agree exactly, and across the two
-// evaluation strategies they must agree up to null renaming (the invention
-// order of fresh nulls differs between full re-matching and delta seeding,
-// their count and the ground part do not).
+// truncation outcome; across the two evaluation strategies the runs must
+// agree up to null renaming (the invention order of fresh nulls differs
+// between full re-matching and delta seeding, their count and the ground
+// part do not).
 //
 // On failure the case's seed and generated program are logged; replay one
 // seed with TRIQ_DIFF_SEED=<n> go test -run TestDifferential ./internal/chase.
@@ -64,7 +63,7 @@ type diffCase struct {
 
 // genDiffCase derives a valid random case from the seed: a subset of the
 // template pool that parses, is warded, and stratifies, over a random EDB
-// big enough that trigger enumeration crosses the parallel threshold.
+// of 80 to 200 facts.
 func genDiffCase(seed int64) (diffCase, error) { return genDiffCaseWith(seed, "") }
 
 // genDiffCaseWith is genDiffCase with the rules of always ahead of every
@@ -113,22 +112,20 @@ type diffOutcome struct {
 	err error
 }
 
-func runDiff(c diffCase, parallelism int, mode Mode, naive bool) diffOutcome {
+func runDiff(c diffCase, mode Mode, naive bool) diffOutcome {
 	res, err := Run(c.db, c.program, Options{
 		Mode:            mode,
 		MaxDepth:        3,
 		MaxFacts:        50_000,
 		MaxRounds:       1_000,
 		NaiveEvaluation: naive,
-		Parallelism:     parallelism,
 	})
 	return diffOutcome{res: res, err: err}
 }
 
-// normStats strips the fields that are allowed to differ between runs: Time
-// (wall clock) and Parallelism (configuration, not behavior).
+// normStats strips the field that is allowed to differ between runs: Time
+// (wall clock).
 func normStats(s Stats) Stats {
-	s.Parallelism = 0
 	for i := range s.PerRule {
 		s.PerRule[i].Time = 0
 	}
@@ -159,7 +156,7 @@ func sameError(a, b error) (bool, string) {
 }
 
 // requireIdentical asserts the full bit-identical contract between a
-// baseline run and a run that differs only in Parallelism.
+// baseline run and a run that must not differ from it.
 func requireIdentical(t *testing.T, label string, base, got diffOutcome) {
 	t.Helper()
 	if ok, why := sameError(base.err, got.err); !ok {
@@ -185,7 +182,7 @@ func requireIdentical(t *testing.T, label string, base, got diffOutcome) {
 }
 
 // requireEquivalent asserts the cross-evaluation-strategy contract, which is
-// weaker than the cross-parallelism one: naive full re-matching can reach
+// weaker than the bit-identical one: naive full re-matching can reach
 // the fixpoint in fewer rounds than delta seeding (a rule's same-round
 // output is visible to the next full scan but only enters the delta one
 // round later), and the rule that first derives a shared fact can shift with
@@ -251,38 +248,16 @@ func TestDifferentialEngines(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed=%d: %v", seed, err)
 			}
-			fail := func() {
-				t.Logf("replay: TRIQ_DIFF_SEED=%d go test -run 'TestDifferentialEngines' ./internal/chase\nprogram (db: %d facts):\n%s",
-					seed, c.db.Len(), c.source)
-			}
 			for _, mode := range []Mode{Skolem, Restricted} {
-				var byEval [2]diffOutcome // [0]=semi-naive, [1]=naive baselines
-				for ni, naive := range []bool{false, true} {
-					base := runDiff(c, 1, mode, naive)
-					p2 := runDiff(c, 2, mode, naive)
-					p8 := runDiff(c, 8, mode, naive)
-					if injectedSomewhere(base, p2, p8) {
-						t.Skipf("seed=%d: injected fault (TRIQ_FAULTS armed); case not comparable", seed)
-					}
-					label := fmt.Sprintf("seed=%d mode=%v naive=%v", seed, mode, naive)
-					before := 0
-					if t.Failed() {
-						before = 1
-					}
-					requireIdentical(t, label+" P1≡P2", base, p2)
-					requireIdentical(t, label+" P1≡P8", base, p8)
-					if before == 0 && t.Failed() {
-						fail()
-					}
-					byEval[ni] = base
-				}
-				if injectedSomewhere(byEval[0], byEval[1]) {
+				semi, naive := runDiff(c, mode, false), runDiff(c, mode, true)
+				if injectedSomewhere(semi, naive) {
 					t.Skipf("seed=%d: injected fault (TRIQ_FAULTS armed); case not comparable", seed)
 				}
-				before := t.Failed()
-				requireEquivalent(t, fmt.Sprintf("seed=%d mode=%v semi-naive≡naive", seed, mode), byEval[0], byEval[1])
-				if !before && t.Failed() {
-					fail()
+				requireEquivalent(t, fmt.Sprintf("seed=%d mode=%v semi-naive≡naive", seed, mode), semi, naive)
+				if t.Failed() {
+					t.Logf("replay: TRIQ_DIFF_SEED=%d go test -run 'TestDifferentialEngines' ./internal/chase\nprogram (db: %d facts):\n%s",
+						seed, c.db.Len(), c.source)
+					return
 				}
 			}
 		})
@@ -314,7 +289,7 @@ func splitLayers(db *Instance) *Instance {
 // TestDifferentialLayeredVsFlat is the layered-vs-flat axis: the engine
 // chasing its own layer over the untouched database must reproduce, bit for
 // bit, the engine chasing a flat private copy — instance, null names, Stats,
-// and the point where an armed fault plan trips — at 1 and at 8 workers.
+// and the point where an armed fault plan trips.
 func TestDifferentialLayeredVsFlat(t *testing.T) {
 	seeds := []int64{1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233}
 	if testing.Short() {
@@ -332,30 +307,28 @@ func TestDifferentialLayeredVsFlat(t *testing.T) {
 				t.Fatal("splitLayers must return a layered copy of the database")
 			}
 			for _, mode := range []Mode{Skolem, Restricted} {
-				for _, par := range []int{1, 8} {
-					// tripAfter < 0 runs without a plan; the others abort at
-					// the chase.rule hit of that number.
-					for _, tripAfter := range []int{-1, 2, 5 + int(seed%9)} {
-						run := func(db *Instance) diffOutcome {
-							opts := Options{Mode: mode, MaxDepth: 3, MaxFacts: 50_000, MaxRounds: 1_000, Parallelism: par}
-							if tripAfter >= 0 {
-								opts.Faults = limits.NewPlan(limits.Fault{Point: "chase.rule", After: tripAfter})
-							}
-							res, err := Run(db, c.program, opts)
-							return diffOutcome{res: res, err: err}
+				// tripAfter < 0 runs without a plan; the others abort at
+				// the chase.rule hit of that number.
+				for _, tripAfter := range []int{-1, 2, 5 + int(seed%9)} {
+					run := func(db *Instance) diffOutcome {
+						opts := Options{Mode: mode, MaxDepth: 3, MaxFacts: 50_000, MaxRounds: 1_000}
+						if tripAfter >= 0 {
+							opts.Faults = limits.NewPlan(limits.Fault{Point: "chase.rule", After: tripAfter})
 						}
-						layered, flat := run(c.db), run(flatInput)
-						if tripAfter < 0 && injectedSomewhere(layered, flat) {
-							t.Skipf("seed=%d: injected fault (TRIQ_FAULTS armed); case not comparable", seed)
-						}
-						if layered.res.Instance.base != c.db || flat.res.Instance.base != nil {
-							t.Fatal("the axis is not exercising a layered and a flat engine instance")
-						}
-						requireIdentical(t, fmt.Sprintf("seed=%d mode=%v P%d trip=%d layered≡flat", seed, mode, par, tripAfter), flat, layered)
-						if t.Failed() {
-							t.Logf("program (db: %d facts):\n%s", c.db.Len(), c.source)
-							return
-						}
+						res, err := Run(db, c.program, opts)
+						return diffOutcome{res: res, err: err}
+					}
+					layered, flat := run(c.db), run(flatInput)
+					if tripAfter < 0 && injectedSomewhere(layered, flat) {
+						t.Skipf("seed=%d: injected fault (TRIQ_FAULTS armed); case not comparable", seed)
+					}
+					if layered.res.Instance.base != c.db || flat.res.Instance.base != nil {
+						t.Fatal("the axis is not exercising a layered and a flat engine instance")
+					}
+					requireIdentical(t, fmt.Sprintf("seed=%d mode=%v trip=%d layered≡flat", seed, mode, tripAfter), flat, layered)
+					if t.Failed() {
+						t.Logf("program (db: %d facts):\n%s", c.db.Len(), c.source)
+						return
 					}
 				}
 			}
@@ -449,7 +422,7 @@ func canonicalInstance(e *engine) string {
 // return what restarting the chase from the database at every depth returns.
 // Two levels are compared over random warded programs with existential
 // recursion and negation above it, × {Skolem, Restricted} × {semi-naive,
-// naive} × {1, 8 workers}:
+// naive}:
 //
 //   - the engine, stepped through depths 2, 4, 6, 7 with the bound raised in
 //     between, against a new engine chasing straight to that depth: the same
@@ -483,23 +456,14 @@ func TestDifferentialResumeVsRestart(t *testing.T) {
 				}
 				for _, mode := range []Mode{Skolem, Restricted} {
 					for _, naive := range []bool{false, true} {
-						var p1 *GroundResult
-						for _, par := range []int{1, 8} {
-							opts := Options{Mode: mode, MaxDepth: 7, MaxFacts: 50_000, MaxRounds: 1_000, NaiveEvaluation: naive, Parallelism: par}
-							label := fmt.Sprintf("seed=%d mode=%v naive=%v P%d", seed, mode, naive, par)
-							diffEngineSteps(t, label, c, opts, restarted)
-							got := diffStableGround(t, label, c, opts, deepened)
-							// Resumed steps are bit-identical across worker counts too.
-							if par == 1 {
-								p1 = got
-							} else if p1 != nil && got != nil && (fmt.Sprintf("%+v", normStats(p1.Stats)) != fmt.Sprintf("%+v", normStats(got.Stats)) || p1.Ground.String() != got.Ground.String()) {
-								t.Errorf("%s: differs from P1:\n%+v\n%+v", label, normStats(p1.Stats), normStats(got.Stats))
-							}
-							if t.Failed() {
-								t.Logf("replay: TRIQ_DIFF_SEED=%d go test -run TestDifferentialResumeVsRestart ./internal/chase\nprogram (db: %d facts):\n%s",
-									seed, c.db.Len(), c.source)
-								return
-							}
+						opts := Options{Mode: mode, MaxDepth: 7, MaxFacts: 50_000, MaxRounds: 1_000, NaiveEvaluation: naive}
+						label := fmt.Sprintf("seed=%d mode=%v naive=%v", seed, mode, naive)
+						diffEngineSteps(t, label, c, opts, restarted)
+						diffStableGround(t, label, c, opts, deepened)
+						if t.Failed() {
+							t.Logf("replay: TRIQ_DIFF_SEED=%d go test -run TestDifferentialResumeVsRestart ./internal/chase\nprogram (db: %d facts):\n%s",
+								seed, c.db.Len(), c.source)
+							return
 						}
 					}
 				}
@@ -570,18 +534,17 @@ func diffEngineSteps(t *testing.T, label string, c diffCase, opts Options, resta
 	}
 }
 
-// diffStableGround is the StableGround-level half; it returns the resumed
-// evaluation's result, or nil when the case is not comparable.
-func diffStableGround(t *testing.T, label string, c diffCase, opts Options, deepened *atomic.Int64) *GroundResult {
+// diffStableGround is the StableGround-level half.
+func diffStableGround(t *testing.T, label string, c diffCase, opts Options, deepened *atomic.Int64) {
 	t.Helper()
 	want, wantErr := restartStableGround(c.db, c.program, opts, 2)
 	got, gotErr := StableGround(c.db, c.program, opts, 2)
 	if errors.Is(wantErr, limits.ErrInjected) || errors.Is(gotErr, limits.ErrInjected) {
-		return nil
+		return
 	}
 	if wantErr != nil || gotErr != nil {
 		t.Errorf("%s: errors: restart %v, resume %v", label, wantErr, gotErr)
-		return nil
+		return
 	}
 	if len(got.Stats.Deepening) > 1 {
 		deepened.Add(1)
@@ -599,14 +562,12 @@ func diffStableGround(t *testing.T, label string, c diffCase, opts Options, deep
 		t.Errorf("%s: facts/nulls: restart %d/%d, resume %d/%d", label,
 			want.Stats.FactsDerived, want.Stats.NullsInvented, got.Stats.FactsDerived, got.Stats.NullsInvented)
 	}
-	return got
 }
 
 // TestDifferentialBudgetTrip pins the abort path: a fact budget that trips
-// mid-round must abort at the identical fact, with identical partial
-// instances and truncation counters, for every worker count. (ErrFactBudget
-// is raised in the sequential apply phase, so unlike wall-clock limits it is
-// deterministic by construction — this test keeps it that way.)
+// mid-round aborts before the insertion that would overshoot it, and a second
+// run aborts at the identical fact, with an identical partial instance and
+// identical truncation counters.
 func TestDifferentialBudgetTrip(t *testing.T) {
 	prog := datalog.MustParse(`
 		edge(?X, ?Y) -> path(?X, ?Y).
@@ -617,36 +578,16 @@ func TestDifferentialBudgetTrip(t *testing.T) {
 		db.Add(datalog.NewAtom("edge",
 			datalog.C("v"+strconv.Itoa(i)), datalog.C("v"+strconv.Itoa(i+1))))
 	}
-	run := func(par int) diffOutcome {
-		res, err := Run(db, prog, Options{MaxFacts: 300, Parallelism: par})
+	run := func() diffOutcome {
+		res, err := Run(db, prog, Options{MaxFacts: 300})
 		return diffOutcome{res: res, err: err}
 	}
-	base := run(1)
+	base := run()
 	if base.err == nil || !errors.Is(base.err, limits.ErrFactBudget) {
 		t.Fatalf("expected fact-budget abort, got %v", base.err)
 	}
-	for _, par := range []int{2, 4, 8} {
-		requireIdentical(t, fmt.Sprintf("budget P1≡P%d", par), base, run(par))
+	if n := base.res.Instance.Len(); n != 300 {
+		t.Errorf("aborted instance holds %d facts, want the budget of 300", n)
 	}
-}
-
-// TestParallelismDefaulting pins the Options contract: 0 means GOMAXPROCS
-// (≥1), negative values clamp to sequential, and the resolved value is
-// reported in Stats.
-func TestParallelismDefaulting(t *testing.T) {
-	for _, par := range []int{0, -3, 1, 4} {
-		o := Options{Parallelism: par}.withDefaults()
-		if o.Parallelism < 1 {
-			t.Errorf("Parallelism=%d resolved to %d, want >= 1", par, o.Parallelism)
-		}
-	}
-	prog := datalog.MustParse("e(?X, ?Y) -> p(?X, ?Y).")
-	db := NewInstance(datalog.NewAtom("e", datalog.C("a"), datalog.C("b")))
-	res, err := Run(db, prog, Options{Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Parallelism != 4 {
-		t.Errorf("Stats.Parallelism = %d, want 4", res.Stats.Parallelism)
-	}
+	requireIdentical(t, "budget rerun", base, run())
 }

@@ -327,7 +327,7 @@ func TestRestartComparesWithThePreviousStep(t *testing.T) {
 
 // TestResumedStepAborts is TestDifferentialBudgetTrip for a step that resumes:
 // a limit that trips after the first depth step has finished returns the typed
-// error with everything derived so far, identically at 1 and 8 workers.
+// error with everything derived so far.
 func TestResumedStepAborts(t *testing.T) {
 	db := NewInstance(atom("p", "v00"))
 	for i := 0; i < 12; i++ {
@@ -351,35 +351,27 @@ func TestResumedStepAborts(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var base *GroundResult
-			for _, par := range []int{1, 8} {
-				ctx, cancel := context.WithCancel(context.Background())
-				opts := Options{Parallelism: par}
-				tc.arm(&opts, cancel)
-				gr, err := StableGroundCtx(ctx, db, prog, opts, 2)
-				cancel()
-				if !errors.Is(err, tc.kind) {
-					t.Fatalf("P%d: want %v, got %v", par, tc.kind, err)
-				}
-				if _, ok := limits.TruncationOf(err); !ok {
-					t.Errorf("P%d: the error carries no Truncation", par)
-				}
-				steps := gr.Stats.Deepening
-				if gr.Exact || gr.Depth != 4 || len(steps) != 2 || !steps[1].Resumed {
-					t.Fatalf("P%d: the abort must hit the resumed step: depth %d, steps %+v", par, gr.Depth, steps)
-				}
-				// The partial result holds the first step's work and more.
-				if gr.Stats.FactsDerived <= steps[0].NewFacts || !gr.Ground.Has(atom("goal", "v00")) || gr.Ground.Has(atom("goal", nodeName(12))) {
-					t.Errorf("P%d: partial result: %d facts, ground part:\n%v", par, gr.Stats.FactsDerived, gr.Ground)
-				}
-				if opts.MaxFacts > 0 && gr.Ground.Len() > opts.MaxFacts {
-					t.Errorf("P%d: %d atoms overshoot the fact budget", par, gr.Ground.Len())
-				}
-				if base == nil {
-					base = gr
-				} else if fmt.Sprintf("%+v", normStats(base.Stats)) != fmt.Sprintf("%+v", normStats(gr.Stats)) || !base.Ground.Equal(gr.Ground) {
-					t.Errorf("P1 and P%d abort differently:\n%+v\n%+v", par, normStats(base.Stats), normStats(gr.Stats))
-				}
+			ctx, cancel := context.WithCancel(context.Background())
+			var opts Options
+			tc.arm(&opts, cancel)
+			gr, err := StableGroundCtx(ctx, db, prog, opts, 2)
+			cancel()
+			if !errors.Is(err, tc.kind) {
+				t.Fatalf("want %v, got %v", tc.kind, err)
+			}
+			if _, ok := limits.TruncationOf(err); !ok {
+				t.Error("the error carries no Truncation")
+			}
+			steps := gr.Stats.Deepening
+			if gr.Exact || gr.Depth != 4 || len(steps) != 2 || !steps[1].Resumed {
+				t.Fatalf("the abort must hit the resumed step: depth %d, steps %+v", gr.Depth, steps)
+			}
+			// The partial result holds the first step's work and more.
+			if gr.Stats.FactsDerived <= steps[0].NewFacts || !gr.Ground.Has(atom("goal", "v00")) || gr.Ground.Has(atom("goal", nodeName(12))) {
+				t.Errorf("partial result: %d facts, ground part:\n%v", gr.Stats.FactsDerived, gr.Ground)
+			}
+			if opts.MaxFacts > 0 && gr.Ground.Len() > opts.MaxFacts {
+				t.Errorf("%d atoms overshoot the fact budget", gr.Ground.Len())
 			}
 		})
 	}

@@ -40,7 +40,7 @@ var incTemplates = []string{
 	"t(?X, ?V), s(?Y, ?X) -> q(?Y, ?Y).",
 }
 
-var incOpts = Options{MaxDepth: 6, MaxFacts: 50_000, MaxRounds: 1_000, Parallelism: 1}
+var incOpts = Options{MaxDepth: 6, MaxFacts: 50_000, MaxRounds: 1_000}
 
 // genIncProgram samples a positive warded program from the template pool.
 func genIncProgram(rng *rand.Rand) (*datalog.Program, string, error) {

@@ -73,11 +73,11 @@ func TestSharedBaseConcurrentRuns(t *testing.T) {
 			p%d(?X, ?X) -> exists ?W loop%d(?X, ?W, k%d).
 			loop%d(?X, ?W, ?K) -> exists ?V loop%d(?W, ?V, ?K).
 		`, k, k, k, k, k, k, k, k))
-		res, err := Run(db.Clone(), progs[k], Options{Parallelism: 1})
+		res, err := Run(db.Clone(), progs[k], Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gr, err := StableGround(db.Clone(), progs[k], Options{Parallelism: 1}, 2)
+		gr, err := StableGround(db.Clone(), progs[k], Options{}, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,12 +91,12 @@ func TestSharedBaseConcurrentRuns(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := Run(db, progs[k], Options{Parallelism: 2})
+			res, err := Run(db, progs[k], Options{})
 			if err != nil {
 				t.Errorf("program %d: %v", k, err)
 				return
 			}
-			gr, err := StableGround(db, progs[k], Options{Parallelism: 2}, 2)
+			gr, err := StableGround(db, progs[k], Options{}, 2)
 			if err != nil {
 				t.Errorf("program %d: %v", k, err)
 				return

@@ -4,21 +4,20 @@ import "sync/atomic"
 
 // Progress is a lock-free live view of chase work, meant to be shared by an
 // operator-facing poller (triqd's /debug/progress) while evaluations run.
-// The engine stores into it with plain atomics from the round loop and the
-// enumeration workers, so sampling it costs the reader a handful of atomic
-// loads and costs the chase nothing measurable. When several evaluations
-// share one Progress (a server), Round/Facts are last-writer-wins live
-// gauges while ActiveRuns, WorkersBusy, and TriggersFired aggregate across
-// runs; the point is watching a long materialization move, not accounting.
+// The engine stores into it with plain atomics from the round loop, so
+// sampling it costs the reader a handful of atomic loads and costs the chase
+// nothing measurable. When several evaluations share one Progress (a server),
+// Round/Facts are last-writer-wins live gauges while ActiveRuns and
+// TriggersFired aggregate across runs; the point is watching a long
+// materialization move, not accounting.
 //
 // The zero value is ready to use. Progress never influences evaluation:
 // answers and Stats stay bit-identical with or without it.
 type Progress struct {
-	activeRuns  atomic.Int64
-	round       atomic.Int64
-	facts       atomic.Int64
-	triggers    atomic.Int64
-	workersBusy atomic.Int64
+	activeRuns atomic.Int64
+	round      atomic.Int64
+	facts      atomic.Int64
+	triggers   atomic.Int64
 }
 
 // ProgressSnapshot is one point-in-time sample of a Progress, in the JSON
@@ -35,9 +34,6 @@ type ProgressSnapshot struct {
 	// TriggersFired counts triggers fired across all runs sharing this
 	// Progress (monotonic while the process lives).
 	TriggersFired int64 `json:"triggers_fired"`
-	// WorkersBusy is the number of parallel enumeration workers currently
-	// running.
-	WorkersBusy int64 `json:"workers_busy"`
 }
 
 // Snapshot samples the progress; a nil Progress samples as all-zero.
@@ -50,7 +46,6 @@ func (p *Progress) Snapshot() ProgressSnapshot {
 		Round:         p.round.Load(),
 		Facts:         p.facts.Load(),
 		TriggersFired: p.triggers.Load(),
-		WorkersBusy:   p.workersBusy.Load(),
 	}
 }
 
@@ -85,17 +80,5 @@ func (p *Progress) setFacts(n int64) {
 func (p *Progress) addTriggers(n int64) {
 	if p != nil && n != 0 {
 		p.triggers.Add(n)
-	}
-}
-
-func (p *Progress) workerStart() {
-	if p != nil {
-		p.workersBusy.Add(1)
-	}
-}
-
-func (p *Progress) workerEnd() {
-	if p != nil {
-		p.workersBusy.Add(-1)
 	}
 }

@@ -140,24 +140,22 @@ func matSeeds(t *testing.T) []int64 {
 // store and the materializer report to a live registry, so every schedule
 // also runs the write path with its telemetry on (the goldens run it off).
 type matHarness struct {
-	st    *store.Store
-	m     *Materializer
-	obs   *obs.Obs
-	copts chase.Options
+	st  *store.Store
+	m   *Materializer
+	obs *obs.Obs
 }
 
 func newMatHarness(t *testing.T) *matHarness {
 	t.Helper()
-	copts := chase.Options{Parallelism: 1}
 	o := obs.New()
-	m := New(Config{Chase: copts, Obs: o})
+	m := New(Config{Obs: o})
 	st, _, err := store.Open(store.Config{OnCommit: m.OnCommit, Obs: o})
 	if err != nil {
 		t.Fatalf("open store: %v", err)
 	}
 	t.Cleanup(func() { st.Close() })
 	m.Reset(st.Current().Seq)
-	return &matHarness{st: st, m: m, obs: o, copts: copts}
+	return &matHarness{st: st, m: m, obs: o}
 }
 
 // query evaluates the program's output at the store's current epoch twice —
@@ -172,12 +170,12 @@ func (h *matHarness) query(t *testing.T, ctx context.Context, prog *datalog.Prog
 	}
 	q := datalog.NewQuery(prog, matOutput)
 	warm, err := triq.EvalCtx(ctx, db, q, triq.Unrestricted,
-		triq.Options{Chase: h.copts, Mat: h.m, MatEpoch: ep.Seq})
+		triq.Options{Mat: h.m, MatEpoch: ep.Seq})
 	matSkipInjected(t, err)
 	if err != nil {
 		t.Fatalf("%s: materialized eval: %v", label, err)
 	}
-	cold, err := triq.EvalCtx(ctx, db, q, triq.Unrestricted, triq.Options{Chase: h.copts})
+	cold, err := triq.EvalCtx(ctx, db, q, triq.Unrestricted, triq.Options{})
 	matSkipInjected(t, err)
 	if err != nil {
 		t.Fatalf("%s: chase eval: %v", label, err)
@@ -313,7 +311,7 @@ func TestMatInsertDeleteRestores(t *testing.T) {
 	}
 	q := datalog.NewQuery(prog, matOutput)
 	res0, err := triq.EvalCtx(ctx, db, q, triq.Unrestricted,
-		triq.Options{Chase: h.copts, Mat: h.m, MatEpoch: before.Seq})
+		triq.Options{Mat: h.m, MatEpoch: before.Seq})
 	matSkipInjected(t, err)
 	if err != nil {
 		t.Fatal(err)
@@ -342,7 +340,7 @@ func TestMatInsertDeleteRestores(t *testing.T) {
 		t.Fatalf("mat.maintain_us observed %d folds, want the insert and the delete", hs.Count)
 	}
 	res1, err := triq.EvalCtx(ctx, db, q, triq.Unrestricted,
-		triq.Options{Chase: h.copts, Mat: h.m, MatEpoch: after.Seq})
+		triq.Options{Mat: h.m, MatEpoch: after.Seq})
 	matSkipInjected(t, err)
 	if err != nil {
 		t.Fatal(err)
@@ -392,7 +390,7 @@ func TestMatBatchSplit(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := triq.EvalCtx(ctx, db, datalog.NewQuery(prog, matOutput), triq.Unrestricted,
-			triq.Options{Chase: h.copts, Mat: h.m, MatEpoch: ep.Seq})
+			triq.Options{Mat: h.m, MatEpoch: ep.Seq})
 		matSkipInjected(t, err)
 		if err != nil {
 			t.Fatal(err)

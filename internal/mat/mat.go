@@ -94,8 +94,8 @@ func fingerprint(prog *datalog.Program) (uint64, string) {
 // compatible reports whether answers materialized under the configured chase
 // bounds are exchangeable for a chase under copts: same chase variant and
 // same bounds (a materialization built at MaxDepth 12 must not answer for a
-// query that would chase at MaxDepth 3). Parallelism and observability
-// differences don't affect answers.
+// query that would chase at MaxDepth 3). Observability differences don't
+// affect answers.
 func (m *Materializer) compatible(copts chase.Options) bool {
 	copts = copts.WithDefaults()
 	c := m.cfg.Chase

@@ -11,7 +11,7 @@ import (
 // about eleven days — or of fact counts), plus an overflow bucket. Memory
 // per histogram is therefore constant and Observe is lock-free: bucket
 // counts are atomic adds and sum/max are CAS loops over float bits, so the
-// chase hot loop can record per-round timings without serializing workers.
+// chase hot loop can record per-round timings without serializing requests.
 //
 // Quantiles interpolate linearly inside the winning bucket. On the bucket
 // bounds themselves this is exact for uniform streams (p95 of 1..100 is

@@ -300,38 +300,3 @@ func TestRegistrySnapshotJSONShape(t *testing.T) {
 		t.Fatal("nil registry snapshot must have non-nil maps")
 	}
 }
-
-func TestWorkerMetricCached(t *testing.T) {
-	if got := WorkerMetric("chase.worker.shards", 3); got != "chase.worker.shards.w3" {
-		t.Fatalf("WorkerMetric = %q", got)
-	}
-	// Second call returns the identical cached string.
-	a := WorkerMetric("chase.worker.triggers", 5)
-	b := WorkerMetric("chase.worker.triggers", 5)
-	if a != b {
-		t.Fatalf("cache mismatch: %q vs %q", a, b)
-	}
-	if got := WorkerMetric("base", -1); got != "base.w-1" {
-		t.Fatalf("negative worker = %q", got)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		_ = WorkerMetric("chase.worker.shards", 3)
-	})
-	if allocs != 0 {
-		t.Fatalf("cached WorkerMetric allocates %g per call, want 0", allocs)
-	}
-	// Concurrent mixed hit/miss traffic is race-free.
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				if got := WorkerMetric("conc", i%16); got != "conc.w"+strconv.Itoa(i%16) {
-					t.Errorf("WorkerMetric(conc, %d) = %q", i%16, got)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-}

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -304,48 +303,6 @@ func attrMap(kv []KV) map[string]any {
 		m[a.K] = a.V
 	}
 	return m
-}
-
-// workerMetricCache memoizes WorkerMetric's formatted names per (base,
-// worker) so the chase hot loop doesn't re-concatenate (and re-allocate)
-// the same key on every trigger batch. Worker ids are small and dense, so
-// a slice indexed by worker under an RWMutex keeps the hit path to one
-// read-lock and two slice reads.
-var (
-	workerMetricMu    sync.RWMutex
-	workerMetricCache = map[string][]string{}
-)
-
-// WorkerMetric derives a per-worker metric name from a base name, e.g.
-// WorkerMetric("chase.worker.shards", 3) = "chase.worker.shards.w3". Keeping
-// the worker id in the name (not a label) fits the flat counter registry
-// while still letting dashboards split load across a worker pool. Names are
-// cached per (base, worker): the fast path performs no allocation.
-func WorkerMetric(base string, worker int) string {
-	if worker < 0 {
-		return base + ".w" + strconv.Itoa(worker)
-	}
-	workerMetricMu.RLock()
-	names := workerMetricCache[base]
-	if worker < len(names) && names[worker] != "" {
-		name := names[worker]
-		workerMetricMu.RUnlock()
-		return name
-	}
-	workerMetricMu.RUnlock()
-
-	workerMetricMu.Lock()
-	names = workerMetricCache[base]
-	for len(names) <= worker {
-		names = append(names, "")
-	}
-	if names[worker] == "" {
-		names[worker] = base + ".w" + strconv.Itoa(worker)
-	}
-	workerMetricCache[base] = names
-	name := names[worker]
-	workerMetricMu.Unlock()
-	return name
 }
 
 // FormatDuration renders a duration on a fixed µs/ms/s unit ladder with two

@@ -82,9 +82,8 @@ type Config struct {
 	// evaluation reports into (served at /debug/progress). New installs one
 	// automatically when nil.
 	Progress *repro.Progress
-	// Parallelism is the chase worker count per evaluation (0 = GOMAXPROCS,
-	// 1 = sequential). Answers are identical at every setting; tune it
-	// against Admission.MaxConcurrent so slots × workers ≈ cores.
+	// Parallelism is ignored: the chase is sequential. Declared only because
+	// benchmark/layers.go sets it (to 1); delete with ROADMAP item 1(a).
 	Parallelism int
 	// Seed seeds the retry jitter; 0 uses a fixed seed (fine for a server,
 	// handy for tests).
@@ -1098,7 +1097,6 @@ func (s *Server) evaluate(ctx context.Context, g *repro.Graph, epoch uint64, has
 	ereq := repro.Request{Exact: req.Exact, Explain: req.Explain || s.slow.enabled()}
 	ereq.Options.Chase.MaxFacts = req.MaxFacts
 	ereq.Options.Chase.MaxRounds = req.MaxRounds
-	ereq.Options.Chase.Parallelism = s.cfg.Parallelism
 	ereq.Options.Chase.Obs = s.obs
 	ereq.Options.Chase.Progress = s.progress
 	if s.cfg.Mat != nil && hasStore {

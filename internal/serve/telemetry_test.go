@@ -350,14 +350,3 @@ func TestDebugProgressEndpoint(t *testing.T) {
 		t.Errorf("completed run left no progress marks: %+v", after)
 	}
 }
-
-// The caches survive httptest churn: WorkerMetric keys formatted per
-// (base, worker) must be stable across servers (regression guard for the
-// package-level cache).
-func TestWorkerMetricKeysStableAcrossServers(t *testing.T) {
-	k1 := obs.WorkerMetric("chase.worker.shards", 3)
-	k2 := obs.WorkerMetric("chase.worker.shards", 3)
-	if k1 != "chase.worker.shards.w3" || k1 != k2 {
-		t.Errorf("WorkerMetric unstable: %q vs %q", k1, k2)
-	}
-}

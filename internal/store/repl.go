@@ -265,36 +265,8 @@ func (s *Store) ApplyReplicated(r Record) (Epoch, bool, error) {
 	} else {
 		next.Remove(batch.Triples()...)
 	}
-	s.tl.StampAt(r.Epoch, StageStart, start)
-	if s.w != nil {
-		if err := s.w.append(r); err != nil {
-			return Epoch{}, false, s.writeFailed("wal append", err)
-		}
-		s.tl.StampAt(r.Epoch, StageAppend, s.w.appendedAt)
-		if !s.w.syncedAt.IsZero() {
-			s.tl.StampAt(r.Epoch, StageSync, s.w.syncedAt)
-		}
-	} else {
-		s.tl.Stamp(r.Epoch, StageAppend)
-	}
-	if err := limits.Hit(s.cfg.Faults, "store.swap"); err != nil {
-		s.noteCrash(err)
-		return Epoch{}, false, err
-	}
-	e := &Epoch{Seq: r.Epoch, Graph: next}
-	s.cur.Store(e)
-	s.batches++
-	s.noteCommitLocked(r)
-	if s.cfg.OnCommit != nil {
-		s.cfg.OnCommit(CommitEvent{Epoch: e.Seq, Op: r.Op, Triples: batch.Triples()})
-		s.tl.Stamp(e.Seq, StageMaintain)
-	}
-	s.tl.Stamp(e.Seq, StageApply)
-	s.cfg.Obs.Observe("store.commit_visible_us", float64(time.Since(start).Microseconds()))
-	if err := s.maybeCheckpointLocked(); err != nil {
-		return *e, true, err
-	}
-	return *e, true, nil
+	e, err := s.commitLocked(r, next, batch.Triples(), StageApply, start)
+	return e, e.Graph != nil, err
 }
 
 // InstallSnapshot replaces the store's state wholesale with g at the given

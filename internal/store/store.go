@@ -474,10 +474,24 @@ func (s *Store) apply(op byte, triples []rdf.Triple, traceparent string) (Epoch,
 	}
 
 	r := Record{Op: op, Epoch: cur.Seq + 1, Text: encodeTriples(triples), Trace: traceparent}
+	e, err := s.commitLocked(r, next, triples, StageCommit, start)
+	if e.Graph == nil {
+		n = 0 // failed before the swap: nothing was committed
+	}
+	return e, n, err
+}
+
+// commitLocked is the tail every mutation shares, on the primary and on a
+// follower: it logs r, swaps in next as epoch r.Epoch, and tells the
+// changelog, the OnCommit hook (with batch) and the timeline, whose last
+// stamp is final. A failure before the swap returns the zero Epoch. After it
+// the mutation is committed and visible, so a failed checkpoint comes back
+// with the new epoch: still an error the caller must see.
+func (s *Store) commitLocked(r Record, next *rdf.Graph, batch []rdf.Triple, final Stage, start time.Time) (Epoch, error) {
 	s.tl.StampAt(r.Epoch, StageStart, start)
 	if s.w != nil {
 		if err := s.w.append(r); err != nil {
-			return Epoch{}, 0, s.writeFailed("wal append", err)
+			return Epoch{}, s.writeFailed("wal append", err)
 		}
 		s.tl.StampAt(r.Epoch, StageAppend, s.w.appendedAt)
 		if !s.w.syncedAt.IsZero() {
@@ -492,25 +506,19 @@ func (s *Store) apply(op byte, triples []rdf.Triple, traceparent string) (Epoch,
 	// recovery replays it — the allowed "unacknowledged-whole" outcome.
 	if err := limits.Hit(s.cfg.Faults, "store.swap"); err != nil {
 		s.noteCrash(err)
-		return Epoch{}, 0, err
+		return Epoch{}, err
 	}
 	e := &Epoch{Seq: r.Epoch, Graph: next}
 	s.cur.Store(e)
 	s.batches++
 	s.noteCommitLocked(r)
 	if s.cfg.OnCommit != nil {
-		s.cfg.OnCommit(CommitEvent{Epoch: e.Seq, Op: op, Triples: triples})
+		s.cfg.OnCommit(CommitEvent{Epoch: e.Seq, Op: r.Op, Triples: batch})
 		s.tl.Stamp(e.Seq, StageMaintain)
 	}
-	s.tl.Stamp(e.Seq, StageCommit)
+	s.tl.Stamp(e.Seq, final)
 	s.cfg.Obs.Observe("store.commit_visible_us", float64(time.Since(start).Microseconds()))
-
-	if err := s.maybeCheckpointLocked(); err != nil {
-		// The mutation itself is committed and visible; the failed
-		// checkpoint is still an error the caller must see.
-		return *e, n, err
-	}
-	return *e, n, nil
+	return *e, s.maybeCheckpointLocked()
 }
 
 // Checkpoint snapshots the current epoch and resets the WAL.

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/chase"
 	"repro/internal/sparql"
 	"repro/internal/triq"
 )
@@ -15,9 +14,7 @@ import (
 // UNION is set union (commutative), and a FILTER over a conjunction is the
 // composition of the two filters. Each rewrite is applied at every matching
 // node of a random pattern; the rewritten pattern must produce the same
-// mapping set as the original — and, as a bonus differential angle, the
-// original is evaluated sequentially while the rewrite runs on the parallel
-// chase, so any divergence between the two engines surfaces here too.
+// mapping set as the original.
 
 // rewrite is one semantics-preserving transformation, applied recursively;
 // it reports how many nodes it changed via the counter.
@@ -116,7 +113,7 @@ func TestMetamorphicRewrites(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: translate %s: %v", round, p, err)
 		}
-		base, baseInc, err := tr.Evaluate(g, triq.Options{Chase: chase.Options{Parallelism: 1}})
+		base, baseInc, err := tr.Evaluate(g, triq.Options{})
 		if err != nil {
 			t.Fatalf("round %d: evaluate %s: %v", round, p, err)
 		}
@@ -131,7 +128,7 @@ func TestMetamorphicRewrites(t *testing.T) {
 			if err != nil {
 				t.Fatalf("round %d: translate rewrite %s of %s: %v", round, rw.name, p, err)
 			}
-			got, gotInc, err := trq.Evaluate(g, triq.Options{Chase: chase.Options{Parallelism: 8}})
+			got, gotInc, err := trq.Evaluate(g, triq.Options{})
 			if err != nil {
 				t.Fatalf("round %d: evaluate rewrite %s of %s: %v", round, rw.name, p, err)
 			}
@@ -153,8 +150,7 @@ func TestMetamorphicRewrites(t *testing.T) {
 
 // TestMetamorphicRegimes repeats the core rewrites under the OWL 2 QL
 // entailment regime, where evaluation routes through the saturation chase
-// (existential rules) rather than plain Datalog — the paths the parallel
-// engine changes most.
+// (existential rules) rather than plain Datalog.
 func TestMetamorphicRegimes(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	rounds := 25
@@ -171,7 +167,7 @@ func TestMetamorphicRegimes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: translate %s: %v", round, p, err)
 		}
-		base, baseInc, err := tr.Evaluate(g, triq.Options{Chase: chase.Options{Parallelism: 1}})
+		base, baseInc, err := tr.Evaluate(g, triq.Options{})
 		if err != nil {
 			t.Fatalf("round %d: evaluate %s: %v", round, p, err)
 		}
@@ -180,7 +176,7 @@ func TestMetamorphicRegimes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: translate swap of %s: %v", round, p, err)
 		}
-		got, gotInc, err := trs.Evaluate(g, triq.Options{Chase: chase.Options{Parallelism: 8}})
+		got, gotInc, err := trs.Evaluate(g, triq.Options{})
 		if err != nil {
 			t.Fatalf("round %d: evaluate swap of %s: %v", round, p, err)
 		}

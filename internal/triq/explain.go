@@ -1,8 +1,7 @@
 // EXPLAIN: per-query structured telemetry. Explained runs an evaluation
 // under a private observability registry, then distills the run into an
 // ExplainReport: per-rule chase stats with
-// provenance (which SPARQL operator or ontology emitted each rule), the
-// per-worker shard balance of the parallel enumeration phase, prover memo
+// provenance (which SPARQL operator or ontology emitted each rule), prover memo
 // behavior when the exact procedure ran, and wall-time percentiles per
 // pipeline stage. The report answers "why was this query slow" from one run,
 // without rerunning under -trace.
@@ -11,7 +10,6 @@ package triq
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -35,13 +33,6 @@ type RuleExplain struct {
 	FactsDerived      int    `json:"facts_derived"`
 	NullsInvented     int    `json:"nulls_invented"`
 	TimeUS            int64  `json:"time_us"`
-}
-
-// WorkerExplain is one enumeration worker's share of the parallel phase.
-type WorkerExplain struct {
-	Worker   int   `json:"worker"`
-	Shards   int64 `json:"shards"`
-	Triggers int64 `json:"triggers"`
 }
 
 // StageExplain summarizes one pipeline stage's wall-clock span histogram
@@ -89,7 +80,6 @@ type ExplainReport struct {
 
 	Depth         int `json:"depth"`
 	Rounds        int `json:"rounds"`
-	Parallelism   int `json:"parallelism"`
 	TriggersFired int `json:"triggers_fired"`
 	FactsDerived  int `json:"facts_derived"`
 	NullsInvented int `json:"nulls_invented"`
@@ -101,9 +91,6 @@ type ExplainReport struct {
 	// Rules is the per-rule chase breakdown, sorted by cumulative time
 	// (slowest first). Trigger/fact totals equal the run's chase.Stats.
 	Rules []RuleExplain `json:"rules"`
-	// Workers is the shard balance of the parallel enumeration phase; empty
-	// for sequential runs.
-	Workers []WorkerExplain `json:"workers,omitempty"`
 	// Stages summarizes every span histogram the run produced.
 	Stages []StageExplain `json:"stages,omitempty"`
 	// Prover is set when the exact (ProofTree) procedure ran.
@@ -120,7 +107,7 @@ type ExplainReport struct {
 
 // Explained is the one explain wrap: it runs eval — any evaluation, handed
 // the options it must evaluate under — with a fresh private *obs.Obs in place
-// of opts.Chase.Obs, so stage times and worker counters are this query's
+// of opts.Chase.Obs, so stage times and counters are this query's
 // alone, and distills the run into a report of the given kind. Taking the
 // evaluation as a closure lets a caller put more than the chase inside the
 // measured region (the facade translates and decodes SPARQL there, so the
@@ -162,7 +149,6 @@ func buildExplain(res *Result, reg *obs.Registry, elapsed time.Duration) *Explai
 	}
 	st := res.Stats
 	rep.Rounds = st.Rounds
-	rep.Parallelism = st.Parallelism
 	rep.TriggersFired = st.TriggersFired
 	rep.FactsDerived = st.FactsDerived
 	rep.NullsInvented = st.NullsInvented
@@ -184,31 +170,6 @@ func buildExplain(res *Result, reg *obs.Registry, elapsed time.Duration) *Explai
 	})
 
 	snap := reg.Snapshot()
-	workers := map[int]*WorkerExplain{}
-	for name, v := range snap.Counters {
-		base, id, ok := splitWorkerCounter(name)
-		if !ok {
-			continue
-		}
-		w := workers[id]
-		if w == nil {
-			w = &WorkerExplain{Worker: id}
-			workers[id] = w
-		}
-		switch base {
-		case "chase.worker.shards":
-			w.Shards += v
-		case "chase.worker.triggers":
-			w.Triggers += v
-		}
-	}
-	for _, w := range workers {
-		rep.Workers = append(rep.Workers, *w)
-	}
-	sort.Slice(rep.Workers, func(i, j int) bool {
-		return rep.Workers[i].Worker < rep.Workers[j].Worker
-	})
-
 	for name, h := range snap.Hists {
 		if !strings.HasPrefix(name, "span.") {
 			continue
@@ -240,23 +201,6 @@ func buildExplain(res *Result, reg *obs.Registry, elapsed time.Duration) *Explai
 	return rep
 }
 
-// splitWorkerCounter recognizes the "<base>.wN" per-worker counter shape.
-func splitWorkerCounter(name string) (base string, worker int, ok bool) {
-	i := strings.LastIndex(name, ".w")
-	if i < 0 {
-		return "", 0, false
-	}
-	base = name[:i]
-	if base != "chase.worker.shards" && base != "chase.worker.triggers" {
-		return "", 0, false
-	}
-	n, err := strconv.Atoi(name[i+2:])
-	if err != nil {
-		return "", 0, false
-	}
-	return base, n, true
-}
-
 // String renders the report as the human-readable block printed by
 // `triq -explain`.
 func (r *ExplainReport) String() string {
@@ -286,8 +230,8 @@ func (r *ExplainReport) String() string {
 		}
 		b.WriteByte('\n')
 	}
-	fmt.Fprintf(&b, "chase: %d rounds at depth %d, %d triggers fired, %d facts, %d nulls, parallelism %d\n",
-		r.Rounds, r.Depth, r.TriggersFired, r.FactsDerived, r.NullsInvented, r.Parallelism)
+	fmt.Fprintf(&b, "chase: %d rounds at depth %d, %d triggers fired, %d facts, %d nulls\n",
+		r.Rounds, r.Depth, r.TriggersFired, r.FactsDerived, r.NullsInvented)
 	for i, d := range r.Deepening {
 		sep := " → "
 		if i == 0 {
@@ -324,13 +268,6 @@ func (r *ExplainReport) String() string {
 				ru.FactsDerived, ru.NullsInvented,
 				obs.FormatDuration(time.Duration(ru.TimeUS)*time.Microsecond), def)
 		}
-	}
-	if len(r.Workers) > 0 {
-		b.WriteString("workers:")
-		for _, w := range r.Workers {
-			fmt.Fprintf(&b, " w%d=%d shards/%d triggers", w.Worker, w.Shards, w.Triggers)
-		}
-		b.WriteByte('\n')
 	}
 	if r.Prover != nil {
 		fmt.Fprintf(&b, "prover: %d proofs, %d components, %d expansions, memo %d hits / %d misses, %d resolutions\n",

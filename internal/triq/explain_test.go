@@ -192,52 +192,3 @@ func TestExplainRenderAndJSON(t *testing.T) {
 		t.Errorf("JSON round-trip changed the report: %+v vs %+v", back, rep)
 	}
 }
-
-// A parallel run surfaces the worker shard balance, and the per-worker
-// trigger counts agree with the run's total.
-func TestExplainParallelWorkers(t *testing.T) {
-	// A wide instance so the parallel path actually engages (threshold 64).
-	var facts []datalog.Atom
-	for i := 0; i < 200; i++ {
-		facts = append(facts, atom("triple", "n"+itoa(i), "next", "n"+itoa(i+1)))
-	}
-	db := chase.NewInstance(facts...)
-	q := datalog.MustParseQuery(`
-		triple(?X, next, ?Y) -> conn(?X, ?Y).
-		conn(?X, ?Z), triple(?Z, next, ?Y) -> conn(?X, ?Y).
-		conn(?X, ?Y) -> query(?X, ?Y).
-	`, "query")
-	opts := Options{}
-	opts.Chase.Parallelism = 4
-	_, rep, err := explain(t, db, q, TriQLite10, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Parallelism != 4 {
-		t.Errorf("Parallelism = %d, want 4", rep.Parallelism)
-	}
-	if len(rep.Workers) == 0 {
-		t.Fatal("parallel run reported no workers")
-	}
-	var shards int64
-	for _, w := range rep.Workers {
-		shards += w.Shards
-	}
-	if shards == 0 {
-		t.Error("worker shard counts all zero")
-	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [8]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
-}
