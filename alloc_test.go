@@ -8,6 +8,8 @@ import (
 
 	"repro"
 
+	"repro/internal/chase"
+	"repro/internal/datalog"
 	"repro/internal/mat"
 	"repro/internal/translate"
 	"repro/internal/triq"
@@ -28,6 +30,13 @@ const (
 	// resumed across the three steps measures 69 646; chasing the database
 	// from scratch at every bound took 139 604.
 	universityAllocCeiling = 87_000
+	// A cold materialized build is the chase plus a copy of the database:
+	// 27 945 allocations (99 116 when a second engine built it).
+	matBuildAllocCeiling = 35_000
+	// Deleting the route's middle edge and inserting it again, one maintenance
+	// pass each, retracts and restores 3 281 facts: 48 390 (112 642 when every
+	// fact carried a count of its derivations).
+	matMaintainAllocCeiling = 60_500
 )
 
 func TestTransportAllocCeiling(t *testing.T) {
@@ -42,6 +51,43 @@ func TestTransportAllocCeiling(t *testing.T) {
 	})
 	if allocs > transportAllocCeiling {
 		t.Errorf("transport at 128 triples: %.0f allocations per evaluation, ceiling %d", allocs, transportAllocCeiling)
+	}
+}
+
+// TestMaterializedAllocCeilings pins what the materializer pays the chase for:
+// the cold build of the transport fixpoint, and one delete + re-insert of a
+// single triple that retracts and restores half of the closure.
+func TestMaterializedAllocCeilings(t *testing.T) {
+	ctx := context.Background()
+	db, prog := workload.Transport(16, 3, 6), workload.TransportQuery().Program
+	var inc *chase.Incremental
+	var err error
+	allocs := testing.AllocsPerRun(5, func() {
+		if inc, err = chase.NewIncremental(ctx, db, prog, chase.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if inc.Facts() != 6656 {
+		t.Fatalf("transport materialization holds %d facts, want 6656", inc.Facts())
+	}
+	if allocs > matBuildAllocCeiling {
+		t.Errorf("cold materialized build of transport at 128 triples: %.0f allocations, ceiling %d", allocs, matBuildAllocCeiling)
+	}
+	edge := []datalog.Atom{datalog.NewAtom("triple", datalog.C("city_40"), datalog.C("line8"), datalog.C("city_41"))}
+	var del chase.MaintainStats
+	allocs = testing.AllocsPerRun(5, func() {
+		if del, err = inc.Delete(ctx, edge); err != nil {
+			t.Fatal(err)
+		}
+		if _, err = inc.Insert(ctx, edge); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if del.DeltaIn != 1 || del.Deleted == 0 || inc.Facts() != 6656 {
+		t.Fatalf("maintenance pair: delete %+v, %d facts afterwards, want 6656", del, inc.Facts())
+	}
+	if allocs > matMaintainAllocCeiling {
+		t.Errorf("delete + re-insert of one triple: %.0f allocations, ceiling %d", allocs, matMaintainAllocCeiling)
 	}
 }
 

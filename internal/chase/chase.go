@@ -226,11 +226,11 @@ func compileRule(r datalog.Rule, idx int) *compiledRule {
 			}
 		}
 	}
-	c.headOrder = orderPatterns(c.heads, -1)
-	c.fullOrder = orderPatterns(c.bodyPos, -1)
+	c.headOrder = orderPatterns(c.heads, nil, -1)
+	c.fullOrder = orderPatterns(c.bodyPos, nil, -1)
 	c.seeded = make([][]int, len(c.bodyPos))
 	for j := range c.bodyPos {
-		c.seeded[j] = orderPatterns(c.bodyPos, j)
+		c.seeded[j] = orderPatterns(c.bodyPos, &c.bodyPos[j], j)
 	}
 	return c
 }
@@ -246,6 +246,7 @@ type engine struct {
 	depth       map[string]int    // null name → invention depth
 	skolem      map[string]string // skolem key → null name
 	nextNull    int
+	deepest     int // the largest invention depth of any null
 	stats       Stats
 	ground      int          // constant-only facts derived: how far Π(D)↓ has grown
 	perRule     []*RuleStats // one entry per rule, across strata
@@ -346,13 +347,14 @@ func (e *engine) newRuleStats(r datalog.Rule) *RuleStats {
 	return rs
 }
 
-// newEngine starts a run from a layer over db: the run appends to its own
-// layer and never writes db, which any number of concurrent runs may share.
-func newEngine(ctx context.Context, db *Instance, opts Options) *engine {
+// newEngine starts a run that chases into inst. A query hands it a layer over
+// its database: the run appends to that layer and never writes the database,
+// which any number of concurrent runs may share.
+func newEngine(ctx context.Context, inst *Instance, opts Options) *engine {
 	e := &engine{
 		ctx:    ctx,
 		opts:   opts,
-		inst:   db.Overlay(),
+		inst:   inst,
 		depth:  make(map[string]int),
 		skolem: make(map[string]string),
 		start:  time.Now(),
@@ -364,8 +366,9 @@ func newEngine(ctx context.Context, db *Instance, opts Options) *engine {
 }
 
 // prepare validates, stratifies and compiles the program and returns an engine
-// over db that has not chased anything yet; opts must carry its defaults.
-func prepare(ctx context.Context, db *Instance, prog *datalog.Program, opts Options) (*engine, error) {
+// that will chase into inst and has not chased anything yet; opts must carry
+// its defaults.
+func prepare(ctx context.Context, inst *Instance, prog *datalog.Program, opts Options) (*engine, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, err
 	}
@@ -388,7 +391,7 @@ func prepare(ctx context.Context, db *Instance, prog *datalog.Program, opts Opti
 	if err != nil {
 		return nil, err
 	}
-	e := newEngine(ctx, db, opts)
+	e := newEngine(ctx, inst, opts)
 	e.constraints = work.Constraints
 	// Per-rule pprof labels let CPU profiles attribute chase work to rules
 	// (and, via the request labels already on ctx, to trace ids). The extra
@@ -450,6 +453,7 @@ func (e *engine) freshNull(key string, d int) datalog.Term {
 	e.nextNull++
 	e.skolem[key] = name
 	e.depth[name] = d
+	e.deepest = max(e.deepest, d)
 	e.stats.NullsInvented++
 	if e.cur != nil {
 		e.cur.NullsInvented++
@@ -716,10 +720,10 @@ func (e *engine) refire(c *compiledRule, parked *triggerBuf) error {
 }
 
 // skolemKeyFor renders the Skolem-function key of one existential variable
-// under a frontier binding. It depends only on the rule and the environment,
-// so the incremental maintenance engine shares it with the batch engine: the
-// same trigger always maps to the same key, and therefore (through the
-// persistent skolem table) to the same null.
+// under a frontier binding. It depends only on the rule and the environment:
+// the same trigger always maps to the same key and therefore, through the
+// engine's Skolem table, to the same null, also when maintenance derives it
+// again after a delete.
 func skolemKeyFor(c *compiledRule, exIdx int, ev *env) string {
 	buf := make([]byte, 0, 32)
 	buf = append(buf, 'r')
@@ -755,7 +759,7 @@ func Run(db *Instance, prog *datalog.Program, opts Options) (*Result, error) {
 // that partial instance is a sound under-approximation of Π(D), which is
 // what the graceful-degradation paths upstream rely on.
 func RunCtx(ctx context.Context, db *Instance, prog *datalog.Program, opts Options) (*Result, error) {
-	e, err := prepare(ctx, db, prog, opts.withDefaults())
+	e, err := prepare(ctx, db.Overlay(), prog, opts.withDefaults())
 	if err != nil {
 		return nil, err
 	}

@@ -67,8 +67,8 @@ type DeepenStep struct {
 	Resumed bool `json:"resumed"`
 	// Refired is the number of triggers the previous bound had blocked that
 	// the step fired again, Parked the number its own bound blocks. Both count
-	// matches: semi-naive rounds can find one trigger twice (see
-	// incremental.go), and then it is parked twice.
+	// matches: semi-naive rounds can find one trigger twice (a later round
+	// seeds it from another body atom), and then it is parked twice.
 	Refired int `json:"refired"`
 	Parked  int `json:"parked"`
 	// NewFacts and NewGround are the facts and the constant-only facts the
@@ -146,7 +146,7 @@ func StableGroundCtx(ctx context.Context, db *Instance, prog *datalog.Program, o
 			}
 		}
 		if e == nil {
-			if e, err = prepare(ctx, db, prog, opts); err != nil {
+			if e, err = prepare(ctx, db.Overlay(), prog, opts); err != nil {
 				sp.End(obs.F("error", true))
 				return nil, err
 			}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -17,8 +18,8 @@ import (
 // The incremental differential suite proves the maintenance contract: after
 // any schedule of EDB insert and delete batches, the maintained instance must
 // agree with a from-scratch chase of the final EDB (ground part exactly,
-// nulls up to renaming), and with a from-scratch incremental build exactly —
-// including support counts — once nulls are renamed to their Skolem keys.
+// nulls up to renaming), and with a from-scratch incremental build exactly
+// once nulls are renamed to their Skolem keys.
 // Replay one seed with TRIQ_DIFF_SEED=<n> go test -run TestIncremental
 // ./internal/chase.
 
@@ -71,14 +72,14 @@ func randEDBAtom(rng *rand.Rand, consts []datalog.Term) datalog.Atom {
 	return datalog.NewAtom(pred, consts[rng.Intn(len(consts))], consts[rng.Intn(len(consts))])
 }
 
-// keyedForm renders the instance and support table with every null replaced
-// by its canonicalized Skolem key: two materializations of the same program
+// keyedForm renders the instance with every null replaced by its
+// canonicalized Skolem key: two materializations of the same program
 // over the same EDB are isomorphic exactly when their keyed forms are equal,
 // whatever order their nulls were invented in. Skolem keys embed the *names*
 // of nulls appearing in the frontier binding, and those names are
 // engine-local, so canonicalization rewrites them recursively (the key DAG
 // is acyclic: a key only references strictly shallower nulls).
-func keyedForm(inc *Incremental) map[string]int {
+func keyedForm(inc *Incremental) map[string]bool {
 	names := inc.NullKeys()
 	var nullKind byte
 	if ns := inc.Instance().Nulls(); len(ns) > 0 {
@@ -106,7 +107,7 @@ func keyedForm(inc *Incremental) map[string]int {
 		memo[name] = c
 		return c
 	}
-	out := make(map[string]int)
+	out := make(map[string]bool)
 	for _, a := range inc.Instance().All() {
 		var b strings.Builder
 		b.WriteString(a.Pred)
@@ -118,22 +119,20 @@ func keyedForm(inc *Incremental) map[string]int {
 				b.WriteString(t.Name)
 			}
 		}
-		out[b.String()] = inc.SupportOf(a)
+		out[b.String()] = true
 	}
 	return out
 }
 
-func diffKeyed(a, b map[string]int) string {
-	for k, v := range a {
-		if bv, ok := b[k]; !ok {
-			return fmt.Sprintf("only in maintained: %s (support %d)", k, v)
-		} else if bv != v {
-			return fmt.Sprintf("support differs for %s: %d vs %d", k, v, bv)
+func diffKeyed(a, b map[string]bool) string {
+	for k := range a {
+		if !b[k] {
+			return "only in maintained: " + k
 		}
 	}
-	for k, v := range b {
-		if _, ok := a[k]; !ok {
-			return fmt.Sprintf("only in fresh: %s (support %d)", k, v)
+	for k := range b {
+		if !a[k] {
+			return "only in fresh: " + k
 		}
 	}
 	return ""
@@ -163,106 +162,253 @@ func incSeeds(t *testing.T) []int64 {
 	return seeds
 }
 
+// TestIncrementalDifferential runs every seed's schedule along three axes:
+//
+//   - plain: after every batch the maintained instance is the chase of the
+//     EDB up to null renaming, and every fourth batch a fresh build's too;
+//   - fault: every pass, the build included, runs under its own chase.rule
+//     fault plan. A pass that trips latches the materialization — every later
+//     call is errBroken — and one that does not is held to the plain checks;
+//   - depth: the schedule runs at MaxDepth 1, below what the t template needs.
+//     A pass either reports ErrMaintainDepth (and latches) or leaves exactly
+//     the unbounded chase: a truncated instance is never kept.
 func TestIncrementalDifferential(t *testing.T) {
-	ctx := context.Background()
 	for _, seed := range incSeeds(t) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			rng := rand.New(rand.NewSource(seed))
-			prog, source, err := genIncProgram(rng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			consts := make([]datalog.Term, 10)
-			for i := range consts {
-				consts[i] = datalog.C("c" + strconv.Itoa(i))
-			}
-			edb := NewInstance()
-			n := 15 + rng.Intn(25)
-			for i := 0; i < n; i++ {
-				edb.Add(randEDBAtom(rng, consts))
-			}
-			inc, err := NewIncremental(ctx, edb, prog, incOpts)
-			skipIfInjected(t, err)
-			if err != nil {
-				t.Fatalf("build: %v", err)
-			}
-			replay := func() {
-				t.Logf("replay: TRIQ_DIFF_SEED=%d go test -run TestIncrementalDifferential ./internal/chase\nprogram:\n%s", seed, source)
-			}
-			for step := 0; step < 12; step++ {
-				var st MaintainStats
-				if rng.Intn(5) < 3 { // insert-leaning mix
-					batch := make([]datalog.Atom, 1+rng.Intn(6))
-					for i := range batch {
-						batch[i] = randEDBAtom(rng, consts)
-					}
-					for _, a := range batch {
-						edb.Add(a)
-					}
-					st, err = inc.Insert(ctx, batch)
-				} else {
-					pool := edb.All()
-					if len(pool) == 0 {
-						continue
-					}
-					batch := make([]datalog.Atom, 1+rng.Intn(6))
-					for i := range batch {
-						batch[i] = pool[rng.Intn(len(pool))]
-					}
-					edb.RemoveBatch(batch)
-					st, err = inc.Delete(ctx, batch)
-				}
-				skipIfInjected(t, err)
-				if err != nil {
-					replay()
-					t.Fatalf("step %d: maintain: %v", step, err)
-				}
-				_ = st
-				scratch, serr := RunCtx(ctx, edb, prog, incOpts)
-				skipIfInjected(t, serr)
-				if serr != nil {
-					replay()
-					t.Fatalf("step %d: scratch chase: %v", step, serr)
-				}
-				if scratch.Stats.DepthTruncated {
-					t.Fatalf("step %d: scratch chase depth-truncated; templates should be depth-bounded", step)
-				}
-				if !inc.Instance().GroundPart().Equal(scratch.Instance.GroundPart()) {
-					replay()
-					t.Fatalf("step %d: ground parts differ (%d vs %d atoms)", step,
-						inc.Instance().GroundPart().Len(), scratch.Instance.GroundPart().Len())
-				}
-				if in, sn := len(inc.Instance().Nulls()), len(scratch.Instance.Nulls()); in != sn {
-					replay()
-					t.Fatalf("step %d: null counts differ: %d vs %d", step, in, sn)
-				}
-				if inc.Instance().Len() != scratch.Instance.Len() {
-					replay()
-					t.Fatalf("step %d: sizes differ: %d vs %d", step, inc.Instance().Len(), scratch.Instance.Len())
-				}
-				if step%4 == 3 {
-					fresh, ferr := NewIncremental(ctx, edb, prog, incOpts)
-					skipIfInjected(t, ferr)
-					if ferr != nil {
-						replay()
-						t.Fatalf("step %d: fresh build: %v", step, ferr)
-					}
-					if d := diffKeyed(keyedForm(inc), keyedForm(fresh)); d != "" {
-						replay()
-						t.Fatalf("step %d: maintained ≠ fresh rebuild: %s", step, d)
-					}
-				}
+			for _, axis := range []string{"plain", "fault", "depth"} {
+				axis := axis
+				t.Run(axis, func(t *testing.T) { incSchedule(t, seed, axis) })
 			}
 		})
 	}
 }
 
+func incSchedule(t *testing.T, seed int64, axis string) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(seed))
+	prog, source, err := genIncProgram(rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fail := func(format string, args ...any) {
+		t.Helper()
+		t.Logf("replay: TRIQ_DIFF_SEED=%d go test -run TestIncrementalDifferential ./internal/chase\nprogram:\n%s", seed, source)
+		t.Fatalf(format, args...)
+	}
+	consts := make([]datalog.Term, 10)
+	for i := range consts {
+		consts[i] = datalog.C("c" + strconv.Itoa(i))
+	}
+	edb := NewInstance()
+	n := 15 + rng.Intn(25)
+	for i := 0; i < n; i++ {
+		edb.Add(randEDBAtom(rng, consts))
+	}
+	opts := incOpts
+	if axis == "depth" {
+		opts.MaxDepth = 1
+	}
+	// The fault axis draws from its own source, so the schedule stays the seed's.
+	frng := rand.New(rand.NewSource(seed))
+	arm := func() *limits.Plan {
+		if axis != "fault" {
+			return nil
+		}
+		return limits.NewPlan(limits.Fault{Point: "chase.rule", After: frng.Intn(100), Action: limits.ActError})
+	}
+	var inc *Incremental
+	// settled judges one pass: true when the schedule may go on from a
+	// maintained instance that equals the chase of the EDB.
+	settled := func(label string, err error) bool {
+		t.Helper()
+		want, serr := prepare(ctx, edb.Overlay(), prog, incOpts)
+		if serr == nil {
+			_, serr = want.step()
+		}
+		skipIfInjected(t, serr)
+		if serr != nil || want.stats.DepthTruncated {
+			fail("%s: scratch chase: %v (truncated %v)", label, serr, want.stats.DepthTruncated)
+		}
+		switch {
+		case err == nil:
+			if got, want := canonicalInstance(inc.e), canonicalInstance(want); got != want {
+				fail("%s: maintained ≠ chase of the EDB\nmaintained:\n%s\nchase:\n%s", label, got, want)
+			}
+			return true
+		case axis == "depth" && errors.Is(err, ErrMaintainDepth):
+			if want.deepest <= opts.MaxDepth {
+				fail("%s: %v, but the chase needs depth %d only", label, err, want.deepest)
+			}
+		case axis == "fault" && errors.Is(err, limits.ErrInjected):
+		default:
+			skipIfInjected(t, err)
+			fail("%s: %v", label, err)
+		}
+		if inc != nil { // a failed pass latches
+			if _, err := inc.Insert(ctx, []datalog.Atom{randEDBAtom(rng, consts)}); err != errBroken {
+				fail("%s: insert after a failed pass: %v, want errBroken", label, err)
+			}
+			if _, err := inc.Delete(ctx, edb.All()); err != errBroken {
+				fail("%s: delete after a failed pass: %v, want errBroken", label, err)
+			}
+		}
+		return false
+	}
+	opts.Faults = arm()
+	inc, err = NewIncremental(ctx, edb, prog, opts)
+	if !settled("build", err) {
+		return
+	}
+	if o := inc.e.opts; o.Faults != nil || o.Obs != nil || o.Progress != nil || o.Parent != nil || inc.e.ctx != nil {
+		fail("the installed engine still holds the build request's state: %+v", o)
+	}
+	for step := 0; step < 12; step++ {
+		inc.e.opts.Faults = arm()
+		if rng.Intn(5) < 3 { // insert-leaning mix
+			batch := make([]datalog.Atom, 1+rng.Intn(6))
+			for i := range batch {
+				batch[i] = randEDBAtom(rng, consts)
+			}
+			for _, a := range batch {
+				edb.Add(a)
+			}
+			_, err = inc.Insert(ctx, batch)
+		} else {
+			pool := edb.All()
+			if len(pool) == 0 {
+				continue
+			}
+			batch := make([]datalog.Atom, 1+rng.Intn(6))
+			for i := range batch {
+				batch[i] = pool[rng.Intn(len(pool))]
+			}
+			edb.RemoveBatch(batch)
+			_, err = inc.Delete(ctx, batch)
+		}
+		if !settled(fmt.Sprintf("step %d", step), err) {
+			return
+		}
+		if step%4 == 3 {
+			fresh, ferr := NewIncremental(ctx, edb, prog, incOpts)
+			skipIfInjected(t, ferr)
+			if ferr != nil {
+				fail("step %d: fresh build: %v", step, ferr)
+			}
+			if d := diffKeyed(keyedForm(inc), keyedForm(fresh)); d != "" {
+				fail("step %d: maintained ≠ fresh rebuild: %s", step, d)
+			}
+		}
+	}
+}
+
+// TestIncrementalDepthBound pins the three places the depth bound can stop a
+// materialization — the build, an insert, and a delete's re-derivation — each
+// of which must report ErrMaintainDepth rather than keep a truncated instance.
+func TestIncrementalDepthBound(t *testing.T) {
+	ctx := context.Background()
+	// t(?V, ?W) carries a depth-2 null, and two f atoms with one subject give
+	// it two triggers with one Skolem key.
+	prog := datalog.MustParse("e(?X) -> s(?X, ?V).\ns(?X, ?V), f(?X, ?Y) -> t(?V, ?W).")
+	ea, fab, fac := atom("e", "a"), atom("f", "a", "b"), atom("f", "a", "c")
+	shallow := Options{MaxDepth: 1}
+	_, err := NewIncremental(ctx, NewInstance(ea, fab), prog, shallow)
+	skipIfInjected(t, err)
+	if !errors.Is(err, ErrMaintainDepth) {
+		t.Fatalf("build below the needed depth: %v, want ErrMaintainDepth", err)
+	}
+	inc, err := NewIncremental(ctx, NewInstance(ea), prog, shallow)
+	skipIfInjected(t, err)
+	if err != nil {
+		t.Fatalf("build within the bound: %v", err)
+	}
+	_, err = inc.Insert(ctx, []datalog.Atom{fab})
+	skipIfInjected(t, err)
+	if !errors.Is(err, ErrMaintainDepth) {
+		t.Fatalf("insert below the needed depth: %v, want ErrMaintainDepth", err)
+	}
+	if _, err := inc.Delete(ctx, []datalog.Atom{fab}); err != errBroken {
+		t.Fatalf("delete after the failed insert: %v, want errBroken", err)
+	}
+	inc, err = NewIncremental(ctx, NewInstance(ea, fab, fac), prog, Options{})
+	skipIfInjected(t, err)
+	if err != nil || inc.Depth() != 2 {
+		t.Fatalf("build: %v at depth %d, want depth 2", err, inc.Depth())
+	}
+	inc.e.opts.MaxDepth = 1 // f(a, c) still derives t's fact, one step from what remains
+	st, err := inc.Delete(ctx, []datalog.Atom{fab})
+	skipIfInjected(t, err)
+	if !errors.Is(err, ErrMaintainDepth) || st.OverDeleted != 2 {
+		t.Fatalf("re-derivation below the needed depth: %v after over-deleting %d, want ErrMaintainDepth after 2", err, st.OverDeleted)
+	}
+}
+
+// TestIncrementalBuildIsTheChase pins that a cold build is the ordinary chase:
+// the same instance, null names included, and the same Stats as Run.
+func TestIncrementalBuildIsTheChase(t *testing.T) {
+	type build struct {
+		name string
+		db   *Instance
+		prog *datalog.Program
+	}
+	transport := NewInstance()
+	for l := 0; l < 4; l++ {
+		line := "line" + strconv.Itoa(l)
+		transport.Add(atom("triple", line+"_hub", "partOf", "transportService"))
+		transport.Add(atom("triple", line, "partOf", line+"_hub"))
+		for c := 3 * l; c < 3*l+3; c++ {
+			transport.Add(atom("triple", "city"+strconv.Itoa(c), line, "city"+strconv.Itoa(c+1)))
+		}
+	}
+	builds := []build{
+		{"transport", transport, datalog.MustParse(`
+			triple(?X, partOf, transportService) -> ts(?X).
+			triple(?X, partOf, ?Y), ts(?Y) -> ts(?X).
+			ts(?T), triple(?X, ?T, ?Y) -> conn(?X, ?Y).
+			ts(?T), triple(?X, ?T, ?Z), conn(?Z, ?Y) -> conn(?X, ?Y).
+			conn(?X, ?Y) -> query(?X, ?Y).`)},
+		{"all templates", nil, datalog.MustParse(strings.Join(incTemplates, "\n"))},
+	}
+	for _, seed := range incSeeds(t) {
+		rng := rand.New(rand.NewSource(seed + 4_000_000))
+		prog, _, err := genIncProgram(rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		builds = append(builds, build{fmt.Sprintf("seed=%d", seed), nil, prog})
+	}
+	rng := rand.New(rand.NewSource(4_000_000))
+	consts := make([]datalog.Term, 8)
+	for i := range consts {
+		consts[i] = datalog.C("c" + strconv.Itoa(i))
+	}
+	for _, b := range builds {
+		if b.db == nil {
+			b.db = NewInstance()
+			for i := 0; i < 30; i++ {
+				b.db.Add(randEDBAtom(rng, consts))
+			}
+		}
+		res, err := Run(b.db, b.prog, incOpts)
+		inc, ierr := NewIncremental(context.Background(), b.db, b.prog, incOpts)
+		skipIfInjected(t, err, ierr)
+		if err != nil || ierr != nil {
+			t.Fatalf("%s: chase: %v, build: %v", b.name, err, ierr)
+		}
+		if !inc.Instance().Equal(res.Instance) {
+			t.Errorf("%s: the build's instance is not the chase's\nbuild:\n%s\nchase:\n%s", b.name, inc.Instance(), res.Instance)
+		}
+		if got, want := normStats(inc.e.snapshotStats()), normStats(res.Stats); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the build's stats are not the chase's\nbuild: %+v\nchase: %+v", b.name, got, want)
+		}
+	}
+}
+
 // TestIncrementalInsertDeleteRestores is the strongest metamorphic property:
-// inserting a batch and deleting the same batch restores the instance and
-// support table EXACTLY — same null names, not just isomorphic — because the
-// Skolem table persists across the round trip.
+// inserting a batch and deleting the same batch restores the instance
+// EXACTLY — same null names, not just isomorphic — because the Skolem table
+// persists across the round trip.
 func TestIncrementalInsertDeleteRestores(t *testing.T) {
 	ctx := context.Background()
 	for _, seed := range incSeeds(t) {
@@ -308,7 +454,7 @@ func TestIncrementalInsertDeleteRestores(t *testing.T) {
 			t.Fatalf("seed=%d: insert-then-delete did not restore the instance exactly\nprogram:\n%s", seed, source)
 		}
 		if d := diffKeyed(beforeKeyed, keyedForm(inc)); d != "" {
-			t.Fatalf("seed=%d: support table not restored: %s", seed, d)
+			t.Fatalf("seed=%d: keyed form not restored: %s", seed, d)
 		}
 	}
 }

@@ -178,16 +178,6 @@ func (i *Instance) Add(a datalog.Atom) bool {
 	return true
 }
 
-// internKey returns the packed set key for a ground atom, interning any
-// previously-unseen terms and predicate, so unlike factKey it always
-// succeeds. The incremental maintenance engine uses it to address support
-// counters for facts that are about to exist.
-func (i *Instance) internKey(a datalog.Atom) string {
-	var arr [keyBufLen]byte
-	key, _, _ := i.packKey(arr[:0], a, true)
-	return string(key)
-}
-
 // factKey returns the packed set key for a ground atom without interning new
 // dictionary entries; ok is false when the instance cannot contain the atom.
 func (i *Instance) factKey(a datalog.Atom) (string, bool) {
@@ -200,11 +190,12 @@ func (i *Instance) factKey(a datalog.Atom) (string, bool) {
 // actually present. The dictionary keeps its term/pred ids (interning is
 // monotone), but the set, per-predicate slices, and per-position indexes are
 // filtered in one pass per touched bucket, so a batch removal costs
-// O(|touched buckets|) rather than O(|batch| × |bucket|). Layers are
-// append-only: RemoveBatch on a layered instance panics.
+// O(|touched buckets|) rather than O(|batch| × |bucket|). Its one caller is
+// Incremental.Delete, whose instance is flat: a layer shares its base with
+// other runs and only grows, so RemoveBatch on a layered instance panics.
 func (i *Instance) RemoveBatch(atoms []datalog.Atom) int {
 	if i.base != nil {
-		panic("chase: RemoveBatch on a layered instance (layers are append-only; Clone it first)")
+		panic("chase: RemoveBatch on a layered instance (only the flat instance of an Incremental shrinks)")
 	}
 	dropped := make(map[string]struct{}, len(atoms))
 	preds := make(map[string]struct{})

@@ -155,13 +155,15 @@ func candidatesFor(inst *Instance, p pattern, e *env) (base, own []datalog.Atom)
 	return inst.atomsOf(p.pred)
 }
 
-// orderPatterns returns a greedy join order over the pattern indices: start
-// from the already-bound prefix (seed), then repeatedly pick the pattern
-// with the fewest unbound slots, penalizing cartesian products.
-func orderPatterns(pats []pattern, seed int) []int {
+// orderPatterns returns a greedy join order over the pattern indices: the
+// slots of from, when there is one, count as bound already; then repeatedly
+// pick the pattern with the fewest unbound slots, penalizing cartesian
+// products. skip, unless negative, is the one pattern to leave out: the seed,
+// when from is one of pats.
+func orderPatterns(pats []pattern, from *pattern, skip int) []int {
 	bound := make(map[int]bool)
-	if seed >= 0 {
-		for _, a := range pats[seed].args {
+	if from != nil {
+		for _, a := range from.args {
 			if a.slot >= 0 {
 				bound[a.slot] = true
 			}
@@ -169,8 +171,8 @@ func orderPatterns(pats []pattern, seed int) []int {
 	}
 	var out []int
 	used := make([]bool, len(pats))
-	if seed >= 0 {
-		used[seed] = true
+	if skip >= 0 {
+		used[skip] = true
 	}
 	for {
 		best, bestScore := -1, 1<<30
@@ -188,7 +190,7 @@ func orderPatterns(pats []pattern, seed int) []int {
 				}
 			}
 			score := unbound
-			if len(out) > 0 || seed >= 0 {
+			if len(out) > 0 || from != nil {
 				if unbound == total && unbound > 0 {
 					score += 100 // cartesian product, defer
 				}
@@ -261,7 +263,7 @@ func matchBody(inst, negInst *Instance, bodyPos, bodyNeg []datalog.Atom, init Bi
 			e.val[s] = t
 		}
 	}
-	order := orderPatterns(pats, -1)
+	order := orderPatterns(pats, nil, -1)
 	return matchPatterns(inst, pats, order, e, func() bool {
 		for _, np := range negPats {
 			if negInst.Has(np.instantiate(e)) {

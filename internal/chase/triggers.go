@@ -17,7 +17,8 @@ import (
 //
 // Matching never sees a fact its own turn derives, so the derived facts,
 // invented null names, Stats counters and truncation points are a function of
-// the program and the database alone: the goldens and internal/mat rely on it.
+// the program and the database alone: the goldens rely on it, and so does
+// maintenance (incremental.go), whose passes run these same two phases.
 
 // triggerBuf holds body bindings of one rule as flat parallel slices with a
 // stride of the rule body's variable slots: the triggers enumerate found in

@@ -476,3 +476,80 @@ func TestMatSnapshotResets(t *testing.T) {
 	}
 	h.query(t, ctx, prog, "after snapshot install")
 }
+
+// TestMatBuildReportsToItsRequestOnly: a cold build is an ordinary chase and
+// reports its chase.* counters and spans to the request that paid for it —
+// under explain, that request's private registry. The engine the entry keeps
+// must not: once the request has returned, commits maintain the entry and
+// warm reads are served without moving that registry, and a commit that only
+// maintains leaves the server's chase.* counters alone.
+func TestMatBuildReportsToItsRequestOnly(t *testing.T) {
+	ctx := context.Background()
+	h := newMatHarness(t)
+	prog := datalog.MustParse(strings.Join(matTemplates, "\n"))
+	q := datalog.NewQuery(prog, matOutput)
+	rng := rand.New(rand.NewSource(5))
+	base := make([]rdf.Triple, 15)
+	for i := range base {
+		base[i] = randTriple(rng)
+	}
+	if _, _, err := h.st.Insert(base); err != nil {
+		matSkipInjected(t, err)
+		t.Fatal(err)
+	}
+	ep := h.st.Current()
+	db, err := chase.FromFacts(owl.GraphToDB(ep.Graph))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var priv *obs.Obs
+	opts := triq.Options{Mat: h.m, MatEpoch: ep.Seq, Chase: chase.Options{Obs: h.obs}}
+	res, _, err := triq.Explained("query", opts, func(o triq.Options) (*triq.Result, error) {
+		priv = o.Chase.Obs
+		return triq.EvalCtx(ctx, db, q, triq.Unrestricted, o)
+	})
+	matSkipInjected(t, err)
+	if err != nil || res.Path != triq.PathMaterializedBuild {
+		t.Fatalf("explained cold read: path %v, err %v", res, err)
+	}
+	if priv.Registry().Counter("chase.runs") != 1 || priv.Registry().Counter("chase.facts_derived") == 0 {
+		t.Fatalf("the build did not report to the request's registry:\n%s", priv.Registry().Summary())
+	}
+	chaseCounters := func() string {
+		var b strings.Builder
+		for _, line := range strings.Split(h.obs.Registry().Summary(), "\n") {
+			if strings.HasPrefix(line, "chase.") || strings.HasPrefix(line, "span.chase.") {
+				b.WriteString(line + "\n")
+			}
+		}
+		return b.String()
+	}
+	private, server := priv.Registry().Summary(), chaseCounters()
+	passes := h.obs.Registry().Counter("mat.maintain_passes")
+
+	batch := []rdf.Triple{rdf.NewTriple(rdf.NewIRI("n1"), rdf.NewIRI("type"), rdf.NewIRI("hub")),
+		rdf.NewTriple(rdf.NewIRI("n1"), rdf.NewIRI("link"), rdf.NewIRI("n9"))}
+	if _, _, err := h.st.Insert(batch); err != nil {
+		matSkipInjected(t, err)
+		t.Fatal(err)
+	}
+	if _, _, err := h.st.Delete(batch[:1]); err != nil {
+		matSkipInjected(t, err)
+		t.Fatal(err)
+	}
+	if got := h.obs.Registry().Counter("mat.maintain_passes") - passes; got != 2 && !matFaultsArmed() {
+		t.Fatalf("%d maintenance passes, want the insert and the delete", got)
+	}
+	opts.MatEpoch = h.st.Current().Seq
+	res, err = triq.EvalCtx(ctx, db, q, triq.Unrestricted, opts)
+	matSkipInjected(t, err)
+	if err != nil || (res.Path != triq.PathMaterialized && !matFaultsArmed()) {
+		t.Fatalf("warm read: path %v, err %v", res, err)
+	}
+	if got := priv.Registry().Summary(); got != private {
+		t.Errorf("the returned request's private registry moved\nbefore:\n%s\nafter:\n%s", private, got)
+	}
+	if got := chaseCounters(); got != server && !matFaultsArmed() {
+		t.Errorf("maintenance moved the server's chase counters\nbefore:\n%s\nafter:\n%s", server, got)
+	}
+}

@@ -1,9 +1,9 @@
 // Package mat maintains chased materializations incrementally across store
 // epochs. A Materializer holds, per program, one chase.Incremental instance
 // — the Skolem-chase fixpoint of that program over the live graph's τ_db
-// encoding — and folds every committed store delta into all of them: inserts
-// by semi-naive propagation seeded on the batch, deletes by exact counting
-// (non-recursive programs) or DRed. Queries pinned to the epoch the
+// encoding — and folds every committed store delta into all of them: an
+// insert resumes the chase over the batch, a delete runs DRed (over-delete,
+// re-derive) on the same engine. Queries pinned to the epoch the
 // materializer is at are answered straight from the warm instance instead of
 // re-chasing the whole graph; everything else falls back to the from-scratch
 // chase, which stays authoritative.
@@ -19,7 +19,6 @@ package mat
 
 import (
 	"context"
-	"hash/fnv"
 	"sync"
 	"time"
 
@@ -49,9 +48,8 @@ type Config struct {
 
 // entry is one program's warm materialization.
 type entry struct {
-	progStr string // full program rendering; guards fingerprint collisions
-	inc     *chase.Incremental
-	used    int64 // LRU tick of the last serve/build
+	inc  *chase.Incremental
+	used int64 // LRU tick of the last serve/build
 }
 
 // Materializer implements triq.Materializer over a set of incrementally
@@ -65,7 +63,7 @@ type Materializer struct {
 	mu        sync.Mutex
 	epoch     uint64
 	haveEpoch bool
-	entries   map[uint64]*entry
+	entries   map[string]*entry // by the program's full rendering
 	tick      int64
 }
 
@@ -80,15 +78,7 @@ func New(cfg Config) *Materializer {
 	if cfg.MaxPrograms <= 0 {
 		cfg.MaxPrograms = 4
 	}
-	return &Materializer{cfg: cfg, entries: make(map[uint64]*entry)}
-}
-
-// fingerprint keys entries by the program's full rendering.
-func fingerprint(prog *datalog.Program) (uint64, string) {
-	s := prog.String()
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64(), s
+	return &Materializer{cfg: cfg, entries: make(map[string]*entry)}
 }
 
 // compatible reports whether answers materialized under the configured chase
@@ -141,7 +131,7 @@ func (m *Materializer) Reset(epoch uint64) {
 }
 
 func (m *Materializer) resetLocked(epoch uint64) {
-	m.entries = make(map[uint64]*entry)
+	m.entries = make(map[string]*entry)
 	m.epoch = epoch
 	m.haveEpoch = true
 	m.gaugesLocked()
@@ -165,7 +155,7 @@ func (m *Materializer) OnCommit(ev store.CommitEvent) {
 		atoms[i] = owl.TripleAtom(t)
 	}
 	ctx := context.Background()
-	for fp, e := range m.entries {
+	for key, e := range m.entries {
 		start := time.Now()
 		var st chase.MaintainStats
 		var err error
@@ -175,7 +165,7 @@ func (m *Materializer) OnCommit(ev store.CommitEvent) {
 			st, err = e.inc.Delete(ctx, atoms)
 		}
 		if err != nil || e.inc.Facts() > m.cfg.MaxFacts {
-			delete(m.entries, fp)
+			delete(m.entries, key)
 			m.cfg.Obs.Count("mat.dropped", 1)
 			continue
 		}
@@ -195,10 +185,11 @@ func (m *Materializer) maintainMetrics(st chase.MaintainStats, elapsed time.Dura
 	o.Count("mat.derived", int64(st.Derived))
 	o.Count("mat.deleted", int64(st.Deleted))
 	if st.OverDeleted > 0 {
-		// Rederive fraction: how much of the DRed over-deletion survived.
-		o.Observe("mat.rederive_fraction", float64(st.Rederived)/float64(st.OverDeleted))
+		// Rederive fraction: how much of the DRed over-deletion came back
+		// (all a delete pass derives).
+		o.Observe("mat.rederive_fraction", float64(st.Derived)/float64(st.OverDeleted))
 		o.Count("mat.overdeleted", int64(st.OverDeleted))
-		o.Count("mat.rederived", int64(st.Rederived))
+		o.Count("mat.rederived", int64(st.Derived))
 	}
 }
 
@@ -226,9 +217,8 @@ func (m *Materializer) Serve(prog *datalog.Program, epoch uint64, output string,
 	if !m.haveEpoch || epoch != m.epoch || !m.compatible(copts) {
 		return nil
 	}
-	fp, s := fingerprint(prog)
-	e := m.entries[fp]
-	if e == nil || e.progStr != s {
+	e := m.entries[prog.String()]
+	if e == nil {
 		return nil
 	}
 	m.tick++
@@ -265,13 +255,12 @@ func (m *Materializer) BuildServe(ctx context.Context, db *chase.Instance, prog 
 		m.mu.Unlock()
 		return nil, nil
 	}
-	fp, s := fingerprint(prog)
 	m.mu.Unlock()
 
 	// Build outside the lock: a from-scratch chase can be long, and commits
 	// must not stall behind it.
 	bopts := m.cfg.Chase
-	bopts.Obs = copts.Obs
+	bopts.Obs = copts.Obs // the build is a chase of the request's; the entry keeps none of it
 	start := time.Now()
 	inc, err := chase.NewIncremental(ctx, db, prog, bopts)
 	if err != nil || inc.Facts() > m.cfg.MaxFacts {
@@ -286,16 +275,16 @@ func (m *Materializer) BuildServe(ctx context.Context, db *chase.Instance, prog 
 		// Still at the build's epoch: install (evicting the stalest entry
 		// over MaxPrograms) so commits maintain it from here on.
 		m.tick++
-		m.entries[fp] = &entry{progStr: s, inc: inc, used: m.tick}
+		m.entries[prog.String()] = &entry{inc: inc, used: m.tick}
 		for len(m.entries) > m.cfg.MaxPrograms {
-			var oldFP uint64
+			var oldKey string
 			oldest := int64(1<<63 - 1)
 			for k, e := range m.entries {
 				if e.used < oldest {
-					oldest, oldFP = e.used, k
+					oldest, oldKey = e.used, k
 				}
 			}
-			delete(m.entries, oldFP)
+			delete(m.entries, oldKey)
 			m.cfg.Obs.Count("mat.evicted", 1)
 		}
 		m.gaugesLocked()
