@@ -416,8 +416,11 @@ func (e *engine) newStratum(rules []datalog.Rule) *stratum {
 		started: make(map[string]int),
 	}
 	for i, r := range rules {
-		c := compileRule(r, i)
-		s.comp[i], s.stats[i] = c, e.newRuleStats(r)
+		// The index names the rule in its Skolem keys, so it counts across
+		// the program: two strata must never share a key, or a null.
+		rs := e.newRuleStats(r)
+		c := compileRule(r, rs.Index)
+		s.comp[i], s.stats[i] = c, rs
 		for _, p := range c.bodyPos {
 			if _, dup := s.started[p.pred]; !dup {
 				s.started[p.pred] = 0

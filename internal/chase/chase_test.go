@@ -1,7 +1,10 @@
 package chase
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/datalog"
@@ -146,6 +149,68 @@ func TestChaseSkolemReusesNulls(t *testing.T) {
 	}
 	if res.Stats.NullsInvented != 1 {
 		t.Errorf("nulls invented = %d, want 1", res.Stats.NullsInvented)
+	}
+}
+
+func TestChaseSkolemKeysNumberRulesAcrossStrata(t *testing.T) {
+	// The two existential rules are each the first rule of their stratum and
+	// fire under the same frontier binding; they are different Skolem
+	// functions all the same, so r and t never share a null and q stays empty.
+	res := mustRun(t, NewInstance(atom("p", "a")), `
+		p(?X) -> exists ?Z r(?X, ?Z).
+		p(?X), not s(?X) -> exists ?Z t(?X, ?Z).
+		r(?X, ?Z), t(?X, ?Z) -> q(?X).
+	`, Options{Mode: Skolem})
+	r, tt := res.Instance.AtomsOf("r"), res.Instance.AtomsOf("t")
+	if len(r) != 1 || len(tt) != 1 || res.Stats.NullsInvented != 2 {
+		t.Fatalf("r = %v, t = %v, %d nulls; want one atom each over two nulls", r, tt, res.Stats.NullsInvented)
+	}
+	if r[0].Args[1] == tt[0].Args[1] {
+		t.Errorf("r and t share the null %v", r[0].Args[1])
+	}
+	if q := res.Instance.AtomsOf("q"); len(q) != 0 {
+		t.Errorf("q = %v, want nothing", q)
+	}
+}
+
+func TestEnumerateSkipsRuleOverEmptyRelation(t *testing.T) {
+	const src = `
+		p(?X), p(?Y), q(?X, ?Y) -> r(?X).
+		p(?X) -> seen(?X).
+	`
+	var facts []datalog.Atom
+	for i := 0; i < 100; i++ {
+		facts = append(facts, atom("p", fmt.Sprint("c", i)))
+	}
+	empty := NewInstance(facts...)
+	// One q fact that joins nothing keeps the rule in play: the unskipped run.
+	inPlay := NewInstance(append(facts, atom("q", "z", "z"))...)
+	skipped, unskipped := mustRun(t, empty, src, Options{}).Stats, mustRun(t, inPlay, src, Options{}).Stats
+	for i := range skipped.PerRule {
+		skipped.PerRule[i].Time, unskipped.PerRule[i].Time = 0, 0
+	}
+	if !reflect.DeepEqual(skipped, unskipped) {
+		t.Errorf("stats with q empty:\n%v\nwith q in play:\n%v", skipped, unskipped)
+	}
+
+	// Enumeration polls the context every 64 candidates, so under a canceled
+	// one it fails exactly when it visits that many. Over the empty q it
+	// visits none of the hundred p facts.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, c := range []struct {
+		db      *Instance
+		visited bool
+	}{{empty, false}, {inPlay, true}} {
+		e, err := prepare(ctx, c.db.Overlay(), datalog.MustParse(src), Options{}.withDefaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = e.enumerate(e.strata[0].comp[0], nil, &e.found)
+		if visited := err != nil; visited != c.visited || e.found.n != 0 {
+			t.Errorf("%d facts: visited candidates = %v (err %v), %d triggers; want %v and none",
+				c.db.Len(), visited, err, e.found.n, c.visited)
+		}
 	}
 }
 

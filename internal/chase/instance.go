@@ -43,19 +43,102 @@ type Instance struct {
 	hasNull                       bool // some atom of the own layer carries a null
 }
 
-// NewInstance returns a flat instance containing the given atoms.
+// NewInstance returns a flat instance containing the given atoms, in the state
+// that adding them one at a time in the given order leaves it in.
 func NewInstance(atoms ...datalog.Atom) *Instance {
 	i := &Instance{
-		set:    make(map[string]struct{}),
+		set:    make(map[string]struct{}, len(atoms)),
 		byPred: make(map[string][]datalog.Atom),
-		idx:    make(map[uint64][]datalog.Atom),
-		termID: make(map[datalog.Term]uint32),
+		termID: make(map[datalog.Term]uint32, len(atoms)),
 		predID: make(map[string]uint32),
 	}
-	for _, a := range atoms {
-		i.Add(a)
-	}
+	i.load(atoms)
 	return i
+}
+
+// load fills the empty flat instance with a batch: it is Add for every atom in
+// order — same set, same bucket orders, duplicates dropped — at one allocation
+// per structure instead of a few per atom. The set keys are substrings of one
+// slab. Index buckets are counted before they are filled and carved from one
+// slab, each with cap == len: the owner may still Add to the instance, and an
+// append to a bucket with spare capacity would write into its neighbour.
+func (i *Instance) load(atoms []datalog.Atom) {
+	args := 0
+	for _, a := range atoms {
+		if !a.IsGround() {
+			panic(fmt.Sprintf("chase: non-ground atom %v added to instance", a))
+		}
+		args += len(a.Args)
+		i.hasNull = i.hasNull || !a.IsConstantGround()
+	}
+	packed := make([]byte, 0, 4*(len(atoms)+args))
+	perPred := make(map[string]int)
+	for _, a := range atoms {
+		packed, _, _ = i.packKey(packed, a, true)
+		perPred[a.Pred]++
+	}
+	for p, n := range perPred {
+		i.byPred[p] = make([]datalog.Atom, 0, n)
+	}
+	keys := string(packed)
+
+	// slotOf numbers the index keys in order of first sight; counts is indexed
+	// by that number, and slots holds it for every argument of every new atom
+	// so that the fill pass does no hashing. The numbers are as wide as the
+	// dictionary's ids.
+	slotOf := make(map[uint64]int32, len(atoms))
+	counts := make([]int32, 0, args)
+	slots := make([]int32, 0, args)
+	fresh := make([]bool, len(atoms))
+	end := 0
+	for n, a := range atoms {
+		off := end
+		end += 4 + 4*len(a.Args)
+		if _, dup := i.set[keys[off:end]]; dup {
+			continue
+		}
+		i.set[keys[off:end]] = struct{}{}
+		fresh[n] = true
+		i.byPred[a.Pred] = append(i.byPred[a.Pred], a)
+		pid := binary.LittleEndian.Uint32(packed[off:])
+		for pos := range a.Args {
+			kk := idxKey(pid, pos, binary.LittleEndian.Uint32(packed[off+4+4*pos:]))
+			s, seen := slotOf[kk]
+			if !seen {
+				s = int32(len(counts))
+				slotOf[kk] = s
+				counts = append(counts, 0)
+			}
+			counts[s]++
+			slots = append(slots, s)
+		}
+		i.n++
+	}
+
+	next := make([]int32, len(counts)) // where each bucket's next atom goes
+	total := int32(0)
+	for s, c := range counts {
+		next[s] = total
+		total += c
+	}
+	slab := make([]datalog.Atom, total)
+	k := 0
+	for n, a := range atoms {
+		if !fresh[n] {
+			continue
+		}
+		for range a.Args {
+			s := slots[k]
+			slab[next[s]] = a
+			next[s]++
+			k++
+		}
+	}
+	i.idx = make(map[uint64][]datalog.Atom, len(counts))
+	for kk, s := range slotOf {
+		end := next[s]
+		i.idx[kk] = slab[end-counts[s] : end : end]
+	}
 }
 
 // Overlay returns an independent, mutable instance holding the atoms of i.
@@ -364,13 +447,7 @@ func (i *Instance) Sorted() []datalog.Atom {
 
 // Clone returns a deep copy of the instance: flat, and independent of the
 // receiver and of its base.
-func (i *Instance) Clone() *Instance {
-	j := NewInstance()
-	for _, a := range i.All() {
-		j.Add(a)
-	}
-	return j
-}
+func (i *Instance) Clone() *Instance { return NewInstance(i.All()...) }
 
 // nullFree reports that no atom of either layer carries a null.
 func (i *Instance) nullFree() bool {
@@ -473,12 +550,10 @@ func (i *Instance) String() string {
 // FromFacts builds an instance from constant-only atoms, validating that no
 // nulls or variables sneak into the extensional database.
 func FromFacts(atoms []datalog.Atom) (*Instance, error) {
-	i := NewInstance()
 	for _, a := range atoms {
 		if !a.IsConstantGround() {
 			return nil, fmt.Errorf("chase: database atom %v must contain only constants", a)
 		}
-		i.Add(a)
 	}
-	return i, nil
+	return NewInstance(atoms...), nil
 }

@@ -60,6 +60,13 @@ func (e *engine) enumerate(c *compiledRule, delta map[string][]datalog.Atom, buf
 		buf.push(ev, c.bodySlots) // an empty positive body has exactly one — empty — trigger
 		return nil
 	}
+	// A body atom over a relation that holds nothing has no match, whatever
+	// the other atoms join to: the rule takes no turn.
+	for _, p := range c.bodyPos {
+		if base, own := e.inst.atomsOf(p.pred); len(base)+len(own) == 0 {
+			return nil
+		}
+	}
 	var ctxErr error
 	polls := 0
 	poll := func() bool {

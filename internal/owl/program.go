@@ -76,10 +76,17 @@ func Program() *datalog.Program {
 // blank nodes) are admitted as constants by their lexical rendering, so
 // realistic data loads; the paper's formal development assumes URI-only
 // graphs.
+//
+// The atoms come in the graph's canonical order, which the chase's trigger
+// order and so the names of its nulls depend on. Their argument lists are
+// carved from one slab, each with no spare capacity, so appending to one
+// atom's Args never reaches its neighbour's.
 func GraphToDB(g *rdf.Graph) []datalog.Atom {
-	out := make([]datalog.Atom, 0, g.Len())
-	for _, t := range g.SortedTriples() {
-		out = append(out, TripleAtom(t))
+	triples := g.Canonical()
+	out := make([]datalog.Atom, len(triples))
+	slab := make([]datalog.Term, 3*len(triples))
+	for i, t := range triples {
+		out[i] = tripleAtom(t, slab[3*i:3*i+3:3*i+3])
 	}
 	return out
 }
@@ -89,8 +96,12 @@ func GraphToDB(g *rdf.Graph) []datalog.Atom {
 // into EDB deltas; because it is the same encoding GraphToDB uses per triple,
 // folding the deltas of a graph reaches exactly the database GraphToDB would
 // build from the final graph.
-func TripleAtom(t rdf.Triple) datalog.Atom {
-	return datalog.NewAtom("triple", termConst(t.S), termConst(t.P), termConst(t.O))
+func TripleAtom(t rdf.Triple) datalog.Atom { return tripleAtom(t, make([]datalog.Term, 3)) }
+
+// tripleAtom is the encoding itself, into the three argument slots given.
+func tripleAtom(t rdf.Triple, args []datalog.Term) datalog.Atom {
+	args[0], args[1], args[2] = termConst(t.S), termConst(t.P), termConst(t.O)
+	return datalog.Atom{Pred: "triple", Args: args}
 }
 
 func termConst(t rdf.Term) datalog.Term {

@@ -1,8 +1,9 @@
 package rdf
 
 import (
-	"sort"
+	"slices"
 	"strings"
+	"sync/atomic"
 )
 
 // Triple is an RDF triple (s, p, o).
@@ -46,6 +47,11 @@ type Graph struct {
 	// for the evaluators in this repository.
 	bySP map[[2]Term][]Triple
 	byPO map[[2]Term][]Triple
+	// canon memoises Canonical. Readers of one graph may run concurrently
+	// (an epoch's graph is immutable once published), so they race to fill it
+	// through the atomic pointer: every racer computes the same order and any
+	// winner will do. Add and Remove, which no reader may overlap, drop it.
+	canon atomic.Pointer[[]Triple]
 }
 
 // NewGraph returns an empty graph.
@@ -77,6 +83,9 @@ func (g *Graph) Add(triples ...Triple) int {
 		g.bySP[[2]Term{t.S, t.P}] = append(g.bySP[[2]Term{t.S, t.P}], t)
 		g.byPO[[2]Term{t.P, t.O}] = append(g.byPO[[2]Term{t.P, t.O}], t)
 		added++
+	}
+	if added > 0 {
+		g.canon.Store(nil)
 	}
 	return added
 }
@@ -113,6 +122,9 @@ func (g *Graph) Remove(triples ...Triple) int {
 			delete(g.byPO, po)
 		}
 		removed++
+	}
+	if removed > 0 {
+		g.canon.Store(nil)
 	}
 	return removed
 }
@@ -157,13 +169,24 @@ func (g *Graph) Triples() []Triple {
 	return out
 }
 
-// SortedTriples returns all triples sorted lexicographically; useful for
-// deterministic output and golden tests.
-func (g *Graph) SortedTriples() []Triple {
+// Canonical returns all triples sorted lexicographically by subject,
+// predicate, object: the one deterministic order of a graph, in which τ_db(G)
+// is loaded and snapshots are written. The order is computed on first use and
+// kept until the graph changes; the slice is shared with every other caller
+// and must not be modified. Safe for concurrent use by readers.
+func (g *Graph) Canonical() []Triple {
+	if p := g.canon.Load(); p != nil {
+		return *p
+	}
 	out := g.Triples()
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	slices.SortFunc(out, Triple.Compare)
+	g.canon.Store(&out)
 	return out
 }
+
+// SortedTriples returns a private copy of Canonical, for callers that keep or
+// modify the result.
+func (g *Graph) SortedTriples() []Triple { return slices.Clone(g.Canonical()) }
 
 // Match returns the triples matching the pattern; a nil position matches
 // anything. The returned slice must not be modified.
@@ -227,7 +250,7 @@ func (g *Graph) Terms() []Term {
 	for t := range seen {
 		out = append(out, t)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	slices.SortFunc(out, Term.Compare)
 	return out
 }
 
@@ -256,7 +279,7 @@ func (g *Graph) Equal(h *Graph) bool {
 // String renders the graph as sorted N-Triples lines.
 func (g *Graph) String() string {
 	var b strings.Builder
-	for _, t := range g.SortedTriples() {
+	for _, t := range g.Canonical() {
 		b.WriteString(t.String())
 		b.WriteByte('\n')
 	}
@@ -268,6 +291,6 @@ func keys(m map[Term][]Triple) []Term {
 	for t := range m {
 		out = append(out, t)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	slices.SortFunc(out, Term.Compare)
 	return out
 }

@@ -3,6 +3,8 @@ package rdf
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -126,6 +128,68 @@ func TestGraphSortedDeterministic(t *testing.T) {
 	if g.String() == "" {
 		t.Error("String should be non-empty")
 	}
+}
+
+// sortedByHand is the canonical order computed without the graph's memo.
+func sortedByHand(g *Graph) []Triple {
+	out := g.Triples()
+	slices.SortFunc(out, Triple.Compare)
+	return out
+}
+
+func TestGraphCanonicalFollowsAddAndRemove(t *testing.T) {
+	g := NewGraph(T("b", "p", "c"), T("a", "p", "b"))
+	step := func(what string) {
+		t.Helper()
+		if got, want := g.Canonical(), sortedByHand(g); !slices.Equal(got, want) {
+			t.Fatalf("after %s: Canonical = %v, want %v", what, got, want)
+		}
+	}
+	step("NewGraph")
+	g.Add(T("a", "a", "a"), T("c", "p", "a"))
+	step("Add")
+	g.Add(T("a", "a", "a")) // nothing new
+	step("a duplicate Add")
+	g.Remove(T("a", "p", "b"))
+	step("Remove")
+	g.AddGraph(NewGraph(T("a", "p", "b"), T("z", "p", "z")))
+	step("AddGraph")
+	if c := g.Clone(); !slices.Equal(c.Canonical(), g.Canonical()) {
+		t.Errorf("clone's Canonical = %v, want %v", c.Canonical(), g.Canonical())
+	}
+}
+
+func TestGraphSortedTriplesIsPrivate(t *testing.T) {
+	g := NewGraph(T("b", "p", "c"), T("a", "p", "b"), T("a", "p", "a"))
+	want := sortedByHand(g)
+	got := g.SortedTriples()
+	got[0], got[2] = got[2], got[0]
+	_ = append(got[:1], T("x", "x", "x"))
+	if !slices.Equal(g.SortedTriples(), want) || !slices.Equal(g.Canonical(), want) {
+		t.Errorf("a caller's edit of its SortedTriples shows in the next: %v, want %v", g.SortedTriples(), want)
+	}
+}
+
+// TestGraphCanonicalConcurrentReaders has the readers of one unchanging graph
+// race to fill its memo; run under -race.
+func TestGraphCanonicalConcurrentReaders(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	g := NewGraph()
+	for i := 0; i < 500; i++ {
+		g.Add(T(fmt.Sprint("s", rng.Intn(60)), fmt.Sprint("p", rng.Intn(5)), fmt.Sprint("o", rng.Intn(60))))
+	}
+	want := sortedByHand(g)
+	var wg sync.WaitGroup
+	for r := 0; r < 32; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if !slices.Equal(g.Canonical(), want) || !slices.Equal(g.SortedTriples(), want) || g.String() == "" {
+				t.Error("a concurrent reader saw another order")
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // Property: Match(s,p,o) equals the brute-force filter for random graphs and

@@ -55,7 +55,7 @@ func Isomorphic(g, h *Graph) bool {
 func blankNodes(g *Graph) []Term {
 	seen := make(map[Term]bool)
 	var out []Term
-	for _, t := range g.SortedTriples() {
+	for _, t := range g.Canonical() {
 		for _, x := range []Term{t.S, t.P, t.O} {
 			if x.IsBlank() && !seen[x] {
 				seen[x] = true

@@ -53,7 +53,7 @@ func MustParseNTriples(s string) *Graph {
 // WriteNTriples serializes the graph as sorted N-Triples.
 func WriteNTriples(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriter(w)
-	for _, t := range g.SortedTriples() {
+	for _, t := range g.Canonical() {
 		if _, err := fmt.Fprintln(bw, t.String()); err != nil {
 			return fmt.Errorf("rdf: writing triple: %w", err)
 		}

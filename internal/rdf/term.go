@@ -90,6 +90,7 @@ func (t Term) String() string {
 		return "_:" + t.Value
 	case Literal:
 		var b strings.Builder
+		b.Grow(len(t.Value) + len(t.Lang) + len(t.Datatype) + 6) // quotes, @ or ^^<>
 		b.WriteByte('"')
 		b.WriteString(escapeLiteral(t.Value))
 		b.WriteByte('"')

@@ -300,7 +300,7 @@ func (s *Store) InstallSnapshot(epoch uint64, g *rdf.Graph) (Epoch, error) {
 // SnapshotRecord renders an epoch as a stream snapshot frame (OpSnapshot,
 // payload = the full graph in sorted N-Triples).
 func SnapshotRecord(e Epoch) Record {
-	return Record{Op: OpSnapshot, Epoch: e.Seq, Text: encodeTriples(e.Graph.SortedTriples())}
+	return Record{Op: OpSnapshot, Epoch: e.Seq, Text: encodeTriples(e.Graph.Canonical())}
 }
 
 // DecodeSnapshot parses a stream snapshot frame back into its graph.

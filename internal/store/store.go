@@ -650,7 +650,7 @@ func writeSnapshot(path string, epoch uint64, g *rdf.Graph) error {
 	}
 	w := bufio.NewWriter(f)
 	fmt.Fprintf(w, "# epoch %d\n", epoch)
-	for _, t := range g.SortedTriples() {
+	for _, t := range g.Canonical() {
 		w.WriteString(t.String())
 		w.WriteByte('\n')
 	}

@@ -161,10 +161,11 @@ func MustTranslate(p sparql.Pattern, regime Regime) *Translation {
 
 // DB builds τ_db(G) (plus the constant seed fact) as a chase instance.
 func DB(g *rdf.Graph) *chase.Instance {
-	inst := chase.NewInstance(datalog.Atom{Pred: seedFact})
-	for _, a := range owl.GraphToDB(g) {
-		inst.Add(a)
+	inst, err := chase.FromFacts(owl.GraphToDB(g))
+	if err != nil {
+		panic(err) // GraphToDB emits constants only
 	}
+	inst.Add(datalog.Atom{Pred: seedFact})
 	return inst
 }
 
