@@ -91,7 +91,7 @@ func BenchmarkAblationProofTreeVsChase(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			gr, err := chase.StableGround(db, prog, chase.Options{MaxDepth: 30}, 2)
-			if err != nil || !gr.Ground.Has(goal) {
+			if err != nil || !gr.Ground().Has(goal) {
 				b.Fatal(err)
 			}
 		}

@@ -2,6 +2,7 @@ package repro_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/chase"
 	"repro/internal/datalog"
+	"repro/internal/limits"
 	"repro/internal/mat"
 	"repro/internal/translate"
 	"repro/internal/triq"
@@ -26,12 +28,12 @@ const (
 	// An explained warm read measures 88, of which the private registry and
 	// the report are all but the plain read's share.
 	warmExplainedAllocCeiling = 110
-	// The university evaluation deepens twice (bounds 2, 4, 6). One engine
-	// resumed across the three steps measures 56 819 (69 645 when τ_db(G) was
-	// added atom by atom and the two ⊥ rules joined type × type against an
-	// empty disj); chasing the database from scratch at every bound took
-	// 139 604.
-	universityAllocCeiling = 71_000
+	// The university evaluation takes one depth step (bound 2) and a closing
+	// pass that proves it complete, and reads its answers off the chased
+	// instance: 23 517. Deepening on to bounds 4 and 6 to watch the ground part
+	// stay as it is, and copying that ground part out, took 56 819 on one
+	// engine; chasing the database from scratch at every bound, 139 604.
+	universityAllocCeiling = 29_400
 	// Loading τ_db(G) for the 10 001-triple graph measures 5 154, of which
 	// 5 001 render a literal: the canonical order is the graph's memo, the
 	// atoms share one slab and the instance is sized once. Sorting the graph
@@ -46,13 +48,24 @@ const (
 	matMaintainAllocCeiling = 60_500
 )
 
+// skipInjected skips a test whose evaluation an armed TRIQ_FAULTS plan cut
+// short; what the ceilings pin is the evaluation, not the fault.
+func skipInjected(t *testing.T, err error) {
+	t.Helper()
+	if errors.Is(err, limits.ErrInjected) {
+		t.Skipf("injected fault (TRIQ_FAULTS armed)")
+	}
+}
+
 func TestTransportAllocCeiling(t *testing.T) {
 	db, q := workload.Transport(16, 3, 6), workload.TransportQuery()
 	if db.Len() != 128 {
 		t.Fatalf("transport database has %d facts, want 128", db.Len())
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := triq.Eval(db, q, triq.TriQLite10, triq.Options{}); err != nil {
+		_, err := triq.Eval(db, q, triq.TriQLite10, triq.Options{})
+		skipInjected(t, err)
+		if err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -70,7 +83,9 @@ func TestMaterializedAllocCeilings(t *testing.T) {
 	var inc *chase.Incremental
 	var err error
 	allocs := testing.AllocsPerRun(5, func() {
-		if inc, err = chase.NewIncremental(ctx, db, prog, chase.Options{}); err != nil {
+		inc, err = chase.NewIncremental(ctx, db, prog, chase.Options{})
+		skipInjected(t, err)
+		if err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -83,10 +98,12 @@ func TestMaterializedAllocCeilings(t *testing.T) {
 	edge := []datalog.Atom{datalog.NewAtom("triple", datalog.C("city_40"), datalog.C("line8"), datalog.C("city_41"))}
 	var del chase.MaintainStats
 	allocs = testing.AllocsPerRun(5, func() {
-		if del, err = inc.Delete(ctx, edge); err != nil {
-			t.Fatal(err)
+		del, err = inc.Delete(ctx, edge)
+		if err == nil {
+			_, err = inc.Insert(ctx, edge)
 		}
-		if _, err = inc.Insert(ctx, edge); err != nil {
+		skipInjected(t, err)
+		if err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -98,8 +115,9 @@ func TestMaterializedAllocCeilings(t *testing.T) {
 	}
 }
 
-// TestUniversityAllocCeiling pins that deepening derives every fact once: the
-// benchmark's university_regime request, end to end through the facade.
+// TestUniversityAllocCeiling pins that the chase stops where its ground part is
+// proved complete: the benchmark's university_regime request, end to end
+// through the facade.
 func TestUniversityAllocCeiling(t *testing.T) {
 	g := workload.University(4, 2, 3, false).ToGraph()
 	sq, err := repro.ParseSPARQL("SELECT ?X WHERE { ?X rdf:type person }")
@@ -109,13 +127,15 @@ func TestUniversityAllocCeiling(t *testing.T) {
 	req := repro.Request{SPARQL: sq, Regime: repro.ActiveDomainRegime}
 	var resp *repro.Response
 	allocs := testing.AllocsPerRun(5, func() {
-		if resp, err = repro.Eval(context.Background(), g, req); err != nil {
+		resp, err = repro.Eval(context.Background(), g, req)
+		skipInjected(t, err)
+		if err != nil {
 			t.Fatal(err)
 		}
 	})
-	if resp.Mappings.Len() != 32 || resp.Stats.NullsInvented != 744 || resp.Stats.FactsDerived != 6303 || resp.Depth != 6 {
-		t.Fatalf("university: %d rows, %d nulls, %d facts at depth %d, want 32, 744, 6303 at depth 6",
-			resp.Mappings.Len(), resp.Stats.NullsInvented, resp.Stats.FactsDerived, resp.Depth)
+	if resp.Mappings.Len() != 32 || resp.Stats.NullsInvented != 160 || resp.Stats.FactsDerived != 2311 || resp.Depth != 2 || !resp.Exact {
+		t.Fatalf("university: %d rows, %d nulls, %d facts at depth %d, exact %v; want 32, 160, 2311 at depth 2, exact",
+			resp.Mappings.Len(), resp.Stats.NullsInvented, resp.Stats.FactsDerived, resp.Depth, resp.Exact)
 	}
 	if allocs > universityAllocCeiling {
 		t.Errorf("university regime: %.0f allocations per evaluation, ceiling %d", allocs, universityAllocCeiling)
@@ -170,7 +190,9 @@ func TestLookupAllocCeiling(t *testing.T) {
 	}
 	var res *triq.Result
 	allocs := testing.AllocsPerRun(5, func() {
-		if res, err = triq.EvalCtx(context.Background(), db, tr.Query, triq.Unrestricted, triq.Options{}); err != nil {
+		res, err = triq.EvalCtx(context.Background(), db, tr.Query, triq.Unrestricted, triq.Options{})
+		skipInjected(t, err)
+		if err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -143,6 +143,7 @@ func TestEvalMatrix(t *testing.T) {
 				}
 				// Soundness: a partial answer is a subset of the full one.
 				full, err := Eval(context.Background(), in.g, in.req)
+				skipInjected(t, err)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -200,6 +201,7 @@ func TestEvalMatrix(t *testing.T) {
 							ctx = t.Context()
 						}
 						resp, err := Eval(ctx, in.g, req)
+						skipInjected(t, err)
 						if sc.wantErr != nil {
 							if !errors.Is(err, sc.wantErr) || resp != nil {
 								t.Fatalf("got (%v, %v), want %v and no response", resp, err, sc.wantErr)
@@ -224,7 +226,9 @@ func TestEvalMatrix(t *testing.T) {
 							answers[exact] = answer(resp)
 							return
 						}
-						if got := answer(resp); got != answers[exact] {
+						if want, ran := answers[exact]; !ran {
+							t.Skip("the unexplained run was skipped (TRIQ_FAULTS armed)")
+						} else if got := answer(resp); got != want {
 							t.Errorf("the explained answer differs:\n explained: %s\n     plain: %s", got, answers[exact])
 						}
 						rep := resp.Explain
@@ -248,7 +252,7 @@ func TestEvalMatrix(t *testing.T) {
 					})
 				}
 			}
-			if sc.name == "consistent" && answers[false] != answers[true] {
+			if sc.name == "consistent" && len(answers) == 2 && answers[false] != answers[true] {
 				t.Errorf("%s/%s: ProofTree and the exact chase disagree:\n chase: %s\n exact: %s", sc.name, in.name, answers[false], answers[true])
 			}
 		}
@@ -259,9 +263,10 @@ func TestEvalMatrix(t *testing.T) {
 // evaluation that deepened — Stats, the EXPLAIN report and its per-rule and
 // per-step breakdowns, the request's resource account, the registry counters
 // behind /metrics — counts the same work, because the depth steps share one
-// engine that derives each fact once. (When every step chased from scratch
-// the counters added up three runs, 12 205 facts, and the rest reported the
-// last, 6 303.)
+// engine that derives each fact once, and the closing pass that ends them is
+// one more step of that engine. (When every step chased from scratch the
+// counters added up three runs, 12 205 facts, and the rest reported the last,
+// 6 303; one engine deepening to bound 6 derived those 6 303 once.)
 func TestDeepenedEvaluationNumbersAgree(t *testing.T) {
 	g := workload.University(4, 2, 3, false).ToGraph()
 	sq, err := ParseSPARQL("SELECT ?X WHERE { ?X rdf:type person }")
@@ -274,16 +279,19 @@ func TestDeepenedEvaluationNumbersAgree(t *testing.T) {
 	req := Request{SPARQL: sq, Regime: ActiveDomainRegime, Explain: true}
 	req.Options.Chase.Obs = o
 	resp, err := Eval(obs.ContextWithTrace(context.Background(), tr), g, req)
+	skipInjected(t, err)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st, rep := resp.Stats, resp.Explain
-	if len(st.Deepening) != 3 || st.FactsDerived != 6303 {
-		t.Fatalf("the university request must take three depth steps to 6303 facts: %+v", st.Deepening)
+	if len(st.Deepening) != 2 || !st.Deepening[1].Closing || st.FactsDerived != 2311 || !resp.Exact || resp.Depth != 2 {
+		t.Fatalf("the university request must take one depth step and a closing pass to 2311 facts, exact at depth 2: %+v", st.Deepening)
 	}
 	for name, want := range map[string]int{
 		"chase.runs":            1, // engines, not steps
 		"chase.deepen_restarts": 0,
+		"chase.closed":          1,
+		"chase.closing_failed":  0,
 		"chase.rounds":          st.Rounds,
 		"chase.triggers_fired":  st.TriggersFired,
 		"chase.facts_derived":   st.FactsDerived,
@@ -310,7 +318,7 @@ func TestDeepenedEvaluationNumbersAgree(t *testing.T) {
 	if acct := tr.Account(); acct.ChaseRuns != 1 || acct.FactsDerived != int64(st.FactsDerived) || acct.Rounds != int64(st.Rounds) {
 		t.Errorf("account: %+v", acct)
 	}
-	if want := "deepening: depth 2: +2015 facts, 108 parked → depth 4: +1872 facts, 156 parked, stable ×1 → depth 6: +2416 facts, 204 parked, stable ×2\n"; !strings.Contains(rep.String(), want) {
+	if want := "deepening: depth 2: +2015 facts, 108 parked → closed: +296 facts, 0 ground\n"; !strings.Contains(rep.String(), want) {
 		t.Errorf("EXPLAIN text lacks the deepening line %q:\n%s", want, rep)
 	}
 }

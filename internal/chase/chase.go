@@ -258,6 +258,12 @@ type engine struct {
 	tick        int    // trigger-attempt counter gating the in-round ctx checks
 	ruleLabels  bool   // attach per-rule pprof labels (recording traces only)
 	keyBuf      []byte // scratch for the binding keys apply probes its dedup set with
+	// closing is set while the closing pass runs (see close.go): fire closes a
+	// trigger the depth bound blocks with summary nulls instead of parking it, and
+	// gives up at the first constant-only fact. closeKeys are the Skolem keys the
+	// pass has added to the table, which restore takes out again.
+	closing   bool
+	closeKeys []string
 }
 
 // stratum is the resumable state of one stratum: what chaseStratum needs to
@@ -456,6 +462,9 @@ func (e *engine) freshNull(key string, d int) datalog.Term {
 	e.nextNull++
 	e.skolem[key] = name
 	e.depth[name] = d
+	if e.closing {
+		e.closeKeys = append(e.closeKeys, key)
+	}
 	e.deepest = max(e.deepest, d)
 	e.stats.NullsInvented++
 	if e.cur != nil {
@@ -480,7 +489,10 @@ func (e *engine) freshNull(key string, d int) datalog.Term {
 // triggers that bound blocked, then matches semi-naively against whatever its
 // body predicates gained since it last looked.
 func (e *engine) chaseStratum(s *stratum) error {
-	if s.ran {
+	// The closing pass asks for less: it runs under grounded negation only, a
+	// negated atom then sees constants, and the pass ends at the first
+	// constant-only fact anyway.
+	if s.ran && !e.closing {
 		for i, p := range s.negPreds {
 			if len(e.inst.byPred[p]) != s.negLens[i] {
 				return errNegatedGrew
@@ -618,7 +630,7 @@ func appendBindingKey(buf []byte, ev *env, slots int) []byte {
 func (e *engine) fire(c *compiledRule, ev *env) error {
 	if len(c.exSlots) > 0 {
 		// Depth control for null invention.
-		d := 1
+		d, summary := 1, false
 		for _, s := range c.frontier {
 			if s < c.bodySlots && ev.set[s] && ev.val[s].IsNull() {
 				if e.depth[ev.val[s].Name]+1 > d {
@@ -631,12 +643,17 @@ func (e *engine) fire(c *compiledRule, ev *env) error {
 				e.opts.Obs.Event("chase.truncated", obs.F("depth", e.opts.MaxDepth))
 			}
 			e.stats.DepthTruncated = true
-			// Park the trigger for a step with a higher bound. Naive
-			// evaluation re-matches everything each round and finds it again.
-			if !e.opts.NaiveEvaluation {
-				e.park.push(ev, c.bodySlots)
+			if !e.closing {
+				// Park the trigger for a step with a higher bound. Naive
+				// evaluation re-matches everything each round and finds it again.
+				if !e.opts.NaiveEvaluation {
+					e.park.push(ev, c.bodySlots)
+				}
+				return nil
 			}
-			return nil
+			// The closing pass satisfies the head with summary nulls, which sit
+			// at the bound: a trigger with one in its frontier closes this way too.
+			d, summary = e.opts.MaxDepth, true
 		}
 		if e.opts.Mode == Restricted {
 			// Skip when an extension of the frontier binding already maps
@@ -652,7 +669,7 @@ func (e *engine) fire(c *compiledRule, ev *env) error {
 			}
 		}
 		for k, s := range c.exSlots {
-			key := skolemKeyFor(c, k, ev)
+			key := skolemKeyFor(c, k, ev, summary)
 			if e.opts.Mode == Restricted {
 				// Restricted-mode nulls are always fresh.
 				key += "|#" + strconv.Itoa(e.nextNull)
@@ -681,6 +698,9 @@ func (e *engine) fire(c *compiledRule, ev *env) error {
 			e.stats.FactsDerived++
 			if fact.IsConstantGround() {
 				e.ground++
+				if e.closing {
+					return errNotClosed
+				}
 			}
 			if e.cur != nil {
 				e.cur.FactsDerived++
@@ -727,9 +747,18 @@ func (e *engine) refire(c *compiledRule, parked *triggerBuf) error {
 // the same trigger always maps to the same key and therefore, through the
 // engine's Skolem table, to the same null, also when maintenance derives it
 // again after a delete.
-func skolemKeyFor(c *compiledRule, exIdx int, ev *env) string {
+//
+// A summary key is what the closing pass (close.go) uses in its place where the
+// depth bound blocks: it keeps the frontier's constants and erases its nulls, so
+// all triggers of the rule that differ only in nulls share one summary null. The
+// prefix keeps the two kinds of key apart.
+func skolemKeyFor(c *compiledRule, exIdx int, ev *env, summary bool) string {
 	buf := make([]byte, 0, 32)
-	buf = append(buf, 'r')
+	if summary {
+		buf = append(buf, 'c')
+	} else {
+		buf = append(buf, 'r')
+	}
 	buf = strconv.AppendInt(buf, int64(c.idx), 10)
 	buf = append(buf, '|')
 	buf = append(buf, c.exNames[exIdx]...)
@@ -738,7 +767,9 @@ func skolemKeyFor(c *compiledRule, exIdx int, ev *env) string {
 		if ev.set[s] {
 			t := ev.val[s]
 			buf = append(buf, byte('0'+t.Kind))
-			buf = append(buf, t.Name...)
+			if !summary || !t.IsNull() {
+				buf = append(buf, t.Name...)
+			}
 		}
 	}
 	return string(buf)

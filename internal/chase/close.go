@@ -1,0 +1,115 @@
+package chase
+
+import (
+	"errors"
+	"maps"
+	"slices"
+)
+
+// Closing the chase. A depth step that ends with triggers parked holds I_d, a
+// prefix of the chase whose ground part is a lower bound of Π(D)↓. The closing
+// pass turns it into an upper bound as well: it continues the step, but where
+// the bound blocks a trigger it satisfies the head with summary nulls — one per
+// rule, existential variable and frontier binding with the nulls erased —
+// instead of parking it. There are finitely many of those, so the pass reaches
+// a fixpoint M ⊇ I_d that every rule is satisfied in. M is then a model of Π
+// and D, the chase maps into it by a homomorphism that fixes constants, and
+//
+//	I_d↓ ⊆ Π(D)↓ ⊆ M↓.
+//
+// A pass that derives no constant-only fact has M↓ = I_d↓ and with it proved
+// that I_d↓ is Π(D)↓; one that derives one has proved nothing (M may be too
+// coarse) and is undone. Under grounded negation the argument goes stratum by
+// stratum: a negated atom sees constants only, so its truth is fixed by the
+// ground part of the strata below, which the sandwich has pinned by then. The
+// caller checks that precondition; DESIGN.md, "Closing the chase", has the
+// proof in full.
+
+// errNotClosed ends a closing pass at the first constant-only fact it derives.
+var errNotClosed = errors.New("chase: the closing pass derived a constant-only fact")
+
+// engineMark remembers an engine between two steps: restore returns to it, and
+// sameGround compares another engine's ground part with the one held then.
+type engineMark struct {
+	layer    layerMark
+	stats    Stats
+	perRule  []RuleStats
+	ground   int
+	nextNull int
+	deepest  int
+	strata   []stratumMark
+}
+
+// stratumMark is a stratum's resumable state. The parked buffers are saved by
+// header: refire reads the triggers of the buffer it replaces and never writes
+// them.
+type stratumMark struct {
+	parked  []triggerBuf
+	started map[string]int
+	negLens []int
+}
+
+func (e *engine) mark() engineMark {
+	m := engineMark{
+		layer:    e.inst.mark(),
+		stats:    e.stats,
+		perRule:  make([]RuleStats, len(e.perRule)),
+		ground:   e.ground,
+		nextNull: e.nextNull,
+		deepest:  e.deepest,
+		strata:   make([]stratumMark, len(e.strata)),
+	}
+	for i, rs := range e.perRule {
+		m.perRule[i] = *rs
+	}
+	for i, s := range e.strata {
+		m.strata[i] = stratumMark{slices.Clone(s.parked), maps.Clone(s.started), slices.Clone(s.negLens)}
+	}
+	return m
+}
+
+// restore undoes a closing pass that started at the mark: the facts and nulls
+// it added go, and the parked triggers it closed wait again.
+func (e *engine) restore(m engineMark) {
+	e.inst.truncate(m.layer)
+	for _, key := range e.closeKeys {
+		delete(e.depth, e.skolem[key])
+		delete(e.skolem, key)
+	}
+	e.closeKeys = e.closeKeys[:0]
+	e.stats, e.ground, e.nextNull, e.deepest = m.stats, m.ground, m.nextNull, m.deepest
+	for i, rs := range e.perRule {
+		*rs = m.perRule[i]
+	}
+	for i, s := range e.strata {
+		sm := m.strata[i]
+		copy(s.parked, sm.parked)
+		s.started, s.negLens = sm.started, sm.negLens
+	}
+}
+
+// closingStep runs the closing pass on an engine whose last step ended
+// truncated and consistent. closed reports that the pass reached its fixpoint
+// without a constant-only fact and without matching a constraint — which may
+// have matched through summary nulls only, so ⊤ is not its to report. A limit
+// error leaves what the pass derived in the instance, as it does for any step;
+// none of it is constant-only.
+func (e *engine) closingStep() (closed bool, err error) {
+	e.closing = true
+	inconsistent, err := e.step()
+	e.closing = false
+	if err == errNotClosed {
+		return false, nil
+	}
+	return err == nil && !inconsistent, err
+}
+
+// close tries to prove the engine's ground part complete, and leaves the
+// engine as it found it when it cannot.
+func (e *engine) close() (closed bool, err error) {
+	m := e.mark()
+	if closed, err = e.closingStep(); !closed && err == nil {
+		e.restore(m)
+	}
+	return closed, err
+}

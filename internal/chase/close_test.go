@@ -1,0 +1,373 @@
+package chase
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"os"
+	"strconv"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/datalog"
+	"repro/internal/limits"
+	"repro/internal/obs"
+)
+
+// neverClose stands in for the closing pass where a test wants deepening as it
+// was before there was one: no pass runs, every step falls through to the
+// stability window.
+func neverClose(*engine) (bool, error) { return false, nil }
+
+// undoneClose runs every closing pass to its end — fixpoint or first
+// constant-only fact — and then undoes it whatever it found, so an evaluation
+// restores after every step that ends truncated.
+func undoneClose(e *engine) (bool, error) {
+	m := e.mark()
+	_, err := e.closingStep()
+	if err == nil {
+		e.restore(m)
+	}
+	return false, err
+}
+
+// closedByPass reports that the evaluation ended with a closing pass that
+// proved its ground part complete.
+func closedByPass(gr *GroundResult) bool {
+	steps := gr.Stats.Deepening
+	return gr.Exact && len(steps) > 0 && steps[len(steps)-1].Closing
+}
+
+// requireSameEvaluation asserts that two evaluations are indistinguishable:
+// the instance with its null names, the Stats with the per-rule and per-step
+// breakdowns, and the verdicts.
+func requireSameEvaluation(t *testing.T, label string, want, got *GroundResult) {
+	t.Helper()
+	if want.Exact != got.Exact || want.Inconsistent != got.Inconsistent || want.Depth != got.Depth {
+		t.Errorf("%s: exact/inconsistent/depth %v/%v/%d, want %v/%v/%d", label,
+			got.Exact, got.Inconsistent, got.Depth, want.Exact, want.Inconsistent, want.Depth)
+	}
+	if ws, gs := fmt.Sprintf("%+v", normStats(want.Stats)), fmt.Sprintf("%+v", normStats(got.Stats)); ws != gs {
+		t.Errorf("%s: stats differ:\n  want: %s\n  got:  %s", label, ws, gs)
+	}
+	if want.inst.String() != got.inst.String() {
+		t.Errorf("%s: instances differ (%d vs %d atoms)", label, want.inst.Len(), got.inst.Len())
+	}
+	if want.Ground().String() != got.Ground().String() {
+		t.Errorf("%s: ground parts differ", label)
+	}
+}
+
+// TestDifferentialClosedVsDeepened is the closed-vs-deepened axis, over the
+// random programs of TestDifferentialEngines (few deepen) and of
+// TestDifferentialResumeVsRestart (all do) × {semi-naive, naive}:
+//
+//   - an evaluation whose every closing pass is undone returns, byte for byte,
+//     what deepening without a pass returns — instance, null names, Stats,
+//     Deepening, depth: restore is exact;
+//   - an evaluation a pass closed has the ground part of the chase four levels
+//     deeper, and of the deepening that no pass cut short;
+//   - one that no pass closed is the deepening without a pass, byte for byte.
+func TestDifferentialClosedVsDeepened(t *testing.T) {
+	type family struct {
+		name  string
+		seeds []int64
+		kits  []string
+	}
+	families := []family{
+		{"engines", []int64{1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597, 2584, 4181, 6765, 10946}, []string{""}},
+		{"deepening", []int64{1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597}, deepKits},
+	}
+	if env := os.Getenv("TRIQ_DIFF_SEED"); env != "" {
+		n, err := strconv.ParseInt(env, 10, 64)
+		if err != nil {
+			t.Fatalf("bad TRIQ_DIFF_SEED %q: %v", env, err)
+		}
+		for i := range families {
+			families[i].seeds = []int64{n}
+		}
+	} else if testing.Short() {
+		for i := range families {
+			families[i].seeds = families[i].seeds[:5]
+		}
+	}
+	closed, failed := new(atomic.Int64), new(atomic.Int64)
+	t.Run("seeds", func(t *testing.T) {
+		for _, f := range families {
+			for _, seed := range f.seeds {
+				t.Run(fmt.Sprintf("%s/seed=%d", f.name, seed), func(t *testing.T) {
+					t.Parallel()
+					c, err := genDiffCaseWith(seed, f.kits[seed%int64(len(f.kits))])
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, naive := range []bool{false, true} {
+						opts := Options{MaxDepth: 7, MaxFacts: 50_000, MaxRounds: 1_000, NaiveEvaluation: naive}
+						diffClosed(t, fmt.Sprintf("%s seed=%d naive=%v", f.name, seed, naive), c, opts, closed, failed)
+						if t.Failed() {
+							t.Logf("replay: TRIQ_DIFF_SEED=%d go test -run TestDifferentialClosedVsDeepened ./internal/chase\nprogram (db: %d facts):\n%s",
+								seed, c.db.Len(), c.source)
+							return
+						}
+					}
+				})
+			}
+		}
+	})
+	t.Logf("%d evaluations closed, %d closing passes failed", closed.Load(), failed.Load())
+	if os.Getenv("TRIQ_DIFF_SEED")+os.Getenv("TRIQ_FAULTS") == "" && !t.Failed() && (closed.Load() == 0 || failed.Load() == 0) {
+		t.Errorf("the generator no longer exercises the axis: %d evaluations closed, %d passes failed", closed.Load(), failed.Load())
+	}
+}
+
+func diffClosed(t *testing.T, label string, c diffCase, opts Options, closed, failed *atomic.Int64) {
+	t.Helper()
+	ctx := context.Background()
+	o := obs.New()
+	counted := opts
+	counted.Obs = o
+	got, gotErr := StableGroundCtx(ctx, c.db, c.program, counted, 2)
+	parent, parentErr := stableGround(ctx, c.db, c.program, opts, 2, neverClose)
+	undone, undoneErr := stableGround(ctx, c.db, c.program, opts, 2, undoneClose)
+	for _, err := range []error{gotErr, parentErr, undoneErr} {
+		if errors.Is(err, limits.ErrInjected) {
+			return // TRIQ_FAULTS armed: the process-global plan trips wherever its hit count says
+		}
+		if err != nil {
+			t.Errorf("%s: %v", label, err)
+			return
+		}
+	}
+	failed.Add(o.Registry().Counter("chase.closing_failed"))
+	requireSameEvaluation(t, label+": every pass undone ≡ no pass", parent, undone)
+	if !closedByPass(got) {
+		requireSameEvaluation(t, label+": no pass closed ≡ no pass", parent, got)
+		return
+	}
+	closed.Add(1)
+	deeper := opts
+	deeper.MaxDepth = got.Depth + 4
+	far, err := GroundSemantics(c.db, c.program, deeper)
+	if errors.Is(err, limits.ErrInjected) {
+		return
+	}
+	if err != nil {
+		t.Errorf("%s: %v", label, err)
+		return
+	}
+	if got.Inconsistent || far.Inconsistent || !got.Ground().Equal(far.Ground()) {
+		t.Errorf("%s: closed at depth %d, but the chase to depth %d has another ground part (%d vs %d atoms)",
+			label, got.Depth, deeper.MaxDepth, got.Ground().Len(), far.Ground().Len())
+	}
+	if !got.Ground().Equal(parent.Ground()) {
+		t.Errorf("%s: closed at depth %d, but deepening to depth %d has another ground part", label, got.Depth, parent.Depth)
+	}
+}
+
+// mergingChain never ends: r nests a null under a null for ever. Its summary
+// null stands for every null beyond the bound, so in the closing pass's model
+// it is its own successor — r(s, s) — which no null of the chase is.
+const mergingChain = `
+	p(?X) -> exists ?Y r(?X, ?Y).
+	r(?X, ?Y) -> exists ?Z r(?Y, ?Z).
+`
+
+func TestClosingPassFallsBackOnSpuriousGroundFact(t *testing.T) {
+	// cyc(a) needs an r-cycle, which only the merged summary null has: the pass
+	// derives it, must give up there, and must leave nothing of itself behind.
+	db := NewInstance(atom("p", "a"))
+	prog := datalog.MustParse(mergingChain + `r(?X, ?Y), r(?Y, ?X), p(?W) -> cyc(?W).`)
+	o := obs.New()
+	gr, err := StableGround(db, prog, Options{MaxDepth: 8, Obs: o}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gr.Exact || gr.Ground().Has(atom("cyc", "a")) || len(gr.inst.AtomsOf("cyc")) != 0 {
+		t.Errorf("exact %v; cyc:\n%v", gr.Exact, gr.inst.AtomsOf("cyc"))
+	}
+	parent, err := stableGround(context.Background(), db, prog, Options{MaxDepth: 8}, 2, neverClose)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameEvaluation(t, "fallback", parent, gr)
+	// The window stops it after depths 2, 4, 6; each step tried to close first.
+	if c, f := o.Registry().Counter("chase.closed"), o.Registry().Counter("chase.closing_failed"); c != 0 || f != 3 || gr.Depth != 6 {
+		t.Errorf("depth %d, chase.closed = %d, chase.closing_failed = %d; want 6, 0, 3", gr.Depth, c, f)
+	}
+	// Without the join back to a constant the same chain closes at once.
+	gr, err = StableGround(db, datalog.MustParse(mergingChain), Options{MaxDepth: 8}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !closedByPass(gr) || gr.Depth != 2 {
+		t.Errorf("the bare chain must close at depth 2: depth %d, steps %+v", gr.Depth, gr.Stats.Deepening)
+	}
+}
+
+func TestClosingPassDoesNotReportTop(t *testing.T) {
+	// The constraint matches r(s, s) only: Π(D) is consistent, the pass's model
+	// is not, and that is the model's fault.
+	db := NewInstance(atom("p", "a"))
+	prog := datalog.MustParse(mergingChain + `r(?X, ?X) -> false.`)
+	o := obs.New()
+	gr, err := StableGround(db, prog, Options{MaxDepth: 8, Obs: o}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gr.Inconsistent || gr.Exact || gr.inst.Has(datalog.NewAtom("r", datalog.N("n2"), datalog.N("n2"))) {
+		t.Errorf("inconsistent %v, exact %v", gr.Inconsistent, gr.Exact)
+	}
+	if f := o.Registry().Counter("chase.closing_failed"); f != 3 {
+		t.Errorf("chase.closing_failed = %d, want 3", f)
+	}
+	parent, err := stableGround(context.Background(), db, prog, Options{MaxDepth: 8}, 2, neverClose)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameEvaluation(t, "fallback", parent, gr)
+}
+
+func TestClosingPassPreconditions(t *testing.T) {
+	db := NewInstance(atom("p", "a"), atom("q", "a"))
+	calls := 0
+	counting := func(e *engine) (bool, error) {
+		calls++
+		return e.close()
+	}
+	for _, tc := range []struct {
+		name  string
+		src   string
+		opts  Options
+		calls int
+	}{
+		// ?Y is bound at an affected position only, so the negated atom may see a
+		// null, whose truth a summary null would misjudge.
+		{"non-grounded negation", mergingChain + `r(?X, ?Y), not q(?Y) -> t(?X).`, Options{MaxDepth: 4}, 0},
+		// ?X sits in p as well: it is a constant wherever the rule fires.
+		{"grounded negation", mergingChain + `p(?X), r(?X, ?Y), not q(?X) -> t(?X).`, Options{MaxDepth: 4}, 1},
+		{"restricted chase", mergingChain, Options{MaxDepth: 4, Mode: Restricted}, 0},
+		{"terminating chase", `p(?X) -> exists ?Y r(?X, ?Y).`, Options{}, 0},
+	} {
+		calls = 0
+		gr, err := stableGround(context.Background(), db, datalog.MustParse(tc.src), tc.opts, 2, counting)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls != tc.calls || closedByPass(gr) != (tc.calls > 0) {
+			t.Errorf("%s: %d closing passes, closed %v; want %d", tc.name, calls, closedByPass(gr), tc.calls)
+		}
+	}
+}
+
+// TestClosingPassAborts is TestResumedStepAborts for the closing pass: a limit
+// that trips inside it surfaces as it does inside a resumed step — the typed
+// error, the pass listed as the step that was cut short — and the ground part
+// is the one the depth step before it had reached, nothing of the pass's.
+func TestClosingPassAborts(t *testing.T) {
+	db := NewInstance()
+	for i := 0; i < 10; i++ {
+		db.Add(atom("p", nodeName(i)))
+	}
+	// The constant rides along, so there is a summary null per node and the
+	// pass has thirty facts to derive.
+	prog := datalog.MustParse(`
+		p(?C) -> exists ?Y r(?C, ?Y, ?C).
+		r(?X, ?Y, ?C) -> exists ?Z r(?Y, ?Z, ?C).
+		r(?X, ?Y, ?C) -> seen(?C).
+	`)
+	whole, err := StableGround(db, prog, Options{}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := whole.Stats.Deepening
+	if !closedByPass(whole) || len(steps) != 2 || steps[1].NewFacts != 20 || whole.Ground().Len() != 20 {
+		t.Fatalf("the program must close at depth 2 with a 20-fact pass: %+v", steps)
+	}
+	first := steps[0]
+	for _, tc := range []struct {
+		name string
+		kind error
+		arm  func(*Options, context.CancelFunc)
+	}{
+		{"facts", limits.ErrFactBudget, func(o *Options, _ context.CancelFunc) { o.MaxFacts = db.Len() + first.NewFacts + 5 }},
+		{"canceled", limits.ErrCanceled, func(o *Options, cancel context.CancelFunc) {
+			o.Faults = limits.NewPlan(limits.Fault{Point: "chase.round", After: 4, Action: limits.ActHook, Hook: cancel})
+		}},
+		{"fault", limits.ErrInjected, func(o *Options, _ context.CancelFunc) {
+			o.Faults = limits.NewPlan(limits.Fault{Point: "chase.rule", After: 3*3 + 1})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			var opts Options
+			tc.arm(&opts, cancel)
+			gr, err := StableGroundCtx(ctx, db, prog, opts, 2)
+			cancel()
+			if !errors.Is(err, tc.kind) {
+				t.Fatalf("want %v, got %v", tc.kind, err)
+			}
+			if _, ok := limits.TruncationOf(err); !ok {
+				t.Error("the error carries no Truncation")
+			}
+			steps := gr.Stats.Deepening
+			if gr.Exact || gr.Depth != 2 || len(steps) != 2 || !steps[1].Closing || steps[0] != first {
+				t.Fatalf("the abort must hit the closing pass: depth %d, steps %+v", gr.Depth, steps)
+			}
+			if steps[1].NewGround != 0 || !gr.Ground().Equal(whole.Ground()) {
+				t.Errorf("the partial ground part is not the depth step's:\n%v", gr.Ground())
+			}
+			if gr.Stats.FactsDerived != first.NewFacts+steps[1].NewFacts {
+				t.Errorf("%d facts, steps %+v", gr.Stats.FactsDerived, steps)
+			}
+			if opts.MaxFacts > 0 && gr.inst.Len() > opts.MaxFacts {
+				t.Errorf("%d atoms overshoot the fact budget of %d", gr.inst.Len(), opts.MaxFacts)
+			}
+		})
+	}
+}
+
+// TestLayerTruncate: truncate leaves an instance that cannot be told from one
+// that never held the atoms added after the mark, dictionaries included.
+func TestLayerTruncate(t *testing.T) {
+	base := NewInstance(atom("e", "a", "b"), atom("e", "b", "c"))
+	build := func(flat bool) *Instance {
+		i := base.Overlay()
+		if flat {
+			i = base.Clone()
+		}
+		i.Add(atom("e", "c", "d"))
+		i.Add(atom("f", "d"))
+		return i
+	}
+	later := []datalog.Atom{
+		atom("e", "d", "a"),
+		datalog.NewAtom("e", datalog.C("d"), datalog.N("n0")),
+		datalog.NewAtom("g", datalog.N("n0"), datalog.N("n0")),
+		atom("f", "x"),
+	}
+	for _, flat := range []bool{false, true} {
+		want, got := build(flat), build(flat)
+		m := got.mark()
+		for _, a := range later {
+			got.Add(a)
+		}
+		got.truncate(m)
+		for _, a := range later {
+			if got.Has(a) || len(got.Lookup(a.Pred, 0, a.Args[0])) != len(want.Lookup(a.Pred, 0, a.Args[0])) {
+				t.Errorf("flat=%v: %v survived the truncation", flat, a)
+			}
+		}
+		if fingerprint(got) != fingerprint(want) || got.Len() != want.Len() || got.hasNull ||
+			len(got.termID) != len(want.termID) || len(got.predID) != len(want.predID) || len(got.idx) != len(want.idx) || len(got.set) != len(want.set) {
+			t.Errorf("flat=%v: truncated instance differs:\n%s\nwant:\n%s", flat, fingerprint(got), fingerprint(want))
+		}
+		// What is added next lands where it would have landed.
+		for _, i := range []*Instance{want, got} {
+			i.Add(atom("g", "y", "a"))
+			i.Add(atom("e", "c", "y"))
+		}
+		if fingerprint(got) != fingerprint(want) || got.termID[datalog.C("y")] != want.termID[datalog.C("y")] || got.predID["g"] != want.predID["g"] {
+			t.Errorf("flat=%v: the instances diverge after the truncation", flat)
+		}
+	}
+}

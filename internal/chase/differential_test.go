@@ -534,7 +534,9 @@ func diffEngineSteps(t *testing.T, label string, c diffCase, opts Options, resta
 	}
 }
 
-// diffStableGround is the StableGround-level half.
+// diffStableGround is the StableGround-level half. An evaluation the closing
+// pass ended is held to the ground part alone: it stops at a lower depth than
+// the oracle, with fewer facts, and is exact where the oracle's window is not.
 func diffStableGround(t *testing.T, label string, c diffCase, opts Options, deepened *atomic.Int64) {
 	t.Helper()
 	want, wantErr := restartStableGround(c.db, c.program, opts, 2)
@@ -549,10 +551,17 @@ func diffStableGround(t *testing.T, label string, c diffCase, opts Options, deep
 	if len(got.Stats.Deepening) > 1 {
 		deepened.Add(1)
 	}
+	if closedByPass(got) {
+		if want.Inconsistent || got.Depth > want.Depth || !want.Ground().Equal(got.Ground()) {
+			t.Errorf("%s: closed at depth %d; restart: depth %d, inconsistent %v, same ground part %v",
+				label, got.Depth, want.Depth, want.Inconsistent, want.Ground().Equal(got.Ground()))
+		}
+		return
+	}
 	if want.Exact != got.Exact || want.Inconsistent != got.Inconsistent {
 		t.Errorf("%s: exact/inconsistent: restart %v/%v, resume %v/%v", label, want.Exact, want.Inconsistent, got.Exact, got.Inconsistent)
 	}
-	if (opts.Mode == Skolem || want.Exact) && !want.Ground.Equal(got.Ground) {
+	if (opts.Mode == Skolem || want.Exact) && !want.Ground().Equal(got.Ground()) {
 		t.Errorf("%s: ground parts differ", label)
 	}
 	if want.Depth != got.Depth {

@@ -2,6 +2,7 @@ package chase
 
 import (
 	"context"
+	"sync"
 
 	"repro/internal/datalog"
 	"repro/internal/obs"
@@ -9,20 +10,51 @@ import (
 
 // GroundResult is the outcome of computing the ground semantics Π(D)↓.
 type GroundResult struct {
-	// Ground holds the constant-only atoms of Π(D): the paper's Π(D)↓.
-	Ground *Instance
 	// Inconsistent is true when a constraint fired.
 	Inconsistent bool
-	// Exact is true when the chase terminated within the depth bound, so
-	// Ground is provably Π(D)↓. When false, Ground is the stable fixpoint of
-	// the iterative-deepening procedure (see StableGround).
+	// Exact is true when the ground part is provably Π(D)↓: the chase
+	// terminated within the depth bound, or the closing pass proved that no
+	// deeper bound adds a constant-only atom (see StableGround). When false,
+	// it is the stable fixpoint of the iterative-deepening procedure.
 	Exact bool
-	// Depth is the null-nesting depth at which the result was obtained.
+	// Depth is the null-nesting depth at which the result was obtained: the
+	// bound of the last depth step, which a closing pass does not raise.
 	Depth int
 	// Stats describe the engine that produced the result, over all the depth
 	// steps it took (Stats.Deepening lists them): FactsDerived is what the
 	// evaluation added to the database, not what its last step added.
 	Stats Stats
+
+	inst   *Instance // the chased instance the ground part is read off
+	ground *Instance // Ground's result, once built
+}
+
+// Ground returns the constant-only atoms of Π(D), the paper's Π(D)↓, as an
+// instance of their own. It is built on the first call; GroundAtomsOf reads a
+// single predicate without building it.
+func (r *GroundResult) Ground() *Instance {
+	if r.ground == nil {
+		r.ground = r.inst.GroundPart()
+	}
+	return r.ground
+}
+
+// GroundAtomsOf returns the atoms of Π(D)↓ with the given predicate, in the
+// order Ground().AtomsOf(pred) lists them; the slice must not be modified.
+func (r *GroundResult) GroundAtomsOf(pred string) []datalog.Atom {
+	base, own := r.inst.atomsOf(pred)
+	if r.inst.nullFree() {
+		return join(base, own)
+	}
+	var out []datalog.Atom
+	for _, layer := range [2][]datalog.Atom{base, own} {
+		for _, a := range layer {
+			if a.IsConstantGround() {
+				out = append(out, a)
+			}
+		}
+	}
+	return out
 }
 
 // GroundSemantics runs the chase once with the given options and restricts
@@ -37,23 +69,16 @@ func GroundSemantics(db *Instance, prog *datalog.Program, opts Options) (*Ground
 func GroundSemanticsCtx(ctx context.Context, db *Instance, prog *datalog.Program, opts Options) (*GroundResult, error) {
 	opts = opts.withDefaults()
 	res, err := RunCtx(ctx, db, prog, opts)
-	if err != nil {
-		if res == nil {
-			return nil, err
-		}
-		return &GroundResult{
-			Ground: res.Instance.GroundPart(),
-			Depth:  opts.MaxDepth,
-			Stats:  res.Stats,
-		}, err
+	if res == nil {
+		return nil, err
 	}
 	return &GroundResult{
-		Ground:       res.Instance.GroundPart(),
+		inst:         res.Instance,
 		Inconsistent: res.Inconsistent,
-		Exact:        !res.Stats.DepthTruncated,
+		Exact:        err == nil && !res.Stats.DepthTruncated,
 		Depth:        opts.MaxDepth,
 		Stats:        res.Stats,
-	}, nil
+	}, err
 }
 
 // DeepenStep is what one depth step of StableGround did, in the JSON shape
@@ -65,6 +90,11 @@ type DeepenStep struct {
 	// first step does not, and neither does one that had to start over because
 	// a negated predicate grew.
 	Resumed bool `json:"resumed"`
+	// Closing marks the closing pass: the step that continued the one before it
+	// under the same bound, with summary nulls where the bound blocks, and so
+	// proved the ground part complete. A pass that proved nothing is undone and
+	// not listed (chase.closing_failed counts it); one a limit cut short is.
+	Closing bool `json:"closing"`
 	// Refired is the number of triggers the previous bound had blocked that
 	// the step fired again, Parked the number its own bound blocks. Both count
 	// matches: semi-naive rounds can find one trigger twice (a later round
@@ -82,8 +112,9 @@ type DeepenStep struct {
 
 // StableGround computes Π(D)↓ by iterative deepening on the null-nesting
 // depth: the chase runs under the bounds 2, 4, … and last opts.MaxDepth itself,
-// until either it terminates within the bound (the result is then exact), or
-// the ground part stays unchanged for `window` consecutive depth increments.
+// until it terminates within the bound, or the closing pass proves the ground
+// part complete (either way the result is exact), or — the fallback — the
+// ground part stays unchanged for `window` consecutive depth increments.
 //
 // The steps share one engine. The depth-d chase is a prefix of the depth-(d+2)
 // chase — the bound only blocks triggers — so a step keeps the instance of the
@@ -95,15 +126,25 @@ type DeepenStep struct {
 // held when its last complete step ended. Stats are the returned engine's; the
 // chase.* registry counters count work done and so include the abandoned one's.
 //
-// For warded programs the stabilization criterion is justified by the
-// wardedness condition: a null-carrying fact can contribute to further
-// ground atoms only through the constants it carries (the ward shares only
-// harmless — ground — variables with the rest of a rule body), so once an
-// extra level of null depth stops producing new ground atoms, deeper levels
-// reproduce isomorphic null patterns and cannot produce new ones either. The
-// ProofTree decision procedure (internal/triq) provides an independent
-// per-atom certification used by the test-suite to cross-check this
-// procedure.
+// The closing pass (close.go) is the proof. After every step that ends
+// truncated and consistent it continues that step on the same engine, closing
+// the triggers the bound blocks with summary nulls; the fixpoint is a finite
+// model of the program that contains the depth-d chase, so its ground part
+// bounds Π(D)↓ from above, and when the pass has added no constant-only fact
+// the two bounds meet: the evaluation ends, Exact, at the depth of that step
+// (chase.closed). A pass that does add one is undone (chase.closing_failed)
+// and deepening goes on. The argument needs a model, not wardedness, so it
+// holds for every program; it needs the Skolem chase, and negation to be
+// grounded (datalog.CheckGroundedNegation), and is not attempted otherwise.
+//
+// The stability window is a heuristic and stops only what no pass closed. For
+// warded programs it is plausible — a null-carrying fact contributes to
+// further ground atoms only through the constants it carries, so a level of
+// null depth that adds no ground atom suggests deeper ones repeat isomorphic
+// null patterns — but a ground atom first derivable at a depth beyond the
+// window is missed, which is why such a result is not Exact. The ProofTree
+// decision procedure (internal/triq) certifies single atoms independently and
+// the test-suite cross-checks both stops with it.
 func StableGround(db *Instance, prog *datalog.Program, opts Options, window int) (*GroundResult, error) {
 	return StableGroundCtx(context.Background(), db, prog, opts, window)
 }
@@ -114,6 +155,13 @@ func StableGround(db *Instance, prog *datalog.Program, opts Options, window int)
 // callers can degrade to the sound partial ground part instead of discarding
 // the work.
 func StableGroundCtx(ctx context.Context, db *Instance, prog *datalog.Program, opts Options, window int) (*GroundResult, error) {
+	return stableGround(ctx, db, prog, opts, window, (*engine).close)
+}
+
+// stableGround is StableGroundCtx with the closing pass handed in, which lets
+// the tests pin the fallback: deepening with a pass that never succeeds.
+func stableGround(ctx context.Context, db *Instance, prog *datalog.Program, opts Options, window int,
+	closePass func(*engine) (bool, error)) (*GroundResult, error) {
 	opts = opts.withDefaults()
 	if window <= 0 {
 		window = 2
@@ -124,17 +172,21 @@ func StableGroundCtx(ctx context.Context, db *Instance, prog *datalog.Program, o
 		steps  []DeepenStep
 		stable int
 	)
+	// The closing pass is sound for the program; decided when the first step
+	// ends truncated, which for most programs is never.
+	closable := sync.OnceValue(func() bool {
+		return opts.Mode == Skolem && (!prog.HasNegation() || datalog.CheckGroundedNegation(prog) == nil)
+	})
 	for depth := min(2, ceiling); ; depth = min(depth+2, ceiling) {
 		_, sp := obs.StartSpan(ctx, opts.Obs, "chase.deepen", obs.F("depth", depth))
 		opts.MaxDepth, opts.Parent = depth, sp
 		st := DeepenStep{Depth: depth}
 		var inconsistent bool
 		var err error
-		var before groundMark // the engine's ground part before the step
+		var before engineMark // the engine before the step
 		prev := e
 		if e != nil {
-			facts := e.stats.FactsDerived
-			before = e.markGround()
+			before = e.mark()
 			st.Resumed, st.Refired = true, e.parkedTriggers()
 			e.opts = opts
 			if inconsistent, err = e.step(); err == errNegatedGrew {
@@ -142,7 +194,7 @@ func StableGroundCtx(ctx context.Context, db *Instance, prog *datalog.Program, o
 				e = nil
 				st.Resumed, st.Refired = false, 0
 			} else {
-				st.NewFacts, st.NewGround = e.stats.FactsDerived-facts, e.ground-before.n
+				st.NewFacts, st.NewGround = e.stats.FactsDerived-before.stats.FactsDerived, e.ground-before.ground
 			}
 		}
 		if e == nil {
@@ -179,10 +231,16 @@ func StableGroundCtx(ctx context.Context, db *Instance, prog *datalog.Program, o
 			obs.F("exact", exact),
 			obs.F("inconsistent", inconsistent),
 			obs.F("stable", stable))
+		if err == nil && !inconsistent && !exact && closable() {
+			var cl DeepenStep
+			if cl, exact, err = closingStepOf(ctx, e, st, closePass); exact || err != nil {
+				steps = append(steps, cl) // what the pass added is still there
+			}
+		}
 		if err != nil || inconsistent || exact || stable >= window || depth == ceiling {
 			// depth == ceiling gives up; the result is the deepest one.
 			res := &GroundResult{
-				Ground:       e.inst.GroundPart(),
+				inst:         e.inst,
 				Inconsistent: inconsistent,
 				Exact:        exact,
 				Depth:        depth,
@@ -194,21 +252,32 @@ func StableGroundCtx(ctx context.Context, db *Instance, prog *datalog.Program, o
 	}
 }
 
-// groundMark remembers an engine's ground part at one moment: how many
-// constant-only facts it had derived, and how long each bucket of its layer
-// was. Buckets only grow, so the atoms of that moment are the buckets' prefixes
-// whatever the engine derives afterwards.
-type groundMark struct {
-	n    int
-	lens map[string]int
-}
-
-func (e *engine) markGround() groundMark {
-	m := groundMark{n: e.ground, lens: make(map[string]int, len(e.inst.byPred))}
-	for p, bucket := range e.inst.byPred {
-		m.lens[p] = len(bucket)
+// closingStepOf runs the closing pass on an engine whose step st has just ended
+// truncated and consistent, under a chase.deepen span of its own, and reports
+// what it did as a step. closed says the ground part is proved complete; if
+// not, and without an error, the engine is as it was and the step lists nothing
+// that is still there.
+func closingStepOf(ctx context.Context, e *engine, st DeepenStep, closePass func(*engine) (bool, error)) (cl DeepenStep, closed bool, err error) {
+	_, sp := obs.StartSpan(ctx, e.opts.Obs, "chase.deepen", obs.F("depth", st.Depth), obs.F("closing", true))
+	e.opts.Parent = sp
+	cl = DeepenStep{Depth: st.Depth, Resumed: true, Closing: true, Refired: st.Parked}
+	facts, ground := e.stats.FactsDerived, e.ground
+	closed, err = closePass(e)
+	cl.NewFacts, cl.NewGround = e.stats.FactsDerived-facts, e.ground-ground
+	switch {
+	case err != nil:
+	case closed:
+		e.opts.Obs.Count("chase.closed", 1)
+	default:
+		e.opts.Obs.Count("chase.closing_failed", 1)
 	}
-	return m
+	sp.End(
+		obs.F("error", err != nil),
+		obs.F("closed", closed),
+		obs.F("refired", cl.Refired),
+		obs.F("new_facts", cl.NewFacts),
+		obs.F("new_ground", cl.NewGround))
+	return cl, closed, err
 }
 
 // sameGround reports whether e holds the constant-only atoms that prev, an
@@ -217,11 +286,11 @@ func (e *engine) markGround() groundMark {
 // may have lost atoms a negated predicate now rules out. The mark matters: by
 // the time prev.step reports errNegatedGrew, the strata below the negation have
 // already added the deeper bound's facts to prev.
-func (e *engine) sameGround(prev *engine, at groundMark) bool {
-	if e.ground != at.n {
+func (e *engine) sameGround(prev *engine, at engineMark) bool {
+	if e.ground != at.ground {
 		return false
 	}
-	for p, n := range at.lens {
+	for p, n := range at.layer.lens {
 		for _, a := range prev.inst.byPred[p][:n] {
 			if a.IsConstantGround() && !e.inst.Has(a) {
 				return false

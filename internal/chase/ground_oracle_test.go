@@ -25,7 +25,7 @@ func restartStableGround(db *Instance, prog *datalog.Program, opts Options, wind
 		if err != nil {
 			return res, err
 		}
-		if prev != nil && res.Ground.Equal(prev) {
+		if prev != nil && res.Ground().Equal(prev) {
 			stable++
 		} else {
 			stable = 0
@@ -33,6 +33,6 @@ func restartStableGround(db *Instance, prog *datalog.Program, opts Options, wind
 		if res.Inconsistent || res.Exact || stable >= window || depth == ceiling {
 			return res, nil
 		}
-		prev = res.Ground
+		prev = res.Ground()
 	}
 }

@@ -251,7 +251,7 @@ func (inc *Incremental) overDelete(removed []datalog.Atom, st *MaintainStats) (g
 				for i := 0; i < e.found.n; i++ {
 					e.found.load(i, c.bodySlots, ev)
 					for k, s := range c.exSlots {
-						name, ok := e.skolem[skolemKeyFor(c, k, ev)]
+						name, ok := e.skolem[skolemKeyFor(c, k, ev, false)]
 						if !ok {
 							continue triggers
 						}
@@ -294,7 +294,7 @@ func (e *engine) rederive(gone []datalog.Atom) error {
 					matchPatterns(e.inst, c.bodyPos, order, ev, func() bool {
 						derives = true
 						for k, s := range c.exSlots {
-							if ev.set[s] && ev.val[s] != datalog.N(e.skolem[skolemKeyFor(c, k, ev)]) {
+							if ev.set[s] && ev.val[s] != datalog.N(e.skolem[skolemKeyFor(c, k, ev, false)]) {
 								derives = false
 							}
 						}

@@ -261,6 +261,65 @@ func (i *Instance) Add(a datalog.Atom) bool {
 	return true
 }
 
+// layerMark remembers how far the own layer of an instance had grown at one
+// moment. Its buckets and dictionaries only grow (RemoveBatch aside), so the
+// atoms of that moment are the buckets' prefixes, and truncate returns to it.
+type layerMark struct {
+	lens         map[string]int // per predicate, the own bucket's length
+	n            int
+	terms, preds int
+	hasNull      bool
+}
+
+func (i *Instance) mark() layerMark {
+	m := layerMark{lens: make(map[string]int, len(i.byPred)), n: i.n,
+		terms: len(i.termID), preds: len(i.predID), hasNull: i.hasNull}
+	for p, bucket := range i.byPred {
+		m.lens[p] = len(bucket)
+	}
+	return m
+}
+
+// truncate takes the own layer back to the mark: the atoms added since leave
+// the set and the buckets they end, and the terms and predicates only they
+// mention leave the dictionary, so what is added next gets the ids it would
+// have got had they never been there.
+func (i *Instance) truncate(m layerMark) {
+	var arr [keyBufLen]byte
+	for p, bucket := range i.byPred {
+		keep := m.lens[p]
+		for _, a := range bucket[keep:] {
+			key, _, _ := i.packKey(arr[:0], a, false)
+			delete(i.set, string(key))
+			pid := binary.LittleEndian.Uint32(key)
+			for pos := range a.Args {
+				kk := idxKey(pid, pos, binary.LittleEndian.Uint32(key[4+4*pos:]))
+				if rest := i.idx[kk]; len(rest) > 1 {
+					i.idx[kk] = rest[:len(rest)-1]
+				} else {
+					delete(i.idx, kk)
+				}
+			}
+		}
+		if keep == 0 {
+			delete(i.byPred, p)
+		} else {
+			i.byPred[p] = bucket[:keep]
+		}
+	}
+	for t, id := range i.termID {
+		if int(id) >= i.baseTerms+m.terms {
+			delete(i.termID, t)
+		}
+	}
+	for p, id := range i.predID {
+		if int(id) >= i.basePreds+m.preds {
+			delete(i.predID, p)
+		}
+	}
+	i.n, i.hasNull = m.n, m.hasNull
+}
+
 // factKey returns the packed set key for a ground atom without interning new
 // dictionary entries; ok is false when the instance cannot contain the atom.
 func (i *Instance) factKey(a datalog.Atom) (string, bool) {

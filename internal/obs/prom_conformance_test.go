@@ -335,6 +335,11 @@ func TestWritePrometheusConformance(t *testing.T) {
 	r := NewRegistry()
 	// Hostile names: dots, dashes, unicode, leading digit, uppercase.
 	r.Add("serve.requests", 42)
+	// The deepening outcomes: restarts, and closing passes that proved the
+	// ground part complete or were undone.
+	r.Add("chase.deepen_restarts", 1)
+	r.Add("chase.closed", 5)
+	r.Add("chase.closing_failed", 2)
 	r.Add("weird-name.with–dash", 7)
 	r.Add("9starts.with.digit", 1)
 	r.SetGauge("repl.lag_seconds", 1.25)
@@ -355,6 +360,11 @@ func TestWritePrometheusConformance(t *testing.T) {
 	if types["serve_requests"] != "counter" || types["repl_lag_seconds"] != "gauge" ||
 		types["serve_latency_us"] != "histogram" {
 		t.Fatalf("family kinds = %v", types)
+	}
+	for _, name := range []string{"chase_deepen_restarts", "chase_closed", "chase_closing_failed"} {
+		if types[name] != "counter" || len(samples[name]) != 1 {
+			t.Fatalf("%s: kind %q, samples %v", name, types[name], samples[name])
+		}
 	}
 	if types["triq_build_info"] != "gauge" {
 		t.Fatal("build info family missing")

@@ -76,7 +76,7 @@ func TestProgramAgreesWithReasoner(t *testing.T) {
 			// Memberships: type(a, B) in the chase ⟺ reasoner membership.
 			for _, a := range inds {
 				for _, b := range o.BasicClasses() {
-					chaseHas := gr.Ground.Has(datalog.NewAtom("type", datalog.C(a), datalog.C(b.URI())))
+					chaseHas := gr.Ground().Has(datalog.NewAtom("type", datalog.C(a), datalog.C(b.URI())))
 					oracle := r.Member(a, b)
 					if chaseHas != oracle {
 						t.Errorf("type(%s, %s): chase=%v oracle=%v", a, b.URI(), chaseHas, oracle)
@@ -87,7 +87,7 @@ func TestProgramAgreesWithReasoner(t *testing.T) {
 			for _, a := range inds {
 				for _, b := range inds {
 					for _, p := range o.BasicProperties() {
-						chaseHas := gr.Ground.Has(datalog.NewAtom("triple1",
+						chaseHas := gr.Ground().Has(datalog.NewAtom("triple1",
 							datalog.C(a), datalog.C(p.URI()), datalog.C(b)))
 						oracle := r.Role(p, a, b)
 						if chaseHas != oracle {
@@ -99,7 +99,7 @@ func TestProgramAgreesWithReasoner(t *testing.T) {
 			// TBox closure: sc(b1, b2) ⟺ entailed subsumption.
 			for _, b1 := range o.BasicClasses() {
 				for _, b2 := range o.BasicClasses() {
-					chaseHas := gr.Ground.Has(datalog.NewAtom("sc",
+					chaseHas := gr.Ground().Has(datalog.NewAtom("sc",
 						datalog.C(b1.URI()), datalog.C(b2.URI())))
 					oracle := r.SubClassOf(b1, b2)
 					if chaseHas != oracle {

@@ -60,7 +60,8 @@ type QueryResponse struct {
 	Rows []string `json:"rows"`
 	// Inconsistent is true when the query evaluated to ⊤.
 	Inconsistent bool `json:"inconsistent,omitempty"`
-	// Exact reports a provably saturated evaluation.
+	// Exact reports a provably complete evaluation: the chase terminated, or
+	// its closing pass proved that a deeper bound adds no answer.
 	Exact bool `json:"exact,omitempty"`
 	// Incomplete marks a budget-truncated (sound but possibly partial)
 	// answer set.

@@ -93,10 +93,11 @@ type Options struct {
 type Result struct {
 	// Answers is Q(D): ⊤ (Inconsistent) or the set of constant tuples.
 	Answers *chase.Answers
-	// Exact reports whether the chase terminated within its depth bound, so
-	// the answer set is provably complete. When false the answers are the
-	// stable fixpoint of iterative deepening (exact for warded programs; see
-	// chase.StableGround).
+	// Exact reports that the answer set is provably complete: the chase
+	// terminated within its depth bound, or its closing pass proved the ground
+	// part complete at that bound (Stats.Deepening then ends with the pass).
+	// When false the answers are the stable fixpoint of iterative deepening, a
+	// heuristic stop (see chase.StableGround).
 	Exact bool
 	// Incomplete is true when a resource budget (facts, rounds, or visits)
 	// tripped and the answers are the sound partial set computed before the
@@ -184,7 +185,7 @@ func EvalCtx(ctx context.Context, db *chase.Instance, q datalog.Query, lang Lang
 	res.Stats = gr.Stats
 	accountChase(ctx, res.Stats)
 	ans := &chase.Answers{}
-	if len(gr.Ground.AtomsOf(inconsistencyMarker)) > 0 {
+	if len(gr.GroundAtomsOf(inconsistencyMarker)) > 0 {
 		// Marker derivation is monotone, so ⊤ is sound even on a truncated
 		// run.
 		ans.Inconsistent = true
@@ -192,7 +193,7 @@ func EvalCtx(ctx context.Context, db *chase.Instance, q datalog.Query, lang Lang
 		sp.End(obs.F("inconsistent", true), obs.F("depth", res.Depth))
 		return res, nil
 	}
-	for _, a := range gr.Ground.AtomsOf(q.Output) {
+	for _, a := range gr.GroundAtomsOf(q.Output) {
 		ans.Tuples = append(ans.Tuples, a.Args)
 	}
 	sortTuples(ans.Tuples)

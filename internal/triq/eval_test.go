@@ -106,8 +106,9 @@ func TestEvalInfiniteChaseWarded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Exact {
-		t.Log("note: chase reported exact (restricted-mode could terminate)")
+	// No bound finishes this chase; the closing pass proves depth 2 complete.
+	if steps := res.Stats.Deepening; !res.Exact || res.Depth != 2 || len(steps) != 2 || !steps[1].Closing {
+		t.Errorf("exact %v at depth %d, steps %+v; want a closed evaluation at depth 2", res.Exact, res.Depth, steps)
 	}
 	if len(res.Answers.Tuples) != 1 || !res.Answers.HasConstants("a") {
 		t.Errorf("answers = %v", res.Answers.Tuples)
@@ -119,6 +120,30 @@ func TestEvalInfiniteChaseWarded(t *testing.T) {
 	ok, err := pv.Proves(atom("out", "a"))
 	if err != nil || !ok {
 		t.Errorf("ProofTree disagrees: out(a) = %v, %v", ok, err)
+	}
+}
+
+// TestEvalConstraintThroughClosingFactsIsNotTop: the ⊥ marker a closing pass
+// derives from its summary nulls — r(s, s), where s stands for every null
+// beyond the bound and so succeeds itself — is the pass's failure, not Q(D) = ⊤.
+func TestEvalConstraintThroughClosingFactsIsNotTop(t *testing.T) {
+	db := chase.NewInstance(atom("p", "a"))
+	q := datalog.MustParseQuery(`
+		p(?X) -> exists ?Y r(?X, ?Y).
+		r(?X, ?Y) -> exists ?Z r(?Y, ?Z).
+		p(?X) -> out(?X).
+		r(?X, ?X) -> false.
+	`, "out")
+	res, err := Eval(db, q, TriQLite10, Options{Chase: chase.Options{MaxDepth: 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Answers.Inconsistent || !res.Answers.HasConstants("a") {
+		t.Errorf("answers = %+v, want out(a) and no ⊤", res.Answers)
+	}
+	// Every pass failed, so nothing is proved: the window stopped it.
+	if res.Exact || res.Depth != 6 || len(res.Stats.Deepening) != 3 {
+		t.Errorf("exact %v at depth %d, steps %+v; want the fallback's depth 6", res.Exact, res.Depth, res.Stats.Deepening)
 	}
 }
 

@@ -55,11 +55,11 @@ func TestExactGroundAgreesWithStableGround(t *testing.T) {
 			for pred := range sch {
 				exactAtoms := exact.AtomsOf(pred)
 				for _, a := range exactAtoms {
-					if !gr.Ground.Has(a) {
+					if !gr.Ground().Has(a) {
 						t.Errorf("exact derived %v, chase did not", a)
 					}
 				}
-				for _, a := range gr.Ground.AtomsOf(pred) {
+				for _, a := range gr.Ground().AtomsOf(pred) {
 					if !exact.Has(a) {
 						t.Errorf("chase derived %v, exact did not", a)
 					}

@@ -84,9 +84,10 @@ type ExplainReport struct {
 	FactsDerived  int `json:"facts_derived"`
 	NullsInvented int `json:"nulls_invented"`
 
-	// Deepening lists the depth steps the chase took, in order; the counters
-	// above are their sum unless a step started over (a step past the first
-	// that did not resume, whose facts are a whole chase).
+	// Deepening lists the depth steps the chase took, in order, the closing
+	// pass that ended them included; the counters above are their sum unless a
+	// step started over (a step past the first that did not resume, whose
+	// facts are a whole chase).
 	Deepening []chase.DeepenStep `json:"deepening,omitempty"`
 	// Rules is the per-rule chase breakdown, sorted by cumulative time
 	// (slowest first). Trigger/fact totals equal the run's chase.Stats.
@@ -237,7 +238,18 @@ func (r *ExplainReport) String() string {
 		if i == 0 {
 			sep = "deepening: "
 		}
-		fmt.Fprintf(&b, "%sdepth %d: +%d facts", sep, d.Depth, d.NewFacts)
+		if d.Closing {
+			// The pass that proved the step before it complete — or that a
+			// limit cut short, the one way a listed pass leaves the evaluation
+			// inexact.
+			verb := "closed"
+			if !r.Exact {
+				verb = "closing cut short"
+			}
+			fmt.Fprintf(&b, "%s%s: +%d facts, %d ground", sep, verb, d.NewFacts, d.NewGround)
+		} else {
+			fmt.Fprintf(&b, "%sdepth %d: +%d facts", sep, d.Depth, d.NewFacts)
+		}
 		if i > 0 && !d.Resumed {
 			b.WriteString(" (started over)")
 		}

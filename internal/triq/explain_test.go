@@ -192,3 +192,31 @@ func TestExplainRenderAndJSON(t *testing.T) {
 		t.Errorf("JSON round-trip changed the report: %+v vs %+v", back, rep)
 	}
 }
+
+// TestExplainRendersTheClosingPass: the deepening line says how the evaluation
+// ended — a pass that proved it complete, or one a budget cut short.
+func TestExplainRendersTheClosingPass(t *testing.T) {
+	db := chase.NewInstance(atom("e", "a", "b"), atom("g", "b"))
+	q := datalog.MustParseQuery(`
+		e(?X, ?Y) -> exists ?Z e(?Y, ?Z).
+		e(?X, ?Y), g(?Y) -> out(?X).
+	`, "out")
+	for _, tc := range []struct {
+		maxFacts int
+		want     string
+	}{
+		{0, "deepening: depth 2: +3 facts, 1 parked → closed: +2 facts, 0 ground\n"},
+		{6, "deepening: depth 2: +3 facts, 1 parked → closing cut short: +1 facts, 0 ground\n"},
+	} {
+		res, rep, err := explain(t, db, q, TriQLite10, Options{Chase: chase.Options{MaxFacts: tc.maxFacts}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Exact != (tc.maxFacts == 0) || res.Incomplete == res.Exact || !strings.Contains(rep.String(), tc.want) {
+			t.Errorf("MaxFacts %d: exact %v, incomplete %v; want the line %q in:\n%s", tc.maxFacts, res.Exact, res.Incomplete, tc.want, rep)
+		}
+		if steps := rep.Deepening; len(steps) != 2 || !steps[1].Closing {
+			t.Errorf("MaxFacts %d: steps %+v", tc.maxFacts, steps)
+		}
+	}
+}

@@ -95,7 +95,7 @@ func EliminateNegationCtx(ctx context.Context, db *chase.Instance, prog *datalog
 			if gr.Inconsistent {
 				return nil, nil, fmt.Errorf("triq: unexpected ⊤ during negation elimination")
 			}
-			ref = gr.Ground
+			ref = gr.Ground()
 		}
 		// The reference may be a layer over dbPlus, which must stay as it is
 		// until the last complement has been read off it.

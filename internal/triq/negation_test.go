@@ -94,10 +94,10 @@ func TestEliminateNegationWithExistentials(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !gr.Ground.Has(atom("out", "c")) {
+	if !gr.Ground().Has(atom("out", "c")) {
 		t.Error("out(c) missing")
 	}
-	if gr.Ground.Has(atom("out", "d")) {
+	if gr.Ground().Has(atom("out", "d")) {
 		t.Error("out(d) must be blocked by the negation")
 	}
 }

@@ -213,9 +213,11 @@ type Response struct {
 	Tuples [][]Term
 	// Mappings holds the solution mappings of a SPARQL request.
 	Mappings *MappingSet
-	// Exact reports whether the evaluation provably saturated (see
-	// internal/chase.StableGround); on the ProofTree path, that no visit
-	// budget cut the enumeration short.
+	// Exact reports that the rows are provably all of Q(G): the chase
+	// terminated within its depth bound, or its closing pass proved that no
+	// deeper bound adds a constant-only fact (see internal/chase.StableGround;
+	// Stats.Deepening says which); on the ProofTree path, that no visit budget
+	// cut the enumeration short.
 	Exact bool
 	// Incomplete is true when a resource budget tripped and the rows are the
 	// sound partial answer set derived before the abort. For positive
