@@ -28,26 +28,26 @@ import (
 
 // Table is one experiment's result.
 type Table struct {
-	ID      string     `json:"id"`
-	Title   string     `json:"title"`
-	Claim   string     `json:"claim"` // what the paper asserts
-	Columns []string   `json:"columns"`
-	Rows    [][]string `json:"rows"`
-	Notes   []string   `json:"notes,omitempty"`
+	ID      string
+	Title   string
+	Claim   string // what the paper asserts
+	Columns []string
+	Rows    [][]string
+	Notes   []string
 	// OK is false when a check failed: answer equality, an expected shape, an
 	// invariant. Every check is deterministic — none reads a clock — so a
 	// failure repeats on every host and every run.
-	OK bool `json:"ok"`
+	OK bool
 	// Breakdown carries per-stage engine metrics (chase rounds, per-rule
 	// hot spots, prover search-space counters) alongside the headline rows.
-	Breakdown []StageMetric `json:"breakdown,omitempty"`
+	Breakdown []StageMetric
 }
 
 // StageMetric is one engine-level measurement attributed to a pipeline stage.
 type StageMetric struct {
-	Stage  string `json:"stage"`  // e.g. "chase n=7 k=4", "prover p(a,a)"
-	Metric string `json:"metric"` // e.g. "rounds", "top_rule_time"
-	Value  string `json:"value"`
+	Stage  string // e.g. "chase n=7 k=4", "prover p(a,a)"
+	Metric string // e.g. "rounds", "top_rule_time"
+	Value  string
 }
 
 // chaseBreakdown summarizes chase.Stats as StageMetric rows.

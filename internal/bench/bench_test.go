@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -78,32 +77,6 @@ func TestDur(t *testing.T) {
 		if got := dur(c.d); got != c.want {
 			t.Errorf("dur(%v) = %q, want %q", c.d, got, c.want)
 		}
-	}
-}
-
-// TestTableJSONBreakdown checks that tables marshal with the breakdown
-// dimension and round-trip.
-func TestTableJSONBreakdown(t *testing.T) {
-	tbl := &Table{
-		ID: "X", Title: "t", Claim: "c", Columns: []string{"a"},
-		Rows: [][]string{{"1"}}, OK: true,
-		Breakdown: []StageMetric{{Stage: "chase", Metric: "rounds", Value: "3"}},
-	}
-	raw, err := json.Marshal(tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"id":"X"`, `"breakdown"`, `"stage":"chase"`, `"metric":"rounds"`, `"value":"3"`} {
-		if !strings.Contains(string(raw), want) {
-			t.Errorf("JSON missing %s: %s", want, raw)
-		}
-	}
-	var back Table
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Breakdown) != 1 || back.Breakdown[0] != tbl.Breakdown[0] {
-		t.Errorf("breakdown did not round-trip: %+v", back.Breakdown)
 	}
 }
 

@@ -3,10 +3,12 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro"
@@ -100,6 +102,64 @@ func TestServeInsertDeleteRoundTrip(t *testing.T) {
 	}
 	if qr := decodeResponse(t, qbody); len(qr.Rows) != 2 {
 		t.Fatalf("rows after delete = %v, want the original 2", qr.Rows)
+	}
+}
+
+// TestServeConcurrentReadWriteMix soaks a durable, checkpointing store with
+// six clients mixing reads and writes: nothing is shed or refused, every
+// acknowledged epoch is its own, a writer sees its epochs increase, and the
+// last one acknowledged is the epoch the store serves.
+func TestServeConcurrentReadWriteMix(t *testing.T) {
+	_, st, ts := newStoreServer(t, Config{}, store.Config{Dir: t.TempDir(), CheckpointEvery: 8})
+	const clients, perClient = 6, 10 // 60 requests, 4 of every 10 a write
+	acked := make([][]uint64, clients)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				if i%5 >= 2 {
+					if status, body := postJSON(t, ts.URL+"/query", QueryRequest{Program: testProgram}); status != http.StatusOK {
+						t.Errorf("client %d read %d = %d: %s", c, i, status, body)
+					}
+					continue
+				}
+				status, body := postMutation(t, ts.URL+"/insert", MutationRequest{
+					Triples: fmt.Sprintf("mix-c%d-i%d partOf TheAirline .\n", c, i),
+				})
+				var mr MutationResponse
+				if status != http.StatusOK || json.Unmarshal(body, &mr) != nil {
+					t.Errorf("client %d write %d = %d: %s", c, i, status, body)
+					continue
+				}
+				acked[c] = append(acked[c], mr.Epoch)
+			}
+		}(c)
+	}
+	wg.Wait()
+
+	seen := map[uint64]bool{}
+	var last uint64
+	for c, epochs := range acked {
+		if len(epochs) != perClient*2/5 {
+			t.Errorf("client %d: %d writes acknowledged, want %d", c, len(epochs), perClient*2/5)
+		}
+		for i, e := range epochs {
+			if seen[e] {
+				t.Errorf("epoch %d acknowledged twice", e)
+			}
+			seen[e] = true
+			if i > 0 && e <= epochs[i-1] {
+				t.Errorf("client %d: epochs %v do not increase", c, epochs)
+			}
+			if e > last {
+				last = e
+			}
+		}
+	}
+	if cur := st.Current().Seq; last != cur {
+		t.Errorf("highest acknowledged epoch %d != store epoch %d", last, cur)
 	}
 }
 

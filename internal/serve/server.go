@@ -781,7 +781,7 @@ func (s *Server) serveQuery(rq *request) (o outcome) {
 			staleWait := time.Since(w0)
 			wcancel()
 			// The observed wait rides a header (and a histogram) whether the
-			// catch-up succeeded or shed, so load generators can report how
+			// catch-up succeeded or shed, so a client can report how
 			// much time bounded staleness actually cost.
 			w.Header().Set("X-Triq-Staleness-Wait-US", strconv.FormatInt(staleWait.Microseconds(), 10))
 			s.obs.Observe("serve.staleness_wait_us", float64(staleWait.Microseconds()))
@@ -793,7 +793,7 @@ func (s *Server) serveQuery(rq *request) (o outcome) {
 		g, epoch, hasStore = s.pinEpoch()
 	}
 	if hasStore {
-		// The epoch token rides the header so clients (and the loadgen) can
+		// The epoch token rides the header so clients can
 		// chain read-your-writes requests without parsing the body.
 		w.Header().Set("X-Triq-Epoch", strconv.FormatUint(epoch, 10))
 	}

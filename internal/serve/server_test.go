@@ -312,13 +312,18 @@ func TestServeQueueFullSheds503(t *testing.T) {
 	}()
 	<-started
 
-	status, body := postJSON(t, ts.URL+"/query", QueryRequest{Program: testProgram})
+	// Overload sheds rather than queues (the counter below is queue_full, not
+	// queue_timeout) and says when to come back in both places a client looks.
+	status, body, hdr := postTraced(t, ts.URL+"/query", "", QueryRequest{Program: testProgram})
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("status = %d (body %s), want 503", status, body)
 	}
 	f := decodeFailure(t, body)
 	if f.RetryAfterMS <= 0 {
 		t.Fatalf("503 without retry_after_ms: %+v", f)
+	}
+	if hdr.Get("Retry-After") == "" {
+		t.Fatal("503 without Retry-After header")
 	}
 	if o.Registry().Counter("serve.shed.queue_full") != 1 {
 		t.Fatal("serve.shed.queue_full counter not bumped")

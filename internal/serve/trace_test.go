@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"net/http"
 	"os"
@@ -400,41 +399,37 @@ func TestTraceDisable(t *testing.T) {
 	}
 }
 
-// The loadgen injects traceparent headers; the server echoes every one, and
-// sampled ids are retrievable from the trace store.
-func TestLoadgenTraceInjection(t *testing.T) {
+// Every inbound traceparent is echoed, sampled or not, and with head sampling
+// off the sampled flag alone forces the trace into the store.
+func TestTraceparentEchoedAndSampledStored(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{Trace: TraceConfig{Sample: -1}})
 	defer ts.Close()
 
-	body, _ := json.Marshal(QueryRequest{Program: testProgram})
-	res, err := RunLoad(context.Background(), LoadConfig{
-		URL:         ts.URL + "/query",
-		Body:        body,
-		Parallel:    2,
-		Requests:    20,
-		Trace:       true,
-		TraceSample: 0.5,
-		Seed:        7,
-	})
-	if err != nil {
-		t.Fatal(err)
+	ids := obs.NewIDSource(7)
+	var sampled []obs.TraceID
+	for i := 0; i < 20; i++ {
+		tid := ids.TraceID()
+		var flags byte
+		if i%2 == 0 {
+			flags = obs.FlagSampled
+			sampled = append(sampled, tid)
+		}
+		status, body, hdr := postTraced(t, ts.URL+"/query", obs.FormatTraceparent(tid, ids.SpanID(), flags), QueryRequest{Program: testProgram})
+		if status != http.StatusOK {
+			t.Fatalf("request %d = %d: %s", i, status, body)
+		}
+		if etid, _, _, err := obs.ParseTraceparent(hdr.Get("traceparent")); err != nil || etid != tid {
+			t.Errorf("request %d: echoed traceparent %q, want trace id %s", i, hdr.Get("traceparent"), tid)
+		}
 	}
-	if res.OK != 20 {
-		t.Fatalf("ok=%d of 20", res.OK)
-	}
-	if res.TraceEchoed != 20 {
-		t.Errorf("trace echoed on %d of 20 requests", res.TraceEchoed)
-	}
-	if len(res.SampledTraceIDs) == 0 {
-		t.Fatal("no sampled trace ids recorded")
-	}
-	// A sampled id forced recording server-side even with head sampling off.
-	doc, st := fetchTrace(t, ts.URL, res.SampledTraceIDs[0])
-	if st != http.StatusOK {
-		t.Fatalf("sampled trace %s not stored (%d)", res.SampledTraceIDs[0], st)
-	}
-	if len(doc.ResourceSpans[0].ScopeSpans[0].Spans) == 0 {
-		t.Error("sampled trace has no spans")
+	for _, tid := range sampled {
+		doc, st := fetchTrace(t, ts.URL, tid.String())
+		if st != http.StatusOK {
+			t.Fatalf("sampled trace %s not stored (%d)", tid, st)
+		}
+		if len(doc.ResourceSpans[0].ScopeSpans[0].Spans) == 0 {
+			t.Errorf("sampled trace %s has no spans", tid)
+		}
 	}
 }
 

@@ -280,21 +280,7 @@ func (s *Store) InstallSnapshot(epoch uint64, g *rdf.Graph) (Epoch, error) {
 	if err := s.usableWrite(); err != nil {
 		return Epoch{}, err
 	}
-	e := &Epoch{Seq: epoch, Graph: g.Clone()}
-	s.cur.Store(e)
-	s.changelog = nil
-	s.clFloor = epoch
-	s.dropAllSubsLocked()
-	if s.cfg.OnCommit != nil {
-		s.cfg.OnCommit(CommitEvent{Epoch: e.Seq, Op: OpSnapshot})
-	}
-	if s.w != nil {
-		if err := s.checkpointLocked(); err != nil {
-			return Epoch{}, err
-		}
-	}
-	s.wakeWaitersLocked()
-	return *e, nil
+	return s.installLocked(&Epoch{Seq: epoch, Graph: g.Clone()})
 }
 
 // SnapshotRecord renders an epoch as a stream snapshot frame (OpSnapshot,

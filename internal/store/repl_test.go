@@ -279,6 +279,30 @@ func TestInstallSnapshotDurable(t *testing.T) {
 	}
 }
 
+// A checkpoint that fails after the installed epoch is already being served
+// must not leave WaitEpoch callers asleep: a bounded-staleness read would
+// shed for an epoch the store holds.
+func TestInstallSnapshotWakesWaitersBeforeCheckpoint(t *testing.T) {
+	plan := limits.NewPlan(limits.Fault{Point: "wal.checkpoint", Action: limits.ActError})
+	s := memStore(t, store.Config{Dir: t.TempDir(), Faults: plan})
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- s.WaitEpoch(ctx, 5) }()
+	time.Sleep(20 * time.Millisecond) // let the waiter park on the watch channel
+	g := rdf.NewGraph()
+	g.Add(rdf.T("a", "p", "b"))
+	if _, err := s.InstallSnapshot(5, g); err == nil {
+		t.Fatal("install with a failing checkpoint returned no error")
+	}
+	if seq := s.Current().Seq; seq != 5 {
+		t.Fatalf("current epoch = %d, want the installed 5", seq)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("WaitEpoch(5) = %v with epoch 5 installed", err)
+	}
+}
+
 // WaitEpoch is the bounded-staleness primitive: it returns when the epoch
 // arrives, types a deadline miss, and fails fast on a closed store.
 func TestWaitEpoch(t *testing.T) {

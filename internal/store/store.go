@@ -402,22 +402,26 @@ func (s *Store) Bootstrap(g *rdf.Graph) (Epoch, error) {
 	if cur.Seq != 0 || cur.Graph.Len() != 0 {
 		return Epoch{}, ErrNotEmpty
 	}
-	e := &Epoch{Seq: 1, Graph: g.Clone()}
+	return s.installLocked(&Epoch{Seq: 1, Graph: g.Clone()})
+}
+
+// installLocked is the tail the two whole-graph installs share (Bootstrap,
+// InstallSnapshot). No changelog record leads to e: the retention floor
+// moves to it so subscribers resync via snapshot, and live subscriptions are
+// dropped (they would wait forever for a record that never comes). Waiters
+// wake before the checkpoint, because e is served from the swap on whether
+// or not the checkpoint then succeeds.
+func (s *Store) installLocked(e *Epoch) (Epoch, error) {
 	s.cur.Store(e)
-	// A bootstrap has no changelog record; move the retention floor past it
-	// so subscribers resync via snapshot, and drop any that subscribed to
-	// the empty store (they would wait forever for a record that never
-	// comes).
+	s.changelog = nil
 	s.clFloor = e.Seq
 	s.dropAllSubsLocked()
 	s.wakeWaitersLocked()
 	if s.cfg.OnCommit != nil {
 		s.cfg.OnCommit(CommitEvent{Epoch: e.Seq, Op: OpSnapshot})
 	}
-	if s.w != nil {
-		if err := s.checkpointLocked(); err != nil {
-			return Epoch{}, err
-		}
+	if err := s.checkpointLocked(); err != nil {
+		return Epoch{}, err
 	}
 	return *e, nil
 }

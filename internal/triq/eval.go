@@ -184,26 +184,35 @@ func EvalCtx(ctx context.Context, db *chase.Instance, q datalog.Query, lang Lang
 	res.Depth = gr.Depth
 	res.Stats = gr.Stats
 	accountChase(ctx, res.Stats)
-	ans := &chase.Answers{}
-	if len(gr.GroundAtomsOf(inconsistencyMarker)) > 0 {
-		// Marker derivation is monotone, so ⊤ is sound even on a truncated
-		// run.
-		ans.Inconsistent = true
-		res.Answers = ans
+	// Marker derivation is monotone, so ⊤ is sound even on a truncated run.
+	ans := answersOf(len(gr.GroundAtomsOf(inconsistencyMarker)) > 0, gr.GroundAtomsOf(q.Output))
+	res.Answers = ans
+	if ans.Inconsistent {
 		sp.End(obs.F("inconsistent", true), obs.F("depth", res.Depth))
 		return res, nil
 	}
-	for _, a := range gr.GroundAtomsOf(q.Output) {
-		ans.Tuples = append(ans.Tuples, a.Args)
-	}
-	sortTuples(ans.Tuples)
-	res.Answers = ans
 	sp.End(
 		obs.F("answers", len(ans.Tuples)),
 		obs.F("depth", res.Depth),
 		obs.F("exact", res.Exact),
 		obs.F("incomplete", res.Incomplete))
 	return res, nil
+}
+
+// answersOf is the tail every evaluation path shares, from a ground part to
+// Q(D) of Section 3.2: ⊤ when the inconsistency marker was derived, the
+// sorted argument tuples of the output atoms otherwise.
+func answersOf(inconsistent bool, output []datalog.Atom) *chase.Answers {
+	ans := &chase.Answers{Inconsistent: inconsistent}
+	if inconsistent || len(output) == 0 {
+		return ans
+	}
+	ans.Tuples = make([][]datalog.Term, 0, len(output))
+	for _, a := range output {
+		ans.Tuples = append(ans.Tuples, a.Args)
+	}
+	sortTuples(ans.Tuples)
+	return ans
 }
 
 // accountChase writes the final evaluation's chase.Stats into the request's

@@ -144,14 +144,9 @@ func EvalExactCtx(ctx context.Context, db *chase.Instance, q datalog.Query, opts
 	ctx, sp := obs.StartSpan(ctx, opts.Chase.Obs, "triq.exact",
 		obs.F("output", q.Output),
 		obs.F("db_facts", db.Len()))
-	prog := q.Program
+	prog := rewriteConstraints(q.Program)
 	preds := []string{q.Output}
-	if len(prog.Constraints) > 0 {
-		prog = prog.Clone()
-		for _, c := range prog.Constraints {
-			prog.Add(datalog.Rule{BodyPos: c.Body, Head: []datalog.Atom{{Pred: inconsistencyMarker}}})
-		}
-		prog.Constraints = nil
+	if len(q.Program.Constraints) > 0 {
 		preds = append(preds, inconsistencyMarker)
 	}
 	ground, err := ExactGroundCtx(ctx, db, prog, preds, opts.Chase, ProofOptions{MaxVisits: opts.MaxVisits, Obs: opts.Chase.Obs, Faults: opts.Chase.Faults})
@@ -167,18 +162,12 @@ func EvalExactCtx(ctx context.Context, db *chase.Instance, q datalog.Query, opts
 			res.Truncation = tr
 		}
 	}
-	ans := &chase.Answers{}
-	if len(ground.AtomsOf(inconsistencyMarker)) > 0 {
-		ans.Inconsistent = true
-		res.Answers = ans
+	ans := answersOf(len(ground.AtomsOf(inconsistencyMarker)) > 0, ground.AtomsOf(q.Output))
+	res.Answers = ans
+	if ans.Inconsistent {
 		sp.End(obs.F("inconsistent", true))
 		return res, nil
 	}
-	for _, a := range ground.AtomsOf(q.Output) {
-		ans.Tuples = append(ans.Tuples, a.Args)
-	}
-	sortTuples(ans.Tuples)
-	res.Answers = ans
 	sp.End(
 		obs.F("answers", len(ans.Tuples)),
 		obs.F("exact", res.Exact),

@@ -104,16 +104,6 @@ const (
 func servedResult(served *MatServed, path string) *Result {
 	res := &Result{Exact: true, Depth: served.Depth, Path: path}
 	res.Stats.FactsDerived = served.Facts
-	ans := &chase.Answers{}
-	if served.Inconsistent {
-		ans.Inconsistent = true
-	} else {
-		ans.Tuples = make([][]datalog.Term, 0, len(served.Output))
-		for _, a := range served.Output {
-			ans.Tuples = append(ans.Tuples, a.Args)
-		}
-		sortTuples(ans.Tuples)
-	}
-	res.Answers = ans
+	res.Answers = answersOf(served.Inconsistent, served.Output)
 	return res
 }
