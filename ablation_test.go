@@ -1,10 +1,9 @@
 package repro
 
 // Ablation benchmarks for the design choices called out in DESIGN.md:
-// semi-naive vs naive evaluation, restricted vs Skolem chase, top-down
-// ProofTree vs bottom-up chase for single-atom certification, and the
-// exponential growth of the OPT translation (the Section 5.1 remark that
-// P_dat has exponential size).
+// semi-naive vs naive evaluation, top-down ProofTree vs bottom-up chase for
+// single-atom certification, and the exponential growth of the OPT
+// translation (the Section 5.1 remark that P_dat has exponential size).
 
 import (
 	"fmt"
@@ -12,7 +11,6 @@ import (
 
 	"repro/internal/chase"
 	"repro/internal/datalog"
-	"repro/internal/owl"
 	"repro/internal/sparql"
 	"repro/internal/translate"
 	"repro/internal/triq"
@@ -34,27 +32,6 @@ func BenchmarkAblationSemiNaive(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := chase.Run(db, prog, chase.Options{NaiveEvaluation: naive}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkAblationChaseMode(b *testing.B) {
-	// A DL-LiteR-style ontology load where the restricted chase can skip
-	// already-satisfied existentials.
-	o := workload.University(2, 3, 3, false)
-	db, err := chase.FromFacts(owl.GraphToDB(o.ToGraph()))
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog := owl.Program().Positive()
-	for _, mode := range []chase.Mode{chase.Skolem, chase.Restricted} {
-		b.Run(mode.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := chase.Run(db, prog, chase.Options{Mode: mode, MaxDepth: 8}); err != nil {
 					b.Fatal(err)
 				}
 			}

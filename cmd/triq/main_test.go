@@ -4,11 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
 	"io"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/flagledger"
 	"repro/internal/limits"
 	"repro/internal/obs"
 	"repro/internal/serve"
@@ -36,9 +38,20 @@ ts(?T), triple(?X, ?T, ?Y) -> conn(?X, ?Y).
 conn(?X, ?Y) -> query(?X, ?Y).
 `
 
-// base returns the default flag values, mirroring main().
+// base returns the flag defaults, as main sees them after parsing no
+// arguments.
 func base() config {
-	return config{query: "query", lang: "triqlite"}
+	return *defineFlags(flag.NewFlagSet("triq", flag.ContinueOnError))
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/flags.golden")
+
+// TestFlagLedger pins triq's flags — name, default, usage — against
+// testdata/flags.golden. Regenerate with: go test -run TestFlagLedger ./cmd/triq -update
+func TestFlagLedger(t *testing.T) {
+	fs := flag.NewFlagSet("triq", flag.ContinueOnError)
+	defineFlags(fs)
+	flagledger.Check(t, fs, *updateGolden)
 }
 
 func TestCLIRunQuery(t *testing.T) {
@@ -61,9 +74,9 @@ func TestCLIRunQuery(t *testing.T) {
 	if err := run(context.Background(), tq); err != nil {
 		t.Fatal(err)
 	}
-	// "any" language.
+	// No language check.
 	any := cfg
-	any.lang = "any"
+	any.lang = "unrestricted"
 	if err := run(context.Background(), any); err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +118,7 @@ func TestCLIAnalyze(t *testing.T) {
 	}
 	// Regime merge in analyze mode.
 	reg := cfg
-	reg.regime = true
+	reg.regime = "active-domain"
 	if err := run(context.Background(), reg); err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +134,7 @@ func TestCLIOntologyAndRegime(t *testing.T) {
 	cfg.program = writeFile(t, "p.dlog", `
 		triple1(?X, rdf:type, animal), C(?X) -> query(?X).
 	`)
-	cfg.regime = true
+	cfg.regime = "active-domain"
 	cfg.depth = 8
 	if err := run(context.Background(), cfg); err != nil {
 		t.Fatal(err)
@@ -202,6 +215,7 @@ func TestCLIErrors(t *testing.T) {
 		cfg  config
 	}{
 		{"missing program", mod(func(c *config) { c.program = "" })},
+		{"program and sparql", mod(func(c *config) { c.sparql = prog })},
 		{"missing data", mod(func(c *config) { c.data = "" })},
 		{"bad language", mod(func(c *config) { c.lang = "klingon" })},
 		{"bad data path", mod(func(c *config) { c.data = data + ".nope" })},

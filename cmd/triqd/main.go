@@ -65,7 +65,6 @@ import (
 	"repro/internal/mat"
 	"repro/internal/obs"
 	"repro/internal/owl"
-	"repro/internal/rdf"
 	"repro/internal/repl"
 	"repro/internal/serve"
 	"repro/internal/slo"
@@ -77,12 +76,10 @@ type config struct {
 	ontology string // OWL 2 QL core ontology merged into the data
 	addr     string // listen address
 
-	walDir          string        // store directory ("" = volatile in-memory store)
-	walSync         string        // WAL fsync policy: always, interval, none
-	walSyncInterval time.Duration // flush cadence under -wal-sync=interval
-	checkpointEvery int           // snapshot checkpoint every N batches (negative disables)
-	checkpointBytes int64         // ... or when the WAL exceeds this size (negative disables)
-	maxBodyBytes    int64         // request body cap on every POST endpoint
+	walDir          string // store directory ("" = volatile in-memory store)
+	walSync         string // WAL fsync policy: always, interval, none
+	checkpointEvery int    // snapshot checkpoint every N batches (negative disables)
+	maxBodyBytes    int64  // request body cap on every POST endpoint
 
 	concurrency  int           // evaluation slots
 	queue        int           // admission queue length
@@ -94,8 +91,6 @@ type config struct {
 	retries        int           // attempts per evaluation (1 = no retries)
 
 	materialize bool // maintain chased materializations across epochs
-	matMaxFacts int  // cap per materialized instance (0 = chase default)
-	matPrograms int  // how many programs stay materialized (0 = default 4)
 
 	replicaOf     string        // primary base URL ("" = primary / standalone)
 	promoteOnLoss bool          // self-promote after promoteGrace of primary silence
@@ -106,16 +101,11 @@ type config struct {
 	slowlog          string        // JSONL slow-query sink file ("" = ring only)
 	slowlogThreshold time.Duration // record requests at least this slow (0 = off)
 
-	traceSample     float64       // head-sampling rate for request traces
-	traceStore      int           // in-memory trace store capacity
-	traceSeed       int64         // trace-id / sampler seed (0 = clock)
-	noTrace         bool          // disable request tracing entirely
-	profileDir      string        // slow-query auto-profile directory ("" = off)
-	autoprofileCPU  time.Duration // CPU profile capture duration
-	autoprofileCool time.Duration // minimum time between auto-captures
-	healthInterval  time.Duration // runtime health sampling cadence
-
-	timelineCap int // epoch-timeline ring capacity (0 = 512)
+	traceSample    float64       // head-sampling rate for request traces
+	traceSeed      int64         // trace-id / sampler seed (0 = clock)
+	noTrace        bool          // disable request tracing entirely
+	profileDir     string        // slow-query auto-profile directory ("" = off)
+	autoprofileCPU time.Duration // CPU profile capture duration
 
 	sloQueryP99   time.Duration // query p99 latency target (0 = objective off)
 	sloCommitP99  time.Duration // commit-visible p99 latency target
@@ -126,61 +116,66 @@ type config struct {
 	sloFast       time.Duration // fast (reactive) burn window
 	sloSlow       time.Duration // slow (confirming) burn window
 	alertLog      string        // JSONL alert-transition sink file
+
+	version bool // print version and exit
+}
+
+// defineFlags declares every flag of the binary on fs; TestFlagLedger pins
+// the result against testdata/flags.golden. Mechanism tunables that nothing
+// sets (WAL flush cadence and size trigger, materializer caps, trace-store
+// and timeline capacities, profile cooldown, health cadence) are not flags:
+// they stay at the defaults of the store, mat and serve Configs. -trace-seed
+// is one because benchmark/ passes it.
+func defineFlags(fs *flag.FlagSet) *config {
+	cfg := &config{}
+	fs.StringVar(&cfg.data, "data", "", "N-Triples data file (seeds the store on first boot; required without -wal-dir)")
+	fs.StringVar(&cfg.ontology, "ontology", "", "OWL 2 QL core ontology file; its RDF serialization is merged into the data")
+	fs.StringVar(&cfg.addr, "addr", ":8471", "listen address")
+	fs.StringVar(&cfg.walDir, "wal-dir", "", "durable store directory (snapshot + write-ahead log); empty serves writes from a volatile in-memory store")
+	fs.StringVar(&cfg.walSync, "wal-sync", "always", "WAL fsync policy: always (acknowledged writes survive crashes), interval, or none")
+	fs.IntVar(&cfg.checkpointEvery, "checkpoint-every", 1024, "write a snapshot checkpoint and truncate the WAL every N batches (negative disables)")
+	fs.Int64Var(&cfg.maxBodyBytes, "max-body-bytes", 8<<20, "request body cap on every POST endpoint; oversized bodies get 413 (negative disables)")
+	fs.IntVar(&cfg.concurrency, "concurrency", 4, "concurrent evaluation slots")
+	fs.IntVar(&cfg.queue, "queue", 16, "admission queue length (0 disables queueing)")
+	fs.DurationVar(&cfg.queueTimeout, "queue-timeout", time.Second, "longest a request may queue before it is shed")
+	fs.DurationVar(&cfg.defaultTimeout, "default-timeout", 10*time.Second, "per-request evaluation deadline when the request sets none")
+	fs.DurationVar(&cfg.maxTimeout, "max-timeout", 60*time.Second, "cap on client-requested deadlines")
+	fs.DurationVar(&cfg.drainTimeout, "drain-timeout", 15*time.Second, "graceful-shutdown budget; stragglers are canceled when it expires")
+	fs.IntVar(&cfg.retries, "retries", 3, "evaluation attempts per request (1 disables retrying)")
+	fs.BoolVar(&cfg.materialize, "materialize", false, "maintain chased materializations incrementally across epochs and serve matching queries from them")
+	fs.StringVar(&cfg.replicaOf, "replica-of", "", "boot as a read replica of this primary base URL (e.g. http://10.0.0.1:8471)")
+	fs.BoolVar(&cfg.promoteOnLoss, "promote-on-loss", false, "with -replica-of: self-promote to writable primary after -promote-grace of primary silence")
+	fs.DurationVar(&cfg.promoteGrace, "promote-grace", repl.DefaultPromoteGrace, "with -promote-on-loss: how long the primary may be silent before failover")
+	fs.BoolVar(&cfg.proxyWrites, "proxy-writes", false, "with -replica-of: forward writes to the primary instead of refusing them with 503")
+	fs.DurationVar(&cfg.stalenessWait, "staleness-wait", 2*time.Second, "longest a min-epoch read waits for the store to catch up before shedding 503")
+	fs.StringVar(&cfg.slowlog, "slowlog", "", "append slow-query entries as JSON lines to this file (implies -slowlog-threshold 1s when unset)")
+	fs.DurationVar(&cfg.slowlogThreshold, "slowlog-threshold", 0, "record requests whose total time meets this threshold at /debug/slowlog (0 disables unless -slowlog is set)")
+	fs.Float64Var(&cfg.traceSample, "trace-sample", 0.1, "fraction of requests whose full span tree is recorded (incoming sampled traceparents always record)")
+	fs.Int64Var(&cfg.traceSeed, "trace-seed", 0, "trace id / sampling seed (0 derives from the clock)")
+	fs.BoolVar(&cfg.noTrace, "no-trace", false, "disable request tracing (no traceparent echo, no /debug/trace)")
+	fs.StringVar(&cfg.profileDir, "profile-dir", "", "directory for slow-query auto-captured CPU/heap profiles (empty disables)")
+	fs.DurationVar(&cfg.autoprofileCPU, "autoprofile-cpu", 2*time.Second, "CPU profile duration per auto-capture")
+	fs.DurationVar(&cfg.sloQueryP99, "slo-query-p99", 0, "SLO: query p99 latency target; burn-rate alerts at /debug/alerts (0 disables this objective)")
+	fs.DurationVar(&cfg.sloCommitP99, "slo-commit-p99", 0, "SLO: commit-visible p99 latency target (WAL append to reader-visible swap)")
+	fs.Float64Var(&cfg.sloErrorRate, "slo-error-rate", 0, "SLO: request error-rate budget as a fraction, e.g. 0.01 (0 disables)")
+	fs.Float64Var(&cfg.sloShedRate, "slo-shed-rate", 0, "SLO: admission shed-rate budget as a fraction (0 disables)")
+	fs.DurationVar(&cfg.sloReplicaLag, "slo-replica-lag", 0, "SLO: replica wall-clock staleness target behind the primary (0 disables)")
+	fs.DurationVar(&cfg.sloInterval, "slo-interval", time.Second, "SLO: watchdog sampling cadence")
+	fs.DurationVar(&cfg.sloFast, "slo-window-fast", 30*time.Second, "SLO: fast burn window (reacts and clears)")
+	fs.DurationVar(&cfg.sloSlow, "slo-window-slow", 0, "SLO: slow burn window confirming a sustained burn (0 = 5× fast)")
+	fs.StringVar(&cfg.alertLog, "alert-log", "", "append SLO alert transitions as JSON lines to this file")
+	fs.BoolVar(&cfg.version, "version", false, "print version and exit")
+	return cfg
 }
 
 func main() {
-	var cfg config
-	flag.StringVar(&cfg.data, "data", "", "N-Triples data file (seeds the store on first boot; required without -wal-dir)")
-	flag.StringVar(&cfg.ontology, "ontology", "", "OWL 2 QL core ontology file; its RDF serialization is merged into the data")
-	flag.StringVar(&cfg.addr, "addr", ":8471", "listen address")
-	flag.StringVar(&cfg.walDir, "wal-dir", "", "durable store directory (snapshot + write-ahead log); empty serves writes from a volatile in-memory store")
-	flag.StringVar(&cfg.walSync, "wal-sync", "always", "WAL fsync policy: always (acknowledged writes survive crashes), interval, or none")
-	flag.DurationVar(&cfg.walSyncInterval, "wal-sync-interval", 100*time.Millisecond, "flush cadence under -wal-sync=interval")
-	flag.IntVar(&cfg.checkpointEvery, "checkpoint-every", 1024, "write a snapshot checkpoint and truncate the WAL every N batches (negative disables)")
-	flag.Int64Var(&cfg.checkpointBytes, "checkpoint-bytes", 64<<20, "also checkpoint when the WAL exceeds this many bytes (negative disables)")
-	flag.Int64Var(&cfg.maxBodyBytes, "max-body-bytes", 8<<20, "request body cap on every POST endpoint; oversized bodies get 413 (negative disables)")
-	flag.IntVar(&cfg.concurrency, "concurrency", 4, "concurrent evaluation slots")
-	flag.IntVar(&cfg.queue, "queue", 16, "admission queue length (0 disables queueing)")
-	flag.DurationVar(&cfg.queueTimeout, "queue-timeout", time.Second, "longest a request may queue before it is shed")
-	flag.DurationVar(&cfg.defaultTimeout, "default-timeout", 10*time.Second, "per-request evaluation deadline when the request sets none")
-	flag.DurationVar(&cfg.maxTimeout, "max-timeout", 60*time.Second, "cap on client-requested deadlines")
-	flag.DurationVar(&cfg.drainTimeout, "drain-timeout", 15*time.Second, "graceful-shutdown budget; stragglers are canceled when it expires")
-	flag.IntVar(&cfg.retries, "retries", 3, "evaluation attempts per request (1 disables retrying)")
-	flag.BoolVar(&cfg.materialize, "materialize", false, "maintain chased materializations incrementally across epochs and serve matching queries from them")
-	flag.IntVar(&cfg.matMaxFacts, "mat-max-facts", 0, "with -materialize: drop a materialized instance that grows past this many facts (0 = the chase fact budget)")
-	flag.IntVar(&cfg.matPrograms, "mat-programs", 0, "with -materialize: how many distinct programs stay materialized at once (0 = 4)")
-	flag.StringVar(&cfg.replicaOf, "replica-of", "", "boot as a read replica of this primary base URL (e.g. http://10.0.0.1:8471)")
-	flag.BoolVar(&cfg.promoteOnLoss, "promote-on-loss", false, "with -replica-of: self-promote to writable primary after -promote-grace of primary silence")
-	flag.DurationVar(&cfg.promoteGrace, "promote-grace", repl.DefaultPromoteGrace, "with -promote-on-loss: how long the primary may be silent before failover")
-	flag.BoolVar(&cfg.proxyWrites, "proxy-writes", false, "with -replica-of: forward writes to the primary instead of refusing them with 503")
-	flag.DurationVar(&cfg.stalenessWait, "staleness-wait", 2*time.Second, "longest a min-epoch read waits for the store to catch up before shedding 503")
-	flag.StringVar(&cfg.slowlog, "slowlog", "", "append slow-query entries as JSON lines to this file (implies -slowlog-threshold 1s when unset)")
-	flag.DurationVar(&cfg.slowlogThreshold, "slowlog-threshold", 0, "record requests whose total time meets this threshold at /debug/slowlog (0 disables unless -slowlog is set)")
-	flag.Float64Var(&cfg.traceSample, "trace-sample", 0.1, "fraction of requests whose full span tree is recorded (incoming sampled traceparents always record)")
-	flag.IntVar(&cfg.traceStore, "trace-store", 256, "in-memory trace store capacity for /debug/trace")
-	flag.Int64Var(&cfg.traceSeed, "trace-seed", 0, "trace id / sampling seed (0 derives from the clock)")
-	flag.BoolVar(&cfg.noTrace, "no-trace", false, "disable request tracing (no traceparent echo, no /debug/trace)")
-	flag.StringVar(&cfg.profileDir, "profile-dir", "", "directory for slow-query auto-captured CPU/heap profiles (empty disables)")
-	flag.DurationVar(&cfg.autoprofileCPU, "autoprofile-cpu", 2*time.Second, "CPU profile duration per auto-capture")
-	flag.DurationVar(&cfg.autoprofileCool, "autoprofile-cooldown", time.Minute, "minimum time between auto-captures")
-	flag.DurationVar(&cfg.healthInterval, "health-interval", 10*time.Second, "runtime health sampling cadence for /metrics (negative disables)")
-	flag.IntVar(&cfg.timelineCap, "timeline-cap", 512, "epoch-timeline ring capacity behind /debug/epochs")
-	flag.DurationVar(&cfg.sloQueryP99, "slo-query-p99", 0, "SLO: query p99 latency target; burn-rate alerts at /debug/alerts (0 disables this objective)")
-	flag.DurationVar(&cfg.sloCommitP99, "slo-commit-p99", 0, "SLO: commit-visible p99 latency target (WAL append to reader-visible swap)")
-	flag.Float64Var(&cfg.sloErrorRate, "slo-error-rate", 0, "SLO: request error-rate budget as a fraction, e.g. 0.01 (0 disables)")
-	flag.Float64Var(&cfg.sloShedRate, "slo-shed-rate", 0, "SLO: admission shed-rate budget as a fraction (0 disables)")
-	flag.DurationVar(&cfg.sloReplicaLag, "slo-replica-lag", 0, "SLO: replica wall-clock staleness target behind the primary (0 disables)")
-	flag.DurationVar(&cfg.sloInterval, "slo-interval", time.Second, "SLO: watchdog sampling cadence")
-	flag.DurationVar(&cfg.sloFast, "slo-window-fast", 30*time.Second, "SLO: fast burn window (reacts and clears)")
-	flag.DurationVar(&cfg.sloSlow, "slo-window-slow", 0, "SLO: slow burn window confirming a sustained burn (0 = 5× fast)")
-	flag.StringVar(&cfg.alertLog, "alert-log", "", "append SLO alert transitions as JSON lines to this file")
-	version := flag.Bool("version", false, "print version and exit")
+	cfg := defineFlags(flag.CommandLine)
 	flag.Parse()
-	if *version {
+	if cfg.version {
 		fmt.Println(obs.VersionString("triqd"))
 		os.Exit(0)
 	}
-	os.Exit(realMain(cfg))
+	os.Exit(realMain(*cfg))
 }
 
 func realMain(cfg config) int {
@@ -196,31 +191,6 @@ func realMain(cfg config) int {
 		return 1
 	}
 	return 0
-}
-
-// loadGraph reads the dataset (and optional ontology) from disk.
-func loadGraph(cfg config) (*repro.Graph, error) {
-	f, err := os.Open(cfg.data)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	g, err := rdf.ParseNTriples(f)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.ontology != "" {
-		src, err := os.ReadFile(cfg.ontology)
-		if err != nil {
-			return nil, err
-		}
-		onto, err := owl.ParseOntology(string(src))
-		if err != nil {
-			return nil, err
-		}
-		g.AddGraph(onto.ToGraph())
-	}
-	return g, nil
 }
 
 // run serves until the context dies, a signal arrives, or the listener
@@ -269,11 +239,7 @@ func run(ctx context.Context, cfg config, ln net.Listener, stop <-chan os.Signal
 	// bounds), so both are left at the chase defaults.
 	var m *mat.Materializer
 	if cfg.materialize {
-		m = mat.New(mat.Config{
-			MaxFacts:    cfg.matMaxFacts,
-			MaxPrograms: cfg.matPrograms,
-			Obs:         o,
-		})
+		m = mat.New(mat.Config{Obs: o})
 	}
 	srv := serve.New(serve.Config{
 		Admission: serve.AdmissionConfig{
@@ -287,21 +253,18 @@ func run(ctx context.Context, cfg config, ln net.Listener, stop <-chan os.Signal
 		Obs:            o,
 		SlowLog:        slowCfg,
 		Trace: serve.TraceConfig{
-			Sample:   cfg.traceSample,
-			Capacity: cfg.traceStore,
-			Seed:     cfg.traceSeed,
-			Disable:  cfg.noTrace,
+			Sample:  cfg.traceSample,
+			Seed:    cfg.traceSeed,
+			Disable: cfg.noTrace,
 		},
 		AutoProfile: serve.AutoProfileConfig{
 			Dir:         cfg.profileDir,
 			CPUDuration: cfg.autoprofileCPU,
-			Cooldown:    cfg.autoprofileCool,
 		},
-		HealthInterval: cfg.healthInterval,
-		MaxBodyBytes:   cfg.maxBodyBytes,
-		StalenessWait:  cfg.stalenessWait,
-		ProxyWrites:    cfg.proxyWrites,
-		Mat:            m,
+		MaxBodyBytes:  cfg.maxBodyBytes,
+		StalenessWait: cfg.stalenessWait,
+		ProxyWrites:   cfg.proxyWrites,
+		Mat:           m,
 	})
 
 	// The listener answers immediately — /readyz reports 503
@@ -434,11 +397,8 @@ func openStore(cfg config, sync repro.StoreSyncPolicy, m *mat.Materializer, o *o
 	scfg := repro.StoreConfig{
 		Dir:             cfg.walDir,
 		Sync:            sync,
-		SyncInterval:    cfg.walSyncInterval,
 		CheckpointEvery: cfg.checkpointEvery,
-		CheckpointBytes: cfg.checkpointBytes,
 		Obs:             o,
-		TimelineCap:     cfg.timelineCap,
 	}
 	if m != nil {
 		scfg.OnCommit = m.OnCommit
@@ -466,7 +426,7 @@ func openStore(cfg config, sync repro.StoreSyncPolicy, m *mat.Materializer, o *o
 				cfg.data, cfg.replicaOf)
 		}
 	case cfg.data != "" && empty:
-		g, err := loadGraph(cfg)
+		g, err := owl.LoadGraph(cfg.data, cfg.ontology)
 		if err != nil {
 			st.Close()
 			return nil, err

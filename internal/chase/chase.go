@@ -15,36 +15,8 @@ import (
 	"repro/internal/obs"
 )
 
-// Mode selects the chase variant.
-type Mode int
-
-const (
-	// Skolem is the semi-oblivious chase: the null invented by a rule is a
-	// deterministic function of the rule and the frontier binding, so
-	// re-deriving the same trigger reuses the same null. It is complete for
-	// certain (ground) answers and is the default.
-	Skolem Mode = iota
-	// Restricted fires a trigger only when the head is not already
-	// satisfied in the current instance; it terminates more often (e.g. on
-	// all DL-LiteR-style programs with acyclic existential parts).
-	Restricted
-)
-
-func (m Mode) String() string {
-	switch m {
-	case Skolem:
-		return "skolem"
-	case Restricted:
-		return "restricted"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
-}
-
 // Options bound the chase. The zero value selects the defaults below.
 type Options struct {
-	// Mode is the chase variant (default Skolem).
-	Mode Mode
 	// MaxDepth caps the nesting depth of invented nulls: a null invented
 	// from a trigger whose frontier contains nulls of depth d gets depth
 	// d+1; triggers that would exceed MaxDepth are skipped and the result
@@ -57,8 +29,10 @@ type Options struct {
 	// rounds. Default 1,000,000.
 	MaxRounds int
 	// NaiveEvaluation disables the semi-naive delta restriction, re-matching
-	// every rule against the full instance each round. Exposed for the
-	// ablation benchmarks; results are identical, only slower.
+	// every rule against the full instance each round: results are identical,
+	// only slower. No flag or wire field sets it; it stays because it is the
+	// reference engine TestDifferentialEngines compares the semi-naive one
+	// against.
 	NaiveEvaluation bool
 	// Parallelism is ignored: the chase is sequential. Declared only because
 	// benchmark/layers.go sets it (to 1); delete with ROADMAP item 1(a).
@@ -192,7 +166,6 @@ type compiledRule struct {
 	bodyPos   []pattern
 	bodyNeg   []pattern
 	heads     []pattern
-	headOrder []int
 	bodySlots int   // slots of body variables; existential slots follow
 	exSlots   []int // environment slots of the existential variables
 	exNames   []string
@@ -226,7 +199,6 @@ func compileRule(r datalog.Rule, idx int) *compiledRule {
 			}
 		}
 	}
-	c.headOrder = orderPatterns(c.heads, nil, -1)
 	c.fullOrder = orderPatterns(c.bodyPos, nil, -1)
 	c.seeded = make([][]int, len(c.bodyPos))
 	for j := range c.bodyPos {
@@ -655,27 +627,9 @@ func (e *engine) fire(c *compiledRule, ev *env) error {
 			// at the bound: a trigger with one in its frontier closes this way too.
 			d, summary = e.opts.MaxDepth, true
 		}
-		if e.opts.Mode == Restricted {
-			// Skip when an extension of the frontier binding already maps
-			// the whole head into the instance. The existential slots are
-			// unbound here, so matchPatterns searches for witnesses.
-			satisfied := false
-			matchPatterns(e.inst, c.heads, c.headOrder, ev, func() bool {
-				satisfied = true
-				return false
-			})
-			if satisfied {
-				return nil
-			}
-		}
 		for k, s := range c.exSlots {
-			key := skolemKeyFor(c, k, ev, summary)
-			if e.opts.Mode == Restricted {
-				// Restricted-mode nulls are always fresh.
-				key += "|#" + strconv.Itoa(e.nextNull)
-			}
 			ev.set[s] = true
-			ev.val[s] = e.freshNull(key, d)
+			ev.val[s] = e.freshNull(skolemKeyFor(c, k, ev, summary), d)
 		}
 		defer func() {
 			for _, s := range c.exSlots {
@@ -823,7 +777,6 @@ func (e *engine) step() (inconsistent bool, err error) {
 		} else {
 			_, e.span = obs.StartSpan(e.ctx, opts.Obs, "chase.run")
 		}
-		e.span.Attr("mode", opts.Mode.String())
 		e.span.Attr("rules", len(e.perRule))
 		e.span.Attr("strata", len(e.strata))
 		e.span.Attr("db_facts", e.inst.Len()-e.stats.FactsDerived)

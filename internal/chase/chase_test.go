@@ -143,7 +143,7 @@ func TestChaseSkolemReusesNulls(t *testing.T) {
 		a(?X) -> s(?X).
 		b(?X) -> s(?X).
 		s(?X) -> exists ?Z e(?X, ?Z).
-	`, Options{Mode: Skolem})
+	`, Options{})
 	if got := len(res.Instance.AtomsOf("e")); got != 1 {
 		t.Errorf("e atoms = %d, want 1 (Skolem reuse)", got)
 	}
@@ -160,7 +160,7 @@ func TestChaseSkolemKeysNumberRulesAcrossStrata(t *testing.T) {
 		p(?X) -> exists ?Z r(?X, ?Z).
 		p(?X), not s(?X) -> exists ?Z t(?X, ?Z).
 		r(?X, ?Z), t(?X, ?Z) -> q(?X).
-	`, Options{Mode: Skolem})
+	`, Options{})
 	r, tt := res.Instance.AtomsOf("r"), res.Instance.AtomsOf("t")
 	if len(r) != 1 || len(tt) != 1 || res.Stats.NullsInvented != 2 {
 		t.Fatalf("r = %v, t = %v, %d nulls; want one atom each over two nulls", r, tt, res.Stats.NullsInvented)
@@ -211,24 +211,6 @@ func TestEnumerateSkipsRuleOverEmptyRelation(t *testing.T) {
 			t.Errorf("%d facts: visited candidates = %v (err %v), %d triggers; want %v and none",
 				c.db.Len(), visited, err, e.found.n, c.visited)
 		}
-	}
-}
-
-func TestChaseRestrictedSkipsSatisfiedHeads(t *testing.T) {
-	// anon(?X) → ∃Z e(?X,?Z) is already satisfied for a: e(a,b) exists.
-	db := NewInstance(atom("anon", "a"), atom("e", "a", "b"))
-	res := mustRun(t, db, `
-		anon(?X) -> exists ?Z e(?X, ?Z).
-	`, Options{Mode: Restricted})
-	if got := len(res.Instance.AtomsOf("e")); got != 1 {
-		t.Errorf("restricted chase invented a redundant null: %v", res.Instance.AtomsOf("e"))
-	}
-	// Skolem mode fires regardless.
-	res = mustRun(t, db, `
-		anon(?X) -> exists ?Z e(?X, ?Z).
-	`, Options{Mode: Skolem})
-	if got := len(res.Instance.AtomsOf("e")); got != 2 {
-		t.Errorf("skolem chase should fire: %v", res.Instance.AtomsOf("e"))
 	}
 }
 
@@ -455,14 +437,5 @@ func TestChaseMaxFacts(t *testing.T) {
 	`), Options{MaxFacts: 5})
 	if err == nil {
 		t.Error("MaxFacts must abort the chase")
-	}
-}
-
-func TestModeString(t *testing.T) {
-	if Skolem.String() != "skolem" || Restricted.String() != "restricted" {
-		t.Error("Mode strings wrong")
-	}
-	if Mode(7).String() == "" {
-		t.Error("unknown mode should render")
 	}
 }

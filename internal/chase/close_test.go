@@ -245,7 +245,6 @@ func TestClosingPassPreconditions(t *testing.T) {
 		{"non-grounded negation", mergingChain + `r(?X, ?Y), not q(?Y) -> t(?X).`, Options{MaxDepth: 4}, 0},
 		// ?X sits in p as well: it is a constant wherever the rule fires.
 		{"grounded negation", mergingChain + `p(?X), r(?X, ?Y), not q(?X) -> t(?X).`, Options{MaxDepth: 4}, 1},
-		{"restricted chase", mergingChain, Options{MaxDepth: 4, Mode: Restricted}, 0},
 		{"terminating chase", `p(?X) -> exists ?Y r(?X, ?Y).`, Options{}, 0},
 	} {
 		calls = 0

@@ -16,13 +16,12 @@ import (
 	"repro/internal/limits"
 )
 
-// The differential suite drives random warded programs through
-// {Skolem, Restricted} × {semi-naive, naive}. Two engines that differ only in
-// how the database is laid out (layered over a shared base, or flat) must
-// produce the byte-identical instance (including invented null names), the
-// same Stats (down to per-rule trigger counts), and the same typed
-// truncation outcome; across the two evaluation strategies the runs must
-// agree up to null renaming (the invention order of fresh nulls differs
+// The differential suite drives random warded programs through the chase,
+// semi-naive and naive. Two engines that differ only in how the database is
+// laid out (layered over a shared base, or flat) must produce the
+// byte-identical instance (including invented null names), the same Stats
+// (down to per-rule trigger counts), and the same typed truncation outcome;
+// across the two evaluation strategies the runs must agree up to null renaming (the invention order of fresh nulls differs
 // between full re-matching and delta seeding, their count and the ground
 // part do not).
 //
@@ -112,9 +111,8 @@ type diffOutcome struct {
 	err error
 }
 
-func runDiff(c diffCase, mode Mode, naive bool) diffOutcome {
+func runDiff(c diffCase, naive bool) diffOutcome {
 	res, err := Run(c.db, c.program, Options{
-		Mode:            mode,
 		MaxDepth:        3,
 		MaxFacts:        50_000,
 		MaxRounds:       1_000,
@@ -248,17 +246,14 @@ func TestDifferentialEngines(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed=%d: %v", seed, err)
 			}
-			for _, mode := range []Mode{Skolem, Restricted} {
-				semi, naive := runDiff(c, mode, false), runDiff(c, mode, true)
-				if injectedSomewhere(semi, naive) {
-					t.Skipf("seed=%d: injected fault (TRIQ_FAULTS armed); case not comparable", seed)
-				}
-				requireEquivalent(t, fmt.Sprintf("seed=%d mode=%v semi-naive≡naive", seed, mode), semi, naive)
-				if t.Failed() {
-					t.Logf("replay: TRIQ_DIFF_SEED=%d go test -run 'TestDifferentialEngines' ./internal/chase\nprogram (db: %d facts):\n%s",
-						seed, c.db.Len(), c.source)
-					return
-				}
+			semi, naive := runDiff(c, false), runDiff(c, true)
+			if injectedSomewhere(semi, naive) {
+				t.Skipf("seed=%d: injected fault (TRIQ_FAULTS armed); case not comparable", seed)
+			}
+			requireEquivalent(t, fmt.Sprintf("seed=%d semi-naive≡naive", seed), semi, naive)
+			if t.Failed() {
+				t.Logf("replay: TRIQ_DIFF_SEED=%d go test -run 'TestDifferentialEngines' ./internal/chase\nprogram (db: %d facts):\n%s",
+					seed, c.db.Len(), c.source)
 			}
 		})
 	}
@@ -306,30 +301,28 @@ func TestDifferentialLayeredVsFlat(t *testing.T) {
 			if !flatInput.Equal(c.db) || flatInput.base == nil {
 				t.Fatal("splitLayers must return a layered copy of the database")
 			}
-			for _, mode := range []Mode{Skolem, Restricted} {
-				// tripAfter < 0 runs without a plan; the others abort at
-				// the chase.rule hit of that number.
-				for _, tripAfter := range []int{-1, 2, 5 + int(seed%9)} {
-					run := func(db *Instance) diffOutcome {
-						opts := Options{Mode: mode, MaxDepth: 3, MaxFacts: 50_000, MaxRounds: 1_000}
-						if tripAfter >= 0 {
-							opts.Faults = limits.NewPlan(limits.Fault{Point: "chase.rule", After: tripAfter})
-						}
-						res, err := Run(db, c.program, opts)
-						return diffOutcome{res: res, err: err}
+			// tripAfter < 0 runs without a plan; the others abort at
+			// the chase.rule hit of that number.
+			for _, tripAfter := range []int{-1, 2, 5 + int(seed%9)} {
+				run := func(db *Instance) diffOutcome {
+					opts := Options{MaxDepth: 3, MaxFacts: 50_000, MaxRounds: 1_000}
+					if tripAfter >= 0 {
+						opts.Faults = limits.NewPlan(limits.Fault{Point: "chase.rule", After: tripAfter})
 					}
-					layered, flat := run(c.db), run(flatInput)
-					if tripAfter < 0 && injectedSomewhere(layered, flat) {
-						t.Skipf("seed=%d: injected fault (TRIQ_FAULTS armed); case not comparable", seed)
-					}
-					if layered.res.Instance.base != c.db || flat.res.Instance.base != nil {
-						t.Fatal("the axis is not exercising a layered and a flat engine instance")
-					}
-					requireIdentical(t, fmt.Sprintf("seed=%d mode=%v trip=%d layered≡flat", seed, mode, tripAfter), flat, layered)
-					if t.Failed() {
-						t.Logf("program (db: %d facts):\n%s", c.db.Len(), c.source)
-						return
-					}
+					res, err := Run(db, c.program, opts)
+					return diffOutcome{res: res, err: err}
+				}
+				layered, flat := run(c.db), run(flatInput)
+				if tripAfter < 0 && injectedSomewhere(layered, flat) {
+					t.Skipf("seed=%d: injected fault (TRIQ_FAULTS armed); case not comparable", seed)
+				}
+				if layered.res.Instance.base != c.db || flat.res.Instance.base != nil {
+					t.Fatal("the axis is not exercising a layered and a flat engine instance")
+				}
+				requireIdentical(t, fmt.Sprintf("seed=%d trip=%d layered≡flat", seed, tripAfter), flat, layered)
+				if t.Failed() {
+					t.Logf("program (db: %d facts):\n%s", c.db.Len(), c.source)
+					return
 				}
 			}
 		})
@@ -421,18 +414,15 @@ func canonicalInstance(e *engine) string {
 // deepening evaluation that keeps one engine across its depth steps must
 // return what restarting the chase from the database at every depth returns.
 // Two levels are compared over random warded programs with existential
-// recursion and negation above it, × {Skolem, Restricted} × {semi-naive,
-// naive}:
+// recursion and negation above it, × {semi-naive, naive}:
 //
 //   - the engine, stepped through depths 2, 4, 6, 7 with the bound raised in
 //     between, against a new engine chasing straight to that depth: the same
-//     Exact and ground part at every depth and, in Skolem mode, the same
-//     instance up to null renaming with the same FactsDerived and
-//     NullsInvented (a restricted chase depends on the order triggers fire in,
-//     so it is held to the ground part, and only where the chase terminated);
-//     an engine that reports errNegatedGrew is replaced, as StableGround does;
+//     Exact and ground part at every depth and the same instance up to null
+//     renaming with the same FactsDerived and NullsInvented; an engine that
+//     reports errNegatedGrew is replaced, as StableGround does;
 //   - StableGround against restartStableGround: Ground (so every answer),
-//     Exact, Inconsistent, Depth and the Skolem counters.
+//     Exact, Inconsistent, Depth and the fact and null counters.
 func TestDifferentialResumeVsRestart(t *testing.T) {
 	seeds := []int64{1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597}
 	if testing.Short() {
@@ -454,17 +444,15 @@ func TestDifferentialResumeVsRestart(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, mode := range []Mode{Skolem, Restricted} {
-					for _, naive := range []bool{false, true} {
-						opts := Options{Mode: mode, MaxDepth: 7, MaxFacts: 50_000, MaxRounds: 1_000, NaiveEvaluation: naive}
-						label := fmt.Sprintf("seed=%d mode=%v naive=%v", seed, mode, naive)
-						diffEngineSteps(t, label, c, opts, restarted)
-						diffStableGround(t, label, c, opts, deepened)
-						if t.Failed() {
-							t.Logf("replay: TRIQ_DIFF_SEED=%d go test -run TestDifferentialResumeVsRestart ./internal/chase\nprogram (db: %d facts):\n%s",
-								seed, c.db.Len(), c.source)
-							return
-						}
+				for _, naive := range []bool{false, true} {
+					opts := Options{MaxDepth: 7, MaxFacts: 50_000, MaxRounds: 1_000, NaiveEvaluation: naive}
+					label := fmt.Sprintf("seed=%d naive=%v", seed, naive)
+					diffEngineSteps(t, label, c, opts, restarted)
+					diffStableGround(t, label, c, opts, deepened)
+					if t.Failed() {
+						t.Logf("replay: TRIQ_DIFF_SEED=%d go test -run TestDifferentialResumeVsRestart ./internal/chase\nprogram (db: %d facts):\n%s",
+							seed, c.db.Len(), c.source)
+						return
 					}
 				}
 			})
@@ -515,14 +503,8 @@ func diffEngineSteps(t *testing.T, label string, c diffCase, opts Options, resta
 			t.Errorf("%s depth %d: inconsistent/truncated: restart %v/%v, resume %v/%v",
 				label, depth, wantInc, want.DepthTruncated, gotInc, got.DepthTruncated)
 		}
-		if opts.Mode == Restricted && want.DepthTruncated {
-			continue
-		}
 		if !fresh.inst.GroundPart().Equal(resumed.inst.GroundPart()) {
 			t.Errorf("%s depth %d: ground parts differ", label, depth)
-		}
-		if opts.Mode != Skolem {
-			continue
 		}
 		if want.FactsDerived != got.FactsDerived || want.NullsInvented != got.NullsInvented {
 			t.Errorf("%s depth %d: facts/nulls: restart %d/%d, resume %d/%d", label, depth,
@@ -561,13 +543,13 @@ func diffStableGround(t *testing.T, label string, c diffCase, opts Options, deep
 	if want.Exact != got.Exact || want.Inconsistent != got.Inconsistent {
 		t.Errorf("%s: exact/inconsistent: restart %v/%v, resume %v/%v", label, want.Exact, want.Inconsistent, got.Exact, got.Inconsistent)
 	}
-	if (opts.Mode == Skolem || want.Exact) && !want.Ground().Equal(got.Ground()) {
+	if !want.Ground().Equal(got.Ground()) {
 		t.Errorf("%s: ground parts differ", label)
 	}
 	if want.Depth != got.Depth {
 		t.Errorf("%s: depth: restart %d, resume %d", label, want.Depth, got.Depth)
 	}
-	if opts.Mode == Skolem && (want.Stats.FactsDerived != got.Stats.FactsDerived || want.Stats.NullsInvented != got.Stats.NullsInvented) {
+	if want.Stats.FactsDerived != got.Stats.FactsDerived || want.Stats.NullsInvented != got.Stats.NullsInvented {
 		t.Errorf("%s: facts/nulls: restart %d/%d, resume %d/%d", label,
 			want.Stats.FactsDerived, want.Stats.NullsInvented, got.Stats.FactsDerived, got.Stats.NullsInvented)
 	}

@@ -175,7 +175,7 @@ func stableGround(ctx context.Context, db *Instance, prog *datalog.Program, opts
 	// The closing pass is sound for the program; decided when the first step
 	// ends truncated, which for most programs is never.
 	closable := sync.OnceValue(func() bool {
-		return opts.Mode == Skolem && (!prog.HasNegation() || datalog.CheckGroundedNegation(prog) == nil)
+		return !prog.HasNegation() || datalog.CheckGroundedNegation(prog) == nil
 	})
 	for depth := min(2, ceiling); ; depth = min(depth+2, ceiling) {
 		_, sp := obs.StartSpan(ctx, opts.Obs, "chase.deepen", obs.F("depth", depth))

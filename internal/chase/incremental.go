@@ -55,19 +55,16 @@ type Incremental struct {
 	broken bool
 }
 
-// NewIncremental builds the materialized fixpoint of a positive Skolem-chase
-// program over the given EDB — the ordinary chase of a copy of it — and keeps
-// the engine. Programs with negation or constraints are rejected (their
-// strata/marker semantics do not maintain incrementally), as are non-Skolem
-// modes; callers fall back to the batch chase. A depth or fact budget trip
+// NewIncremental builds the materialized fixpoint of a positive program over
+// the given EDB — the ordinary chase of a copy of it — and keeps the engine.
+// Programs with negation or constraints are rejected (their strata/marker
+// semantics do not maintain incrementally); callers fall back to the batch
+// chase. A depth or fact budget trip
 // during the build is an error, not a truncation: a partial materialization
 // must never be served. The build reports to opts.Obs and opts.Progress like
 // any chase; maintenance passes report through their MaintainStats only.
 func NewIncremental(ctx context.Context, db *Instance, prog *datalog.Program, opts Options) (*Incremental, error) {
 	opts = opts.withDefaults()
-	if opts.Mode != Skolem {
-		return nil, fmt.Errorf("chase: incremental maintenance requires the Skolem chase")
-	}
 	if prog.HasNegation() {
 		return nil, fmt.Errorf("chase: incremental maintenance cannot handle negation")
 	}
@@ -84,7 +81,7 @@ func NewIncremental(ctx context.Context, db *Instance, prog *datalog.Program, op
 	}
 	// The engine outlives the request that paid for the build: it keeps the
 	// bounds and nothing that ties it to that request.
-	e.opts = Options{Mode: opts.Mode, MaxDepth: opts.MaxDepth, MaxFacts: opts.MaxFacts, MaxRounds: opts.MaxRounds, NaiveEvaluation: opts.NaiveEvaluation}
+	e.opts = Options{MaxDepth: opts.MaxDepth, MaxFacts: opts.MaxFacts, MaxRounds: opts.MaxRounds, NaiveEvaluation: opts.NaiveEvaluation}
 	e.span, e.ruleLabels = nil, false
 	return inc, nil
 }

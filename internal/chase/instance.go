@@ -1,7 +1,7 @@
 // Package chase implements the chase procedure of Section 3.2 of the paper:
 // instances of ground atoms over constants and labeled nulls, homomorphism
-// matching, the (semi-naive) chase for Datalog^∃ programs in restricted and
-// Skolem variants, the stratified semantics S_0, …, S_ℓ for Datalog^{∃,¬s,⊥},
+// matching, the (semi-naive) Skolem chase for Datalog^∃ programs, the
+// stratified semantics S_0, …, S_ℓ for Datalog^{∃,¬s,⊥},
 // constraint checking, and the ground semantics Π(D)↓.
 package chase
 

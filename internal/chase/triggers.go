@@ -11,9 +11,8 @@ import (
 //     the start of its turn, and the bindings found are buffered in one
 //     canonical order: seed position, then candidate order within the seed.
 //  2. apply — the buffer is replayed in that order: cross-seed
-//     deduplication, stratified-negation checks, restricted-mode
-//     head-satisfaction probes, Skolem null invention and the fact-budget
-//     boundary all happen here.
+//     deduplication, stratified-negation checks, Skolem null invention and
+//     the fact-budget boundary all happen here.
 //
 // Matching never sees a fact its own turn derives, so the derived facts,
 // invented null names, Stats counters and truncation points are a function of

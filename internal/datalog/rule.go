@@ -181,9 +181,6 @@ type Program struct {
 	Constraints []Constraint
 }
 
-// NewProgram builds a program from rules.
-func NewProgram(rules ...Rule) *Program { return &Program{Rules: rules} }
-
 // Clone returns a deep copy of the program.
 func (p *Program) Clone() *Program {
 	q := &Program{

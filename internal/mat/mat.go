@@ -82,15 +82,14 @@ func New(cfg Config) *Materializer {
 }
 
 // compatible reports whether answers materialized under the configured chase
-// bounds are exchangeable for a chase under copts: same chase variant and
-// same bounds (a materialization built at MaxDepth 12 must not answer for a
+// bounds are exchangeable for a chase under copts: the same bounds (a
+// materialization built at MaxDepth 12 must not answer for a
 // query that would chase at MaxDepth 3). Observability differences don't
 // affect answers.
 func (m *Materializer) compatible(copts chase.Options) bool {
 	copts = copts.WithDefaults()
 	c := m.cfg.Chase
-	return copts.Mode == chase.Skolem &&
-		copts.MaxDepth == c.MaxDepth &&
+	return copts.MaxDepth == c.MaxDepth &&
 		copts.MaxFacts == c.MaxFacts &&
 		copts.MaxRounds == c.MaxRounds
 }
@@ -247,7 +246,7 @@ func served(inc *chase.Incremental, output string) *triq.MatServed {
 // already constructed, serve the answer, and — provided the store did not
 // move on while building — install the entry so the next commits keep it
 // warm. It declines ((nil, nil)) when the epoch is stale, the bounds are
-// incompatible, the program is not maintainable (negation, non-Skolem), or
+// incompatible, the program is not maintainable (negation, constraints), or
 // the build trips a budget; the caller then falls back to the chase.
 func (m *Materializer) BuildServe(ctx context.Context, db *chase.Instance, prog *datalog.Program, epoch uint64, output string, copts chase.Options) (*triq.MatServed, error) {
 	m.mu.Lock()

@@ -145,14 +145,6 @@ func (st *TraceStore) List() (rows []TraceSummary, added, evicted int64) {
 	return rows, st.added, st.evicted
 }
 
-// Service returns the configured service name.
-func (st *TraceStore) Service() string {
-	if st == nil {
-		return ""
-	}
-	return st.service
-}
-
 // --- OTLP-shaped JSON export -----------------------------------------------
 
 type otlpKeyValue struct {

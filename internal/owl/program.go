@@ -100,11 +100,15 @@ func TripleAtom(t rdf.Triple) datalog.Atom { return tripleAtom(t, make([]datalog
 
 // tripleAtom is the encoding itself, into the three argument slots given.
 func tripleAtom(t rdf.Triple, args []datalog.Term) datalog.Atom {
-	args[0], args[1], args[2] = termConst(t.S), termConst(t.P), termConst(t.O)
+	args[0], args[1], args[2] = TermConst(t.S), TermConst(t.P), TermConst(t.O)
 	return datalog.Atom{Pred: "triple", Args: args}
 }
 
-func termConst(t rdf.Term) datalog.Term {
+// TermConst maps an RDF term to a Datalog constant: an IRI to its bare value,
+// a blank node to its label behind "_:", a literal to its N-Triples rendering,
+// so that an IRI and a literal with the same lexical form stay distinct.
+// translate.DecodeTerm inverts it.
+func TermConst(t rdf.Term) datalog.Term {
 	switch t.Kind {
 	case rdf.IRI:
 		return datalog.C(t.Value)

@@ -2,6 +2,7 @@ package owl
 
 import (
 	"fmt"
+	"os"
 	"strings"
 
 	"repro/internal/rdf"
@@ -177,4 +178,29 @@ func parseProperty(uri string) Property {
 		return Inv(strings.TrimSuffix(uri, "⁻"))
 	}
 	return Prop(uri)
+}
+
+// LoadGraph reads an N-Triples data file and, when ontologyPath is set, merges
+// the RDF serialization of that ontology (functional-style syntax) into it:
+// what the -data and -ontology flags of triq and triqd mean.
+func LoadGraph(dataPath, ontologyPath string) (*rdf.Graph, error) {
+	f, err := os.Open(dataPath)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	g, err := rdf.ParseNTriples(f)
+	if err != nil || ontologyPath == "" {
+		return g, err
+	}
+	src, err := os.ReadFile(ontologyPath)
+	if err != nil {
+		return nil, err
+	}
+	onto, err := ParseOntology(string(src))
+	if err != nil {
+		return nil, err
+	}
+	g.AddGraph(onto.ToGraph())
+	return g, nil
 }

@@ -29,13 +29,6 @@ var (
 	ErrBreakerOpen = errors.New("serve: circuit open")
 )
 
-// IsShed reports whether err is an admission/load-shedding rejection (as
-// opposed to an evaluation failure).
-func IsShed(err error) bool {
-	return errors.Is(err, ErrQueueFull) || errors.Is(err, ErrQueueTimeout) ||
-		errors.Is(err, ErrDraining) || errors.Is(err, ErrBreakerOpen)
-}
-
 // AdmissionConfig bounds concurrent work.
 type AdmissionConfig struct {
 	// MaxConcurrent is the number of evaluation slots (default 4).

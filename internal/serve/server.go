@@ -866,9 +866,6 @@ func (s *Server) serveQuery(rq *request) (o outcome) {
 				resp.Resources = &acct
 			}
 		}
-		if req.Explain {
-			resp.Explain = report
-		}
 		return resp
 	}
 	return o
@@ -1087,16 +1084,20 @@ func (s *Server) recordSlow(rq *request, o *outcome) {
 	s.slow.maybeRecord(e)
 }
 
-// evaluate parses the request payload and runs the evaluation with retries.
-// Parse and validation failures come back wrapped in errBadRequest. The
-// evaluation is explained when the request asked for it or the slow-query
-// log is armed, and the report comes back alongside the response (the
-// per-query observations still fold into the server registry, so /metrics
-// sees explained runs too).
+// evaluate runs the evaluation the request asks for (QueryRequest.Request;
+// its failures are bad requests) with what only the server adds: its
+// registry and progress gauge, the materializer pinned to the request's
+// epoch, and retries. The evaluation is explained when the request asked for
+// it or the slow-query log is armed, and the report comes back alongside the
+// response, which carries it only in the first case (the per-query
+// observations still fold into the server registry, so /metrics sees
+// explained runs too).
 func (s *Server) evaluate(ctx context.Context, g *repro.Graph, epoch uint64, hasStore bool, endpoint string, req *QueryRequest) (*QueryResponse, *repro.ExplainReport, error) {
-	ereq := repro.Request{Exact: req.Exact, Explain: req.Explain || s.slow.enabled()}
-	ereq.Options.Chase.MaxFacts = req.MaxFacts
-	ereq.Options.Chase.MaxRounds = req.MaxRounds
+	ereq, err := req.Request(endpoint == "sparql")
+	if err != nil {
+		return nil, nil, err
+	}
+	ereq.Explain = ereq.Explain || s.slow.enabled()
 	ereq.Options.Chase.Obs = s.obs
 	ereq.Options.Chase.Progress = s.progress
 	if s.cfg.Mat != nil && hasStore {
@@ -1105,35 +1106,6 @@ func (s *Server) evaluate(ctx context.Context, g *repro.Graph, epoch uint64, has
 		ereq.Options.Mat = s.cfg.Mat
 		ereq.Options.MatEpoch = epoch
 	}
-	if endpoint == "query" {
-		lang, err := parseLang(req.Lang)
-		if err != nil {
-			return nil, nil, badRequest(err)
-		}
-		output := req.Output
-		if output == "" {
-			output = "query"
-		}
-		q, err := repro.ParseQuery(req.Program, output)
-		if err != nil {
-			return nil, nil, badRequest(err)
-		}
-		if err := repro.Validate(q, lang); err != nil {
-			return nil, nil, badRequest(err)
-		}
-		ereq.Query, ereq.Language = q, lang
-	} else {
-		regime, err := parseRegime(req.Regime)
-		if err != nil {
-			return nil, nil, badRequest(err)
-		}
-		sq, err := repro.ParseSPARQL(req.Query)
-		if err != nil {
-			return nil, nil, badRequest(err)
-		}
-		ereq.SPARQL, ereq.Regime = sq, regime
-	}
-
 	var out *repro.Response
 	attempts, err := withRetry(ctx, s.cfg.Retry, s.jit, func() (err error) {
 		out, err = repro.Eval(ctx, g, ereq)
@@ -1142,23 +1114,12 @@ func (s *Server) evaluate(ctx context.Context, g *repro.Graph, epoch uint64, has
 	if err != nil {
 		return nil, nil, err
 	}
-	return &QueryResponse{
-		Rows:         out.Rows(),
-		Inconsistent: out.Inconsistent,
-		Exact:        out.Exact,
-		Incomplete:   out.Incomplete,
-		Truncation:   out.Truncation,
-		Attempts:     attempts,
-	}, out.Explain, nil
+	resp := NewQueryResponse(out, attempts)
+	if !req.Explain {
+		resp.Explain = nil
+	}
+	return resp, out.Explain, nil
 }
-
-// errBadRequest marks parse/validation failures for the 400 mapping.
-type errBadRequest struct{ err error }
-
-func (e errBadRequest) Error() string { return e.err.Error() }
-func (e errBadRequest) Unwrap() error { return e.err }
-
-func badRequest(err error) error { return errBadRequest{err: err} }
 
 // statusOf maps an evaluation error to the HTTP contract.
 func statusOf(err error) int {

@@ -9,10 +9,14 @@ import (
 	"repro/internal/obs"
 )
 
-// The HTTP wire format. Success bodies are QueryResponse; failure bodies are
-// Failure, which embeds limits.WireError — the same JSON rendering of the
-// error taxonomy the CLI -json mode emits, so one client-side decoder serves
-// both surfaces. Field names are frozen (see internal/limits/wire.go).
+// The wire format, and the one front door: a request is spelled as a
+// QueryRequest and an answer rendered as a QueryResponse whoever asks — the
+// HTTP handlers decode the struct from a body, cmd/triq fills it from flags —
+// and QueryRequest.Request / NewQueryResponse are the only code that turns
+// one into a repro.Request and a repro.Response into the other. Failure
+// bodies are Failure, which embeds limits.WireError, the JSON rendering of
+// the error taxonomy that triq -json prints too, so one client-side decoder
+// serves both surfaces. Field names are frozen (see internal/limits/wire.go).
 
 // QueryRequest is the body of POST /query and POST /sparql.
 type QueryRequest struct {
@@ -22,11 +26,15 @@ type QueryRequest struct {
 	Output string `json:"output,omitempty"`
 	// Query is the SPARQL SELECT text (/sparql).
 	Query string `json:"query,omitempty"`
-	// Lang picks the dialect check for /query: "triq", "triq-lite"
-	// (default), or "unrestricted".
+	// Lang picks the dialect a program is checked against: "triq",
+	// "triq-lite" (default), or "unrestricted". A translated SPARQL query
+	// needs no check.
 	Lang string `json:"lang,omitempty"`
-	// Regime picks the /sparql entailment regime: "plain" (default),
-	// "active-domain", "all", or "rdfs".
+	// Regime picks the entailment regime: "plain" (default),
+	// "active-domain", "all", or "rdfs". A SPARQL query is translated under
+	// it; a program gets the regime's fixed rule library prepended
+	// (τ_owl2ql_core, or the ρdf rules for "rdfs"), so it can read the
+	// entailed triples off triple1(·,·,·).
 	Regime string `json:"regime,omitempty"`
 	// TimeoutMS overrides the server's default per-request deadline, capped
 	// by the server's maximum.
@@ -124,6 +132,70 @@ type Failure struct {
 	// (mirrors the X-Triq-Primary header) so clients can re-aim.
 	Primary string `json:"primary,omitempty"`
 }
+
+// Request turns the wire request into the evaluation it asks for: the names of
+// lang and regime mapped, the program (or, when sparql is set, the SELECT
+// text) parsed and validated, the budgets copied. Every failure is a bad
+// request. What a door adds on top — the server its registry, progress gauge
+// and materializer, the CLI its depth bound and trace — it sets on the
+// returned Request's Options.
+func (r *QueryRequest) Request(sparql bool) (repro.Request, error) {
+	req := repro.Request{Exact: r.Exact, Explain: r.Explain}
+	req.Options.Chase.MaxFacts = r.MaxFacts
+	req.Options.Chase.MaxRounds = r.MaxRounds
+	var err error
+	if req.Language, err = parseLang(r.Lang); err != nil {
+		return req, badRequest(err)
+	}
+	if req.Regime, err = parseRegime(r.Regime); err != nil {
+		return req, badRequest(err)
+	}
+	if sparql {
+		if req.SPARQL, err = repro.ParseSPARQL(r.Query); err != nil {
+			return req, badRequest(err)
+		}
+		return req, nil
+	}
+	output := r.Output
+	if output == "" {
+		output = "query"
+	}
+	if req.Query, err = repro.ParseQuery(r.Program, output); err != nil {
+		return req, badRequest(err)
+	}
+	if fixed := req.Regime.Program(); fixed != nil {
+		req.Query.Program = fixed.Merge(req.Query.Program)
+	}
+	if err := repro.Validate(req.Query, req.Language); err != nil {
+		return req, badRequest(err)
+	}
+	return req, nil
+}
+
+// NewQueryResponse renders an evaluation's outcome as the success body; the
+// rows come from Response.Rows and nowhere else. The fields only a server
+// knows (ElapsedUS, TraceID, Resources, Epoch) are left for it to fill.
+func NewQueryResponse(out *repro.Response, attempts int) *QueryResponse {
+	return &QueryResponse{
+		Rows:         out.Rows(),
+		Inconsistent: out.Inconsistent,
+		Exact:        out.Exact,
+		Incomplete:   out.Incomplete,
+		Truncation:   out.Truncation,
+		Attempts:     attempts,
+		Explain:      out.Explain,
+	}
+}
+
+// errBadRequest marks a request that cannot be evaluated as asked — unknown
+// names, text that does not parse, a program outside its dialect — for the
+// 400 mapping (exit 1 on the CLI).
+type errBadRequest struct{ err error }
+
+func (e errBadRequest) Error() string { return e.err.Error() }
+func (e errBadRequest) Unwrap() error { return e.err }
+
+func badRequest(err error) error { return errBadRequest{err: err} }
 
 // parseLang maps the wire name to a dialect.
 func parseLang(name string) (repro.Language, error) {

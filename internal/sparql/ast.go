@@ -332,3 +332,23 @@ func BasicPatterns(p Pattern) []BGP {
 	walk(p)
 	return out
 }
+
+// PatternKind names an operator of the SPARQL algebra for spans and summaries.
+func PatternKind(p Pattern) string {
+	switch p.(type) {
+	case BGP:
+		return "BGP"
+	case And:
+		return "AND"
+	case Union:
+		return "UNION"
+	case Opt:
+		return "OPT"
+	case Filter:
+		return "FILTER"
+	case Select:
+		return "SELECT"
+	default:
+		return fmt.Sprintf("%T", p)
+	}
+}

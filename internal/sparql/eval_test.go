@@ -333,3 +333,20 @@ func TestEvalAlgebraLaws(t *testing.T) {
 		}
 	}
 }
+
+// TestPatternKind covers the operator naming used by spans and metrics.
+func TestPatternKind(t *testing.T) {
+	cases := map[string]Pattern{
+		"BGP":    BGP{},
+		"AND":    And{},
+		"UNION":  Union{},
+		"OPT":    Opt{},
+		"FILTER": Filter{},
+		"SELECT": Select{},
+	}
+	for want, p := range cases {
+		if got := PatternKind(p); got != want {
+			t.Errorf("PatternKind(%T) = %q, want %q", p, got, want)
+		}
+	}
+}

@@ -76,7 +76,7 @@ func TranslateConstruct(q *sparql.Query, regime Regime) (*ConstructTranslation, 
 					}
 					atomArgs = append(atomArgs, v)
 				default:
-					atomArgs = append(atomArgs, EncodeTerm(term.Term))
+					atomArgs = append(atomArgs, owl.TermConst(term.Term))
 				}
 			}
 			if ok {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/datalog"
+	"repro/internal/owl"
 	"repro/internal/sparql"
 )
 
@@ -59,7 +60,7 @@ func dnfOf(cond sparql.Condition, d domain, neg bool) [][]atomic {
 		if !d.has(q.Var) {
 			return truth(false)
 		}
-		return [][]atomic{{{neg: neg, x: q.Var, c: EncodeTerm(q.Val)}}}
+		return [][]atomic{{{neg: neg, x: q.Var, c: owl.TermConst(q.Val)}}}
 	case sparql.EqVars:
 		if !d.has(q.X) || !d.has(q.Y) {
 			return truth(false)

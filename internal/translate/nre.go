@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/datalog"
+	"repro/internal/owl"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
 	"repro/internal/triq"
@@ -83,7 +84,7 @@ func (c *nreCompiler) compile(e sparql.NRE) (string, error) {
 			case q.Label != nil:
 				// self::a = {(a,a)}; anchor it to the active domain so the
 				// rule stays safe even though both positions are constant.
-				la := EncodeTerm(*q.Label)
+				la := owl.TermConst(*q.Label)
 				c.prog.Add(datalog.Rule{
 					BodyPos: []datalog.Atom{datalog.NewAtom(c.termPred(), datalog.V("T"))},
 					Head:    []datalog.Atom{datalog.NewAtom(pred, la, la)},
@@ -128,7 +129,7 @@ func (c *nreCompiler) compile(e sparql.NRE) (string, error) {
 		switch {
 		case q.Label != nil:
 			// Substitute the label constant for the over-variable.
-			la := EncodeTerm(*q.Label)
+			la := owl.TermConst(*q.Label)
 			sub := map[datalog.Term]datalog.Term{over: la}
 			body[0] = body[0].Substitute(sub)
 		case q.Test != nil:

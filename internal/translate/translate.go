@@ -66,6 +66,20 @@ func (r Regime) String() string {
 	}
 }
 
+// Program returns the regime's fixed rule library — τ_owl2ql_core for the two
+// OWL 2 QL core regimes, the ρdf rules for RDFS — freshly parsed, or nil for
+// the plain semantics. A translated query carries it; a hand-written program
+// asking for the regime gets it prepended.
+func (r Regime) Program() *datalog.Program {
+	switch r {
+	case ActiveDomain, All:
+		return owl.Program()
+	case RDFS:
+		return owl.RDFSProgram()
+	}
+	return nil
+}
+
 // Translation is the compiled query P_dat (resp. P^U_dat, P^All_dat).
 type Translation struct {
 	// Query is the Datalog^{∃,¬s,⊥} query (Π, answer_P).
@@ -136,11 +150,8 @@ func TracedCtx(ctx context.Context, p sparql.Pattern, regime Regime, o *obs.Obs)
 		c.claimRules(eqStart, "EQ")
 	}
 	ontStart := len(c.prog.Rules)
-	switch regime {
-	case ActiveDomain, All:
-		c.prog.Merge(owl.Program())
-	case RDFS:
-		c.prog.Merge(owl.RDFSProgram())
+	if fixed := regime.Program(); fixed != nil {
+		c.prog.Merge(fixed)
 	}
 	c.claimRules(ontStart, "ontology")
 	q := datalog.NewQuery(c.prog, AnswerPred)
@@ -248,26 +259,6 @@ type compiler struct {
 	span    *obs.Span // current parent span for translate.op children
 }
 
-// patternKind names a SPARQL operator for spans and summaries.
-func patternKind(p sparql.Pattern) string {
-	switch p.(type) {
-	case sparql.BGP:
-		return "BGP"
-	case sparql.And:
-		return "AND"
-	case sparql.Union:
-		return "UNION"
-	case sparql.Opt:
-		return "OPT"
-	case sparql.Filter:
-		return "FILTER"
-	case sparql.Select:
-		return "SELECT"
-	default:
-		return fmt.Sprintf("%T", p)
-	}
-}
-
 // domain is a sorted set of variable names.
 type domain []string
 
@@ -344,7 +335,7 @@ func (c *compiler) freshVar() datalog.Term {
 }
 
 func (c *compiler) compile(p sparql.Pattern) (*node, error) {
-	kind := patternKind(p)
+	kind := sparql.PatternKind(p)
 	before := len(c.prog.Rules)
 	parent := c.span
 	var sp *obs.Span
@@ -435,7 +426,7 @@ func (c *compiler) compileBGP(p sparql.BGP) (*node, error) {
 			}
 			return v
 		}
-		return EncodeTerm(t.Term)
+		return owl.TermConst(t.Term)
 	}
 	for _, tp := range p.Triples {
 		body = append(body, datalog.NewAtom(triplePred, conv(tp.S), conv(tp.P), conv(tp.O)))
@@ -590,22 +581,8 @@ func sortedVars(vars map[string]bool) []string {
 	return out
 }
 
-// EncodeTerm maps an RDF term to a Datalog constant. IRIs map to their bare
-// value; blank nodes get a "_:" prefix; literals keep their N-Triples
-// rendering so that IRIs and literals with the same lexical form stay
-// distinct.
-func EncodeTerm(t rdf.Term) datalog.Term {
-	switch t.Kind {
-	case rdf.IRI:
-		return datalog.C(t.Value)
-	case rdf.Blank:
-		return datalog.C("_:" + t.Value)
-	default:
-		return datalog.C(t.String())
-	}
-}
-
-// DecodeTerm inverts EncodeTerm.
+// DecodeTerm inverts owl.TermConst, the encoding of RDF terms as constants
+// that τ_db(G) and the translated rules share.
 func DecodeTerm(name string) rdf.Term {
 	if strings.HasPrefix(name, "_:") {
 		return rdf.NewBlank(strings.TrimPrefix(name, "_:"))

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/datalog"
+	"repro/internal/owl"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
 	"repro/internal/triq"
@@ -302,6 +303,8 @@ func TestRegimeStrings(t *testing.T) {
 	}
 }
 
+// TestEncodeDecodeTerm: DecodeTerm inverts the one RDF-term → constant
+// encoding (owl.TermConst), which is also what τ_db(G) is built with.
 func TestEncodeDecodeTerm(t *testing.T) {
 	terms := []rdf.Term{
 		rdf.NewIRI("http://example.org/x"),
@@ -310,16 +313,23 @@ func TestEncodeDecodeTerm(t *testing.T) {
 		rdf.NewLiteral("plain text"),
 		rdf.NewTypedLiteral("3", "xsd:int"),
 		rdf.NewLangLiteral("hi", "en"),
+		rdf.NewLiteral("say \"hi\"\n"),
 	}
 	for _, tm := range terms {
-		enc := EncodeTerm(tm)
+		enc := owl.TermConst(tm)
 		dec := DecodeTerm(enc.Name)
 		if dec != tm {
 			t.Errorf("round trip %v → %v → %v", tm, enc, dec)
 		}
+		atom := owl.TripleAtom(rdf.NewTriple(tm, tm, tm))
+		for _, arg := range atom.Args {
+			if arg != enc {
+				t.Errorf("τ_db encodes %v as %v, the rules as %v", tm, arg, enc)
+			}
+		}
 	}
 	// IRIs and literals with the same lexical form must stay distinct.
-	if EncodeTerm(rdf.NewIRI("x")) == EncodeTerm(rdf.NewLiteral("x")) {
+	if owl.TermConst(rdf.NewIRI("x")) == owl.TermConst(rdf.NewLiteral("x")) {
 		t.Error("IRI and literal collide")
 	}
 }

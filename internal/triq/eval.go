@@ -70,10 +70,6 @@ func Validate(q datalog.Query, lang Language) error {
 type Options struct {
 	// Chase bounds the underlying chase engine.
 	Chase chase.Options
-	// StabilityWindow is the number of consecutive depth increments with an
-	// unchanged ground part required to declare the ground semantics stable
-	// (see chase.StableGround); 0 selects the default of 2.
-	StabilityWindow int
 	// MaxVisits caps the proof-search component expansions of the exact
 	// procedure (EvalExact); 0 selects the ProofOptions default. Ignored by
 	// the bottom-up evaluator.
@@ -166,7 +162,7 @@ func EvalCtx(ctx context.Context, db *chase.Instance, q datalog.Query, lang Lang
 		// Decline or failed build: fall through to the chase. A failed build
 		// is not a query error — the chase remains authoritative.
 	}
-	gr, err := chase.StableGroundCtx(ctx, db, prog, opts.Chase, opts.StabilityWindow)
+	gr, err := chase.StableGroundCtx(ctx, db, prog, opts.Chase, 0) // 0: the default stability window
 	res := &Result{Path: PathChase}
 	if err != nil {
 		if gr == nil || !limits.IsBudget(err) {
