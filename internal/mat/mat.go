@@ -211,12 +211,13 @@ func (m *Materializer) gaugesLocked() {
 // bounds are compatible. Answers are copied out under the lock (maintenance
 // filters instance buckets in place).
 func (m *Materializer) Serve(prog *datalog.Program, epoch uint64, output string, copts chase.Options) *triq.MatServed {
+	key := prog.String() // rendered before taking the lock maintenance shares
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if !m.haveEpoch || epoch != m.epoch || !m.compatible(copts) {
 		return nil
 	}
-	e := m.entries[prog.String()]
+	e := m.entries[key]
 	if e == nil {
 		return nil
 	}
@@ -267,6 +268,7 @@ func (m *Materializer) BuildServe(ctx context.Context, db *chase.Instance, prog 
 		return nil, nil
 	}
 	m.cfg.Obs.Observe("mat.build_us", float64(time.Since(start).Microseconds()))
+	key := prog.String()
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -274,7 +276,7 @@ func (m *Materializer) BuildServe(ctx context.Context, db *chase.Instance, prog 
 		// Still at the build's epoch: install (evicting the stalest entry
 		// over MaxPrograms) so commits maintain it from here on.
 		m.tick++
-		m.entries[prog.String()] = &entry{inc: inc, used: m.tick}
+		m.entries[key] = &entry{inc: inc, used: m.tick}
 		for len(m.entries) > m.cfg.MaxPrograms {
 			var oldKey string
 			oldest := int64(1<<63 - 1)

@@ -1,6 +1,7 @@
 package rdf
 
 import (
+	"maps"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -35,35 +36,35 @@ func (t Triple) Compare(u Triple) int {
 	return t.O.Compare(u.O)
 }
 
-// Graph is a finite set of RDF triples with per-position hash indexes so
-// that triple patterns with any combination of bound positions can be
-// matched efficiently. The zero value is not usable; call NewGraph.
+// Graph is a finite set of RDF triples: the paper reads G only as the
+// database τ_db(G) of triple(·,·,·) facts, so the set is all a graph
+// maintains. Beside it sit two memos that live only while the graph is
+// unchanged. Readers of one graph may run concurrently (an epoch's graph is
+// immutable once published), so they race to fill each memo through its
+// atomic pointer: every racer computes the same value and any winner will
+// do. Add and Remove, which no reader may overlap, drop both; a memo is
+// never written after it is stored, so a slice handed out before a mutation
+// stays intact after it. The zero value is not usable; call NewGraph.
 type Graph struct {
 	set map[Triple]struct{}
-	byS map[Term][]Triple
-	byP map[Term][]Triple
-	byO map[Term][]Triple
-	// bySP indexes (subject, predicate) pairs, the most common access path
-	// for the evaluators in this repository.
-	bySP map[[2]Term][]Triple
-	byPO map[[2]Term][]Triple
-	// canon memoises Canonical. Readers of one graph may run concurrently
-	// (an epoch's graph is immutable once published), so they race to fill it
-	// through the atomic pointer: every racer computes the same order and any
-	// winner will do. Add and Remove, which no reader may overlap, drop it.
+	// canon memoises Canonical.
 	canon atomic.Pointer[[]Triple]
+	// idx memoises the per-position indexes behind Match and Predicates.
+	idx atomic.Pointer[index]
 }
 
-// NewGraph returns an empty graph.
+// index holds the triples of one unchanged graph by bound position, each
+// bucket in canonical order.
+type index struct {
+	byS, byP, byO map[Term][]Triple
+	// bySP indexes (subject, predicate) pairs, the most common access path
+	// for the evaluators in this repository.
+	bySP, byPO map[[2]Term][]Triple
+}
+
+// NewGraph returns a graph holding the given triples.
 func NewGraph(triples ...Triple) *Graph {
-	g := &Graph{
-		set:  make(map[Triple]struct{}),
-		byS:  make(map[Term][]Triple),
-		byP:  make(map[Term][]Triple),
-		byO:  make(map[Term][]Triple),
-		bySP: make(map[[2]Term][]Triple),
-		byPO: make(map[[2]Term][]Triple),
-	}
+	g := &Graph{set: make(map[Triple]struct{}, len(triples))}
 	g.Add(triples...)
 	return g
 }
@@ -71,84 +72,37 @@ func NewGraph(triples ...Triple) *Graph {
 // Add inserts the given triples, ignoring duplicates. It returns the number
 // of triples that were actually new.
 func (g *Graph) Add(triples ...Triple) int {
-	added := 0
+	before := len(g.set)
 	for _, t := range triples {
-		if _, ok := g.set[t]; ok {
-			continue
-		}
 		g.set[t] = struct{}{}
-		g.byS[t.S] = append(g.byS[t.S], t)
-		g.byP[t.P] = append(g.byP[t.P], t)
-		g.byO[t.O] = append(g.byO[t.O], t)
-		g.bySP[[2]Term{t.S, t.P}] = append(g.bySP[[2]Term{t.S, t.P}], t)
-		g.byPO[[2]Term{t.P, t.O}] = append(g.byPO[[2]Term{t.P, t.O}], t)
-		added++
 	}
-	if added > 0 {
-		g.canon.Store(nil)
-	}
-	return added
+	return g.changed(len(g.set) - before)
 }
 
 // Remove deletes the given triples, ignoring ones not present. It returns
 // the number of triples actually removed.
 func (g *Graph) Remove(triples ...Triple) int {
-	removed := 0
+	before := len(g.set)
 	for _, t := range triples {
-		if _, ok := g.set[t]; !ok {
-			continue
-		}
 		delete(g.set, t)
-		g.byS[t.S] = dropTriple(g.byS[t.S], t)
-		if len(g.byS[t.S]) == 0 {
-			delete(g.byS, t.S)
-		}
-		g.byP[t.P] = dropTriple(g.byP[t.P], t)
-		if len(g.byP[t.P]) == 0 {
-			delete(g.byP, t.P)
-		}
-		g.byO[t.O] = dropTriple(g.byO[t.O], t)
-		if len(g.byO[t.O]) == 0 {
-			delete(g.byO, t.O)
-		}
-		sp := [2]Term{t.S, t.P}
-		g.bySP[sp] = dropTriple(g.bySP[sp], t)
-		if len(g.bySP[sp]) == 0 {
-			delete(g.bySP, sp)
-		}
-		po := [2]Term{t.P, t.O}
-		g.byPO[po] = dropTriple(g.byPO[po], t)
-		if len(g.byPO[po]) == 0 {
-			delete(g.byPO, po)
-		}
-		removed++
 	}
-	if removed > 0 {
-		g.canon.Store(nil)
-	}
-	return removed
+	return g.changed(before - len(g.set))
 }
 
-// dropTriple removes the first occurrence of t from a fresh copy of s, so
-// index slices previously handed out by Match stay intact.
-func dropTriple(s []Triple, t Triple) []Triple {
-	for i, u := range s {
-		if u == t {
-			out := make([]Triple, 0, len(s)-1)
-			out = append(out, s[:i]...)
-			return append(out, s[i+1:]...)
-		}
+// changed drops the memos when n triples entered or left the set.
+func (g *Graph) changed(n int) int {
+	if n > 0 {
+		g.canon.Store(nil)
+		g.idx.Store(nil)
 	}
-	return s
+	return n
 }
 
 // AddGraph inserts every triple of h into g and returns the number added.
 func (g *Graph) AddGraph(h *Graph) int {
-	added := 0
-	for t := range h.set {
-		added += g.Add(t)
-	}
-	return added
+	before := len(g.set)
+	maps.Copy(g.set, h.set)
+	return g.changed(len(g.set) - before)
 }
 
 // Has reports whether the triple is in the graph.
@@ -189,24 +143,9 @@ func (g *Graph) Canonical() []Triple {
 func (g *Graph) SortedTriples() []Triple { return slices.Clone(g.Canonical()) }
 
 // Match returns the triples matching the pattern; a nil position matches
-// anything. The returned slice must not be modified.
+// anything. The returned slice must not be modified. Safe for concurrent use
+// by readers.
 func (g *Graph) Match(s, p, o *Term) []Triple {
-	filter := func(cands []Triple) []Triple {
-		out := cands[:0:0]
-		for _, t := range cands {
-			if s != nil && t.S != *s {
-				continue
-			}
-			if p != nil && t.P != *p {
-				continue
-			}
-			if o != nil && t.O != *o {
-				continue
-			}
-			out = append(out, t)
-		}
-		return out
-	}
 	switch {
 	case s != nil && p != nil && o != nil:
 		t := Triple{S: *s, P: *p, O: *o}
@@ -215,28 +154,62 @@ func (g *Graph) Match(s, p, o *Term) []Triple {
 		}
 		return nil
 	case s != nil && p != nil:
-		return g.bySP[[2]Term{*s, *p}]
+		return g.index().bySP[[2]Term{*s, *p}]
 	case p != nil && o != nil:
-		return g.byPO[[2]Term{*p, *o}]
+		return g.index().byPO[[2]Term{*p, *o}]
+	case s != nil && o != nil:
+		var out []Triple
+		for _, t := range g.index().byS[*s] {
+			if t.O == *o {
+				out = append(out, t)
+			}
+		}
+		return out
 	case s != nil:
-		return filter(g.byS[*s])
+		return g.index().byS[*s]
 	case o != nil:
-		return filter(g.byO[*o])
+		return g.index().byO[*o]
 	case p != nil:
-		return g.byP[*p]
+		return g.index().byP[*p]
 	default:
 		return g.Triples()
 	}
 }
 
-// Subjects returns the set of distinct subject terms.
-func (g *Graph) Subjects() []Term { return keys(g.byS) }
+// index returns the per-position indexes, built from Canonical on first use
+// and kept until the graph changes.
+func (g *Graph) index() *index {
+	if x := g.idx.Load(); x != nil {
+		return x
+	}
+	x := &index{
+		byS:  make(map[Term][]Triple),
+		byP:  make(map[Term][]Triple),
+		byO:  make(map[Term][]Triple),
+		bySP: make(map[[2]Term][]Triple),
+		byPO: make(map[[2]Term][]Triple),
+	}
+	for _, t := range g.Canonical() {
+		x.byS[t.S] = append(x.byS[t.S], t)
+		x.byP[t.P] = append(x.byP[t.P], t)
+		x.byO[t.O] = append(x.byO[t.O], t)
+		x.bySP[[2]Term{t.S, t.P}] = append(x.bySP[[2]Term{t.S, t.P}], t)
+		x.byPO[[2]Term{t.P, t.O}] = append(x.byPO[[2]Term{t.P, t.O}], t)
+	}
+	g.idx.Store(x)
+	return x
+}
 
 // Predicates returns the set of distinct predicate terms.
-func (g *Graph) Predicates() []Term { return keys(g.byP) }
-
-// Objects returns the set of distinct object terms.
-func (g *Graph) Objects() []Term { return keys(g.byO) }
+func (g *Graph) Predicates() []Term {
+	byP := g.index().byP
+	out := make([]Term, 0, len(byP))
+	for t := range byP {
+		out = append(out, t)
+	}
+	slices.SortFunc(out, Term.Compare)
+	return out
+}
 
 // Terms returns every distinct term occurring anywhere in the graph.
 func (g *Graph) Terms() []Term {
@@ -254,12 +227,11 @@ func (g *Graph) Terms() []Term {
 	return out
 }
 
-// Clone returns a deep copy of the graph.
+// Clone returns an independent copy of the graph. The copy starts with g's
+// canonical order, if g has computed it, and drops it at its first change.
 func (g *Graph) Clone() *Graph {
-	h := NewGraph()
-	for t := range g.set {
-		h.Add(t)
-	}
+	h := &Graph{set: maps.Clone(g.set)}
+	h.canon.Store(g.canon.Load())
 	return h
 }
 
@@ -279,18 +251,6 @@ func (g *Graph) Equal(h *Graph) bool {
 // String renders the graph as sorted N-Triples lines.
 func (g *Graph) String() string {
 	var b strings.Builder
-	for _, t := range g.Canonical() {
-		b.WriteString(t.String())
-		b.WriteByte('\n')
-	}
+	WriteNTriples(&b, g.Canonical()) // a strings.Builder never fails a write
 	return b.String()
-}
-
-func keys(m map[Term][]Triple) []Term {
-	out := make([]Term, 0, len(m))
-	for t := range m {
-		out = append(out, t)
-	}
-	slices.SortFunc(out, Term.Compare)
-	return out
 }

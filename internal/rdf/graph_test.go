@@ -76,22 +76,57 @@ func TestGraphMatch(t *testing.T) {
 
 func TestGraphTermsAndProjections(t *testing.T) {
 	g := NewGraph(T("a", "p", "b"), T("b", "q", "a"))
-	if n := len(g.Subjects()); n != 2 {
-		t.Errorf("Subjects = %d, want 2", n)
-	}
 	if n := len(g.Predicates()); n != 2 {
 		t.Errorf("Predicates = %d, want 2", n)
-	}
-	if n := len(g.Objects()); n != 2 {
-		t.Errorf("Objects = %d, want 2", n)
 	}
 	if n := len(g.Terms()); n != 4 {
 		t.Errorf("Terms = %d, want 4 (a,b,p,q)", n)
 	}
 }
 
+// checkIndexes compares every indexed access path of Match, and Predicates,
+// with a scan of the set g holds now, for every term of g and one it lacks.
+func checkIndexes(t *testing.T, what string, g *Graph) {
+	t.Helper()
+	all := sortedByHand(g)
+	scan := func(s, p, o *Term) []Triple {
+		var out []Triple
+		for _, tr := range all {
+			if (s == nil || tr.S == *s) && (p == nil || tr.P == *p) && (o == nil || tr.O == *o) {
+				out = append(out, tr)
+			}
+		}
+		return out
+	}
+	var preds []Term
+	for _, tr := range all {
+		if !slices.Contains(preds, tr.P) {
+			preds = append(preds, tr.P)
+		}
+	}
+	slices.SortFunc(preds, Term.Compare)
+	if got := g.Predicates(); !slices.Equal(got, preds) {
+		t.Errorf("after %s: Predicates = %v, want %v", what, got, preds)
+	}
+	terms := append(g.Terms(), NewIRI("absent"))
+	for i := range terms {
+		x := &terms[i]
+		for j := range terms {
+			y := &terms[j]
+			for _, pat := range [][3]*Term{{x, nil, nil}, {nil, x, nil}, {nil, nil, x}, {x, y, nil}, {nil, x, y}, {x, nil, y}} {
+				got := slices.Clone(g.Match(pat[0], pat[1], pat[2]))
+				slices.SortFunc(got, Triple.Compare)
+				if want := scan(pat[0], pat[1], pat[2]); !slices.Equal(got, want) {
+					t.Errorf("after %s: Match(%v, %v, %v) = %v, want %v", what, pat[0], pat[1], pat[2], got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestGraphCloneEqual(t *testing.T) {
 	g := NewGraph(T("a", "p", "b"), T("b", "p", "c"))
+	checkIndexes(t, "NewGraph", g) // the source has its index before it is cloned
 	h := g.Clone()
 	if !g.Equal(h) || !h.Equal(g) {
 		t.Fatal("clone should be equal")
@@ -100,6 +135,11 @@ func TestGraphCloneEqual(t *testing.T) {
 	if g.Equal(h) {
 		t.Error("graphs of different size should not be equal")
 	}
+	checkIndexes(t, "Add to its clone", g)
+	checkIndexes(t, "Clone and Add", h)
+	g.Remove(T("a", "p", "b"))
+	checkIndexes(t, "Remove", g)
+	checkIndexes(t, "Remove from its source", h)
 	k := NewGraph(T("a", "p", "b"), T("x", "y", "z"))
 	if g.Equal(k) {
 		t.Error("same-size different graphs should not be equal")
@@ -144,6 +184,7 @@ func TestGraphCanonicalFollowsAddAndRemove(t *testing.T) {
 		if got, want := g.Canonical(), sortedByHand(g); !slices.Equal(got, want) {
 			t.Fatalf("after %s: Canonical = %v, want %v", what, got, want)
 		}
+		checkIndexes(t, what, g)
 	}
 	step("NewGraph")
 	g.Add(T("a", "a", "a"), T("c", "p", "a"))
@@ -154,8 +195,20 @@ func TestGraphCanonicalFollowsAddAndRemove(t *testing.T) {
 	step("Remove")
 	g.AddGraph(NewGraph(T("a", "p", "b"), T("z", "p", "z")))
 	step("AddGraph")
-	if c := g.Clone(); !slices.Equal(c.Canonical(), g.Canonical()) {
-		t.Errorf("clone's Canonical = %v, want %v", c.Canonical(), g.Canonical())
+	// A clone taken after Canonical shares the memo until its first change,
+	// which leaves the source's order as it was.
+	want := slices.Clone(g.Canonical())
+	c := g.Clone()
+	if &c.Canonical()[0] != &g.Canonical()[0] {
+		t.Error("a clone of a graph with a canonical order sorted its own")
+	}
+	c.Add(T("0", "p", "0"))
+	c.Remove(T("z", "p", "z"))
+	if got := c.Canonical(); !slices.Equal(got, sortedByHand(c)) {
+		t.Errorf("changed clone's Canonical = %v, want %v", got, sortedByHand(c))
+	}
+	if !slices.Equal(g.Canonical(), want) {
+		t.Errorf("source's Canonical after its clone changed = %v, want %v", g.Canonical(), want)
 	}
 }
 
@@ -186,6 +239,39 @@ func TestGraphCanonicalConcurrentReaders(t *testing.T) {
 			defer wg.Done()
 			if !slices.Equal(g.Canonical(), want) || !slices.Equal(g.SortedTriples(), want) || g.String() == "" {
 				t.Error("a concurrent reader saw another order")
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestGraphMatchConcurrentReaders has the readers of one fresh graph race to
+// fill both memos, the index through Match and the order under it; run under
+// -race.
+func TestGraphMatchConcurrentReaders(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	g := NewGraph()
+	for i := 0; i < 500; i++ {
+		g.Add(T(fmt.Sprint("s", rng.Intn(60)), fmt.Sprint("p", rng.Intn(5)), fmt.Sprint("o", rng.Intn(60))))
+	}
+	want := sortedByHand(g)
+	p := NewIRI("p3")
+	var wantP []Triple
+	for _, tr := range want {
+		if tr.P == p {
+			wantP = append(wantP, tr)
+		}
+	}
+	var wg sync.WaitGroup
+	for r := 0; r < 8; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if r%2 == 0 && !slices.Equal(g.Canonical(), want) {
+				t.Error("a concurrent reader saw another order")
+			}
+			if !slices.Equal(g.Match(nil, &p, nil), wantP) || len(g.Predicates()) != 5 {
+				t.Error("a concurrent reader saw another index")
 			}
 		}()
 	}
@@ -292,10 +378,14 @@ func TestGraphRemove(t *testing.T) {
 	if got := g.Match(nil, nil, &b); len(got) != 1 {
 		t.Errorf("byO stale after remove: %v", got)
 	}
+	checkIndexes(t, "Remove", g)
+	g.Remove(T("a", "q", "b")) // the last triple of predicate q and of object b
+	checkIndexes(t, "Remove of a predicate's last triple", g)
 	g.Remove(g.Triples()...)
 	if g.Len() != 0 || len(g.Match(nil, nil, nil)) != 0 {
 		t.Errorf("graph not empty after removing everything: %v", g.Triples())
 	}
+	checkIndexes(t, "Remove of everything", g)
 	// Removing from empty and re-adding round-trips.
 	if n := g.Remove(T("a", "p", "b")); n != 0 {
 		t.Errorf("Remove on empty = %d", n)
@@ -304,23 +394,29 @@ func TestGraphRemove(t *testing.T) {
 	if !g.Has(T("a", "p", "b")) {
 		t.Error("re-add after full removal failed")
 	}
+	checkIndexes(t, "re-Add", g)
 }
 
 // Match-returned slices must survive a later Remove (readers hold them while
 // the store commits new epochs against cloned graphs, but even same-graph
-// removal must not clobber shared backing arrays).
+// removal must not clobber shared backing arrays): on every access path.
 func TestGraphRemoveDoesNotClobberMatchResults(t *testing.T) {
-	g := NewGraph(T("a", "p", "b"), T("a", "p", "c"), T("a", "p", "d"))
-	s := NewIRI("a")
-	got := g.Match(&s, nil, nil)
-	if len(got) != 3 {
-		t.Fatalf("Match = %d, want 3", len(got))
-	}
-	snapshot := append([]Triple(nil), got...)
-	g.Remove(T("a", "p", "b"))
-	for i := range got {
-		if got[i] != snapshot[i] {
-			t.Fatalf("Remove mutated a previously returned Match slice at %d: %v != %v", i, got[i], snapshot[i])
+	s, p, b := NewIRI("a"), NewIRI("p"), NewIRI("b")
+	for name, pat := range map[string][3]*Term{
+		"byS": {&s, nil, nil}, "byP": {nil, &p, nil}, "byO": {nil, nil, &b},
+		"bySP": {&s, &p, nil}, "byPO": {nil, &p, &b}, "byS filtered": {&s, nil, &b},
+	} {
+		g := NewGraph(T("a", "p", "b"), T("a", "p", "c"), T("a", "p", "d"), T("a", "q", "b"), T("c", "p", "b"))
+		got := g.Match(pat[0], pat[1], pat[2])
+		if len(got) < 2 {
+			t.Fatalf("%s: Match = %v, want at least 2", name, got)
+		}
+		snapshot := slices.Clone(got)
+		g.Remove(T("a", "p", "b"))
+		g.Add(T("a", "p", "a"))
+		g.Match(pat[0], pat[1], pat[2]) // rebuilds the index
+		if !slices.Equal(got, snapshot) {
+			t.Errorf("%s: Remove changed a previously returned Match slice: %v, was %v", name, got, snapshot)
 		}
 	}
 }

@@ -50,15 +50,21 @@ func MustParseNTriples(s string) *Graph {
 	return g
 }
 
-// WriteNTriples serializes the graph as sorted N-Triples.
-func WriteNTriples(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
-	for _, t := range g.Canonical() {
-		if _, err := fmt.Fprintln(bw, t.String()); err != nil {
+// WriteNTriples writes the triples as N-Triples, one line each, in the order
+// given: the one place a triple becomes a line of text, behind Graph.String,
+// the WAL payload and the snapshot file. It does not buffer; hand it a
+// buffered writer when w is a file.
+func WriteNTriples(w io.Writer, triples []Triple) error {
+	for _, t := range triples {
+		_, err := io.WriteString(w, t.String())
+		if err == nil {
+			_, err = io.WriteString(w, "\n")
+		}
+		if err != nil {
 			return fmt.Errorf("rdf: writing triple: %w", err)
 		}
 	}
-	return bw.Flush()
+	return nil
 }
 
 func parseTripleLine(line string) (Triple, error) {

@@ -43,7 +43,7 @@ func TestParseNTriplesRoundTrip(t *testing.T) {
 		Triple{S: NewIRI("s"), P: NewIRI("p"), O: NewLangLiteral("hello", "en-GB")},
 	)
 	var sb strings.Builder
-	if err := WriteNTriples(&sb, g); err != nil {
+	if err := WriteNTriples(&sb, g.Canonical()); err != nil {
 		t.Fatal(err)
 	}
 	h, err := ParseNTriplesString(sb.String())

@@ -259,13 +259,9 @@ func (s *Store) ApplyReplicated(r Record) (Epoch, bool, error) {
 	if err != nil {
 		return Epoch{}, false, fmt.Errorf("store: apply replicated: bad record payload: %w", err)
 	}
-	next := cur.Graph.Clone()
-	if r.Op == OpInsert {
-		next.AddGraph(batch)
-	} else {
-		next.Remove(batch.Triples()...)
-	}
-	e, err := s.commitLocked(r, next, batch.Triples(), StageApply, start)
+	triples := batch.Triples()
+	next, _ := applyBatch(cur.Graph, r.Op, triples, false)
+	e, err := s.commitLocked(r, next, triples, StageApply, start)
 	return e, e.Graph != nil, err
 }
 
@@ -286,7 +282,7 @@ func (s *Store) InstallSnapshot(epoch uint64, g *rdf.Graph) (Epoch, error) {
 // SnapshotRecord renders an epoch as a stream snapshot frame (OpSnapshot,
 // payload = the full graph in sorted N-Triples).
 func SnapshotRecord(e Epoch) Record {
-	return Record{Op: OpSnapshot, Epoch: e.Seq, Text: encodeTriples(e.Graph.Canonical())}
+	return Record{Op: OpSnapshot, Epoch: e.Seq, Text: []byte(e.Graph.String())}
 }
 
 // DecodeSnapshot parses a stream snapshot frame back into its graph.

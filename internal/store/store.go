@@ -30,10 +30,12 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -329,12 +331,7 @@ func (s *Store) replay(w *wal, g *rdf.Graph, snapEpoch uint64, rec *Recovery) (u
 			valid, damaged = int(r.off), true
 			break
 		}
-		switch r.Op {
-		case OpInsert:
-			g.AddGraph(batch)
-		case OpDelete:
-			g.Remove(batch.Triples()...)
-		}
+		applyBatch(g, r.Op, batch.Triples(), true)
 		epoch = r.Epoch
 		rec.Records++
 	}
@@ -464,20 +461,14 @@ func (s *Store) apply(op byte, triples []rdf.Triple, traceparent string) (Epoch,
 	}
 	cur := s.cur.Load()
 
-	// Copy-on-write: the batch lands on a private copy, so every reader that
-	// pinned the current epoch keeps an untouched graph.
-	next := cur.Graph.Clone()
-	var n int
-	if op == OpInsert {
-		n = next.Add(triples...)
-	} else {
-		n = next.Remove(triples...)
-	}
+	next, n := applyBatch(cur.Graph, op, triples, false)
 	if n == 0 {
 		return *cur, 0, nil
 	}
 
-	r := Record{Op: op, Epoch: cur.Seq + 1, Text: encodeTriples(triples), Trace: traceparent}
+	var text bytes.Buffer
+	rdf.WriteNTriples(&text, triples) // a bytes.Buffer never fails a write
+	r := Record{Op: op, Epoch: cur.Seq + 1, Text: text.Bytes(), Trace: traceparent}
 	e, err := s.commitLocked(r, next, triples, StageCommit, start)
 	if e.Graph == nil {
 		n = 0 // failed before the swap: nothing was committed
@@ -636,14 +627,24 @@ func (s *Store) noteCrash(err error) {
 	}
 }
 
-// encodeTriples renders a batch as N-Triples WAL payload text.
-func encodeTriples(triples []rdf.Triple) []byte {
-	var b strings.Builder
-	for _, t := range triples {
-		b.WriteString(t.String())
-		b.WriteByte('\n')
+// applyBatch is the one place a mutation (op, triples) meets a graph. It
+// returns the resulting graph and how many triples entered or left it. A
+// batch that changes nothing returns g itself, before any copy is made.
+// Otherwise the batch lands on g in place when the caller owns it (recovery,
+// before the graph is published) and on a copy when it does not, so every
+// reader that pinned g's epoch keeps an untouched graph.
+func applyBatch(g *rdf.Graph, op byte, triples []rdf.Triple, owned bool) (*rdf.Graph, int) {
+	changes := func(t rdf.Triple) bool { return g.Has(t) == (op == OpDelete) }
+	if !slices.ContainsFunc(triples, changes) {
+		return g, 0
 	}
-	return []byte(b.String())
+	if !owned {
+		g = g.Clone()
+	}
+	if op == OpDelete {
+		return g, g.Remove(triples...)
+	}
+	return g, g.Add(triples...)
 }
 
 // writeSnapshot writes "# epoch N" plus the graph as N-Triples and fsyncs.
@@ -654,10 +655,7 @@ func writeSnapshot(path string, epoch uint64, g *rdf.Graph) error {
 	}
 	w := bufio.NewWriter(f)
 	fmt.Fprintf(w, "# epoch %d\n", epoch)
-	for _, t := range g.Canonical() {
-		w.WriteString(t.String())
-		w.WriteByte('\n')
-	}
+	rdf.WriteNTriples(w, g.Canonical()) // a bufio.Writer reports its first error at Flush
 	if err := w.Flush(); err != nil {
 		f.Close()
 		return fmt.Errorf("store: write snapshot: %w", err)

@@ -132,10 +132,10 @@ func TestBootstrapInsertDeleteEpochs(t *testing.T) {
 }
 
 // TestDeleteAbsentTripleNoOp pins the regression that deleting a triple that
-// was never inserted is a pure no-op: acknowledged at the current epoch with
-// zero removals, no WAL record appended, and no commit event delivered to a
-// wired OnCommit observer (the materializer's epoch tracking relies on no-op
-// batches committing nothing).
+// was never inserted, like inserting one already there, is a pure no-op:
+// acknowledged at the current epoch with zero changes, no WAL record appended,
+// and no commit event delivered to a wired OnCommit observer (the
+// materializer's epoch tracking relies on no-op batches committing nothing).
 func TestDeleteAbsentTripleNoOp(t *testing.T) {
 	dir := t.TempDir()
 	var events []CommitEvent
@@ -152,6 +152,12 @@ func TestDeleteAbsentTripleNoOp(t *testing.T) {
 	}
 	if n != 0 || e.Seq != before.Seq {
 		t.Fatalf("delete absent: removed %d at epoch %d, want no-op ack at epoch %d", n, e.Seq, before.Seq)
+	}
+	// So is inserting only what the graph already holds; the ack carries the
+	// current epoch's own graph.
+	e, n, err = st.Insert([]rdf.Triple{tr("a", "p", "b"), tr("a", "p", "b")})
+	if err != nil || n != 0 || e.Seq != before.Seq || e.Graph != before.Graph {
+		t.Fatalf("insert of duplicates only: added %d at epoch %d err %v, want no-op ack at epoch %d", n, e.Seq, err, before.Seq)
 	}
 	// A mixed batch where only part is absent still commits, removing just
 	// the present triple.

@@ -113,11 +113,8 @@ func TranslateConstruct(q *sparql.Query, regime Regime) (*ConstructTranslation, 
 	if c.needEq {
 		c.emitEqRules()
 	}
-	switch regime {
-	case ActiveDomain, All:
-		c.prog.Merge(owl.Program())
-	case RDFS:
-		c.prog.Merge(owl.RDFSProgram())
+	if fixed := regime.Program(); fixed != nil {
+		c.prog.Merge(fixed)
 	}
 	query := datalog.NewQuery(c.prog, ConstructPred)
 	if err := query.Validate(); err != nil {
@@ -130,9 +127,6 @@ func TranslateConstruct(q *sparql.Query, regime Regime) (*ConstructTranslation, 
 // relation into an RDF graph; invented nulls become blank nodes. The boolean
 // reports ⊤ under the entailment regimes.
 func (ct *ConstructTranslation) Evaluate(g *rdf.Graph, opts triq.Options) (*rdf.Graph, bool, error) {
-	if opts.Chase.MaxDepth == 0 {
-		opts.Chase.MaxDepth = 12
-	}
 	res, err := chase.Run(DB(g), ct.Query.Program, opts.Chase)
 	if err != nil {
 		return nil, false, err

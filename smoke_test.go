@@ -10,15 +10,17 @@ import (
 )
 
 // TestSmokeScriptMatchesCI keeps the triqd drills runnable: scripts/smoke.sh
-// parses, and the smokes it lists are the seven CI is meant to run, each of
+// parses (and scripts/size.sh, which CI runs beside it), and the smokes it lists are the seven CI is meant to run, each of
 // them invoked by ci.yml (by name, or through `all`) and none besides. It
 // starts no server and opens no socket.
 func TestSmokeScriptMatchesCI(t *testing.T) {
 	if _, err := exec.LookPath("bash"); err != nil {
 		t.Skip("bash not installed")
 	}
-	if out, err := exec.Command("bash", "-n", "scripts/smoke.sh").CombinedOutput(); err != nil {
-		t.Fatalf("bash -n scripts/smoke.sh: %v\n%s", err, out)
+	for _, script := range []string{"scripts/smoke.sh", "scripts/size.sh"} {
+		if out, err := exec.Command("bash", "-n", script).CombinedOutput(); err != nil {
+			t.Fatalf("bash -n %s: %v\n%s", script, err, out)
+		}
 	}
 	out, err := exec.Command("bash", "scripts/smoke.sh", "--list").Output()
 	if err != nil {

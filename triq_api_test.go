@@ -1,10 +1,12 @@
 package repro
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/datalog"
+	"repro/internal/limits"
 )
 
 const transportData = `
@@ -40,6 +42,9 @@ func TestPublicAPIQuickstart(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := Ask(g, q, TriQLite10, Options{})
+	if errors.Is(err, limits.ErrInjected) {
+		t.Skip("injected fault (TRIQ_FAULTS armed)")
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
