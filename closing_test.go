@@ -15,13 +15,14 @@ import (
 // TestClosedOntologyEvaluations is the closed-vs-deepened differential on the
 // programs the paper is about: SPARQL under the OWL 2 QL core regime over the
 // university ontologies of E4 and of the benchmark. τ_owl2ql_core has an
-// infinite chase, every one of these evaluations is ended by a closing pass at
-// depth 2, and its ground part must be the one the chase four levels deeper
-// has and the one the direct DL-LiteR reasoner computes. (ProofTree is no
-// oracle here: it does not certify a single type atom of these programs
-// within 50 M visits — ROADMAP item 3 — so it certifies closed evaluations
-// where it finishes, in internal/triq.) The transport query has no existential rule: its chase terminates, no
-// pass runs, and its Stats are what they were before there was one.
+// infinite chase, every one of these evaluations is ended by a closing pass on
+// rung 1 right after the probe at depth 0, and its ground part must be the one
+// the chase four levels deeper has and the one the direct DL-LiteR reasoner
+// computes. (ProofTree is no oracle here: it does not certify a single type
+// atom of these programs within 50 M visits — ROADMAP item 3 — so it certifies
+// closed evaluations where it finishes, in internal/triq.) The transport query
+// has no existential rule: its chase terminates in one step at depth 2, no
+// probe or pass runs, and its Stats are what they were before there was one.
 func TestClosedOntologyEvaluations(t *testing.T) {
 	for _, depts := range []int{1, 2, 4} {
 		o := workload.University(depts, 2, 3, false)
@@ -42,8 +43,8 @@ func TestClosedOntologyEvaluations(t *testing.T) {
 					t.Fatal(err)
 				}
 				steps := gr.Stats.Deepening
-				if !gr.Exact || gr.Inconsistent || gr.Depth != 2 || len(steps) != 2 || !steps[1].Closing || steps[1].NewGround != 0 {
-					t.Fatalf("want one depth step and a closing pass, exact at depth 2: depth %d, exact %v, steps %+v", gr.Depth, gr.Exact, steps)
+				if !gr.Exact || gr.Inconsistent || gr.Depth != 0 || len(steps) != 2 || !steps[1].Closing || !steps[1].Coarse || steps[1].NewGround != 0 {
+					t.Fatalf("want the probe and a closing pass on rung 1, exact at depth 0: depth %d, exact %v, steps %+v", gr.Depth, gr.Exact, steps)
 				}
 				far, err := chase.GroundSemantics(db, prog, chase.Options{MaxDepth: gr.Depth + 4})
 				skipInjected(t, err)
@@ -78,7 +79,7 @@ func TestClosedOntologyEvaluations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if steps := gr.Stats.Deepening; !gr.Exact || len(steps) != 1 || steps[0].Closing || gr.Stats.NullsInvented != 0 || gr.Stats.DepthTruncated {
+		if steps := gr.Stats.Deepening; !gr.Exact || gr.Depth != 2 || len(steps) != 1 || steps[0].Closing || gr.Stats.NullsInvented != 0 || gr.Stats.DepthTruncated {
 			t.Errorf("a terminating chase takes one step and no pass: %+v", steps)
 		}
 	})

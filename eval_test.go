@@ -284,8 +284,10 @@ func TestDeepenedEvaluationNumbersAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	st, rep := resp.Stats, resp.Explain
-	if len(st.Deepening) != 2 || !st.Deepening[1].Closing || st.FactsDerived != 2311 || !resp.Exact || resp.Depth != 2 {
-		t.Fatalf("the university request must take one depth step and a closing pass to 2311 facts, exact at depth 2: %+v", st.Deepening)
+	// The probe at depth 0 and a closing pass on rung 1 (2 311 facts at depth 2
+	// before there was a probe).
+	if len(st.Deepening) != 2 || !st.Deepening[1].Closing || !st.Deepening[1].Coarse || st.FactsDerived != 891 || !resp.Exact || resp.Depth != 0 {
+		t.Fatalf("the university request must take the probe and a closing pass on rung 1 to 891 facts, exact at depth 0: %+v", st.Deepening)
 	}
 	for name, want := range map[string]int{
 		"chase.runs":            1, // engines, not steps
@@ -318,7 +320,7 @@ func TestDeepenedEvaluationNumbersAgree(t *testing.T) {
 	if acct := tr.Account(); acct.ChaseRuns != 1 || acct.FactsDerived != int64(st.FactsDerived) || acct.Rounds != int64(st.Rounds) {
 		t.Errorf("account: %+v", acct)
 	}
-	if want := "deepening: depth 2: +2015 facts, 108 parked → closed: +296 facts, 0 ground\n"; !strings.Contains(rep.String(), want) {
+	if want := "deepening: depth 0: +687 facts, 60 parked → closed (coarse): +204 facts, 0 ground\n"; !strings.Contains(rep.String(), want) {
 		t.Errorf("EXPLAIN text lacks the deepening line %q:\n%s", want, rep)
 	}
 }

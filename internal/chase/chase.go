@@ -230,12 +230,15 @@ type engine struct {
 	tick        int    // trigger-attempt counter gating the in-round ctx checks
 	ruleLabels  bool   // attach per-rule pprof labels (recording traces only)
 	keyBuf      []byte // scratch for the binding keys apply probes its dedup set with
-	// closing is set while the closing pass runs (see close.go): fire closes a
-	// trigger the depth bound blocks with summary nulls instead of parking it, and
-	// gives up at the first constant-only fact. closeKeys are the Skolem keys the
-	// pass has added to the table, which restore takes out again.
-	closing   bool
-	closeKeys []string
+	// closeKind is set while the closing pass runs (see close.go), to the kind of
+	// Skolem key its rung gives summary nulls: fire closes a trigger the depth
+	// bound blocks with one instead of parking it, and gives up at the first
+	// constant-only fact. closeKeys are the Skolem keys the pass has added to the
+	// table, which restore takes out again. coarseFailed says rung 1 has been
+	// undone on this engine, so later passes start at rung 2.
+	closeKind    byte
+	closeKeys    []string
+	coarseFailed bool
 }
 
 // stratum is the resumable state of one stratum: what chaseStratum needs to
@@ -434,7 +437,7 @@ func (e *engine) freshNull(key string, d int) datalog.Term {
 	e.nextNull++
 	e.skolem[key] = name
 	e.depth[name] = d
-	if e.closing {
+	if e.closeKind != 0 {
 		e.closeKeys = append(e.closeKeys, key)
 	}
 	e.deepest = max(e.deepest, d)
@@ -464,7 +467,7 @@ func (e *engine) chaseStratum(s *stratum) error {
 	// The closing pass asks for less: it runs under grounded negation only, a
 	// negated atom then sees constants, and the pass ends at the first
 	// constant-only fact anyway.
-	if s.ran && !e.closing {
+	if s.ran && e.closeKind == 0 {
 		for i, p := range s.negPreds {
 			if len(e.inst.byPred[p]) != s.negLens[i] {
 				return errNegatedGrew
@@ -602,7 +605,7 @@ func appendBindingKey(buf []byte, ev *env, slots int) []byte {
 func (e *engine) fire(c *compiledRule, ev *env) error {
 	if len(c.exSlots) > 0 {
 		// Depth control for null invention.
-		d, summary := 1, false
+		d, kind := 1, chaseKey
 		for _, s := range c.frontier {
 			if s < c.bodySlots && ev.set[s] && ev.val[s].IsNull() {
 				if e.depth[ev.val[s].Name]+1 > d {
@@ -615,7 +618,7 @@ func (e *engine) fire(c *compiledRule, ev *env) error {
 				e.opts.Obs.Event("chase.truncated", obs.F("depth", e.opts.MaxDepth))
 			}
 			e.stats.DepthTruncated = true
-			if !e.closing {
+			if e.closeKind == 0 {
 				// Park the trigger for a step with a higher bound. Naive
 				// evaluation re-matches everything each round and finds it again.
 				if !e.opts.NaiveEvaluation {
@@ -625,11 +628,11 @@ func (e *engine) fire(c *compiledRule, ev *env) error {
 			}
 			// The closing pass satisfies the head with summary nulls, which sit
 			// at the bound: a trigger with one in its frontier closes this way too.
-			d, summary = e.opts.MaxDepth, true
+			d, kind = e.opts.MaxDepth, e.closeKind
 		}
 		for k, s := range c.exSlots {
 			ev.set[s] = true
-			ev.val[s] = e.freshNull(skolemKeyFor(c, k, ev, summary), d)
+			ev.val[s] = e.freshNull(skolemKeyFor(c, k, ev, kind), d)
 		}
 		defer func() {
 			for _, s := range c.exSlots {
@@ -652,7 +655,7 @@ func (e *engine) fire(c *compiledRule, ev *env) error {
 			e.stats.FactsDerived++
 			if fact.IsConstantGround() {
 				e.ground++
-				if e.closing {
+				if e.closeKind != 0 {
 					return errNotClosed
 				}
 			}
@@ -702,17 +705,15 @@ func (e *engine) refire(c *compiledRule, parked *triggerBuf) error {
 // engine's Skolem table, to the same null, also when maintenance derives it
 // again after a delete.
 //
-// A summary key is what the closing pass (close.go) uses in its place where the
-// depth bound blocks: it keeps the frontier's constants and erases its nulls, so
-// all triggers of the rule that differ only in nulls share one summary null. The
-// prefix keeps the two kinds of key apart.
-func skolemKeyFor(c *compiledRule, exIdx int, ev *env, summary bool) string {
+// The two other kinds are what the closing pass (close.go) uses in its place
+// where the depth bound blocks. A summary key keeps the frontier's constants and
+// erases its nulls, so all triggers of the rule that differ only in nulls share
+// one summary null; a coarse key erases the constants too and keeps only which
+// frontier positions hold one, so all triggers of the rule that agree on that
+// share one. The kind is the key's prefix, which keeps the kinds apart.
+func skolemKeyFor(c *compiledRule, exIdx int, ev *env, kind byte) string {
 	buf := make([]byte, 0, 32)
-	if summary {
-		buf = append(buf, 'c')
-	} else {
-		buf = append(buf, 'r')
-	}
+	buf = append(buf, kind)
 	buf = strconv.AppendInt(buf, int64(c.idx), 10)
 	buf = append(buf, '|')
 	buf = append(buf, c.exNames[exIdx]...)
@@ -721,13 +722,20 @@ func skolemKeyFor(c *compiledRule, exIdx int, ev *env, summary bool) string {
 		if ev.set[s] {
 			t := ev.val[s]
 			buf = append(buf, byte('0'+t.Kind))
-			if !summary || !t.IsNull() {
+			if kind == chaseKey || kind == summaryKey && !t.IsNull() {
 				buf = append(buf, t.Name...)
 			}
 		}
 	}
 	return string(buf)
 }
+
+// The kinds of Skolem key skolemKeyFor renders.
+const (
+	chaseKey   byte = 'r' // the whole frontier binding: a trigger the bound admits
+	summaryKey byte = 'c' // the frontier's constants: rung 2 of the closing pass
+	coarseKey  byte = 's' // the frontier's shape alone: rung 1
+)
 
 // Run evaluates a Datalog^{∃,¬s,⊥} program over a database following the
 // stratified semantics of Section 3.2: S_0 = chase(D, Π_0),

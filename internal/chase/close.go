@@ -9,11 +9,10 @@ import (
 // Closing the chase. A depth step that ends with triggers parked holds I_d, a
 // prefix of the chase whose ground part is a lower bound of Π(D)↓. The closing
 // pass turns it into an upper bound as well: it continues the step, but where
-// the bound blocks a trigger it satisfies the head with summary nulls — one per
-// rule, existential variable and frontier binding with the nulls erased —
-// instead of parking it. There are finitely many of those, so the pass reaches
-// a fixpoint M ⊇ I_d that every rule is satisfied in. M is then a model of Π
-// and D, the chase maps into it by a homomorphism that fixes constants, and
+// the bound blocks a trigger it satisfies the head with summary nulls instead
+// of parking it. There are finitely many of those, so the pass reaches a
+// fixpoint M ⊇ I_d that every rule is satisfied in. M is then a model of Π and
+// D, the chase maps into it by a homomorphism that fixes constants, and
 //
 //	I_d↓ ⊆ Π(D)↓ ⊆ M↓.
 //
@@ -24,6 +23,13 @@ import (
 // ground part of the strata below, which the sandwich has pinned by then. The
 // caller checks that precondition; DESIGN.md, "Closing the chase", has the
 // proof in full.
+//
+// Any choice of summary nulls builds a model, so the pass is a ladder of two
+// rungs, coarse first. Rung 1 has one summary null per rule and existential
+// variable — and frontier shape, the positions that hold a constant — whatever
+// constants the frontier binds; it derives least. Where it fails, rung 2 keeps
+// the frontier's constants and erases only its nulls, so a trigger on another
+// constant gets another null.
 
 // errNotClosed ends a closing pass at the first constant-only fact it derives.
 var errNotClosed = errors.New("chase: the closing pass derived a constant-only fact")
@@ -42,7 +48,8 @@ type engineMark struct {
 
 // stratumMark is a stratum's resumable state. The parked buffers are saved by
 // header: refire reads the triggers of the buffer it replaces and never writes
-// them.
+// them. The rest is copied on the way out as on the way in, so a mark can be
+// restored any number of times.
 type stratumMark struct {
 	parked  []triggerBuf
 	started map[string]int
@@ -84,32 +91,51 @@ func (e *engine) restore(m engineMark) {
 	for i, s := range e.strata {
 		sm := m.strata[i]
 		copy(s.parked, sm.parked)
-		s.started, s.negLens = sm.started, sm.negLens
+		s.started, s.negLens = maps.Clone(sm.started), slices.Clone(sm.negLens)
 	}
 }
 
-// closingStep runs the closing pass on an engine whose last step ended
-// truncated and consistent. closed reports that the pass reached its fixpoint
-// without a constant-only fact and without matching a constraint — which may
-// have matched through summary nulls only, so ⊤ is not its to report. A limit
-// error leaves what the pass derived in the instance, as it does for any step;
-// none of it is constant-only.
-func (e *engine) closingStep() (closed bool, err error) {
-	e.closing = true
+// closingStep runs one rung of the closing pass, the one whose summary nulls
+// take Skolem keys of the given kind, on an engine whose last step ended
+// truncated and consistent. closed reports that the pass reached its
+// fixpoint without a constant-only fact and without matching a constraint —
+// which may have matched through summary nulls only, so ⊤ is not its to
+// report. A limit error leaves what the pass derived in the instance, as it
+// does for any step; none of it is constant-only.
+func (e *engine) closingStep(kind byte) (closed bool, err error) {
+	e.closeKind = kind
 	inconsistent, err := e.step()
-	e.closing = false
+	e.closeKind = 0
 	if err == errNotClosed {
 		return false, nil
 	}
 	return err == nil && !inconsistent, err
 }
 
-// close tries to prove the engine's ground part complete, and leaves the
-// engine as it found it when it cannot.
-func (e *engine) close() (closed bool, err error) {
+// close tries to prove the engine's ground part complete, rung by rung, and
+// leaves the engine as it found it when no rung can; chase.closing_failed
+// counts every rung undone. coarse names the rung that closed, or that a limit
+// cut short.
+//
+// Once rung 1 has been undone on the engine, later passes skip it. A deeper
+// step fires more triggers with nulls of its own and blocks fewer, but what
+// made rung 1 fail — witnesses of different constants merged into one null —
+// is still there wherever a trigger stays blocked, and a rung that fails on ⊥
+// runs to its fixpoint first. Skipping it never delays a close: rung 1's model
+// holds an image of rung 2's, so rung 2 closes wherever rung 1 does, with more
+// facts.
+func (e *engine) close() (closed, coarse bool, err error) {
 	m := e.mark()
-	if closed, err = e.closingStep(); !closed && err == nil {
+	for _, kind := range [...]byte{coarseKey, summaryKey} {
+		if kind == coarseKey && e.coarseFailed {
+			continue
+		}
+		if closed, err = e.closingStep(kind); closed || err != nil {
+			return closed, kind == coarseKey, err
+		}
 		e.restore(m)
+		e.coarseFailed = true
+		e.opts.Obs.Count("chase.closing_failed", 1)
 	}
-	return closed, err
+	return false, false, nil
 }

@@ -17,18 +17,37 @@ import (
 // neverClose stands in for the closing pass where a test wants deepening as it
 // was before there was one: no pass runs, every step falls through to the
 // stability window.
-func neverClose(*engine) (bool, error) { return false, nil }
+func neverClose(*engine) (bool, bool, error) { return false, false, nil }
 
-// undoneClose runs every closing pass to its end — fixpoint or first
-// constant-only fact — and then undoes it whatever it found, so an evaluation
-// restores after every step that ends truncated.
-func undoneClose(e *engine) (bool, error) {
+// undoneClose runs both rungs of every closing pass to their end — fixpoint or
+// first constant-only fact — and undoes each whatever it found, so an
+// evaluation restores one mark twice after every step that ends truncated.
+func undoneClose(e *engine) (bool, bool, error) {
 	m := e.mark()
-	_, err := e.closingStep()
-	if err == nil {
+	for _, kind := range [...]byte{coarseKey, summaryKey} {
+		if _, err := e.closingStep(kind); err != nil {
+			return false, kind == coarseKey, err
+		}
 		e.restore(m)
 	}
-	return false, err
+	return false, false, nil
+}
+
+// summaryClose is the closing pass before the ladder: rung 2 alone.
+func summaryClose(e *engine) (bool, bool, error) {
+	m := e.mark()
+	closed, err := e.closingStep(summaryKey)
+	if !closed && err == nil {
+		e.restore(m)
+	}
+	return closed, false, err
+}
+
+// everyRung is the ladder without its memory: every pass starts at rung 1,
+// whether or not rung 1 failed after an earlier step.
+func everyRung(e *engine) (bool, bool, error) {
+	e.coarseFailed = false
+	return e.close()
 }
 
 // closedByPass reports that the evaluation ended with a closing pass that
@@ -62,12 +81,16 @@ func requireSameEvaluation(t *testing.T, label string, want, got *GroundResult) 
 // random programs of TestDifferentialEngines (few deepen) and of
 // TestDifferentialResumeVsRestart (all do) × {semi-naive, naive}:
 //
-//   - an evaluation whose every closing pass is undone returns, byte for byte,
-//     what deepening without a pass returns — instance, null names, Stats,
-//     Deepening, depth: restore is exact;
+//   - an evaluation whose every closing pass is undone, both rungs from one
+//     mark, returns, byte for byte, what deepening without a pass returns —
+//     instance, null names, Stats, Deepening, depth: restore is exact;
 //   - an evaluation a pass closed has the ground part of the chase four levels
 //     deeper, and of the deepening that no pass cut short;
-//   - one that no pass closed is the deepening without a pass, byte for byte.
+//   - one that no pass closed is the deepening without a pass, byte for byte;
+//   - where rung 2 alone, the pass before the ladder, closes at depth d, the
+//     ladder closes at depth d or less with the same ground part;
+//   - skipping rung 1 once it has failed closes where trying it at every pass
+//     does, with the same ground part.
 func TestDifferentialClosedVsDeepened(t *testing.T) {
 	type family struct {
 		name  string
@@ -91,7 +114,7 @@ func TestDifferentialClosedVsDeepened(t *testing.T) {
 			families[i].seeds = families[i].seeds[:5]
 		}
 	}
-	closed, failed := new(atomic.Int64), new(atomic.Int64)
+	n := new(closeCounts)
 	t.Run("seeds", func(t *testing.T) {
 		for _, f := range families {
 			for _, seed := range f.seeds {
@@ -103,7 +126,7 @@ func TestDifferentialClosedVsDeepened(t *testing.T) {
 					}
 					for _, naive := range []bool{false, true} {
 						opts := Options{MaxDepth: 7, MaxFacts: 50_000, MaxRounds: 1_000, NaiveEvaluation: naive}
-						diffClosed(t, fmt.Sprintf("%s seed=%d naive=%v", f.name, seed, naive), c, opts, closed, failed)
+						diffClosed(t, fmt.Sprintf("%s seed=%d naive=%v", f.name, seed, naive), c, opts, n)
 						if t.Failed() {
 							t.Logf("replay: TRIQ_DIFF_SEED=%d go test -run TestDifferentialClosedVsDeepened ./internal/chase\nprogram (db: %d facts):\n%s",
 								seed, c.db.Len(), c.source)
@@ -114,13 +137,21 @@ func TestDifferentialClosedVsDeepened(t *testing.T) {
 			}
 		}
 	})
-	t.Logf("%d evaluations closed, %d closing passes failed", closed.Load(), failed.Load())
-	if os.Getenv("TRIQ_DIFF_SEED")+os.Getenv("TRIQ_FAULTS") == "" && !t.Failed() && (closed.Load() == 0 || failed.Load() == 0) {
-		t.Errorf("the generator no longer exercises the axis: %d evaluations closed, %d passes failed", closed.Load(), failed.Load())
+	coarse, summary, undone, alone := n.coarse.Load(), n.summary.Load(), n.undone.Load(), n.alone.Load()
+	t.Logf("%d evaluations closed (%d on rung 1, %d on rung 2), %d rungs undone; rung 2 alone closes %d",
+		coarse+summary, coarse, summary, undone, alone)
+	// A rung undone means rung 1 failed there: rung 2 runs only after it.
+	if os.Getenv("TRIQ_DIFF_SEED")+os.Getenv("TRIQ_FAULTS") == "" && !t.Failed() && (coarse == 0 || undone == 0) {
+		t.Errorf("the generator no longer exercises the axis: rung 1 closed %d evaluations, %d rungs were undone", coarse, undone)
 	}
 }
 
-func diffClosed(t *testing.T, label string, c diffCase, opts Options, closed, failed *atomic.Int64) {
+// closeCounts tallies TestDifferentialClosedVsDeepened: the evaluations the
+// ladder closed on rung 1 and on rung 2, the rungs it undid, and the
+// evaluations rung 2 alone closes.
+type closeCounts struct{ coarse, summary, undone, alone atomic.Int64 }
+
+func diffClosed(t *testing.T, label string, c diffCase, opts Options, n *closeCounts) {
 	t.Helper()
 	ctx := context.Background()
 	o := obs.New()
@@ -129,7 +160,9 @@ func diffClosed(t *testing.T, label string, c diffCase, opts Options, closed, fa
 	got, gotErr := StableGroundCtx(ctx, c.db, c.program, counted, 2)
 	parent, parentErr := stableGround(ctx, c.db, c.program, opts, 2, neverClose)
 	undone, undoneErr := stableGround(ctx, c.db, c.program, opts, 2, undoneClose)
-	for _, err := range []error{gotErr, parentErr, undoneErr} {
+	alone, aloneErr := stableGround(ctx, c.db, c.program, opts, 2, summaryClose)
+	every, everyErr := stableGround(ctx, c.db, c.program, opts, 2, everyRung)
+	for _, err := range []error{gotErr, parentErr, undoneErr, aloneErr, everyErr} {
 		if errors.Is(err, limits.ErrInjected) {
 			return // TRIQ_FAULTS armed: the process-global plan trips wherever its hit count says
 		}
@@ -138,13 +171,28 @@ func diffClosed(t *testing.T, label string, c diffCase, opts Options, closed, fa
 			return
 		}
 	}
-	failed.Add(o.Registry().Counter("chase.closing_failed"))
+	n.undone.Add(o.Registry().Counter("chase.closing_failed"))
 	requireSameEvaluation(t, label+": every pass undone ≡ no pass", parent, undone)
+	if closedByPass(alone) {
+		n.alone.Add(1)
+		if !closedByPass(got) || got.Depth > alone.Depth || !got.Ground().Equal(alone.Ground()) {
+			t.Errorf("%s: rung 2 alone closes at depth %d; the ladder: closed %v at depth %d, same ground part %v",
+				label, alone.Depth, closedByPass(got), got.Depth, got.Ground().Equal(alone.Ground()))
+		}
+	}
+	if closedByPass(every) != closedByPass(got) || every.Depth != got.Depth || !every.Ground().Equal(got.Ground()) {
+		t.Errorf("%s: skipping rung 1 once it failed moved the close: closed %v at depth %d, with rung 1 at every pass %v at depth %d",
+			label, closedByPass(got), got.Depth, closedByPass(every), every.Depth)
+	}
 	if !closedByPass(got) {
 		requireSameEvaluation(t, label+": no pass closed ≡ no pass", parent, got)
 		return
 	}
-	closed.Add(1)
+	if steps := got.Stats.Deepening; steps[len(steps)-1].Coarse {
+		n.coarse.Add(1)
+	} else {
+		n.summary.Add(1)
+	}
 	deeper := opts
 	deeper.MaxDepth = got.Depth + 4
 	far, err := GroundSemantics(c.db, c.program, deeper)
@@ -161,6 +209,52 @@ func diffClosed(t *testing.T, label string, c diffCase, opts Options, closed, fa
 	}
 	if !got.Ground().Equal(parent.Ground()) {
 		t.Errorf("%s: closed at depth %d, but deepening to depth %d has another ground part", label, got.Depth, parent.Depth)
+	}
+}
+
+// TestRestoreIsRepeatable: one mark, restored after each rung of a closing
+// pass, leaves the engine as it was at the mark both times, and the engine then
+// steps on as one that never ran a pass. (restore used to install the mark's
+// own map and slice, which the second rung then wrote through.)
+func TestRestoreIsRepeatable(t *testing.T) {
+	db := NewInstance(atom("p", "a"), atom("p", "b"))
+	prog := datalog.MustParse(depthChain)
+	engineAt := func(depths ...int) *engine {
+		e, err := prepare(context.Background(), db.Overlay(), prog, Options{}.withDefaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range depths {
+			e.opts.MaxDepth = d
+			if _, err := e.step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return e
+	}
+	state := func(e *engine) string {
+		return fmt.Sprintf("%s%+v parked=%d", e.inst, normStats(e.snapshotStats()), e.parkedTriggers())
+	}
+	e := engineAt(2)
+	m, want := e.mark(), state(e)
+	for _, kind := range []byte{coarseKey, summaryKey} {
+		// Both rungs reach goal(·) through the summary null of t, the first with
+		// one null for both constants, the second with one per constant.
+		closed, err := e.closingStep(kind)
+		if err != nil || closed {
+			t.Fatalf("rung %c: the pass must fail: closed %v, %v", kind, closed, err)
+		}
+		e.restore(m)
+		if got := state(e); got != want {
+			t.Errorf("rung %c: restored engine differs:\n%s\nwant:\n%s", kind, got, want)
+		}
+	}
+	e.opts.MaxDepth = 4
+	if _, err := e.step(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := state(e), state(engineAt(2, 4)); got != want {
+		t.Errorf("the restored engine steps on differently:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -190,17 +284,20 @@ func TestClosingPassFallsBackOnSpuriousGroundFact(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameEvaluation(t, "fallback", parent, gr)
-	// The window stops it after depths 2, 4, 6; each step tried to close first.
-	if c, f := o.Registry().Counter("chase.closed"), o.Registry().Counter("chase.closing_failed"); c != 0 || f != 3 || gr.Depth != 6 {
-		t.Errorf("depth %d, chase.closed = %d, chase.closing_failed = %d; want 6, 0, 3", gr.Depth, c, f)
+	// The window stops it after the probe and depths 2, 4, 6 (it counts neither
+	// of the first two). The probe's pass tried both rungs, each later one rung
+	// 2 alone.
+	if c, f := o.Registry().Counter("chase.closed"), o.Registry().Counter("chase.closing_failed"); c != 0 || f != 5 || gr.Depth != 6 {
+		t.Errorf("depth %d, chase.closed = %d, chase.closing_failed = %d; want 6, 0, 5", gr.Depth, c, f)
 	}
-	// Without the join back to a constant the same chain closes at once.
+	// Without the join back to a constant the same chain closes at once: rung 1
+	// closes the probe's one parked trigger.
 	gr, err = StableGround(db, datalog.MustParse(mergingChain), Options{MaxDepth: 8}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !closedByPass(gr) || gr.Depth != 2 {
-		t.Errorf("the bare chain must close at depth 2: depth %d, steps %+v", gr.Depth, gr.Stats.Deepening)
+	if steps := gr.Stats.Deepening; !closedByPass(gr) || gr.Depth != 0 || !steps[len(steps)-1].Coarse {
+		t.Errorf("the bare chain must close at depth 0 on rung 1: depth %d, steps %+v", gr.Depth, steps)
 	}
 }
 
@@ -217,8 +314,10 @@ func TestClosingPassDoesNotReportTop(t *testing.T) {
 	if gr.Inconsistent || gr.Exact || gr.inst.Has(datalog.NewAtom("r", datalog.N("n2"), datalog.N("n2"))) {
 		t.Errorf("inconsistent %v, exact %v", gr.Inconsistent, gr.Exact)
 	}
-	if f := o.Registry().Counter("chase.closing_failed"); f != 3 {
-		t.Errorf("chase.closing_failed = %d, want 3", f)
+	// Four steps (the probe, 2, 4, 6): two rungs undone after the probe, rung 2
+	// alone after each of the others.
+	if f := o.Registry().Counter("chase.closing_failed"); f != 5 {
+		t.Errorf("chase.closing_failed = %d, want 5", f)
 	}
 	parent, err := stableGround(context.Background(), db, prog, Options{MaxDepth: 8}, 2, neverClose)
 	if err != nil {
@@ -227,10 +326,37 @@ func TestClosingPassDoesNotReportTop(t *testing.T) {
 	requireSameEvaluation(t, "fallback", parent, gr)
 }
 
+// TestClosingPassClimbsToRung2 is the spurious ⊥ of the coarse key: rung 1
+// gives alice's and bob's witnesses one summary null, so it is a course and a
+// lecture at once and the disjointness constraint matches through it. Rung 1 is
+// undone, and rung 2, one null per constant, closes the probe.
+func TestClosingPassClimbsToRung2(t *testing.T) {
+	db := NewInstance(atom("a", "alice", "teaches"), atom("a", "bob", "attends"),
+		atom("rng", "teaches", "course"), atom("rng", "attends", "lecture"), atom("disj", "course", "lecture"))
+	prog := datalog.MustParse(`
+		a(?X, ?P) -> exists ?Z e(?X, ?P, ?Z).
+		e(?X, ?P, ?Z), rng(?P, ?C) -> type(?Z, ?C).
+		type(?N, ?A), type(?N, ?B), disj(?A, ?B) -> false.
+	`)
+	o := obs.New()
+	gr, err := StableGround(db, prog, Options{Obs: o}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := gr.Stats.Deepening
+	if !closedByPass(gr) || gr.Inconsistent || gr.Depth != 0 || steps[len(steps)-1].Coarse || gr.Stats.NullsInvented != 2 {
+		t.Errorf("want a consistent evaluation closed on rung 2 at depth 0 with two nulls: depth %d, inconsistent %v, %d nulls, steps %+v",
+			gr.Depth, gr.Inconsistent, gr.Stats.NullsInvented, steps)
+	}
+	if f := o.Registry().Counter("chase.closing_failed"); f != 1 {
+		t.Errorf("chase.closing_failed = %d, want 1: rung 1", f)
+	}
+}
+
 func TestClosingPassPreconditions(t *testing.T) {
 	db := NewInstance(atom("p", "a"), atom("q", "a"))
 	calls := 0
-	counting := func(e *engine) (bool, error) {
+	counting := func(e *engine) (bool, bool, error) {
 		calls++
 		return e.close()
 	}
@@ -239,21 +365,26 @@ func TestClosingPassPreconditions(t *testing.T) {
 		src   string
 		opts  Options
 		calls int
+		depth int
 	}{
 		// ?Y is bound at an affected position only, so the negated atom may see a
-		// null, whose truth a summary null would misjudge.
-		{"non-grounded negation", mergingChain + `r(?X, ?Y), not q(?Y) -> t(?X).`, Options{MaxDepth: 4}, 0},
+		// null, whose truth a summary null would misjudge; no probe either.
+		{"non-grounded negation", mergingChain + `r(?X, ?Y), not q(?Y) -> t(?X).`, Options{MaxDepth: 4}, 0, 4},
 		// ?X sits in p as well: it is a constant wherever the rule fires.
-		{"grounded negation", mergingChain + `p(?X), r(?X, ?Y), not q(?X) -> t(?X).`, Options{MaxDepth: 4}, 1},
-		{"terminating chase", `p(?X) -> exists ?Y r(?X, ?Y).`, Options{}, 0},
+		{"grounded negation", mergingChain + `p(?X), r(?X, ?Y), not q(?X) -> t(?X).`, Options{MaxDepth: 4}, 1, 0},
+		// The chase ends at depth 1, but the probe at depth 0 parks its trigger,
+		// and one pass closes that.
+		{"terminating chase", `p(?X) -> exists ?Y r(?X, ?Y).`, Options{}, 1, 0},
+		// No existential rule: no step ends truncated, and none is a probe.
+		{"no existential rule", `p(?X), q(?X) -> r(?X, ?X).`, Options{}, 0, 2},
 	} {
 		calls = 0
 		gr, err := stableGround(context.Background(), db, datalog.MustParse(tc.src), tc.opts, 2, counting)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if calls != tc.calls || closedByPass(gr) != (tc.calls > 0) {
-			t.Errorf("%s: %d closing passes, closed %v; want %d", tc.name, calls, closedByPass(gr), tc.calls)
+		if calls != tc.calls || closedByPass(gr) != (tc.calls > 0) || gr.Depth != tc.depth {
+			t.Errorf("%s: %d closing passes, closed %v at depth %d; want %d at depth %d", tc.name, calls, closedByPass(gr), gr.Depth, tc.calls, tc.depth)
 		}
 	}
 }
@@ -267,8 +398,9 @@ func TestClosingPassAborts(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		db.Add(atom("p", nodeName(i)))
 	}
-	// The constant rides along, so there is a summary null per node and the
-	// pass has thirty facts to derive.
+	// The constant rides along, so the pass has twenty facts to derive. The
+	// probe's pass fails on both rungs, at seen(·) one null away; the one after
+	// depth 2 skips rung 1, which failed before, and closes on rung 2.
 	prog := datalog.MustParse(`
 		p(?C) -> exists ?Y r(?C, ?Y, ?C).
 		r(?X, ?Y, ?C) -> exists ?Z r(?Y, ?Z, ?C).
@@ -279,21 +411,25 @@ func TestClosingPassAborts(t *testing.T) {
 		t.Fatal(err)
 	}
 	steps := whole.Stats.Deepening
-	if !closedByPass(whole) || len(steps) != 2 || steps[1].NewFacts != 20 || whole.Ground().Len() != 20 {
-		t.Fatalf("the program must close at depth 2 with a 20-fact pass: %+v", steps)
+	if !closedByPass(whole) || len(steps) != 3 || steps[2].Coarse || steps[2].NewFacts != 20 || whole.Ground().Len() != 20 {
+		t.Fatalf("the program must close at depth 2 with a 20-fact pass on rung 2: %+v", steps)
 	}
-	first := steps[0]
+	probe, first := steps[0], steps[1]
+	// Rounds and rule turns before the pass at depth 2: the probe takes one
+	// round of three rule turns, each of its undone rungs two rounds, the
+	// depth-2 step three.
+	const rounds, turns = 1 + 2*2 + 3, 3 * (1 + 2*2 + 3)
 	for _, tc := range []struct {
 		name string
 		kind error
 		arm  func(*Options, context.CancelFunc)
 	}{
-		{"facts", limits.ErrFactBudget, func(o *Options, _ context.CancelFunc) { o.MaxFacts = db.Len() + first.NewFacts + 5 }},
+		{"facts", limits.ErrFactBudget, func(o *Options, _ context.CancelFunc) { o.MaxFacts = db.Len() + probe.NewFacts + first.NewFacts + 5 }},
 		{"canceled", limits.ErrCanceled, func(o *Options, cancel context.CancelFunc) {
-			o.Faults = limits.NewPlan(limits.Fault{Point: "chase.round", After: 4, Action: limits.ActHook, Hook: cancel})
+			o.Faults = limits.NewPlan(limits.Fault{Point: "chase.round", After: rounds, Action: limits.ActHook, Hook: cancel})
 		}},
 		{"fault", limits.ErrInjected, func(o *Options, _ context.CancelFunc) {
-			o.Faults = limits.NewPlan(limits.Fault{Point: "chase.rule", After: 3*3 + 1})
+			o.Faults = limits.NewPlan(limits.Fault{Point: "chase.rule", After: turns + 1})
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -309,13 +445,13 @@ func TestClosingPassAborts(t *testing.T) {
 				t.Error("the error carries no Truncation")
 			}
 			steps := gr.Stats.Deepening
-			if gr.Exact || gr.Depth != 2 || len(steps) != 2 || !steps[1].Closing || steps[0] != first {
+			if gr.Exact || gr.Depth != 2 || len(steps) != 3 || !steps[2].Closing || steps[2].Coarse || steps[0] != probe || steps[1] != first {
 				t.Fatalf("the abort must hit the closing pass: depth %d, steps %+v", gr.Depth, steps)
 			}
-			if steps[1].NewGround != 0 || !gr.Ground().Equal(whole.Ground()) {
+			if steps[2].NewGround != 0 || !gr.Ground().Equal(whole.Ground()) {
 				t.Errorf("the partial ground part is not the depth step's:\n%v", gr.Ground())
 			}
-			if gr.Stats.FactsDerived != first.NewFacts+steps[1].NewFacts {
+			if gr.Stats.FactsDerived != probe.NewFacts+first.NewFacts+steps[2].NewFacts {
 				t.Errorf("%d facts, steps %+v", gr.Stats.FactsDerived, steps)
 			}
 			if opts.MaxFacts > 0 && gr.inst.Len() > opts.MaxFacts {

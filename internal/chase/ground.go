@@ -2,7 +2,6 @@ package chase
 
 import (
 	"context"
-	"sync"
 
 	"repro/internal/datalog"
 	"repro/internal/obs"
@@ -93,8 +92,12 @@ type DeepenStep struct {
 	// Closing marks the closing pass: the step that continued the one before it
 	// under the same bound, with summary nulls where the bound blocks, and so
 	// proved the ground part complete. A pass that proved nothing is undone and
-	// not listed (chase.closing_failed counts it); one a limit cut short is.
+	// not listed (chase.closing_failed counts each rung of it); one a limit cut
+	// short is.
 	Closing bool `json:"closing"`
+	// Coarse marks a closing pass that ran on rung 1 of the ladder (close.go),
+	// whose summary nulls erase the frontier's constants too.
+	Coarse bool `json:"coarse,omitempty"`
 	// Refired is the number of triggers the previous bound had blocked that
 	// the step fired again, Parked the number its own bound blocks. Both count
 	// matches: semi-naive rounds can find one trigger twice (a later round
@@ -115,6 +118,12 @@ type DeepenStep struct {
 // until it terminates within the bound, or the closing pass proves the ground
 // part complete (either way the result is exact), or — the fallback — the
 // ground part stays unchanged for `window` consecutive depth increments.
+//
+// A program the closing pass can close starts with a probe at bound 0: the
+// ground chase, every existential trigger parked, which the pass may close at
+// once. The window counts neither the probe nor the step compared with it —
+// a level without nulls says nothing about levels with them — so where no pass
+// closes, the steps after the probe are the ones a program without it takes.
 //
 // The steps share one engine. The depth-d chase is a prefix of the depth-(d+2)
 // chase — the bound only blocks triggers — so a step keeps the instance of the
@@ -161,7 +170,7 @@ func StableGroundCtx(ctx context.Context, db *Instance, prog *datalog.Program, o
 // stableGround is StableGroundCtx with the closing pass handed in, which lets
 // the tests pin the fallback: deepening with a pass that never succeeds.
 func stableGround(ctx context.Context, db *Instance, prog *datalog.Program, opts Options, window int,
-	closePass func(*engine) (bool, error)) (*GroundResult, error) {
+	closePass func(*engine) (closed, coarse bool, err error)) (*GroundResult, error) {
 	opts = opts.withDefaults()
 	if window <= 0 {
 		window = 2
@@ -172,12 +181,16 @@ func stableGround(ctx context.Context, db *Instance, prog *datalog.Program, opts
 		steps  []DeepenStep
 		stable int
 	)
-	// The closing pass is sound for the program; decided when the first step
-	// ends truncated, which for most programs is never.
-	closable := sync.OnceValue(func() bool {
-		return !prog.HasNegation() || datalog.CheckGroundedNegation(prog) == nil
-	})
-	for depth := min(2, ceiling); ; depth = min(depth+2, ceiling) {
+	// closable: the program can end a step truncated (it has an existential
+	// rule) and the closing pass is sound for it. Such a program starts with the
+	// probe at bound 0, and the window does not count its first `uncounted`
+	// steps.
+	closable := prog.HasExistentials() && (!prog.HasNegation() || datalog.CheckGroundedNegation(prog) == nil)
+	depth, uncounted := min(2, ceiling), 0
+	if closable {
+		depth, uncounted = 0, 2
+	}
+	for ; ; depth = min(depth+2, ceiling) {
 		_, sp := obs.StartSpan(ctx, opts.Obs, "chase.deepen", obs.F("depth", depth))
 		opts.MaxDepth, opts.Parent = depth, sp
 		st := DeepenStep{Depth: depth}
@@ -213,7 +226,7 @@ func stableGround(ctx context.Context, db *Instance, prog *datalog.Program, opts
 		if !st.Resumed {
 			unchanged = prev != nil && err == nil && e.sameGround(prev, before)
 		}
-		if unchanged {
+		if unchanged && len(steps) >= uncounted {
 			stable++
 		} else {
 			stable = 0
@@ -231,7 +244,7 @@ func stableGround(ctx context.Context, db *Instance, prog *datalog.Program, opts
 			obs.F("exact", exact),
 			obs.F("inconsistent", inconsistent),
 			obs.F("stable", stable))
-		if err == nil && !inconsistent && !exact && closable() {
+		if err == nil && !inconsistent && !exact && closable {
 			var cl DeepenStep
 			if cl, exact, err = closingStepOf(ctx, e, st, closePass); exact || err != nil {
 				steps = append(steps, cl) // what the pass added is still there
@@ -257,23 +270,20 @@ func stableGround(ctx context.Context, db *Instance, prog *datalog.Program, opts
 // what it did as a step. closed says the ground part is proved complete; if
 // not, and without an error, the engine is as it was and the step lists nothing
 // that is still there.
-func closingStepOf(ctx context.Context, e *engine, st DeepenStep, closePass func(*engine) (bool, error)) (cl DeepenStep, closed bool, err error) {
+func closingStepOf(ctx context.Context, e *engine, st DeepenStep, closePass func(*engine) (bool, bool, error)) (cl DeepenStep, closed bool, err error) {
 	_, sp := obs.StartSpan(ctx, e.opts.Obs, "chase.deepen", obs.F("depth", st.Depth), obs.F("closing", true))
 	e.opts.Parent = sp
 	cl = DeepenStep{Depth: st.Depth, Resumed: true, Closing: true, Refired: st.Parked}
 	facts, ground := e.stats.FactsDerived, e.ground
-	closed, err = closePass(e)
+	closed, cl.Coarse, err = closePass(e)
 	cl.NewFacts, cl.NewGround = e.stats.FactsDerived-facts, e.ground-ground
-	switch {
-	case err != nil:
-	case closed:
+	if closed {
 		e.opts.Obs.Count("chase.closed", 1)
-	default:
-		e.opts.Obs.Count("chase.closing_failed", 1)
 	}
 	sp.End(
 		obs.F("error", err != nil),
 		obs.F("closed", closed),
+		obs.F("coarse", cl.Coarse),
 		obs.F("refired", cl.Refired),
 		obs.F("new_facts", cl.NewFacts),
 		obs.F("new_ground", cl.NewGround))

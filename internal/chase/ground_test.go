@@ -110,8 +110,9 @@ func TestStableGroundGivesUpAtCeiling(t *testing.T) {
 	if gr.Exact {
 		t.Error("infinite chase cannot be exact")
 	}
-	if gr.Depth != 6 || len(gr.Stats.Deepening) != 3 {
-		t.Errorf("depth %d after steps %+v, want the ceiling of 6 after three", gr.Depth, gr.Stats.Deepening)
+	// The probe at depth 0 comes first.
+	if gr.Depth != 6 || len(gr.Stats.Deepening) != 4 {
+		t.Errorf("depth %d after steps %+v, want the ceiling of 6 after four", gr.Depth, gr.Stats.Deepening)
 	}
 }
 
@@ -132,13 +133,24 @@ func TestStableGroundHonorsMaxDepthOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The one step is Run's; the closing pass then proves it complete with one
-	// summary null, which sits at the bound like the null it stands in for.
+	// The probe parks the one trigger and rung 1 closes it with two summary
+	// nulls, one for p(a) and one, its own successor, for every null: the
+	// evaluation ends at depth 0, under the ceiling, and never invents the null
+	// Run does.
 	steps := gr.Stats.Deepening
-	if gr.Depth != 1 || res.Stats.NullsInvented != 1 || steps[0].NewFacts != res.Stats.FactsDerived ||
-		!closedByPass(gr) || gr.Stats.NullsInvented != 2 || gr.Ground().Len() != 1 {
+	if gr.Depth != 0 || res.Stats.NullsInvented != 1 || len(steps) != 2 || steps[0].NewFacts != 0 ||
+		!closedByPass(gr) || !steps[1].Coarse || gr.Stats.NullsInvented != 2 || gr.Ground().Len() != 1 {
 		t.Errorf("StableGround at MaxDepth 1: depth %d, %d nulls, steps %+v; Run invents %d",
 			gr.Depth, gr.Stats.NullsInvented, steps, res.Stats.NullsInvented)
+	}
+	// Where no pass closes, the step after the probe is the ceiling's, not 2's,
+	// and ends where Run does.
+	gr, err = stableGround(context.Background(), db, prog, opts, 2, neverClose)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gr.Depth != 1 || gr.Stats.NullsInvented != 1 || gr.Stats.FactsDerived != res.Stats.FactsDerived {
+		t.Errorf("deepening at MaxDepth 1: depth %d, %d nulls, steps %+v", gr.Depth, gr.Stats.NullsInvented, gr.Stats.Deepening)
 	}
 }
 
@@ -226,7 +238,10 @@ func TestResumeRefiresParkedTriggers(t *testing.T) {
 		}
 	}
 
-	// The same through StableGround, whose steps say what they did.
+	// The same through StableGround, whose steps say what they did. It starts
+	// with the probe, whose one parked trigger the depth-2 step refires; every
+	// round of that step matches a delta, so it finds t's trigger, and parks
+	// it, once.
 	gr, err := StableGround(db, prog, Options{}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -235,8 +250,9 @@ func TestResumeRefiresParkedTriggers(t *testing.T) {
 		t.Errorf("depth %d exact %v", gr.Depth, gr.Exact)
 	}
 	want := []DeepenStep{
-		{Depth: 2, NewFacts: 2, Parked: 2},
-		{Depth: 4, Resumed: true, Refired: 2, NewFacts: 2, NewGround: 1},
+		{Depth: 0, Parked: 1},
+		{Depth: 2, Resumed: true, Refired: 1, NewFacts: 2, Parked: 1},
+		{Depth: 4, Resumed: true, Refired: 1, NewFacts: 2, NewGround: 1},
 	}
 	if fmt.Sprint(gr.Stats.Deepening) != fmt.Sprint(want) {
 		t.Errorf("steps %+v, want %+v", gr.Stats.Deepening, want)
@@ -256,9 +272,11 @@ func TestResumeStartsOverWhenNegatedPredicateGrows(t *testing.T) {
 	if !gr.Exact || !gr.Ground().Has(atom("goal", "a")) || gr.Ground().Has(atom("bad", "a")) {
 		t.Errorf("exact %v, ground part:\n%v", gr.Exact, gr.Ground())
 	}
+	// The probe and bound 2 both derive bad(a) and share an engine; bound 4
+	// starts over.
 	steps := gr.Stats.Deepening
-	if len(steps) != 2 || steps[1].Resumed || steps[1].NewFacts != gr.Stats.FactsDerived {
-		t.Errorf("the second step must have started over: %+v (stats: %d facts)", steps, gr.Stats.FactsDerived)
+	if len(steps) != 3 || !steps[1].Resumed || steps[2].Resumed || steps[2].NewFacts != gr.Stats.FactsDerived {
+		t.Errorf("the third step must have started over: %+v (stats: %d facts)", steps, gr.Stats.FactsDerived)
 	}
 	if got := o.Registry().Counter("chase.deepen_restarts"); got != 1 {
 		t.Errorf("chase.deepen_restarts = %d, want 1", got)
@@ -266,15 +284,17 @@ func TestResumeStartsOverWhenNegatedPredicateGrows(t *testing.T) {
 	if got := o.Registry().Counter("chase.runs"); got != 2 {
 		t.Errorf("chase.runs = %d, want 2: one engine per start", got)
 	}
-	// The registry counts work done, so it includes the engine given up: r, s and
-	// bad(a) under bound 2, a closing pass undone at goal(a) — which it reached
-	// through the summary null of t — then t and goal(a) before the step noticed.
-	// Stats describe the engine that produced the result.
-	if got, abandoned := o.Registry().Counter("chase.facts_derived"), int64(3+2+2); gr.Stats.FactsDerived != 4 || got != 4+abandoned {
-		t.Errorf("chase.facts_derived = %d with Stats.FactsDerived = %d, want 11 and 4", got, gr.Stats.FactsDerived)
+	// The registry counts work done, so it includes the engine given up: bad(a)
+	// under the probe and two rungs undone at goal(a), four facts each; r and s
+	// under bound 2 and rung 2 undone at goal(a) — which it reached through the
+	// summary null of t — two facts (rung 1, undone at the probe, is skipped);
+	// then t and goal(a) before the step noticed. Stats describe the engine that
+	// produced the result.
+	if got, abandoned := o.Registry().Counter("chase.facts_derived"), int64(1+2*4+2+2+2); gr.Stats.FactsDerived != 4 || got != 4+abandoned {
+		t.Errorf("chase.facts_derived = %d with Stats.FactsDerived = %d, want 19 and 4", got, gr.Stats.FactsDerived)
 	}
-	if got := o.Registry().Counter("chase.closing_failed"); got != 1 {
-		t.Errorf("chase.closing_failed = %d, want 1", got)
+	if got := o.Registry().Counter("chase.closing_failed"); got != 3 {
+		t.Errorf("chase.closing_failed = %d, want 3", got)
 	}
 	// Bound 2 alone does derive it, which is what the restart takes back.
 	shallow, err := GroundSemantics(db, prog, Options{MaxDepth: 2})
@@ -324,7 +344,10 @@ func TestRestartComparesWithThePreviousStep(t *testing.T) {
 		if closedByPass(gr) != tc.goal2 || gr.Depth != min(want.Depth, 8) || !gr.Ground().Equal(want.Ground()) {
 			t.Errorf("window %d: depth %d, closed %v; restarting at every depth gives %d", tc.window, gr.Depth, closedByPass(gr), want.Depth)
 		}
-		if steps := gr.Stats.Deepening; steps[1].Resumed || steps[1].Stable != 0 || !steps[2].Resumed || steps[2].Stable != 1 {
+		// The probe comes first; bound 2, compared with it, does not count
+		// towards the window although it adds no ground atom.
+		if steps := gr.Stats.Deepening; steps[0].Depth != 0 || !steps[1].Resumed || steps[1].NewGround != 0 || steps[1].Stable != 0 ||
+			steps[2].Resumed || steps[2].Stable != 0 || !steps[3].Resumed || steps[3].Stable != 1 {
 			t.Errorf("window %d: steps %+v", tc.window, steps)
 		}
 		if got := o.Registry().Counter("chase.deepen_restarts"); got != 1 {
@@ -342,10 +365,15 @@ func TestResumedStepAborts(t *testing.T) {
 		db.Add(atom("edge", nodeName(i), nodeName(i+1)))
 	}
 	prog := datalog.MustParse(depthChain)
-	// Bound 2 takes three rounds and two facts; the resumed step wants
-	// fourteen more facts, one round each. In between a closing pass fails —
-	// goal(v00) is one summary null away — and is undone: two rounds, nine rule
-	// turns and two facts that the limits see and the result does not.
+	// The probe takes one round of five rule turns and no fact; bound 2 three
+	// rounds and two facts; the step at bound 4 wants fourteen more facts, one
+	// round each. After the probe both rungs of a closing pass fail, after bound
+	// 2 rung 2 alone (rung 1 failed before) — goal(v00) is three summary nulls
+	// away from the probe, one from bound 2 — and are undone: rounds, rule turns
+	// and facts that the limits see and the result does not. Both faults trip two
+	// rounds into bound 4, which has derived goal(v00) by then.
+	const rounds = 1 + 2*4 + 3 + 2                // before bound 4
+	const turns = 5*1 + 2*(5*4-1) + 5*3 + 5*2 - 1 // before bound 4; a rung stops at goal's turn
 	for _, tc := range []struct {
 		name string
 		kind error
@@ -354,10 +382,10 @@ func TestResumedStepAborts(t *testing.T) {
 		{"facts", limits.ErrFactBudget, func(o *Options, _ context.CancelFunc) { o.MaxFacts = 20 }},
 		{"rounds", limits.ErrRoundBudget, func(o *Options, _ context.CancelFunc) { o.MaxRounds = 5 }},
 		{"canceled", limits.ErrCanceled, func(o *Options, cancel context.CancelFunc) {
-			o.Faults = limits.NewPlan(limits.Fault{Point: "chase.round", After: 5 + 2, Action: limits.ActHook, Hook: cancel})
+			o.Faults = limits.NewPlan(limits.Fault{Point: "chase.round", After: rounds + 2, Action: limits.ActHook, Hook: cancel})
 		}},
 		{"fault", limits.ErrInjected, func(o *Options, _ context.CancelFunc) {
-			o.Faults = limits.NewPlan(limits.Fault{Point: "chase.rule", After: 27 + 9})
+			o.Faults = limits.NewPlan(limits.Fault{Point: "chase.rule", After: turns + 2*5})
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -373,11 +401,11 @@ func TestResumedStepAborts(t *testing.T) {
 				t.Error("the error carries no Truncation")
 			}
 			steps := gr.Stats.Deepening
-			if gr.Exact || gr.Depth != 4 || len(steps) != 2 || !steps[1].Resumed {
+			if gr.Exact || gr.Depth != 4 || len(steps) != 3 || !steps[2].Resumed {
 				t.Fatalf("the abort must hit the resumed step: depth %d, steps %+v", gr.Depth, steps)
 			}
-			// The partial result holds the first step's work and more.
-			if gr.Stats.FactsDerived <= steps[0].NewFacts || !gr.Ground().Has(atom("goal", "v00")) || gr.Ground().Has(atom("goal", nodeName(12))) {
+			// The partial result holds the earlier steps' work and more.
+			if gr.Stats.FactsDerived <= steps[0].NewFacts+steps[1].NewFacts || !gr.Ground().Has(atom("goal", "v00")) || gr.Ground().Has(atom("goal", nodeName(12))) {
 				t.Errorf("partial result: %d facts, ground part:\n%v", gr.Stats.FactsDerived, gr.Ground())
 			}
 			if opts.MaxFacts > 0 && gr.Ground().Len() > opts.MaxFacts {

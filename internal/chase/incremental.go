@@ -248,7 +248,7 @@ func (inc *Incremental) overDelete(removed []datalog.Atom, st *MaintainStats) (g
 				for i := 0; i < e.found.n; i++ {
 					e.found.load(i, c.bodySlots, ev)
 					for k, s := range c.exSlots {
-						name, ok := e.skolem[skolemKeyFor(c, k, ev, false)]
+						name, ok := e.skolem[skolemKeyFor(c, k, ev, chaseKey)]
 						if !ok {
 							continue triggers
 						}
@@ -291,7 +291,7 @@ func (e *engine) rederive(gone []datalog.Atom) error {
 					matchPatterns(e.inst, c.bodyPos, order, ev, func() bool {
 						derives = true
 						for k, s := range c.exSlots {
-							if ev.set[s] && ev.val[s] != datalog.N(e.skolem[skolemKeyFor(c, k, ev, false)]) {
+							if ev.set[s] && ev.val[s] != datalog.N(e.skolem[skolemKeyFor(c, k, ev, chaseKey)]) {
 								derives = false
 							}
 						}

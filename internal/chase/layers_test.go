@@ -83,9 +83,10 @@ func TestSharedBaseConcurrentRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// deep(k) needs a null of depth 3: the pass after depth 2 derives it from
-		// a summary null and is undone, the one after depth 4 finds it there.
-		if steps := gr.Stats.Deepening; len(steps) != 3 || !steps[1].Resumed || steps[1].NewGround != 1 || !closedByPass(gr) {
+		// deep(k) needs a null of depth 3: the passes after the probe and after
+		// depth 2 derive it from a summary null and are undone, the one after
+		// depth 4 finds it there.
+		if steps := gr.Stats.Deepening; len(steps) != 4 || !steps[1].Resumed || !steps[2].Resumed || steps[2].NewGround != 1 || !closedByPass(gr) {
 			t.Fatalf("program %d must fail to close, deepen on one engine, and close: %+v", k, steps)
 		}
 		want[k] = res.Instance.String() + gr.Ground().String()

@@ -106,9 +106,10 @@ func TestEvalInfiniteChaseWarded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// No bound finishes this chase; the closing pass proves depth 2 complete.
-	if steps := res.Stats.Deepening; !res.Exact || res.Depth != 2 || len(steps) != 2 || !steps[1].Closing {
-		t.Errorf("exact %v at depth %d, steps %+v; want a closed evaluation at depth 2", res.Exact, res.Depth, steps)
+	// No bound finishes this chase; rung 1 of the closing pass proves the probe
+	// at depth 0 complete.
+	if steps := res.Stats.Deepening; !res.Exact || res.Depth != 0 || len(steps) != 2 || !steps[1].Closing || !steps[1].Coarse {
+		t.Errorf("exact %v at depth %d, steps %+v; want an evaluation closed on rung 1 at depth 0", res.Exact, res.Depth, steps)
 	}
 	if len(res.Answers.Tuples) != 1 || !res.Answers.HasConstants("a") {
 		t.Errorf("answers = %v", res.Answers.Tuples)
@@ -141,8 +142,9 @@ func TestEvalConstraintThroughClosingFactsIsNotTop(t *testing.T) {
 	if res.Answers.Inconsistent || !res.Answers.HasConstants("a") {
 		t.Errorf("answers = %+v, want out(a) and no ⊤", res.Answers)
 	}
-	// Every pass failed, so nothing is proved: the window stopped it.
-	if res.Exact || res.Depth != 6 || len(res.Stats.Deepening) != 3 {
+	// Every pass failed, so nothing is proved: the window stopped it, after the
+	// probe it does not count and depths 2, 4 and 6.
+	if res.Exact || res.Depth != 6 || len(res.Stats.Deepening) != 4 {
 		t.Errorf("exact %v at depth %d, steps %+v; want the fallback's depth 6", res.Exact, res.Depth, res.Stats.Deepening)
 	}
 }

@@ -241,10 +241,13 @@ func (r *ExplainReport) String() string {
 		if d.Closing {
 			// The pass that proved the step before it complete — or that a
 			// limit cut short, the one way a listed pass leaves the evaluation
-			// inexact.
+			// inexact — and whether it ran on the ladder's coarse rung.
 			verb := "closed"
 			if !r.Exact {
 				verb = "closing cut short"
+			}
+			if d.Coarse {
+				verb += " (coarse)"
 			}
 			fmt.Fprintf(&b, "%s%s: +%d facts, %d ground", sep, verb, d.NewFacts, d.NewGround)
 		} else {

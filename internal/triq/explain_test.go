@@ -194,7 +194,8 @@ func TestExplainRenderAndJSON(t *testing.T) {
 }
 
 // TestExplainRendersTheClosingPass: the deepening line says how the evaluation
-// ended — a pass that proved it complete, or one a budget cut short.
+// ended — a pass that proved it complete, or one a budget cut short — and on
+// which rung. Both passes here follow the probe at depth 0 and run on rung 1.
 func TestExplainRendersTheClosingPass(t *testing.T) {
 	db := chase.NewInstance(atom("e", "a", "b"), atom("g", "b"))
 	q := datalog.MustParseQuery(`
@@ -205,8 +206,8 @@ func TestExplainRendersTheClosingPass(t *testing.T) {
 		maxFacts int
 		want     string
 	}{
-		{0, "deepening: depth 2: +3 facts, 1 parked → closed: +2 facts, 0 ground\n"},
-		{6, "deepening: depth 2: +3 facts, 1 parked → closing cut short: +1 facts, 0 ground\n"},
+		{0, "deepening: depth 0: +1 facts, 1 parked → closed (coarse): +3 facts, 0 ground\n"},
+		{4, "deepening: depth 0: +1 facts, 1 parked → closing cut short (coarse): +1 facts, 0 ground\n"},
 	} {
 		res, rep, err := explain(t, db, q, TriQLite10, Options{Chase: chase.Options{MaxFacts: tc.maxFacts}})
 		if err != nil {

@@ -107,7 +107,8 @@ acked_answer() {
 
 # End-to-end triqd smoke: boot on a real socket, wait ready, query, ask
 # /sparql over the inconsistent ontology (⊤ is a 200, not a crashed handler),
-# SIGTERM, assert a clean drain and exit 0.
+# SIGTERM, assert a clean drain and exit 0; then the same over a consistent
+# ontology whose chase is infinite, which must answer exact.
 smoke_triqd() {
   graph 3
   cat > "$D/o.owl" <<'OWL'
@@ -124,6 +125,22 @@ OWL
   post "$URL/sparql" '{"query":"SELECT ?X WHERE { ?X rdf:type person }","regime":"active-domain"}'
   expect "$OUT" '"inconsistent":true'
   stop "$PID" # exit 0 = clean drain
+  # README's professor ontology: no depth bound finishes its chase, and the
+  # closing pass proves the two answers complete.
+  cat > "$D/prof.owl" <<'OWL'
+SubClassOf(professor, ∃teaches)
+SubClassOf(∃teaches⁻, course)
+SubClassOf(course, ∃taughtBy)
+SubObjectPropertyOf(taughtBy, teaches⁻)
+SubClassOf(professor, person)
+ClassAssertion(professor, alice)
+ClassAssertion(professor, bob)
+OWL
+  start_triqd -data "$D/g.nt" -ontology "$D/prof.owl"
+  wait_ready "$URL"
+  post "$URL/sparql" '{"query":"SELECT ?X WHERE { ?X rdf:type person }","regime":"active-domain"}'
+  expect "$OUT" '"exact":true' 'alice' 'bob'
+  stop "$PID"
 }
 
 # Telemetry smoke: boot triqd with the slow-query log armed at a threshold
