@@ -75,7 +75,7 @@ type config struct {
 	lang      string        // wire name of the dialect
 	regime    string        // wire name of the entailment regime
 	ontology  string        // OWL functional-syntax file merged into the data
-	exact     bool          // exact ProofTree enumeration
+	exact     bool          // provably complete answer (ProofTree on what the chase leaves open)
 	prove     string        // decide one ground atom instead of querying
 	analyze   bool          // print the program analysis report
 	dot       bool          // DOT output for -analyze / -prove
@@ -103,7 +103,7 @@ func defineFlags(fs *flag.FlagSet) *config {
 	fs.StringVar(&cfg.lang, "lang", "triq-lite", "language check for -program: triq | triq-lite | unrestricted")
 	fs.StringVar(&cfg.regime, "regime", "plain", "entailment regime: plain | active-domain | all | rdfs (translates -sparql under it; prepends its fixed rule library to -program)")
 	fs.StringVar(&cfg.ontology, "ontology", "", "OWL 2 QL core ontology file in functional-style syntax; its RDF serialization is merged into the data")
-	fs.BoolVar(&cfg.exact, "exact", false, "use the exact ProofTree enumeration (TriQ-Lite 1.0 only)")
+	fs.BoolVar(&cfg.exact, "exact", false, "provably complete answer: ProofTree decides what the chase leaves open (TriQ-Lite 1.0 only)")
 	fs.StringVar(&cfg.prove, "prove", "", "instead of querying, decide one ground atom with ProofTree and print the proof")
 	fs.BoolVar(&cfg.analyze, "analyze", false, "instead of querying, print the program analysis report (strata, affected positions, wards, dialects)")
 	fs.BoolVar(&cfg.dot, "dot", false, "with -analyze: print the predicate dependency graph in Graphviz DOT; with -prove: print the proof tree in DOT")

@@ -18,11 +18,12 @@ import (
 )
 
 // TestEvalMatrix drives the one evaluation path through every combination of
-// its axes — {Datalog, SPARQL} × {chase, ProofTree} × {plain, explained} —
-// over each kind of outcome, and checks what the single path promises: asking
-// for a report never changes the answer, the ProofTree answer equals the
-// chase's wherever the chase is exact, and limits surface the same way on
-// every combination (budget trips degrade, cancellation and panics are typed
+// its axes — {Datalog, SPARQL} × {default, exact} × {plain, explained} — over
+// each kind of outcome, and checks what the single path promises: asking for
+// a report never changes the answer, the exact path answers what the default
+// one does — here the chase leaves no goal open, so it is the same evaluation
+// and asks ProofTree nothing — and limits surface the same way on every
+// combination (budget trips degrade, cancellation and panics are typed
 // errors).
 func TestEvalMatrix(t *testing.T) {
 	const reach = `
@@ -76,9 +77,8 @@ func TestEvalMatrix(t *testing.T) {
 		name   string
 		inputs []input
 		ctx    context.Context
-		// tune adjusts the options per evaluator (budgets differ: the chase
-		// counts facts, ProofTree counts visits).
-		tune func(exact bool, o *Options)
+		// tune adjusts the options.
+		tune func(o *Options)
 		// check judges one successful response; wantErr, when set, is the
 		// sentinel every combination must fail with instead.
 		check   func(t *testing.T, in input, exact bool, resp *Response)
@@ -102,21 +102,9 @@ func TestEvalMatrix(t *testing.T) {
 				datalog(plainGraph, reach+`ts(?X), triple(?X, partOf, transportService) -> false.`),
 				sparql(topGraph, `SELECT ?X WHERE { ?X rdf:type person }`, ActiveDomainRegime),
 			},
-			// ProofTree's search for the marker of the OWL 2 QL core program
-			// does not finish in any budget worth waiting for (20 M visits
-			// measured); a small one keeps the matrix fast.
-			tune: func(exact bool, o *Options) { o.MaxVisits = 2000 },
 			check: func(t *testing.T, in input, exact bool, resp *Response) {
 				if len(resp.Rows()) != 0 || resp.Mappings != nil && resp.Mappings.Len() != 0 {
 					t.Errorf("⊤ has no rows, got %v", resp.Rows())
-				}
-				if in.name == "sparql" && exact {
-					// The budget trip degrades like any other: incomplete,
-					// no rows, and no claim of ⊤ it could not prove.
-					if resp.Inconsistent || !resp.Incomplete || resp.Truncation == nil || resp.Truncation.Limit != limits.LimitVisits {
-						t.Errorf("got %+v, want a visit-budget truncation", resp)
-					}
-					return
 				}
 				if !resp.Inconsistent || resp.Incomplete {
 					t.Errorf("got inconsistent=%v incomplete=%v, want ⊤", resp.Inconsistent, resp.Incomplete)
@@ -126,17 +114,12 @@ func TestEvalMatrix(t *testing.T) {
 		{
 			name:   "budget",
 			inputs: []input{datalog(plainGraph, reach), partOf},
-			tune: func(exact bool, o *Options) {
-				o.Chase.MaxFacts = 6
-				o.MaxVisits = 1
-			},
+			// The exact path trips the chase's budget too: its chase leaves no
+			// goal open for ProofTree.
+			tune: func(o *Options) { o.Chase.MaxFacts = 6 },
 			check: func(t *testing.T, in input, exact bool, resp *Response) {
-				limit := limits.LimitFacts
-				if exact {
-					limit = limits.LimitVisits
-				}
-				if !resp.Incomplete || resp.Exact || resp.Truncation == nil || resp.Truncation.Limit != limit {
-					t.Errorf("got incomplete=%v exact=%v truncation=%v, want a %s trip", resp.Incomplete, resp.Exact, resp.Truncation, limit)
+				if !resp.Incomplete || resp.Exact || resp.Truncation == nil || resp.Truncation.Limit != limits.LimitFacts {
+					t.Errorf("got incomplete=%v exact=%v truncation=%v, want a facts trip", resp.Incomplete, resp.Exact, resp.Truncation)
 				}
 				if in.name == "sparql" && (!resp.Mappings.Incomplete || resp.Mappings.Truncation != resp.Truncation) {
 					t.Error("the mapping set does not carry the truncation")
@@ -167,7 +150,7 @@ func TestEvalMatrix(t *testing.T) {
 		{
 			name:   "panic",
 			inputs: []input{datalog(plainGraph, reach), partOf},
-			tune: func(exact bool, o *Options) {
+			tune: func(o *Options) {
 				o.Chase.Faults = limits.NewPlan(
 					limits.Fault{Point: "chase.rule", Action: limits.ActPanic},
 					limits.Fault{Point: "prover.expand", Action: limits.ActPanic})
@@ -194,7 +177,7 @@ func TestEvalMatrix(t *testing.T) {
 						req := in.req
 						req.Exact, req.Explain = exact, explain
 						if sc.tune != nil {
-							sc.tune(exact, &req.Options)
+							sc.tune(&req.Options)
 						}
 						ctx := sc.ctx
 						if ctx == nil {
@@ -246,14 +229,14 @@ func TestEvalMatrix(t *testing.T) {
 							t.Errorf("report (answers=%d inconsistent=%v exact=%v incomplete=%v) disagrees with the response (%s)",
 								rep.Answers, rep.Inconsistent, rep.Exact, rep.Incomplete, answer(resp))
 						}
-						if exact != (rep.Prover != nil) {
-							t.Errorf("prover metrics present = %v on exact = %v", rep.Prover != nil, exact)
+						if rep.Prover != nil {
+							t.Errorf("ProofTree ran (%+v), but the chase leaves no goal open", rep.Prover)
 						}
 					})
 				}
 			}
-			if sc.name == "consistent" && len(answers) == 2 && answers[false] != answers[true] {
-				t.Errorf("%s/%s: ProofTree and the exact chase disagree:\n chase: %s\n exact: %s", sc.name, in.name, answers[false], answers[true])
+			if len(answers) == 2 && answers[false] != answers[true] {
+				t.Errorf("%s/%s: the default and the exact path disagree:\n default: %s\n   exact: %s", sc.name, in.name, answers[false], answers[true])
 			}
 		}
 	}
@@ -322,6 +305,44 @@ func TestDeepenedEvaluationNumbersAgree(t *testing.T) {
 	}
 	if want := "deepening: depth 0: +687 facts, 60 parked → closed (coarse): +204 facts, 0 ground\n"; !strings.Contains(rep.String(), want) {
 		t.Errorf("EXPLAIN text lacks the deepening line %q:\n%s", want, rep)
+	}
+}
+
+// TestExactUniversityIsTheChase: the headline request with Exact set is the
+// default evaluation — the probe at depth 0 and a closing pass, 891 facts, 32
+// rows — and asks ProofTree nothing. (When the exact path asked ProofTree
+// about every tuple over dom instead, it returned no row and tripped a
+// 200 000-visit budget.)
+func TestExactUniversityIsTheChase(t *testing.T) {
+	g := workload.University(4, 2, 3, false).ToGraph()
+	sq, err := ParseSPARQL("SELECT ?X WHERE { ?X rdf:type person }")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := obs.New()
+	var resps []*Response
+	for _, exact := range []bool{false, true} {
+		req := Request{SPARQL: sq, Regime: ActiveDomainRegime, Exact: exact}
+		req.Options.Chase.Obs = o
+		resp, err := Eval(t.Context(), g, req)
+		skipInjected(t, err)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resps = append(resps, resp)
+	}
+	def, exact := resps[0], resps[1]
+	if len(exact.Rows()) != 32 || !exact.Exact || exact.Incomplete || exact.Depth != 0 || exact.Stats.FactsDerived != 891 {
+		t.Errorf("exact: %d rows, exact %v, incomplete %v, depth %d, %d facts; want 32 exact rows at depth 0 from 891 facts",
+			len(exact.Rows()), exact.Exact, exact.Incomplete, exact.Depth, exact.Stats.FactsDerived)
+	}
+	if strings.Join(def.Rows(), "\n") != strings.Join(exact.Rows(), "\n") || def.Stats.Rounds != exact.Stats.Rounds ||
+		def.Stats.TriggersFired != exact.Stats.TriggersFired || def.Stats.NullsInvented != exact.Stats.NullsInvented ||
+		fmt.Sprint(def.Stats.Deepening) != fmt.Sprint(exact.Stats.Deepening) {
+		t.Errorf("the exact evaluation differs from the default one:\n default: %+v\n   exact: %+v", def.Stats.Deepening, exact.Stats.Deepening)
+	}
+	if n := o.Registry().Counter("prover.components"); n != 0 {
+		t.Errorf("ProofTree visited %d components", n)
 	}
 }
 

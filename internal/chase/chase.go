@@ -233,10 +233,12 @@ type engine struct {
 	// closeKind is set while the closing pass runs (see close.go), to the kind of
 	// Skolem key its rung gives summary nulls: fire closes a trigger the depth
 	// bound blocks with one instead of parking it, and gives up at the first
-	// constant-only fact. closeKeys are the Skolem keys the pass has added to the
-	// table, which restore takes out again. coarseFailed says rung 1 has been
+	// constant-only fact — unless collect is set, and the pass runs on to its
+	// fixpoint (OpenGoals). closeKeys are the Skolem keys the pass has added to
+	// the table, which restore takes out again. coarseFailed says rung 1 has been
 	// undone on this engine, so later passes start at rung 2.
 	closeKind    byte
+	collect      bool
 	closeKeys    []string
 	coarseFailed bool
 }
@@ -655,7 +657,7 @@ func (e *engine) fire(c *compiledRule, ev *env) error {
 			e.stats.FactsDerived++
 			if fact.IsConstantGround() {
 				e.ground++
-				if e.closeKind != 0 {
+				if e.closeKind != 0 && !e.collect {
 					return errNotClosed
 				}
 			}

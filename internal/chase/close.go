@@ -4,6 +4,9 @@ import (
 	"errors"
 	"maps"
 	"slices"
+
+	"repro/internal/datalog"
+	"repro/internal/obs"
 )
 
 // Closing the chase. A depth step that ends with triggers parked holds I_d, a
@@ -138,4 +141,43 @@ func (e *engine) close() (closed, coarse bool, err error) {
 		e.opts.Obs.Count("chase.closing_failed", 1)
 	}
 	return false, false, nil
+}
+
+// OpenGoals reads off a result that is not Exact the atoms of the given
+// predicates in M↓ ∖ I_d↓: the constant-only atoms that rung 2's model M holds
+// and the ground part does not, M being the closing pass run on to its
+// fixpoint instead of stopped at the first such atom. By the sandwich every
+// atom of Π(D)↓ with those predicates is in the ground part or among them, so
+// deciding them decides the rest. The pass is undone before OpenGoals returns
+// and Stats do not count it; a limit inside it returns the typed error.
+//
+// An Exact result has no open goals. One a limit cut short or that found ⊤
+// has no fixpoint to continue, and one of a program with negation no model to
+// read them off — the upper strata of an inexact I_d may hold atoms that a
+// fact missing below would have blocked — so for those OpenGoals is an error.
+func (r *GroundResult) OpenGoals(preds ...string) ([]datalog.Atom, error) {
+	if r.Exact {
+		return nil, nil
+	}
+	e := r.open
+	if e == nil {
+		return nil, errors.New("chase: open goals need a positive program whose evaluation ended truncated and consistent")
+	}
+	_, sp := obs.StartSpan(e.ctx, e.opts.Obs, "chase.open_goals", obs.F("depth", r.Depth))
+	e.opts.Parent = sp
+	m := e.mark()
+	e.collect = true
+	_, err := e.closingStep(summaryKey)
+	e.collect = false
+	var goals []datalog.Atom
+	for _, p := range preds {
+		for _, a := range e.inst.byPred[p][m.layer.lens[p]:] {
+			if a.IsConstantGround() {
+				goals = append(goals, a)
+			}
+		}
+	}
+	e.restore(m)
+	sp.End(obs.F("error", err != nil), obs.F("goals", len(goals)))
+	return goals, err
 }

@@ -301,6 +301,39 @@ func TestClosingPassFallsBackOnSpuriousGroundFact(t *testing.T) {
 	}
 }
 
+// TestOpenGoals: rung 2 run on to its fixpoint names the constant-only atoms
+// the ground part lacks — cyc(a), which only the merged summary null derives —
+// and leaves the evaluation as it found it, so asking twice gets the same
+// goals and the result is still the deepening without a pass. An Exact result
+// has no goals; one of a program with negation has no model to read them off.
+func TestOpenGoals(t *testing.T) {
+	db := NewInstance(atom("p", "a"))
+	cyc := mergingChain + `r(?X, ?Y), r(?Y, ?X), p(?W) -> cyc(?W).`
+	gr, err := StableGround(db, datalog.MustParse(cyc), Options{MaxDepth: 8}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if goals, err := gr.OpenGoals("cyc", "p", "r"); err != nil || fmt.Sprint(goals) != "[cyc(a)]" {
+			t.Errorf("open goals %v, %v; want [cyc(a)]", goals, err)
+		}
+	}
+	parent, err := stableGround(context.Background(), db, datalog.MustParse(cyc), Options{MaxDepth: 8}, 2, neverClose)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameEvaluation(t, "after OpenGoals", parent, gr)
+
+	closed, err := StableGround(db, datalog.MustParse(mergingChain), Options{}, 2)
+	if goals, gerr := closed.OpenGoals("r"); err != nil || !closed.Exact || goals != nil || gerr != nil {
+		t.Errorf("a closed evaluation: exact %v, goals %v, %v", closed.Exact, goals, gerr)
+	}
+	neg, err := StableGround(db, datalog.MustParse(cyc+`p(?X), not cyc(?X) -> t(?X).`), Options{MaxDepth: 8}, 2)
+	if _, gerr := neg.OpenGoals("t"); err != nil || neg.Exact || gerr == nil {
+		t.Errorf("negation: exact %v, OpenGoals error %v", neg.Exact, gerr)
+	}
+}
+
 func TestClosingPassDoesNotReportTop(t *testing.T) {
 	// The constraint matches r(s, s) only: Π(D) is consistent, the pass's model
 	// is not, and that is the model's fault.

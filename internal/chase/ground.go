@@ -26,6 +26,7 @@ type GroundResult struct {
 
 	inst   *Instance // the chased instance the ground part is read off
 	ground *Instance // Ground's result, once built
+	open   *engine   // the engine OpenGoals continues, when it may
 }
 
 // Ground returns the constant-only atoms of Π(D), the paper's Π(D)↓, as an
@@ -260,6 +261,9 @@ func stableGround(ctx context.Context, db *Instance, prog *datalog.Program, opts
 				Stats:        e.snapshotStats(),
 			}
 			res.Stats.Deepening = steps
+			if err == nil && !inconsistent && !exact && !prog.HasNegation() {
+				res.open = e
+			}
 			return res, err
 		}
 	}

@@ -676,12 +676,9 @@ const topOntology = `SubClassOf(student, person) SubClassOf(∃advises⁻, stude
 
 // TestServeSPARQLInconsistent pins /sparql over ⊤: 200 {"inconsistent":true}
 // with no rows, with and without a report (the handler used to
-// nil-dereference the mapping set ⊤ does not have), and each request counts
-// serve.ok, reports to the breaker and files its trace. The exact axis is
-// pinned at the facade (TestEvalMatrix) rather than here: ProofTree's search
-// for the inconsistency marker of this ontology runs for seconds before it
-// exhausts the default visit budget, which the facade test can lower and an
-// HTTP request cannot.
+// nil-dereference the mapping set ⊤ does not have) and on the exact path as on
+// the default one, and each request counts serve.ok, reports to the breaker
+// and files its trace.
 func TestServeSPARQLInconsistent(t *testing.T) {
 	s, ts, o := newTestServer(t, Config{
 		Trace:   TraceConfig{Sample: 1},
@@ -693,33 +690,35 @@ func TestServeSPARQLInconsistent(t *testing.T) {
 	}
 	s.SetGraph(onto.ToGraph())
 
-	for _, explain := range []bool{false, true} {
-		status, body := postJSON(t, ts.URL+"/sparql", QueryRequest{
-			Query: "SELECT ?X WHERE { ?X rdf:type person }", Regime: "active-domain", Explain: explain,
-		})
-		if status != http.StatusOK {
-			t.Fatalf("explain=%v: status = %d, body %s", explain, status, body)
-		}
-		qr := decodeResponse(t, body)
-		if !qr.Inconsistent || len(qr.Rows) != 0 || qr.Incomplete {
-			t.Errorf("explain=%v: got %+v, want inconsistent and no rows", explain, qr)
-		}
-		if (qr.Explain != nil) != explain {
-			t.Errorf("explain=%v: report present = %v", explain, qr.Explain != nil)
-		}
-		if s.traces.store.Get(qr.TraceID) == nil {
-			t.Errorf("explain=%v: trace %q was not finished and filed", explain, qr.TraceID)
+	for _, exact := range []bool{false, true} {
+		for _, explain := range []bool{false, true} {
+			status, body := postJSON(t, ts.URL+"/sparql", QueryRequest{
+				Query: "SELECT ?X WHERE { ?X rdf:type person }", Regime: "active-domain", Exact: exact, Explain: explain,
+			})
+			if status != http.StatusOK {
+				t.Fatalf("exact=%v explain=%v: status = %d, body %s", exact, explain, status, body)
+			}
+			qr := decodeResponse(t, body)
+			if !qr.Inconsistent || len(qr.Rows) != 0 || qr.Incomplete {
+				t.Errorf("exact=%v explain=%v: got %+v, want inconsistent and no rows", exact, explain, qr)
+			}
+			if (qr.Explain != nil) != explain {
+				t.Errorf("exact=%v explain=%v: report present = %v", exact, explain, qr.Explain != nil)
+			}
+			if s.traces.store.Get(qr.TraceID) == nil {
+				t.Errorf("exact=%v explain=%v: trace %q was not finished and filed", exact, explain, qr.TraceID)
+			}
 		}
 	}
-	if got := o.Registry().Counter("serve.ok"); got != 2 {
-		t.Errorf("serve.ok = %d, want 2", got)
+	if got := o.Registry().Counter("serve.ok"); got != 4 {
+		t.Errorf("serve.ok = %d, want 4", got)
 	}
 	b := s.breakers["sparql"]
 	b.mu.Lock()
 	reported, failures := b.filled, b.failures
 	b.mu.Unlock()
-	if reported != 2 || failures != 0 || b.snapshot() != "closed" {
-		t.Errorf("breaker saw %d outcomes (%d failures), state %s; want 2 clean outcomes, closed",
+	if reported != 4 || failures != 0 || b.snapshot() != "closed" {
+		t.Errorf("breaker saw %d outcomes (%d failures), state %s; want 4 clean outcomes, closed",
 			reported, failures, b.snapshot())
 	}
 }

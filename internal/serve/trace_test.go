@@ -66,8 +66,8 @@ func fetchTrace(t *testing.T, base, id string) (otlpDoc, int) {
 
 // A sampled traceparent is honored end to end: the trace id is adopted, the
 // response echoes it, and the stored span tree covers serve admission →
-// translation → chase → prover under that single id — the exact /sparql path
-// exercises all four layers in one request.
+// translation → the exact path → chase under that single id. The OPT query's
+// chase terminates, so the exact path asks ProofTree nothing.
 func TestTraceSparqlExactFullSpanTree(t *testing.T) {
 	s, ts, _ := newTestServer(t, Config{Trace: TraceConfig{Sample: -1}}) // head sampler off: only the flag records
 	defer ts.Close()
@@ -132,7 +132,7 @@ func TestTraceSparqlExactFullSpanTree(t *testing.T) {
 			parentOf[sp.Name] = sp.ParentSpanID
 		}
 	}
-	for _, want := range []string{"serve.request", "serve.admission", "translate.compile", "triq.exact", "chase.run", "prover.prove"} {
+	for _, want := range []string{"serve.request", "serve.admission", "translate.compile", "triq.exact", "chase.deepen", "chase.run"} {
 		if !seen[want] {
 			t.Errorf("span %q missing from trace (have %v)", want, seen)
 		}
@@ -145,8 +145,8 @@ func TestTraceSparqlExactFullSpanTree(t *testing.T) {
 	if parentOf["serve.admission"] != idOf["serve.request"] {
 		t.Error("serve.admission not parented on serve.request")
 	}
-	if doc.Account.ProverProofs == 0 {
-		t.Error("exact evaluation billed no prover proofs")
+	if seen["prover.prove"] || doc.Account.ProverProofs != 0 || doc.Account.FactsDerived == 0 {
+		t.Errorf("the exact evaluation billed %d prover proofs and %d facts; want the chase's facts only", doc.Account.ProverProofs, doc.Account.FactsDerived)
 	}
 	if doc.Account.WallUS <= 0 || doc.Account.ExecUS <= 0 {
 		t.Errorf("account times not filled: %+v", doc.Account)

@@ -46,9 +46,10 @@ type QueryRequest struct {
 	// Explain requests the per-query telemetry report in the response; the
 	// handlers also accept it as the query parameter explain=1.
 	Explain bool `json:"explain,omitempty"`
-	// Exact requests certain-answer evaluation through the proof-theoretic
-	// prover instead of the sound chase approximation. Supported by both
-	// endpoints for TriQ-Lite 1.0 programs (Corollaries 5.4 / 6.2).
+	// Exact requests an answer that is provably complete or marked
+	// Incomplete: the chase, with the ProofTree prover deciding the goals its
+	// closing pass leaves open. Supported by both endpoints for TriQ-Lite 1.0
+	// programs (Corollaries 5.4 / 6.2).
 	Exact bool `json:"exact,omitempty"`
 	// MinEpoch is the bounded-staleness floor: the evaluation waits (up to
 	// the server's StalenessWait) for the local store to reach this epoch,

@@ -70,9 +70,9 @@ func Validate(q datalog.Query, lang Language) error {
 type Options struct {
 	// Chase bounds the underlying chase engine.
 	Chase chase.Options
-	// MaxVisits caps the proof-search component expansions of the exact
-	// procedure (EvalExact); 0 selects the ProofOptions default. Ignored by
-	// the bottom-up evaluator.
+	// MaxVisits caps the proof-search component expansions with which the
+	// exact path (EvalExactCtx) decides the goals its chase leaves open; 0
+	// selects the ProofOptions default. Ignored by EvalCtx.
 	MaxVisits int
 	// Mat, when non-nil, lets evaluation answer from an incrementally
 	// maintained materialization instead of chasing, provided Mat holds (or
@@ -91,9 +91,11 @@ type Result struct {
 	Answers *chase.Answers
 	// Exact reports that the answer set is provably complete: the chase
 	// terminated within its depth bound, or its closing pass proved the ground
-	// part complete at that bound (Stats.Deepening then ends with the pass).
+	// part complete at that bound (Stats.Deepening then ends with the pass),
+	// or — on the exact path — ProofTree decided the goals the pass left open.
 	// When false the answers are the stable fixpoint of iterative deepening, a
-	// heuristic stop (see chase.StableGround).
+	// heuristic stop (see chase.StableGround); on the exact path it is false
+	// only when Incomplete.
 	Exact bool
 	// Incomplete is true when a resource budget (facts, rounds, or visits)
 	// tripped and the answers are the sound partial set computed before the

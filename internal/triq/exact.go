@@ -2,8 +2,7 @@ package triq
 
 import (
 	"context"
-	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/chase"
 	"repro/internal/datalog"
@@ -11,132 +10,24 @@ import (
 	"repro/internal/obs"
 )
 
-// This file provides the provably-exact counterpart to the fast bottom-up
-// evaluator: Π(D)↓ computed by running the ProofTree decision procedure of
-// Section 6.3 over every candidate ground atom, sharing the memoized state
-// space across goals. For a fixed warded program this is polynomial in the
-// database (|sch| · |dom|^arity goals, each decided in polynomial time), so
-// it realizes the Theorem 6.7 upper bound end-to-end — the "practical
-// algorithm for computing the ground semantics of a warded Datalog^∃
-// program" the paper lists as future work, in its simplest correct form.
+// The exact path: Π(D)↓ by the chase and its closing pass, the evaluation
+// EvalCtx runs, with ProofTree deciding only what the pass leaves open. A
+// chase that terminates or closes is the whole answer. Otherwise the sandwich
+// I_d↓ ⊆ Π(D)↓ ⊆ M↓ of the closing pass still holds for a positive program, so
+// every answer outside I_d↓ is an open goal — an atom of M↓ ∖ I_d↓ — and
+// deciding those decides Q(D). For a program with negation the sandwich bounds
+// nothing until Step 1 of Section 6.3 has made it positive: the upper strata of
+// an inexact I_d may hold atoms that a fact missing below would have blocked.
 
-// ExactGroundCtx computes Π(D)↓ for a warded program with (optional)
-// stratified grounded negation. Negation is first eliminated per Step 1 of
-// Section 6.3; constraints are not supported (apply the Π⊥ reduction first).
-// The predicates of the result are those of the original program.
-//
-// Only predicates listed in preds are enumerated; nil means every program
-// predicate. Restricting the predicates keeps |dom|^arity enumeration
-// affordable when only an output relation is needed.
-//
-// When the proof search is cut short by a limit mid-enumeration, the atoms
-// certified before the abort are returned alongside the typed error: each
-// carries a proof, so the partial instance is a sound under-approximation of
-// Π(D)↓.
-func ExactGroundCtx(ctx context.Context, db *chase.Instance, prog *datalog.Program, preds []string, chaseOpts chase.Options, opts ProofOptions) (*chase.Instance, error) {
-	if len(prog.Constraints) > 0 {
-		return nil, fmt.Errorf("triq: ExactGround requires a constraint-free program")
-	}
-	workDB, workProg := db, prog
-	if prog.HasNegation() {
-		var err error
-		workDB, workProg, err = EliminateNegationCtx(ctx, db, prog, chaseOpts)
-		if err != nil {
-			return nil, err
-		}
-	}
-	pv, err := NewProver(workDB, workProg, opts)
-	if err != nil {
-		return nil, err
-	}
-	// Enumerate over the ORIGINAL program's schema: negation elimination
-	// replaces ¬s atoms by complement predicates, which would otherwise drop
-	// purely-extensional negated predicates like s from the schema.
-	sch, err := prog.Schema()
-	if err != nil {
-		return nil, err
-	}
-	if workProg != prog {
-		workSch, err := workProg.Schema()
-		if err != nil {
-			return nil, err
-		}
-		for p, a := range workSch {
-			if _, ok := sch[p]; !ok {
-				sch[p] = a
-			}
-		}
-	}
-	if preds == nil {
-		preds = append(preds, prog.Predicates()...)
-		sort.Strings(preds)
-	}
-	// The goal domain: constants of the (negation-eliminated) database and
-	// the program.
-	domSet := make(map[datalog.Term]bool)
-	for _, c := range workDB.Constants() {
-		domSet[c] = true
-	}
-	for _, r := range workProg.Rules {
-		for _, a := range append(r.Body(), r.Head...) {
-			for _, t := range a.Args {
-				if t.IsConst() {
-					domSet[t] = true
-				}
-			}
-		}
-	}
-	dom := make([]datalog.Term, 0, len(domSet))
-	for t := range domSet {
-		dom = append(dom, t)
-	}
-	sort.Slice(dom, func(i, j int) bool { return dom[i].Compare(dom[j]) < 0 })
-
-	out := chase.NewInstance()
-	for _, pred := range preds {
-		arity, ok := sch[pred]
-		if !ok {
-			return nil, fmt.Errorf("triq: predicate %s not in the program schema", pred)
-		}
-		tuple := make([]datalog.Term, arity)
-		var rec func(k int) error
-		rec = func(k int) error {
-			if k == arity {
-				goal := datalog.Atom{Pred: pred, Args: append([]datalog.Term(nil), tuple...)}
-				proven, err := pv.ProvesCtx(ctx, goal)
-				if err != nil {
-					return err
-				}
-				if proven {
-					out.Add(goal)
-				}
-				return nil
-			}
-			for _, c := range dom {
-				tuple[k] = c
-				if err := rec(k + 1); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		if err := rec(0); err != nil {
-			// The atoms certified so far each carry a proof: return them as a
-			// sound partial result alongside the typed error.
-			return out, err
-		}
-	}
-	return out, nil
-}
-
-// EvalExactCtx evaluates a TriQ-Lite 1.0 query with the exact procedure: the
-// constraints are reduced per Theorem 4.4, negation is eliminated per
-// Step 1, and the output predicate (plus the inconsistency marker) is
-// enumerated with ProofTree. Slower than EvalCtx, but its answers carry a
-// per-tuple proof, and it is exact even when the chase of the program is
-// infinite. A visit-budget trip degrades to the sound partial answer set
-// (every tuple certified by a proof) with Result.Incomplete set;
-// cancellation and deadlines return typed errors.
+// EvalExactCtx evaluates a TriQ-Lite 1.0 query so that the answer is provably
+// Q(D), or marked Incomplete. Constraints are reduced per Theorem 4.4 and the
+// chase runs as in EvalCtx, without a materializer; when it does not end
+// Exact, negation is eliminated per Step 1 and the open goals of the positive
+// program are decided with one Prover. A budget trip — facts, rounds or
+// visits — degrades to the sound partial answer set with Result.Incomplete
+// set (empty when the program still had negation: nothing is known to be
+// sound before Step 1 has finished); cancellation and deadlines return typed
+// errors.
 func EvalExactCtx(ctx context.Context, db *chase.Instance, q datalog.Query, opts Options) (*Result, error) {
 	if err := Validate(q, TriQLite10); err != nil {
 		return nil, err
@@ -145,32 +36,88 @@ func EvalExactCtx(ctx context.Context, db *chase.Instance, q datalog.Query, opts
 		obs.F("output", q.Output),
 		obs.F("db_facts", db.Len()))
 	prog := rewriteConstraints(q.Program)
-	preds := []string{q.Output}
-	if len(q.Program.Constraints) > 0 {
-		preds = append(preds, inconsistencyMarker)
+	preds := []string{inconsistencyMarker, q.Output}
+	var (
+		gr     *chase.GroundResult
+		proven []datalog.Atom
+		err    error
+	)
+	// positive says gr chased a positive program, so that the ground part of a
+	// run a limit cut short is sound; before Step 1 has finished it may not be.
+	positive := !prog.HasNegation()
+	if positive {
+		gr, proven, err = certify(ctx, db, prog, preds, opts)
+	} else if gr, err = chase.StableGroundCtx(ctx, db, prog, opts.Chase, 0); err == nil && !gr.Exact {
+		var dbPlus *chase.Instance
+		var progPlus *datalog.Program
+		if dbPlus, progPlus, err = EliminateNegationCtx(ctx, db, prog, opts); err == nil {
+			positive = true
+			gr, proven, err = certify(ctx, dbPlus, progPlus, preds, opts)
+		}
 	}
-	ground, err := ExactGroundCtx(ctx, db, prog, preds, opts.Chase, ProofOptions{MaxVisits: opts.MaxVisits, Obs: opts.Chase.Obs, Faults: opts.Chase.Faults})
-	res := &Result{Exact: true}
+	res := &Result{Exact: err == nil, Path: PathChase}
 	if err != nil {
-		if ground == nil || !limits.IsBudget(err) {
+		if gr == nil || !limits.IsBudget(err) {
 			sp.End(obs.F("error", true))
 			return nil, err
 		}
-		res.Exact = false
 		res.Incomplete = true
-		if tr, ok := limits.TruncationOf(err); ok {
-			res.Truncation = tr
+		res.Truncation, _ = limits.TruncationOf(err)
+	}
+	res.Depth, res.Stats = gr.Depth, gr.Stats
+	accountChase(ctx, res.Stats)
+	var marker, output []datalog.Atom
+	if err == nil || positive {
+		marker, output = gr.GroundAtomsOf(inconsistencyMarker), gr.GroundAtomsOf(q.Output)
+	}
+	for _, a := range proven {
+		if a.Pred == inconsistencyMarker {
+			marker = append(marker, a)
+		} else {
+			output = append(slices.Clip(output), a)
 		}
 	}
-	ans := answersOf(len(ground.AtomsOf(inconsistencyMarker)) > 0, ground.AtomsOf(q.Output))
-	res.Answers = ans
-	if ans.Inconsistent {
-		sp.End(obs.F("inconsistent", true))
-		return res, nil
-	}
+	res.Answers = answersOf(len(marker) > 0, output)
 	sp.End(
-		obs.F("answers", len(ans.Tuples)),
-		obs.F("exact", res.Exact),
+		obs.F("answers", len(res.Answers.Tuples)),
+		obs.F("inconsistent", res.Answers.Inconsistent),
+		obs.F("proven", len(proven)),
 		obs.F("incomplete", res.Incomplete))
 	return res, nil
+}
+
+// certify computes the atoms of Π(D)↓ with the given predicates for a positive,
+// constraint-free warded program: the ground part of the chase, plus the open
+// goals a Prover proves when the chase is not Exact. One Prover decides every
+// goal, sharing its memo across them. When the inconsistency marker is among
+// the predicates, finding it — in the ground part or proven — ends the work,
+// since ⊤ is the answer whatever the rest is. On a limit the chase result and
+// the goals proven before it come with the typed error.
+func certify(ctx context.Context, db *chase.Instance, prog *datalog.Program, preds []string, opts Options) (*chase.GroundResult, []datalog.Atom, error) {
+	gr, err := chase.StableGroundCtx(ctx, db, prog, opts.Chase, 0)
+	if err != nil || gr.Exact || slices.Contains(preds, inconsistencyMarker) && len(gr.GroundAtomsOf(inconsistencyMarker)) > 0 {
+		return gr, nil, err
+	}
+	goals, err := gr.OpenGoals(preds...)
+	if err != nil || len(goals) == 0 {
+		return gr, nil, err
+	}
+	pv, err := NewProver(db, prog, ProofOptions{MaxVisits: opts.MaxVisits, Obs: opts.Chase.Obs, Faults: opts.Chase.Faults})
+	if err != nil {
+		return gr, nil, err
+	}
+	var proven []datalog.Atom
+	for _, g := range goals {
+		ok, err := pv.ProvesCtx(ctx, g)
+		if err != nil {
+			return gr, proven, err
+		}
+		if ok {
+			proven = append(proven, g)
+			if g.Pred == inconsistencyMarker {
+				break
+			}
+		}
+	}
+	return gr, proven, nil
 }

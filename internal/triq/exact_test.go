@@ -1,12 +1,20 @@
 package triq
 
 import (
+	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/chase"
 	"repro/internal/datalog"
+	"repro/internal/limits"
+	"repro/internal/obs"
 )
 
+// TestExactGroundAgreesWithStableGround: the exact path's ground part, read
+// one predicate at a time, is the chase's at depth 24 — for a program whose
+// chase a pass closes, an infinite chain, and grounded negation.
 func TestExactGroundAgreesWithStableGround(t *testing.T) {
 	cases := []struct {
 		name string
@@ -39,64 +47,87 @@ func TestExactGroundAgreesWithStableGround(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			prog := datalog.MustParse(tc.src)
-			exact, err := ExactGroundCtx(t.Context(), tc.db, prog, nil, chase.Options{}, ProofOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
 			gr, err := chase.StableGround(tc.db, prog, chase.Options{MaxDepth: 24}, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Compare on the original program's predicates only (negation
-			// elimination adds complement relations on the exact side, and
-			// StableGround does not see them; single-head aux predicates are
-			// shared).
-			sch, _ := prog.Schema()
-			for pred := range sch {
-				exactAtoms := exact.AtomsOf(pred)
-				for _, a := range exactAtoms {
-					if !gr.Ground().Has(a) {
-						t.Errorf("exact derived %v, chase did not", a)
-					}
+			for _, pred := range prog.Predicates() {
+				res, err := exactOf(t.Context(), tc.db, prog, pred, Options{})
+				if err != nil {
+					t.Fatal(err)
 				}
-				for _, a := range gr.Ground().AtomsOf(pred) {
-					if !exact.Has(a) {
-						t.Errorf("chase derived %v, exact did not", a)
-					}
+				if got, want := fmt.Sprint(res.Answers), fmt.Sprint(answersOf(false, gr.Ground().AtomsOf(pred))); !res.Exact || got != want {
+					t.Errorf("%s: exact path %s (exact %v), chase to depth 24 %s", pred, got, res.Exact, want)
 				}
 			}
 		})
 	}
 }
 
-func TestExactGroundPredicateSelection(t *testing.T) {
-	db := chase.NewInstance(atom("e", "a", "b"), atom("e", "b", "c"))
-	prog := datalog.MustParse(`
-		e(?X, ?Y) -> tc(?X, ?Y).
-		e(?X, ?Y), tc(?Y, ?Z) -> tc(?X, ?Z).
-	`)
-	out, err := ExactGroundCtx(t.Context(), db, prog, []string{"tc"}, chase.Options{}, ProofOptions{})
+// exactOf evaluates the atoms of one predicate of prog on the exact path: the
+// query that copies them into a fresh output predicate, which no rule body
+// mentions.
+func exactOf(ctx context.Context, db *chase.Instance, prog *datalog.Program, pred string, opts Options) (*Result, error) {
+	sch, err := prog.Schema()
+	if err != nil {
+		return nil, err
+	}
+	args := make([]datalog.Term, sch[pred])
+	for i := range args {
+		args[i] = datalog.V(fmt.Sprint("X", i))
+	}
+	withGoal := prog.Clone()
+	withGoal.Add(datalog.Rule{BodyPos: []datalog.Atom{{Pred: pred, Args: args}}, Head: []datalog.Atom{{Pred: "goal#", Args: args}}})
+	return EvalExactCtx(ctx, db, datalog.Query{Program: withGoal, Output: "goal#"}, opts)
+}
+
+// deepChain derives q(a) at the end of a chain r1 … r8 of nulls, so at null
+// depth 8; no closing pass closes it, and q(a) is its open goal.
+func deepChain() (*chase.Instance, string) {
+	var src strings.Builder
+	src.WriteString("p(?X) -> r1(?X, ?Y).\n")
+	for k := 1; k <= 7; k++ {
+		fmt.Fprintf(&src, "r%d(?X, ?Y) -> e%d(?Y, ?Z), r%d(?X, ?Z).\n", k, k, k+1)
+	}
+	src.WriteString("r8(?X, ?Y) -> q(?X).\n")
+	return chase.NewInstance(atom("p", "a")), src.String()
+}
+
+// deepNegationFixture is a TriQ-Lite program whose answer hinges on that
+// fact: ans(a) holds unless q(a) does.
+func deepNegationFixture() (*chase.Instance, *datalog.Program) {
+	db, src := deepChain()
+	return db, datalog.MustParse(src + "p(?X), not q(?X) -> ans(?X).")
+}
+
+// TestEvalExactDeepNegation: the stability window stops the chase of the
+// stratum below the negation at depth 6, before q(a), so complements read off
+// that ground part hold not#q(a) and answer {a}. The exact path answers {}:
+// the closing pass leaves q(a) open in the stratum's reference, and ProofTree
+// proves it.
+func TestEvalExactDeepNegation(t *testing.T) {
+	db, prog := deepNegationFixture()
+	res, err := EvalExactCtx(t.Context(), db, datalog.Query{Program: prog, Output: "ans"}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.AtomsOf("tc")) != 3 {
-		t.Errorf("tc = %v", out.AtomsOf("tc"))
+	if !res.Exact || res.Incomplete || len(res.Answers.Tuples) != 0 {
+		t.Errorf("got %v (exact %v, incomplete %v), want {} exact", res.Answers.Tuples, res.Exact, res.Incomplete)
 	}
-	if len(out.AtomsOf("e")) != 0 {
-		t.Error("unselected predicate should not be enumerated")
+	deep, err := chase.GroundSemantics(db, prog, chase.Options{MaxDepth: 20})
+	if err != nil || !deep.Exact || !deep.Ground().Has(atom("q", "a")) || deep.Ground().Has(atom("ans", "a")) {
+		t.Errorf("the chase to depth 20 must terminate with q(a) and without ans(a): %v", err)
 	}
-	if _, err := ExactGroundCtx(t.Context(), db, prog, []string{"absent"}, chase.Options{}, ProofOptions{}); err == nil {
-		t.Error("unknown predicate should error")
-	}
-}
-
-func TestExactGroundRejectsConstraints(t *testing.T) {
-	prog := datalog.MustParse(`p(?X) -> q(?X). q(?X) -> false.`)
-	if _, err := ExactGroundCtx(t.Context(), chase.NewInstance(), prog, nil, chase.Options{}, ProofOptions{}); err == nil {
-		t.Error("constraints must be rejected")
+	// A visit budget that trips on q(a) inside Step 1 leaves nothing known to
+	// be sound: the chase's ans(a) is not reported.
+	res, err = EvalExactCtx(t.Context(), db, datalog.Query{Program: prog, Output: "ans"}, Options{MaxVisits: 1})
+	if err != nil || !res.Incomplete || res.Exact || res.Truncation.Limit != limits.LimitVisits || len(res.Answers.Tuples) != 0 {
+		t.Errorf("got %+v, %v; want an incomplete empty answer on a visits trip", res, err)
 	}
 }
 
+// TestEvalExactMatchesEval: where the chase terminates the exact path is that
+// chase, and asks ProofTree nothing.
 func TestEvalExactMatchesEval(t *testing.T) {
 	db := chase.NewInstance(
 		atom("triple", "TheAirline", "partOf", "transportService"),
@@ -115,9 +146,14 @@ func TestEvalExactMatchesEval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := EvalExactCtx(t.Context(), db, q, Options{})
+	o := obs.New()
+	exact, err := EvalExactCtx(t.Context(), db, q, Options{Chase: chase.Options{Obs: o}})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if exact.Depth != fast.Depth || exact.Stats.FactsDerived != fast.Stats.FactsDerived || o.Registry().Counter("prover.proofs") != 0 {
+		t.Errorf("exact: depth %d, %d facts, %d proofs; the chase: depth %d, %d facts",
+			exact.Depth, exact.Stats.FactsDerived, o.Registry().Counter("prover.proofs"), fast.Depth, fast.Stats.FactsDerived)
 	}
 	if len(fast.Answers.Tuples) != len(exact.Answers.Tuples) {
 		t.Fatalf("answer counts differ: fast %d vs exact %d",

@@ -144,9 +144,11 @@ func TestExplainMergesBackIntoCallerRegistry(t *testing.T) {
 	}
 }
 
-// The exact (ProofTree) path reports prover memo metrics.
+// The exact path reports prover memo metrics when ProofTree decided an open
+// goal: q(a) of the deep chain, which the chase does not reach.
 func TestExplainExactCarriesProver(t *testing.T) {
-	db, q := transportFixture()
+	db, src := deepChain()
+	q := datalog.MustParseQuery(src, "q")
 	res, rep, err := Explained("triq-exact", Options{}, func(opts Options) (*Result, error) {
 		return EvalExactCtx(t.Context(), db, q, opts)
 	})

@@ -119,10 +119,13 @@ func TestProverMemoFaultPoint(t *testing.T) {
 	}
 }
 
+// TestEvalExactDegradesOnVisitBudget: the budget trips inside the proof of the
+// open goal q(a), which the chase of the deep chain cannot reach.
 func TestEvalExactDegradesOnVisitBudget(t *testing.T) {
-	q := datalog.Query{Program: datalog.MustParse(limitsChainSrc), Output: "query"}
-	opts := Options{MaxVisits: 2}
-	res, err := EvalExactCtx(context.Background(), limitsChainDB(3), q, opts)
+	db, src := deepChain()
+	q := datalog.MustParseQuery(src, "q")
+	opts := Options{MaxVisits: 1}
+	res, err := EvalExactCtx(context.Background(), db, q, opts)
 	if err != nil {
 		t.Fatalf("visit-budget trips must degrade, not error: %v", err)
 	}
@@ -133,9 +136,12 @@ func TestEvalExactDegradesOnVisitBudget(t *testing.T) {
 		t.Fatalf("Truncation = %+v, want visits", res.Truncation)
 	}
 	// Full run for comparison: the partial answers must be a subset.
-	fullRes, err := EvalExactCtx(context.Background(), limitsChainDB(3), q, Options{})
+	fullRes, err := EvalExactCtx(context.Background(), db, q, Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !fullRes.Exact || !fullRes.Answers.HasConstants("a") {
+		t.Fatalf("the full run must prove q(a): %+v", fullRes)
 	}
 	for _, tup := range res.Answers.Tuples {
 		if !fullRes.Answers.Has(tup...) {

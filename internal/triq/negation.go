@@ -3,6 +3,7 @@ package triq
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/chase"
 	"repro/internal/datalog"
@@ -22,19 +23,20 @@ import (
 func complementPred(pred string) string { return "not#" + pred }
 
 // EliminateNegation computes (D+, Π+). The program must be stratified with
-// grounded negation and free of constraints (apply the Π⊥ reduction first);
-// the chase options bound the ground-semantics computations of the
-// intermediate strata.
-func EliminateNegation(db *chase.Instance, prog *datalog.Program, opts chase.Options) (*chase.Instance, *datalog.Program, error) {
+// grounded negation and free of constraints (apply the Π⊥ reduction first).
+// The reference ground part of each stratum is computed the way the exact
+// path computes an answer — the chase, and ProofTree on the goals its closing
+// pass leaves open — and the options bound both.
+func EliminateNegation(db *chase.Instance, prog *datalog.Program, opts Options) (*chase.Instance, *datalog.Program, error) {
 	return EliminateNegationCtx(context.Background(), db, prog, opts)
 }
 
 // EliminateNegationCtx is EliminateNegation under a context: the
-// intermediate ground-semantics chases honor cancellation, deadlines, and
-// budgets. Complement materialization is NOT degradable — an incomplete
+// intermediate ground-semantics computations honor cancellation, deadlines,
+// and budgets. Complement materialization is NOT degradable — an incomplete
 // reference instance would make complements unsound — so any limit abort is
 // returned as an error.
-func EliminateNegationCtx(ctx context.Context, db *chase.Instance, prog *datalog.Program, opts chase.Options) (*chase.Instance, *datalog.Program, error) {
+func EliminateNegationCtx(ctx context.Context, db *chase.Instance, prog *datalog.Program, opts Options) (*chase.Instance, *datalog.Program, error) {
 	if len(prog.Constraints) > 0 {
 		return nil, nil, fmt.Errorf("triq: EliminateNegation requires a constraint-free program")
 	}
@@ -80,27 +82,31 @@ func EliminateNegationCtx(ctx context.Context, db *chase.Instance, prog *datalog
 		// stratum. In stratum 0 they are purely extensional; above it the
 		// reference is the ground semantics of the accumulated positive
 		// program.
-		negPreds := make(map[string]bool)
+		var negPreds []string
 		for _, r := range rules {
 			for _, a := range r.BodyNeg {
-				negPreds[a.Pred] = true
+				if !slices.Contains(negPreds, a.Pred) {
+					negPreds = append(negPreds, a.Pred)
+				}
 			}
 		}
 		ref := dbPlus
 		if i > 0 && len(negPreds) > 0 {
-			gr, err := chase.StableGroundCtx(ctx, dbPlus, progPlus, opts, 0)
+			gr, proven, err := certify(ctx, dbPlus, progPlus, negPreds, opts)
 			if err != nil {
 				return nil, nil, err
 			}
-			if gr.Inconsistent {
-				return nil, nil, fmt.Errorf("triq: unexpected ⊤ during negation elimination")
+			// The chase's instance is a layer over dbPlus: copy the reference
+			// out before the complements go in.
+			ref = chase.NewInstance(proven...)
+			for _, pred := range negPreds {
+				for _, a := range gr.GroundAtomsOf(pred) {
+					ref.Add(a)
+				}
 			}
-			ref = gr.Ground()
 		}
-		// The reference may be a layer over dbPlus, which must stay as it is
-		// until the last complement has been read off it.
 		var complements []datalog.Atom
-		for pred := range negPreds {
+		for _, pred := range negPreds {
 			var err error
 			if complements, err = appendComplement(complements, ref, pred, sch[pred], dom); err != nil {
 				return nil, nil, err
@@ -150,19 +156,4 @@ func appendComplement(out []datalog.Atom, ref *chase.Instance, pred string, arit
 	}
 	rec(0)
 	return out, nil
-}
-
-// NewProverWithNegation eliminates grounded negation per Step 1 and builds a
-// ProofTree prover for the resulting positive warded program, extending the
-// Section 6.3 decision procedure to full TriQ-Lite 1.0 rule sets (without
-// constraints).
-func NewProverWithNegation(db *chase.Instance, prog *datalog.Program, chaseOpts chase.Options, opts ProofOptions) (*Prover, error) {
-	if !prog.HasNegation() {
-		return NewProver(db, prog, opts)
-	}
-	dbPlus, progPlus, err := EliminateNegation(db, prog, chaseOpts)
-	if err != nil {
-		return nil, err
-	}
-	return NewProver(dbPlus, progPlus, opts)
 }

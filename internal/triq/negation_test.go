@@ -19,7 +19,7 @@ func TestEliminateNegationSimple(t *testing.T) {
 		e(?X, ?Y), tc(?Y, ?Z) -> tc(?X, ?Z).
 		v(?X), v(?Y), not tc(?X, ?Y) -> un(?X, ?Y).
 	`)
-	dbPlus, progPlus, err := EliminateNegation(db, prog, chase.Options{})
+	dbPlus, progPlus, err := EliminateNegation(db, prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestEliminateNegationThreeStrata(t *testing.T) {
 		b(?X), not special(?X) -> plain(?X).
 		b(?X), not plain(?X) -> fancy(?X).
 	`)
-	dbPlus, progPlus, err := EliminateNegation(db, prog, chase.Options{})
+	dbPlus, progPlus, err := EliminateNegation(db, prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestEliminateNegationWithExistentials(t *testing.T) {
 	if err := datalog.CheckGroundedNegation(prog); err != nil {
 		t.Fatal(err)
 	}
-	dbPlus, progPlus, err := EliminateNegation(db, prog, chase.Options{})
+	dbPlus, progPlus, err := EliminateNegation(db, prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,18 +108,21 @@ func TestEliminateNegationRejects(t *testing.T) {
 		p(?X) -> q(?X).
 		q(?X) -> false.
 	`)
-	if _, _, err := EliminateNegation(db, withConstraint, chase.Options{}); err == nil {
+	if _, _, err := EliminateNegation(db, withConstraint, Options{}); err == nil {
 		t.Error("constraints must be rejected")
 	}
 	ungrounded := datalog.MustParse(`
 		a(?X) -> exists ?Z s(?X, ?Z).
 		s(?X, ?Y), not b(?Y) -> d(?X).
 	`)
-	if _, _, err := EliminateNegation(db, ungrounded, chase.Options{}); err == nil {
+	if _, _, err := EliminateNegation(db, ungrounded, Options{}); err == nil {
 		t.Error("ungrounded negation must be rejected")
 	}
 }
 
+// TestProverWithNegation: ProofTree decides the atoms of a program with
+// grounded negation over (D+, Π+), the way the exact path decides its open
+// goals.
 func TestProverWithNegation(t *testing.T) {
 	db := chase.NewInstance(atom("p", "c"), atom("p", "d"), atom("seen", "d"))
 	prog := datalog.MustParse(`
@@ -127,7 +130,11 @@ func TestProverWithNegation(t *testing.T) {
 		fresh(?X) -> exists ?Y s(?X, ?Y).
 		s(?X, ?Y), p(?X) -> out(?X).
 	`)
-	pv, err := NewProverWithNegation(db, prog, chase.Options{}, ProofOptions{})
+	dbPlus, progPlus, err := EliminateNegation(db, prog, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pv, err := NewProver(dbPlus, progPlus, ProofOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,13 +144,21 @@ func TestProverWithNegation(t *testing.T) {
 	if ok, err := pv.Proves(atom("out", "d")); err != nil || ok {
 		t.Errorf("out(d) should not be provable: %v %v", ok, err)
 	}
-	// Negation-free programs pass straight through.
-	pv2, err := NewProverWithNegation(db, datalog.MustParse(`p(?X) -> q(?X).`), chase.Options{}, ProofOptions{})
+}
+
+// TestEliminateNegationCertifiesItsReference is the reference ground part of a
+// stratum coming from the exact procedure: q(a) needs a null of depth 8, the
+// stability window stops the chase of stratum 0 at depth 6 without it, and a
+// complement read off that ground part would hold not#q(a). The closing pass
+// leaves q(a) open, and ProofTree proves it.
+func TestEliminateNegationCertifiesItsReference(t *testing.T) {
+	db, prog := deepNegationFixture()
+	dbPlus, _, err := EliminateNegation(db, prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := pv2.Proves(atom("q", "c")); !ok {
-		t.Error("q(c) should be provable")
+	if dbPlus.Has(atom("not#q", "a")) {
+		t.Error("not#q(a) is in D+, but q(a) is in Π(D)")
 	}
 }
 

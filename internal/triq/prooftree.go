@@ -128,9 +128,10 @@ type ProofMetrics struct {
 // A Prover is safe for concurrent use: Prove/ProveCtx calls from multiple
 // goroutines serialize on an internal mutex. The search state (the canonical
 // memo table, visit counters, the in-flight context) is deliberately shared
-// across calls — that cross-goal memo reuse is what keeps ExactGround
-// polynomial — so concurrent searches cannot safely interleave; serializing
-// them preserves both safety and the memo benefit. Callers needing parallel
+// across calls — an exact evaluation decides all its open goals with one
+// Prover, and a component state proven for one goal is a memo hit for the
+// next — so concurrent searches cannot safely interleave; serializing them
+// preserves both safety and the memo benefit. Callers needing parallel
 // proof search should build one Prover per goroutine over the shared
 // (read-only) database instance.
 type Prover struct {

@@ -106,9 +106,10 @@ acked_answer() {
 }
 
 # End-to-end triqd smoke: boot on a real socket, wait ready, query, ask
-# /sparql over the inconsistent ontology (⊤ is a 200, not a crashed handler),
-# SIGTERM, assert a clean drain and exit 0; then the same over a consistent
-# ontology whose chase is infinite, which must answer exact.
+# /sparql over the inconsistent ontology (⊤ is a 200, not a crashed handler) on
+# the default and the exact path, SIGTERM, assert a clean drain and exit 0; then
+# the same over a consistent ontology whose chase is infinite, which must
+# answer exact on both.
 smoke_triqd() {
   graph 3
   cat > "$D/o.owl" <<'OWL'
@@ -123,6 +124,8 @@ OWL
   post "$URL/query" '{"program":"triple(?X, partOf, ?Y) -> query(?X, ?Y)."}'
   expect "$OUT" '"rows"' '"attempts":1'
   post "$URL/sparql" '{"query":"SELECT ?X WHERE { ?X rdf:type person }","regime":"active-domain"}'
+  expect "$OUT" '"inconsistent":true'
+  post "$URL/sparql" '{"query":"SELECT ?X WHERE { ?X rdf:type person }","regime":"active-domain","exact":true}'
   expect "$OUT" '"inconsistent":true'
   stop "$PID" # exit 0 = clean drain
   # README's professor ontology: no depth bound finishes its chase, and the
@@ -139,6 +142,8 @@ OWL
   start_triqd -data "$D/g.nt" -ontology "$D/prof.owl"
   wait_ready "$URL"
   post "$URL/sparql" '{"query":"SELECT ?X WHERE { ?X rdf:type person }","regime":"active-domain"}'
+  expect "$OUT" '"exact":true' 'alice' 'bob'
+  post "$URL/sparql" '{"query":"SELECT ?X WHERE { ?X rdf:type person }","regime":"active-domain","exact":true}'
   expect "$OUT" '"exact":true' 'alice' 'bob'
   stop "$PID"
 }
@@ -169,9 +174,9 @@ smoke_telemetry() {
 # send a SPARQL query carrying a sampled W3C traceparent (the sampled flag
 # forces recording), and assert the full distributed trace: the response echoes
 # the caller's trace id, /debug/trace?id= returns an OTLP document whose spans
-# cover serve admission → translation → chase → prover under that single trace
-# id, and the slow-query trip left CPU+heap profile files referenced from the
-# slowlog.
+# cover serve admission → translation → the exact path → chase under that
+# single trace id, and the slow-query trip left CPU+heap profile files
+# referenced from the slowlog.
 smoke_tracing() {
   local tid=0af7651916cd43dd8448eb211c80319c span ids
   "$TMP/bin/triqd" -version | grep -q '^triqd ' || fail "-version does not print 'triqd ...'"
@@ -185,7 +190,7 @@ smoke_tracing() {
   grep -qi "^traceparent: 00-$tid-" "$D/headers" || fail "response does not echo the traceparent"
   expect "$OUT" "\"trace_id\":\"$tid\""
   get "$URL/debug/trace?id=$tid"
-  for span in serve.request serve.admission translate.compile chase.run prover.prove; do
+  for span in serve.request serve.admission translate.compile triq.exact chase.deepen chase.run; do
     expect "$OUT" "\"name\":\"$span\""
   done
   ids=$(grep -o '"traceId":"[0-9a-f]*"' "$OUT" | sort -u | wc -l)

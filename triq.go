@@ -31,14 +31,15 @@
 // variants are thin wrappers over it — keeps all working state private to the
 // call: it translates (SPARQL only), asks a warm materialization first, and
 // only on a miss loads a fresh instance of τ_db(G), over which the chase
-// appends to a private layer that it never writes through, or the exact
-// enumeration builds a private prover. Many goroutines may therefore evaluate
-// Requests over one shared Graph (and shared parsed Query / SPARQLQuery
-// values) without external locking; this is the contract the triqd server
-// (cmd/triqd, internal/serve) relies on. The one stateful object is a Prover
-// obtained from NewProver: it carries a memo table across calls, so its Prove
-// methods serialize on an internal mutex — concurrent use is safe but not
-// parallel; build one Prover per goroutine for parallel proof search.
+// appends to a private layer that it never writes through; the prover an exact
+// request builds for the goals its chase leaves open is the call's own too.
+// Many goroutines may therefore evaluate Requests over one shared Graph (and
+// shared parsed Query / SPARQLQuery values) without external locking; this is
+// the contract the triqd server (cmd/triqd, internal/serve) relies on. The one
+// stateful object is a Prover obtained from NewProver: it carries a memo table
+// across calls, so its Prove methods serialize on an internal mutex —
+// concurrent use is safe but not parallel; build one Prover per goroutine for
+// parallel proof search.
 package repro
 
 import (
@@ -95,8 +96,8 @@ type (
 	// drills (see internal/limits); install one via Options.Chase.Faults.
 	FaultPlan = limits.Plan
 	// ExplainReport is the structured telemetry of one explained evaluation:
-	// per-rule chase stats with operator provenance, worker shard balance,
-	// prover memo behavior, and per-stage wall-time percentiles.
+	// per-rule chase stats with operator provenance, prover memo behavior,
+	// and per-stage wall-time percentiles.
 	ExplainReport = triq.ExplainReport
 	// Progress is a lock-free live progress gauge for chase runs; install one
 	// via Options.Chase.Progress and poll Snapshot from any goroutine (triqd
@@ -188,11 +189,13 @@ type Request struct {
 	SPARQL *SPARQLQuery
 	// Regime is the semantics SPARQL is translated under.
 	Regime Regime
-	// Exact answers with the provably-exact ProofTree enumeration
-	// (Section 6.3) instead of the bottom-up chase: slower, but correct even
-	// when the chase is infinite, and every answer is certified by a proof
-	// tree. The query must be TriQ-Lite 1.0, which the regime translations
-	// are by Corollaries 5.4 and 6.2. Materializations are not consulted.
+	// Exact asks for an answer that is provably all of Q(G), or marked
+	// Incomplete: the chase and its closing pass run as without it, and
+	// where they do not prove the answer complete, ProofTree (Section 6.3)
+	// decides the goals the pass leaves open, after Step 1 has eliminated
+	// negation. The query must be TriQ-Lite 1.0, which the regime
+	// translations are by Corollaries 5.4 and 6.2. Materializations are not
+	// consulted.
 	Exact bool
 	// Explain runs the evaluation under a private metrics registry and
 	// distills it into Response.Explain. If Options.Chase.Obs is set, the
@@ -216,8 +219,9 @@ type Response struct {
 	// Exact reports that the rows are provably all of Q(G): the chase
 	// terminated within its depth bound, or its closing pass proved that no
 	// deeper bound adds a constant-only fact (see internal/chase.StableGround;
-	// Stats.Deepening says which); on the ProofTree path, that no visit budget
-	// cut the enumeration short.
+	// Stats.Deepening says which), or — on a Request.Exact — ProofTree decided
+	// every goal the pass left open. An exact request is Exact unless it is
+	// Incomplete.
 	Exact bool
 	// Incomplete is true when a resource budget tripped and the rows are the
 	// sound partial answer set derived before the abort. For positive
@@ -228,7 +232,8 @@ type Response struct {
 	// Incomplete.
 	Truncation *Truncation
 	// Depth is the null-nesting depth the answer was computed at, and Stats
-	// the chase work behind it (zero on the ProofTree path).
+	// the chase work behind it (on an exact request that eliminated negation,
+	// the chase of the positive program).
 	Depth int
 	Stats chase.Stats
 	// Explain is the report of an explained evaluation; nil unless
@@ -261,13 +266,13 @@ func (r *Response) Rows() []string {
 }
 
 // Eval is the one evaluation path: every way of asking — Datalog or SPARQL,
-// chase or ProofTree, with or without a report — runs the same steps in the
-// same order, so how a request asks never changes what it is told. The
-// steps: translate (SPARQL only); answer from a materialization of the
-// program pinned to Options.MatEpoch when there is one; only on a miss load
-// the graph as the database τ_db(G) over triple(·,·,·) and run the chase or
-// the ProofTree enumeration; decode the answers as RDF terms or solution
-// mappings.
+// exact or not, with or without a report — runs the same steps in the same
+// order, so how a request asks never changes what it is told. The steps:
+// translate (SPARQL only); answer from a materialization of the program
+// pinned to Options.MatEpoch when there is one; only on a miss load the graph
+// as the database τ_db(G) over triple(·,·,·) and run the chase (on an exact
+// request, with ProofTree on the goals it leaves open); decode the answers as
+// RDF terms or solution mappings.
 //
 // Cancellation and deadlines return typed errors (ErrCanceled, ErrDeadline);
 // budget trips (MaxFacts, MaxRounds, MaxVisits) degrade gracefully to a
@@ -340,7 +345,7 @@ func Eval(ctx context.Context, g *Graph, req Request) (_ *Response, err error) {
 			switch {
 			case req.SPARQL != nil:
 				resp.Explain.Regime = req.Regime.String()
-			case req.Exact: // the ProofTree procedure validates against TriQ-Lite 1.0
+			case req.Exact: // the exact path validates against TriQ-Lite 1.0
 				resp.Explain.Language = TriQLite10.String()
 			default:
 				resp.Explain.Language = req.Language.String()
