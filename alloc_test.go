@@ -20,35 +20,41 @@ import (
 	"repro/internal/workload"
 )
 
-// The ceilings sit about 25% above what the layered chase allocates (27 631
-// and 696; AllocsPerRun measures on one processor). An engine that copies
-// the database per run and keeps a second instance per round needs 93 140
-// and 76 570 allocations for the same two evaluations.
+// The ceilings sit about 25% above what the chase allocates (3 485 and 708;
+// AllocsPerRun measures on one processor). Before facts were rows of term ids
+// the same two evaluations took 27 631 and 696: every derived fact was an
+// atom with its own argument slice, under a string set key. An engine that
+// copies the database per run and keeps a second instance per round needs
+// 93 140 and 76 570.
 const (
-	transportAllocCeiling = 34_500
+	transportAllocCeiling = 4_350
 	lookupAllocCeiling    = 870
 	// An explained warm read measures 88, of which the private registry and
 	// the report are all but the plain read's share.
 	warmExplainedAllocCeiling = 110
 	// The university evaluation takes the probe (bound 0, no null) and a
 	// closing pass on rung 1 that proves it complete, and reads its answers off
-	// the chased instance: 11 820. One depth step to bound 2 before the pass
-	// took 23 455; deepening on to bounds 4 and 6 to watch the ground part stay
-	// as it is, and copying that ground part out, 56 819 on one engine; chasing
-	// the database from scratch at every bound, 139 604.
-	universityAllocCeiling = 13_000
-	// Loading τ_db(G) for the 10 001-triple graph measures 5 154, of which
-	// 5 001 render a literal: the canonical order is the graph's memo, the
-	// atoms share one slab and the instance is sized once. Sorting the graph
-	// and adding the atoms one at a time took 42 821.
+	// the chased instance: 5 125 (11 820 with atom-valued facts). One depth
+	// step to bound 2 before the pass took 23 455; deepening on to bounds 4 and
+	// 6 to watch the ground part stay as it is, and copying that ground part
+	// out, 56 819 on one engine; chasing the database from scratch at every
+	// bound, 139 604.
+	universityAllocCeiling = 6_400
+	// Loading τ_db(G) for the 10 001-triple graph measures 5 199, of which
+	// 5 001 render a literal: the canonical order is the graph's memo and each
+	// relation is sized once, its index lists carved from one slab (5 154 when
+	// the instance held the atoms). Sorting the graph and adding the atoms one
+	// at a time took 42 821.
 	loadDBAllocCeiling = 6_450
 	// A cold materialized build is the chase plus a copy of the database:
-	// 27 945 allocations (99 116 when a second engine built it).
-	matBuildAllocCeiling = 35_000
+	// 3 702 allocations (27 945 with atom-valued facts, 99 116 when a second
+	// engine built it).
+	matBuildAllocCeiling = 4_650
 	// Deleting the route's middle edge and inserting it again, one maintenance
-	// pass each, retracts and restores 3 281 facts: 48 390 (112 642 when every
-	// fact carried a count of its derivations).
-	matMaintainAllocCeiling = 60_500
+	// pass each, retracts and restores 3 281 facts: 5 115 (48 390 with
+	// atom-valued facts, 112 642 when every fact also carried a count of its
+	// derivations).
+	matMaintainAllocCeiling = 6_400
 	// A commit's copy of the 10 001-triple graph plus its four new triples
 	// measures 10 040 allocations and 2.1 MB, the set and nothing else. With
 	// five per-position indexes maintained beside the set it took 47 918 and
@@ -152,7 +158,7 @@ func TestUniversityAllocCeiling(t *testing.T) {
 }
 
 // lookupGraph is the 10 001-triple graph of the lookup ceilings.
-func lookupGraph(t *testing.T) *repro.Graph {
+func lookupGraph(t testing.TB) *repro.Graph {
 	t.Helper()
 	var nt strings.Builder
 	for i := 0; i < 2500; i++ {

@@ -6,6 +6,7 @@ package repro_test
 // at testing.B granularity.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -228,6 +229,47 @@ func BenchmarkE8_FixedOntologyProgram(b *testing.B) {
 		if _, _, err := tr.Evaluate(g, triq.Options{Chase: chase.Options{MaxDepth: 8}}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkEvalTransport measures the transport_chase request in process:
+// the full closure of workload.Transport(16, 3, 6), 83 rounds deriving 6 528
+// facts over 128 triples, plus reading and sorting the answers.
+func BenchmarkEvalTransport(b *testing.B) {
+	db, q := workload.Transport(16, 3, 6), workload.TransportQuery()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := triq.Eval(db, q, triq.TriQLite10, triq.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEvalUniversity measures the university_regime request end to end
+// through the facade: translation, τ_db(G), the depth-0 probe and its closing
+// pass, and decoding 32 mappings.
+func BenchmarkEvalUniversity(b *testing.B) {
+	g := workload.University(4, 2, 3, false).ToGraph()
+	sq, err := repro.ParseSPARQL("SELECT ?X WHERE { ?X rdf:type person }")
+	if err != nil {
+		b.Fatal(err)
+	}
+	req := repro.Request{SPARQL: sq, Regime: repro.ActiveDomainRegime}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := repro.Eval(context.Background(), g, req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLoadDB measures loading τ_db(G) for the 10 001-triple graph of
+// the lookup_big workload into an instance.
+func BenchmarkLoadDB(b *testing.B) {
+	g := lookupGraph(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		translate.DB(g)
 	}
 }
 

@@ -33,7 +33,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -137,7 +136,7 @@ func main() {
 	if err := run(ctx, *cfg); err != nil {
 		if cfg.jsonOut {
 			// The same failure body a triqd error response carries.
-			_ = json.NewEncoder(os.Stdout).Encode(limits.ToWire(err))
+			_ = serve.EncodeJSON(os.Stdout, limits.ToWire(err))
 		}
 		fmt.Fprintln(os.Stderr, "triq:", err)
 		if tr, ok := limits.TruncationOf(err); ok {
@@ -355,7 +354,7 @@ func runQuery(ctx context.Context, cfg config, g *rdf.Graph, req repro.Request) 
 	resp := serve.NewQueryResponse(out, 1)
 	resp.ElapsedUS = time.Since(start).Microseconds()
 	if cfg.jsonOut {
-		return json.NewEncoder(os.Stdout).Encode(resp)
+		return serve.EncodeJSON(os.Stdout, resp)
 	}
 	if resp.Inconsistent {
 		fmt.Println("⊤ (the graph is inconsistent with the program's constraints)")

@@ -2,6 +2,7 @@ package chase
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime/pprof"
@@ -215,8 +216,8 @@ type engine struct {
 	inst        *Instance
 	strata      []*stratum
 	constraints []datalog.Constraint
-	depth       map[string]int    // null name → invention depth
-	skolem      map[string]string // skolem key → null name
+	depth       map[uint32]int    // null id → invention depth
+	skolem      map[string]uint32 // skolem key (skolemKeyFor) → null id
 	nextNull    int
 	deepest     int // the largest invention depth of any null
 	stats       Stats
@@ -227,9 +228,12 @@ type engine struct {
 	found       triggerBuf   // the triggers enumerate found in that rule's turn, reused across turns
 	span        *obs.Span    // the current step's chase.run span (nil when tracing is off)
 	start       time.Time
-	tick        int    // trigger-attempt counter gating the in-round ctx checks
-	ruleLabels  bool   // attach per-rule pprof labels (recording traces only)
-	keyBuf      []byte // scratch for the binding keys apply probes its dedup set with
+	tick        int       // trigger-attempt counter gating the in-round ctx checks
+	ruleLabels  bool      // attach per-rule pprof labels (recording traces only)
+	seen        *relation // apply's dedup set, reused across turns
+	keyBuf      []byte    // scratch for the fact keys Incremental probes its sets with
+	skBuf       []byte    // scratch for the Skolem keys fire probes its table with
+	row         []uint32  // scratch for a row fire or apply writes
 	// closeKind is set while the closing pass runs (see close.go), to the kind of
 	// Skolem key its rung gives summary nulls: fire closes a trigger the depth
 	// bound blocks with one instead of parking it, and gives up at the first
@@ -334,18 +338,16 @@ func (e *engine) newRuleStats(r datalog.Rule) *RuleStats {
 // its database: the run appends to that layer and never writes the database,
 // which any number of concurrent runs may share.
 func newEngine(ctx context.Context, inst *Instance, opts Options) *engine {
-	e := &engine{
+	// A null of the database has depth 0, which is what depth answers for an
+	// id it does not hold.
+	return &engine{
 		ctx:    ctx,
 		opts:   opts,
 		inst:   inst,
-		depth:  make(map[string]int),
-		skolem: make(map[string]string),
+		depth:  make(map[uint32]int),
+		skolem: make(map[string]uint32),
 		start:  time.Now(),
 	}
-	for _, n := range e.inst.Nulls() {
-		e.depth[n.Name] = 0
-	}
-	return e
 }
 
 // prepare validates, stratifies and compiles the program and returns an engine
@@ -431,23 +433,26 @@ func (e *engine) parkedTriggers() int {
 	return n
 }
 
-func (e *engine) freshNull(key string, d int) datalog.Term {
-	if name, ok := e.skolem[key]; ok {
-		return datalog.N(name)
+// freshNull returns the id of the null the Skolem key names, inventing it, at
+// depth d, on first sight.
+func (e *engine) freshNull(key []byte, d int) uint32 {
+	if id, ok := e.skolem[string(key)]; ok {
+		return id
 	}
-	name := "n" + strconv.Itoa(e.nextNull)
+	id, _ := e.inst.termOf(datalog.N("n"+strconv.Itoa(e.nextNull)), true)
 	e.nextNull++
-	e.skolem[key] = name
-	e.depth[name] = d
+	k := string(key)
+	e.skolem[k] = id
+	e.depth[id] = d
 	if e.closeKind != 0 {
-		e.closeKeys = append(e.closeKeys, key)
+		e.closeKeys = append(e.closeKeys, k)
 	}
 	e.deepest = max(e.deepest, d)
 	e.stats.NullsInvented++
 	if e.cur != nil {
 		e.cur.NullsInvented++
 	}
-	return datalog.N(name)
+	return id
 }
 
 // chaseStratum exhaustively applies one stratum's rules to the engine
@@ -471,7 +476,7 @@ func (e *engine) chaseStratum(s *stratum) error {
 	// constant-only fact anyway.
 	if s.ran && e.closeKind == 0 {
 		for i, p := range s.negPreds {
-			if len(e.inst.byPred[p]) != s.negLens[i] {
+			if e.inst.ownLen(p) != s.negLens[i] {
 				return errNegatedGrew
 			}
 		}
@@ -489,16 +494,17 @@ func (e *engine) chaseStratum(s *stratum) error {
 		}
 		e.stats.Rounds++
 		e.opts.Progress.setRound(int64(e.stats.Rounds), int64(e.inst.Len()))
-		var delta map[string][]datalog.Atom // nil = match everything: the stratum's first round
+		var delta map[string]rowSet // nil = match everything: the stratum's first round
 		if s.ran && !e.opts.NaiveEvaluation {
-			delta = make(map[string][]datalog.Atom, len(s.bodyPreds))
+			delta = make(map[string]rowSet, len(s.bodyPreds))
 		}
 		for _, p := range s.bodyPreds {
-			bucket := e.inst.byPred[p]
-			if delta != nil {
-				delta[p] = bucket[s.started[p]:]
+			n := e.inst.ownLen(p)
+			if delta != nil && n > s.started[p] {
+				pid, _ := e.inst.predOf(p, false)
+				delta[p] = rowSet{rel: e.inst.rel(pid), lo: s.started[p], n: n - s.started[p]}
 			}
-			s.started[p] = len(bucket)
+			s.started[p] = n
 		}
 		s.ran = true
 		var roundSpan *obs.Span
@@ -508,7 +514,7 @@ func (e *engine) chaseStratum(s *stratum) error {
 				deltaSize = lastRoundFacts
 				if round == 0 { // resumed: what the strata below added since
 					for _, d := range delta {
-						deltaSize += len(d)
+						deltaSize += d.n
 					}
 				}
 			}
@@ -580,39 +586,22 @@ func (e *engine) chaseStratum(s *stratum) error {
 			obs.F("next_delta", lastRoundFacts))
 		if lastRoundFacts == 0 {
 			for i, p := range s.negPreds {
-				s.negLens[i] = len(e.inst.byPred[p])
+				s.negLens[i] = e.inst.ownLen(p)
 			}
 			return nil
 		}
 	}
 }
 
-// appendBindingKey appends a key identifying the binding of the first slots
-// variable slots to buf.
-func appendBindingKey(buf []byte, ev *env, slots int) []byte {
-	for s := 0; s < slots; s++ {
-		if !ev.set[s] {
-			buf = append(buf, 0xFF)
-			continue
-		}
-		t := ev.val[s]
-		buf = append(buf, byte('0'+t.Kind))
-		buf = append(buf, t.Name...)
-		buf = append(buf, 0)
-	}
-	return buf
-}
-
-// fire applies one trigger, adding the head atoms that are new.
-func (e *engine) fire(c *compiledRule, ev *env) error {
+// fire applies one trigger, adding the head atoms that are new: it writes
+// each head's row from the environment and the head's resolved constants.
+func (e *engine) fire(c *compiledRule, ev env) error {
 	if len(c.exSlots) > 0 {
 		// Depth control for null invention.
 		d, kind := 1, chaseKey
 		for _, s := range c.frontier {
-			if s < c.bodySlots && ev.set[s] && ev.val[s].IsNull() {
-				if e.depth[ev.val[s].Name]+1 > d {
-					d = e.depth[ev.val[s].Name] + 1
-				}
+			if id := ev[s]; s < c.bodySlots && id != unbound && e.inst.term(id).IsNull() {
+				d = max(d, e.depth[id]+1)
 			}
 		}
 		if d > e.opts.MaxDepth {
@@ -633,29 +622,26 @@ func (e *engine) fire(c *compiledRule, ev *env) error {
 			d, kind = e.opts.MaxDepth, e.closeKind
 		}
 		for k, s := range c.exSlots {
-			ev.set[s] = true
-			ev.val[s] = e.freshNull(skolemKeyFor(c, k, ev, kind), d)
+			e.skBuf = e.skolemKeyFor(e.skBuf[:0], c, k, ev, kind)
+			ev[s] = e.freshNull(e.skBuf, d)
 		}
-		defer func() {
-			for _, s := range c.exSlots {
-				ev.set[s] = false
-			}
-		}()
+		defer ev[c.bodySlots:].reset()
 	}
 	added, overBudget := 0, false
-	for _, h := range c.heads {
-		fact := h.instantiate(ev)
+	for hi := range c.heads {
+		h := &c.heads[hi]
+		e.row = h.fill(e.row[:0], ev)
 		// The fact budget is enforced per insertion, not per trigger or per
 		// round, so the instance never overshoots MaxFacts: an insertion that
-		// would exceed the cap aborts before it happens. (The Has probe runs
+		// would exceed the cap aborts before it happens. (The probe runs
 		// only at the boundary, so the common path pays nothing.)
-		if e.inst.Len() >= e.opts.MaxFacts && !e.inst.Has(fact) {
+		if e.inst.Len() >= e.opts.MaxFacts && !e.inst.hasRow(h.pid, e.row) {
 			overBudget = true
 			break
 		}
-		if e.inst.Add(fact) {
+		if e.inst.addRow(h.pid, e.row) {
 			e.stats.FactsDerived++
-			if fact.IsConstantGround() {
+			if e.inst.constRow(e.row) {
 				e.ground++
 				if e.closeKind != 0 && !e.collect {
 					return errNotClosed
@@ -686,6 +672,7 @@ func (e *engine) fire(c *compiledRule, ev *env) error {
 func (e *engine) refire(c *compiledRule, parked *triggerBuf) error {
 	buf := *parked
 	*parked = triggerBuf{}
+	resolveAll(c.heads, e.inst, true)
 	ev := newEnv(len(c.st.vars))
 	for i := 0; i < buf.n; i++ {
 		if e.tick++; e.tick&63 == 0 {
@@ -701,8 +688,9 @@ func (e *engine) refire(c *compiledRule, parked *triggerBuf) error {
 	return nil
 }
 
-// skolemKeyFor renders the Skolem-function key of one existential variable
-// under a frontier binding. It depends only on the rule and the environment:
+// skolemKeyFor appends to buf the Skolem-function key of one existential
+// variable under a frontier binding: the kind, the rule and the variable, then
+// the frontier's term ids. It depends only on the rule and the environment:
 // the same trigger always maps to the same key and therefore, through the
 // engine's Skolem table, to the same null, also when maintenance derives it
 // again after a delete.
@@ -713,23 +701,53 @@ func (e *engine) refire(c *compiledRule, parked *triggerBuf) error {
 // one summary null; a coarse key erases the constants too and keeps only which
 // frontier positions hold one, so all triggers of the rule that agree on that
 // share one. The kind is the key's prefix, which keeps the kinds apart.
-func skolemKeyFor(c *compiledRule, exIdx int, ev *env, kind byte) string {
-	buf := make([]byte, 0, 32)
+func (e *engine) skolemKeyFor(buf []byte, c *compiledRule, exIdx int, ev env, kind byte) []byte {
 	buf = append(buf, kind)
 	buf = strconv.AppendInt(buf, int64(c.idx), 10)
 	buf = append(buf, '|')
 	buf = append(buf, c.exNames[exIdx]...)
+	buf = append(buf, '|')
 	for _, s := range c.frontier {
-		buf = append(buf, '|')
-		if ev.set[s] {
-			t := ev.val[s]
-			buf = append(buf, byte('0'+t.Kind))
-			if kind == chaseKey || kind == summaryKey && !t.IsNull() {
-				buf = append(buf, t.Name...)
+		id := ev[s]
+		if id != unbound && kind != chaseKey {
+			switch null := e.inst.term(id).IsNull(); {
+			case null:
+				id = nullMark
+			case kind == coarseKey:
+				id = constMark
 			}
 		}
+		buf = binary.LittleEndian.AppendUint32(buf, id)
 	}
-	return string(buf)
+	return buf
+}
+
+// nullKeys returns the null name → Skolem key table with each key rendered
+// as text, its frontier ids as kind digit and, where the key keeps it, name.
+func (e *engine) nullKeys() map[string]string {
+	out := make(map[string]string, len(e.skolem))
+	for key, id := range e.skolem {
+		head := strings.IndexByte(key, '|')
+		head += 1 + strings.IndexByte(key[head+1:], '|')
+		var b strings.Builder
+		b.WriteString(key[:head])
+		for rest := key[head+1:]; len(rest) >= 4; rest = rest[4:] {
+			b.WriteByte('|')
+			switch v := binary.LittleEndian.Uint32([]byte(rest[:4])); v {
+			case unbound:
+			case nullMark:
+				b.WriteByte('0' + byte(datalog.Null))
+			case constMark:
+				b.WriteByte('0' + byte(datalog.Const))
+			default:
+				t := e.inst.term(v)
+				b.WriteByte('0' + byte(t.Kind))
+				b.WriteString(t.Name)
+			}
+		}
+		out[e.inst.term(id).Name] = b.String()
+	}
+	return out
 }
 
 // The kinds of Skolem key skolemKeyFor renders.
@@ -811,15 +829,11 @@ func (e *engine) step() (inconsistent bool, err error) {
 		}
 	}
 	for _, c := range e.constraints {
-		matchBody(e.inst, e.inst, c.Body, nil, Binding{}, func(Binding) bool {
-			inconsistent = true
-			return false
-		})
-		if inconsistent {
-			break
+		if holds(e.inst, c.Body) {
+			return true, nil
 		}
 	}
-	return inconsistent, nil
+	return false, nil
 }
 
 // Answers is the evaluation Q(D) of a query: either ⊤ (Inconsistent) or the

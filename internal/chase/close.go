@@ -171,9 +171,18 @@ func (r *GroundResult) OpenGoals(preds ...string) ([]datalog.Atom, error) {
 	e.collect = false
 	var goals []datalog.Atom
 	for _, p := range preds {
-		for _, a := range e.inst.byPred[p][m.layer.lens[p]:] {
-			if a.IsConstantGround() {
-				goals = append(goals, a)
+		pid, ok := e.inst.predOf(p, false)
+		r := e.inst.rel(pid)
+		if !ok || r == nil {
+			continue
+		}
+		from := 0
+		if int(pid) < len(m.layer.lens) {
+			from = m.layer.lens[pid]
+		}
+		for k := from; k < r.n; k++ {
+			if e.inst.constRow(r.row(k)) {
+				goals = r.decode(e.inst, goals, k, k+1)
 			}
 		}
 	}

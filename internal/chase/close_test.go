@@ -526,7 +526,7 @@ func TestLayerTruncate(t *testing.T) {
 			}
 		}
 		if fingerprint(got) != fingerprint(want) || got.Len() != want.Len() || got.hasNull ||
-			len(got.termID) != len(want.termID) || len(got.predID) != len(want.predID) || len(got.idx) != len(want.idx) || len(got.set) != len(want.set) {
+			len(got.termID) != len(want.termID) || len(got.predID) != len(want.predID) || len(got.rels) != len(want.rels) {
 			t.Errorf("flat=%v: truncated instance differs:\n%s\nwant:\n%s", flat, fingerprint(got), fingerprint(want))
 		}
 		// What is added next lands where it would have landed.

@@ -265,9 +265,9 @@ func TestDifferentialEngines(t *testing.T) {
 // input first and chases a flat instance.
 func splitLayers(db *Instance) *Instance {
 	base, rest := NewInstance(), []datalog.Atom(nil)
-	for _, bucket := range db.byPred {
-		for k, a := range bucket {
-			if k < len(bucket)/2 {
+	for _, r := range db.rels {
+		for k, a := range r.atoms(db) {
+			if k < r.n/2 {
 				base.Add(a)
 			} else {
 				rest = append(rest, a)
@@ -376,10 +376,7 @@ z0(?X), not deep(?X) -> shallow(?X).
 // that invented the same nulls in a different order, under different names,
 // render identically.
 func canonicalInstance(e *engine) string {
-	keyOf := make(map[string]string, len(e.skolem))
-	for key, name := range e.skolem {
-		keyOf[name] = key
-	}
+	keyOf := e.nullKeys()
 	nullTag := string(rune('0' + datalog.Null))
 	term := make(map[string]string)
 	var expand func(name string) string

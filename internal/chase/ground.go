@@ -42,16 +42,14 @@ func (r *GroundResult) Ground() *Instance {
 // GroundAtomsOf returns the atoms of Π(D)↓ with the given predicate, in the
 // order Ground().AtomsOf(pred) lists them; the slice must not be modified.
 func (r *GroundResult) GroundAtomsOf(pred string) []datalog.Atom {
-	base, own := r.inst.atomsOf(pred)
+	all := r.inst.AtomsOf(pred)
 	if r.inst.nullFree() {
-		return join(base, own)
+		return all
 	}
 	var out []datalog.Atom
-	for _, layer := range [2][]datalog.Atom{base, own} {
-		for _, a := range layer {
-			if a.IsConstantGround() {
-				out = append(out, a)
-			}
+	for _, a := range all {
+		if a.IsConstantGround() {
+			out = append(out, a)
 		}
 	}
 	return out
@@ -304,8 +302,11 @@ func (e *engine) sameGround(prev *engine, at engineMark) bool {
 	if e.ground != at.ground {
 		return false
 	}
-	for p, n := range at.layer.lens {
-		for _, a := range prev.inst.byPred[p][:n] {
+	for pid, n := range at.layer.lens {
+		if n == 0 {
+			continue
+		}
+		for _, a := range prev.inst.rels[pid].atoms(prev.inst)[:n] {
 			if a.IsConstantGround() && !e.inst.Has(a) {
 				return false
 			}

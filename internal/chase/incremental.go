@@ -49,8 +49,8 @@ type Incremental struct {
 	// and its own — extensional and derived facts side by side — because a
 	// delete shrinks it, which a layer over a shared base cannot do.
 	e *engine
-	// edb holds the instance keys of the extensional atoms: a delete retracts
-	// only those, and never over-deletes one the batch leaves in place.
+	// edb holds the keys (packFact) of the extensional atoms: a delete
+	// retracts only those, and never over-deletes one the batch leaves in place.
 	edb    map[string]struct{}
 	broken bool
 }
@@ -100,13 +100,7 @@ func (inc *Incremental) Depth() int { return inc.e.deepest }
 // materializations of the same program are isomorphic exactly when renaming
 // each null to its key makes their instances equal; the differential tests
 // rely on this.
-func (inc *Incremental) NullKeys() map[string]string {
-	out := make(map[string]string, len(inc.e.skolem))
-	for key, name := range inc.e.skolem {
-		out[name] = key
-	}
-	return out
-}
+func (inc *Incremental) NullKeys() map[string]string { return inc.e.nullKeys() }
 
 // chase runs one maintenance pass: edit changes the instance, and one step of
 // the engine brings it back to its fixpoint. Rounds,
@@ -150,17 +144,20 @@ func (inc *Incremental) Insert(ctx context.Context, atoms []datalog.Atom) (Maint
 	if inc.broken {
 		return st, errBroken
 	}
+	e := inc.e
 	err := inc.chase(ctx, &st, func() error {
 		for _, a := range atoms {
 			if !a.IsConstantGround() {
 				return fmt.Errorf("chase: extensional atom %v must contain only constants", a)
 			}
-			added := inc.e.inst.Add(a)
-			k, _ := inc.e.inst.factKey(a)
-			if _, dup := inc.edb[k]; dup {
+			var pid uint32
+			pid, e.row, _ = e.inst.encode(e.row[:0], a, true)
+			added := e.inst.addRow(pid, e.row)
+			e.keyBuf = packFact(e.keyBuf[:0], pid, e.row)
+			if _, dup := inc.edb[string(e.keyBuf)]; dup {
 				continue
 			}
-			inc.edb[k] = struct{}{}
+			inc.edb[string(e.keyBuf)] = struct{}{}
 			st.DeltaIn++
 			if added { // else a rule had derived it already
 				st.Derived++
@@ -184,12 +181,19 @@ func (inc *Incremental) Delete(ctx context.Context, atoms []datalog.Atom) (Maint
 		return st, errBroken
 	}
 	e := inc.e
-	var removed []datalog.Atom
+	var removed []fact
+	var buf []uint32
 	for _, a := range atoms {
-		k, ok := e.inst.factKey(a)
-		if _, isEDB := inc.edb[k]; ok && isEDB {
-			delete(inc.edb, k)
-			removed = append(removed, a)
+		start := len(buf)
+		pid, out, ok := e.inst.encode(buf, a, false)
+		if !ok {
+			continue
+		}
+		e.keyBuf = packFact(e.keyBuf[:0], pid, out[start:])
+		if _, isEDB := inc.edb[string(e.keyBuf)]; isEDB {
+			delete(inc.edb, string(e.keyBuf))
+			buf = out
+			removed = append(removed, fact{pid, buf[start:len(buf):len(buf)]})
 		}
 	}
 	if st.DeltaIn = len(removed); st.DeltaIn == 0 {
@@ -200,10 +204,10 @@ func (inc *Incremental) Delete(ctx context.Context, atoms []datalog.Atom) (Maint
 		if err != nil {
 			return err
 		}
-		st.OverDeleted = e.inst.RemoveBatch(gone)
+		st.OverDeleted = e.inst.removeFacts(gone)
 		for _, s := range e.strata {
 			for _, p := range s.bodyPreds {
-				s.started[p] = len(e.inst.byPred[p])
+				s.started[p] = e.inst.ownLen(p)
 			}
 		}
 		return e.rederive(gone)
@@ -217,45 +221,60 @@ func (inc *Incremental) Delete(ctx context.Context, atoms []datalog.Atom) (Maint
 // seeded by the previous wave. Existential head positions resolve through the
 // Skolem table without inventing: a key the table lacks belongs to a trigger
 // that never fired. Atoms still in the EDB stand whatever derives them.
-func (inc *Incremental) overDelete(removed []datalog.Atom, st *MaintainStats) (gone []datalog.Atom, err error) {
+func (inc *Incremental) overDelete(removed []fact, st *MaintainStats) (gone []fact, err error) {
 	e := inc.e
 	in := make(map[string]struct{})
-	wave := make(map[string][]datalog.Atom)
-	collect := func(f datalog.Atom) {
-		k, _ := e.inst.factKey(f)
-		_, present := e.inst.set[k] // flat: the own layer is the instance
-		_, seen := in[k]
-		if _, isEDB := inc.edb[k]; present && !seen && !isEDB {
-			in[k] = struct{}{}
-			gone = append(gone, f)
-			wave[f.Pred] = append(wave[f.Pred], f)
+	wave := make(map[string]rowSet)
+	var rows []uint32 // the rows of gone, back to back
+	collect := func(pid uint32, row []uint32) {
+		r := e.inst.rel(pid) // flat: the own layer is the instance
+		k := r.find(row)
+		if k < 0 {
+			return
 		}
+		e.keyBuf = packFact(e.keyBuf[:0], pid, row)
+		_, seen := in[string(e.keyBuf)]
+		if _, isEDB := inc.edb[string(e.keyBuf)]; seen || isEDB {
+			return
+		}
+		in[string(e.keyBuf)] = struct{}{}
+		start := len(rows)
+		rows = append(rows, row...)
+		gone = append(gone, fact{pid, rows[start:len(rows):len(rows)]})
+		w := wave[r.pred]
+		w.rel, w.ids, w.n = r, append(w.ids, int32(k)), w.n+1
+		wave[r.pred] = w
 	}
-	for _, a := range removed {
-		collect(a)
+	for _, f := range removed {
+		collect(f.pid, f.row)
 	}
 	for len(wave) > 0 {
 		seeds := wave
-		wave = make(map[string][]datalog.Atom)
+		wave = make(map[string]rowSet)
 		for _, s := range e.strata {
 			for _, c := range s.comp {
 				if err := e.enumerate(c, seeds, &e.found); err != nil {
 					return nil, err
 				}
 				st.Triggers += e.found.n
+				resolveAll(c.heads, e.inst, false)
 				ev := newEnv(len(c.st.vars))
 			triggers:
 				for i := 0; i < e.found.n; i++ {
 					e.found.load(i, c.bodySlots, ev)
 					for k, s := range c.exSlots {
-						name, ok := e.skolem[skolemKeyFor(c, k, ev, chaseKey)]
+						e.skBuf = e.skolemKeyFor(e.skBuf[:0], c, k, ev, chaseKey)
+						id, ok := e.skolem[string(e.skBuf)]
 						if !ok {
 							continue triggers
 						}
-						ev.val[s], ev.set[s] = datalog.N(name), true
+						ev[s] = id
 					}
-					for _, h := range c.heads {
-						collect(h.instantiate(ev))
+					for hi := range c.heads {
+						if h := &c.heads[hi]; h.known {
+							e.row = h.fill(e.row[:0], ev)
+							collect(h.pid, e.row)
+						}
 					}
 				}
 			}
@@ -270,28 +289,31 @@ func (inc *Incremental) overDelete(removed []datalog.Atom, st *MaintainStats) (g
 // head has an existential variable, the fact must carry the very null the
 // Skolem table gives that trigger. The cost is per over-deleted fact, not per
 // instance.
-func (e *engine) rederive(gone []datalog.Atom) error {
+func (e *engine) rederive(gone []fact) error {
 	for _, s := range e.strata {
 		for ci, c := range s.comp {
+			resolveAll(c.bodyPos, e.inst, false)
+			resolveAll(c.heads, e.inst, true)
 			ev := newEnv(len(c.st.vars))
 			var bound []int
 			for hi := range c.heads {
 				h := &c.heads[hi]
 				order := orderPatterns(c.bodyPos, h, -1)
 				for _, f := range gone {
-					if f.Pred != h.pred || e.inst.Has(f) {
+					if f.pid != h.pid || e.inst.hasRow(f.pid, f.row) {
 						continue
 					}
 					ev.reset()
-					if bound = bound[:0]; !h.matchInto(f, ev, &bound) {
+					if bound = bound[:0]; !h.matchInto(f.row, ev, &bound) {
 						continue
 					}
 					derives := false
 					// Stopped at its first hit, matchPatterns leaves the body bound.
-					matchPatterns(e.inst, c.bodyPos, order, ev, func() bool {
+					matchPatterns(e.inst, c.bodyPos, order, ev, &bound, func() bool {
 						derives = true
 						for k, s := range c.exSlots {
-							if ev.set[s] && ev.val[s] != datalog.N(e.skolem[skolemKeyFor(c, k, ev, chaseKey)]) {
+							e.skBuf = e.skolemKeyFor(e.skBuf[:0], c, k, ev, chaseKey)
+							if id, ok := e.skolem[string(e.skBuf)]; ev[s] != unbound && (!ok || ev[s] != id) {
 								derives = false
 							}
 						}
@@ -300,9 +322,7 @@ func (e *engine) rederive(gone []datalog.Atom) error {
 					if !derives {
 						continue
 					}
-					for _, s := range c.exSlots {
-						ev.set[s] = false
-					}
+					ev[c.bodySlots:].reset()
 					e.cur, e.park = s.stats[ci], &s.parked[ci]
 					err := e.fire(c, ev)
 					e.cur, e.park = nil, nil

@@ -8,18 +8,20 @@ package chase
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/datalog"
 )
 
 // Instance is a set of ground atoms (constants and labeled nulls) with
-// per-position hash indexes for matching. Internally terms and predicates
-// are dictionary-encoded to small integers, so set membership and index
-// lookups hash packed integer keys instead of structured strings — the
-// dominant cost in the chase inner loop. The zero value is unusable; call
-// NewInstance.
+// per-position indexes for matching. Terms and predicates are
+// dictionary-encoded to uint32 ids, and a predicate's facts are rows of ids in
+// a relation (relation.go): no fact is stored as a datalog.Atom or a string,
+// so adding one hashes a few integers and the collector has nothing per fact
+// to scan. Atoms are decoded only where a caller asks for them (AtomsOf,
+// Lookup, All, …), and a relation keeps what it decoded until it changes. The
+// zero value is unusable; call NewInstance.
 //
 // An instance is either flat (base == nil) or a layer over a flat base (see
 // Overlay): reads consult the base and then the own layer, while writes, new
@@ -27,15 +29,17 @@ import (
 // never written through a layer, so any number of layers, on any number of
 // goroutines, may share one base.
 type Instance struct {
-	base   *Instance
-	set    map[string]struct{}
-	byPred map[string][]datalog.Atom
-	// idx maps packed (pred, position, term) keys to the atoms with that
-	// term at that position.
-	idx    map[uint64][]datalog.Atom
+	base *Instance
+	// The own layer's dictionary: terms and preds list its terms and predicate
+	// names by id less baseTerms or basePreds, termID and predID invert them.
+	terms  []datalog.Term
 	termID map[datalog.Term]uint32
+	preds  []string
 	predID map[string]uint32
-	n      int // atoms of the own layer
+	// rels holds the own layer's facts by predicate id, nil where it has none;
+	// a base predicate's id indexes the facts a layer adds to it.
+	rels []*relation
+	n    int // atoms of the own layer
 	// baseTerms, basePreds and baseLen are the base's dictionary sizes and
 	// atom count when the layer was created: own-layer ids start above them,
 	// and a base that no longer matches them was modified under the layer.
@@ -43,12 +47,23 @@ type Instance struct {
 	hasNull                       bool // some atom of the own layer carries a null
 }
 
+// Sentinels of the uint32 id space, above every term id: an environment slot
+// nothing has bound, and what a summary or coarse Skolem key writes for a
+// frontier term it erases.
+const (
+	unbound   = ^uint32(0)
+	nullMark  = unbound - 1
+	constMark = unbound - 2
+)
+
+// keyBufLen sizes the stack buffers that hold an encoded atom, enough for
+// atoms of up to 8 arguments; longer atoms spill to the heap.
+const keyBufLen = 8
+
 // NewInstance returns a flat instance containing the given atoms, in the state
 // that adding them one at a time in the given order leaves it in.
 func NewInstance(atoms ...datalog.Atom) *Instance {
 	i := &Instance{
-		set:    make(map[string]struct{}, len(atoms)),
-		byPred: make(map[string][]datalog.Atom),
 		termID: make(map[datalog.Term]uint32, len(atoms)),
 		predID: make(map[string]uint32),
 	}
@@ -57,87 +72,33 @@ func NewInstance(atoms ...datalog.Atom) *Instance {
 }
 
 // load fills the empty flat instance with a batch: it is Add for every atom in
-// order — same set, same bucket orders, duplicates dropped — at one allocation
-// per structure instead of a few per atom. The set keys are substrings of one
-// slab. Index buckets are counted before they are filled and carved from one
-// slab, each with cap == len: the owner may still Add to the instance, and an
-// append to a bucket with spare capacity would write into its neighbour.
+// order — same rows, same row order, duplicates dropped — but each relation is
+// sized once and indexed at the end, its index lists carved from one slab.
 func (i *Instance) load(atoms []datalog.Atom) {
-	args := 0
+	if len(atoms) == 0 {
+		return
+	}
+	perPred := make(map[string]int)
 	for _, a := range atoms {
 		if !a.IsGround() {
 			panic(fmt.Sprintf("chase: non-ground atom %v added to instance", a))
 		}
-		args += len(a.Args)
-		i.hasNull = i.hasNull || !a.IsConstantGround()
-	}
-	packed := make([]byte, 0, 4*(len(atoms)+args))
-	perPred := make(map[string]int)
-	for _, a := range atoms {
-		packed, _, _ = i.packKey(packed, a, true)
 		perPred[a.Pred]++
 	}
-	for p, n := range perPred {
-		i.byPred[p] = make([]datalog.Atom, 0, n)
-	}
-	keys := string(packed)
-
-	// slotOf numbers the index keys in order of first sight; counts is indexed
-	// by that number, and slots holds it for every argument of every new atom
-	// so that the fill pass does no hashing. The numbers are as wide as the
-	// dictionary's ids.
-	slotOf := make(map[uint64]int32, len(atoms))
-	counts := make([]int32, 0, args)
-	slots := make([]int32, 0, args)
-	fresh := make([]bool, len(atoms))
-	end := 0
-	for n, a := range atoms {
-		off := end
-		end += 4 + 4*len(a.Args)
-		if _, dup := i.set[keys[off:end]]; dup {
-			continue
+	var arr [keyBufLen]uint32
+	for _, a := range atoms {
+		pid, row, _ := i.encode(arr[:0], a, true)
+		r := i.rel(pid)
+		if r == nil {
+			r = i.newRel(pid, len(row), perPred[a.Pred])
 		}
-		i.set[keys[off:end]] = struct{}{}
-		fresh[n] = true
-		i.byPred[a.Pred] = append(i.byPred[a.Pred], a)
-		pid := binary.LittleEndian.Uint32(packed[off:])
-		for pos := range a.Args {
-			kk := idxKey(pid, pos, binary.LittleEndian.Uint32(packed[off+4+4*pos:]))
-			s, seen := slotOf[kk]
-			if !seen {
-				s = int32(len(counts))
-				slotOf[kk] = s
-				counts = append(counts, 0)
-			}
-			counts[s]++
-			slots = append(slots, s)
-		}
-		i.n++
-	}
-
-	next := make([]int32, len(counts)) // where each bucket's next atom goes
-	total := int32(0)
-	for s, c := range counts {
-		next[s] = total
-		total += c
-	}
-	slab := make([]datalog.Atom, total)
-	k := 0
-	for n, a := range atoms {
-		if !fresh[n] {
-			continue
-		}
-		for range a.Args {
-			s := slots[k]
-			slab[next[s]] = a
-			next[s]++
-			k++
+		if _, added := r.insert(row); added {
+			i.n++
+			i.hasNull = i.hasNull || !a.IsConstantGround()
 		}
 	}
-	i.idx = make(map[uint64][]datalog.Atom, len(counts))
-	for kk, s := range slotOf {
-		end := next[s]
-		i.idx[kk] = slab[end-counts[s] : end : end]
+	for _, r := range i.rels {
+		r.buildIndex()
 	}
 }
 
@@ -150,90 +111,167 @@ func (i *Instance) Overlay() *Instance {
 	if i.base != nil {
 		return i.Clone()
 	}
-	j := NewInstance()
-	j.base = i
-	j.baseTerms, j.basePreds, j.baseLen = len(i.termID), len(i.predID), i.n
-	return j
+	return &Instance{
+		base:      i,
+		termID:    make(map[datalog.Term]uint32),
+		predID:    make(map[string]uint32),
+		baseTerms: len(i.terms),
+		basePreds: len(i.preds),
+		baseLen:   i.n,
+	}
 }
 
-// keyBufLen sizes the stack buffers that hold a packed key, enough for atoms
-// of up to 8 arguments; longer atoms spill to the heap.
-const keyBufLen = 4 + 4*8
-
-// termOf returns the dictionary id of a term: the base's if the base knows
-// the term (inBase), else the own layer's, which with intern set is assigned
-// on first sight. Interning is monotone, so an id stays valid for the
-// instance's lifetime.
-func (i *Instance) termOf(t datalog.Term, intern bool) (id uint32, inBase, ok bool) {
+// termOf returns the dictionary id of a term: the base's if the base knows the
+// term, else the own layer's, which with intern set is assigned on first
+// sight. Interning is monotone, so an id stays valid for the instance's
+// lifetime (truncate aside, which takes back the ids it was given since).
+func (i *Instance) termOf(t datalog.Term, intern bool) (uint32, bool) {
 	if b := i.base; b != nil {
-		if id, ok = b.termID[t]; ok {
-			return id, true, true
+		if id, ok := b.termID[t]; ok {
+			return id, true
 		}
 	}
-	if id, ok = i.termID[t]; ok || !intern {
-		return id, false, ok
+	if id, ok := i.termID[t]; ok || !intern {
+		return id, ok
 	}
-	id = uint32(i.baseTerms + len(i.termID))
+	id := uint32(i.baseTerms + len(i.terms))
+	if id >= constMark {
+		panic("chase: term dictionary full")
+	}
 	i.termID[t] = id
-	return id, false, true
+	i.terms = append(i.terms, t)
+	return id, true
 }
 
 // predOf is termOf for predicate names.
-func (i *Instance) predOf(p string, intern bool) (id uint32, inBase, ok bool) {
+func (i *Instance) predOf(p string, intern bool) (uint32, bool) {
 	if b := i.base; b != nil {
-		if id, ok = b.predID[p]; ok {
-			return id, true, true
+		if id, ok := b.predID[p]; ok {
+			return id, true
 		}
 	}
-	if id, ok = i.predID[p]; ok || !intern {
-		return id, false, ok
+	if id, ok := i.predID[p]; ok || !intern {
+		return id, ok
 	}
-	id = uint32(i.basePreds + len(i.predID))
+	id := uint32(i.basePreds + len(i.preds))
 	i.predID[p] = id
-	return id, false, true
+	i.preds = append(i.preds, p)
+	return id, true
 }
 
-// packKey appends the atom's set key to buf: the predicate id followed by
-// the argument term ids, 4 bytes each. Own-layer ids start above the base's,
-// so one key addresses both layers. Without intern, ok is false when the
-// atom mentions a term or predicate the instance has never seen and
-// therefore cannot contain. inBase reports that every id belongs to the
-// base's dictionary, without which the base cannot hold the atom.
-func (i *Instance) packKey(buf []byte, a datalog.Atom, intern bool) (key []byte, inBase, ok bool) {
-	if b := i.base; b != nil && (len(b.termID) != i.baseTerms || b.n != i.baseLen) {
+// term decodes a term id.
+func (i *Instance) term(id uint32) datalog.Term {
+	if int(id) < i.baseTerms {
+		return i.base.terms[id]
+	}
+	return i.terms[int(id)-i.baseTerms]
+}
+
+// predName decodes a predicate id.
+func (i *Instance) predName(pid uint32) string {
+	if int(pid) < i.basePreds {
+		return i.base.preds[pid]
+	}
+	return i.preds[int(pid)-i.basePreds]
+}
+
+// constRow reports whether every id of the row names a constant.
+func (i *Instance) constRow(row []uint32) bool {
+	for _, id := range row {
+		if !i.term(id).IsConst() {
+			return false
+		}
+	}
+	return true
+}
+
+// encode appends the ids of the atom's arguments to buf and returns them with
+// the predicate's id. Without intern, ok is false when the atom mentions a
+// term or predicate the instance has never seen and therefore cannot contain.
+func (i *Instance) encode(buf []uint32, a datalog.Atom, intern bool) (pid uint32, row []uint32, ok bool) {
+	if b := i.base; b != nil && (len(b.terms) != i.baseTerms || b.n != i.baseLen) {
 		panic("chase: base instance modified while a layer over it is in use")
 	}
-	pid, inBase, ok := i.predOf(a.Pred, intern)
-	if !ok {
-		return nil, false, false
+	if pid, ok = i.predOf(a.Pred, intern); !ok {
+		return 0, nil, false
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, pid)
 	for _, t := range a.Args {
-		tid, termInBase, ok := i.termOf(t, intern)
+		id, ok := i.termOf(t, intern)
 		if !ok {
-			return nil, false, false
+			return 0, nil, false
 		}
-		inBase = inBase && termInBase
-		buf = binary.LittleEndian.AppendUint32(buf, tid)
+		buf = append(buf, id)
 	}
-	return buf, inBase, true
+	return pid, buf, true
 }
 
-// hasKey probes both layers for a packed key without allocating.
-func (i *Instance) hasKey(key []byte, inBase bool) bool {
-	if inBase {
-		if _, ok := i.base.set[string(key)]; ok {
-			return true
-		}
+// rel returns the own layer's relation of a predicate id, nil when the layer
+// holds no row of it.
+func (i *Instance) rel(pid uint32) *relation {
+	if int(pid) < len(i.rels) {
+		return i.rels[pid]
 	}
-	_, ok := i.set[string(key)]
-	return ok
+	return nil
 }
 
-// idxKey packs (pred, position, term) into one uint64: 24 bits predicate,
-// 8 bits position, 32 bits term.
-func idxKey(pid uint32, pos int, tid uint32) uint64 {
-	return uint64(pid)<<40 | uint64(pos)<<32 | uint64(tid)
+// baseRel returns the base's relation of a predicate id, nil when there is
+// none.
+func (i *Instance) baseRel(pid uint32) *relation {
+	if int(pid) < i.basePreds {
+		return i.base.rel(pid)
+	}
+	return nil
+}
+
+// newRel creates the own layer's relation of a predicate id, with room for
+// rows of the given arity.
+func (i *Instance) newRel(pid uint32, arity, rows int) *relation {
+	for len(i.rels) <= int(pid) {
+		i.rels = append(i.rels, nil)
+	}
+	r := newRelation(i.predName(pid), arity, rows)
+	i.rels[pid] = r
+	return r
+}
+
+// inBase reports whether every id of the row belongs to the base's
+// dictionary, without which the base cannot hold it.
+func (i *Instance) inBase(row []uint32) bool {
+	for _, id := range row {
+		if int(id) >= i.baseTerms {
+			return false
+		}
+	}
+	return true
+}
+
+// hasRow probes both layers for a row of the predicate.
+func (i *Instance) hasRow(pid uint32, row []uint32) bool {
+	if br := i.baseRel(pid); br != nil && i.inBase(row) && br.find(row) >= 0 {
+		return true
+	}
+	return i.rel(pid).find(row) >= 0
+}
+
+// addRow inserts a row of the predicate, reporting whether it was new.
+func (i *Instance) addRow(pid uint32, row []uint32) bool {
+	if br := i.baseRel(pid); br != nil && i.inBase(row) && br.find(row) >= 0 {
+		return false
+	}
+	r := i.rel(pid)
+	if r == nil {
+		r = i.newRel(pid, len(row), 0)
+	}
+	k, added := r.insert(row)
+	if !added {
+		return false
+	}
+	r.indexRow(k, row)
+	i.n++
+	if !i.hasNull && !i.constRow(row) {
+		i.hasNull = true
+	}
+	return true
 }
 
 // Add inserts a ground atom, reporting whether it was new. Atoms with
@@ -242,180 +280,136 @@ func (i *Instance) Add(a datalog.Atom) bool {
 	if !a.IsGround() {
 		panic(fmt.Sprintf("chase: non-ground atom %v added to instance", a))
 	}
-	var arr [keyBufLen]byte
-	key, inBase, _ := i.packKey(arr[:0], a, true)
-	if i.hasKey(key, inBase) {
-		return false
-	}
-	i.set[string(key)] = struct{}{}
-	i.byPred[a.Pred] = append(i.byPred[a.Pred], a)
-	pid := binary.LittleEndian.Uint32(key)
-	for pos := range a.Args {
-		kk := idxKey(pid, pos, binary.LittleEndian.Uint32(key[4+4*pos:]))
-		i.idx[kk] = append(i.idx[kk], a)
-	}
-	i.n++
-	if !i.hasNull && !a.IsConstantGround() {
-		i.hasNull = true
-	}
-	return true
+	var arr [keyBufLen]uint32
+	pid, row, _ := i.encode(arr[:0], a, true)
+	return i.addRow(pid, row)
 }
 
 // layerMark remembers how far the own layer of an instance had grown at one
-// moment. Its buckets and dictionaries only grow (RemoveBatch aside), so the
-// atoms of that moment are the buckets' prefixes, and truncate returns to it.
+// moment. Its relations and dictionary only grow (RemoveBatch aside), so the
+// rows of that moment are the relations' prefixes, and truncate returns to it.
 type layerMark struct {
-	lens         map[string]int // per predicate, the own bucket's length
+	lens         []int // by predicate id, the own relation's row count
 	n            int
 	terms, preds int
 	hasNull      bool
 }
 
 func (i *Instance) mark() layerMark {
-	m := layerMark{lens: make(map[string]int, len(i.byPred)), n: i.n,
-		terms: len(i.termID), preds: len(i.predID), hasNull: i.hasNull}
-	for p, bucket := range i.byPred {
-		m.lens[p] = len(bucket)
+	m := layerMark{lens: make([]int, len(i.rels)), n: i.n,
+		terms: len(i.terms), preds: len(i.preds), hasNull: i.hasNull}
+	for pid, r := range i.rels {
+		if r != nil {
+			m.lens[pid] = r.n
+		}
 	}
 	return m
 }
 
-// truncate takes the own layer back to the mark: the atoms added since leave
-// the set and the buckets they end, and the terms and predicates only they
-// mention leave the dictionary, so what is added next gets the ids it would
-// have got had they never been there.
+// truncate takes the own layer back to the mark: the rows added since leave
+// their relations, and the terms and predicates only they mention leave the
+// dictionary, so what is added next gets the ids it would have got had they
+// never been there.
 func (i *Instance) truncate(m layerMark) {
-	var arr [keyBufLen]byte
-	for p, bucket := range i.byPred {
-		keep := m.lens[p]
-		for _, a := range bucket[keep:] {
-			key, _, _ := i.packKey(arr[:0], a, false)
-			delete(i.set, string(key))
-			pid := binary.LittleEndian.Uint32(key)
-			for pos := range a.Args {
-				kk := idxKey(pid, pos, binary.LittleEndian.Uint32(key[4+4*pos:]))
-				if rest := i.idx[kk]; len(rest) > 1 {
-					i.idx[kk] = rest[:len(rest)-1]
-				} else {
-					delete(i.idx, kk)
-				}
+	for pid, r := range i.rels {
+		if r != nil {
+			keep := 0
+			if pid < len(m.lens) {
+				keep = m.lens[pid]
 			}
-		}
-		if keep == 0 {
-			delete(i.byPred, p)
-		} else {
-			i.byPred[p] = bucket[:keep]
+			r.truncate(keep)
 		}
 	}
-	for t, id := range i.termID {
-		if int(id) >= i.baseTerms+m.terms {
-			delete(i.termID, t)
-		}
+	if keep := i.basePreds + m.preds; len(i.rels) > keep {
+		clear(i.rels[keep:])
+		i.rels = i.rels[:keep]
 	}
-	for p, id := range i.predID {
-		if int(id) >= i.basePreds+m.preds {
-			delete(i.predID, p)
-		}
+	for _, t := range i.terms[m.terms:] {
+		delete(i.termID, t)
 	}
+	clear(i.terms[m.terms:])
+	i.terms = i.terms[:m.terms]
+	for _, p := range i.preds[m.preds:] {
+		delete(i.predID, p)
+	}
+	i.preds = i.preds[:m.preds]
 	i.n, i.hasNull = m.n, m.hasNull
 }
 
-// factKey returns the packed set key for a ground atom without interning new
-// dictionary entries; ok is false when the instance cannot contain the atom.
-func (i *Instance) factKey(a datalog.Atom) (string, bool) {
-	var arr [keyBufLen]byte
-	key, _, ok := i.packKey(arr[:0], a, false)
-	return string(key), ok
+// fact is one row of a predicate, held outside the instance.
+type fact struct {
+	pid uint32
+	row []uint32
 }
 
 // RemoveBatch deletes the given ground atoms and returns how many were
 // actually present. The dictionary keeps its term/pred ids (interning is
-// monotone), but the set, per-predicate slices, and per-position indexes are
-// filtered in one pass per touched bucket, so a batch removal costs
-// O(|touched buckets|) rather than O(|batch| × |bucket|). Its one caller is
+// monotone); each touched relation is compacted in one pass. Its one caller is
 // Incremental.Delete, whose instance is flat: a layer shares its base with
 // other runs and only grows, so RemoveBatch on a layered instance panics.
 func (i *Instance) RemoveBatch(atoms []datalog.Atom) int {
+	var facts []fact
+	var buf []uint32
+	for _, a := range atoms {
+		start := len(buf)
+		pid, out, ok := i.encode(buf, a, false)
+		if ok {
+			buf = out
+			facts = append(facts, fact{pid, buf[start:len(buf):len(buf)]})
+		}
+	}
+	return i.removeFacts(facts)
+}
+
+// removeFacts is RemoveBatch over rows.
+func (i *Instance) removeFacts(facts []fact) int {
 	if i.base != nil {
 		panic("chase: RemoveBatch on a layered instance (only the flat instance of an Incremental shrinks)")
 	}
-	dropped := make(map[string]struct{}, len(atoms))
-	preds := make(map[string]struct{})
-	for _, a := range atoms {
-		k, ok := i.factKey(a)
-		if !ok {
+	drops := make(map[uint32][]bool)
+	removed := 0
+	for _, f := range facts {
+		r := i.rel(f.pid)
+		k := r.find(f.row)
+		if k < 0 {
 			continue
 		}
-		if _, present := i.set[k]; !present {
-			continue
+		drop := drops[f.pid]
+		if drop == nil {
+			drop = make([]bool, r.n)
+			drops[f.pid] = drop
 		}
-		if _, dup := dropped[k]; dup {
-			continue
-		}
-		dropped[k] = struct{}{}
-		delete(i.set, k)
-		preds[a.Pred] = struct{}{}
-		i.n--
-	}
-	if len(dropped) == 0 {
-		return 0
-	}
-	// gone reports whether an atom was part of this batch. Keys re-pack from
-	// the (still intact) dictionary, so membership agrees with dropped.
-	gone := func(a datalog.Atom) bool {
-		k, ok := i.factKey(a)
-		if !ok {
-			return false
-		}
-		_, hit := dropped[k]
-		return hit
-	}
-	for p := range preds {
-		bucket := i.byPred[p]
-		kept := bucket[:0]
-		pid := i.predID[p]
-		touched := make(map[uint64]struct{})
-		for _, a := range bucket {
-			if gone(a) {
-				for pos, t := range a.Args {
-					touched[idxKey(pid, pos, i.termID[t])] = struct{}{}
-				}
-				continue
-			}
-			kept = append(kept, a)
-		}
-		if len(kept) == 0 {
-			delete(i.byPred, p)
-		} else {
-			i.byPred[p] = kept
-		}
-		for kk := range touched {
-			lst := i.idx[kk]
-			keptIdx := lst[:0]
-			for _, a := range lst {
-				if !gone(a) {
-					keptIdx = append(keptIdx, a)
-				}
-			}
-			if len(keptIdx) == 0 {
-				delete(i.idx, kk)
-			} else {
-				i.idx[kk] = keptIdx
-			}
+		if !drop[k] {
+			drop[k] = true
+			removed++
 		}
 	}
-	return len(dropped)
+	for pid, drop := range drops {
+		i.rels[pid].compact(drop)
+	}
+	i.n -= removed
+	return removed
 }
 
 // Has reports whether the ground atom is present.
 func (i *Instance) Has(a datalog.Atom) bool {
-	var arr [keyBufLen]byte
-	key, inBase, ok := i.packKey(arr[:0], a, false)
-	return ok && i.hasKey(key, inBase)
+	var arr [keyBufLen]uint32
+	pid, row, ok := i.encode(arr[:0], a, false)
+	return ok && i.hasRow(pid, row)
 }
 
 // Len returns the number of atoms.
 func (i *Instance) Len() int { return i.baseLen + i.n }
+
+// ownLen returns how many rows of the predicate the own layer holds.
+func (i *Instance) ownLen(pred string) int {
+	if pid, ok := i.predOf(pred, false); ok {
+		if r := i.rel(pid); r != nil {
+			return r.n
+		}
+	}
+	return 0
+}
 
 // join returns base followed by own, copying only when both are non-empty.
 func join(base, own []datalog.Atom) []datalog.Atom {
@@ -428,42 +422,42 @@ func join(base, own []datalog.Atom) []datalog.Atom {
 	return append(append(make([]datalog.Atom, 0, len(base)+len(own)), base...), own...)
 }
 
-// atomsOf returns the atoms with the given predicate as the base's bucket
-// followed by the own layer's: the insertion order of a flat instance that
-// received the base's atoms first.
-func (i *Instance) atomsOf(pred string) (base, own []datalog.Atom) {
-	if i.base != nil {
-		base = i.base.byPred[pred]
+// AtomsOf returns the atoms with the given predicate, the base's before the
+// own layer's: the insertion order of a flat instance that received the base's
+// atoms first. The slice must not be modified.
+func (i *Instance) AtomsOf(pred string) []datalog.Atom {
+	pid, ok := i.predOf(pred, false)
+	if !ok {
+		return nil
 	}
-	return base, i.byPred[pred]
+	return join(i.baseRel(pid).atoms(i.base), i.rel(pid).atoms(i))
 }
 
-// AtomsOf returns the atoms with the given predicate; the slice must not be
-// modified.
-func (i *Instance) AtomsOf(pred string) []datalog.Atom { return join(i.atomsOf(pred)) }
-
-// lookup returns the atoms of pred having term t at (0-based) position pos,
-// split like atomsOf.
-func (i *Instance) lookup(pred string, pos int, t datalog.Term) (base, own []datalog.Atom) {
-	pid, predInBase, ok := i.predOf(pred, false)
-	if !ok {
-		return nil, nil
-	}
-	tid, termInBase, ok := i.termOf(t, false)
-	if !ok {
-		return nil, nil
-	}
-	kk := idxKey(pid, pos, tid)
-	if predInBase && termInBase {
-		base = i.base.idx[kk]
-	}
-	return base, i.idx[kk]
-}
-
-// Lookup returns the atoms of pred having term t at (0-based) position pos;
-// the slice must not be modified.
+// Lookup returns the atoms of pred having term t at (0-based) position pos,
+// in the order AtomsOf lists them; the slice must not be modified.
 func (i *Instance) Lookup(pred string, pos int, t datalog.Term) []datalog.Atom {
-	return join(i.lookup(pred, pos, t))
+	pid, ok := i.predOf(pred, false)
+	if !ok {
+		return nil
+	}
+	tid, ok := i.termOf(t, false)
+	if !ok {
+		return nil
+	}
+	var out []datalog.Atom
+	if br := i.baseRel(pid); br != nil && int(tid) < i.baseTerms {
+		all := br.atoms(i.base)
+		for _, k := range br.rowsWith(pos, tid) {
+			out = append(out, all[k])
+		}
+	}
+	if r := i.rel(pid); r != nil {
+		all := r.atoms(i)
+		for _, k := range r.rowsWith(pos, tid) {
+			out = append(out, all[k])
+		}
+	}
+	return out
 }
 
 // All returns every atom, predicate-by-predicate in sorted predicate order.
@@ -473,26 +467,24 @@ func (i *Instance) All() []datalog.Atom { return i.list(i.base) }
 // predicate-by-predicate in sorted predicate order, a predicate's base atoms
 // before its own.
 func (i *Instance) list(base *Instance) []datalog.Atom {
-	preds := make([]string, 0, len(i.byPred))
-	for p := range i.byPred {
-		preds = append(preds, p)
-	}
-	size := i.n
+	nonEmpty := func(r *relation) bool { return r != nil && r.n > 0 }
+	var pids []uint32
+	size, preds := i.n, len(i.rels)
 	if base != nil {
-		for p := range base.byPred {
-			if _, own := i.byPred[p]; !own {
-				preds = append(preds, p)
-			}
-		}
-		size += base.n
+		size, preds = size+base.n, max(preds, len(base.rels))
 	}
-	sort.Strings(preds)
-	out := make([]datalog.Atom, 0, size)
-	for _, p := range preds {
-		if base != nil {
-			out = append(out, base.byPred[p]...)
+	for pid := range uint32(preds) {
+		if nonEmpty(i.rel(pid)) || base != nil && nonEmpty(base.rel(pid)) {
+			pids = append(pids, pid)
 		}
-		out = append(out, i.byPred[p]...)
+	}
+	slices.SortFunc(pids, func(a, b uint32) int { return strings.Compare(i.predName(a), i.predName(b)) })
+	out := make([]datalog.Atom, 0, size)
+	for _, pid := range pids {
+		if base != nil {
+			out = append(out, base.rel(pid).atoms(base)...)
+		}
+		out = append(out, i.rel(pid).atoms(i)...)
 	}
 	return out
 }
@@ -537,43 +529,43 @@ func (i *Instance) GroundPart() *Instance {
 	return j
 }
 
-// Constants returns dom(D) ∩ U: the constants occurring in the instance.
-func (i *Instance) Constants() []datalog.Term {
-	seen := make(map[datalog.Term]struct{})
-	for _, a := range i.All() {
-		for _, t := range a.Args {
-			if t.IsConst() {
-				seen[t] = struct{}{}
+// termsOfKind returns the terms of one kind occurring in the instance, in
+// canonical order.
+func (i *Instance) termsOfKind(kind datalog.TermKind) []datalog.Term {
+	seen := make(map[uint32]struct{})
+	visit := func(rels []*relation) {
+		for _, r := range rels {
+			if r == nil {
+				continue
+			}
+			for _, id := range r.data {
+				if _, dup := seen[id]; !dup && i.term(id).Kind == kind {
+					seen[id] = struct{}{}
+				}
 			}
 		}
 	}
-	out := make([]datalog.Term, 0, len(seen))
-	for t := range seen {
-		out = append(out, t)
+	if i.base != nil {
+		visit(i.base.rels)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Compare(out[b]) < 0 })
+	visit(i.rels)
+	out := make([]datalog.Term, 0, len(seen))
+	for id := range seen {
+		out = append(out, i.term(id))
+	}
+	slices.SortFunc(out, datalog.Term.Compare)
 	return out
 }
+
+// Constants returns dom(D) ∩ U: the constants occurring in the instance.
+func (i *Instance) Constants() []datalog.Term { return i.termsOfKind(datalog.Const) }
 
 // Nulls returns the labeled nulls occurring in the instance.
 func (i *Instance) Nulls() []datalog.Term {
 	if i.nullFree() {
 		return nil
 	}
-	seen := make(map[datalog.Term]struct{})
-	for _, a := range i.All() {
-		for _, t := range a.Args {
-			if t.IsNull() {
-				seen[t] = struct{}{}
-			}
-		}
-	}
-	out := make([]datalog.Term, 0, len(seen))
-	for t := range seen {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Compare(out[b]) < 0 })
-	return out
+	return i.termsOfKind(datalog.Null)
 }
 
 // Equal reports whether two instances hold exactly the same atoms.
@@ -615,4 +607,13 @@ func FromFacts(atoms []datalog.Atom) (*Instance, error) {
 		}
 	}
 	return NewInstance(atoms...), nil
+}
+
+// packFact appends a key identifying a row of a predicate to buf.
+func packFact(buf []byte, pid uint32, row []uint32) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, pid)
+	for _, id := range row {
+		buf = binary.LittleEndian.AppendUint32(buf, id)
+	}
+	return buf
 }

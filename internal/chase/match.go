@@ -4,42 +4,47 @@ import (
 	"repro/internal/datalog"
 )
 
-// Binding is a substitution from variables to ground terms. It remains the
-// map-based public face of the matcher (used by callers such as the
-// ProofTree prover); the chase inner loop itself runs on compiled patterns
-// with slice environments, which avoids hashing terms on every extension.
+// Binding is a substitution from variables to ground terms: the map-based
+// face of a match for callers outside the chase, such as the ProofTree
+// prover. The chase itself runs on compiled patterns over term ids.
 type Binding map[datalog.Term]datalog.Term
 
 // ---------------------------------------------------------------------------
-// Compiled patterns: variables are numbered slots, environments are slices.
+// Compiled patterns: variables are numbered slots, environments are slices of
+// term ids.
 // ---------------------------------------------------------------------------
 
 // patArg is one argument of a compiled pattern: a variable slot (slot ≥ 0)
-// or a constant/null term (slot < 0).
+// or a constant/null term (slot < 0), whose id resolve looks up.
 type patArg struct {
 	slot int
 	term datalog.Term
+	id   uint32
 }
 
-// pattern is a compiled atom.
+// pattern is a compiled atom. Its predicate and constants are resolved against
+// one instance's dictionary at a time (see resolve); known is false when the
+// instance has never seen one of them, and the pattern then matches nothing.
 type pattern struct {
-	pred string
-	args []patArg
+	pred  string
+	args  []patArg
+	pid   uint32
+	known bool
 }
 
-// env is a slice environment: env.val[s] is meaningful iff env.set[s].
-type env struct {
-	val []datalog.Term
-	set []bool
+// env is a slice environment of term ids, unbound where no match bound the
+// slot.
+type env []uint32
+
+func newEnv(n int) env {
+	e := make(env, n)
+	e.reset()
+	return e
 }
 
-func newEnv(n int) *env {
-	return &env{val: make([]datalog.Term, n), set: make([]bool, n)}
-}
-
-func (e *env) reset() {
-	for i := range e.set {
-		e.set[i] = false
+func (e env) reset() {
+	for i := range e {
+		e[i] = unbound
 	}
 }
 
@@ -75,84 +80,160 @@ func compileAtom(a datalog.Atom, st *slotTable) pattern {
 	return p
 }
 
-// instantiate builds the ground atom of a fully-bound pattern.
-func (p pattern) instantiate(e *env) datalog.Atom {
-	args := make([]datalog.Term, len(p.args))
-	for i, a := range p.args {
-		if a.slot >= 0 {
-			args[i] = e.val[a.slot]
-		} else {
-			args[i] = a.term
+// resolve looks the pattern's predicate and constants up in the instance's
+// dictionary, interning what it lacks when intern is set. Ids stay valid
+// while the instance only grows, so a rule resolves its patterns once per
+// turn: the body ones, which match, without interning, and the head ones,
+// which fire writes, with it.
+func (p *pattern) resolve(inst *Instance, intern bool) {
+	p.known = false
+	pid, ok := inst.predOf(p.pred, intern)
+	if !ok {
+		return
+	}
+	for k := range p.args {
+		if a := &p.args[k]; a.slot < 0 {
+			if a.id, ok = inst.termOf(a.term, intern); !ok {
+				return
+			}
 		}
 	}
-	return datalog.Atom{Pred: p.pred, Args: args}
+	p.pid, p.known = pid, true
 }
 
-// matchInto extends the environment so that the pattern matches the fact; it
+func resolveAll(pats []pattern, inst *Instance, intern bool) {
+	for k := range pats {
+		pats[k].resolve(inst, intern)
+	}
+}
+
+// fill appends the row of a resolved, fully-bound pattern to buf.
+func (p *pattern) fill(buf []uint32, e env) []uint32 {
+	for _, a := range p.args {
+		if a.slot >= 0 {
+			buf = append(buf, e[a.slot])
+		} else {
+			buf = append(buf, a.id)
+		}
+	}
+	return buf
+}
+
+// matchInto extends the environment so that the pattern matches the row; it
 // records newly-bound slots in *added (indices into env) and reports success.
 // On failure it rolls back its own additions.
-func (p pattern) matchInto(fact datalog.Atom, e *env, added *[]int) bool {
-	if len(p.args) != len(fact.Args) {
+func (p *pattern) matchInto(row []uint32, e env, added *[]int) bool {
+	if len(p.args) != len(row) {
 		return false
 	}
 	start := len(*added)
 	for i, a := range p.args {
-		f := fact.Args[i]
+		f := row[i]
 		if a.slot < 0 {
-			if a.term != f {
+			if a.id != f {
 				p.rollback(e, added, start)
 				return false
 			}
 			continue
 		}
-		if e.set[a.slot] {
-			if e.val[a.slot] != f {
+		if v := e[a.slot]; v != unbound {
+			if v != f {
 				p.rollback(e, added, start)
 				return false
 			}
 			continue
 		}
-		e.set[a.slot] = true
-		e.val[a.slot] = f
+		e[a.slot] = f
 		*added = append(*added, a.slot)
 	}
 	return true
 }
 
-func (p pattern) rollback(e *env, added *[]int, start int) {
+func (p *pattern) rollback(e env, added *[]int, start int) {
 	for _, s := range (*added)[start:] {
-		e.set[s] = false
+		e[s] = unbound
 	}
 	*added = (*added)[:start]
 }
 
-// candidatesFor returns the facts possibly matching the pattern under the
-// environment, via the most selective index position: the base's candidates
-// and then the own layer's, the order of a flat instance holding both.
-func candidatesFor(inst *Instance, p pattern, e *env) (base, own []datalog.Atom) {
+// rowSet names rows of one relation: those ids lists or, when ids is nil,
+// the n rows from lo on.
+type rowSet struct {
+	rel *relation
+	ids []int32
+	lo  int
+	n   int
+}
+
+func (s rowSet) row(k int) []uint32 {
+	if s.ids != nil {
+		return s.rel.row(int(s.ids[k]))
+	}
+	return s.rel.row(s.lo + k)
+}
+
+// allRows is every row of a relation; a nil relation has none.
+func allRows(r *relation) rowSet {
+	if r == nil {
+		return rowSet{}
+	}
+	return rowSet{rel: r, n: r.n}
+}
+
+// listed is the rows a list of an index names.
+func listed(r *relation, ids []int32) rowSet {
+	return rowSet{rel: r, ids: ids, n: len(ids)}
+}
+
+// candidatesFor returns the rows possibly matching the resolved pattern under
+// the environment, via the most selective index position: the base's
+// candidates and then the own layer's, the order of a flat instance holding
+// both.
+func candidatesFor(inst *Instance, p *pattern, e env) (base, own rowSet) {
+	if !p.known {
+		return rowSet{}, rowSet{}
+	}
+	br, or := inst.baseRel(p.pid), inst.rel(p.pid)
 	bestLen := -1
 	for i, a := range p.args {
-		var ground datalog.Term
-		switch {
-		case a.slot < 0:
-			ground = a.term
-		case e.set[a.slot]:
-			ground = e.val[a.slot]
-		default:
-			continue
+		id := a.id
+		if a.slot >= 0 {
+			if id = e[a.slot]; id == unbound {
+				continue
+			}
 		}
-		b, o := inst.lookup(p.pred, i, ground)
+		var b []int32
+		if int(id) < inst.baseTerms {
+			b = br.rowsWith(i, id)
+		}
+		o := or.rowsWith(i, id)
 		if n := len(b) + len(o); bestLen == -1 || n < bestLen {
-			bestLen, base, own = n, b, o
+			bestLen, base, own = n, listed(br, b), listed(or, o)
 			if bestLen == 0 {
-				return nil, nil
+				return rowSet{}, rowSet{}
 			}
 		}
 	}
 	if bestLen >= 0 {
 		return base, own
 	}
-	return inst.atomsOf(p.pred)
+	return allRows(br), allRows(or)
+}
+
+// count returns how many rows of the resolved pattern's predicate the
+// instance holds.
+func (inst *Instance) count(p *pattern) int {
+	if !p.known {
+		return 0
+	}
+	n := 0
+	if br := inst.baseRel(p.pid); br != nil {
+		n = br.n
+	}
+	if r := inst.rel(p.pid); r != nil {
+		n += r.n
+	}
+	return n
 }
 
 // orderPatterns returns a greedy join order over the pattern indices: the
@@ -180,18 +261,18 @@ func orderPatterns(pats []pattern, from *pattern, skip int) []int {
 			if used[i] {
 				continue
 			}
-			unbound, total := 0, 0
+			free, total := 0, 0
 			for _, a := range p.args {
 				if a.slot >= 0 {
 					total++
 					if !bound[a.slot] {
-						unbound++
+						free++
 					}
 				}
 			}
-			score := unbound
+			score := free
 			if len(out) > 0 || from != nil {
-				if unbound == total && unbound > 0 {
+				if free == total && free > 0 {
 					score += 100 // cartesian product, defer
 				}
 			}
@@ -213,28 +294,30 @@ func orderPatterns(pats []pattern, from *pattern, skip int) []int {
 }
 
 // matchPatterns enumerates extensions of the environment matching every
-// pattern (in the given order) against the instance. The callback returns
-// false to stop early; matchPatterns reports whether enumeration completed.
-func matchPatterns(inst *Instance, pats []pattern, order []int, e *env, yield func() bool) bool {
+// resolved pattern (in the given order) against the instance. The callback
+// returns false to stop early; matchPatterns reports whether enumeration
+// completed. added is the caller's scratch for the slots a match binds, which
+// it shares with matchInto: matchPatterns appends past what it holds and
+// takes back what it appended.
+func matchPatterns(inst *Instance, pats []pattern, order []int, e env, added *[]int, yield func() bool) bool {
 	if len(order) == 0 {
 		return yield()
 	}
-	var added []int
 	var rec func(k int) bool
 	rec = func(k int) bool {
 		if k == len(order) {
 			return yield()
 		}
-		p := pats[order[k]]
+		p := &pats[order[k]]
 		base, own := candidatesFor(inst, p, e)
-		for _, layer := range [2][]datalog.Atom{base, own} {
-			for _, fact := range layer {
-				start := len(added)
-				if p.matchInto(fact, e, &added) {
+		for _, set := range [2]rowSet{base, own} {
+			for j := range set.n {
+				start := len(*added)
+				if p.matchInto(set.row(j), e, added) {
 					if !rec(k + 1) {
 						return false
 					}
-					p.rollback(e, &added, start)
+					p.rollback(e, added, start)
 				}
 			}
 		}
@@ -243,39 +326,19 @@ func matchPatterns(inst *Instance, pats []pattern, order []int, e *env, yield fu
 	return rec(0)
 }
 
-// matchBody is the compatibility entry point used for constraints and by
-// tests: it matches positive atoms against inst, filters by negated atoms
-// against negInst, and yields map Bindings over the atoms' variables.
-func matchBody(inst, negInst *Instance, bodyPos, bodyNeg []datalog.Atom, init Binding, yield func(Binding) bool) bool {
+// holds reports whether the conjunction of atoms has a match in the
+// instance: a constraint's body, for one.
+func holds(inst *Instance, body []datalog.Atom) bool {
 	st := newSlotTable()
-	pats := make([]pattern, len(bodyPos))
-	for i, a := range bodyPos {
+	pats := make([]pattern, len(body))
+	for i, a := range body {
 		pats[i] = compileAtom(a, st)
+		pats[i].resolve(inst, false)
 	}
-	negPats := make([]pattern, len(bodyNeg))
-	for i, a := range bodyNeg {
-		negPats[i] = compileAtom(a, st)
-	}
-	e := newEnv(len(st.vars))
-	for v, t := range init {
-		if s, ok := st.slots[v]; ok {
-			e.set[s] = true
-			e.val[s] = t
-		}
-	}
-	order := orderPatterns(pats, nil, -1)
-	return matchPatterns(inst, pats, order, e, func() bool {
-		for _, np := range negPats {
-			if negInst.Has(np.instantiate(e)) {
-				return true
-			}
-		}
-		out := make(Binding, len(st.vars))
-		for s, v := range st.vars {
-			if e.set[s] {
-				out[v] = e.val[s]
-			}
-		}
-		return yield(out)
+	found := false
+	matchPatterns(inst, pats, orderPatterns(pats, nil, -1), newEnv(len(st.vars)), new([]int), func() bool {
+		found = true
+		return false
 	})
+	return found
 }

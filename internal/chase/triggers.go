@@ -1,7 +1,6 @@
 package chase
 
 import (
-	"repro/internal/datalog"
 	"repro/internal/limits"
 )
 
@@ -19,50 +18,47 @@ import (
 // the program and the database alone: the goldens rely on it, and so does
 // maintenance (incremental.go), whose passes run these same two phases.
 
-// triggerBuf holds body bindings of one rule as flat parallel slices with a
-// stride of the rule body's variable slots: the triggers enumerate found in
+// triggerBuf holds body bindings of one rule as one flat slice of term ids with
+// a stride of the rule body's variable slots: the triggers enumerate found in
 // the current turn, or the ones the depth bound blocked (see engine.refire).
 type triggerBuf struct {
-	vals []datalog.Term
-	set  []bool
+	vals []uint32
 	n    int
 }
 
-func (b *triggerBuf) push(ev *env, slots int) {
-	b.vals = append(b.vals, ev.val[:slots]...)
-	b.set = append(b.set, ev.set[:slots]...)
+func (b *triggerBuf) push(ev env, slots int) {
+	b.vals = append(b.vals, ev[:slots]...)
 	b.n++
 }
 
 // load restores binding i into the environment; slots past the body are
 // cleared so fire sees fresh existential slots.
-func (b *triggerBuf) load(i, slots int, ev *env) {
-	copy(ev.val[:slots], b.vals[i*slots:(i+1)*slots])
-	copy(ev.set[:slots], b.set[i*slots:(i+1)*slots])
-	for s := slots; s < len(ev.set); s++ {
-		ev.set[s] = false
-	}
+func (b *triggerBuf) load(i, slots int, ev env) {
+	copy(ev[:slots], b.vals[i*slots:(i+1)*slots])
+	ev[slots:].reset()
 }
 
 // enumerate is phase one: read-only matching of rule c against the engine
 // instance into buf, whose storage it reuses. delta holds, per body predicate,
-// the facts the previous round derived, and each body position in turn is
+// the rows the previous round derived, and each body position in turn is
 // seeded from them (the seed pattern's matchInto drops the ones its constants
 // rule out); a nil delta — the stratum's first round, and naive evaluation —
 // matches the whole instance, seeded from the first pattern of the precomputed
 // join order. The context is polled every 64 candidates and emissions, so a
 // canceled chase stops within milliseconds even inside one huge turn.
-func (e *engine) enumerate(c *compiledRule, delta map[string][]datalog.Atom, buf *triggerBuf) error {
-	buf.vals, buf.set, buf.n = buf.vals[:0], buf.set[:0], 0
+func (e *engine) enumerate(c *compiledRule, delta map[string]rowSet, buf *triggerBuf) error {
+	buf.vals, buf.n = buf.vals[:0], 0
 	ev := newEnv(len(c.st.vars))
 	if delta == nil && len(c.bodyPos) == 0 {
 		buf.push(ev, c.bodySlots) // an empty positive body has exactly one — empty — trigger
 		return nil
 	}
-	// A body atom over a relation that holds nothing has no match, whatever
-	// the other atoms join to: the rule takes no turn.
-	for _, p := range c.bodyPos {
-		if base, own := e.inst.atomsOf(p.pred); len(base)+len(own) == 0 {
+	// A body atom over a relation that holds nothing, or with a constant the
+	// instance has never seen, has no match, whatever the other atoms join to:
+	// the rule takes no turn.
+	resolveAll(c.bodyPos, e.inst, false)
+	for k := range c.bodyPos {
+		if e.inst.count(&c.bodyPos[k]) == 0 {
 			return nil
 		}
 	}
@@ -80,25 +76,26 @@ func (e *engine) enumerate(c *compiledRule, delta map[string][]datalog.Atom, buf
 		return poll()
 	}
 	var added []int
-	seed := func(seedPat pattern, order []int, cands []datalog.Atom) {
-		for _, fact := range cands {
+	seed := func(seedPat *pattern, order []int, cands rowSet) {
+		for k := range cands.n {
 			if ctxErr != nil || !poll() {
 				return
 			}
 			ev.reset()
 			added = added[:0]
-			if seedPat.matchInto(fact, ev, &added) {
-				matchPatterns(e.inst, c.bodyPos, order, ev, emit)
+			if seedPat.matchInto(cands.row(k), ev, &added) {
+				matchPatterns(e.inst, c.bodyPos, order, ev, &added, emit)
 			}
 		}
 	}
 	if delta == nil {
-		first := c.bodyPos[c.fullOrder[0]]
+		first := &c.bodyPos[c.fullOrder[0]]
 		base, own := candidatesFor(e.inst, first, ev)
 		seed(first, c.fullOrder[1:], base)
 		seed(first, c.fullOrder[1:], own)
 	} else {
-		for j, p := range c.bodyPos {
+		for j := range c.bodyPos {
+			p := &c.bodyPos[j]
 			seed(p, c.seeded[j], delta[p.pred])
 		}
 	}
@@ -115,20 +112,23 @@ func (e *engine) apply(c *compiledRule, rs *RuleStats, buf *triggerBuf, dedup bo
 	if buf.n == 0 {
 		return nil
 	}
-	var seen map[string]struct{}
+	var seen *relation // the bindings replayed so far, as rows
 	if dedup && len(c.bodyPos) > 1 {
-		seen = make(map[string]struct{})
+		if e.seen == nil {
+			e.seen = newRelation("", 0, 0)
+		}
+		seen = e.seen
+		seen.reset(c.bodySlots)
 	}
+	resolveAll(c.bodyNeg, e.inst, false)
+	resolveAll(c.heads, e.inst, true)
 	ev := newEnv(len(c.st.vars))
 	for i := 0; i < buf.n; i++ {
 		buf.load(i, c.bodySlots, ev)
 		if seen != nil {
-			// The probe converts in place; only a new key is copied.
-			e.keyBuf = appendBindingKey(e.keyBuf[:0], ev, c.bodySlots)
-			if _, dup := seen[string(e.keyBuf)]; dup {
+			if _, fresh := seen.insert(ev[:c.bodySlots]); !fresh {
 				continue
 			}
-			seen[string(e.keyBuf)] = struct{}{}
 		}
 		rs.TriggersAttempted++
 		// Cancellation is polled here too: one turn can fire a huge buffer.
@@ -140,10 +140,12 @@ func (e *engine) apply(c *compiledRule, rs *RuleStats, buf *triggerBuf, dedup bo
 		// Stratified negation against the current instance (the negated
 		// predicates belong to lower strata and are final).
 		negated := false
-		for _, np := range c.bodyNeg {
-			if e.inst.Has(np.instantiate(ev)) {
-				negated = true
-				break
+		for k := range c.bodyNeg {
+			if np := &c.bodyNeg[k]; np.known {
+				if e.row = np.fill(e.row[:0], ev); e.inst.hasRow(np.pid, e.row) {
+					negated = true
+					break
+				}
 			}
 		}
 		if negated {

@@ -83,28 +83,35 @@ func (t Term) IsLiteral() bool { return t.Kind == Literal }
 
 // String renders the term in N-Triples surface syntax.
 func (t Term) String() string {
+	var buf [64]byte
+	return string(t.AppendNT(buf[:0]))
+}
+
+// AppendNT appends the term's N-Triples surface syntax to buf.
+func (t Term) AppendNT(buf []byte) []byte {
 	switch t.Kind {
 	case IRI:
-		return "<" + escapeIRI(t.Value) + ">"
+		buf = append(buf, '<')
+		buf = append(buf, escapeIRI(t.Value)...)
+		return append(buf, '>')
 	case Blank:
-		return "_:" + t.Value
+		buf = append(buf, "_:"...)
+		return append(buf, t.Value...)
 	case Literal:
-		var b strings.Builder
-		b.Grow(len(t.Value) + len(t.Lang) + len(t.Datatype) + 6) // quotes, @ or ^^<>
-		b.WriteByte('"')
-		b.WriteString(escapeLiteral(t.Value))
-		b.WriteByte('"')
+		buf = append(buf, '"')
+		buf = append(buf, escapeLiteral(t.Value)...)
+		buf = append(buf, '"')
 		if t.Lang != "" {
-			b.WriteByte('@')
-			b.WriteString(t.Lang)
+			buf = append(buf, '@')
+			buf = append(buf, t.Lang...)
 		} else if t.Datatype != "" {
-			b.WriteString("^^<")
-			b.WriteString(escapeIRI(t.Datatype))
-			b.WriteByte('>')
+			buf = append(buf, "^^<"...)
+			buf = append(buf, escapeIRI(t.Datatype)...)
+			buf = append(buf, '>')
 		}
-		return b.String()
+		return buf
 	default:
-		return fmt.Sprintf("<invalid term kind %d>", t.Kind)
+		return fmt.Appendf(buf, "<invalid term kind %d>", t.Kind)
 	}
 }
 

@@ -1164,5 +1164,16 @@ func (s *Server) fail(w http.ResponseWriter, status int, err error, primary stri
 func writeJSON(w http.ResponseWriter, status int, body any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
+	_ = EncodeJSON(w, body)
+}
+
+// EncodeJSON writes v as one line of JSON, the form of every body triqd
+// sends and of `triq -json`. '<', '>' and '&' are written as themselves, not
+// as the \u003c escapes that make JSON safe to embed in HTML: a body is
+// application/json, and a row of IRIs would otherwise be half escapes (a
+// 3 240-row answer is 135 KB escaped, 70 KB not).
+func EncodeJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetEscapeHTML(false)
+	return enc.Encode(v)
 }

@@ -8,9 +8,10 @@
 package triq
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/chase"
 	"repro/internal/datalog"
@@ -230,17 +231,15 @@ func accountChase(ctx context.Context, st chase.Stats) {
 		int64(st.FactsDerived), int64(st.NullsInvented))
 }
 
+// sortTuples sorts tuples lexicographically by Term.Compare, a proper prefix
+// first.
 func sortTuples(ts [][]datalog.Term) {
-	sort.Slice(ts, func(i, j int) bool {
-		a, b := ts[i], ts[j]
-		for k := range a {
-			if k >= len(b) {
-				return false
-			}
+	slices.SortFunc(ts, func(a, b []datalog.Term) int {
+		for k := range min(len(a), len(b)) {
 			if c := a[k].Compare(b[k]); c != 0 {
-				return c < 0
+				return c
 			}
 		}
-		return len(a) < len(b)
+		return cmp.Compare(len(a), len(b))
 	})
 }

@@ -98,11 +98,11 @@ mixed_load() {
 }
 
 # acked_answer FILE: every name in FILE is a row of the answer in $OUT (rows
-# JSON-escape the IRI brackets: <batchN> arrives as \u003cbatchN\u003e).
+# are N-Triples terms, unescaped in the JSON: <batchN>).
 acked_answer() {
   local b
   [ -s "$1" ] || fail "no insert was acknowledged"
-  while read -r b; do grep -q "u003c$b\\\\u003e" "$OUT" || fail "acked $b lost"; done < "$1"
+  while read -r b; do grep -q "<$b>" "$OUT" || fail "acked $b lost"; done < "$1"
 }
 
 # End-to-end triqd smoke: boot on a real socket, wait ready, query, ask

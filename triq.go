@@ -46,7 +46,6 @@ import (
 	"context"
 	"errors"
 	"io"
-	"strings"
 
 	"repro/internal/chase"
 	"repro/internal/datalog"
@@ -255,12 +254,16 @@ func (r *Response) Rows() []string {
 		return out
 	}
 	out := make([]string, 0, len(r.Tuples))
+	var buf []byte // one row's rendering, reused
 	for _, tup := range r.Tuples {
-		parts := make([]string, len(tup))
+		buf = buf[:0]
 		for i, t := range tup {
-			parts[i] = t.String()
+			if i > 0 {
+				buf = append(buf, ' ')
+			}
+			buf = t.AppendNT(buf)
 		}
-		out = append(out, strings.Join(parts, " "))
+		out = append(out, string(buf))
 	}
 	return out
 }
