@@ -151,17 +151,21 @@ func (e *engine) close() (closed, coarse bool, err error) {
 // deciding them decides the rest. The pass is undone before OpenGoals returns
 // and Stats do not count it; a limit inside it returns the typed error.
 //
+// A program may negate what no rule derives: those extents are the database's
+// and never change, so the sandwich holds as for a positive program.
+//
 // An Exact result has no open goals. One a limit cut short or that found ⊤
-// has no fixpoint to continue, and one of a program with negation no model to
-// read them off — the upper strata of an inexact I_d may hold atoms that a
-// fact missing below would have blocked — so for those OpenGoals is an error.
+// has no fixpoint to continue, and one of a program that negates a derived
+// predicate no model to read them off — the upper strata of an inexact I_d may
+// hold atoms that a fact missing below would have blocked — so for those
+// OpenGoals is an error.
 func (r *GroundResult) OpenGoals(preds ...string) ([]datalog.Atom, error) {
 	if r.Exact {
 		return nil, nil
 	}
 	e := r.open
 	if e == nil {
-		return nil, errors.New("chase: open goals need a positive program whose evaluation ended truncated and consistent")
+		return nil, errors.New("chase: open goals need a program that negates no derived predicate and whose evaluation ended truncated and consistent")
 	}
 	_, sp := obs.StartSpan(e.ctx, e.opts.Obs, "chase.open_goals", obs.F("depth", r.Depth))
 	e.opts.Parent = sp

@@ -305,7 +305,8 @@ func TestClosingPassFallsBackOnSpuriousGroundFact(t *testing.T) {
 // the ground part lacks — cyc(a), which only the merged summary null derives —
 // and leaves the evaluation as it found it, so asking twice gets the same
 // goals and the result is still the deepening without a pass. An Exact result
-// has no goals; one of a program with negation has no model to read them off.
+// has no goals; one of a program that negates a derived predicate has no model
+// to read them off, and one that negates a database predicate does.
 func TestOpenGoals(t *testing.T) {
 	db := NewInstance(atom("p", "a"))
 	cyc := mergingChain + `r(?X, ?Y), r(?Y, ?X), p(?W) -> cyc(?W).`
@@ -331,6 +332,17 @@ func TestOpenGoals(t *testing.T) {
 	neg, err := StableGround(db, datalog.MustParse(cyc+`p(?X), not cyc(?X) -> t(?X).`), Options{MaxDepth: 8}, 2)
 	if _, gerr := neg.OpenGoals("t"); err != nil || neg.Exact || gerr == nil {
 		t.Errorf("negation: exact %v, OpenGoals error %v", neg.Exact, gerr)
+	}
+	// stop is the database's: the model reads it as the chase does, so the goal
+	// stays open without stop(a), and with it nothing is open and the pass closes.
+	edb := datalog.MustParse(mergingChain + `r(?X, ?Y), r(?Y, ?X), p(?W), not stop(?W) -> cyc(?W).`)
+	open, err := StableGround(db, edb, Options{MaxDepth: 8}, 2)
+	if goals, gerr := open.OpenGoals("cyc"); err != nil || open.Exact || fmt.Sprint(goals) != "[cyc(a)]" || gerr != nil {
+		t.Errorf("negated database predicate: exact %v, goals %v, %v; want [cyc(a)]", open.Exact, goals, gerr)
+	}
+	stopped, err := StableGround(NewInstance(atom("p", "a"), atom("stop", "a")), edb, Options{MaxDepth: 8}, 2)
+	if err != nil || !closedByPass(stopped) {
+		t.Errorf("negated database predicate that blocks: %v, steps %+v", err, stopped.Stats.Deepening)
 	}
 }
 

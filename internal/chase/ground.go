@@ -259,7 +259,7 @@ func stableGround(ctx context.Context, db *Instance, prog *datalog.Program, opts
 				Stats:        e.snapshotStats(),
 			}
 			res.Stats.Deepening = steps
-			if err == nil && !inconsistent && !exact && !prog.HasNegation() {
+			if err == nil && !inconsistent && !exact && len(prog.NegatedIDB()) == 0 {
 				res.open = e
 			}
 			return res, err

@@ -162,12 +162,11 @@ func IsSemiBodyGrounded(an *Analysis, r Rule) bool {
 //
 // where S collects the variables shared between the ward and the rest plus
 // the head variables contributed by the rest — all harmless by wardedness.
-// The program must be warded and negation-free; an error is returned
+// Negated atoms go with the ward, and S also carries the variables the rest
+// binds for them, so the second rule binds them all; under grounded negation
+// those are harmless too. The program must be warded; an error is returned
 // otherwise. Ground-atom semantics is preserved: Π(D)↓ = Π'(D)↓ on sch(Π).
 func HeadGroundedSplit(p *Program) (*Program, error) {
-	if p.HasNegation() {
-		return nil, fmt.Errorf("datalog: HeadGroundedSplit requires a negation-free program; eliminate negation first")
-	}
 	if err := CheckWarded(p); err != nil {
 		return nil, err
 	}
@@ -213,6 +212,11 @@ func HeadGroundedSplit(p *Program) (*Program, error) {
 				share[v] = true
 			}
 		}
+		for _, v := range VarsOf(r.BodyNeg) {
+			if restVars[v] {
+				share[v] = true
+			}
+		}
 		args := make([]Term, 0, len(share))
 		for v := range share {
 			args = append(args, v)
@@ -220,14 +224,15 @@ func HeadGroundedSplit(p *Program) (*Program, error) {
 		sort.Slice(args, func(i, j int) bool { return args[i].Name < args[j].Name })
 		auxAtom := Atom{Pred: fresh.next("t"), Args: args}
 		out.Add(Rule{BodyPos: rest, Head: []Atom{auxAtom}, Provenance: r.Provenance})
-		out.Add(Rule{BodyPos: []Atom{ward, auxAtom}, Head: r.Head, Provenance: r.Provenance})
+		out.Add(Rule{BodyPos: []Atom{ward, auxAtom}, BodyNeg: r.BodyNeg, Head: r.Head, Provenance: r.Provenance})
 	}
 	return out, nil
 }
 
-// NormalizeForProofTree prepares a positive warded program for the ProofTree
-// algorithm of Section 6.3: single-head, at most one existential occurrence
-// per rule, and every rule head-grounded or semi-body-grounded.
+// NormalizeForProofTree prepares a warded program for the ProofTree algorithm
+// of Section 6.3: single-head, at most one existential occurrence per rule,
+// and every rule head-grounded or semi-body-grounded. Negated atoms ride along
+// into the first rule of each chain and the second of each split.
 func NormalizeForProofTree(p *Program) (*Program, error) {
 	q := SingleExistential(SingleHead(p))
 	return HeadGroundedSplit(q)

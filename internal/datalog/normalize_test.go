@@ -133,13 +133,6 @@ func TestHeadGroundedSplit(t *testing.T) {
 	}
 }
 
-func TestHeadGroundedSplitRejectsNegation(t *testing.T) {
-	p := MustParse(`a(?X), not b(?X) -> c(?X).`)
-	if _, err := HeadGroundedSplit(p); err == nil {
-		t.Error("negation should be rejected")
-	}
-}
-
 func TestHeadGroundedSplitRejectsUnwarded(t *testing.T) {
 	p := MustParse(`
 		a(?X) -> exists ?Z s(?X, ?Z).

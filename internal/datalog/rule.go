@@ -2,6 +2,7 @@ package datalog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -276,6 +277,23 @@ func (p *Program) IDBPredicates() map[string]bool {
 	for _, r := range p.Rules {
 		for _, h := range r.Head {
 			out[h.Pred] = true
+		}
+	}
+	return out
+}
+
+// NegatedIDB returns the predicates that some rule negates and some rule
+// derives, in the order they are first negated. A program without them
+// negates only extensional predicates, whose extent is the database's and
+// never changes while the program runs.
+func (p *Program) NegatedIDB() []string {
+	idb := p.IDBPredicates()
+	var out []string
+	for _, r := range p.Rules {
+		for _, a := range r.BodyNeg {
+			if idb[a.Pred] && !slices.Contains(out, a.Pred) {
+				out = append(out, a.Pred)
+			}
 		}
 	}
 	return out

@@ -13,21 +13,24 @@ import (
 // The exact path: Π(D)↓ by the chase and its closing pass, the evaluation
 // EvalCtx runs, with ProofTree deciding only what the pass leaves open. A
 // chase that terminates or closes is the whole answer. Otherwise the sandwich
-// I_d↓ ⊆ Π(D)↓ ⊆ M↓ of the closing pass still holds for a positive program, so
-// every answer outside I_d↓ is an open goal — an atom of M↓ ∖ I_d↓ — and
-// deciding those decides Q(D). For a program with negation the sandwich bounds
-// nothing until Step 1 of Section 6.3 has made it positive: the upper strata of
-// an inexact I_d may hold atoms that a fact missing below would have blocked.
+// I_d↓ ⊆ Π(D)↓ ⊆ M↓ of the closing pass still holds for a program whose
+// negated predicates are all extensional, so every answer outside I_d↓ is an
+// open goal — an atom of M↓ ∖ I_d↓ — and deciding those decides Q(D). For a
+// program that negates a derived predicate the sandwich bounds nothing until
+// that predicate's extent is certified and read as database facts
+// (certifyNegated): the upper strata of an inexact I_d may hold atoms that a
+// fact missing below would have blocked.
 
 // EvalExactCtx evaluates a TriQ-Lite 1.0 query so that the answer is provably
 // Q(D), or marked Incomplete. Constraints are reduced per Theorem 4.4 and the
 // chase runs as in EvalCtx, without a materializer; when it does not end
-// Exact, negation is eliminated per Step 1 and the open goals of the positive
-// program are decided with one Prover. A budget trip — facts, rounds or
-// visits — degrades to the sound partial answer set with Result.Incomplete
-// set (empty when the program still had negation: nothing is known to be
-// sound before Step 1 has finished); cancellation and deadlines return typed
-// errors.
+// Exact, each negated derived predicate's extent is certified stratum by
+// stratum and copied into the database, and the open goals of the program
+// that negates those copies are decided with one Prover. A budget trip —
+// facts, rounds or visits — degrades to the sound partial answer set with
+// Result.Incomplete set (empty when it tripped before every negated derived
+// predicate was certified: nothing is known to be sound until then);
+// cancellation and deadlines return typed errors.
 func EvalExactCtx(ctx context.Context, db *chase.Instance, q datalog.Query, opts Options) (*Result, error) {
 	if err := Validate(q, TriQLite10); err != nil {
 		return nil, err
@@ -42,16 +45,17 @@ func EvalExactCtx(ctx context.Context, db *chase.Instance, q datalog.Query, opts
 		proven []datalog.Atom
 		err    error
 	)
-	// positive says gr chased a positive program, so that the ground part of a
-	// run a limit cut short is sound; before Step 1 has finished it may not be.
-	positive := !prog.HasNegation()
-	if positive {
+	// sound says gr chased a program that negates no derived predicate, so that
+	// the ground part of a run a limit cut short is sound; before those
+	// predicates are certified it may not be.
+	sound := len(prog.NegatedIDB()) == 0
+	if sound {
 		gr, proven, err = certify(ctx, db, prog, preds, opts)
 	} else if gr, err = chase.StableGroundCtx(ctx, db, prog, opts.Chase, 0); err == nil && !gr.Exact {
 		var dbPlus *chase.Instance
 		var progPlus *datalog.Program
-		if dbPlus, progPlus, err = EliminateNegationCtx(ctx, db, prog, opts); err == nil {
-			positive = true
+		if dbPlus, progPlus, err = certifyNegated(ctx, db, prog, opts); err == nil {
+			sound = true
 			gr, proven, err = certify(ctx, dbPlus, progPlus, preds, opts)
 		}
 	}
@@ -67,7 +71,7 @@ func EvalExactCtx(ctx context.Context, db *chase.Instance, q datalog.Query, opts
 	res.Depth, res.Stats = gr.Depth, gr.Stats
 	accountChase(ctx, res.Stats)
 	var marker, output []datalog.Atom
-	if err == nil || positive {
+	if err == nil || sound {
 		marker, output = gr.GroundAtomsOf(inconsistencyMarker), gr.GroundAtomsOf(q.Output)
 	}
 	for _, a := range proven {
@@ -86,8 +90,9 @@ func EvalExactCtx(ctx context.Context, db *chase.Instance, q datalog.Query, opts
 	return res, nil
 }
 
-// certify computes the atoms of Π(D)↓ with the given predicates for a positive,
-// constraint-free warded program: the ground part of the chase, plus the open
+// certify computes the atoms of Π(D)↓ with the given predicates for a
+// constraint-free warded program that negates database predicates only (with
+// grounded negation): the ground part of the chase, plus the open
 // goals a Prover proves when the chase is not Exact. One Prover decides every
 // goal, sharing its memo across them. When the inconsistency marker is among
 // the predicates, finding it — in the ground part or proven — ends the work,

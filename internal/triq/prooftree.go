@@ -17,7 +17,8 @@ import (
 
 // This file implements the ProofTree algorithm of Section 6.3: a top-down
 // decision procedure for the question "is the ground atom p(t) in Π(D)?" for
-// a positive warded Datalog^∃ program Π. Per Lemma 6.12 this is equivalent
+// a warded Datalog^∃ program Π, positive but for grounded negation of database
+// predicates (see Prover). Per Lemma 6.12 this is equivalent
 // to the existence of a proof-tree (Definition 6.11), which the procedure
 // searches for by resolution over *components*: sets of atoms glued by
 // labeled nulls whose invention point is not yet known. The paper runs the
@@ -122,8 +123,15 @@ type ProofMetrics struct {
 	VisitBudget int
 }
 
-// Prover decides membership of ground atoms in Π(D) for a positive warded
-// Datalog^∃ program Π.
+// Prover decides membership of ground atoms in Π(D) for a warded Datalog^∃
+// program Π whose negated atoms are grounded and read predicates that no rule
+// derives. Such a negated atom instantiates to constants only, and its
+// predicate's extent is D's, so ¬s(t) holds exactly when s(t) ∉ D: a
+// resolution whose instantiated negated atom D holds is dropped. That lookup
+// is the membership test of Step 1's complement (Section 6.3) without the
+// complement. The exact path (EvalExactCtx) gives a program that negates a
+// derived predicate this shape by copying that predicate's certified extent
+// into D first.
 //
 // A Prover is safe for concurrent use: Prove/ProveCtx calls from multiple
 // goroutines serialize on an internal mutex. The search state (the canonical
@@ -136,7 +144,6 @@ type ProofMetrics struct {
 // (read-only) database instance.
 type Prover struct {
 	db     *chase.Instance
-	orig   *datalog.Program
 	prog   *datalog.Program // normalized for the algorithm
 	an     *datalog.Analysis
 	rules  []proverRule
@@ -242,9 +249,13 @@ type proverRule struct {
 
 // NewProver validates and normalizes the program (single-head, at most one
 // existential occurrence, head-grounded/semi-body-grounded — Section 6.3).
+// Negation must be grounded and of database predicates only.
 func NewProver(db *chase.Instance, prog *datalog.Program, opts ProofOptions) (*Prover, error) {
-	if prog.HasNegation() {
-		return nil, fmt.Errorf("triq: ProofTree requires a negation-free program (eliminate negation first)")
+	if derived := prog.NegatedIDB(); len(derived) > 0 {
+		return nil, fmt.Errorf("triq: ProofTree reads a negated predicate in the database, but a rule derives %s", derived[0])
+	}
+	if err := datalog.CheckGroundedNegation(prog); err != nil {
+		return nil, err
 	}
 	if len(prog.Constraints) > 0 {
 		return nil, fmt.Errorf("triq: ProofTree requires a constraint-free program (apply the Π⊥ reduction first)")
@@ -261,7 +272,6 @@ func NewProver(db *chase.Instance, prog *datalog.Program, opts ProofOptions) (*P
 	}
 	pv := &Prover{
 		db:     db,
-		orig:   prog,
 		prog:   norm,
 		an:     datalog.Analyze(norm),
 		opts:   opts,
@@ -539,6 +549,11 @@ func (pv *Prover) expand(s []datalog.Atom, rs map[string]datalog.Atom, stack map
 			}
 			var success map[string]*ProofNode
 			pv.enumAssignments(pr, h, 0, s, freshUsed, func(b chase.Binding, fu []datalog.Term) bool {
+				for _, n := range pr.rule.BodyNeg {
+					if pv.db.Has(n.Substitute(b)) {
+						return true // blocked: ¬n fails, try the next µ
+					}
+				}
 				body := make([]datalog.Atom, 0, len(pr.rule.BodyPos))
 				for _, ba := range pr.rule.BodyPos {
 					body = append(body, ba.Substitute(b))

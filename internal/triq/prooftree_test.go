@@ -120,8 +120,20 @@ func TestProofTreeDatalogCycles(t *testing.T) {
 
 func TestProverRejectsBadPrograms(t *testing.T) {
 	db := chase.NewInstance()
-	if _, err := NewProver(db, datalog.MustParse(`a(?X), not b(?X) -> c(?X).`), ProofOptions{}); err == nil {
-		t.Error("negation must be rejected")
+	// Negation of a database predicate is a lookup in db; negation of a derived
+	// one, or with a null in reach, is not.
+	if _, err := NewProver(db, datalog.MustParse(`a(?X), not b(?X) -> c(?X).`), ProofOptions{}); err != nil {
+		t.Errorf("negation of a database predicate: %v", err)
+	}
+	if _, err := NewProver(db, datalog.MustParse(`a(?X) -> b(?X). a(?X), not b(?X) -> c(?X).`), ProofOptions{}); err == nil {
+		t.Error("negation of a derived predicate must be rejected")
+	}
+	ungrounded := datalog.MustParse(`
+		a(?X) -> exists ?Z s(?X, ?Z).
+		s(?X, ?Y), not b(?Y) -> c(?X).
+	`)
+	if _, err := NewProver(db, ungrounded, ProofOptions{}); err == nil {
+		t.Error("ungrounded negation must be rejected")
 	}
 	if _, err := NewProver(db, datalog.MustParse(`a(?X), a(?Y) -> false.`), ProofOptions{}); err == nil {
 		t.Error("constraints must be rejected")

@@ -191,10 +191,11 @@ type Request struct {
 	// Exact asks for an answer that is provably all of Q(G), or marked
 	// Incomplete: the chase and its closing pass run as without it, and
 	// where they do not prove the answer complete, ProofTree (Section 6.3)
-	// decides the goals the pass leaves open, after Step 1 has eliminated
-	// negation. The query must be TriQ-Lite 1.0, which the regime
-	// translations are by Corollaries 5.4 and 6.2. Materializations are not
-	// consulted.
+	// decides the goals the pass leaves open, after each negated derived
+	// predicate has been certified the same way and copied into the database,
+	// where its negation is a lookup. The query must be TriQ-Lite 1.0, which
+	// the regime translations are by Corollaries 5.4 and 6.2.
+	// Materializations are not consulted.
 	Exact bool
 	// Explain runs the evaluation under a private metrics registry and
 	// distills it into Response.Explain. If Options.Chase.Obs is set, the
@@ -231,8 +232,8 @@ type Response struct {
 	// Incomplete.
 	Truncation *Truncation
 	// Depth is the null-nesting depth the answer was computed at, and Stats
-	// the chase work behind it (on an exact request that eliminated negation,
-	// the chase of the positive program).
+	// the chase work behind it (on an exact request that certified a negated
+	// derived predicate, the chase of the program that negates its copy).
 	Depth int
 	Stats chase.Stats
 	// Explain is the report of an explained evaluation; nil unless
@@ -422,8 +423,9 @@ func AskSPARQLCtx(ctx context.Context, q *SPARQLQuery, g *Graph, regime Regime, 
 	return resp.Mappings, resp.Inconsistent, nil
 }
 
-// NewProver builds a ProofTree decision procedure (Section 6.3) for a
-// positive warded program over the graph's triple database.
+// NewProver builds a ProofTree decision procedure (Section 6.3) for a warded
+// program over the graph's triple database. The program may negate, with
+// grounded negation, predicates that no rule derives, such as triple.
 func NewProver(g *Graph, prog *Program) (*triq.Prover, error) {
 	db, err := chase.FromFacts(owl.GraphToDB(g))
 	if err != nil {
