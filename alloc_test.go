@@ -42,13 +42,15 @@ const (
 	// at every bound, 139 604.
 	universityAllocCeiling = 5_500
 	// Loading τ_db(G) for the 10 001-triple graph from the graph's encoding
-	// measures 115 allocations and 1.76 MB: the dictionary map, one relation
-	// sized once, and its index, each map made at its final size. Decoding
-	// every triple into an atom and encoding it again took 5 199 and 3.8 MB, of
-	// which 5 001 rendered a literal (5 154 when the instance held the atoms);
-	// sorting the graph and adding the atoms one at a time, 42 821.
-	loadDBAllocCeiling = 145
-	loadDBBytesCeiling = 2_200_000
+	// measures 81 allocations and 1.10 MB: one relation sized once and its
+	// index, each map made at its final size, over the graph's own symbol
+	// table. Rebuilding the dictionary map from the encoding on every load took
+	// 115 and 1.76 MB; decoding every triple into an atom and encoding it
+	// again, 5 199 and 3.8 MB, of which 5 001 rendered a literal (5 154 when
+	// the instance held the atoms); sorting the graph and adding the atoms one
+	// at a time, 42 821.
+	loadDBAllocCeiling = 100
+	loadDBBytesCeiling = 1_380_000
 	// A cold materialized build is the chase plus a copy of the database:
 	// 3 702 allocations (27 945 with atom-valued facts, 99 116 when a second
 	// engine built it).

@@ -28,21 +28,29 @@ import (
 // dictionary ids and new index entries go to the own layer only. The base is
 // never written through a layer, so any number of layers, on any number of
 // goroutines, may share one base.
+//
+// A term id resolves through a chain that ends in the own layer: the ids of a
+// frozen Dict (an instance loaded by FromRows, and the layers over it) come
+// first, then the base's own, then the layer's, each numbered from where the
+// one before ends. A Dict is never written, so any number of instances may
+// share one.
 type Instance struct {
 	base *Instance
+	dict *Dict // the Dict under the flat instance, nil when it was not loaded by FromRows
 	// The own layer's dictionary: terms and preds list its terms and predicate
 	// names by id less baseTerms or basePreds, termID and predID invert them.
 	terms  []datalog.Term
-	termID map[datalog.Term]uint32
+	termID map[datalog.Term]uint32 // nil until the first own term
 	preds  []string
 	predID map[string]uint32
 	// rels holds the own layer's facts by predicate id, nil where it has none;
 	// a base predicate's id indexes the facts a layer adds to it.
 	rels []*relation
 	n    int // atoms of the own layer
-	// baseTerms, basePreds and baseLen are the base's dictionary sizes and
-	// atom count when the layer was created: own-layer ids start above them,
-	// and a base that no longer matches them was modified under the layer.
+	// baseTerms, basePreds and baseLen are the base's dictionary sizes (its
+	// dict counted) and atom count when the layer was created: own-layer ids
+	// start above them, and a base that no longer matches them was modified
+	// under the layer. In a flat instance baseTerms is the dict's size.
 	baseTerms, basePreds, baseLen int
 	hasNull                       bool // some atom of the own layer carries a null
 }
@@ -113,19 +121,28 @@ func (i *Instance) Overlay() *Instance {
 	}
 	return &Instance{
 		base:      i,
-		termID:    make(map[datalog.Term]uint32),
+		dict:      i.dict,
 		predID:    make(map[string]uint32),
-		baseTerms: len(i.terms),
+		baseTerms: i.termCount(),
 		basePreds: len(i.preds),
 		baseLen:   i.n,
 	}
 }
 
-// termOf returns the dictionary id of a term: the base's if the base knows the
-// term, else the own layer's, which with intern set is assigned on first
-// sight. Interning is monotone, so an id stays valid for the instance's
-// lifetime (truncate aside, which takes back the ids it was given since).
+// termCount returns how many term ids the instance has assigned.
+func (i *Instance) termCount() int { return i.baseTerms + len(i.terms) }
+
+// termOf returns the dictionary id of a term along the chain: the dict's if
+// the dict knows the term, else the base's own, else the own layer's, which
+// with intern set is assigned on first sight. Interning is monotone, so an id
+// stays valid for the instance's lifetime (truncate aside, which takes back the
+// ids it was given since).
 func (i *Instance) termOf(t datalog.Term, intern bool) (uint32, bool) {
+	if d := i.dict; d != nil {
+		if id, ok := d.ids[t]; ok {
+			return id, true
+		}
+	}
 	if b := i.base; b != nil {
 		if id, ok := b.termID[t]; ok {
 			return id, true
@@ -134,9 +151,12 @@ func (i *Instance) termOf(t datalog.Term, intern bool) (uint32, bool) {
 	if id, ok := i.termID[t]; ok || !intern {
 		return id, ok
 	}
-	id := uint32(i.baseTerms + len(i.terms))
+	id := uint32(i.termCount())
 	if id >= constMark {
 		panic("chase: term dictionary full")
+	}
+	if i.termID == nil {
+		i.termID = make(map[datalog.Term]uint32)
 	}
 	i.termID[t] = id
 	i.terms = append(i.terms, t)
@@ -159,12 +179,16 @@ func (i *Instance) predOf(p string, intern bool) (uint32, bool) {
 	return id, true
 }
 
-// term decodes a term id.
+// term decodes a term id along the chain termOf assigns it by.
 func (i *Instance) term(id uint32) datalog.Term {
-	if int(id) < i.baseTerms {
-		return i.base.terms[id]
+	switch b := i.base; {
+	case int(id) >= i.baseTerms:
+		return i.terms[int(id)-i.baseTerms]
+	case b != nil && int(id) >= b.baseTerms:
+		return b.terms[int(id)-b.baseTerms]
+	default:
+		return i.dict.terms[id]
 	}
-	return i.terms[int(id)-i.baseTerms]
 }
 
 // predName decodes a predicate id.
@@ -189,7 +213,7 @@ func (i *Instance) constRow(row []uint32) bool {
 // the predicate's id. Without intern, ok is false when the atom mentions a
 // term or predicate the instance has never seen and therefore cannot contain.
 func (i *Instance) encode(buf []uint32, a datalog.Atom, intern bool) (pid uint32, row []uint32, ok bool) {
-	if b := i.base; b != nil && (len(b.terms) != i.baseTerms || b.n != i.baseLen) {
+	if b := i.base; b != nil && (b.termCount() != i.baseTerms || b.n != i.baseLen) {
 		panic("chase: base instance modified while a layer over it is in use")
 	}
 	if pid, ok = i.predOf(a.Pred, intern); !ok {
@@ -609,16 +633,51 @@ func FromFacts(atoms []datalog.Atom) (*Instance, error) {
 	return NewInstance(atoms...), nil
 }
 
+// Dict is a frozen symbol table: distinct constants numbered by position, and
+// the map that inverts them. FromRows loads instances over one, and nothing
+// writes it after NewDict, so any number of instances on any number of
+// goroutines may share it.
+type Dict struct {
+	terms []datalog.Term
+	ids   map[datalog.Term]uint32
+}
+
+// NewDict returns the dictionary of the given constants, numbered by
+// position, taking over ids, the map from each constant to its position: a
+// caller that numbered the constants through a map builds one map in all. The
+// Dict owns both arguments from then on. NewDict panics on a term that is not a
+// constant, on a constant listed twice, and on a map that does not invert
+// consts.
+func NewDict(consts []datalog.Term, ids map[datalog.Term]uint32) *Dict {
+	if uint64(len(consts)) >= uint64(constMark) {
+		panic("chase: term dictionary full")
+	}
+	if len(ids) != len(consts) {
+		panic("chase: dictionary constants are not distinct, or not those of the map")
+	}
+	for id, c := range consts {
+		if !c.IsConst() {
+			panic(fmt.Sprintf("chase: database term %v must be a constant", c))
+		}
+		if got, ok := ids[c]; !ok || got != uint32(id) {
+			panic(fmt.Sprintf("chase: dictionary map gives %v no id or another than %d", c, id))
+		}
+	}
+	return &Dict{terms: consts, ids: ids}
+}
+
+// Terms returns the constants by id; the slice must not be modified.
+func (d *Dict) Terms() []datalog.Term { return d.terms }
+
 // FromRows builds the flat instance of one predicate's facts given as ids:
-// the fact pred(consts[row[0]], …, consts[row[arity-1]]) for each arity-long
-// row of rows, in order. consts must be distinct constants, listed in the
-// order in which the rows first mention them; the instance is then the one
+// the fact pred(t[row[0]], …, t[row[arity-1]]) for each arity-long row of
+// rows, in order, where t is dict.Terms(). When dict lists its constants in
+// the order in which the rows first mention them, the instance is the one
 // NewInstance makes of the decoded atoms, down to its ids, without an atom
-// being built or a term hashed more than once. The instance takes consts as
-// its term list (cap == len, so a term it interns later goes to a fresh
-// array) and copies rows, so it writes into neither: both may be shared by
-// every instance loaded from them.
-func FromRows(pred string, consts []datalog.Term, arity int, rows []uint32) *Instance {
+// being built or a term hashed. The instance resolves its first ids through
+// dict and interns later terms above them, and it copies rows, so it writes
+// into neither: both may be shared by every instance loaded from them.
+func FromRows(pred string, dict *Dict, arity int, rows []uint32) *Instance {
 	if len(rows) == 0 {
 		return NewInstance()
 	}
@@ -626,19 +685,10 @@ func FromRows(pred string, consts []datalog.Term, arity int, rows []uint32) *Ins
 		panic(fmt.Sprintf("chase: %d ids are not rows of arity %d", len(rows), arity))
 	}
 	i := &Instance{
-		terms:  slices.Clip(consts),
-		termID: make(map[datalog.Term]uint32, len(consts)),
-		preds:  []string{pred},
-		predID: map[string]uint32{pred: 0},
-	}
-	for id, c := range consts {
-		if !c.IsConst() {
-			panic(fmt.Sprintf("chase: database term %v must be a constant", c))
-		}
-		i.termID[c] = uint32(id)
-	}
-	if len(i.termID) != len(consts) {
-		panic("chase: database constants are not distinct")
+		dict:      dict,
+		baseTerms: len(dict.terms),
+		preds:     []string{pred},
+		predID:    map[string]uint32{pred: 0},
 	}
 	r := i.newRel(0, arity, len(rows)/arity)
 	for k := 0; k < len(rows); k += arity {
@@ -646,7 +696,7 @@ func FromRows(pred string, consts []datalog.Term, arity int, rows []uint32) *Ins
 			i.n++
 		}
 	}
-	r.buildIndex(len(consts))
+	r.buildIndex(len(dict.terms))
 	return i
 }
 

@@ -1,6 +1,9 @@
 package chase
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/datalog"
@@ -115,28 +118,137 @@ func TestFromFacts(t *testing.T) {
 	}
 }
 
+// dictOf is the Dict of the named constants, numbered by position.
+func dictOf(names ...string) *Dict {
+	consts := make([]datalog.Term, len(names))
+	ids := make(map[datalog.Term]uint32, len(names))
+	for id, n := range names {
+		consts[id] = datalog.C(n)
+		ids[consts[id]] = uint32(id)
+	}
+	return NewDict(consts, ids)
+}
+
 // TestFromRows pins that the row constructor is NewInstance of the decoded
-// atoms, a repeated row dropped, and that it refuses what no database holds.
+// atoms, a repeated row dropped, and that it refuses rows it cannot cut.
 func TestFromRows(t *testing.T) {
-	consts := []datalog.Term{datalog.C("a"), datalog.C("b"), datalog.C("c")}
+	dict := dictOf("a", "b", "c")
 	rows := []uint32{0, 1, 0, 1, 2, 0, 0, 1}
-	got := FromRows("e", consts, 2, rows)
+	got := FromRows("e", dict, 2, rows)
 	want := NewInstance(atom("e", "a", "b"), atom("e", "a", "b"), atom("e", "c", "a"), atom("e", "a", "b"))
 	if got.String() != want.String() || got.Len() != 2 || len(got.Lookup("e", 0, datalog.C("a"))) != 1 {
 		t.Fatalf("FromRows = %v, want %v", got, want)
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("FromRows with a partial last row should panic")
+		}
+	}()
+	FromRows("e", dict, 2, []uint32{0, 1, 2})
+}
+
+// TestNewDict pins that a dictionary refuses what no database holds, and a map
+// that does not invert its constants.
+func TestNewDict(t *testing.T) {
+	a, b, z := datalog.C("a"), datalog.C("b"), datalog.N("z")
+	if d := dictOf("a", "b"); !slices.Equal(d.Terms(), []datalog.Term{a, b}) || d.ids[b] != 1 {
+		t.Fatalf("dictOf(a, b) = %v, %v", d.Terms(), d.ids)
+	}
 	for name, bad := range map[string]func(){
-		"a null":             func() { FromRows("e", []datalog.Term{datalog.N("z")}, 1, []uint32{0}) },
-		"a constant twice":   func() { FromRows("e", []datalog.Term{datalog.C("a"), datalog.C("a")}, 1, []uint32{0, 1}) },
-		"a partial last row": func() { FromRows("e", consts, 2, []uint32{0, 1, 2}) },
+		"a null":                  func() { NewDict([]datalog.Term{z}, map[datalog.Term]uint32{z: 0}) },
+		"a constant twice":        func() { NewDict([]datalog.Term{a, a}, map[datalog.Term]uint32{a: 0}) },
+		"a map of other ids":      func() { NewDict([]datalog.Term{a, b}, map[datalog.Term]uint32{a: 1, b: 0}) },
+		"a map of more constants": func() { NewDict([]datalog.Term{a}, map[datalog.Term]uint32{a: 0, b: 1}) },
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("FromRows with %s should panic", name)
+					t.Errorf("NewDict with %s should panic", name)
 				}
 			}()
 			bad()
 		}()
+	}
+}
+
+// TestDictSharedByInstances pins that instances loaded from one Dict share
+// nothing they write: each numbers its own terms from the dictionary's size
+// on, a layer over one resolves the dictionary through its base, and a chase
+// over one is the chase over the decoded atoms.
+func TestDictSharedByInstances(t *testing.T) {
+	dict := dictOf("a", "b", "c")
+	rows := []uint32{0, 1, 1, 2, 2, 0}
+	decoded := []datalog.Atom{atom("e", "a", "b"), atom("e", "b", "c"), atom("e", "c", "a")}
+	own := len(dict.Terms())
+
+	x, y := FromRows("e", dict, 2, rows), FromRows("e", dict, 2, rows)
+	m := x.mark()
+	fx, fy := atom("e", "a", "x"), atom("e", "y", "b")
+	if !x.Add(fx) || !y.Add(fy) {
+		t.Fatal("a new fact was not added")
+	}
+	if id, _ := x.termOf(datalog.C("x"), false); id != uint32(own) {
+		t.Errorf("x's first own term got id %d, want %d", id, own)
+	}
+	if id, _ := y.termOf(datalog.C("y"), false); id != uint32(own) {
+		t.Errorf("y's first own term got id %d, want %d", id, own)
+	}
+	if x.Has(fy) || y.Has(fx) || !x.Has(fx) || !y.Has(fy) {
+		t.Error("one load sees the other's fact, or misses its own")
+	}
+	if got, want := fmt.Sprint(x.All()), fmt.Sprint(append(decoded[:3:3], fx)); got != want {
+		t.Errorf("x holds %s, want %s", got, want)
+	}
+	x.truncate(m)
+	if x.Has(fx) || x.Len() != 3 {
+		t.Fatalf("truncate kept %v", fx)
+	}
+	x.Add(atom("e", "z", "a"))
+	if id, _ := x.termOf(datalog.C("z"), false); id != uint32(own) {
+		t.Errorf("after truncate the next own term got id %d, want %d back", id, own)
+	}
+	if len(dict.Terms()) != own || len(dict.ids) != own {
+		t.Fatal("interning wrote into the shared dictionary")
+	}
+
+	// A layer over a load with a term of its own: the dictionary's ids, then
+	// the base's own, then the layer's.
+	base := FromRows("e", dict, 2, rows)
+	base.Add(atom("e", "a", "w"))
+	l := base.Overlay()
+	if !l.Add(atom("e", "a", "v")) || l.Add(atom("e", "c", "a")) || l.Add(atom("e", "a", "w")) {
+		t.Fatal("the layer misjudged which facts its base holds")
+	}
+	for name, want := range map[string]uint32{"b": 1, "w": uint32(own), "v": uint32(own + 1)} {
+		if id, _ := l.termOf(datalog.C(name), false); id != want {
+			t.Errorf("the layer resolves %s to %d, want %d", name, id, want)
+		}
+	}
+	ref := NewInstance(append(decoded[:3:3], atom("e", "a", "w"), atom("e", "a", "v"))...)
+	for _, name := range []string{"a", "b", "c", "w", "v"} {
+		for pos := range 2 {
+			got, want := l.Lookup("e", pos, datalog.C(name)), ref.Lookup("e", pos, datalog.C(name))
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("Lookup(e, %d, %s) = %v, want %v", pos, name, got, want)
+			}
+		}
+	}
+
+	prog := datalog.MustParse(nullProgram)
+	for name, db := range map[string]*Instance{"a load": FromRows("e", dict, 2, rows), "a load with an own term": base} {
+		got, err := Run(db, prog, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Run(NewInstance(db.All()...), prog, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Stats.NullsInvented == 0 {
+			t.Fatalf("%s: the chase invented no null", name)
+		}
+		if got.Instance.String() != want.Instance.String() || !reflect.DeepEqual(normStats(got.Stats), normStats(want.Stats)) {
+			t.Errorf("%s: the chase over it is\n%v%+v\nwant\n%v%+v", name, got.Instance, got.Stats, want.Instance, want.Stats)
+		}
 	}
 }

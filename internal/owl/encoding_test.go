@@ -58,7 +58,7 @@ func TestEncodingMatchesGraphToDB(t *testing.T) {
 		var seen []datalog.Term // the constants in order of first occurrence
 		for n, a := range atoms {
 			for j, c := range a.Args {
-				if got := e.consts[e.rows[3*n+j]]; got != c {
+				if got := e.dict.Terms()[e.rows[3*n+j]]; got != c {
 					t.Fatalf("seed %d: triple %d position %d decodes to %v, want %v", seed, n, j, got, c)
 				}
 				if !slices.Contains(seen, c) {
@@ -66,8 +66,8 @@ func TestEncodingMatchesGraphToDB(t *testing.T) {
 				}
 			}
 		}
-		if !slices.Equal(e.consts, seen) {
-			t.Fatalf("seed %d: constants %v, want them once each in order of first occurrence %v", seed, e.consts, seen)
+		if !slices.Equal(e.dict.Terms(), seen) {
+			t.Fatalf("seed %d: constants %v, want them once each in order of first occurrence %v", seed, e.dict.Terms(), seen)
 		}
 		if db, want := DB(g), referenceDB(t, g); db.String() != want.String() || !db.Equal(want) {
 			t.Fatalf("seed %d: DB holds\n%v\nwant\n%v", seed, db, want)
@@ -76,19 +76,31 @@ func TestEncodingMatchesGraphToDB(t *testing.T) {
 }
 
 // TestEncodingConcurrentFirstLoad has the readers of one fresh graph race to
-// make its first load, filling the canonical order and the encoding; run
-// under -race.
+// make its first load, filling the canonical order and the encoding, and then
+// write into their loads at once: each interns terms of its own and chases a
+// layer over its load, all of them over the one shared dictionary. Run under
+// -race.
 func TestEncodingConcurrentFirstLoad(t *testing.T) {
 	g := encodingGraph(34)
 	ref := referenceDB(t, rdf.NewGraph(g.Triples()...))
 	want := ref.String()
+	prog := datalog.MustParse(`triple(?X, p0, ?Y) -> exists ?Z reach(?Y, ?Z), mark(?X, seen).`)
 	var wg sync.WaitGroup
-	for range 32 {
+	for n := range 32 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			db := DB(g)
-			db.Add(datalog.NewAtom("triple", datalog.C("own"), datalog.C("p0"), datalog.C("row")))
+			own := datalog.C(fmt.Sprint("own", n))
+			db.Add(datalog.NewAtom("triple", own, datalog.C("p0"), datalog.C(fmt.Sprint("row", n))))
+			res, err := chase.Run(db, prog, chase.Options{}) // a layer over db
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !res.Instance.Has(datalog.NewAtom("mark", own, datalog.C("seen"))) || res.Instance.Has(datalog.NewAtom("mark", datalog.C(fmt.Sprint("own", (n+1)%32)), datalog.C("seen"))) {
+				t.Errorf("load %d's chase misses its own term or sees another load's", n)
+			}
 			if db.Len() != ref.Len()+1 {
 				t.Errorf("a concurrent load holds %d facts, want %d", db.Len(), ref.Len()+1)
 			}
@@ -109,7 +121,7 @@ func TestEncodingLifecycle(t *testing.T) {
 	if encodingOf(g) != e {
 		t.Fatal("an unchanged graph encoded twice")
 	}
-	consts, rows := slices.Clone(e.consts), slices.Clone(e.rows)
+	consts, rows := slices.Clone(e.dict.Terms()), slices.Clone(e.rows)
 	before := DB(g)
 	snapshot := before.String()
 
@@ -134,7 +146,7 @@ func TestEncodingLifecycle(t *testing.T) {
 	if got := DB(g).String(); got != referenceDB(t, g).String() {
 		t.Fatalf("after Remove, DB holds\n%s", got)
 	}
-	if before.String() != snapshot || !slices.Equal(e.consts, consts) || !slices.Equal(e.rows, rows) {
+	if before.String() != snapshot || !slices.Equal(e.dict.Terms(), consts) || !slices.Equal(e.rows, rows) {
 		t.Fatal("an instance loaded before Remove, or the encoding under it, changed")
 	}
 }

@@ -1,7 +1,6 @@
 package owl
 
 import (
-	"slices"
 	"sync"
 
 	"repro/internal/chase"
@@ -79,48 +78,50 @@ var program = sync.OnceValue(func() *datalog.Program { return datalog.MustParse(
 // DB builds the database τ_db(G) over the relational schema {triple(·,·,·)}
 // (Section 5.1) as a chase instance, from the graph's encoding: the instance
 // FromFacts makes of GraphToDB(g), with the same ids, at the cost of one
-// dictionary map, one relation and its index. Each call returns a fresh
-// instance that shares nothing it may write with any other.
+// relation and its index. Each call returns a fresh instance that shares
+// nothing it may write with any other: the symbol table it reads is the
+// encoding's, frozen.
 func DB(g *rdf.Graph) *chase.Instance {
 	e := encodingOf(g)
-	return chase.FromRows("triple", e.consts, 3, e.rows)
+	return chase.FromRows("triple", e.dict, 3, e.rows)
 }
 
 // encoding is τ_db(G) dictionary-encoded, computed once per unchanged graph
-// (encodingOf) and shared by every load of it. consts lists the distinct
+// (encodingOf) and shared by every load of it. dict numbers the distinct
 // Datalog constants of the graph's terms (TermConst) in order of first
 // occurrence in Canonical(), subject before predicate before object; rows
-// holds three ids into consts per triple of Canonical(), in that order. Two
+// holds three ids into dict per triple of Canonical(), in that order. Two
 // terms with one constant (an IRI spelled like a literal) share an id, so two
-// triples may encode as one row twice. Neither slice may be modified.
+// triples may encode as one row twice. Neither may be modified.
 type encoding struct {
-	consts []datalog.Term
-	rows   []uint32
+	dict *chase.Dict
+	rows []uint32
 }
 
 // encodingOf returns the graph's encoding, computing it on first use and
 // keeping it until the graph changes. Safe for concurrent use by readers.
 func encodingOf(g *rdf.Graph) *encoding { return rdf.Encoded(g, encode).(*encoding) }
 
-// encode computes the encoding, one map probe per occurrence.
+// encode computes the encoding, one map probe per occurrence; the map that
+// numbers the constants becomes the dictionary's.
 func encode(g *rdf.Graph) any {
 	triples := g.Canonical()
-	e := &encoding{rows: make([]uint32, 0, 3*len(triples))}
+	rows := make([]uint32, 0, 3*len(triples))
+	var consts []datalog.Term
 	byConst := make(map[datalog.Term]uint32, len(triples))
 	for _, t := range triples {
 		for _, x := range [3]rdf.Term{t.S, t.P, t.O} {
 			c := TermConst(x)
 			n, ok := byConst[c]
 			if !ok {
-				n = uint32(len(e.consts))
+				n = uint32(len(consts))
 				byConst[c] = n
-				e.consts = append(e.consts, c)
+				consts = append(consts, c)
 			}
-			e.rows = append(e.rows, n)
+			rows = append(rows, n)
 		}
 	}
-	e.consts = slices.Clip(e.consts)
-	return e
+	return &encoding{dict: chase.NewDict(consts, byConst), rows: rows}
 }
 
 // GraphToDB converts an RDF graph into the atoms of τ_db(G), the reference
