@@ -6,6 +6,7 @@ package repro
 // translation (the Section 5.1 remark that P_dat has exponential size).
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -31,7 +32,7 @@ func BenchmarkAblationSemiNaive(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := chase.Run(db, prog, chase.Options{NaiveEvaluation: naive}); err != nil {
+				if _, err := chase.RunCtx(context.Background(), db, prog, chase.Options{NaiveEvaluation: naive}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -67,7 +68,7 @@ func BenchmarkAblationProofTreeVsChase(b *testing.B) {
 	b.Run("stable-ground", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			gr, err := chase.StableGround(db, prog, chase.Options{MaxDepth: 30}, 2)
+			gr, err := chase.StableGroundCtx(context.Background(), db, prog, chase.Options{MaxDepth: 30})
 			if err != nil || !gr.Ground().Has(goal) {
 				b.Fatal(err)
 			}
@@ -150,11 +151,11 @@ func TestNaiveEvaluationAgrees(t *testing.T) {
 		datalog.MustParseAtom("e(b, c)"),
 		datalog.MustParseAtom("e(c, a)"),
 	)
-	semi, err := chase.Run(db, prog, chase.Options{})
+	semi, err := chase.RunCtx(context.Background(), db, prog, chase.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := chase.Run(db, prog, chase.Options{NaiveEvaluation: true})
+	naive, err := chase.RunCtx(context.Background(), db, prog, chase.Options{NaiveEvaluation: true})
 	if err != nil {
 		t.Fatal(err)
 	}

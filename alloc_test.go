@@ -83,7 +83,7 @@ func TestTransportAllocCeiling(t *testing.T) {
 		t.Fatalf("transport database has %d facts, want 128", db.Len())
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		_, err := triq.Eval(db, q, triq.TriQLite10, triq.Options{})
+		_, err := triq.EvalCtx(context.Background(), db, q, triq.TriQLite10, triq.Options{})
 		skipInjected(t, err)
 		if err != nil {
 			t.Fatal(err)

@@ -75,7 +75,7 @@ func BenchmarkE1_CliqueTriQ(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d/k=%d", cfg.n, cfg.k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := triq.Eval(db, q, triq.TriQ10, triq.Options{
+				if _, err := triq.EvalCtx(context.Background(), db, q, triq.TriQ10, triq.Options{
 					Chase: chase.Options{MaxFacts: 10_000_000},
 				}); err != nil {
 					b.Fatal(err)
@@ -94,7 +94,7 @@ func BenchmarkE2_TransportTriQLite(b *testing.B) {
 		b.Run(fmt.Sprintf("facts=%d", db.Len()), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := triq.Eval(db, q, triq.TriQLite10, triq.Options{}); err != nil {
+				if _, err := triq.EvalCtx(context.Background(), db, q, triq.TriQLite10, triq.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -117,13 +117,10 @@ func BenchmarkE3_TranslationVsDirect(b *testing.B) {
 		}
 	})
 	b.Run("translated", func(b *testing.B) {
-		tr, err := translate.Translate(p, translate.Plain)
-		if err != nil {
-			b.Fatal(err)
-		}
+		req := repro.Request{SPARQL: &sparql.Query{Where: p}}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := tr.Evaluate(g, triq.Options{}); err != nil {
+			if _, err := repro.Eval(context.Background(), g, req); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -141,13 +138,11 @@ func BenchmarkE4_EntailmentRegime(b *testing.B) {
 		o := workload.University(depts, 2, 3, false)
 		g := o.ToGraph()
 		b.Run(fmt.Sprintf("inds=%d", len(o.Individuals())), func(b *testing.B) {
-			tr, err := translate.Translate(p, translate.ActiveDomain)
-			if err != nil {
-				b.Fatal(err)
-			}
+			req := repro.Request{SPARQL: &sparql.Query{Where: p}, Regime: repro.ActiveDomainRegime,
+				Options: repro.Options{Chase: chase.Options{MaxDepth: 10}}}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := tr.Evaluate(g, triq.Options{Chase: chase.Options{MaxDepth: 10}}); err != nil {
+				if _, err := repro.Eval(context.Background(), g, req); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -167,7 +162,7 @@ func BenchmarkE5_UGCP(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := chase.Run(db, prog, chase.Options{MaxDepth: 6}); err != nil {
+				if _, err := chase.RunCtx(context.Background(), db, prog, chase.Options{MaxDepth: 6}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -186,7 +181,7 @@ func BenchmarkE6_MinimalInteractionATM(b *testing.B) {
 		b.Run(fmt.Sprintf("tape=%d", len(input)), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := chase.Run(db, prog, chase.Options{
+				if _, err := chase.RunCtx(context.Background(), db, prog, chase.Options{
 					MaxDepth: len(input) + 4, MaxFacts: 10_000_000,
 				}); err != nil {
 					b.Fatal(err)
@@ -221,13 +216,11 @@ func BenchmarkE8_FixedOntologyProgram(b *testing.B) {
 	p := sparql.BGP{Triples: []sparql.TriplePattern{
 		sparql.TP(sparql.Var("X"), sparql.IRI("advises"), sparql.Var("Y")),
 	}}
+	req := repro.Request{SPARQL: &sparql.Query{Where: p}, Regime: repro.ActiveDomainRegime,
+		Options: repro.Options{Chase: chase.Options{MaxDepth: 8}}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr, err := translate.Translate(p, translate.ActiveDomain)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := tr.Evaluate(g, triq.Options{Chase: chase.Options{MaxDepth: 8}}); err != nil {
+		if _, err := repro.Eval(context.Background(), g, req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -240,7 +233,7 @@ func BenchmarkEvalTransport(b *testing.B) {
 	db, q := workload.Transport(16, 3, 6), workload.TransportQuery()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := triq.Eval(db, q, triq.TriQLite10, triq.Options{}); err != nil {
+		if _, err := triq.EvalCtx(context.Background(), db, q, triq.TriQLite10, triq.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -37,7 +38,7 @@ func TestClosedOntologyEvaluations(t *testing.T) {
 					t.Fatal(err)
 				}
 				prog := tr.Query.Program
-				gr, err := chase.StableGround(db, prog, chase.Options{}, 2)
+				gr, err := chase.StableGroundCtx(context.Background(), db, prog, chase.Options{})
 				skipInjected(t, err)
 				if err != nil {
 					t.Fatal(err)
@@ -46,7 +47,7 @@ func TestClosedOntologyEvaluations(t *testing.T) {
 				if !gr.Exact || gr.Inconsistent || gr.Depth != 0 || len(steps) != 2 || !steps[1].Closing || !steps[1].Coarse || steps[1].NewGround != 0 {
 					t.Fatalf("want the probe and a closing pass on rung 1, exact at depth 0: depth %d, exact %v, steps %+v", gr.Depth, gr.Exact, steps)
 				}
-				far, err := chase.GroundSemantics(db, prog, chase.Options{MaxDepth: gr.Depth + 4})
+				far, err := chase.GroundSemanticsCtx(context.Background(), db, prog, chase.Options{MaxDepth: gr.Depth + 4})
 				skipInjected(t, err)
 				if err != nil {
 					t.Fatal(err)
@@ -74,7 +75,7 @@ func TestClosedOntologyEvaluations(t *testing.T) {
 	}
 	t.Run("transport", func(t *testing.T) {
 		db, q := workload.Transport(16, 3, 6), workload.TransportQuery()
-		gr, err := chase.StableGround(db, q.Program, chase.Options{}, 2)
+		gr, err := chase.StableGroundCtx(context.Background(), db, q.Program, chase.Options{})
 		skipInjected(t, err)
 		if err != nil {
 			t.Fatal(err)

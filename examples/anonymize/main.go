@@ -41,25 +41,16 @@ func main() {
 	q, err := repro.ParseQuery(`
 		triple(?X, ?Y, ?Z) -> subj(?X).
 		subj(?X) -> exists ?Y bn(?X, ?Y).
-		triple(?X, ?Y, ?Z), bn(?X, ?U) -> output(?U, ?Y, ?Z).
-	`, "query")
-	if err != nil {
-		log.Fatal(err)
-	}
-	_ = q // the output predicate here is "output"; query it directly:
-	q2, err := repro.ParseQuery(`
-		triple(?X, ?Y, ?Z) -> subj(?X).
-		subj(?X) -> exists ?Y bn(?X, ?Y).
 		triple(?X, ?Y, ?Z), bn(?X, ?U) -> out(?U, ?Y, ?Z).
 		out(?U, ?Y, ?Z) -> query(?Y, ?Z).
 	`, "query")
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := repro.Validate(q2, repro.TriQLite10); err != nil {
+	if err := repro.Validate(q, repro.TriQLite10); err != nil {
 		log.Fatal(err)
 	}
-	res, err := repro.Ask(g, q2, repro.TriQLite10, repro.Options{})
+	res, err := repro.Ask(g, q, repro.TriQLite10, repro.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -35,7 +36,7 @@ func main() {
 		nodes, edges := workload.RandomGraph(cfg.n, 0.5, cfg.seed)
 		db := workload.CliqueDB(cfg.k, nodes, edges)
 		start := time.Now()
-		res, err := triq.Eval(db, q, triq.TriQ10, triq.Options{
+		res, err := triq.EvalCtx(context.Background(), db, q, triq.TriQ10, triq.Options{
 			Chase: chase.Options{MaxFacts: 10_000_000},
 		})
 		if err != nil {

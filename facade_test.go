@@ -1,10 +1,13 @@
 package repro
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/chase"
+	"repro/internal/datalog"
+	"repro/internal/triq"
 )
 
 func TestFacadePaths(t *testing.T) {
@@ -136,5 +139,78 @@ func TestFacadeResultsRows(t *testing.T) {
 	rows := res.Rows()
 	if len(rows) != 1 || rows[0] != "<a> <b>" {
 		t.Errorf("Rows = %v", rows)
+	}
+}
+
+// TestConstructDeterministic: CONSTRUCT numbers its template blanks in the
+// order the WHERE clause matches, and a pattern of three variables matches
+// the whole graph, so the output is the same on every run only if that match
+// lists the graph in one order.
+func TestConstructDeterministic(t *testing.T) {
+	g, _ := ParseGraph("alice worksAt acme .\nalice email \"alice@example.org\" .\nbob worksAt initech .")
+	q, err := ParseSPARQL(`CONSTRUCT { _:B ?P ?O } WHERE { ?S ?P ?O }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first string
+	for i := 0; i < 50; i++ {
+		out, err := Construct(q, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = out.String()
+		} else if got := out.String(); got != first {
+			t.Fatalf("run %d printed\n%s\nrun 0 printed\n%s", i, got, first)
+		}
+	}
+}
+
+// countingMat is a triq.Materializer that counts the calls it gets. Serve
+// hits with answer when warm; BuildServe declines, so a miss ends in the
+// chase.
+type countingMat struct {
+	warm           bool
+	answer         []datalog.Atom
+	serves, builds int
+}
+
+func (m *countingMat) Serve(*datalog.Program, uint64, string, chase.Options) *triq.MatServed {
+	m.serves++
+	if !m.warm {
+		return nil
+	}
+	return &triq.MatServed{Output: m.answer}
+}
+
+func (m *countingMat) BuildServe(context.Context, *chase.Instance, *datalog.Program, uint64, string, chase.Options) (*triq.MatServed, error) {
+	m.builds++
+	return nil, nil
+}
+
+// TestEvalAsksMaterializerOnce: a request reads the materializer once,
+// before τ_db(G) is loaded, and on a miss asks it once to build.
+func TestEvalAsksMaterializerOnce(t *testing.T) {
+	g, _ := ParseGraph("a p b .")
+	q, err := ParseQuery(`triple(?X, p, ?Y) -> out(?X, ?Y).`, "out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		warm                   bool
+		wantServes, wantBuilds int
+	}{{true, 1, 0}, {false, 1, 1}} {
+		m := &countingMat{warm: tc.warm, answer: []datalog.Atom{datalog.NewAtom("out", datalog.C("a"), datalog.C("b"))}}
+		res, err := Ask(g, q, TriQLite10, Options{Mat: m, MatEpoch: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows := res.Rows(); len(rows) != 1 || rows[0] != "<a> <b>" {
+			t.Errorf("warm=%v: rows %q, want [<a> <b>]", tc.warm, rows)
+		}
+		if m.serves != tc.wantServes || m.builds != tc.wantBuilds {
+			t.Errorf("warm=%v: %d Serve and %d BuildServe calls, want %d and %d",
+				tc.warm, m.serves, m.builds, tc.wantServes, tc.wantBuilds)
+		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"time"
 
+	"repro"
 	"repro/internal/chase"
 	"repro/internal/datalog"
 	"repro/internal/obs"
@@ -208,7 +209,7 @@ func RunE1() *Table {
 		nodes, edges := workload.RandomGraph(cfg.n, 0.5, int64(cfg.n*10+cfg.k))
 		db := workload.CliqueDB(cfg.k, nodes, edges)
 		start := time.Now()
-		res, err := triq.Eval(db, q, triq.TriQ10, triq.Options{
+		res, err := triq.EvalCtx(context.Background(), db, q, triq.TriQ10, triq.Options{
 			Chase: chase.Options{MaxFacts: 10_000_000},
 		})
 		elapsed := time.Since(start)
@@ -256,7 +257,7 @@ func RunE2() *Table {
 	for _, lines := range []int{4, 8, 16, 32} {
 		db := workload.Transport(lines, 3, 6)
 		start := time.Now()
-		res, err := triq.Eval(db, q, triq.TriQLite10, triq.Options{})
+		res, err := triq.EvalCtx(context.Background(), db, q, triq.TriQLite10, triq.Options{})
 		elapsed := time.Since(start)
 		if err != nil {
 			t.OK = false
@@ -351,21 +352,16 @@ func RunE3() *Table {
 		start := time.Now()
 		direct := sparql.Eval(p, g)
 		directTime := time.Since(start)
-		tr, err := translate.Translate(p, translate.Plain)
-		if err != nil {
-			t.OK = false
-			continue
-		}
 		start = time.Now()
-		got, evalRes, err := tr.EvaluateCtx(context.Background(), g, triq.Options{})
+		resp, err := repro.Eval(context.Background(), g, repro.Request{SPARQL: &sparql.Query{Where: p}})
 		transTime := time.Since(start)
 		if err != nil {
 			t.OK = false
 			continue
 		}
 		t.Breakdown = append(t.Breakdown,
-			chaseBreakdown("translated "+name, evalRes.Stats)...)
-		equal := direct.Equal(got)
+			chaseBreakdown("translated "+name, resp.Stats)...)
+		equal := direct.Equal(resp.Mappings)
 		if !equal {
 			t.OK = false
 		}
@@ -402,20 +398,19 @@ func RunE4() *Table {
 		for _, class := range []string{"person", "employee", "student"} {
 			p := pattern(class)
 			plain := sparql.Eval(p, g)
-			tr, err := translate.Translate(p, translate.ActiveDomain)
-			if err != nil {
-				t.OK = false
-				continue
-			}
 			start := time.Now()
-			regime, evalRes, err := tr.EvaluateCtx(context.Background(), g, triq.Options{Chase: chase.Options{MaxDepth: 10}})
+			resp, err := repro.Eval(context.Background(), g, repro.Request{
+				SPARQL: &sparql.Query{Where: p}, Regime: translate.ActiveDomain,
+				Options: triq.Options{Chase: chase.Options{MaxDepth: 10}},
+			})
 			elapsed := time.Since(start)
 			if err != nil {
 				t.OK = false
 				continue
 			}
+			regime := resp.Mappings
 			t.Breakdown = append(t.Breakdown, chaseBreakdown(
-				fmt.Sprintf("regime depts=%d class=%s", depts, class), evalRes.Stats)...)
+				fmt.Sprintf("regime depts=%d class=%s", depts, class), resp.Stats)...)
 			oracle := len(r.Members(owl.Atom(class)))
 			if regime.Len() != oracle {
 				t.OK = false
@@ -452,7 +447,7 @@ func RunE5() *Table {
 	`)
 	for _, n := range []int{2, 4, 8, 16} {
 		o := workload.UGCP(n)
-		res, err := chase.Run(owl.DB(o.ToGraph()), owl.Program().Positive(), chase.Options{MaxDepth: 6})
+		res, err := chase.RunCtx(context.Background(), owl.DB(o.ToGraph()), owl.Program().Positive(), chase.Options{MaxDepth: 6})
 		if err != nil {
 			t.OK = false
 			continue
@@ -467,16 +462,15 @@ func RunE5() *Table {
 		for _, cls := range workload.UGCPClasses(n) {
 			triples = append(triples, sparql.TP(sparql.Blank("B"), sparql.IRI("rdf:type"), sparql.IRI(cls)))
 		}
-		tr, err := translate.Translate(sparql.BGP{Triples: triples}, translate.All)
-		if err != nil {
+		resp, err := repro.Eval(context.Background(), o.ToGraph(), repro.Request{
+			SPARQL: &sparql.Query{Where: sparql.BGP{Triples: triples}}, Regime: translate.All,
+			Options: triq.Options{Chase: chase.Options{MaxDepth: 10}},
+		})
+		answered := err == nil && resp.Mappings.Len() == 1
+		if !answered {
 			t.OK = false
-			continue
 		}
-		ans, _, err := tr.Evaluate(o.ToGraph(), triq.Options{Chase: chase.Options{MaxDepth: 10}})
-		if err != nil || ans.Len() != 1 {
-			t.OK = false
-		}
-		nfgRes, err := chase.Run(workload.Chain(n), nfg, chase.Options{})
+		nfgRes, err := chase.RunCtx(context.Background(), workload.Chain(n), nfg, chase.Options{})
 		if err != nil {
 			t.OK = false
 			continue
@@ -487,7 +481,7 @@ func RunE5() *Table {
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", n), fmt.Sprintf("%d", mgcWarded),
-			fmt.Sprintf("%v", ans != nil && ans.Len() == 1), fmt.Sprintf("%d", mgcNFG),
+			fmt.Sprintf("%v", answered), fmt.Sprintf("%d", mgcNFG),
 		})
 	}
 	return t
@@ -514,7 +508,7 @@ func RunE6() *Table {
 		db := m.ATMDatabase(input)
 		depth := len(input) + 4
 		start := time.Now()
-		res, err := chase.Run(db, q.Program, chase.Options{
+		res, err := chase.RunCtx(context.Background(), db, q.Program, chase.Options{
 			MaxDepth: depth, MaxFacts: 10_000_000,
 		})
 		elapsed := time.Since(start)
@@ -604,13 +598,16 @@ func RunE8() *Table {
 	for _, name := range qnames {
 		p := queries[name]
 		start := time.Now()
-		tr, err := translate.Translate(p, translate.ActiveDomain)
+		_, err := repro.Eval(context.Background(), g, repro.Request{
+			SPARQL: &sparql.Query{Where: p}, Regime: translate.ActiveDomain,
+			Options: triq.Options{Chase: chase.Options{MaxDepth: 8}},
+		})
+		elapsed := time.Since(start)
 		if err != nil {
 			t.OK = false
 			continue
 		}
-		_, _, err = tr.Evaluate(g, triq.Options{Chase: chase.Options{MaxDepth: 8}})
-		elapsed := time.Since(start)
+		tr, err := translate.Translate(p, translate.ActiveDomain)
 		if err != nil {
 			t.OK = false
 			continue
@@ -720,7 +717,7 @@ func EvalNREPairs(g *rdf.Graph, e sparql.NRE) sparql.PairSet { return sparql.Eva
 
 // transportPairs computes the reference relation with the TriQ program.
 func transportPairs(t *Table, g *rdf.Graph) sparql.PairSet {
-	res, err := triq.Eval(owl.DB(g), workload.TransportQuery(), triq.TriQLite10, triq.Options{})
+	res, err := triq.EvalCtx(context.Background(), owl.DB(g), workload.TransportQuery(), triq.TriQLite10, triq.Options{})
 	if err != nil {
 		t.OK = false
 		return nil

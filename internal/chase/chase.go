@@ -83,7 +83,7 @@ type Stats struct {
 	// PerRule breaks the run down by rule, in stratum evaluation order.
 	PerRule []RuleStats
 	// Deepening lists the depth steps of the iterative-deepening evaluation
-	// that produced these stats (see StableGround); nil for a plain Run.
+	// that produced these stats (see StableGroundCtx); nil for a plain RunCtx.
 	Deepening []DeepenStep
 }
 
@@ -757,17 +757,14 @@ const (
 	coarseKey  byte = 's' // the frontier's shape alone: rung 1
 )
 
-// Run evaluates a Datalog^{∃,¬s,⊥} program over a database following the
+// RunCtx evaluates a Datalog^{∃,¬s,⊥} program over a database following the
 // stratified semantics of Section 3.2: S_0 = chase(D, Π_0),
 // S_i = chase(S_{i-1}, (Π_i)^{S_{i-1}}), then constraints are checked on
 // S_ℓ. The result is Π(D) (Result.Inconsistent true encodes ⊤).
-func Run(db *Instance, prog *datalog.Program, opts Options) (*Result, error) {
-	return RunCtx(context.Background(), db, prog, opts)
-}
-
-// RunCtx is Run under a context: cancellation and deadlines are honored at
-// round, rule, and (every few dozen) trigger granularity, so a canceled
-// chase stops within milliseconds rather than at the next round boundary.
+//
+// Cancellation and deadlines are honored at round, rule, and (every few
+// dozen) trigger granularity, so a canceled chase stops within milliseconds
+// rather than at the next round boundary.
 // When the run is cut short by a limit — a canceled/expired context, the
 // fact or round budget, or an injected fault — RunCtx returns BOTH a
 // non-nil *Result snapshotting the instance and stats reached so far AND a
@@ -834,79 +831,4 @@ func (e *engine) step() (inconsistent bool, err error) {
 		}
 	}
 	return false, nil
-}
-
-// Answers is the evaluation Q(D) of a query: either ⊤ (Inconsistent) or the
-// set of constant tuples of the output predicate.
-type Answers struct {
-	Inconsistent bool
-	Tuples       [][]datalog.Term
-}
-
-// Has reports whether the tuple is among the answers.
-func (a *Answers) Has(tuple ...datalog.Term) bool {
-	for _, t := range a.Tuples {
-		if len(t) != len(tuple) {
-			continue
-		}
-		eq := true
-		for i := range t {
-			if t[i] != tuple[i] {
-				eq = false
-				break
-			}
-		}
-		if eq {
-			return true
-		}
-	}
-	return false
-}
-
-// HasConstants is Has over constant names.
-func (a *Answers) HasConstants(names ...string) bool {
-	tuple := make([]datalog.Term, len(names))
-	for i, n := range names {
-		tuple[i] = datalog.C(n)
-	}
-	return a.Has(tuple...)
-}
-
-// Answer evaluates the query Q = (Π, p) over the database: Q(D) = ⊤ when D is
-// inconsistent w.r.t. Π, and otherwise the set of constant tuples t with
-// p(t) ∈ Π(D), sorted canonically.
-func Answer(db *Instance, q datalog.Query, opts Options) (*Answers, error) {
-	return AnswerCtx(context.Background(), db, q, opts)
-}
-
-// AnswerCtx is Answer under a context. When the run aborts on a limit it
-// returns the (sound, for positive programs) partial answer set reached so
-// far together with the typed limits error, mirroring RunCtx.
-func AnswerCtx(ctx context.Context, db *Instance, q datalog.Query, opts Options) (*Answers, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	res, err := RunCtx(ctx, db, q.Program, opts)
-	if err != nil {
-		if res == nil {
-			return nil, err
-		}
-		return collectAnswers(res.Instance, q.Output), err
-	}
-	if res.Inconsistent {
-		return &Answers{Inconsistent: true}, nil
-	}
-	return collectAnswers(res.Instance, q.Output), nil
-}
-
-func collectAnswers(inst *Instance, output string) *Answers {
-	ans := &Answers{}
-	atoms := append([]datalog.Atom(nil), inst.AtomsOf(output)...)
-	datalog.SortAtoms(atoms)
-	for _, a := range atoms {
-		if a.IsConstantGround() {
-			ans.Tuples = append(ans.Tuples, a.Args)
-		}
-	}
-	return ans
 }

@@ -12,7 +12,7 @@ import (
 
 func mustRun(t *testing.T, db *Instance, src string, opts Options) *Result {
 	t.Helper()
-	res, err := Run(db, datalog.MustParse(src), opts)
+	res, err := RunCtx(context.Background(), db, datalog.MustParse(src), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestChaseSection2Transport(t *testing.T) {
 		ts(?T), triple(?X, ?T, ?Z), conn(?Z, ?Y) -> conn(?X, ?Y).
 		conn(?X, ?Y) -> query(?X, ?Y).
 	`, "query")
-	ans, err := Answer(db, q, Options{})
+	res, err := RunCtx(context.Background(), db, q.Program, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +76,11 @@ func TestChaseSection2Transport(t *testing.T) {
 		{"London", "Madrid"}, {"London", "Valladolid"},
 		{"Madrid", "Valladolid"},
 	}
-	if len(ans.Tuples) != len(wantPairs) {
-		t.Errorf("answers = %v, want %d pairs", ans.Tuples, len(wantPairs))
+	if got := res.Instance.AtomsOf("query"); len(got) != len(wantPairs) {
+		t.Errorf("answers = %v, want %d pairs", got, len(wantPairs))
 	}
 	for _, w := range wantPairs {
-		if !ans.HasConstants(w[0], w[1]) {
+		if !res.Instance.Has(atom("query", w[0], w[1])) {
 			t.Errorf("missing connection %s → %s", w[0], w[1])
 		}
 	}
@@ -285,44 +285,6 @@ func TestChaseConstraints(t *testing.T) {
 	}
 }
 
-func TestAnswerFiltersNulls(t *testing.T) {
-	db := NewInstance(atom("a", "c"))
-	q := datalog.MustParseQuery(`
-		a(?X) -> exists ?Z e(?X, ?Z).
-		e(?X, ?Y) -> out(?X, ?Y).
-	`, "out")
-	ans, err := Answer(db, q, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// out(c, z) has a null → not a constant tuple → excluded per Q(D) ⊆ U^n.
-	if len(ans.Tuples) != 0 {
-		t.Errorf("answers = %v, want none", ans.Tuples)
-	}
-}
-
-func TestAnswerInconsistent(t *testing.T) {
-	db := NewInstance(atom("bad", "x"))
-	q := datalog.MustParseQuery(`
-		bad(?X) -> out(?X).
-		bad(?X) -> false.
-	`, "out")
-	ans, err := Answer(db, q, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ans.Inconsistent {
-		t.Error("Q(D) should be ⊤")
-	}
-}
-
-func TestAnswerHasHelpers(t *testing.T) {
-	a := &Answers{Tuples: [][]datalog.Term{{datalog.C("x"), datalog.C("y")}}}
-	if !a.HasConstants("x", "y") || a.HasConstants("x") || a.HasConstants("y", "x") {
-		t.Error("Has helpers wrong")
-	}
-}
-
 // The k-clique query of Example 4.3, end to end.
 func cliqueDB(k int, nodes []string, edges [][2]string) *Instance {
 	db := NewInstance()
@@ -385,11 +347,11 @@ func TestCliqueQueryExample43(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			db := cliqueDB(tc.k, tc.nodes, tc.edges)
-			ans, err := Answer(db, q, Options{})
+			res, err := RunCtx(context.Background(), db, q.Program, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := ans.Has()
+			got := res.Instance.Has(datalog.Atom{Pred: q.Output})
 			if got != tc.want {
 				t.Errorf("k-clique = %v, want %v", got, tc.want)
 			}
@@ -410,7 +372,7 @@ func TestChaseRuleOrderIndependence(t *testing.T) {
 		atom("e", "a", "b"), atom("e", "b", "c"), atom("e", "c", "a"),
 		atom("e", "d", "e"),
 	)
-	base, err := Run(db, datalog.MustParse(src), Options{})
+	base, err := RunCtx(context.Background(), db, datalog.MustParse(src), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +382,7 @@ func TestChaseRuleOrderIndependence(t *testing.T) {
 		rng.Shuffle(len(prog.Rules), func(i, j int) {
 			prog.Rules[i], prog.Rules[j] = prog.Rules[j], prog.Rules[i]
 		})
-		res, err := Run(db, prog, Options{})
+		res, err := RunCtx(context.Background(), db, prog, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -432,7 +394,7 @@ func TestChaseRuleOrderIndependence(t *testing.T) {
 
 func TestChaseMaxFacts(t *testing.T) {
 	db := NewInstance(atom("n", "a"), atom("n", "b"), atom("n", "c"))
-	_, err := Run(db, datalog.MustParse(`
+	_, err := RunCtx(context.Background(), db, datalog.MustParse(`
 		n(?X), n(?Y) -> pair(?X, ?Y).
 	`), Options{MaxFacts: 5})
 	if err == nil {

@@ -157,7 +157,7 @@ func diffClosed(t *testing.T, label string, c diffCase, opts Options, n *closeCo
 	o := obs.New()
 	counted := opts
 	counted.Obs = o
-	got, gotErr := StableGroundCtx(ctx, c.db, c.program, counted, 2)
+	got, gotErr := StableGroundCtx(ctx, c.db, c.program, counted)
 	parent, parentErr := stableGround(ctx, c.db, c.program, opts, 2, neverClose)
 	undone, undoneErr := stableGround(ctx, c.db, c.program, opts, 2, undoneClose)
 	alone, aloneErr := stableGround(ctx, c.db, c.program, opts, 2, summaryClose)
@@ -195,7 +195,7 @@ func diffClosed(t *testing.T, label string, c diffCase, opts Options, n *closeCo
 	}
 	deeper := opts
 	deeper.MaxDepth = got.Depth + 4
-	far, err := GroundSemantics(c.db, c.program, deeper)
+	far, err := GroundSemanticsCtx(context.Background(), c.db, c.program, deeper)
 	if errors.Is(err, limits.ErrInjected) {
 		return
 	}
@@ -272,7 +272,7 @@ func TestClosingPassFallsBackOnSpuriousGroundFact(t *testing.T) {
 	db := NewInstance(atom("p", "a"))
 	prog := datalog.MustParse(mergingChain + `r(?X, ?Y), r(?Y, ?X), p(?W) -> cyc(?W).`)
 	o := obs.New()
-	gr, err := StableGround(db, prog, Options{MaxDepth: 8, Obs: o}, 2)
+	gr, err := StableGroundCtx(context.Background(), db, prog, Options{MaxDepth: 8, Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestClosingPassFallsBackOnSpuriousGroundFact(t *testing.T) {
 	}
 	// Without the join back to a constant the same chain closes at once: rung 1
 	// closes the probe's one parked trigger.
-	gr, err = StableGround(db, datalog.MustParse(mergingChain), Options{MaxDepth: 8}, 2)
+	gr, err = StableGroundCtx(context.Background(), db, datalog.MustParse(mergingChain), Options{MaxDepth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestClosingPassFallsBackOnSpuriousGroundFact(t *testing.T) {
 func TestOpenGoals(t *testing.T) {
 	db := NewInstance(atom("p", "a"))
 	cyc := mergingChain + `r(?X, ?Y), r(?Y, ?X), p(?W) -> cyc(?W).`
-	gr, err := StableGround(db, datalog.MustParse(cyc), Options{MaxDepth: 8}, 2)
+	gr, err := StableGroundCtx(context.Background(), db, datalog.MustParse(cyc), Options{MaxDepth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,22 +325,22 @@ func TestOpenGoals(t *testing.T) {
 	}
 	requireSameEvaluation(t, "after OpenGoals", parent, gr)
 
-	closed, err := StableGround(db, datalog.MustParse(mergingChain), Options{}, 2)
+	closed, err := StableGroundCtx(context.Background(), db, datalog.MustParse(mergingChain), Options{})
 	if goals, gerr := closed.OpenGoals("r"); err != nil || !closed.Exact || goals != nil || gerr != nil {
 		t.Errorf("a closed evaluation: exact %v, goals %v, %v", closed.Exact, goals, gerr)
 	}
-	neg, err := StableGround(db, datalog.MustParse(cyc+`p(?X), not cyc(?X) -> t(?X).`), Options{MaxDepth: 8}, 2)
+	neg, err := StableGroundCtx(context.Background(), db, datalog.MustParse(cyc+`p(?X), not cyc(?X) -> t(?X).`), Options{MaxDepth: 8})
 	if _, gerr := neg.OpenGoals("t"); err != nil || neg.Exact || gerr == nil {
 		t.Errorf("negation: exact %v, OpenGoals error %v", neg.Exact, gerr)
 	}
 	// stop is the database's: the model reads it as the chase does, so the goal
 	// stays open without stop(a), and with it nothing is open and the pass closes.
 	edb := datalog.MustParse(mergingChain + `r(?X, ?Y), r(?Y, ?X), p(?W), not stop(?W) -> cyc(?W).`)
-	open, err := StableGround(db, edb, Options{MaxDepth: 8}, 2)
+	open, err := StableGroundCtx(context.Background(), db, edb, Options{MaxDepth: 8})
 	if goals, gerr := open.OpenGoals("cyc"); err != nil || open.Exact || fmt.Sprint(goals) != "[cyc(a)]" || gerr != nil {
 		t.Errorf("negated database predicate: exact %v, goals %v, %v; want [cyc(a)]", open.Exact, goals, gerr)
 	}
-	stopped, err := StableGround(NewInstance(atom("p", "a"), atom("stop", "a")), edb, Options{MaxDepth: 8}, 2)
+	stopped, err := StableGroundCtx(context.Background(), NewInstance(atom("p", "a"), atom("stop", "a")), edb, Options{MaxDepth: 8})
 	if err != nil || !closedByPass(stopped) {
 		t.Errorf("negated database predicate that blocks: %v, steps %+v", err, stopped.Stats.Deepening)
 	}
@@ -352,7 +352,7 @@ func TestClosingPassDoesNotReportTop(t *testing.T) {
 	db := NewInstance(atom("p", "a"))
 	prog := datalog.MustParse(mergingChain + `r(?X, ?X) -> false.`)
 	o := obs.New()
-	gr, err := StableGround(db, prog, Options{MaxDepth: 8, Obs: o}, 2)
+	gr, err := StableGroundCtx(context.Background(), db, prog, Options{MaxDepth: 8, Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +384,7 @@ func TestClosingPassClimbsToRung2(t *testing.T) {
 		type(?N, ?A), type(?N, ?B), disj(?A, ?B) -> false.
 	`)
 	o := obs.New()
-	gr, err := StableGround(db, prog, Options{Obs: o}, 2)
+	gr, err := StableGroundCtx(context.Background(), db, prog, Options{Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +451,7 @@ func TestClosingPassAborts(t *testing.T) {
 		r(?X, ?Y, ?C) -> exists ?Z r(?Y, ?Z, ?C).
 		r(?X, ?Y, ?C) -> seen(?C).
 	`)
-	whole, err := StableGround(db, prog, Options{}, 2)
+	whole, err := StableGroundCtx(context.Background(), db, prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +481,7 @@ func TestClosingPassAborts(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			var opts Options
 			tc.arm(&opts, cancel)
-			gr, err := StableGroundCtx(ctx, db, prog, opts, 2)
+			gr, err := StableGroundCtx(ctx, db, prog, opts)
 			cancel()
 			if !errors.Is(err, tc.kind) {
 				t.Fatalf("want %v, got %v", tc.kind, err)

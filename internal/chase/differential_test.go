@@ -112,7 +112,7 @@ type diffOutcome struct {
 }
 
 func runDiff(c diffCase, naive bool) diffOutcome {
-	res, err := Run(c.db, c.program, Options{
+	res, err := RunCtx(context.Background(), c.db, c.program, Options{
 		MaxDepth:        3,
 		MaxFacts:        50_000,
 		MaxRounds:       1_000,
@@ -309,7 +309,7 @@ func TestDifferentialLayeredVsFlat(t *testing.T) {
 					if tripAfter >= 0 {
 						opts.Faults = limits.NewPlan(limits.Fault{Point: "chase.rule", After: tripAfter})
 					}
-					res, err := Run(db, c.program, opts)
+					res, err := RunCtx(context.Background(), db, c.program, opts)
 					return diffOutcome{res: res, err: err}
 				}
 				layered, flat := run(c.db), run(flatInput)
@@ -417,8 +417,8 @@ func canonicalInstance(e *engine) string {
 //     between, against a new engine chasing straight to that depth: the same
 //     Exact and ground part at every depth and the same instance up to null
 //     renaming with the same FactsDerived and NullsInvented; an engine that
-//     reports errNegatedGrew is replaced, as StableGround does;
-//   - StableGround against restartStableGround: Ground (so every answer),
+//     reports errNegatedGrew is replaced, as StableGroundCtx does;
+//   - StableGroundCtx against restartStableGround: Ground (so every answer),
 //     Exact, Inconsistent, Depth and the fact and null counters.
 func TestDifferentialResumeVsRestart(t *testing.T) {
 	seeds := []int64{1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597}
@@ -513,13 +513,13 @@ func diffEngineSteps(t *testing.T, label string, c diffCase, opts Options, resta
 	}
 }
 
-// diffStableGround is the StableGround-level half. An evaluation the closing
+// diffStableGround is the StableGroundCtx-level half. An evaluation the closing
 // pass ended is held to the ground part alone: it stops at a lower depth than
 // the oracle, with fewer facts, and is exact where the oracle's window is not.
 func diffStableGround(t *testing.T, label string, c diffCase, opts Options, deepened *atomic.Int64) {
 	t.Helper()
 	want, wantErr := restartStableGround(c.db, c.program, opts, 2)
-	got, gotErr := StableGround(c.db, c.program, opts, 2)
+	got, gotErr := StableGroundCtx(context.Background(), c.db, c.program, opts)
 	if errors.Is(wantErr, limits.ErrInjected) || errors.Is(gotErr, limits.ErrInjected) {
 		return
 	}
@@ -567,7 +567,7 @@ func TestDifferentialBudgetTrip(t *testing.T) {
 			datalog.C("v"+strconv.Itoa(i)), datalog.C("v"+strconv.Itoa(i+1))))
 	}
 	run := func() diffOutcome {
-		res, err := Run(db, prog, Options{MaxFacts: 300})
+		res, err := RunCtx(context.Background(), db, prog, Options{MaxFacts: 300})
 		return diffOutcome{res: res, err: err}
 	}
 	base := run()

@@ -13,7 +13,7 @@ type GroundResult struct {
 	Inconsistent bool
 	// Exact is true when the ground part is provably Π(D)↓: the chase
 	// terminated within the depth bound, or the closing pass proved that no
-	// deeper bound adds a constant-only atom (see StableGround). When false,
+	// deeper bound adds a constant-only atom (see StableGroundCtx). When false,
 	// it is the stable fixpoint of the iterative-deepening procedure.
 	Exact bool
 	// Depth is the null-nesting depth at which the result was obtained: the
@@ -55,15 +55,9 @@ func (r *GroundResult) GroundAtomsOf(pred string) []datalog.Atom {
 	return out
 }
 
-// GroundSemantics runs the chase once with the given options and restricts
-// the result to its constant-only atoms.
-func GroundSemantics(db *Instance, prog *datalog.Program, opts Options) (*GroundResult, error) {
-	return GroundSemanticsCtx(context.Background(), db, prog, opts)
-}
-
-// GroundSemanticsCtx is GroundSemantics under a context. A limit abort
-// returns the ground part of the partial instance alongside the typed
-// error, never Exact.
+// GroundSemanticsCtx runs the chase once with the given options and restricts
+// the result to its constant-only atoms. A limit abort returns the ground part
+// of the partial instance alongside the typed error, never Exact.
 func GroundSemanticsCtx(ctx context.Context, db *Instance, prog *datalog.Program, opts Options) (*GroundResult, error) {
 	opts = opts.withDefaults()
 	res, err := RunCtx(ctx, db, prog, opts)
@@ -79,7 +73,7 @@ func GroundSemanticsCtx(ctx context.Context, db *Instance, prog *datalog.Program
 	}, err
 }
 
-// DeepenStep is what one depth step of StableGround did, in the JSON shape
+// DeepenStep is what one depth step of StableGroundCtx did, in the JSON shape
 // the EXPLAIN report lists it in.
 type DeepenStep struct {
 	// Depth is the null-nesting bound the step ran under.
@@ -112,11 +106,12 @@ type DeepenStep struct {
 	Stable int `json:"stable"`
 }
 
-// StableGround computes Π(D)↓ by iterative deepening on the null-nesting
+// StableGroundCtx computes Π(D)↓ by iterative deepening on the null-nesting
 // depth: the chase runs under the bounds 2, 4, … and last opts.MaxDepth itself,
 // until it terminates within the bound, or the closing pass proves the ground
 // part complete (either way the result is exact), or — the fallback — the
-// ground part stays unchanged for `window` consecutive depth increments.
+// ground part stays unchanged for stabilityWindow consecutive depth
+// increments.
 //
 // A program the closing pass can close starts with a probe at bound 0: the
 // ground chase, every existential trigger parked, which the pass may close at
@@ -153,27 +148,25 @@ type DeepenStep struct {
 // window is missed, which is why such a result is not Exact. The ProofTree
 // decision procedure (internal/triq) certifies single atoms independently and
 // the test-suite cross-checks both stops with it.
-func StableGround(db *Instance, prog *datalog.Program, opts Options, window int) (*GroundResult, error) {
-	return StableGroundCtx(context.Background(), db, prog, opts, window)
+//
+// On a limit abort it returns the partial GroundResult reached — everything
+// the earlier steps derived plus the interrupted step's part — together with
+// the typed error, so callers can degrade to the sound partial ground part
+// instead of discarding the work.
+func StableGroundCtx(ctx context.Context, db *Instance, prog *datalog.Program, opts Options) (*GroundResult, error) {
+	return stableGround(ctx, db, prog, opts, stabilityWindow, (*engine).close)
 }
 
-// StableGroundCtx is StableGround under a context. On a limit abort it
-// returns the partial GroundResult reached — everything the earlier steps
-// derived plus the interrupted step's part — together with the typed error, so
-// callers can degrade to the sound partial ground part instead of discarding
-// the work.
-func StableGroundCtx(ctx context.Context, db *Instance, prog *datalog.Program, opts Options, window int) (*GroundResult, error) {
-	return stableGround(ctx, db, prog, opts, window, (*engine).close)
-}
+// stabilityWindow is the number of consecutive depth steps that must leave
+// the ground part unchanged before StableGroundCtx stops without a proof.
+const stabilityWindow = 2
 
-// stableGround is StableGroundCtx with the closing pass handed in, which lets
-// the tests pin the fallback: deepening with a pass that never succeeds.
+// stableGround is StableGroundCtx with the window and the closing pass handed
+// in, which lets the tests pin the fallback: deepening with a pass that never
+// succeeds, under a window of their choosing.
 func stableGround(ctx context.Context, db *Instance, prog *datalog.Program, opts Options, window int,
 	closePass func(*engine) (closed, coarse bool, err error)) (*GroundResult, error) {
 	opts = opts.withDefaults()
-	if window <= 0 {
-		window = 2
-	}
 	ceiling := opts.MaxDepth
 	var (
 		e      *engine

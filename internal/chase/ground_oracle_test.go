@@ -6,7 +6,7 @@ import (
 	"repro/internal/datalog"
 )
 
-// restartStableGround is the differential oracle for StableGround: the
+// restartStableGround is the differential oracle for StableGroundCtx: the
 // deepening loop as it was before steps shared an engine. Every depth step
 // chases τ_db(G) from scratch and the ground parts of consecutive steps are
 // compared atom by atom. It follows the same depth schedule (2, 4, …, then

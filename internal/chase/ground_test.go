@@ -13,7 +13,7 @@ import (
 
 func TestGroundSemanticsExactOnTerminatingChase(t *testing.T) {
 	db := NewInstance(atom("e", "a", "b"), atom("e", "b", "c"))
-	gr, err := GroundSemantics(db, datalog.MustParse(`
+	gr, err := GroundSemanticsCtx(context.Background(), db, datalog.MustParse(`
 		e(?X, ?Y) -> tc(?X, ?Y).
 		e(?X, ?Y), tc(?Y, ?Z) -> tc(?X, ?Z).
 	`), Options{})
@@ -39,7 +39,7 @@ func TestStableGroundOnInfiniteWardedChase(t *testing.T) {
 	if err := datalog.CheckWarded(prog); err != nil {
 		t.Fatalf("test program should be warded: %v", err)
 	}
-	gr, err := StableGround(db, prog, Options{MaxDepth: 40}, 2)
+	gr, err := StableGroundCtx(context.Background(), db, prog, Options{MaxDepth: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestStableGroundDetectsNewGroundAtomsAtDepth(t *testing.T) {
 		p(?X, ?Z) -> exists ?W q(?X, ?Z, ?W).
 		q(?X, ?Z, ?W) -> found(?X).
 	`)
-	gr, err := StableGround(db, prog, Options{}, 2)
+	gr, err := StableGroundCtx(context.Background(), db, prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestStableGroundInconsistency(t *testing.T) {
 		a(?X) -> exists ?Z p(?X, ?Z).
 		p(?X, ?Z) -> false.
 	`)
-	gr, err := StableGround(db, prog, Options{}, 2)
+	gr, err := StableGroundCtx(context.Background(), db, prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +99,11 @@ func TestStableGroundGivesUpAtCeiling(t *testing.T) {
 	// to be a chain feeding reach(w, ·): the closing pass proves that one
 	// complete at depth 2. It cannot close mergingChain with the cycle rule —
 	// its summary null is its own successor, so every pass derives cyc(a) and
-	// is undone — and StableGround must stop at the ceiling rather than loop
+	// is undone — and StableGroundCtx must stop at the ceiling rather than loop
 	// forever.)
 	db := NewInstance(atom("p", "a"))
 	prog := datalog.MustParse(mergingChain + `r(?X, ?Y), r(?Y, ?X), p(?W) -> cyc(?W).`)
-	gr, err := StableGround(db, prog, Options{MaxDepth: 6}, 100)
+	gr, err := stableGround(context.Background(), db, prog, Options{MaxDepth: 6}, 100, (*engine).close)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,11 +125,11 @@ func TestStableGroundHonorsMaxDepthOne(t *testing.T) {
 		r(?X, ?Y) -> p(?Y).
 	`)
 	opts := Options{MaxDepth: 1}
-	res, err := Run(db, prog, opts)
+	res, err := RunCtx(context.Background(), db, prog, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gr, err := StableGround(db, prog, opts, 2)
+	gr, err := StableGroundCtx(context.Background(), db, prog, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestStableGroundHonorsMaxDepthOne(t *testing.T) {
 	steps := gr.Stats.Deepening
 	if gr.Depth != 0 || res.Stats.NullsInvented != 1 || len(steps) != 2 || steps[0].NewFacts != 0 ||
 		!closedByPass(gr) || !steps[1].Coarse || gr.Stats.NullsInvented != 2 || gr.Ground().Len() != 1 {
-		t.Errorf("StableGround at MaxDepth 1: depth %d, %d nulls, steps %+v; Run invents %d",
+		t.Errorf("StableGroundCtx at MaxDepth 1: depth %d, %d nulls, steps %+v; RunCtx invents %d",
 			gr.Depth, gr.Stats.NullsInvented, steps, res.Stats.NullsInvented)
 	}
 	// Where no pass closes, the step after the probe is the ceiling's, not 2's,
@@ -173,14 +173,14 @@ func TestStableGroundReachesOddCeilings(t *testing.T) {
 	prog := datalog.MustParse(depthChain)
 	for _, tc := range []struct{ ceiling, depth int }{{3, 3}, {4, 4}, {5, 4}} {
 		opts := Options{MaxDepth: tc.ceiling}
-		res, err := Run(db, prog, opts)
+		res, err := RunCtx(context.Background(), db, prog, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Stats.DepthTruncated || !res.Instance.Has(atom("goal", "a")) {
 			t.Fatalf("MaxDepth %d: Run must reach goal(a) untruncated", tc.ceiling)
 		}
-		gr, err := StableGround(db, prog, opts, 2)
+		gr, err := StableGroundCtx(context.Background(), db, prog, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +192,7 @@ func TestStableGroundReachesOddCeilings(t *testing.T) {
 	// A chase that no bound finishes and no pass closes (see
 	// TestStableGroundGivesUpAtCeiling) ends at the odd ceiling itself.
 	prog = datalog.MustParse(mergingChain + `r(?X, ?Y), r(?Y, ?X), p(?W) -> cyc(?W).`)
-	gr, err := StableGround(db, prog, Options{MaxDepth: 5}, 100)
+	gr, err := stableGround(context.Background(), db, prog, Options{MaxDepth: 5}, 100, (*engine).close)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,11 +238,11 @@ func TestResumeRefiresParkedTriggers(t *testing.T) {
 		}
 	}
 
-	// The same through StableGround, whose steps say what they did. It starts
+	// The same through StableGroundCtx, whose steps say what they did. It starts
 	// with the probe, whose one parked trigger the depth-2 step refires; every
 	// round of that step matches a delta, so it finds t's trigger, and parks
 	// it, once.
-	gr, err := StableGround(db, prog, Options{}, 2)
+	gr, err := StableGroundCtx(context.Background(), db, prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestResumeStartsOverWhenNegatedPredicateGrows(t *testing.T) {
 	db := NewInstance(atom("p", "a"))
 	prog := datalog.MustParse(depthChain + `p(?X), not goal(?X) -> bad(?X).`)
 	o := obs.New()
-	gr, err := StableGround(db, prog, Options{Obs: o}, 2)
+	gr, err := StableGroundCtx(context.Background(), db, prog, Options{Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestResumeStartsOverWhenNegatedPredicateGrows(t *testing.T) {
 		t.Errorf("chase.closing_failed = %d, want 3", got)
 	}
 	// Bound 2 alone does derive it, which is what the restart takes back.
-	shallow, err := GroundSemantics(db, prog, Options{MaxDepth: 2})
+	shallow, err := GroundSemanticsCtx(context.Background(), db, prog, Options{MaxDepth: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestRestartComparesWithThePreviousStep(t *testing.T) {
 		goal2         bool
 	}{{1, 6, false}, {2, 8, true}} {
 		o := obs.New()
-		gr, err := StableGround(db, prog, Options{Obs: o}, tc.window)
+		gr, err := stableGround(context.Background(), db, prog, Options{Obs: o}, tc.window, (*engine).close)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -392,7 +392,7 @@ func TestResumedStepAborts(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			var opts Options
 			tc.arm(&opts, cancel)
-			gr, err := StableGroundCtx(ctx, db, prog, opts, 2)
+			gr, err := StableGroundCtx(ctx, db, prog, opts)
 			cancel()
 			if !errors.Is(err, tc.kind) {
 				t.Fatalf("want %v, got %v", tc.kind, err)

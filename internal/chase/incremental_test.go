@@ -390,7 +390,7 @@ func TestIncrementalBuildIsTheChase(t *testing.T) {
 				b.db.Add(randEDBAtom(rng, consts))
 			}
 		}
-		res, err := Run(b.db, b.prog, incOpts)
+		res, err := RunCtx(context.Background(), b.db, b.prog, incOpts)
 		inc, ierr := NewIncremental(context.Background(), b.db, b.prog, incOpts)
 		skipIfInjected(t, err, ierr)
 		if err != nil || ierr != nil {

@@ -1,6 +1,7 @@
 package chase
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"slices"
@@ -236,11 +237,11 @@ func TestDictSharedByInstances(t *testing.T) {
 
 	prog := datalog.MustParse(nullProgram)
 	for name, db := range map[string]*Instance{"a load": FromRows("e", dict, 2, rows), "a load with an own term": base} {
-		got, err := Run(db, prog, Options{})
+		got, err := RunCtx(context.Background(), db, prog, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Run(NewInstance(db.All()...), prog, Options{})
+		want, err := RunCtx(context.Background(), NewInstance(db.All()...), prog, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package chase
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -33,7 +34,7 @@ func TestRunLeavesInputUntouched(t *testing.T) {
 	db := NewInstance(atom("e", "a", "b"), atom("e", "b", "c"), atom("e", "c", "a"))
 	prog := datalog.MustParse(nullProgram)
 	before := fingerprint(db)
-	res, err := Run(db, prog, Options{})
+	res, err := RunCtx(context.Background(), db, prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestRunLeavesInputUntouched(t *testing.T) {
 	if got := fingerprint(db); got != before {
 		t.Errorf("Run modified its input:\nbefore:\n%safter:\n%s", before, got)
 	}
-	gr, err := StableGround(db, prog, Options{}, 2)
+	gr, err := StableGroundCtx(context.Background(), db, prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestRunLeavesInputUntouched(t *testing.T) {
 		t.Errorf("ground part wrong: %v", gr.Ground().All())
 	}
 	if got := fingerprint(db); got != before {
-		t.Errorf("StableGround modified its input:\nbefore:\n%safter:\n%s", before, got)
+		t.Errorf("StableGroundCtx modified its input:\nbefore:\n%safter:\n%s", before, got)
 	}
 }
 
@@ -75,11 +76,11 @@ func TestSharedBaseConcurrentRuns(t *testing.T) {
 			loop%d(?X, ?W, ?K) -> exists ?V loop%d(?W, ?V, ?K).
 			loop%d(?X, ?W, ?K), loop%d(?W, ?V, ?K), loop%d(?V, ?U, ?K) -> deep%d(?K).
 		`, k, k, k, k, k, k, k, k, k, k, k, k))
-		res, err := Run(db.Clone(), progs[k], Options{})
+		res, err := RunCtx(context.Background(), db.Clone(), progs[k], Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gr, err := StableGround(db.Clone(), progs[k], Options{}, 2)
+		gr, err := StableGroundCtx(context.Background(), db.Clone(), progs[k], Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,12 +97,12 @@ func TestSharedBaseConcurrentRuns(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := Run(db, progs[k], Options{})
+			res, err := RunCtx(context.Background(), db, progs[k], Options{})
 			if err != nil {
 				t.Errorf("program %d: %v", k, err)
 				return
 			}
-			gr, err := StableGround(db, progs[k], Options{}, 2)
+			gr, err := StableGroundCtx(context.Background(), db, progs[k], Options{})
 			if err != nil {
 				t.Errorf("program %d: %v", k, err)
 				return

@@ -35,7 +35,7 @@ func TestFactBudgetReturnsTypedErrorAndPartialInstance(t *testing.T) {
 	db := NewInstance(atom("n", "a"), atom("n", "b"), atom("n", "c"))
 	prog := datalog.MustParse(`n(?X), n(?Y) -> pair(?X, ?Y).`)
 	const budget = 5
-	res, err := Run(db, prog, Options{MaxFacts: budget})
+	res, err := RunCtx(context.Background(), db, prog, Options{MaxFacts: budget})
 	if !errors.Is(err, limits.ErrFactBudget) {
 		t.Fatalf("want ErrFactBudget, got %v", err)
 	}
@@ -47,7 +47,7 @@ func TestFactBudgetReturnsTypedErrorAndPartialInstance(t *testing.T) {
 	}
 	// Everything in the partial instance must be derivable: subset of the
 	// unbudgeted run.
-	full, ferr := Run(db, prog, Options{})
+	full, ferr := RunCtx(context.Background(), db, prog, Options{})
 	if ferr != nil {
 		t.Fatal(ferr)
 	}
@@ -72,14 +72,14 @@ func TestFactBudgetReturnsTypedErrorAndPartialInstance(t *testing.T) {
 }
 
 func TestRoundBudgetReturnsTypedError(t *testing.T) {
-	res, err := Run(chainDB(8), datalog.MustParse(chainSrc), Options{MaxRounds: 2})
+	res, err := RunCtx(context.Background(), chainDB(8), datalog.MustParse(chainSrc), Options{MaxRounds: 2})
 	if !errors.Is(err, limits.ErrRoundBudget) {
 		t.Fatalf("want ErrRoundBudget, got %v", err)
 	}
 	if res == nil || res.Instance == nil {
 		t.Fatal("round abort must return the partial instance")
 	}
-	full, ferr := Run(chainDB(8), datalog.MustParse(chainSrc), Options{})
+	full, ferr := RunCtx(context.Background(), chainDB(8), datalog.MustParse(chainSrc), Options{})
 	if ferr != nil {
 		t.Fatal(ferr)
 	}
@@ -126,7 +126,7 @@ func TestExpiredDeadlineReturnsErrDeadline(t *testing.T) {
 
 func TestInjectedFaultAtRoundBoundary(t *testing.T) {
 	plan := limits.NewPlan(limits.Fault{Point: "chase.round", After: 1, Action: limits.ActError})
-	res, err := Run(chainDB(8), datalog.MustParse(chainSrc), Options{Faults: plan})
+	res, err := RunCtx(context.Background(), chainDB(8), datalog.MustParse(chainSrc), Options{Faults: plan})
 	if !errors.Is(err, limits.ErrInjected) {
 		t.Fatalf("want ErrInjected, got %v", err)
 	}
@@ -144,7 +144,7 @@ func TestGlobalFaultPlanViaEnvSyntax(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer limits.SetGlobal(plan)()
-	_, err = Run(chainDB(8), datalog.MustParse(chainSrc), Options{})
+	_, err = RunCtx(context.Background(), chainDB(8), datalog.MustParse(chainSrc), Options{})
 	if !errors.Is(err, limits.ErrInjected) {
 		t.Fatalf("want ErrInjected from the global plan, got %v", err)
 	}
@@ -153,7 +153,7 @@ func TestGlobalFaultPlanViaEnvSyntax(t *testing.T) {
 func TestAbortEmitsObsEvent(t *testing.T) {
 	var buf bytes.Buffer
 	o := obs.NewWithSink(&buf)
-	_, err := Run(chainDB(8), datalog.MustParse(chainSrc), Options{MaxRounds: 1, Obs: o})
+	_, err := RunCtx(context.Background(), chainDB(8), datalog.MustParse(chainSrc), Options{MaxRounds: 1, Obs: o})
 	if !errors.Is(err, limits.ErrRoundBudget) {
 		t.Fatalf("want ErrRoundBudget, got %v", err)
 	}
@@ -173,23 +173,5 @@ func TestAbortEmitsObsEvent(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("trace has no limits.aborted event")
-	}
-}
-
-func TestAnswerCtxReturnsPartialAnswersOnBudget(t *testing.T) {
-	q := datalog.Query{Program: datalog.MustParse(chainSrc + "\nstep(?X, ?Y) -> query(?X, ?Y).\n"), Output: "query"}
-	ans, err := AnswerCtx(context.Background(), chainDB(8), q, Options{MaxRounds: 3})
-	if !errors.Is(err, limits.ErrRoundBudget) {
-		t.Fatalf("want ErrRoundBudget, got %v", err)
-	}
-	if ans == nil {
-		t.Fatal("budget abort must return the partial answers")
-	}
-	full, ferr := Answer(chainDB(8), q, Options{})
-	if ferr != nil {
-		t.Fatal(ferr)
-	}
-	if len(ans.Tuples) == 0 || len(ans.Tuples) >= len(full.Tuples) {
-		t.Fatalf("partial answers = %d, full = %d; want a proper non-empty subset", len(ans.Tuples), len(full.Tuples))
 	}
 }

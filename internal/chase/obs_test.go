@@ -2,6 +2,7 @@ package chase
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -27,12 +28,12 @@ func obsTestDB() *Instance {
 // the instrumented run derives exactly the same instance and headline stats
 // as the uninstrumented run.
 func TestObsOffMatchesObsOn(t *testing.T) {
-	off, err := Run(obsTestDB(), datalog.MustParse(obsTestProgram), Options{})
+	off, err := RunCtx(context.Background(), obsTestDB(), datalog.MustParse(obsTestProgram), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	on, err := Run(obsTestDB(), datalog.MustParse(obsTestProgram), Options{Obs: obs.NewWithSink(&buf)})
+	on, err := RunCtx(context.Background(), obsTestDB(), datalog.MustParse(obsTestProgram), Options{Obs: obs.NewWithSink(&buf)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestObsOffMatchesObsOn(t *testing.T) {
 // TestPerRuleStatsSumToTotals: the PerRule breakdown must partition the
 // headline counters.
 func TestPerRuleStatsSumToTotals(t *testing.T) {
-	res, err := Run(obsTestDB(), datalog.MustParse(obsTestProgram), Options{})
+	res, err := RunCtx(context.Background(), obsTestDB(), datalog.MustParse(obsTestProgram), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestPerRuleStatsSumToTotals(t *testing.T) {
 // TestStatsString checks the -metrics rendering: a headline plus one table
 // row per rule.
 func TestStatsString(t *testing.T) {
-	res, err := Run(obsTestDB(), datalog.MustParse(obsTestProgram), Options{})
+	res, err := RunCtx(context.Background(), obsTestDB(), datalog.MustParse(obsTestProgram), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestStatsString(t *testing.T) {
 func TestChaseTrace(t *testing.T) {
 	var buf bytes.Buffer
 	o := obs.NewWithSink(&buf)
-	res, err := Run(obsTestDB(), datalog.MustParse(obsTestProgram), Options{Obs: o})
+	res, err := RunCtx(context.Background(), obsTestDB(), datalog.MustParse(obsTestProgram), Options{Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestChaseTrace(t *testing.T) {
 func TestStableGroundTrace(t *testing.T) {
 	var buf bytes.Buffer
 	o := obs.NewWithSink(&buf)
-	_, err := StableGround(obsTestDB(), datalog.MustParse(obsTestProgram), Options{Obs: o}, 0)
+	_, err := StableGroundCtx(context.Background(), obsTestDB(), datalog.MustParse(obsTestProgram), Options{Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ func benchmarkChase(b *testing.B, o *obs.Obs) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(db, prog, Options{Obs: o}); err != nil {
+		if _, err := RunCtx(context.Background(), db, prog, Options{Obs: o}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package chase
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -88,10 +89,10 @@ func TestPropertySemiNaiveEqualsNaive(t *testing.T) {
 		prog := randomProgram(rng, true)
 		db := randomDB(rng)
 		opts := Options{MaxDepth: 4}
-		semi, err1 := Run(db, prog, opts)
+		semi, err1 := RunCtx(context.Background(), db, prog, opts)
 		naiveOpts := opts
 		naiveOpts.NaiveEvaluation = true
-		naive, err2 := Run(db, prog, naiveOpts)
+		naive, err2 := RunCtx(context.Background(), db, prog, naiveOpts)
 		if err1 != nil || err2 != nil {
 			t.Logf("errors: %v %v\n%s", err1, err2, prog)
 			return false
@@ -119,8 +120,8 @@ func TestPropertyChaseMonotone(t *testing.T) {
 		bigger := db.Clone()
 		bigger.Add(atom("e", "a", "c"))
 		bigger.Add(atom("p", "b"))
-		small, err1 := Run(db, prog, Options{MaxDepth: 4})
-		big, err2 := Run(bigger, prog, Options{MaxDepth: 4})
+		small, err1 := RunCtx(context.Background(), db, prog, Options{MaxDepth: 4})
+		big, err2 := RunCtx(context.Background(), bigger, prog, Options{MaxDepth: 4})
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -167,7 +168,7 @@ func TestPropertyNormalizationsPreserveGround(t *testing.T) {
 		if err != nil {
 			return true // arity clash in generated program: skip
 		}
-		base, err := Run(db, prog, Options{MaxDepth: 4})
+		base, err := RunCtx(context.Background(), db, prog, Options{MaxDepth: 4})
 		if err != nil {
 			return false
 		}
@@ -175,7 +176,7 @@ func TestPropertyNormalizationsPreserveGround(t *testing.T) {
 			"single-head":        datalog.SingleHead(prog),
 			"single-existential": datalog.SingleExistential(datalog.SingleHead(prog)),
 		} {
-			got, err := Run(db, norm, Options{MaxDepth: 4})
+			got, err := RunCtx(context.Background(), db, norm, Options{MaxDepth: 4})
 			if err != nil {
 				t.Logf("%s: %v", name, err)
 				return false

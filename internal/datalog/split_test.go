@@ -1,6 +1,7 @@
 package datalog_test
 
 import (
+	"context"
 	"slices"
 	"testing"
 
@@ -48,7 +49,7 @@ func TestHeadGroundedSplitWithNegation(t *testing.T) {
 	)
 	ground := func(prog *datalog.Program) []datalog.Atom {
 		t.Helper()
-		res, err := chase.Run(db, prog, chase.Options{})
+		res, err := chase.RunCtx(context.Background(), db, prog, chase.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro"
 	"repro/internal/chase"
 	"repro/internal/datalog"
 	"repro/internal/limits"
@@ -164,48 +165,40 @@ func newMatHarness(t *testing.T) *matHarness {
 func (h *matHarness) query(t *testing.T, ctx context.Context, prog *datalog.Program, label string) string {
 	t.Helper()
 	ep := h.st.Current()
-	db, err := chase.FromFacts(owl.GraphToDB(ep.Graph))
-	if err != nil {
-		t.Fatalf("%s: graph to db: %v", label, err)
-	}
 	q := datalog.NewQuery(prog, matOutput)
-	warm, err := triq.EvalCtx(ctx, db, q, triq.Unrestricted,
-		triq.Options{Mat: h.m, MatEpoch: ep.Seq})
+	warm, err := ask(ctx, ep.Graph, q, triq.Options{Mat: h.m, MatEpoch: ep.Seq})
 	matSkipInjected(t, err)
 	if err != nil {
 		t.Fatalf("%s: materialized eval: %v", label, err)
 	}
-	cold, err := triq.EvalCtx(ctx, db, q, triq.Unrestricted, triq.Options{})
+	cold, err := ask(ctx, ep.Graph, q, triq.Options{})
 	matSkipInjected(t, err)
 	if err != nil {
 		t.Fatalf("%s: chase eval: %v", label, err)
 	}
-	if warm.Answers.Inconsistent != cold.Answers.Inconsistent {
+	if warm.Inconsistent != cold.Inconsistent {
 		t.Fatalf("%s: inconsistency verdicts differ: materialized=%v chase=%v",
-			label, warm.Answers.Inconsistent, cold.Answers.Inconsistent)
+			label, warm.Inconsistent, cold.Inconsistent)
 	}
 	if got, want := renderTuples(warm), renderTuples(cold); got != want {
 		t.Fatalf("%s: answers differ at epoch %d (path %s)\nmaterialized:\n%s\nchase:\n%s",
-			label, ep.Seq, warm.Path, got, want)
+			label, ep.Seq, warm.Explain.Path, got, want)
 	}
 	if !warm.Exact {
-		t.Fatalf("%s: materialized answer not exact (path %s)", label, warm.Path)
+		t.Fatalf("%s: materialized answer not exact (path %s)", label, warm.Explain.Path)
 	}
-	return warm.Path
+	return warm.Explain.Path
 }
 
-func renderTuples(res *triq.Result) string {
-	var b strings.Builder
-	for _, tup := range res.Answers.Tuples {
-		for i, term := range tup {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(term.String())
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
+// ask evaluates the query over an epoch's graph through repro.Eval, as a
+// request to a triqd with a materializer does. The response is explained, so
+// its report says which path produced the answer.
+func ask(ctx context.Context, g *rdf.Graph, q datalog.Query, opts triq.Options) (*repro.Response, error) {
+	return repro.Eval(ctx, g, repro.Request{Query: q, Language: repro.Unrestricted, Explain: true, Options: opts})
+}
+
+func renderTuples(resp *repro.Response) string {
+	return strings.Join(resp.Rows(), "\n")
 }
 
 func TestMatDifferential(t *testing.T) {
@@ -305,13 +298,8 @@ func TestMatInsertDeleteRestores(t *testing.T) {
 	}
 	h.query(t, ctx, prog, "cold build") // installs the entry
 	before := h.st.Current()
-	db, err := chase.FromFacts(owl.GraphToDB(before.Graph))
-	if err != nil {
-		t.Fatal(err)
-	}
 	q := datalog.NewQuery(prog, matOutput)
-	res0, err := triq.EvalCtx(ctx, db, q, triq.Unrestricted,
-		triq.Options{Mat: h.m, MatEpoch: before.Seq})
+	res0, err := ask(ctx, before.Graph, q, triq.Options{Mat: h.m, MatEpoch: before.Seq})
 	matSkipInjected(t, err)
 	if err != nil {
 		t.Fatal(err)
@@ -339,14 +327,13 @@ func TestMatInsertDeleteRestores(t *testing.T) {
 	if hs, _ := h.obs.Registry().Hist("mat.maintain_us"); hs.Count < 2 && !matFaultsArmed() {
 		t.Fatalf("mat.maintain_us observed %d folds, want the insert and the delete", hs.Count)
 	}
-	res1, err := triq.EvalCtx(ctx, db, q, triq.Unrestricted,
-		triq.Options{Mat: h.m, MatEpoch: after.Seq})
+	res1, err := ask(ctx, after.Graph, q, triq.Options{Mat: h.m, MatEpoch: after.Seq})
 	matSkipInjected(t, err)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res1.Path != triq.PathMaterialized && !matFaultsArmed() {
-		t.Fatalf("restored epoch not served warm: path=%s", res1.Path)
+	if res1.Explain.Path != triq.PathMaterialized && !matFaultsArmed() {
+		t.Fatalf("restored epoch not served warm: path=%s", res1.Explain.Path)
 	}
 	if renderTuples(res0) != renderTuples(res1) {
 		t.Fatalf("answers changed across insert-then-delete\nbefore:\n%s\nafter:\n%s",
@@ -385,18 +372,13 @@ func TestMatBatchSplit(t *testing.T) {
 			}
 		}
 		ep := h.st.Current()
-		db, err := chase.FromFacts(owl.GraphToDB(ep.Graph))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := triq.EvalCtx(ctx, db, datalog.NewQuery(prog, matOutput), triq.Unrestricted,
-			triq.Options{Mat: h.m, MatEpoch: ep.Seq})
+		res, err := ask(ctx, ep.Graph, datalog.NewQuery(prog, matOutput), triq.Options{Mat: h.m, MatEpoch: ep.Seq})
 		matSkipInjected(t, err)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Path != triq.PathMaterialized && !matFaultsArmed() {
-			t.Fatalf("final epoch not served warm: path=%s", res.Path)
+		if res.Explain.Path != triq.PathMaterialized && !matFaultsArmed() {
+			t.Fatalf("final epoch not served warm: path=%s", res.Explain.Path)
 		}
 		return renderTuples(res)
 	}
@@ -540,11 +522,12 @@ func TestMatBuildReportsToItsRequestOnly(t *testing.T) {
 	if got := h.obs.Registry().Counter("mat.maintain_passes") - passes; got != 2 && !matFaultsArmed() {
 		t.Fatalf("%d maintenance passes, want the insert and the delete", got)
 	}
-	opts.MatEpoch = h.st.Current().Seq
-	res, err = triq.EvalCtx(ctx, db, q, triq.Unrestricted, opts)
+	ep = h.st.Current()
+	opts.MatEpoch = ep.Seq
+	warm, err := ask(ctx, ep.Graph, q, opts)
 	matSkipInjected(t, err)
-	if err != nil || (res.Path != triq.PathMaterialized && !matFaultsArmed()) {
-		t.Fatalf("warm read: path %v, err %v", res, err)
+	if err != nil || (warm.Explain.Path != triq.PathMaterialized && !matFaultsArmed()) {
+		t.Fatalf("warm read: %v, err %v", warm, err)
 	}
 	if got := priv.Registry().Summary(); got != private {
 		t.Errorf("the returned request's private registry moved\nbefore:\n%s\nafter:\n%s", private, got)

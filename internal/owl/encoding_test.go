@@ -1,6 +1,7 @@
 package owl
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -93,7 +94,7 @@ func TestEncodingConcurrentFirstLoad(t *testing.T) {
 			db := DB(g)
 			own := datalog.C(fmt.Sprint("own", n))
 			db.Add(datalog.NewAtom("triple", own, datalog.C("p0"), datalog.C(fmt.Sprint("row", n))))
-			res, err := chase.Run(db, prog, chase.Options{}) // a layer over db
+			res, err := chase.RunCtx(context.Background(), db, prog, chase.Options{}) // a layer over db
 			if err != nil {
 				t.Error(err)
 				return

@@ -1,6 +1,7 @@
 package owl
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/chase"
@@ -32,7 +33,7 @@ func runOntologyProgram(t *testing.T, o *Ontology) *chase.GroundResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gr, err := chase.StableGround(db, Program(), chase.Options{MaxDepth: 20}, 2)
+	gr, err := chase.StableGroundCtx(context.Background(), db, Program(), chase.Options{MaxDepth: 20})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package pep
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/chase"
@@ -71,7 +72,7 @@ func (w Witness) Query(lambda *datalog.Program) datalog.Query {
 // tuple is an answer of (Π ∪ Λ, q) over D.
 func (w Witness) Holds(lambda *datalog.Program) (bool, error) {
 	q := w.Query(lambda)
-	res, err := triq.Eval(w.DB, q, triq.Unrestricted, triq.Options{})
+	res, err := triq.EvalCtx(context.Background(), w.DB, q, triq.Unrestricted, triq.Options{})
 	if err != nil {
 		return false, err
 	}
@@ -94,11 +95,11 @@ func (w Witness) DatalogCoexistence(pi *datalog.Program) (bool, error) {
 		prog := pi.Clone()
 		prog.Merge(lambda)
 		q := datalog.NewQuery(prog, w.Output)
-		res, err := chase.Answer(w.DB, q, chase.Options{})
+		res, err := triq.EvalCtx(context.Background(), w.DB, q, triq.Unrestricted, triq.Options{})
 		if err != nil {
 			return false, err
 		}
-		return !res.Inconsistent && len(res.Tuples) > 0, nil
+		return !res.Answers.Inconsistent && len(res.Answers.Tuples) > 0, nil
 	}
 	q1, err := mk(w.Lambda1)
 	if err != nil {

@@ -146,9 +146,9 @@ func (g *Graph) Canonical() []Triple {
 // modify the result.
 func (g *Graph) SortedTriples() []Triple { return slices.Clone(g.Canonical()) }
 
-// Match returns the triples matching the pattern; a nil position matches
-// anything. The returned slice must not be modified. Safe for concurrent use
-// by readers.
+// Match returns the triples matching the pattern, in canonical order; a nil
+// position matches anything. The returned slice must not be modified. Safe
+// for concurrent use by readers.
 func (g *Graph) Match(s, p, o *Term) []Triple {
 	switch {
 	case s != nil && p != nil && o != nil:
@@ -176,7 +176,7 @@ func (g *Graph) Match(s, p, o *Term) []Triple {
 	case p != nil:
 		return g.index().byP[*p]
 	default:
-		return g.Triples()
+		return g.Canonical()
 	}
 }
 

@@ -1,6 +1,7 @@
 package translate
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 
@@ -127,7 +128,7 @@ func TranslateConstruct(q *sparql.Query, regime Regime) (*ConstructTranslation, 
 // relation into an RDF graph; invented nulls become blank nodes. The boolean
 // reports ⊤ under the entailment regimes.
 func (ct *ConstructTranslation) Evaluate(g *rdf.Graph, opts triq.Options) (*rdf.Graph, bool, error) {
-	res, err := chase.Run(DB(g), ct.Query.Program, opts.Chase)
+	res, err := chase.RunCtx(context.Background(), DB(g), ct.Query.Program, opts.Chase)
 	if err != nil {
 		return nil, false, err
 	}

@@ -1,7 +1,6 @@
 package translate
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/chase"
@@ -88,48 +87,6 @@ func TestTranslateConstructOptionalTemplate(t *testing.T) {
 	want, _ := q.Construct(g)
 	if !rdf.Isomorphic(got, want) {
 		t.Errorf("OPT CONSTRUCT differs:\n%s\nvs\n%s", got, want)
-	}
-}
-
-// Randomized agreement between the direct CONSTRUCT evaluation and the
-// rule translation, up to blank-node isomorphism.
-func TestTranslateConstructRandomized(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for round := 0; round < 40; round++ {
-		where := randomPattern(rng, 1)
-		// Build a template over the pattern's variables plus a blank.
-		vars := sortedVars(sparql.Pattern(where).Vars())
-		tmpl := []sparql.TriplePattern{}
-		pick := func() sparql.PTerm {
-			if len(vars) > 0 && rng.Intn(3) > 0 {
-				return sparql.Var(vars[rng.Intn(len(vars))])
-			}
-			if rng.Intn(2) == 0 {
-				return sparql.Blank("T")
-			}
-			return sparql.IRI("out")
-		}
-		for i := 0; i < 1+rng.Intn(2); i++ {
-			tmpl = append(tmpl, sparql.TP(pick(), sparql.IRI("emits"), pick()))
-		}
-		q := &sparql.Query{Kind: sparql.ConstructQuery, Template: tmpl, Where: where}
-		g := randomGraph(rng)
-		want, err := q.Construct(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ct, err := TranslateConstruct(q, Plain)
-		if err != nil {
-			t.Fatalf("round %d: translate: %v", round, err)
-		}
-		got, _, err := ct.Evaluate(g, triq.Options{})
-		if err != nil {
-			t.Fatalf("round %d: evaluate: %v", round, err)
-		}
-		if !rdf.Isomorphic(got, want) {
-			t.Fatalf("round %d: CONSTRUCT mismatch for %s over\n%s\ngot:\n%s\nwant:\n%s",
-				round, where, g, got, want)
-		}
 	}
 }
 

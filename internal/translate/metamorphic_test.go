@@ -1,15 +1,16 @@
-package translate
+package translate_test
 
 import (
 	"math/rand"
 	"testing"
 
 	"repro/internal/sparql"
+	"repro/internal/translate"
 	"repro/internal/triq"
 )
 
 // The metamorphic suite checks answer-set invariance of the full
-// translate→chase→eval pipeline under rewrites the paper's algebra makes
+// translate→chase→decode pipeline of repro.Eval under rewrites the paper's algebra makes
 // semantics-preserving: AND is join (commutative and associative, Sec. 2),
 // UNION is set union (commutative), and a FILTER over a conjunction is the
 // composition of the two filters. Each rewrite is applied at every matching
@@ -109,11 +110,7 @@ func TestMetamorphicRewrites(t *testing.T) {
 			continue
 		}
 		g := randomGraph(rng)
-		tr, err := Translate(p, Plain)
-		if err != nil {
-			t.Fatalf("round %d: translate %s: %v", round, p, err)
-		}
-		base, baseInc, err := tr.Evaluate(g, triq.Options{})
+		base, baseInc, err := evalSPARQL(g, p, translate.Plain, triq.Options{})
 		if err != nil {
 			t.Fatalf("round %d: evaluate %s: %v", round, p, err)
 		}
@@ -124,11 +121,7 @@ func TestMetamorphicRewrites(t *testing.T) {
 				continue
 			}
 			applied[rw.name] += hits
-			trq, err := Translate(q, Plain)
-			if err != nil {
-				t.Fatalf("round %d: translate rewrite %s of %s: %v", round, rw.name, p, err)
-			}
-			got, gotInc, err := trq.Evaluate(g, triq.Options{})
+			got, gotInc, err := evalSPARQL(g, q, translate.Plain, triq.Options{})
 			if err != nil {
 				t.Fatalf("round %d: evaluate rewrite %s of %s: %v", round, rw.name, p, err)
 			}
@@ -163,20 +156,12 @@ func TestMetamorphicRegimes(t *testing.T) {
 			continue
 		}
 		g := randomGraph(rng)
-		tr, err := Translate(p, ActiveDomain)
-		if err != nil {
-			t.Fatalf("round %d: translate %s: %v", round, p, err)
-		}
-		base, baseInc, err := tr.Evaluate(g, triq.Options{})
+		base, baseInc, err := evalSPARQL(g, p, translate.ActiveDomain, triq.Options{})
 		if err != nil {
 			t.Fatalf("round %d: evaluate %s: %v", round, p, err)
 		}
 		swapped := sparql.And{L: p.R, R: p.L}
-		trs, err := Translate(swapped, ActiveDomain)
-		if err != nil {
-			t.Fatalf("round %d: translate swap of %s: %v", round, p, err)
-		}
-		got, gotInc, err := trs.Evaluate(g, triq.Options{})
+		got, gotInc, err := evalSPARQL(g, swapped, translate.ActiveDomain, triq.Options{})
 		if err != nil {
 			t.Fatalf("round %d: evaluate swap of %s: %v", round, p, err)
 		}

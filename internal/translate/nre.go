@@ -5,9 +5,7 @@ import (
 
 	"repro/internal/datalog"
 	"repro/internal/owl"
-	"repro/internal/rdf"
 	"repro/internal/sparql"
-	"repro/internal/triq"
 )
 
 // This file translates nSPARQL nested regular expressions into plain Datalog
@@ -204,17 +202,4 @@ func (c *nreCompiler) compile(e sparql.NRE) (string, error) {
 	default:
 		return "", fmt.Errorf("translate: unknown NRE type %T", e)
 	}
-}
-
-// Evaluate runs the translated NRE over a graph and decodes the pair set.
-func (tr *NRETranslation) Evaluate(g *rdf.Graph, opts triq.Options) (sparql.PairSet, error) {
-	res, err := triq.Eval(DB(g), tr.Query, triq.TriQLite10, opts)
-	if err != nil {
-		return nil, err
-	}
-	out := make(sparql.PairSet)
-	for _, tup := range res.Answers.Tuples {
-		out[sparql.TermPair{DecodeTerm(tup[0].Name), DecodeTerm(tup[1].Name)}] = true
-	}
-	return out, nil
 }

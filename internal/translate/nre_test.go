@@ -1,12 +1,15 @@
-package translate
+package translate_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
+	"repro"
 	"repro/internal/datalog"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
+	"repro/internal/translate"
 	"repro/internal/triq"
 )
 
@@ -17,6 +20,24 @@ func nreTestGraph() *rdf.Graph {
 		rdf.T("p", "sub", "r"),
 		rdf.T("c", "p", "a"),
 	)
+}
+
+// evalNRE translates the expression and evaluates its Datalog query through
+// repro.Eval, reading the answer tuples as the pair set ⟦e⟧_G.
+func evalNRE(g *rdf.Graph, e sparql.NRE) (sparql.PairSet, error) {
+	tr, err := translate.TranslateNRE(e)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := repro.Eval(context.Background(), g, repro.Request{Query: tr.Query, Language: repro.TriQLite10})
+	if err != nil {
+		return nil, err
+	}
+	out := make(sparql.PairSet)
+	for _, tup := range resp.Tuples {
+		out[sparql.TermPair{tup[0], tup[1]}] = true
+	}
+	return out, nil
 }
 
 func TestTranslateNREMatchesEvaluator(t *testing.T) {
@@ -44,11 +65,7 @@ func TestTranslateNREMatchesEvaluator(t *testing.T) {
 		t.Run(src, func(t *testing.T) {
 			e := sparql.MustParseNRE(src)
 			want := sparql.EvalNRE(g, e)
-			tr, err := TranslateNRE(e)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := tr.Evaluate(g, triq.Options{})
+			got, err := evalNRE(g, e)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -65,7 +82,7 @@ func TestTranslateNREMatchesEvaluator(t *testing.T) {
 // Theorem 7.2 separates from TriQ-Lite 1.0).
 func TestTranslateNREIsPlainDatalog(t *testing.T) {
 	e := sparql.MustParseNRE("(next::[ (next::partOf)+ / self::transportService ])+")
-	tr, err := TranslateNRE(e)
+	tr, err := translate.TranslateNRE(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,11 +142,7 @@ func TestTranslateNRERandomized(t *testing.T) {
 		}
 		e := randomNRE(rng, 2)
 		want := sparql.EvalNRE(g, e)
-		tr, err := TranslateNRE(e)
-		if err != nil {
-			t.Fatalf("round %d: translate %s: %v", round, e, err)
-		}
-		got, err := tr.Evaluate(g, triq.Options{})
+		got, err := evalNRE(g, e)
 		if err != nil {
 			t.Fatalf("round %d: evaluate %s: %v", round, e, err)
 		}

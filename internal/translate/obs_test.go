@@ -4,11 +4,8 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/chase"
 	"repro/internal/obs"
-	"repro/internal/rdf"
 	"repro/internal/sparql"
-	"repro/internal/triq"
 )
 
 func tracedTestPattern() sparql.Pattern {
@@ -68,53 +65,5 @@ func TestTranslateSpans(t *testing.T) {
 	// The pattern has UNION, OPT, and three BGPs.
 	if ops["UNION"] != 1 || ops["OPT"] != 1 || ops["BGP"] != 3 {
 		t.Errorf("unexpected translate.op kinds: %v", ops)
-	}
-}
-
-// TestEvaluateFull: the extended evaluator returns the underlying result
-// (with chase stats) and emits the load/decode spans.
-func TestEvaluateFull(t *testing.T) {
-	g := rdf.NewGraph()
-	g.Add(rdf.T("u1", "name", "n1"))
-	g.Add(rdf.T("u1", "knows", "u2"))
-	var buf bytes.Buffer
-	o := obs.NewWithSink(&buf)
-	tr, err := Traced(tracedTestPattern(), Plain, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms, res, err := tr.EvaluateCtx(t.Context(), g, triq.Options{Chase: chase.Options{Obs: o}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ms == nil || res == nil {
-		t.Fatal("EvaluateCtx returned nil result")
-	}
-	if res.Stats.FactsDerived == 0 {
-		t.Error("EvaluateCtx result carries no chase stats")
-	}
-	// Cross-check against the boolean wrapper.
-	ms2, inconsistent, err := tr.Evaluate(g, triq.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inconsistent {
-		t.Error("unexpected inconsistency")
-	}
-	if !ms.Equal(ms2) {
-		t.Error("EvaluateCtx and Evaluate disagree on the mappings")
-	}
-	recs, err := obs.ParseTrace(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	kinds := map[string]bool{}
-	for _, k := range obs.TraceKinds(recs) {
-		kinds[k] = true
-	}
-	for _, k := range []string{"translate.load_db", "translate.decode", "triq.eval"} {
-		if !kinds[k] {
-			t.Errorf("trace missing span kind %q (got %v)", k, obs.TraceKinds(recs))
-		}
 	}
 }

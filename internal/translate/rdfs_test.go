@@ -1,4 +1,4 @@
-package translate
+package translate_test
 
 import (
 	"testing"
@@ -7,6 +7,7 @@ import (
 	"repro/internal/owl"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
+	"repro/internal/translate"
 	"repro/internal/triq"
 )
 
@@ -70,11 +71,7 @@ func TestRDFSRegimeEntailments(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tr, err := Translate(tc.pattern, RDFS)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, inconsistent, err := tr.Evaluate(g, triq.Options{})
+			got, inconsistent, err := evalSPARQL(g, tc.pattern, translate.RDFS, triq.Options{})
 			if err != nil || inconsistent {
 				t.Fatal(err, inconsistent)
 			}
@@ -99,7 +96,7 @@ func TestRDFSRegimeConstruct(t *testing.T) {
 		CONSTRUCT { ?X inferredType dog }
 		WHERE { ?X rdf:type dog }
 	`)
-	ct, err := TranslateConstruct(q, RDFS)
+	ct, err := translate.TranslateConstruct(q, translate.RDFS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +113,7 @@ func TestRDFSRegimeIsDatalogOnly(t *testing.T) {
 	p := sparql.BGP{Triples: []sparql.TriplePattern{
 		sparql.TP(sparql.Var("X"), sparql.IRI("rdf:type"), sparql.Var("C")),
 	}}
-	tr, err := Translate(p, RDFS)
+	tr, err := translate.Translate(p, translate.RDFS)
 	if err != nil {
 		t.Fatal(err)
 	}

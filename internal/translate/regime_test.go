@@ -1,4 +1,4 @@
-package translate
+package translate_test
 
 import (
 	"testing"
@@ -7,6 +7,7 @@ import (
 	"repro/internal/owl"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
+	"repro/internal/translate"
 	"repro/internal/triq"
 )
 
@@ -24,13 +25,9 @@ func animalsGraph() *rdf.Graph {
 	return o.ToGraph()
 }
 
-func evalRegime(t *testing.T, p sparql.Pattern, g *rdf.Graph, r Regime) *sparql.MappingSet {
+func evalRegime(t *testing.T, p sparql.Pattern, g *rdf.Graph, r translate.Regime) *sparql.MappingSet {
 	t.Helper()
-	tr, err := Translate(p, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, inconsistent, err := tr.Evaluate(g, regimeOpts())
+	got, inconsistent, err := evalSPARQL(g, p, r, regimeOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,14 +44,14 @@ func TestActiveDomainRegimeSection52(t *testing.T) {
 	pBlank := sparql.BGP{Triples: []sparql.TriplePattern{
 		sparql.TP(sparql.Var("X"), sparql.IRI("eats"), sparql.Blank("B")),
 	}}
-	if got := evalRegime(t, pBlank, g, ActiveDomain); got.Len() != 0 {
+	if got := evalRegime(t, pBlank, g, translate.ActiveDomain); got.Len() != 0 {
 		t.Errorf("⟦(?X, eats, _:B)⟧^U should be empty, got %s", got)
 	}
 	// (?X, rdf:type, ∃eats) retrieves dog.
 	pType := sparql.BGP{Triples: []sparql.TriplePattern{
 		sparql.TP(sparql.Var("X"), sparql.IRI("rdf:type"), sparql.IRI("∃eats")),
 	}}
-	got := evalRegime(t, pType, g, ActiveDomain)
+	got := evalRegime(t, pType, g, translate.ActiveDomain)
 	if got.Len() != 1 || !got.Has(sparql.Mapping{"?X": rdf.NewIRI("dog")}) {
 		t.Errorf("⟦(?X, rdf:type, ∃eats)⟧^U = %s, want {dog}", got)
 	}
@@ -67,7 +64,7 @@ func TestAllRegimeLiftsActiveDomain(t *testing.T) {
 	pBlank := sparql.BGP{Triples: []sparql.TriplePattern{
 		sparql.TP(sparql.Var("X"), sparql.IRI("eats"), sparql.Blank("B")),
 	}}
-	got := evalRegime(t, pBlank, g, All)
+	got := evalRegime(t, pBlank, g, translate.All)
 	if got.Len() != 1 || !got.Has(sparql.Mapping{"?X": rdf.NewIRI("dog")}) {
 		t.Errorf("⟦(?X, eats, _:B)⟧^All = %s, want {dog}", got)
 	}
@@ -88,12 +85,12 @@ func TestAllRegimeHerbivores(t *testing.T) {
 		sparql.TP(sparql.Var("X"), sparql.IRI("eats"), sparql.Blank("B")),
 		sparql.TP(sparql.Blank("B"), sparql.IRI("rdf:type"), sparql.IRI("plant_material")),
 	}}
-	got := evalRegime(t, q, g, All)
+	got := evalRegime(t, q, g, translate.All)
 	if got.Len() != 1 || !got.Has(sparql.Mapping{"?X": rdf.NewIRI("rex")}) {
 		t.Errorf("⟦Q⟧^All = %s, want {rex}", got)
 	}
 	// Under the active-domain regime the same query is empty.
-	if got := evalRegime(t, q, g, ActiveDomain); got.Len() != 0 {
+	if got := evalRegime(t, q, g, translate.ActiveDomain); got.Len() != 0 {
 		t.Errorf("⟦Q⟧^U = %s, want empty", got)
 	}
 }
@@ -115,13 +112,13 @@ func TestRegimeCoauthorsSection2(t *testing.T) {
 		sparql.TP(sparql.Var("Y"), sparql.IRI("is_author_of"), sparql.Var("Z")),
 		sparql.TP(sparql.Var("Y"), sparql.IRI("name"), sparql.Var("X")),
 	}}}
-	plain := evalRegime(t, p, g, Plain)
+	plain := evalRegime(t, p, g, translate.Plain)
 	if plain.Len() != 1 || !plain.Has(sparql.Mapping{"?X": rdf.NewIRI("jeff")}) {
 		t.Errorf("plain answers = %s", plain)
 	}
 	// Under the regime, dbAho's authorship is implied, but its witness is
 	// anonymous — so the ?Z variable cannot be bound under U…
-	u := evalRegime(t, p, g, ActiveDomain)
+	u := evalRegime(t, p, g, translate.ActiveDomain)
 	if u.Len() != 1 {
 		t.Errorf("U answers = %s", u)
 	}
@@ -131,7 +128,7 @@ func TestRegimeCoauthorsSection2(t *testing.T) {
 		sparql.TP(sparql.Var("Y"), sparql.IRI("is_author_of"), sparql.Blank("B")),
 		sparql.TP(sparql.Var("Y"), sparql.IRI("name"), sparql.Var("X")),
 	}}}
-	all := evalRegime(t, pAll, g, All)
+	all := evalRegime(t, pAll, g, translate.All)
 	if all.Len() != 2 || !all.Has(sparql.Mapping{"?X": rdf.NewIRI("alfred")}) {
 		t.Errorf("All answers = %s", all)
 	}
@@ -149,7 +146,7 @@ func TestRegimeSameAs(t *testing.T) {
 	p := sparql.BGP{Triples: []sparql.TriplePattern{
 		sparql.TP(sparql.Var("X"), sparql.IRI("knows"), sparql.Var("Y")),
 	}}
-	got := evalRegime(t, p, g, ActiveDomain)
+	got := evalRegime(t, p, g, translate.ActiveDomain)
 	if got.Len() != 1 || !got.Has(sparql.Mapping{"?X": rdf.NewIRI("aho"), "?Y": rdf.NewIRI("ullman")}) {
 		t.Errorf("knows answers = %s", got)
 	}
@@ -157,7 +154,7 @@ func TestRegimeSameAs(t *testing.T) {
 	pInv := sparql.BGP{Triples: []sparql.TriplePattern{
 		sparql.TP(sparql.Var("X"), sparql.IRI("knows⁻"), sparql.Var("Y")),
 	}}
-	got = evalRegime(t, pInv, g, ActiveDomain)
+	got = evalRegime(t, pInv, g, translate.ActiveDomain)
 	if got.Len() != 1 || !got.Has(sparql.Mapping{"?X": rdf.NewIRI("ullman"), "?Y": rdf.NewIRI("aho")}) {
 		t.Errorf("knows⁻ answers = %s", got)
 	}
@@ -173,8 +170,7 @@ func TestRegimeInconsistency(t *testing.T) {
 	p := sparql.BGP{Triples: []sparql.TriplePattern{
 		sparql.TP(sparql.Var("X"), sparql.IRI("rdf:type"), sparql.IRI("dog")),
 	}}
-	tr := MustTranslate(p, ActiveDomain)
-	_, inconsistent, err := tr.Evaluate(g, regimeOpts())
+	_, inconsistent, err := evalSPARQL(g, p, translate.ActiveDomain, regimeOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +197,7 @@ func TestRegimeAgreesWithOracle(t *testing.T) {
 		p := sparql.BGP{Triples: []sparql.TriplePattern{
 			sparql.TP(sparql.Var("X"), sparql.IRI("rdf:type"), sparql.IRI(b.URI())),
 		}}
-		got := evalRegime(t, p, g, ActiveDomain)
+		got := evalRegime(t, p, g, translate.ActiveDomain)
 		for _, a := range inds {
 			want := r.Member(a, b)
 			has := got.Has(sparql.Mapping{"?X": rdf.NewIRI(a)})
@@ -214,7 +210,7 @@ func TestRegimeAgreesWithOracle(t *testing.T) {
 		p := sparql.BGP{Triples: []sparql.TriplePattern{
 			sparql.TP(sparql.Var("X"), sparql.IRI(prop.URI()), sparql.Var("Y")),
 		}}
-		got := evalRegime(t, p, g, ActiveDomain)
+		got := evalRegime(t, p, g, translate.ActiveDomain)
 		for _, a := range inds {
 			for _, b := range inds {
 				want := r.Role(prop, a, b)

@@ -179,35 +179,6 @@ func DB(g *rdf.Graph) *chase.Instance {
 	return inst
 }
 
-// Evaluate runs the translated query over the graph and decodes the answer
-// tuples into a mapping set: ⟦(P_dat, τ_db(G))⟧. The boolean reports
-// inconsistency (⊤), which can arise only under the entailment regimes.
-func (tr *Translation) Evaluate(g *rdf.Graph, opts triq.Options) (*sparql.MappingSet, bool, error) {
-	ms, res, err := tr.EvaluateCtx(context.Background(), g, opts)
-	if err != nil {
-		return nil, false, err
-	}
-	return ms, res.Answers.Inconsistent, nil
-}
-
-// EvaluateCtx is Evaluate under a context, additionally returning the
-// underlying evaluation Result (chase stats with per-rule breakdown, depth,
-// exactness). On a budget trip the mapping set is the sound partial set with
-// MappingSet.Incomplete and the Truncation attached (err nil); cancellation
-// and deadlines return typed limits errors. It is the translation-level
-// pipeline — load, chase, decode — that this package's tests and the
-// experiments drive; requests go through the facade's Eval, which adds the
-// warm-materialization shortcut and the ProofTree evaluator around the same
-// LoadDB and Decode.
-func (tr *Translation) EvaluateCtx(ctx context.Context, g *rdf.Graph, opts triq.Options) (*sparql.MappingSet, *triq.Result, error) {
-	res, err := triq.EvalCtx(ctx, tr.LoadDB(ctx, g, opts), tr.Query, triq.Unrestricted, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	ms, err := tr.Decode(ctx, res, opts)
-	return ms, res, err
-}
-
 // LoadDB builds τ_db(G) under a translate.load_db span.
 func (tr *Translation) LoadDB(ctx context.Context, g *rdf.Graph, opts triq.Options) *chase.Instance {
 	_, sp := obs.StartSpan(ctx, opts.Chase.Obs, "translate.load_db", obs.F("triples", g.Len()))

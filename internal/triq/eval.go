@@ -76,10 +76,11 @@ type Options struct {
 	// selects the ProofOptions default. Ignored by EvalCtx.
 	MaxVisits int
 	// Mat, when non-nil, lets evaluation answer from an incrementally
-	// maintained materialization instead of chasing, provided Mat holds (or
-	// can build) an instance for this program at exactly MatEpoch. On any
-	// miss evaluation falls back to the from-scratch chase; Result.Path
-	// reports which way the answer was produced.
+	// maintained materialization instead of chasing, provided Mat holds
+	// (ServeMaterialized) or EvalCtx can build an instance for this program
+	// at exactly MatEpoch. On any miss evaluation falls back to the
+	// from-scratch chase; Result.Path reports which way the answer was
+	// produced.
 	Mat Materializer
 	// MatEpoch is the store epoch the query is pinned to; a materialization
 	// serves only on an exact epoch match.
@@ -89,13 +90,13 @@ type Options struct {
 // Result is the outcome of evaluating a TriQ query.
 type Result struct {
 	// Answers is Q(D): ⊤ (Inconsistent) or the set of constant tuples.
-	Answers *chase.Answers
+	Answers *Answers
 	// Exact reports that the answer set is provably complete: the chase
 	// terminated within its depth bound, or its closing pass proved the ground
 	// part complete at that bound (Stats.Deepening then ends with the pass),
 	// or — on the exact path — ProofTree decided the goals the pass left open.
 	// When false the answers are the stable fixpoint of iterative deepening, a
-	// heuristic stop (see chase.StableGround); on the exact path it is false
+	// heuristic stop (see chase.StableGroundCtx); on the exact path it is false
 	// only when Incomplete.
 	Exact bool
 	// Incomplete is true when a resource budget (facts, rounds, or visits)
@@ -125,23 +126,23 @@ type Result struct {
 // Section 5.1 produces for mappings with empty domain.
 const inconsistencyMarker = "⊥#marker"
 
-// Eval evaluates the query over the database as defined in Section 3.2:
+// EvalCtx evaluates the query over the database as defined in Section 3.2:
 // Q(D) = ⊤ when D is inconsistent w.r.t. Π, and the set of constant output
 // tuples otherwise. The query must belong to the given language.
 //
 // Internally constraints are first eliminated in the style of Theorem 4.4 —
 // they become ordinary rules deriving an inconsistency marker — so that a
 // single monotone chase answers both the consistency question and the query.
-func Eval(db *chase.Instance, q datalog.Query, lang Language, opts Options) (*Result, error) {
-	return EvalCtx(context.Background(), db, q, lang, opts)
-}
-
-// EvalCtx is Eval under a context. Cancellation and deadlines abort with a
-// typed limits error (ErrCanceled / ErrDeadline, carrying a Truncation
-// report). Budget exhaustion — MaxFacts or MaxRounds tripping — degrades
-// gracefully instead: the sound partial answer set computed before the
-// abort is returned with Result.Incomplete set and the Truncation attached,
-// and err is nil.
+//
+// With opts.Mat set, the materializer builds and installs the fixpoint from
+// db and answers from it; a warm materialization is asked before db is built
+// (ServeMaterialized), not here.
+//
+// Cancellation and deadlines abort with a typed limits error (ErrCanceled /
+// ErrDeadline, carrying a Truncation report). Budget exhaustion — MaxFacts or
+// MaxRounds tripping — degrades gracefully instead: the sound partial answer
+// set computed before the abort is returned with Result.Incomplete set and the
+// Truncation attached, and err is nil.
 func EvalCtx(ctx context.Context, db *chase.Instance, q datalog.Query, lang Language, opts Options) (*Result, error) {
 	if err := Validate(q, lang); err != nil {
 		return nil, err
@@ -152,11 +153,6 @@ func EvalCtx(ctx context.Context, db *chase.Instance, q datalog.Query, lang Lang
 		obs.F("db_facts", db.Len()))
 	prog := rewriteConstraints(q.Program)
 	if opts.Mat != nil {
-		if served := opts.Mat.Serve(prog, opts.MatEpoch, q.Output, opts.Chase); served != nil {
-			res := servedResult(served, PathMaterialized)
-			sp.End(obs.F("path", res.Path), obs.F("depth", res.Depth))
-			return res, nil
-		}
 		if served, merr := opts.Mat.BuildServe(ctx, db, prog, opts.MatEpoch, q.Output, opts.Chase); merr == nil && served != nil {
 			res := servedResult(served, PathMaterializedBuild)
 			sp.End(obs.F("path", res.Path), obs.F("depth", res.Depth))
@@ -165,7 +161,7 @@ func EvalCtx(ctx context.Context, db *chase.Instance, q datalog.Query, lang Lang
 		// Decline or failed build: fall through to the chase. A failed build
 		// is not a query error — the chase remains authoritative.
 	}
-	gr, err := chase.StableGroundCtx(ctx, db, prog, opts.Chase, 0) // 0: the default stability window
+	gr, err := chase.StableGroundCtx(ctx, db, prog, opts.Chase)
 	res := &Result{Path: PathChase}
 	if err != nil {
 		if gr == nil || !limits.IsBudget(err) {
@@ -198,11 +194,32 @@ func EvalCtx(ctx context.Context, db *chase.Instance, q datalog.Query, lang Lang
 	return res, nil
 }
 
+// Answers is the evaluation Q(D) of a query: either ⊤ (Inconsistent) or the
+// set of constant tuples of the output predicate.
+type Answers struct {
+	Inconsistent bool
+	Tuples       [][]datalog.Term
+}
+
+// Has reports whether the tuple is among the answers.
+func (a *Answers) Has(tuple ...datalog.Term) bool {
+	return slices.ContainsFunc(a.Tuples, func(t []datalog.Term) bool { return slices.Equal(t, tuple) })
+}
+
+// HasConstants is Has over constant names.
+func (a *Answers) HasConstants(names ...string) bool {
+	tuple := make([]datalog.Term, len(names))
+	for i, n := range names {
+		tuple[i] = datalog.C(n)
+	}
+	return a.Has(tuple...)
+}
+
 // answersOf is the tail every evaluation path shares, from a ground part to
 // Q(D) of Section 3.2: ⊤ when the inconsistency marker was derived, the
 // sorted argument tuples of the output atoms otherwise.
-func answersOf(inconsistent bool, output []datalog.Atom) *chase.Answers {
-	ans := &chase.Answers{Inconsistent: inconsistent}
+func answersOf(inconsistent bool, output []datalog.Atom) *Answers {
+	ans := &Answers{Inconsistent: inconsistent}
 	if inconsistent || len(output) == 0 {
 		return ans
 	}

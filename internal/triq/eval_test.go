@@ -1,6 +1,7 @@
 package triq
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/chase"
@@ -51,7 +52,7 @@ func TestEvalTransportTriQLite(t *testing.T) {
 		ts(?T), triple(?X, ?T, ?Z), conn(?Z, ?Y) -> conn(?X, ?Y).
 		conn(?X, ?Y) -> query(?X, ?Y).
 	`, "query")
-	res, err := Eval(db, q, TriQLite10, Options{})
+	res, err := EvalCtx(context.Background(), db, q, TriQLite10, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestEvalWithConstraints(t *testing.T) {
 		type(?X, ?Y), type(?X, ?Z), disj(?Y, ?Z) -> false.
 	`, "out")
 	bad := chase.NewInstance(atom("type", "a", "C1"), atom("type", "a", "C2"), atom("disj", "C1", "C2"))
-	res, err := Eval(bad, q, TriQLite10, Options{})
+	res, err := EvalCtx(context.Background(), bad, q, TriQLite10, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestEvalWithConstraints(t *testing.T) {
 		t.Error("⊤ must carry no tuples")
 	}
 	good := chase.NewInstance(atom("type", "a", "C1"))
-	res, err = Eval(good, q, TriQLite10, Options{})
+	res, err = EvalCtx(context.Background(), good, q, TriQLite10, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestEvalInfiniteChaseWarded(t *testing.T) {
 		reach(?X) -> out(?X).
 	`)
 	q := datalog.NewQuery(prog, "out")
-	res, err := Eval(db, q, TriQLite10, Options{Chase: chase.Options{MaxDepth: 30}})
+	res, err := EvalCtx(context.Background(), db, q, TriQLite10, Options{Chase: chase.Options{MaxDepth: 30}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestEvalConstraintThroughClosingFactsIsNotTop(t *testing.T) {
 		p(?X) -> out(?X).
 		r(?X, ?X) -> false.
 	`, "out")
-	res, err := Eval(db, q, TriQLite10, Options{Chase: chase.Options{MaxDepth: 8}})
+	res, err := EvalCtx(context.Background(), db, q, TriQLite10, Options{Chase: chase.Options{MaxDepth: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,10 +156,10 @@ func TestEvalRejectsWrongDialect(t *testing.T) {
 		s(?X, ?Y) -> s(?Y, ?X).
 		s(?X, ?Y), s(?Y, ?W) -> out(?X).
 	`, "out")
-	if _, err := Eval(chase.NewInstance(), q, TriQLite10, Options{}); err == nil {
+	if _, err := EvalCtx(context.Background(), chase.NewInstance(), q, TriQLite10, Options{}); err == nil {
 		t.Error("non-warded query must be rejected under TriQ-Lite 1.0")
 	}
-	if _, err := Eval(chase.NewInstance(), q, TriQ10, Options{}); err != nil {
+	if _, err := EvalCtx(context.Background(), chase.NewInstance(), q, TriQ10, Options{}); err != nil {
 		t.Errorf("TriQ 1.0 should accept: %v", err)
 	}
 }
@@ -166,7 +167,7 @@ func TestEvalRejectsWrongDialect(t *testing.T) {
 func TestEvalAnswersSorted(t *testing.T) {
 	db := chase.NewInstance(atom("p", "c"), atom("p", "a"), atom("p", "b"))
 	q := datalog.MustParseQuery(`p(?X) -> out(?X).`, "out")
-	res, err := Eval(db, q, TriQLite10, Options{})
+	res, err := EvalCtx(context.Background(), db, q, TriQLite10, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func TestEvalStarAnswersAreNotInconsistency(t *testing.T) {
 	// translation for unbound positions) must not be mistaken for ⊤.
 	db := chase.NewInstance(atom("p", "a"))
 	q := datalog.MustParseQuery(`p(?X) -> out(?X, ⋆).`, "out")
-	res, err := Eval(db, q, TriQLite10, Options{})
+	res, err := EvalCtx(context.Background(), db, q, TriQLite10, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,5 +195,45 @@ func TestEvalStarAnswersAreNotInconsistency(t *testing.T) {
 	}
 	if len(res.Answers.Tuples) != 1 || res.Answers.Tuples[0][1] != datalog.C(datalog.StarConstant) {
 		t.Errorf("answers = %v", res.Answers.Tuples)
+	}
+}
+
+func TestAnswerFiltersNulls(t *testing.T) {
+	db := chase.NewInstance(atom("a", "c"))
+	q := datalog.MustParseQuery(`
+		a(?X) -> exists ?Z e(?X, ?Z).
+		e(?X, ?Y) -> out(?X, ?Y).
+	`, "out")
+	res, err := EvalCtx(context.Background(), db, q, Unrestricted, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ans := res.Answers
+	// out(c, z) has a null → not a constant tuple → excluded per Q(D) ⊆ U^n.
+	if len(ans.Tuples) != 0 {
+		t.Errorf("answers = %v, want none", ans.Tuples)
+	}
+}
+
+func TestAnswerInconsistent(t *testing.T) {
+	db := chase.NewInstance(atom("bad", "x"))
+	q := datalog.MustParseQuery(`
+		bad(?X) -> out(?X).
+		bad(?X) -> false.
+	`, "out")
+	res, err := EvalCtx(context.Background(), db, q, Unrestricted, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ans := res.Answers
+	if !ans.Inconsistent {
+		t.Error("Q(D) should be ⊤")
+	}
+}
+
+func TestAnswerHasHelpers(t *testing.T) {
+	a := &Answers{Tuples: [][]datalog.Term{{datalog.C("x"), datalog.C("y")}}}
+	if !a.HasConstants("x", "y") || a.HasConstants("x") || a.HasConstants("y", "x") {
+		t.Error("Has helpers wrong")
 	}
 }

@@ -51,7 +51,7 @@ func EvalExactCtx(ctx context.Context, db *chase.Instance, q datalog.Query, opts
 	sound := len(prog.NegatedIDB()) == 0
 	if sound {
 		gr, proven, err = certify(ctx, db, prog, preds, opts)
-	} else if gr, err = chase.StableGroundCtx(ctx, db, prog, opts.Chase, 0); err == nil && !gr.Exact {
+	} else if gr, err = chase.StableGroundCtx(ctx, db, prog, opts.Chase); err == nil && !gr.Exact {
 		var dbPlus *chase.Instance
 		var progPlus *datalog.Program
 		if dbPlus, progPlus, err = certifyNegated(ctx, db, prog, opts); err == nil {
@@ -99,7 +99,7 @@ func EvalExactCtx(ctx context.Context, db *chase.Instance, q datalog.Query, opts
 // since ⊤ is the answer whatever the rest is. On a limit the chase result and
 // the goals proven before it come with the typed error.
 func certify(ctx context.Context, db *chase.Instance, prog *datalog.Program, preds []string, opts Options) (*chase.GroundResult, []datalog.Atom, error) {
-	gr, err := chase.StableGroundCtx(ctx, db, prog, opts.Chase, 0)
+	gr, err := chase.StableGroundCtx(ctx, db, prog, opts.Chase)
 	if err != nil || gr.Exact || slices.Contains(preds, inconsistencyMarker) && len(gr.GroundAtomsOf(inconsistencyMarker)) > 0 {
 		return gr, nil, err
 	}

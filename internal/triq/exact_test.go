@@ -48,7 +48,7 @@ func TestExactGroundAgreesWithStableGround(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			prog := datalog.MustParse(tc.src)
-			gr, err := chase.StableGround(tc.db, prog, chase.Options{MaxDepth: 24}, 2)
+			gr, err := chase.StableGroundCtx(context.Background(), tc.db, prog, chase.Options{MaxDepth: 24})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +143,7 @@ func TestEvalExactWideNegation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%d constants: %v", n, err)
 		}
-		deep, err := chase.GroundSemantics(db, prog, chase.Options{MaxDepth: 24})
+		deep, err := chase.GroundSemanticsCtx(context.Background(), db, prog, chase.Options{MaxDepth: 24})
 		skipInjected(t, err)
 		if err != nil || !deep.Exact {
 			t.Fatalf("%d constants: the chase to depth 24 must terminate: %v", n, err)
@@ -171,7 +171,7 @@ func TestEvalExactDeepNegation(t *testing.T) {
 	if !res.Exact || res.Incomplete || len(res.Answers.Tuples) != 0 {
 		t.Errorf("got %v (exact %v, incomplete %v), want {} exact", res.Answers.Tuples, res.Exact, res.Incomplete)
 	}
-	deep, err := chase.GroundSemantics(db, prog, chase.Options{MaxDepth: 20})
+	deep, err := chase.GroundSemanticsCtx(context.Background(), db, prog, chase.Options{MaxDepth: 20})
 	skipInjected(t, err)
 	if err != nil || !deep.Exact || !deep.Ground().Has(atom("q", "a")) || deep.Ground().Has(atom("ans", "a")) {
 		t.Errorf("the chase to depth 20 must terminate with q(a) and without ans(a): %v", err)
@@ -201,7 +201,7 @@ func TestEvalExactMatchesEval(t *testing.T) {
 		ts(?T), triple(?X, ?T, ?Z), conn(?Z, ?Y) -> conn(?X, ?Y).
 		conn(?X, ?Y) -> query(?X, ?Y).
 	`, "query")
-	fast, err := Eval(db, q, TriQLite10, Options{})
+	fast, err := EvalCtx(context.Background(), db, q, TriQLite10, Options{})
 	skipInjected(t, err)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package triq
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -108,7 +109,7 @@ func contains(xs []string, want string) bool {
 // changes evaluation.
 func TestExplainAnswersMatchEval(t *testing.T) {
 	db, q := transportFixture()
-	plain, err := Eval(db, q, TriQLite10, Options{})
+	plain, err := EvalCtx(context.Background(), db, q, TriQLite10, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,13 +29,13 @@ func limitsChainDB(n int) *chase.Instance {
 
 func TestEvalDegradesToPartialAnswersOnBudget(t *testing.T) {
 	q := datalog.Query{Program: datalog.MustParse(limitsChainSrc), Output: "query"}
-	full, err := Eval(limitsChainDB(8), q, TriQLite10, Options{})
+	full, err := EvalCtx(context.Background(), limitsChainDB(8), q, TriQLite10, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := Options{}
 	opts.Chase.MaxRounds = 3
-	res, err := Eval(limitsChainDB(8), q, TriQLite10, opts)
+	res, err := EvalCtx(context.Background(), limitsChainDB(8), q, TriQLite10, opts)
 	if err != nil {
 		t.Fatalf("budget trips must degrade, not error: %v", err)
 	}

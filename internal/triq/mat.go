@@ -32,15 +32,17 @@ type MatServed struct {
 
 // Materializer is the hook through which evaluation consults incrementally
 // maintained materializations. Implementations live outside this package
-// (internal/mat); evaluation only requires the two-phase contract:
+// (internal/mat); evaluation only requires the two-phase contract, one phase
+// per request each:
 //
 //   - Serve answers from an existing materialization if one matches the
 //     program (after constraint rewriting), the epoch, and compatible chase
-//     bounds; it returns nil on any miss and must be cheap.
+//     bounds; it returns nil on any miss and must be cheap. ServeMaterialized
+//     asks it, before the database is built.
 //   - BuildServe may build (and retain) a materialization from the given
 //     database first. It returns (nil, nil) to decline — wrong mode,
 //     negation, stale epoch, over budget — in which case the caller falls
-//     back to a from-scratch chase.
+//     back to a from-scratch chase. EvalCtx asks it, after a miss.
 //
 // Both receive the rewritten program: positive, constraint-free, with
 // constraints turned into InconsistencyMarker rules, so serving the marker

@@ -1,6 +1,7 @@
 package triq
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -57,7 +58,7 @@ func TestEliminateNegationSimple(t *testing.T) {
 	if !dbPlus.Has(atom(certifiedPred("tc"), "a", "b")) || dbPlus.Has(atom(certifiedPred("tc"), "b", "a")) {
 		t.Errorf("the certified copy of tc is wrong: %v", dbPlus.AtomsOf(certifiedPred("tc")))
 	}
-	orig, err := chase.Run(db, prog, chase.Options{})
+	orig, err := chase.RunCtx(context.Background(), db, prog, chase.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package triq
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/chase"
@@ -133,7 +134,7 @@ func TestEvalTrace(t *testing.T) {
 		e(?X, ?Y), tc(?Y, ?Z) -> tc(?X, ?Z).
 		tc(?X, ?Y) -> query(?X, ?Y).
 	`)
-	res, err := Eval(db, datalog.NewQuery(prog, "query"), TriQLite10, Options{
+	res, err := EvalCtx(context.Background(), db, datalog.NewQuery(prog, "query"), TriQLite10, Options{
 		Chase: chase.Options{Obs: o},
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
 package triq
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -175,7 +176,7 @@ func closedByPass(gr *chase.GroundResult) bool {
 // ProofTree, which has no depth bound, then certifies what the pass proved.
 func crossValidate(t *testing.T, name string, db *chase.Instance, prog *datalog.Program) (closed bool) {
 	t.Helper()
-	gr, err := chase.StableGround(db, prog, chase.Options{MaxDepth: 24}, 2)
+	gr, err := chase.StableGroundCtx(context.Background(), db, prog, chase.Options{MaxDepth: 24})
 	if err != nil {
 		t.Fatalf("%s: chase: %v", name, err)
 	}

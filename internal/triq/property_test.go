@@ -85,7 +85,7 @@ func TestPropertyProofTreeAgreesWithChaseRandom(t *testing.T) {
 				db.Add(atom("s", names[rng.Intn(2)], names[rng.Intn(2)]))
 			}
 		}
-		gr, err := chase.StableGround(db, prog, chase.Options{MaxDepth: 16}, 2)
+		gr, err := chase.StableGroundCtx(context.Background(), db, prog, chase.Options{MaxDepth: 16})
 		if err != nil {
 			t.Fatalf("round %d: chase: %v\n%s", round, err, prog)
 		}
@@ -226,7 +226,7 @@ func diffExact(t *testing.T, db *chase.Instance, prog *datalog.Program, o *obs.O
 		if !res.Exact || got != fmt.Sprint(want.Tuples) {
 			t.Errorf("%s: exact path %s (exact %v), ProofTree on every tuple %s", pred, got, res.Exact, fmt.Sprint(want.Tuples))
 		}
-		far, err := chase.GroundSemantics(db, prog, chase.Options{MaxDepth: res.Depth + 4})
+		far, err := chase.GroundSemanticsCtx(context.Background(), db, prog, chase.Options{MaxDepth: res.Depth + 4})
 		if errors.Is(err, limits.ErrInjected) {
 			return
 		}
@@ -243,7 +243,7 @@ func diffExact(t *testing.T, db *chase.Instance, prog *datalog.Program, o *obs.O
 // 6.3 with every complement decided by ProofTree tuple by tuple over dom, then
 // ProofTree on every tuple of the predicate. It is the reference the exact
 // path's lookups replaced.
-func proofTreeOracle(ctx context.Context, db *chase.Instance, prog *datalog.Program, pred string) (*chase.Answers, error) {
+func proofTreeOracle(ctx context.Context, db *chase.Instance, prog *datalog.Program, pred string) (*Answers, error) {
 	work := datalog.SingleHead(prog)
 	strat, err := datalog.Stratify(work)
 	if err != nil {

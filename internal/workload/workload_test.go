@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/chase"
@@ -19,7 +20,7 @@ func TestTransportGenerator(t *testing.T) {
 	if n != 10 {
 		t.Errorf("cities = %d, want 10", n)
 	}
-	res, err := triq.Eval(db, TransportQuery(), triq.TriQLite10, triq.Options{})
+	res, err := triq.EvalCtx(context.Background(), db, TransportQuery(), triq.TriQLite10, triq.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestCliqueAgainstOracle(t *testing.T) {
 		for _, k := range []int{3, 4} {
 			want := HasClique(nodes, edges, k)
 			db := CliqueDB(k, nodes, edges)
-			res, err := triq.Eval(db, q, triq.TriQ10, triq.Options{})
+			res, err := triq.EvalCtx(context.Background(), db, q, triq.TriQ10, triq.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,7 +110,7 @@ func TestUGCPGroundConnectionGrows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := chase.Run(db, owl.Program().Positive(), chase.Options{MaxDepth: 6})
+		res, err := chase.RunCtx(context.Background(), db, owl.Program().Positive(), chase.Options{MaxDepth: 6})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +138,7 @@ func TestNearlyFrontierGuardedBoundedGroundConnection(t *testing.T) {
 	}
 	var last int
 	for _, n := range []int{4, 8, 16} {
-		res, err := chase.Run(Chain(n), prog, chase.Options{})
+		res, err := chase.RunCtx(context.Background(), Chain(n), prog, chase.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +197,7 @@ func TestATMReductionMatchesSimulator(t *testing.T) {
 		// stabilization does not apply; run the chase to an explicit depth
 		// comfortably beyond the machine's run length.
 		prog := q.Program
-		res, err := chase.Run(db, prog, chase.Options{MaxDepth: len(input) + 6})
+		res, err := chase.RunCtx(context.Background(), db, prog, chase.Options{MaxDepth: len(input) + 6})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -177,13 +177,15 @@ func soakIteration(g *Graph, q, exactQ Query, sq *SPARQLQuery, tr *Translation,
 		if ms.Len() != wantMappings {
 			return fmt.Errorf("AskSPARQL: got %d mappings, want %d", ms.Len(), wantMappings)
 		}
-		// Exercise the shared compiled Translation from the same goroutine.
-		ms2, _, err := tr.EvaluateCtx(ctx, g, Options{})
+		// Exercise the shared compiled Translation from the same goroutine:
+		// its query, evaluated as a Datalog request, has one answer tuple per
+		// mapping.
+		res, err := Eval(ctx, g, Request{Query: tr.Query, Language: Unrestricted})
 		if err != nil {
 			return checkErr(err)
 		}
-		if ms2.Len() != wantMappings {
-			return fmt.Errorf("Translation: got %d mappings, want %d", ms2.Len(), wantMappings)
+		if len(res.Tuples) != wantMappings {
+			return fmt.Errorf("Translation: got %d tuples, want %d", len(res.Tuples), wantMappings)
 		}
 	default:
 		res, err := Eval(ctx, g, Request{Query: exactQ, Language: TriQLite10, Exact: true, Options: opts})

@@ -221,7 +221,7 @@ type Response struct {
 	Mappings *MappingSet
 	// Exact reports that the rows are provably all of Q(G): the chase
 	// terminated within its depth bound, or its closing pass proved that no
-	// deeper bound adds a constant-only fact (see internal/chase.StableGround;
+	// deeper bound adds a constant-only fact (see internal/chase.StableGroundCtx;
 	// Stats.Deepening says which), or — on a Request.Exact — ProofTree decided
 	// every goal the pass left open. An exact request is Exact unless it is
 	// Incomplete.
