@@ -2,38 +2,14 @@ package repro
 
 import (
 	"context"
-	"strings"
 	"testing"
 
 	"repro/internal/chase"
 	"repro/internal/datalog"
+	"repro/internal/rdf"
+	"repro/internal/translate"
 	"repro/internal/triq"
 )
-
-func TestFacadePaths(t *testing.T) {
-	g, _ := ParseGraph("a knows b .\nb knows c .")
-	p, err := ParsePath("knows+")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := EvalPath(g, p); len(got) != 3 {
-		t.Errorf("knows+ = %v", got.Sorted())
-	}
-	if _, err := ParsePath("((("); err == nil {
-		t.Error("bad path should error")
-	}
-}
-
-func TestFacadeNRE(t *testing.T) {
-	g, _ := ParseGraph("a p b .\np subPropertyOf r .")
-	e, err := ParseNRE("next::[ next::subPropertyOf / self::r ]")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := EvalNRE(g, e); len(got) != 1 {
-		t.Errorf("NRE = %v", got.Sorted())
-	}
-}
 
 func TestFacadeOntology(t *testing.T) {
 	o, err := ParseOntology(`
@@ -52,9 +28,6 @@ func TestFacadeOntology(t *testing.T) {
 	}
 	if ms.Len() != 1 {
 		t.Errorf("answers = %s", ms)
-	}
-	if OntologyProgram() == nil || RDFSProgram() == nil {
-		t.Error("fixed programs missing")
 	}
 }
 
@@ -79,7 +52,7 @@ func TestFacadeConstructTranslation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := TranslateConstruct(q, PlainRegime)
+	ct, err := translate.TranslateConstruct(q, PlainRegime)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +61,7 @@ func TestFacadeConstructTranslation(t *testing.T) {
 		t.Fatal(err, inconsistent)
 	}
 	direct, _ := Construct(q, g)
-	if !Isomorphic(out, direct) {
+	if !rdf.Isomorphic(out, direct) {
 		t.Errorf("construct mismatch:\n%s\nvs\n%s", out, direct)
 	}
 }
@@ -108,24 +81,6 @@ func TestFacadeAskExact(t *testing.T) {
 	}
 	if !res.Exact || len(res.Tuples) != 1 || res.Tuples[0][0].Value != "a" {
 		t.Errorf("exact Eval = %+v", res)
-	}
-}
-
-func TestFacadeTranslateSPARQL(t *testing.T) {
-	q, _ := ParseSPARQL(`SELECT ?X WHERE { ?X p ?Y }`)
-	tr, err := TranslateSPARQL(q.Pattern(), PlainRegime)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Vars) != 1 || tr.Vars[0] != "?X" {
-		t.Errorf("Vars = %v", tr.Vars)
-	}
-}
-
-func TestFacadeReadGraph(t *testing.T) {
-	g, err := ReadGraph(strings.NewReader("a p b ."))
-	if err != nil || g.Len() != 1 {
-		t.Fatal(err)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/limits"
 	"repro/internal/mat"
+	"repro/internal/translate"
 	"repro/internal/triq"
 )
 
@@ -293,7 +294,7 @@ func TestGoldenDialects(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		tr, err := TranslateSPARQL(q.Pattern(), c.regime)
+		tr, err := translate.Translate(q.Pattern(), c.regime)
 		if err != nil {
 			t.Fatalf("%s: translate: %v", c.name, err)
 		}

@@ -150,10 +150,10 @@ func (s Stats) String() string {
 
 // Result is the outcome of evaluating a program over a database.
 type Result struct {
-	// Instance is Π(D) (up to the depth bound), or the state reached when
-	// an inconsistency was detected.
+	// Instance is Π(D) (up to the depth bound).
 	Instance *Instance
-	// Inconsistent is true when some constraint fired: Π(D) = ⊤.
+	// Inconsistent is true when the run ended with the inconsistency marker in
+	// the instance: some constraint fired, and Π(D) = ⊤.
 	Inconsistent bool
 	Stats        Stats
 }
@@ -211,29 +211,28 @@ func compileRule(r datalog.Rule, idx int) *compiledRule {
 // engine holds the mutable chase state shared across strata and, when the
 // depth bound is raised between steps, across steps.
 type engine struct {
-	ctx         context.Context
-	opts        Options
-	inst        *Instance
-	strata      []*stratum
-	constraints []datalog.Constraint
-	depth       map[uint32]int    // null id → invention depth
-	skolem      map[string]uint32 // skolem key (skolemKeyFor) → null id
-	nextNull    int
-	deepest     int // the largest invention depth of any null
-	stats       Stats
-	ground      int          // constant-only facts derived: how far Π(D)↓ has grown
-	perRule     []*RuleStats // one entry per rule, across strata
-	cur         *RuleStats   // the rule currently being matched/fired
-	park        *triggerBuf  // where fire parks a trigger of that rule the depth bound blocks
-	found       triggerBuf   // the triggers enumerate found in that rule's turn, reused across turns
-	span        *obs.Span    // the current step's chase.run span (nil when tracing is off)
-	start       time.Time
-	tick        int       // trigger-attempt counter gating the in-round ctx checks
-	ruleLabels  bool      // attach per-rule pprof labels (recording traces only)
-	seen        *relation // apply's dedup set, reused across turns
-	keyBuf      []byte    // scratch for the fact keys Incremental probes its sets with
-	skBuf       []byte    // scratch for the Skolem keys fire probes its table with
-	row         []uint32  // scratch for a row fire or apply writes
+	ctx        context.Context
+	opts       Options
+	inst       *Instance
+	strata     []*stratum
+	depth      map[uint32]int    // null id → invention depth
+	skolem     map[string]uint32 // skolem key (skolemKeyFor) → null id
+	nextNull   int
+	deepest    int // the largest invention depth of any null
+	stats      Stats
+	ground     int          // constant-only facts derived: how far Π(D)↓ has grown
+	perRule    []*RuleStats // one entry per rule, across strata
+	cur        *RuleStats   // the rule currently being matched/fired
+	park       *triggerBuf  // where fire parks a trigger of that rule the depth bound blocks
+	found      triggerBuf   // the triggers enumerate found in that rule's turn, reused across turns
+	span       *obs.Span    // the current step's chase.run span (nil when tracing is off)
+	start      time.Time
+	tick       int       // trigger-attempt counter gating the in-round ctx checks
+	ruleLabels bool      // attach per-rule pprof labels (recording traces only)
+	seen       *relation // apply's dedup set, reused across turns
+	keyBuf     []byte    // scratch for the fact keys Incremental probes its sets with
+	skBuf      []byte    // scratch for the Skolem keys fire probes its table with
+	row        []uint32  // scratch for a row fire or apply writes
 	// closeKind is set while the closing pass runs (see close.go), to the kind of
 	// Skolem key its rung gives summary nulls: fire closes a trigger the depth
 	// bound blocks with one instead of parking it, and gives up at the first
@@ -352,11 +351,14 @@ func newEngine(ctx context.Context, inst *Instance, opts Options) *engine {
 
 // prepare validates, stratifies and compiles the program and returns an engine
 // that will chase into inst and has not chased anything yet; opts must carry
-// its defaults.
+// its defaults. Constraints are compiled as the rules that derive the
+// inconsistency marker (datalog.ConstraintsAsRules), so ⊤ is a fact the chase
+// derives like any other.
 func prepare(ctx context.Context, inst *Instance, prog *datalog.Program, opts Options) (*engine, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, err
 	}
+	prog = datalog.ConstraintsAsRules(prog)
 	// Stratified evaluation needs single-head rules when a multi-head rule
 	// spans strata; normalizing unconditionally keeps the engine simple.
 	work := prog
@@ -377,7 +379,6 @@ func prepare(ctx context.Context, inst *Instance, prog *datalog.Program, opts Op
 		return nil, err
 	}
 	e := newEngine(ctx, inst, opts)
-	e.constraints = work.Constraints
 	// Per-rule pprof labels let CPU profiles attribute chase work to rules
 	// (and, via the request labels already on ctx, to trace ids). The extra
 	// label swap per rule turn is only paid when the request is actually
@@ -759,8 +760,9 @@ const (
 
 // RunCtx evaluates a Datalog^{∃,¬s,⊥} program over a database following the
 // stratified semantics of Section 3.2: S_0 = chase(D, Π_0),
-// S_i = chase(S_{i-1}, (Π_i)^{S_{i-1}}), then constraints are checked on
-// S_ℓ. The result is Π(D) (Result.Inconsistent true encodes ⊤).
+// S_i = chase(S_{i-1}, (Π_i)^{S_{i-1}}), with each constraint a rule that
+// derives the inconsistency marker. The result is Π(D) (Result.Inconsistent
+// true encodes ⊤).
 //
 // Cancellation and deadlines are honored at round, rule, and (every few
 // dozen) trigger granularity, so a canceled chase stops within milliseconds
@@ -778,12 +780,12 @@ func RunCtx(ctx context.Context, db *Instance, prog *datalog.Program, opts Optio
 	}
 	// Snapshot rather than discard on an abort: the caller gets the instance
 	// and stats reached alongside the typed error.
-	inconsistent, err := e.step()
-	return &Result{Instance: e.inst, Inconsistent: inconsistent, Stats: e.snapshotStats()}, err
+	err = e.step()
+	return &Result{Instance: e.inst, Inconsistent: e.inst.inconsistent(), Stats: e.snapshotStats()}, err
 }
 
 // step chases every stratum to its fixpoint under the current
-// e.opts.MaxDepth and checks the constraints. On a new engine that is the
+// e.opts.MaxDepth. On a new engine that is the
 // whole run; after the bound has been raised it continues from the previous
 // step's instance (see chaseStratum) and fails with errNegatedGrew where it
 // cannot: the strata below the negation have then already run under the new
@@ -791,7 +793,7 @@ func RunCtx(ctx context.Context, db *Instance, prog *datalog.Program, opts Optio
 // receive what this step added, that failed step's part included, so over an
 // engine's life they sum to its Stats — and over an evaluation that abandoned
 // an engine, to more than the Stats of the engine that replaced it.
-func (e *engine) step() (inconsistent bool, err error) {
+func (e *engine) step() error {
 	opts, before := e.opts, e.stats
 	e.stats.DepthTruncated = false
 	opts.Progress.runStart()
@@ -822,13 +824,8 @@ func (e *engine) step() (inconsistent bool, err error) {
 	}
 	for _, s := range e.strata {
 		if err := e.chaseStratum(s); err != nil {
-			return false, err
+			return err
 		}
 	}
-	for _, c := range e.constraints {
-		if holds(e.inst, c.Body) {
-			return true, nil
-		}
-	}
-	return false, nil
+	return nil
 }

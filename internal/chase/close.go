@@ -100,19 +100,19 @@ func (e *engine) restore(m engineMark) {
 
 // closingStep runs one rung of the closing pass, the one whose summary nulls
 // take Skolem keys of the given kind, on an engine whose last step ended
-// truncated and consistent. closed reports that the pass reached its
-// fixpoint without a constant-only fact and without matching a constraint —
-// which may have matched through summary nulls only, so ⊤ is not its to
+// truncated. closed reports that the pass reached its fixpoint without a
+// constant-only fact. The inconsistency marker is one, so a constraint that
+// matches, if only through summary nulls, fails the pass: ⊤ is not its to
 // report. A limit error leaves what the pass derived in the instance, as it
 // does for any step; none of it is constant-only.
 func (e *engine) closingStep(kind byte) (closed bool, err error) {
 	e.closeKind = kind
-	inconsistent, err := e.step()
+	err = e.step()
 	e.closeKind = 0
 	if err == errNotClosed {
 		return false, nil
 	}
-	return err == nil && !inconsistent, err
+	return err == nil, err
 }
 
 // close tries to prove the engine's ground part complete, rung by rung, and
@@ -123,10 +123,9 @@ func (e *engine) closingStep(kind byte) (closed bool, err error) {
 // Once rung 1 has been undone on the engine, later passes skip it. A deeper
 // step fires more triggers with nulls of its own and blocks fewer, but what
 // made rung 1 fail — witnesses of different constants merged into one null —
-// is still there wherever a trigger stays blocked, and a rung that fails on ⊥
-// runs to its fixpoint first. Skipping it never delays a close: rung 1's model
-// holds an image of rung 2's, so rung 2 closes wherever rung 1 does, with more
-// facts.
+// is still there wherever a trigger stays blocked. Skipping it never delays a
+// close: rung 1's model holds an image of rung 2's, so rung 2 closes wherever
+// rung 1 does, with more facts.
 func (e *engine) close() (closed, coarse bool, err error) {
 	m := e.mark()
 	for _, kind := range [...]byte{coarseKey, summaryKey} {
@@ -154,18 +153,17 @@ func (e *engine) close() (closed, coarse bool, err error) {
 // A program may negate what no rule derives: those extents are the database's
 // and never change, so the sandwich holds as for a positive program.
 //
-// An Exact result has no open goals. One a limit cut short or that found ⊤
-// has no fixpoint to continue, and one of a program that negates a derived
-// predicate no model to read them off — the upper strata of an inexact I_d may
-// hold atoms that a fact missing below would have blocked — so for those
-// OpenGoals is an error.
+// An Exact result has no open goals. One a limit cut short has no fixpoint to
+// continue, and one of a program that negates a derived predicate no model to
+// read them off — the upper strata of an inexact I_d may hold atoms that a
+// fact missing below would have blocked — so for those OpenGoals is an error.
 func (r *GroundResult) OpenGoals(preds ...string) ([]datalog.Atom, error) {
 	if r.Exact {
 		return nil, nil
 	}
 	e := r.open
 	if e == nil {
-		return nil, errors.New("chase: open goals need a program that negates no derived predicate and whose evaluation ended truncated and consistent")
+		return nil, errors.New("chase: open goals need a program that negates no derived predicate and whose evaluation ended truncated")
 	}
 	_, sp := obs.StartSpan(e.ctx, e.opts.Obs, "chase.open_goals", obs.F("depth", r.Depth))
 	e.opts.Parent = sp

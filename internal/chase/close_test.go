@@ -226,7 +226,7 @@ func TestRestoreIsRepeatable(t *testing.T) {
 		}
 		for _, d := range depths {
 			e.opts.MaxDepth = d
-			if _, err := e.step(); err != nil {
+			if err := e.step(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -250,7 +250,7 @@ func TestRestoreIsRepeatable(t *testing.T) {
 		}
 	}
 	e.opts.MaxDepth = 4
-	if _, err := e.step(); err != nil {
+	if err := e.step(); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := state(e), state(engineAt(2, 4)); got != want {

@@ -473,11 +473,11 @@ func diffEngineSteps(t *testing.T, label string, c diffCase, opts Options, resta
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantInc, wantErr := fresh.step()
-		gotInc, gotErr := false, errNegatedGrew
+		wantErr := fresh.step()
+		gotErr := errNegatedGrew
 		if resumed != nil {
 			resumed.opts = opts
-			gotInc, gotErr = resumed.step()
+			gotErr = resumed.step()
 		}
 		if gotErr == errNegatedGrew {
 			if resumed != nil {
@@ -486,7 +486,7 @@ func diffEngineSteps(t *testing.T, label string, c diffCase, opts Options, resta
 			if resumed, err = prepare(context.Background(), c.db.Overlay(), c.program, opts); err != nil {
 				t.Fatal(err)
 			}
-			gotInc, gotErr = resumed.step()
+			gotErr = resumed.step()
 		}
 		if errors.Is(wantErr, limits.ErrInjected) || errors.Is(gotErr, limits.ErrInjected) {
 			return // TRIQ_FAULTS armed: the process-global plan trips wherever its hit count says
@@ -496,6 +496,7 @@ func diffEngineSteps(t *testing.T, label string, c diffCase, opts Options, resta
 			return
 		}
 		want, got := fresh.stats, resumed.stats
+		wantInc, gotInc := fresh.inst.inconsistent(), resumed.inst.inconsistent()
 		if wantInc != gotInc || want.DepthTruncated != got.DepthTruncated {
 			t.Errorf("%s depth %d: inconsistent/truncated: restart %v/%v, resume %v/%v",
 				label, depth, wantInc, want.DepthTruncated, gotInc, got.DepthTruncated)

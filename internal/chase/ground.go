@@ -9,7 +9,10 @@ import (
 
 // GroundResult is the outcome of computing the ground semantics Π(D)↓.
 type GroundResult struct {
-	// Inconsistent is true when a constraint fired.
+	// Inconsistent is true when the evaluation ended with the inconsistency
+	// marker in its ground part: a constraint fired, and Π(D) = ⊤. Deriving
+	// the marker is monotone, so a limit that cut the evaluation short leaves
+	// it sound.
 	Inconsistent bool
 	// Exact is true when the ground part is provably Π(D)↓: the chase
 	// terminated within the depth bound, or the closing pass proved that no
@@ -130,10 +133,10 @@ type DeepenStep struct {
 // chase.* registry counters count work done and so include the abandoned one's.
 //
 // The closing pass (close.go) is the proof. After every step that ends
-// truncated and consistent it continues that step on the same engine, closing
-// the triggers the bound blocks with summary nulls; the fixpoint is a finite
-// model of the program that contains the depth-d chase, so its ground part
-// bounds Π(D)↓ from above, and when the pass has added no constant-only fact
+// truncated it continues that step on the same engine, closing the triggers
+// the bound blocks with summary nulls; the fixpoint is a finite model of the
+// program that contains the depth-d chase, so its ground part bounds Π(D)↓
+// from above, and when the pass has added no constant-only fact
 // the two bounds meet: the evaluation ends, Exact, at the depth of that step
 // (chase.closed). A pass that does add one is undone (chase.closing_failed)
 // and deepening goes on. The argument needs a model, not wardedness, so it
@@ -186,7 +189,6 @@ func stableGround(ctx context.Context, db *Instance, prog *datalog.Program, opts
 		_, sp := obs.StartSpan(ctx, opts.Obs, "chase.deepen", obs.F("depth", depth))
 		opts.MaxDepth, opts.Parent = depth, sp
 		st := DeepenStep{Depth: depth}
-		var inconsistent bool
 		var err error
 		var before engineMark // the engine before the step
 		prev := e
@@ -194,7 +196,7 @@ func stableGround(ctx context.Context, db *Instance, prog *datalog.Program, opts
 			before = e.mark()
 			st.Resumed, st.Refired = true, e.parkedTriggers()
 			e.opts = opts
-			if inconsistent, err = e.step(); err == errNegatedGrew {
+			if err = e.step(); err == errNegatedGrew {
 				opts.Obs.Count("chase.deepen_restarts", 1)
 				e = nil
 				st.Resumed, st.Refired = false, 0
@@ -207,7 +209,7 @@ func stableGround(ctx context.Context, db *Instance, prog *datalog.Program, opts
 				sp.End(obs.F("error", true))
 				return nil, err
 			}
-			inconsistent, err = e.step()
+			err = e.step()
 			st.NewFacts, st.NewGround = e.stats.FactsDerived, e.ground
 		}
 		st.Parked = e.parkedTriggers()
@@ -234,25 +236,24 @@ func stableGround(ctx context.Context, db *Instance, prog *datalog.Program, opts
 			obs.F("new_facts", st.NewFacts),
 			obs.F("new_ground", st.NewGround),
 			obs.F("exact", exact),
-			obs.F("inconsistent", inconsistent),
 			obs.F("stable", stable))
-		if err == nil && !inconsistent && !exact && closable {
+		if err == nil && !exact && closable {
 			var cl DeepenStep
 			if cl, exact, err = closingStepOf(ctx, e, st, closePass); exact || err != nil {
 				steps = append(steps, cl) // what the pass added is still there
 			}
 		}
-		if err != nil || inconsistent || exact || stable >= window || depth == ceiling {
+		if err != nil || exact || stable >= window || depth == ceiling {
 			// depth == ceiling gives up; the result is the deepest one.
 			res := &GroundResult{
 				inst:         e.inst,
-				Inconsistent: inconsistent,
+				Inconsistent: e.inst.inconsistent(),
 				Exact:        exact,
 				Depth:        depth,
 				Stats:        e.snapshotStats(),
 			}
 			res.Stats.Deepening = steps
-			if err == nil && !inconsistent && !exact && len(prog.NegatedIDB()) == 0 {
+			if err == nil && !exact && len(prog.NegatedIDB()) == 0 {
 				res.open = e
 			}
 			return res, err
@@ -261,8 +262,8 @@ func stableGround(ctx context.Context, db *Instance, prog *datalog.Program, opts
 }
 
 // closingStepOf runs the closing pass on an engine whose step st has just ended
-// truncated and consistent, under a chase.deepen span of its own, and reports
-// what it did as a step. closed says the ground part is proved complete; if
+// truncated, under a chase.deepen span of its own, and reports what it did as
+// a step. closed says the ground part is proved complete; if
 // not, and without an error, the engine is as it was and the step lists nothing
 // that is still there.
 func closingStepOf(ctx context.Context, e *engine, st DeepenStep, closePass func(*engine) (bool, bool, error)) (cl DeepenStep, closed bool, err error) {

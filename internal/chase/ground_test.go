@@ -223,7 +223,7 @@ func TestResumeRefiresParkedTriggers(t *testing.T) {
 		{4, 4, 0, false, true}, // nothing left to do
 	} {
 		e.opts.MaxDepth = want.depth
-		if _, err := e.step(); err != nil {
+		if err := e.step(); err != nil {
 			t.Fatal(err)
 		}
 		if e.stats.FactsDerived != want.facts || e.parkedTriggers() != want.parked ||

@@ -55,21 +55,20 @@ type Incremental struct {
 	broken bool
 }
 
-// NewIncremental builds the materialized fixpoint of a positive program over
-// the given EDB — the ordinary chase of a copy of it — and keeps the engine.
-// Programs with negation or constraints are rejected (their strata/marker
-// semantics do not maintain incrementally); callers fall back to the batch
-// chase. A depth or fact budget trip
-// during the build is an error, not a truncation: a partial materialization
-// must never be served. The build reports to opts.Obs and opts.Progress like
-// any chase; maintenance passes report through their MaintainStats only.
+// NewIncremental builds the materialized fixpoint of a program without
+// negation over the given EDB — the ordinary chase of a copy of it — and keeps
+// the engine. Constraints are maintained as the rules that derive the
+// inconsistency marker, like any positive rule, so a delete that repairs the
+// data retracts ⊤. Programs with negation are rejected (their strata do not
+// maintain incrementally); callers fall back to the batch chase. A depth or
+// fact budget trip during the build is an error, not a truncation: a partial
+// materialization must never be served. The build reports to opts.Obs and
+// opts.Progress like any chase; maintenance passes report through their
+// MaintainStats only.
 func NewIncremental(ctx context.Context, db *Instance, prog *datalog.Program, opts Options) (*Incremental, error) {
 	opts = opts.withDefaults()
 	if prog.HasNegation() {
 		return nil, fmt.Errorf("chase: incremental maintenance cannot handle negation")
-	}
-	if len(prog.Constraints) > 0 {
-		return nil, fmt.Errorf("chase: incremental maintenance cannot handle constraints")
 	}
 	e, err := prepare(ctx, NewInstance(), prog, opts)
 	if err != nil {
@@ -113,7 +112,7 @@ func (inc *Incremental) chase(ctx context.Context, st *MaintainStats, edit func(
 	derived, attempted := e.stats.FactsDerived, e.attempted()
 	err := edit()
 	if err == nil {
-		_, err = e.step()
+		err = e.step()
 	}
 	if err == nil && (e.stats.DepthTruncated || e.parkedTriggers() > 0) {
 		err = ErrMaintainDepth

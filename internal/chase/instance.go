@@ -1,8 +1,8 @@
 // Package chase implements the chase procedure of Section 3.2 of the paper:
 // instances of ground atoms over constants and labeled nulls, homomorphism
 // matching, the (semi-naive) Skolem chase for Datalog^∃ programs, the
-// stratified semantics S_0, …, S_ℓ for Datalog^{∃,¬s,⊥},
-// constraint checking, and the ground semantics Π(D)↓.
+// stratified semantics S_0, …, S_ℓ for Datalog^{∃,¬s,⊥} (constraints as
+// rules that derive an inconsistency marker), and the ground semantics Π(D)↓.
 package chase
 
 import (
@@ -424,6 +424,12 @@ func (i *Instance) Has(a datalog.Atom) bool {
 
 // Len returns the number of atoms.
 func (i *Instance) Len() int { return i.baseLen + i.n }
+
+// inconsistent reports whether the instance holds the inconsistency marker
+// (datalog.ConstraintsAsRules): some constraint fired.
+func (i *Instance) inconsistent() bool {
+	return i.Has(datalog.Atom{Pred: datalog.InconsistencyMarker})
+}
 
 // ownLen returns how many rows of the predicate the own layer holds.
 func (i *Instance) ownLen(pred string) int {

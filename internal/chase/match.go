@@ -325,20 +325,3 @@ func matchPatterns(inst *Instance, pats []pattern, order []int, e env, added *[]
 	}
 	return rec(0)
 }
-
-// holds reports whether the conjunction of atoms has a match in the
-// instance: a constraint's body, for one.
-func holds(inst *Instance, body []datalog.Atom) bool {
-	st := newSlotTable()
-	pats := make([]pattern, len(body))
-	for i, a := range body {
-		pats[i] = compileAtom(a, st)
-		pats[i].resolve(inst, false)
-	}
-	found := false
-	matchPatterns(inst, pats, orderPatterns(pats, nil, -1), newEnv(len(st.vars)), new([]int), func() bool {
-		found = true
-		return false
-	})
-	return found
-}

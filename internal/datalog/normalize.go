@@ -238,40 +238,30 @@ func NormalizeForProofTree(p *Program) (*Program, error) {
 	return HeadGroundedSplit(q)
 }
 
-// StarConstant is the reserved constant ⋆ of Theorem 4.4 (also reused by the
-// SPARQL translation of Section 5.1 for unbound positions).
+// StarConstant is the reserved constant ⋆ that the SPARQL translation of
+// Section 5.1 puts at unbound positions.
 const StarConstant = "⋆"
 
-// ReduceConstraints applies the Π⊥ construction of Theorem 4.4: every
-// constraint a1,…,an → ⊥ becomes the rule a1,…,an → p(⋆,…,⋆) on the query's
-// output predicate p. For the resulting query Q', Q(D) = ⊤ iff the all-⋆
-// tuple is in Q'(D), and otherwise Q(D) = Q'(D) minus that tuple.
-func ReduceConstraints(q Query) Query {
-	if len(q.Program.Constraints) == 0 {
-		return q
-	}
-	arity := q.OutputArity()
-	if arity < 0 {
-		arity = 0
-	}
-	star := make([]Term, arity)
-	for i := range star {
-		star[i] = C(StarConstant)
-	}
-	prog := q.Program.Clone()
-	for _, c := range prog.Constraints {
-		prog.Add(Rule{BodyPos: c.Body, Head: []Atom{{Pred: q.Output, Args: star}}})
-	}
-	prog.Constraints = nil
-	return Query{Program: prog, Output: q.Output}
-}
+// InconsistencyMarker is the 0-ary predicate ConstraintsAsRules derives where
+// a constraint fires: Π(D) = ⊤ exactly when it is in the chase. It stands in
+// for the output tuple p(⋆,…,⋆) of Theorem 4.4's Π⊥, which would collide with
+// the ⋆ tuples the SPARQL translation of Section 5.1 answers for mappings with
+// an empty domain.
+const InconsistencyMarker = "⊥#marker"
 
-// StarTuple returns the all-⋆ tuple of the given arity, used to detect
-// inconsistency after ReduceConstraints.
-func StarTuple(arity int) []Term {
-	out := make([]Term, arity)
-	for i := range out {
-		out[i] = C(StarConstant)
+// ConstraintsAsRules is the Π⊥ construction of Theorem 4.4 with a marker: the
+// program with every constraint a1,…,an → ⊥ appended after the rules as the
+// rule a1,…,an → ⊥#marker, so a single monotone chase answers both the
+// consistency question and the query. The result shares its rules with p; a
+// constraint-free p is returned as is.
+func ConstraintsAsRules(p *Program) *Program {
+	if len(p.Constraints) == 0 {
+		return p
 	}
-	return out
+	rules := make([]Rule, len(p.Rules), len(p.Rules)+len(p.Constraints))
+	copy(rules, p.Rules)
+	for _, c := range p.Constraints {
+		rules = append(rules, Rule{BodyPos: c.Body, Head: []Atom{{Pred: InconsistencyMarker}}})
+	}
+	return &Program{Rules: rules}
 }

@@ -164,39 +164,6 @@ func TestNormalizeForProofTree(t *testing.T) {
 	}
 }
 
-func TestReduceConstraints(t *testing.T) {
-	q := MustParseQuery(`
-		p(?X) -> out(?X).
-		p(?X), bad(?X) -> false.
-	`, "out")
-	r := ReduceConstraints(q)
-	if len(r.Program.Constraints) != 0 {
-		t.Error("constraints should be gone")
-	}
-	if len(r.Program.Rules) != 2 {
-		t.Fatalf("rules = %d, want 2", len(r.Program.Rules))
-	}
-	star := r.Program.Rules[1].Head[0]
-	if star.Pred != "out" || star.Args[0] != C(StarConstant) {
-		t.Errorf("⋆-rule head = %v", star)
-	}
-	// Constraint-free queries pass through unchanged.
-	noc := MustParseQuery(`p(?X) -> out(?X).`, "out")
-	if got := ReduceConstraints(noc); got.Program != noc.Program {
-		t.Error("constraint-free query should be returned as-is")
-	}
-}
-
-func TestStarTuple(t *testing.T) {
-	st := StarTuple(3)
-	if len(st) != 3 || st[0] != C(StarConstant) {
-		t.Errorf("StarTuple = %v", st)
-	}
-	if len(StarTuple(0)) != 0 {
-		t.Error("StarTuple(0) should be empty")
-	}
-}
-
 func TestFreshPredicatesAvoidClashes(t *testing.T) {
 	p := MustParse(`p(?X) -> exists ?Y1 exists ?Y2 "p#0"(?X, ?Y1, ?Y2).`)
 	q := SingleExistential(p)
@@ -216,5 +183,29 @@ func TestFreshPredicatesAvoidClashes(t *testing.T) {
 	}
 	if _, ok := sch["p#1"]; !ok {
 		t.Errorf("expected fresh predicate p#1 in %v", sch)
+	}
+}
+
+func TestConstraintsAsRules(t *testing.T) {
+	p := MustParse(`
+		p(?X) -> out(?X).
+		p(?X), bad(?X) -> false.
+	`)
+	r := ConstraintsAsRules(p)
+	if len(r.Constraints) != 0 || len(r.Rules) != 2 {
+		t.Fatalf("got %d rules, %d constraints; want 2, 0", len(r.Rules), len(r.Constraints))
+	}
+	if got := r.Rules[1].String(); got != "p(?X), bad(?X) -> ⊥#marker()." {
+		t.Errorf("marker rule = %s", got)
+	}
+	if &r.Rules[0].Head[0] != &p.Rules[0].Head[0] {
+		t.Error("the rules should be shared, not copied")
+	}
+	if len(p.Constraints) != 1 || len(p.Rules) != 1 {
+		t.Error("the input program was modified")
+	}
+	noc := MustParse(`p(?X) -> out(?X).`)
+	if ConstraintsAsRules(noc) != noc {
+		t.Error("a constraint-free program should be returned as is")
 	}
 }

@@ -386,16 +386,3 @@ func (q Query) Validate() error {
 	}
 	return nil
 }
-
-// OutputArity returns the arity of the output predicate, or -1 when the
-// predicate does not occur in the program.
-func (q Query) OutputArity() int {
-	sch, err := q.Program.Schema()
-	if err != nil {
-		return -1
-	}
-	if ar, ok := sch[q.Output]; ok {
-		return ar
-	}
-	return -1
-}

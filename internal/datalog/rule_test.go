@@ -130,13 +130,6 @@ func TestQueryValidate(t *testing.T) {
 	if err := q.Validate(); err != nil {
 		t.Errorf("valid query rejected: %v", err)
 	}
-	if q.OutputArity() != 1 {
-		t.Errorf("OutputArity = %d", q.OutputArity())
-	}
-	missing := NewQuery(MustParse(`p(?X) -> q(?X).`), "absent")
-	if missing.OutputArity() != -1 {
-		t.Error("absent output predicate should report arity -1")
-	}
 }
 
 func TestProgramString(t *testing.T) {

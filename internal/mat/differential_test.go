@@ -161,8 +161,8 @@ func newMatHarness(t *testing.T) *matHarness {
 
 // query evaluates the program's output at the store's current epoch twice —
 // once offered the materializer, once forced through the chase — and fails
-// the test on any divergence. It returns the materialized side's path.
-func (h *matHarness) query(t *testing.T, ctx context.Context, prog *datalog.Program, label string) string {
+// the test on any divergence. It returns the materialized side's response.
+func (h *matHarness) query(t *testing.T, ctx context.Context, prog *datalog.Program, label string) *repro.Response {
 	t.Helper()
 	ep := h.st.Current()
 	q := datalog.NewQuery(prog, matOutput)
@@ -187,7 +187,7 @@ func (h *matHarness) query(t *testing.T, ctx context.Context, prog *datalog.Prog
 	if !warm.Exact {
 		t.Fatalf("%s: materialized answer not exact (path %s)", label, warm.Explain.Path)
 	}
-	return warm.Explain.Path
+	return warm
 }
 
 // ask evaluates the query over an epoch's graph through repro.Eval, as a
@@ -261,7 +261,7 @@ func TestMatDifferential(t *testing.T) {
 				if step%queryEvery != 0 {
 					continue
 				}
-				path := h.query(t, ctx, prog, fmt.Sprintf("step %d", step))
+				path := h.query(t, ctx, prog, fmt.Sprintf("step %d", step)).Explain.Path
 				if path == triq.PathMaterialized {
 					servedWarm = true
 				}
@@ -341,6 +341,44 @@ func TestMatInsertDeleteRestores(t *testing.T) {
 	}
 }
 
+// TestMatConstraintTop: a constraint is maintained like any rule. The commit
+// that violates it makes the warm read answer ⊤, and the delete that repairs
+// the data retracts ⊤; every read equals the chase's.
+func TestMatConstraintTop(t *testing.T) {
+	ctx := context.Background()
+	prog := datalog.MustParse(`
+		triple(?X, type, a) -> out(?X).
+		triple(?X, type, a), triple(?X, type, b) -> false.
+	`)
+	h := newMatHarness(t)
+	x, bad := rdf.T("x", "type", "a"), rdf.T("x", "type", "b")
+	if _, _, err := h.st.Insert([]rdf.Triple{x}); err != nil {
+		matSkipInjected(t, err)
+		t.Fatalf("seed insert: %v", err)
+	}
+	h.query(t, ctx, prog, "cold build") // installs the entry
+	for _, step := range []struct {
+		label string
+		edit  func([]rdf.Triple) (store.Epoch, int, error)
+		top   bool
+	}{{"violating insert", h.st.Insert, true}, {"repairing delete", h.st.Delete, false}} {
+		if _, _, err := step.edit([]rdf.Triple{bad}); err != nil {
+			matSkipInjected(t, err)
+			t.Fatalf("%s: %v", step.label, err)
+		}
+		warm := h.query(t, ctx, prog, step.label)
+		if matFaultsArmed() {
+			continue
+		}
+		if warm.Explain.Path != triq.PathMaterialized || warm.Inconsistent != step.top {
+			t.Errorf("%s: path %s, inconsistent %v; want %s, %v", step.label, warm.Explain.Path, warm.Inconsistent, triq.PathMaterialized, step.top)
+		}
+		if rows := warm.Rows(); !step.top && (len(rows) != 1 || rows[0] != "<x>") {
+			t.Errorf("%s: rows %q, want [<x>]", step.label, rows)
+		}
+	}
+}
+
 // TestMatBatchSplit: committing one batch in a single epoch or split across
 // two epochs must yield the same final answers.
 func TestMatBatchSplit(t *testing.T) {
@@ -415,7 +453,7 @@ func TestMatDeleteAll(t *testing.T) {
 	if h.st.Current().Graph.Len() != 0 {
 		t.Fatalf("%d triples remain", h.st.Current().Graph.Len())
 	}
-	path := h.query(t, ctx, prog, "after delete-all")
+	path := h.query(t, ctx, prog, "after delete-all").Explain.Path
 	if path != triq.PathMaterialized && !matFaultsArmed() {
 		t.Fatalf("empty epoch not served warm: path=%s", path)
 	}

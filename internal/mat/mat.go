@@ -230,7 +230,7 @@ func (m *Materializer) Serve(prog *datalog.Program, epoch uint64, output string,
 // served extracts the constant-ground answer for one output predicate.
 func served(inc *chase.Incremental, output string) *triq.MatServed {
 	out := &triq.MatServed{Facts: inc.Facts(), Depth: inc.Depth()}
-	if len(inc.Instance().AtomsOf(triq.InconsistencyMarker)) > 0 {
+	if len(inc.Instance().AtomsOf(datalog.InconsistencyMarker)) > 0 {
 		out.Inconsistent = true
 		return out
 	}
@@ -247,7 +247,7 @@ func served(inc *chase.Incremental, output string) *triq.MatServed {
 // already constructed, serve the answer, and — provided the store did not
 // move on while building — install the entry so the next commits keep it
 // warm. It declines ((nil, nil)) when the epoch is stale, the bounds are
-// incompatible, the program is not maintainable (negation, constraints), or
+// incompatible, the program is not maintainable (negation), or
 // the build trips a budget; the caller then falls back to the chase.
 func (m *Materializer) BuildServe(ctx context.Context, db *chase.Instance, prog *datalog.Program, epoch uint64, output string, copts chase.Options) (*triq.MatServed, error) {
 	m.mu.Lock()

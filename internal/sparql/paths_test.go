@@ -107,7 +107,7 @@ func TestParsePathPrecedence(t *testing.T) {
 }
 
 func TestParsePathErrors(t *testing.T) {
-	for _, src := range []string{"", "a/", "(a", "a)", "|a", "<unterminated", "a b"} {
+	for _, src := range []string{"", "a/", "(a", "(((", "a)", "|a", "<unterminated", "a b"} {
 		if _, err := ParsePath(src); err == nil {
 			t.Errorf("ParsePath(%q) succeeded, want error", src)
 		}

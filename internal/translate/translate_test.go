@@ -43,6 +43,22 @@ func TestTranslationsAreTriQLite(t *testing.T) {
 	}
 }
 
+// TestTranslateSelectVars: the translation's output variables are the
+// SELECT clause's, not every variable of the pattern.
+func TestTranslateSelectVars(t *testing.T) {
+	q, err := sparql.ParseQuery(`SELECT ?X WHERE { ?X p ?Y }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := Translate(q.Pattern(), Plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Vars) != 1 || tr.Vars[0] != "?X" {
+		t.Errorf("Vars = %v, want [?X]", tr.Vars)
+	}
+}
+
 func TestRegimeStrings(t *testing.T) {
 	for _, r := range []Regime{Plain, ActiveDomain, All, Regime(9)} {
 		if r.String() == "" {

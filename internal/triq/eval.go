@@ -118,21 +118,13 @@ type Result struct {
 	Stats chase.Stats
 }
 
-// inconsistencyMarker is the 0-ary predicate used internally to signal that
-// some constraint fired. It is a variant of the Π⊥ construction of
-// Theorem 4.4 (whose literal form, deriving the all-⋆ output tuple, is
-// available as datalog.ReduceConstraints): using a dedicated marker avoids
-// colliding with legitimate all-⋆ answers, which the SPARQL translation of
-// Section 5.1 produces for mappings with empty domain.
-const inconsistencyMarker = "⊥#marker"
-
 // EvalCtx evaluates the query over the database as defined in Section 3.2:
 // Q(D) = ⊤ when D is inconsistent w.r.t. Π, and the set of constant output
 // tuples otherwise. The query must belong to the given language.
 //
-// Internally constraints are first eliminated in the style of Theorem 4.4 —
-// they become ordinary rules deriving an inconsistency marker — so that a
-// single monotone chase answers both the consistency question and the query.
+// The chase turns constraints into rules that derive an inconsistency marker
+// (datalog.ConstraintsAsRules), so a single monotone chase answers both the
+// consistency question and the query.
 //
 // With opts.Mat set, the materializer builds and installs the fixpoint from
 // db and answers from it; a warm materialization is asked before db is built
@@ -151,9 +143,8 @@ func EvalCtx(ctx context.Context, db *chase.Instance, q datalog.Query, lang Lang
 		obs.F("lang", lang.String()),
 		obs.F("output", q.Output),
 		obs.F("db_facts", db.Len()))
-	prog := rewriteConstraints(q.Program)
 	if opts.Mat != nil {
-		if served, merr := opts.Mat.BuildServe(ctx, db, prog, opts.MatEpoch, q.Output, opts.Chase); merr == nil && served != nil {
+		if served, merr := opts.Mat.BuildServe(ctx, db, q.Program, opts.MatEpoch, q.Output, opts.Chase); merr == nil && served != nil {
 			res := servedResult(served, PathMaterializedBuild)
 			sp.End(obs.F("path", res.Path), obs.F("depth", res.Depth))
 			return res, nil
@@ -161,7 +152,7 @@ func EvalCtx(ctx context.Context, db *chase.Instance, q datalog.Query, lang Lang
 		// Decline or failed build: fall through to the chase. A failed build
 		// is not a query error — the chase remains authoritative.
 	}
-	gr, err := chase.StableGroundCtx(ctx, db, prog, opts.Chase)
+	gr, err := chase.StableGroundCtx(ctx, db, q.Program, opts.Chase)
 	res := &Result{Path: PathChase}
 	if err != nil {
 		if gr == nil || !limits.IsBudget(err) {
@@ -180,7 +171,7 @@ func EvalCtx(ctx context.Context, db *chase.Instance, q datalog.Query, lang Lang
 	res.Stats = gr.Stats
 	accountChase(ctx, res.Stats)
 	// Marker derivation is monotone, so ⊤ is sound even on a truncated run.
-	ans := answersOf(len(gr.GroundAtomsOf(inconsistencyMarker)) > 0, gr.GroundAtomsOf(q.Output))
+	ans := answersOf(gr.Inconsistent, gr.GroundAtomsOf(q.Output))
 	res.Answers = ans
 	if ans.Inconsistent {
 		sp.End(obs.F("inconsistent", true), obs.F("depth", res.Depth))

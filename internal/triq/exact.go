@@ -22,11 +22,11 @@ import (
 // fact missing below would have blocked.
 
 // EvalExactCtx evaluates a TriQ-Lite 1.0 query so that the answer is provably
-// Q(D), or marked Incomplete. Constraints are reduced per Theorem 4.4 and the
-// chase runs as in EvalCtx, without a materializer; when it does not end
-// Exact, each negated derived predicate's extent is certified stratum by
-// stratum and copied into the database, and the open goals of the program
-// that negates those copies are decided with one Prover. A budget trip —
+// Q(D), or marked Incomplete. The chase runs as in EvalCtx, without a
+// materializer; when it does not end Exact, each negated derived predicate's
+// extent is certified stratum by stratum and copied into the database, and the
+// open goals of the program that negates those copies, the inconsistency
+// marker among them, are decided with one Prover. A budget trip —
 // facts, rounds or visits — degrades to the sound partial answer set with
 // Result.Incomplete set (empty when it tripped before every negated derived
 // predicate was certified: nothing is known to be sound until then);
@@ -38,8 +38,7 @@ func EvalExactCtx(ctx context.Context, db *chase.Instance, q datalog.Query, opts
 	ctx, sp := obs.StartSpan(ctx, opts.Chase.Obs, "triq.exact",
 		obs.F("output", q.Output),
 		obs.F("db_facts", db.Len()))
-	prog := rewriteConstraints(q.Program)
-	preds := []string{inconsistencyMarker, q.Output}
+	preds := []string{datalog.InconsistencyMarker, q.Output}
 	var (
 		gr     *chase.GroundResult
 		proven []datalog.Atom
@@ -48,13 +47,13 @@ func EvalExactCtx(ctx context.Context, db *chase.Instance, q datalog.Query, opts
 	// sound says gr chased a program that negates no derived predicate, so that
 	// the ground part of a run a limit cut short is sound; before those
 	// predicates are certified it may not be.
-	sound := len(prog.NegatedIDB()) == 0
+	sound := len(q.Program.NegatedIDB()) == 0
 	if sound {
-		gr, proven, err = certify(ctx, db, prog, preds, opts)
-	} else if gr, err = chase.StableGroundCtx(ctx, db, prog, opts.Chase); err == nil && !gr.Exact {
+		gr, proven, err = certify(ctx, db, q.Program, preds, opts)
+	} else if gr, err = chase.StableGroundCtx(ctx, db, q.Program, opts.Chase); err == nil && !gr.Exact {
 		var dbPlus *chase.Instance
 		var progPlus *datalog.Program
-		if dbPlus, progPlus, err = certifyNegated(ctx, db, prog, opts); err == nil {
+		if dbPlus, progPlus, err = certifyNegated(ctx, db, q.Program, opts); err == nil {
 			sound = true
 			gr, proven, err = certify(ctx, dbPlus, progPlus, preds, opts)
 		}
@@ -70,18 +69,19 @@ func EvalExactCtx(ctx context.Context, db *chase.Instance, q datalog.Query, opts
 	}
 	res.Depth, res.Stats = gr.Depth, gr.Stats
 	accountChase(ctx, res.Stats)
-	var marker, output []datalog.Atom
+	var inconsistent bool
+	var output []datalog.Atom
 	if err == nil || sound {
-		marker, output = gr.GroundAtomsOf(inconsistencyMarker), gr.GroundAtomsOf(q.Output)
+		inconsistent, output = gr.Inconsistent, gr.GroundAtomsOf(q.Output)
 	}
 	for _, a := range proven {
-		if a.Pred == inconsistencyMarker {
-			marker = append(marker, a)
+		if a.Pred == datalog.InconsistencyMarker {
+			inconsistent = true
 		} else {
 			output = append(slices.Clip(output), a)
 		}
 	}
-	res.Answers = answersOf(len(marker) > 0, output)
+	res.Answers = answersOf(inconsistent, output)
 	sp.End(
 		obs.F("answers", len(res.Answers.Tuples)),
 		obs.F("inconsistent", res.Answers.Inconsistent),
@@ -90,17 +90,17 @@ func EvalExactCtx(ctx context.Context, db *chase.Instance, q datalog.Query, opts
 	return res, nil
 }
 
-// certify computes the atoms of Π(D)↓ with the given predicates for a
-// constraint-free warded program that negates database predicates only (with
-// grounded negation): the ground part of the chase, plus the open
-// goals a Prover proves when the chase is not Exact. One Prover decides every
-// goal, sharing its memo across them. When the inconsistency marker is among
-// the predicates, finding it — in the ground part or proven — ends the work,
-// since ⊤ is the answer whatever the rest is. On a limit the chase result and
-// the goals proven before it come with the typed error.
+// certify computes the atoms of Π(D)↓ with the given predicates for a warded
+// program that negates database predicates only (with grounded negation): the
+// ground part of the chase, plus the open goals a Prover proves when the chase
+// is not Exact. One Prover decides every goal, sharing its memo across them.
+// When the inconsistency marker is among the predicates, finding it — in the
+// ground part or proven — ends the work, since ⊤ is the answer whatever the
+// rest is. On a limit the chase result and the goals proven before it come
+// with the typed error.
 func certify(ctx context.Context, db *chase.Instance, prog *datalog.Program, preds []string, opts Options) (*chase.GroundResult, []datalog.Atom, error) {
 	gr, err := chase.StableGroundCtx(ctx, db, prog, opts.Chase)
-	if err != nil || gr.Exact || slices.Contains(preds, inconsistencyMarker) && len(gr.GroundAtomsOf(inconsistencyMarker)) > 0 {
+	if err != nil || gr.Exact || slices.Contains(preds, datalog.InconsistencyMarker) && gr.Inconsistent {
 		return gr, nil, err
 	}
 	goals, err := gr.OpenGoals(preds...)
@@ -119,7 +119,7 @@ func certify(ctx context.Context, db *chase.Instance, prog *datalog.Program, pre
 		}
 		if ok {
 			proven = append(proven, g)
-			if g.Pred == inconsistencyMarker {
+			if g.Pred == datalog.InconsistencyMarker {
 				break
 			}
 		}

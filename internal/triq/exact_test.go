@@ -265,6 +265,24 @@ func TestEvalExactConstraints(t *testing.T) {
 	if res.Answers.Inconsistent || len(res.Answers.Tuples) != 1 {
 		t.Errorf("answers = %+v", res.Answers)
 	}
+	// The constraint's body holds only at null depth 8, past where the
+	// stability window stops the chase, so the marker is an open goal that
+	// ProofTree proves: directly, and after certifyNegated has certified q for
+	// the negation, which must keep the constraint in the program it rebuilds.
+	db, src := deepChain()
+	for _, neg := range []string{"", "p(?X), not q(?X) -> ans(?X).\n"} {
+		prog := datalog.MustParse(src + neg + "p(?X) -> out(?X).\nq(?X), p(?X) -> false.")
+		o := obs.New()
+		res, err := EvalExactCtx(t.Context(), db, datalog.Query{Program: prog, Output: "out"}, Options{Chase: chase.Options{Obs: o}})
+		skipInjected(t, err)
+		if err != nil {
+			t.Fatalf("%q: %v", neg, err)
+		}
+		if !res.Answers.Inconsistent || !res.Exact || o.Registry().Counter("prover.proofs") == 0 {
+			t.Errorf("%q: inconsistent %v, exact %v, %d proofs; want ⊤ proved by ProofTree",
+				neg, res.Answers.Inconsistent, res.Exact, o.Registry().Counter("prover.proofs"))
+		}
+	}
 }
 
 func TestEvalExactRejectsNonTriQLite(t *testing.T) {

@@ -34,7 +34,7 @@ func certifiedPred(pred string) string { return pred + "#certified" }
 // predicate s rewritten to certifiedPred(s), and D' = D plus the copy of
 // Π(D)↓ restricted to s, certified below the first stratum that negates s.
 // Π' negates database predicates only, and Q(D) = Q(D') under Π' on the
-// original schema. The program must be constraint-free with grounded
+// original schema; Π' keeps Π's constraints. The program must have grounded
 // negation. Any error, a budget trip included, comes back as is: a copy
 // certified in part would make the strata above unsound.
 func certifyNegated(ctx context.Context, db *chase.Instance, prog *datalog.Program, opts Options) (*chase.Instance, *datalog.Program, error) {
@@ -84,5 +84,6 @@ func certifyNegated(ctx context.Context, db *chase.Instance, prog *datalog.Progr
 			progPlus.Add(r)
 		}
 	}
+	progPlus.Constraints = work.Constraints
 	return dbPlus, progPlus, nil
 }

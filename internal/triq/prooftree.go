@@ -249,7 +249,10 @@ type proverRule struct {
 
 // NewProver validates and normalizes the program (single-head, at most one
 // existential occurrence, head-grounded/semi-body-grounded — Section 6.3).
-// Negation must be grounded and of database predicates only.
+// Negation must be grounded and of database predicates only. Constraints
+// become the rules that derive datalog.InconsistencyMarker
+// (datalog.ConstraintsAsRules), so ⊤ is decided as the 0-ary goal of that
+// predicate.
 func NewProver(db *chase.Instance, prog *datalog.Program, opts ProofOptions) (*Prover, error) {
 	if derived := prog.NegatedIDB(); len(derived) > 0 {
 		return nil, fmt.Errorf("triq: ProofTree reads a negated predicate in the database, but a rule derives %s", derived[0])
@@ -257,13 +260,10 @@ func NewProver(db *chase.Instance, prog *datalog.Program, opts ProofOptions) (*P
 	if err := datalog.CheckGroundedNegation(prog); err != nil {
 		return nil, err
 	}
-	if len(prog.Constraints) > 0 {
-		return nil, fmt.Errorf("triq: ProofTree requires a constraint-free program (apply the Π⊥ reduction first)")
-	}
 	if err := datalog.CheckWarded(prog); err != nil {
 		return nil, err
 	}
-	norm, err := datalog.NormalizeForProofTree(prog)
+	norm, err := datalog.NormalizeForProofTree(datalog.ConstraintsAsRules(prog))
 	if err != nil {
 		return nil, err
 	}

@@ -153,7 +153,7 @@ func TestEvalSPARQLCtxCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = EvalSPARQLCtx(ctx, sq, g)
+	_, err = sq.SelectCtx(ctx, g)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/limits"
+	"repro/internal/translate"
 	"repro/internal/workload"
 )
 
@@ -52,7 +53,7 @@ func TestConcurrentSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := TranslateSPARQL(sq.Pattern(), PlainRegime)
+	tr, err := translate.Translate(sq.Pattern(), PlainRegime)
 	if err != nil {
 		t.Fatal(err)
 	}

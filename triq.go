@@ -48,7 +48,6 @@ package repro
 import (
 	"context"
 	"errors"
-	"io"
 
 	"repro/internal/chase"
 	"repro/internal/datalog"
@@ -161,9 +160,6 @@ const (
 func ParseGraph(src string) (*Graph, error) {
 	return rdf.ParseNTriplesString(src)
 }
-
-// ReadGraph reads an RDF graph from a reader.
-func ReadGraph(r io.Reader) (*Graph, error) { return rdf.ParseNTriples(r) }
 
 // ParseProgram parses a Datalog^{∃,¬s,⊥} program in the rule syntax used
 // throughout the paper (see internal/datalog.Parse).
@@ -388,23 +384,8 @@ func ParseSPARQL(src string) (*SPARQLQuery, error) { return sparql.ParseQuery(sr
 // semantics ⟦·⟧_G of Section 3.1.
 func EvalSPARQL(q *SPARQLQuery, g *Graph) (*MappingSet, error) { return q.Select(g) }
 
-// EvalSPARQLCtx is EvalSPARQL under a context; cancellation and deadlines
-// surface as ErrCanceled / ErrDeadline.
-func EvalSPARQLCtx(ctx context.Context, q *SPARQLQuery, g *Graph) (ms *MappingSet, err error) {
-	defer limits.Recover(&err)
-	return q.SelectCtx(ctx, g)
-}
-
 // Construct evaluates a CONSTRUCT query, producing an RDF graph.
 func Construct(q *SPARQLQuery, g *Graph) (*Graph, error) { return q.Construct(g) }
-
-// TranslateSPARQL compiles a SPARQL pattern into a TriQ query following
-// Sections 5.1–5.3: P_dat under PlainRegime, P^U_dat under
-// ActiveDomainRegime, and P^All_dat under AllRegime. The regime variants are
-// TriQ-Lite 1.0 queries (Corollaries 5.4, 6.2).
-func TranslateSPARQL(p Pattern, regime Regime) (*Translation, error) {
-	return translate.Translate(p, regime)
-}
 
 // AskSPARQL evaluates a SELECT query over a graph under the chosen regime by
 // translating it to a TriQ query and running the Datalog machinery: Eval
@@ -433,49 +414,13 @@ func NewProver(g *Graph, prog *Program) (*triq.Prover, error) {
 	return triq.NewProver(owl.DB(g), prog, triq.ProofOptions{})
 }
 
-// OntologyProgram returns the fixed program τ_owl2ql_core of Section 5.2.
-func OntologyProgram() *Program { return owl.Program() }
-
-// PathExpr is a SPARQL 1.1 property-path expression (the navigational
-// baseline of the paper's motivation).
-type PathExpr = sparql.PathExpr
-
-// ParsePath parses a property-path expression such as "partOf+/^partOf".
-func ParsePath(src string) (PathExpr, error) { return sparql.ParsePath(src) }
-
-// EvalPath evaluates a property path over a graph, returning the connected
-// (subject, object) pairs.
-func EvalPath(g *Graph, p PathExpr) sparql.PairSet { return sparql.EvalPath(g, p) }
-
 // ParseOntology reads an OWL 2 QL core ontology in functional-style syntax
 // (Section 5.2), e.g. "SubClassOf(animal, ∃eats)".
 func ParseOntology(src string) (*Ontology, error) { return owl.ParseOntology(src) }
 
-// TranslateConstruct compiles a CONSTRUCT query into a triple-producing TriQ
-// program (rule (3) of Section 2).
-func TranslateConstruct(q *SPARQLQuery, regime Regime) (*translate.ConstructTranslation, error) {
-	return translate.TranslateConstruct(q, regime)
-}
-
-// Isomorphic reports RDF graph isomorphism (equality up to blank renaming).
-func Isomorphic(g, h *Graph) bool { return rdf.Isomorphic(g, h) }
-
 // RDFSRegime evaluates basic graph patterns over the ρdf closure (the fixed
 // RDFS rule library: subClassOf/subPropertyOf/domain/range reasoning).
 const RDFSRegime = translate.RDFS
-
-// NRE is an nSPARQL nested regular expression (reference [32] of the paper).
-type NRE = sparql.NRE
-
-// ParseNRE parses a nested regular expression such as
-// "(next::[ (next::partOf)+ / self::transportService ])+".
-func ParseNRE(src string) (NRE, error) { return sparql.ParseNRE(src) }
-
-// EvalNRE evaluates a nested regular expression over a graph.
-func EvalNRE(g *Graph, e NRE) sparql.PairSet { return sparql.EvalNRE(g, e) }
-
-// RDFSProgram returns the fixed ρdf rule library.
-func RDFSProgram() *Program { return owl.RDFSProgram() }
 
 // The durable mutation path (internal/store): an epoch-versioned
 // copy-on-write fact store with a write-ahead log, periodic snapshot
