@@ -2,14 +2,41 @@ package repro
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/chase"
 	"repro/internal/datalog"
 	"repro/internal/rdf"
+	"repro/internal/sparql"
 	"repro/internal/translate"
 	"repro/internal/triq"
 )
+
+func TestFacadePaths(t *testing.T) {
+	g, _ := ParseGraph("a knows b .\nb knows c .")
+	p, err := sparql.ParsePath("knows+")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sparql.EvalPath(g, p); len(got) != 3 {
+		t.Errorf("knows+ = %v", got.Sorted())
+	}
+	if _, err := sparql.ParsePath("((("); err == nil {
+		t.Error("bad path should error")
+	}
+}
+
+func TestFacadeNRE(t *testing.T) {
+	g, _ := ParseGraph("a p b .\np subPropertyOf r .")
+	e, err := sparql.ParseNRE("next::[ next::subPropertyOf / self::r ]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sparql.EvalNRE(g, e); len(got) != 1 {
+		t.Errorf("NRE = %v", got.Sorted())
+	}
+}
 
 func TestFacadeOntology(t *testing.T) {
 	o, err := ParseOntology(`
@@ -81,6 +108,13 @@ func TestFacadeAskExact(t *testing.T) {
 	}
 	if !res.Exact || len(res.Tuples) != 1 || res.Tuples[0][0].Value != "a" {
 		t.Errorf("exact Eval = %+v", res)
+	}
+}
+
+func TestFacadeReadGraph(t *testing.T) {
+	g, err := rdf.ParseNTriples(strings.NewReader("a p b ."))
+	if err != nil || g.Len() != 1 {
+		t.Fatal(err)
 	}
 }
 
