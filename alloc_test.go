@@ -34,15 +34,16 @@ const (
 	warmExplainedAllocCeiling = 110
 	// The university evaluation takes the probe (bound 0, no null) and a
 	// closing pass on rung 1 that proves it complete, and reads its answers off
-	// the chased instance: 4 321 with τ_owl2ql_core parsed once per process and
-	// its two constraints compiled by the chase (4 392 while every request
-	// cloned the program to rewrite them, 5 125 while every request parsed it,
-	// 11 820 with atom-valued facts).
+	// the chased instance: 4 270 with τ_owl2ql_core parsed once per process,
+	// shared by every request, and its two constraints compiled by the chase
+	// (4 321 while every request cloned the parsed program, 4 392 while it
+	// cloned it again to rewrite the constraints, 5 125 while every request
+	// parsed it, 11 820 with atom-valued facts).
 	// One depth step to bound 2 before the pass took 23 455; deepening on to
 	// bounds 4 and 6 to watch the ground part stay as it is, and copying that
 	// ground part out, 56 819 on one engine; chasing the database from scratch
 	// at every bound, 139 604.
-	universityAllocCeiling = 4_750
+	universityAllocCeiling = 4_650
 	// Loading τ_db(G) for the 10 001-triple graph from the graph's encoding
 	// measures 81 allocations and 1.10 MB: one relation sized once and its
 	// index, each map made at its final size, over the graph's own symbol

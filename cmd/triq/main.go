@@ -346,7 +346,7 @@ func runQuery(ctx context.Context, cfg config, g *rdf.Graph, req repro.Request) 
 	if err != nil {
 		return err
 	}
-	resp := serve.NewQueryResponse(out, 1)
+	resp := serve.NewQueryResponse(out)
 	resp.ElapsedUS = time.Since(start).Microseconds()
 	if cfg.jsonOut {
 		return serve.EncodeJSON(os.Stdout, resp)

@@ -1,10 +1,11 @@
 // Command triqd is the resilient TriQ query server: it serves TriQ
 // (Datalog) and SPARQL queries over HTTP with admission control, load
-// shedding, per-request deadlines, transient-fault retries, per-endpoint
-// circuit breakers, and graceful drain on SIGINT/SIGTERM — and, with
-// -wal-dir, a durable live write path: POST /insert and /delete apply
-// N-Triples batches atomically through an epoch-versioned copy-on-write
-// store backed by a checksummed write-ahead log, recovered on boot.
+// shedding, per-request deadlines, per-endpoint circuit breakers, and
+// graceful drain on SIGINT/SIGTERM — and, with -wal-dir, a durable live
+// write path: POST /insert and /delete apply N-Triples batches atomically
+// through an epoch-versioned copy-on-write store backed by a checksummed
+// write-ahead log, recovered on boot. Evaluation is deterministic, so a
+// failed one is reported, never re-run.
 //
 // Usage:
 //
@@ -13,7 +14,6 @@
 //	      [-checkpoint-every 1024] [-max-body-bytes 8388608] \
 //	      [-concurrency 4] [-queue 16] [-queue-timeout 1s] \
 //	      [-default-timeout 10s] [-max-timeout 60s] [-drain-timeout 15s] \
-//	      [-retries 3] \
 //	      [-replica-of http://primary:8471 [-promote-on-loss] \
 //	       [-promote-grace 5s] [-proxy-writes]] [-staleness-wait 2s] \
 //	      [-slo-query-p99 250ms] [-slo-commit-p99 50ms] \
@@ -88,7 +88,6 @@ type config struct {
 	defaultTimeout time.Duration // per-request deadline when unset
 	maxTimeout     time.Duration // cap on client-requested deadlines
 	drainTimeout   time.Duration // graceful-shutdown budget
-	retries        int           // attempts per evaluation (1 = no retries)
 
 	materialize bool // maintain chased materializations across epochs
 
@@ -124,7 +123,7 @@ type config struct {
 // the result against testdata/flags.golden. Mechanism tunables that nothing
 // sets (WAL flush cadence and size trigger, materializer caps, trace-store
 // and timeline capacities, profile cooldown, health cadence) are not flags:
-// they stay at the defaults of the store, mat and serve Configs. -trace-seed
+// they stay at the defaults of the store, mat and serve packages. -trace-seed
 // is one because benchmark/ passes it.
 func defineFlags(fs *flag.FlagSet) *config {
 	cfg := &config{}
@@ -141,7 +140,6 @@ func defineFlags(fs *flag.FlagSet) *config {
 	fs.DurationVar(&cfg.defaultTimeout, "default-timeout", 10*time.Second, "per-request evaluation deadline when the request sets none")
 	fs.DurationVar(&cfg.maxTimeout, "max-timeout", 60*time.Second, "cap on client-requested deadlines")
 	fs.DurationVar(&cfg.drainTimeout, "drain-timeout", 15*time.Second, "graceful-shutdown budget; stragglers are canceled when it expires")
-	fs.IntVar(&cfg.retries, "retries", 3, "evaluation attempts per request (1 disables retrying)")
 	fs.BoolVar(&cfg.materialize, "materialize", false, "maintain chased materializations incrementally across epochs and serve matching queries from them")
 	fs.StringVar(&cfg.replicaOf, "replica-of", "", "boot as a read replica of this primary base URL (e.g. http://10.0.0.1:8471)")
 	fs.BoolVar(&cfg.promoteOnLoss, "promote-on-loss", false, "with -replica-of: self-promote to writable primary after -promote-grace of primary silence")
@@ -247,7 +245,6 @@ func run(ctx context.Context, cfg config, ln net.Listener, stop <-chan os.Signal
 			MaxQueue:      queue,
 			QueueTimeout:  cfg.queueTimeout,
 		},
-		Retry:          serve.RetryConfig{MaxAttempts: cfg.retries},
 		DefaultTimeout: cfg.defaultTimeout,
 		MaxTimeout:     cfg.maxTimeout,
 		Obs:            o,

@@ -77,7 +77,6 @@ func TestTriqdServeQueryDrain(t *testing.T) {
 		defaultTimeout: 5 * time.Second,
 		maxTimeout:     10 * time.Second,
 		drainTimeout:   5 * time.Second,
-		retries:        3,
 	}
 	base, stop, done := startTriqd(t, cfg)
 	waitReady(t, base)

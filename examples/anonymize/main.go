@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -50,7 +51,7 @@ func main() {
 	if err := repro.Validate(q, repro.TriQLite10); err != nil {
 		log.Fatal(err)
 	}
-	res, err := repro.Ask(g, q, repro.TriQLite10, repro.Options{})
+	res, err := repro.Eval(context.Background(), g, repro.Request{Query: q, Language: repro.TriQLite10})
 	if err != nil {
 		log.Fatal(err)
 	}

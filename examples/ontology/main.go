@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -40,15 +41,15 @@ func main() {
 		{"OWL 2 QL core regime (U)", repro.ActiveDomainRegime},
 		{"regime without AD (All) ", repro.AllRegime},
 	} {
-		ms, inconsistent, err := repro.AskSPARQL(q, g, mode.regime, opts)
+		res, err := repro.Eval(context.Background(), g, repro.Request{SPARQL: q, Regime: mode.regime, Options: opts})
 		if err != nil {
 			log.Fatal(err)
 		}
-		if inconsistent {
+		if res.Inconsistent {
 			fmt.Printf("%s → ⊤\n", mode.name)
 			continue
 		}
-		fmt.Printf("%s → %d mapping(s) %s\n", mode.name, ms.Len(), ms)
+		fmt.Printf("%s → %d mapping(s) %s\n", mode.name, res.Mappings.Len(), res.Mappings)
 	}
 
 	// The independent DL-LiteR reasoner agrees: dog ∈ ∃eats, and the

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -64,7 +65,7 @@ func main() {
 }
 
 func transportRelation(g *repro.Graph) sparql.PairSet {
-	res, err := repro.Ask(g, workload.TransportQuery(), repro.TriQLite10, repro.Options{})
+	res, err := repro.Eval(context.Background(), g, repro.Request{Query: workload.TransportQuery(), Language: repro.TriQLite10})
 	if err != nil {
 		log.Fatal(err)
 	}

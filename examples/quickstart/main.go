@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,6 +24,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	ctx := context.Background()
 
 	// Query (2): the author list. Without sameAs reasoning it is empty,
 	// because the authorship and the name use different URIs.
@@ -33,7 +35,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := repro.Ask(g, q, repro.TriQLite10, repro.Options{})
+	res, err := repro.Eval(ctx, g, repro.Request{Query: q, Language: repro.TriQLite10})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,7 +62,7 @@ func main() {
 	if err := repro.Validate(q2, repro.TriQLite10); err != nil {
 		log.Fatal(err)
 	}
-	res, err = repro.Ask(g, q2, repro.TriQLite10, repro.Options{})
+	res, err = repro.Eval(ctx, g, repro.Request{Query: q2, Language: repro.TriQLite10})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -76,7 +78,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err = repro.Ask(g, q3, repro.TriQLite10, repro.Options{})
+	res, err = repro.Eval(ctx, g, repro.Request{Query: q3, Language: repro.TriQLite10})
 	if err != nil {
 		log.Fatal(err)
 	}

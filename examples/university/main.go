@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -40,6 +41,7 @@ func main() {
 	}
 	g := onto.ToGraph()
 	opts := repro.Options{Chase: chase.Options{MaxDepth: 10}}
+	ctx := context.Background()
 
 	queries := []string{
 		// bob and cleo are persons only via ∃advises⁻ ⊑ student ⊑ person;
@@ -60,15 +62,15 @@ func main() {
 			log.Fatal(err)
 		}
 		// Under ⟦·⟧^All even anonymous witnesses count.
-		regime, inconsistent, err := repro.AskSPARQL(q, g, repro.AllRegime, opts)
+		regime, err := repro.Eval(ctx, g, repro.Request{SPARQL: q, Regime: repro.AllRegime, Options: opts})
 		if err != nil {
 			log.Fatal(err)
 		}
-		if inconsistent {
+		if regime.Inconsistent {
 			log.Fatal("unexpected inconsistency")
 		}
 		fmt.Printf("%s\n  plain:  %d mappings\n  regime: %d mappings %s\n\n",
-			src, plain.Len(), regime.Len(), regime)
+			src, plain.Len(), regime.Mappings.Len(), regime.Mappings)
 	}
 
 	// Now violate the disjointness: a course that is also a person.
@@ -79,9 +81,9 @@ func main() {
 		log.Fatal(err)
 	}
 	q, _ := repro.ParseSPARQL(`SELECT ?X WHERE { ?X rdf:type person }`)
-	_, inconsistent, err := repro.AskSPARQL(q, bad.ToGraph(), repro.ActiveDomainRegime, opts)
+	res, err := repro.Eval(ctx, bad.ToGraph(), repro.Request{SPARQL: q, Regime: repro.ActiveDomainRegime, Options: opts})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("after asserting course(bob): inconsistent = %v (bob is a student via ∃advises⁻, and person ⊓ course ⊑ ⊥)\n", inconsistent)
+	fmt.Printf("after asserting course(bob): inconsistent = %v (bob is a student via ∃advises⁻, and person ⊓ course ⊑ ⊥)\n", res.Inconsistent)
 }

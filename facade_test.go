@@ -48,7 +48,7 @@ func TestFacadeOntology(t *testing.T) {
 	}
 	g := o.ToGraph()
 	q, _ := ParseSPARQL(`SELECT ?X WHERE { ?X rdf:type animal }`)
-	ms, inconsistent, err := AskSPARQL(q, g, ActiveDomainRegime, Options{Chase: chase.Options{MaxDepth: 8}})
+	ms, inconsistent, err := AskSPARQLCtx(context.Background(), q, g, ActiveDomainRegime, Options{Chase: chase.Options{MaxDepth: 8}})
 	skipInjected(t, err)
 	if err != nil || inconsistent {
 		t.Fatal(err, inconsistent)
@@ -64,7 +64,7 @@ func TestFacadeRDFSRegime(t *testing.T) {
 		rex rdf:type spaniel .
 	`)
 	q, _ := ParseSPARQL(`SELECT ?X WHERE { ?X rdf:type dog }`)
-	ms, _, err := AskSPARQL(q, g, RDFSRegime, Options{})
+	ms, _, err := AskSPARQLCtx(context.Background(), q, g, RDFSRegime, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestFacadeReadGraph(t *testing.T) {
 func TestFacadeResultsRows(t *testing.T) {
 	g, _ := ParseGraph("a p b .")
 	q, _ := ParseQuery(`triple(?X, p, ?Y) -> out(?X, ?Y).`, "out")
-	res, err := Ask(g, q, TriQLite10, Options{})
+	res, err := AskCtx(context.Background(), g, q, TriQLite10, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestEvalAsksMaterializerOnce(t *testing.T) {
 		wantServes, wantBuilds int
 	}{{true, 1, 0}, {false, 1, 1}} {
 		m := &countingMat{warm: tc.warm, answer: []datalog.Atom{datalog.NewAtom("out", datalog.C("a"), datalog.C("b"))}}
-		res, err := Ask(g, q, TriQLite10, Options{Mat: m, MatEpoch: 1})
+		res, err := AskCtx(context.Background(), g, q, TriQLite10, Options{Mat: m, MatEpoch: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

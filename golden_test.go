@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -93,7 +94,7 @@ func goldenRun(t *testing.T, c goldenCase, dir string) string {
 		if err != nil {
 			t.Fatalf("%s: parse program: %v", dir, err)
 		}
-		res, err := Ask(g, q, c.lang, Options{})
+		res, err := AskCtx(context.Background(), g, q, c.lang, Options{})
 		skipInjected(t, err)
 		if err != nil {
 			t.Fatalf("%s: ask: %v", dir, err)
@@ -113,7 +114,7 @@ func goldenRun(t *testing.T, c goldenCase, dir string) string {
 	if err != nil {
 		t.Fatalf("%s: parse query: %v", dir, err)
 	}
-	ms, inconsistent, err := AskSPARQL(q, g, c.regime, Options{})
+	ms, inconsistent, err := AskSPARQLCtx(context.Background(), q, g, c.regime, Options{})
 	skipInjected(t, err)
 	if err != nil {
 		t.Fatalf("%s: ask sparql: %v", dir, err)
@@ -195,7 +196,7 @@ func goldenDeleteRun(t *testing.T, c goldenCase, dir string) string {
 		t.Fatalf("%s: insert: %v", dir, err)
 	}
 	opts := Options{Mat: m, MatEpoch: st.Current().Seq}
-	if _, err := Ask(st.Current().Graph, q, c.lang, opts); err != nil {
+	if _, err := AskCtx(context.Background(), st.Current().Graph, q, c.lang, opts); err != nil {
 		skipInjected(t, err)
 		t.Fatalf("%s: cold build: %v", dir, err)
 	}
@@ -208,12 +209,12 @@ func goldenDeleteRun(t *testing.T, c goldenCase, dir string) string {
 	}
 	ep := st.Current()
 	opts.MatEpoch = ep.Seq
-	res, err := Ask(ep.Graph, q, c.lang, opts)
+	res, err := AskCtx(context.Background(), ep.Graph, q, c.lang, opts)
 	if err != nil {
 		skipInjected(t, err)
 		t.Fatalf("%s: ask after delete: %v", dir, err)
 	}
-	plain, err := Ask(ep.Graph, q, c.lang, Options{})
+	plain, err := AskCtx(context.Background(), ep.Graph, q, c.lang, Options{})
 	if err != nil {
 		skipInjected(t, err)
 		t.Fatalf("%s: chase after delete: %v", dir, err)

@@ -195,7 +195,7 @@ func diffClosed(t *testing.T, label string, c diffCase, opts Options, n *closeCo
 	}
 	deeper := opts
 	deeper.MaxDepth = got.Depth + 4
-	far, err := GroundSemanticsCtx(context.Background(), c.db, c.program, deeper)
+	far, err := RunCtx(context.Background(), c.db, c.program, deeper)
 	if errors.Is(err, limits.ErrInjected) {
 		return
 	}
@@ -203,9 +203,9 @@ func diffClosed(t *testing.T, label string, c diffCase, opts Options, n *closeCo
 		t.Errorf("%s: %v", label, err)
 		return
 	}
-	if got.Inconsistent || far.Inconsistent || !got.Ground().Equal(far.Ground()) {
+	if farGround := far.Instance.GroundPart(); got.Inconsistent || far.Inconsistent || !got.Ground().Equal(farGround) {
 		t.Errorf("%s: closed at depth %d, but the chase to depth %d has another ground part (%d vs %d atoms)",
-			label, got.Depth, deeper.MaxDepth, got.Ground().Len(), far.Ground().Len())
+			label, got.Depth, deeper.MaxDepth, got.Ground().Len(), farGround.Len())
 	}
 	if !got.Ground().Equal(parent.Ground()) {
 		t.Errorf("%s: closed at depth %d, but deepening to depth %d has another ground part", label, got.Depth, parent.Depth)

@@ -58,24 +58,6 @@ func (r *GroundResult) GroundAtomsOf(pred string) []datalog.Atom {
 	return out
 }
 
-// GroundSemanticsCtx runs the chase once with the given options and restricts
-// the result to its constant-only atoms. A limit abort returns the ground part
-// of the partial instance alongside the typed error, never Exact.
-func GroundSemanticsCtx(ctx context.Context, db *Instance, prog *datalog.Program, opts Options) (*GroundResult, error) {
-	opts = opts.withDefaults()
-	res, err := RunCtx(ctx, db, prog, opts)
-	if res == nil {
-		return nil, err
-	}
-	return &GroundResult{
-		inst:         res.Instance,
-		Inconsistent: res.Inconsistent,
-		Exact:        err == nil && !res.Stats.DepthTruncated,
-		Depth:        opts.MaxDepth,
-		Stats:        res.Stats,
-	}, err
-}
-
 // DeepenStep is what one depth step of StableGroundCtx did, in the JSON shape
 // the EXPLAIN report lists it in.
 type DeepenStep struct {

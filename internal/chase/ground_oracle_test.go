@@ -21,7 +21,17 @@ func restartStableGround(db *Instance, prog *datalog.Program, opts Options, wind
 	stable := 0
 	for depth := min(2, ceiling); ; depth = min(depth+2, ceiling) {
 		opts.MaxDepth = depth
-		res, err := GroundSemanticsCtx(context.Background(), db, prog, opts)
+		run, err := RunCtx(context.Background(), db, prog, opts)
+		if run == nil {
+			return nil, err
+		}
+		res := &GroundResult{
+			inst:         run.Instance,
+			Inconsistent: run.Inconsistent,
+			Exact:        err == nil && !run.Stats.DepthTruncated,
+			Depth:        depth,
+			Stats:        run.Stats,
+		}
 		if err != nil {
 			return res, err
 		}

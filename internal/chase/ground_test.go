@@ -13,17 +13,17 @@ import (
 
 func TestGroundSemanticsExactOnTerminatingChase(t *testing.T) {
 	db := NewInstance(atom("e", "a", "b"), atom("e", "b", "c"))
-	gr, err := GroundSemanticsCtx(context.Background(), db, datalog.MustParse(`
+	res, err := RunCtx(context.Background(), db, datalog.MustParse(`
 		e(?X, ?Y) -> tc(?X, ?Y).
 		e(?X, ?Y), tc(?Y, ?Z) -> tc(?X, ?Z).
 	`), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !gr.Exact {
+	if res.Stats.DepthTruncated {
 		t.Error("terminating chase must be exact")
 	}
-	if !gr.Ground().Has(atom("tc", "a", "c")) {
+	if !res.Instance.GroundPart().Has(atom("tc", "a", "c")) {
 		t.Error("missing tc(a,c)")
 	}
 }
@@ -297,11 +297,11 @@ func TestResumeStartsOverWhenNegatedPredicateGrows(t *testing.T) {
 		t.Errorf("chase.closing_failed = %d, want 3", got)
 	}
 	// Bound 2 alone does derive it, which is what the restart takes back.
-	shallow, err := GroundSemanticsCtx(context.Background(), db, prog, Options{MaxDepth: 2})
+	shallow, err := RunCtx(context.Background(), db, prog, Options{MaxDepth: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !shallow.Ground().Has(atom("bad", "a")) {
+	if !shallow.Instance.GroundPart().Has(atom("bad", "a")) {
 		t.Error("bound 2 must derive bad(a), or the test proves nothing")
 	}
 }

@@ -148,11 +148,10 @@ type Fault struct {
 	After int
 	// Every makes the fault intermittent: when > 1 it fires only on every
 	// Every-th eligible hit (hits past After). 0 or 1 fires on every eligible
-	// hit. Intermittent faults model transient failures — the kind a serving
-	// layer is expected to absorb by retrying.
+	// hit. Intermittent faults model transient failures.
 	Every int
 	// Times caps how often the fault fires; 0 means no cap. Times=1 yields a
-	// fail-once-then-recover fault, the canonical retry test case.
+	// fail-once-then-recover fault.
 	Times int
 	// Action selects error / panic / hook / crash.
 	Action Action

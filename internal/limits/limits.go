@@ -258,7 +258,7 @@ func (e *InternalError) Unwrap() error { return ErrInternal }
 // Recover converts an in-flight panic into an *InternalError stored in
 // *errp. It must be invoked directly by defer at the public API boundary:
 //
-//	func Ask(...) (res *Results, err error) {
+//	func Eval(...) (_ *Response, err error) {
 //	    defer limits.Recover(&err)
 //	    ...
 //

@@ -76,7 +76,7 @@ func (t *Trace) SetTimes(wallUS, queueUS, execUS int64) {
 // the latest evaluation — the same snapshot Result.Stats and EXPLAIN carry,
 // cumulative over that evaluation's depth steps; ChaseRuns counts how many
 // evaluations wrote here (triq.EvalCtx writes once, whatever the number of
-// steps; a request that evaluates again, such as a retry, writes again).
+// steps).
 func (t *Trace) SetChaseWork(rounds, attempted, fired, facts, nulls int64) {
 	if t == nil {
 		return

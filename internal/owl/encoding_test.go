@@ -151,25 +151,3 @@ func TestEncodingLifecycle(t *testing.T) {
 		t.Fatal("an instance loaded before Remove, or the encoding under it, changed")
 	}
 }
-
-// TestProgramsParsedOnce pins that the fixed libraries are parsed once and
-// handed out as copies: changing one leaves the next call's intact.
-func TestProgramsParsedOnce(t *testing.T) {
-	for name, get := range map[string]func() *datalog.Program{"τ_owl2ql_core": Program, "ρdf": RDFSProgram} {
-		want := get().String()
-		p := get()
-		if p.String() != want {
-			t.Fatalf("%s: two calls returned different programs", name)
-		}
-		p.Rules[0].Head[0].Pred = "changed"
-		p.Rules[0].BodyPos = append(p.Rules[0].BodyPos[:0], datalog.NewAtom("changed"))
-		p.Rules = p.Rules[:1]
-		for i := range p.Constraints {
-			p.Constraints[i].Body[0].Pred = "changed"
-		}
-		p.Add(datalog.Rule{Head: []datalog.Atom{datalog.NewAtom("added")}})
-		if got := get().String(); got != want {
-			t.Fatalf("%s: changing one copy changed the next:\n%s", name, got)
-		}
-	}
-}

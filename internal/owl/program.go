@@ -67,11 +67,12 @@ type(?X, ?Y), type(?X, ?Z), disj(?Y, ?Z) -> false.
 triple1(?X, ?U, ?Y), triple1(?X, ?V, ?Y), disj_property(?U, ?V) -> false.
 `
 
-// Program returns τ_owl2ql_core, parsed once per process; each call gets its
-// own copy, which the caller may modify. The program is warded with no
-// negation, so it is (the rule part of) a TriQ-Lite 1.0 query for any output
-// rules added on top.
-func Program() *datalog.Program { return program().Clone() }
+// Program returns τ_owl2ql_core, parsed once per process. Every call returns
+// the same program, shared by all goroutines, so it is read-only: a caller
+// that adds rules merges it into a program of its own. The program is warded
+// with no negation, so it is (the rule part of) a TriQ-Lite 1.0 query for any
+// output rules added on top.
+func Program() *datalog.Program { return program() }
 
 var program = sync.OnceValue(func() *datalog.Program { return datalog.MustParse(ProgramSrc) })
 

@@ -38,8 +38,8 @@ triple1(?A, rdfs:range, ?R), triple1(?X, ?A, ?Y) ->
 	triple1(?Y, rdf:type, ?R).
 `
 
-// RDFSProgram returns the fixed ρdf library, parsed once per process; each
-// call gets its own copy, which the caller may modify.
-func RDFSProgram() *datalog.Program { return rdfsProgram().Clone() }
+// RDFSProgram returns the fixed ρdf library, parsed once per process. Like
+// Program, it is shared and read-only.
+func RDFSProgram() *datalog.Program { return rdfsProgram() }
 
 var rdfsProgram = sync.OnceValue(func() *datalog.Program { return datalog.MustParse(RDFSProgramSrc) })

@@ -43,7 +43,7 @@ func answers(t *testing.T, g *rdf.Graph) []string {
 	if err != nil {
 		t.Fatalf("parse query: %v", err)
 	}
-	res, err := repro.Ask(g, q, repro.TriQLite10, repro.Options{})
+	res, err := repro.AskCtx(context.Background(), g, q, repro.TriQLite10, repro.Options{})
 	if err != nil {
 		t.Fatalf("ask: %v", err)
 	}

@@ -1,8 +1,8 @@
 // Package serve is the resilient query-serving layer over the repro facade:
 // bounded-concurrency admission control with FIFO queueing and load
 // shedding, per-request deadlines mapped onto the limits error taxonomy,
-// in-server retries for transient faults, a per-endpoint circuit breaker,
-// and graceful drain. cmd/triqd is the thin binary around it.
+// a per-endpoint circuit breaker, and graceful drain. cmd/triqd is the thin
+// binary around it.
 //
 // The HTTP status contract (also documented in the README):
 //
@@ -10,8 +10,8 @@
 //	      plus a Truncation report in the body)
 //	400 — malformed request: bad JSON, unparseable program/query, unknown
 //	      lang/regime, dialect validation failure
-//	500 — internal error (recovered panic) or a transient fault that
-//	      survived every retry
+//	500 — internal error (recovered panic) or an injected fault; evaluation
+//	      is deterministic, so the server never re-runs one
 //	503 — load shed: queue full, queue deadline exceeded, circuit open,
 //	      draining, still recovering the WAL, or a bounded-staleness wait
 //	      that expired; always carries Retry-After
@@ -65,8 +65,6 @@ type Config struct {
 	Admission AdmissionConfig
 	// Breaker tunes the per-endpoint circuit breakers.
 	Breaker BreakerConfig
-	// Retry tunes in-server retries of transient faults.
-	Retry RetryConfig
 	// DefaultTimeout is the per-request evaluation deadline when the request
 	// does not set one (default 10s).
 	DefaultTimeout time.Duration
@@ -85,19 +83,12 @@ type Config struct {
 	// Parallelism is ignored: the chase is sequential. Declared only because
 	// benchmark/layers.go sets it (to 1); delete with ROADMAP item 1(a).
 	Parallelism int
-	// Seed seeds the retry jitter; 0 uses a fixed seed (fine for a server,
-	// handy for tests).
-	Seed int64
 	// Trace configures request-scoped tracing (traceparent propagation,
 	// sampling, the /debug/trace store). Enabled by default; set
 	// Trace.Disable to turn it off.
 	Trace TraceConfig
 	// AutoProfile configures slow-query auto-profiling; a zero Dir disables.
 	AutoProfile AutoProfileConfig
-	// HealthInterval is the runtime health sampling cadence for the
-	// go_goroutines / heap / GC-pause gauges on /metrics (0 = 10s; negative
-	// disables). Sampling requires Obs.
-	HealthInterval time.Duration
 	// MaxBodyBytes caps request bodies on every POST endpoint (default
 	// 8 MiB; negative disables). Oversized bodies get 413.
 	MaxBodyBytes int64
@@ -105,9 +96,6 @@ type Config struct {
 	// for the local store to catch up before shedding 503 + Retry-After
 	// (default 2s; negative sheds stale reads immediately).
 	StalenessWait time.Duration
-	// ReplHeartbeat is the idle-stream heartbeat cadence of GET /repl/stream
-	// (default repl.DefaultHeartbeat).
-	ReplHeartbeat time.Duration
 	// ProxyWrites forwards writes arriving at a replica to its primary
 	// instead of rejecting them with 503 + the primary's address.
 	ProxyWrites bool
@@ -140,7 +128,6 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg      Config
 	adm      *admission
-	jit      *jitter
 	obs      *obs.Obs
 	slow     *slowLog
 	progress *repro.Progress
@@ -187,7 +174,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		adm:      newAdmission(cfg.Admission),
-		jit:      newJitter(cfg.Seed + 1),
 		obs:      cfg.Obs,
 		slow:     newSlowLog(cfg.SlowLog),
 		progress: cfg.Progress,
@@ -203,8 +189,8 @@ func New(cfg Config) *Server {
 	s.trackCond = sync.NewCond(&s.trackMu)
 	s.traces = newTracer(cfg.Trace, cfg.Obs, cfg.SlowLog.Threshold)
 	s.autoprof = newAutoProfiler(cfg.AutoProfile, cfg.SlowLog.Threshold, cfg.Obs)
-	if cfg.Obs.Enabled() && cfg.HealthInterval >= 0 {
-		s.health = obs.StartHealth(cfg.Obs.Registry(), cfg.HealthInterval)
+	if cfg.Obs.Enabled() {
+		s.health = obs.StartHealth(cfg.Obs.Registry(), 10*time.Second)
 	}
 	return s
 }
@@ -537,7 +523,7 @@ func (s *Server) serveReplStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.count("serve.repl_streams")
-	repl.StreamHandler(st, s.obs, repl.StreamOptions{Heartbeat: s.cfg.ReplHeartbeat}).ServeHTTP(w, r)
+	repl.StreamHandler(st, s.obs, repl.StreamOptions{}).ServeHTTP(w, r)
 }
 
 // servePromote flips a replica into a writable primary (POST /repl/promote)
@@ -838,9 +824,6 @@ func (s *Server) serveQuery(rq *request) (o outcome) {
 		}
 		return o
 	}
-	if resp.Attempts > 1 {
-		s.obs.Count("serve.retries", int64(resp.Attempts-1))
-	}
 	if resp.Incomplete {
 		s.count("serve.truncated")
 	}
@@ -1087,11 +1070,12 @@ func (s *Server) recordSlow(rq *request, o *outcome) {
 // evaluate runs the evaluation the request asks for (QueryRequest.Request;
 // its failures are bad requests) with what only the server adds: its
 // registry and progress gauge, the materializer pinned to the request's
-// epoch, and retries. The evaluation is explained when the request asked for
-// it or the slow-query log is armed, and the report comes back alongside the
-// response, which carries it only in the first case (the per-query
-// observations still fold into the server registry, so /metrics sees
-// explained runs too).
+// epoch. It evaluates once: evaluation is deterministic, so a re-run would
+// repeat the answer or the failure. The evaluation is explained when the
+// request asked for it or the slow-query log is armed, and the report comes
+// back alongside the response, which carries it only in the first case (the
+// per-query observations still fold into the server registry, so /metrics
+// sees explained runs too).
 func (s *Server) evaluate(ctx context.Context, g *repro.Graph, epoch uint64, hasStore bool, endpoint string, req *QueryRequest) (*QueryResponse, *repro.ExplainReport, error) {
 	ereq, err := req.Request(endpoint == "sparql")
 	if err != nil {
@@ -1106,15 +1090,11 @@ func (s *Server) evaluate(ctx context.Context, g *repro.Graph, epoch uint64, has
 		ereq.Options.Mat = s.cfg.Mat
 		ereq.Options.MatEpoch = epoch
 	}
-	var out *repro.Response
-	attempts, err := withRetry(ctx, s.cfg.Retry, s.jit, func() (err error) {
-		out, err = repro.Eval(ctx, g, ereq)
-		return err
-	})
+	out, err := repro.Eval(ctx, g, ereq)
 	if err != nil {
 		return nil, nil, err
 	}
-	resp := NewQueryResponse(out, attempts)
+	resp := NewQueryResponse(out)
 	if !req.Explain {
 		resp.Explain = nil
 	}
@@ -1134,8 +1114,8 @@ func statusOf(err error) int {
 		// nowhere, but a retryable 503 is the honest answer either way.
 		return http.StatusServiceUnavailable
 	default:
-		// Internal errors, retries-exhausted injected faults, and any budget
-		// error that somehow escaped graceful degradation.
+		// Internal errors, injected faults, and any budget error that
+		// somehow escaped graceful degradation.
 		return http.StatusInternalServerError
 	}
 }

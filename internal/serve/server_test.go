@@ -120,9 +120,6 @@ func TestServeQueryOK(t *testing.T) {
 	if len(qr.Rows) != 2 || qr.Incomplete {
 		t.Fatalf("got %+v, want 2 complete rows", qr)
 	}
-	if qr.Attempts != 1 {
-		t.Fatalf("attempts = %d, want 1", qr.Attempts)
-	}
 }
 
 func TestServeSPARQLOK(t *testing.T) {
@@ -234,36 +231,14 @@ func TestServePanicIs500(t *testing.T) {
 	}
 }
 
-// TestServeRetryAbsorbsTransientFault pins the retry path: a fault that
-// fires once and recovers yields a 200 on the second attempt.
-func TestServeRetryAbsorbsTransientFault(t *testing.T) {
-	_, ts, o := newTestServer(t, Config{})
-	restore := limits.SetGlobal(limits.NewPlan(limits.Fault{
-		Point: "chase.rule", Times: 1, // ActError, fail once then recover
-	}))
-	defer restore()
-	status, body := postJSON(t, ts.URL+"/query", QueryRequest{Program: testProgram})
-	if status != http.StatusOK {
-		t.Fatalf("status = %d (body %s), want 200 after retry", status, body)
-	}
-	qr := decodeResponse(t, body)
-	if qr.Attempts != 2 {
-		t.Fatalf("attempts = %d, want 2", qr.Attempts)
-	}
-	if len(qr.Rows) != 2 {
-		t.Fatalf("rows = %v, want the full answer", qr.Rows)
-	}
-	if o.Registry().Counter("serve.retries") != 1 {
-		t.Fatal("serve.retries counter not bumped")
-	}
-}
-
-// TestServeRetriesExhaustedIs500 pins the other side: a fault that never
-// clears exhausts the retry budget and surfaces as a 500 with the injected
-// taxonomy name.
+// TestServeRetriesExhaustedIs500 pins that an evaluation runs once: a fault
+// that fires once and then clears surfaces as a 500 with the injected
+// taxonomy name (a re-run would have met no fault and answered 200), and the
+// next request answers 200.
 func TestServeRetriesExhaustedIs500(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{Retry: RetryConfig{MaxAttempts: 2, BaseDelay: time.Millisecond}})
-	restore := limits.SetGlobal(limits.NewPlan(limits.Fault{Point: "chase.rule"}))
+	_, ts, _ := newTestServer(t, Config{})
+	plan := limits.NewPlan(limits.Fault{Point: "chase.rule", Times: 1})
+	restore := limits.SetGlobal(plan)
 	defer restore()
 	status, body := postJSON(t, ts.URL+"/query", QueryRequest{Program: testProgram})
 	if status != http.StatusInternalServerError {
@@ -271,6 +246,16 @@ func TestServeRetriesExhaustedIs500(t *testing.T) {
 	}
 	if f := decodeFailure(t, body); f.Limit != limits.LimitInjected {
 		t.Fatalf("failure.limit = %q, want %q", f.Limit, limits.LimitInjected)
+	}
+	if plan.Fires() != 1 {
+		t.Fatalf("fault fired %d times, want 1", plan.Fires())
+	}
+	status, body = postJSON(t, ts.URL+"/query", QueryRequest{Program: testProgram})
+	if status != http.StatusOK {
+		t.Fatalf("next request: status = %d (body %s), want 200", status, body)
+	}
+	if qr := decodeResponse(t, body); len(qr.Rows) != 2 {
+		t.Fatalf("next request: rows = %v, want the full answer", qr.Rows)
 	}
 }
 
@@ -536,7 +521,6 @@ func TestServeBreakerOpensAndRecovers(t *testing.T) {
 	s := New(Config{
 		Obs:     o,
 		Breaker: BreakerConfig{Window: 8, MinSamples: 2, FailureRatio: 0.5, OpenFor: time.Hour, HalfOpenProbes: 1},
-		Retry:   RetryConfig{MaxAttempts: 1},
 	})
 	clk := &fakeClock{t: time.Unix(1000, 0)}
 	s.breakers["query"].now = clk.now
@@ -627,43 +611,6 @@ func TestServeHealthAndMetricsEndpoints(t *testing.T) {
 	}
 	if status, _ := get("/debug/pprof/cmdline"); status != http.StatusOK {
 		t.Fatalf("pprof = %d, want 200", status)
-	}
-}
-
-// TestRetryBackoffRespectsContext checks the retry helper sleeps with
-// jittered backoff but gives up as soon as the context dies.
-func TestRetryBackoffRespectsContext(t *testing.T) {
-	j := newJitter(1)
-	calls := 0
-	attempts, err := withRetry(context.Background(), RetryConfig{MaxAttempts: 3, BaseDelay: time.Millisecond}, j, func() error {
-		calls++
-		if calls < 3 {
-			return limits.NewError(limits.ErrInjected, limits.Truncation{})
-		}
-		return nil
-	})
-	if err != nil || attempts != 3 {
-		t.Fatalf("attempts=%d err=%v, want 3 attempts and success", attempts, err)
-	}
-
-	// Non-retryable errors return immediately.
-	calls = 0
-	_, err = withRetry(context.Background(), RetryConfig{MaxAttempts: 5}, j, func() error {
-		calls++
-		return limits.NewError(limits.ErrDeadline, limits.Truncation{})
-	})
-	if calls != 1 || !strings.Contains(err.Error(), "deadline") {
-		t.Fatalf("calls=%d err=%v, want exactly one call with the deadline error", calls, err)
-	}
-
-	// A canceled context aborts the backoff sleep.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err = withRetry(ctx, RetryConfig{MaxAttempts: 5, BaseDelay: time.Hour, MaxDelay: time.Hour}, j, func() error {
-		return limits.NewError(limits.ErrInjected, limits.Truncation{})
-	})
-	if err == nil {
-		t.Fatal("want a context error")
 	}
 }
 

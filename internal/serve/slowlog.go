@@ -43,7 +43,7 @@ type SlowEntry struct {
 	Status int `json:"status"`
 	// QueueWaitUS is the time spent waiting for an admission slot.
 	QueueWaitUS int64 `json:"queue_wait_us"`
-	// ExecUS is the evaluation time (parse + chase + decode, with retries).
+	// ExecUS is the evaluation time (parse + chase + decode).
 	ExecUS int64 `json:"exec_us"`
 	// TotalUS is the whole request (queue wait + execution).
 	TotalUS int64 `json:"total_us"`

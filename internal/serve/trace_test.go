@@ -257,7 +257,7 @@ func TestTraceUnsampledStillAccounted(t *testing.T) {
 // A deadline-tripped evaluation still produces a finished trace: every span
 // is closed (Finish force-closes stragglers) and the trace is retrievable.
 func TestTraceDeadlineTripClosesSpans(t *testing.T) {
-	s, ts, _ := newTestServer(t, Config{Trace: TraceConfig{Sample: -1}, Retry: RetryConfig{MaxAttempts: 1}})
+	s, ts, _ := newTestServer(t, Config{Trace: TraceConfig{Sample: -1}})
 	defer ts.Close()
 	s.SetGraph(chainGraph(t, 50))
 	restore := limits.SetGlobal(limits.NewPlan(limits.Fault{

@@ -79,9 +79,6 @@ type QueryResponse struct {
 	Truncation *limits.Truncation `json:"truncation,omitempty"`
 	// ElapsedUS is the server-side evaluation time in microseconds.
 	ElapsedUS int64 `json:"elapsed_us"`
-	// Attempts counts evaluation tries (> 1 when transient faults were
-	// retried away).
-	Attempts int `json:"attempts,omitempty"`
 	// Explain is the per-query telemetry report, present when the request
 	// asked for it (body field or explain=1).
 	Explain *repro.ExplainReport `json:"explain,omitempty"`
@@ -165,7 +162,7 @@ func (r *QueryRequest) Request(sparql bool) (repro.Request, error) {
 		return req, badRequest(err)
 	}
 	if fixed := req.Regime.Program(); fixed != nil {
-		req.Query.Program = fixed.Merge(req.Query.Program)
+		req.Query.Program = new(repro.Program).Merge(fixed, req.Query.Program)
 	}
 	if err := repro.Validate(req.Query, req.Language); err != nil {
 		return req, badRequest(err)
@@ -176,14 +173,13 @@ func (r *QueryRequest) Request(sparql bool) (repro.Request, error) {
 // NewQueryResponse renders an evaluation's outcome as the success body; the
 // rows come from Response.Rows and nowhere else. The fields only a server
 // knows (ElapsedUS, TraceID, Resources, Epoch) are left for it to fill.
-func NewQueryResponse(out *repro.Response, attempts int) *QueryResponse {
+func NewQueryResponse(out *repro.Response) *QueryResponse {
 	return &QueryResponse{
 		Rows:         out.Rows(),
 		Inconsistent: out.Inconsistent,
 		Exact:        out.Exact,
 		Incomplete:   out.Incomplete,
 		Truncation:   out.Truncation,
-		Attempts:     attempts,
 		Explain:      out.Explain,
 	}
 }

@@ -11,6 +11,7 @@
 package store_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -80,7 +81,7 @@ func answers(t *testing.T, g *rdf.Graph) []string {
 	if err != nil {
 		t.Fatalf("parse query: %v", err)
 	}
-	res, err := repro.Ask(g, q, repro.TriQLite10, repro.Options{})
+	res, err := repro.AskCtx(context.Background(), g, q, repro.TriQLite10, repro.Options{})
 	if errors.Is(err, limits.ErrInjected) {
 		t.Skipf("injected fault (TRIQ_FAULTS armed)")
 	}

@@ -67,10 +67,10 @@ func (r Regime) String() string {
 }
 
 // Program returns the regime's fixed rule library — τ_owl2ql_core for the two
-// OWL 2 QL core regimes, the ρdf rules for RDFS — as the caller's own copy of
-// a program parsed once per process, or nil for the plain semantics. A
-// translated query carries it; a hand-written program asking for the regime
-// gets it prepended.
+// OWL 2 QL core regimes, the ρdf rules for RDFS — parsed once per process and
+// shared, so read-only, or nil for the plain semantics. A translated query
+// carries its rules; a hand-written program asking for the regime gets them
+// prepended, in a program of its own.
 func (r Regime) Program() *datalog.Program {
 	switch r {
 	case ActiveDomain, All:

@@ -143,12 +143,12 @@ func TestEvalExactWideNegation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%d constants: %v", n, err)
 		}
-		deep, err := chase.GroundSemanticsCtx(context.Background(), db, prog, chase.Options{MaxDepth: 24})
+		deep, err := chase.RunCtx(context.Background(), db, prog, chase.Options{MaxDepth: 24})
 		skipInjected(t, err)
-		if err != nil || !deep.Exact {
+		if err != nil || deep.Stats.DepthTruncated {
 			t.Fatalf("%d constants: the chase to depth 24 must terminate: %v", n, err)
 		}
-		want := fmt.Sprint(answersOf(false, deep.GroundAtomsOf("ans")).Tuples)
+		want := fmt.Sprint(answersOf(false, deep.Instance.GroundPart().AtomsOf("ans")).Tuples)
 		if got := fmt.Sprint(res.Answers.Tuples); !res.Exact || got != want || len(res.Answers.Tuples) != n-1 {
 			t.Errorf("%d constants: exact path %s (exact %v), the chase to depth 24 %s", n, got, res.Exact, want)
 		}
@@ -171,9 +171,9 @@ func TestEvalExactDeepNegation(t *testing.T) {
 	if !res.Exact || res.Incomplete || len(res.Answers.Tuples) != 0 {
 		t.Errorf("got %v (exact %v, incomplete %v), want {} exact", res.Answers.Tuples, res.Exact, res.Incomplete)
 	}
-	deep, err := chase.GroundSemanticsCtx(context.Background(), db, prog, chase.Options{MaxDepth: 20})
+	deep, err := chase.RunCtx(context.Background(), db, prog, chase.Options{MaxDepth: 20})
 	skipInjected(t, err)
-	if err != nil || !deep.Exact || !deep.Ground().Has(atom("q", "a")) || deep.Ground().Has(atom("ans", "a")) {
+	if err != nil || deep.Stats.DepthTruncated || !deep.Instance.GroundPart().Has(atom("q", "a")) || deep.Instance.GroundPart().Has(atom("ans", "a")) {
 		t.Errorf("the chase to depth 20 must terminate with q(a) and without ans(a): %v", err)
 	}
 	// A visit budget that trips on q(a) before q is certified leaves nothing

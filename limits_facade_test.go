@@ -50,13 +50,13 @@ func TestAskCtxCanceledReturnsErrCanceled(t *testing.T) {
 
 func TestAskDegradesOnFactBudget(t *testing.T) {
 	g, q := facadeQuery(t)
-	full, err := Ask(g, q, TriQLite10, Options{})
+	full, err := AskCtx(context.Background(), g, q, TriQLite10, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := Options{}
 	opts.Chase.MaxFacts = 6
-	res, err := Ask(g, q, TriQLite10, opts)
+	res, err := AskCtx(context.Background(), g, q, TriQLite10, opts)
 	if err != nil {
 		t.Fatalf("budget trips must degrade at the facade, not error: %v", err)
 	}
@@ -85,7 +85,7 @@ func TestAskRecoverInjectedPanic(t *testing.T) {
 	g, q := facadeQuery(t)
 	opts := Options{}
 	opts.Chase.Faults = limits.NewPlan(limits.Fault{Point: "chase.rule", Action: limits.ActPanic})
-	_, err := Ask(g, q, TriQLite10, opts)
+	_, err := AskCtx(context.Background(), g, q, TriQLite10, opts)
 	if !errors.Is(err, ErrInternal) {
 		t.Fatalf("an engine panic must surface as ErrInternal, got %v", err)
 	}
@@ -104,7 +104,7 @@ func TestAskSPARQLCtxDegradesOnBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fullMS, _, err := AskSPARQL(sq, g, PlainRegime, Options{})
+	fullMS, _, err := AskSPARQLCtx(context.Background(), sq, g, PlainRegime, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestAskAbortEmitsObsEventWithLimitName(t *testing.T) {
 	opts := Options{}
 	opts.Chase.MaxFacts = 6
 	opts.Chase.Obs = obs.NewWithSink(&buf)
-	res, err := Ask(g, q, TriQLite10, opts)
+	res, err := AskCtx(context.Background(), g, q, TriQLite10, opts)
 	if err != nil || !res.Incomplete {
 		t.Fatalf("expected degraded run, got res=%+v err=%v", res, err)
 	}
@@ -199,7 +199,7 @@ func TestTruncationRoundTripAtFacade(t *testing.T) {
 	g, q := facadeQuery(t)
 	opts := Options{}
 	opts.Chase.MaxFacts = 6
-	res, err := Ask(g, q, TriQLite10, opts)
+	res, err := AskCtx(context.Background(), g, q, TriQLite10, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

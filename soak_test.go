@@ -62,7 +62,7 @@ func TestConcurrentSoak(t *testing.T) {
 	// correctness oracle for every fault-free concurrent evaluation. An armed
 	// TRIQ_FAULTS plan can cut an oracle short too, and then the soak has
 	// nothing to check against and is skipped.
-	baseline, err := Ask(shared, query, TriQLite10, Options{})
+	baseline, err := AskCtx(context.Background(), shared, query, TriQLite10, Options{})
 	skipInjected(t, err)
 	if err != nil {
 		t.Fatal(err)
@@ -71,13 +71,13 @@ func TestConcurrentSoak(t *testing.T) {
 	if wantRows == 0 {
 		t.Fatal("baseline produced no answers; soak would prove nothing")
 	}
-	baseMS, _, err := AskSPARQL(sq, shared, PlainRegime, Options{})
+	baseMS, _, err := AskSPARQLCtx(context.Background(), sq, shared, PlainRegime, Options{})
 	skipInjected(t, err)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantMappings := baseMS.Len()
-	baseExact, err := Ask(shared, exactQuery, TriQLite10, Options{})
+	baseExact, err := AskCtx(context.Background(), shared, exactQuery, TriQLite10, Options{})
 	skipInjected(t, err)
 	if err != nil {
 		t.Fatal(err)

@@ -21,21 +21,23 @@
 //	    ts(?T), triple(?X, ?T, ?Z), conn(?Z, ?Y) -> conn(?X, ?Y).
 //	    conn(?X, ?Y) -> query(?X, ?Y).
 //	`, "query")
-//	res, _ := repro.Ask(g, q, repro.TriQLite10, repro.Options{})
+//	res, _ := repro.Eval(context.Background(), g,
+//	    repro.Request{Query: q, Language: repro.TriQLite10})
 //	for _, row := range res.Rows() { fmt.Println(row) }
 //
 // # Concurrency
 //
 // A Graph is immutable after parsing and safe for any number of concurrent
-// readers, and Eval — the one evaluation path; Ask, AskSPARQL and their Ctx
-// variants are thin wrappers over it — keeps all working state private to the
-// call: it translates (SPARQL only), asks a warm materialization first, and
-// only on a miss loads a fresh instance of τ_db(G), over which the chase
-// appends to a private layer that it never writes through; the prover an exact
-// request builds for the goals its chase leaves open is the call's own too.
-// What concurrent calls share is read-only: the graph's memos, among them the
+// readers, and Eval — the one evaluation path; AskCtx and AskSPARQLCtx are
+// thin wrappers over it — keeps all working state private to the call: it
+// translates (SPARQL only), asks a warm materialization first, and only on a
+// miss loads a fresh instance of τ_db(G), over which the chase appends to a
+// private layer that it never writes through; the prover an exact request
+// builds for the goals its chase leaves open is the call's own too. What
+// concurrent calls share is read-only: the graph's memos, among them the
 // dictionary encoding each call's instance is built from, which the first
-// call over an unchanged graph computes.
+// call over an unchanged graph computes, and the process-wide parsed
+// ontology programs of the entailment regimes.
 // Many goroutines may therefore evaluate Requests over one shared Graph (and
 // shared parsed Query / SPARQLQuery values) without external locking; this is
 // the contract the triqd server (cmd/triqd, internal/serve) relies on. The one
@@ -240,7 +242,7 @@ type Response struct {
 	Explain *ExplainReport
 }
 
-// Results is the name Ask and AskCtx return a Response under.
+// Results is the name AskCtx returns a Response under.
 type Results = Response
 
 // Rows renders the answers as strings, one row per answer: space-joined
@@ -366,13 +368,8 @@ func Eval(ctx context.Context, g *Graph, req Request) (_ *Response, err error) {
 	return resp, nil
 }
 
-// Ask evaluates a TriQ query over an RDF graph with the chase: Eval with a
-// background context.
-func Ask(g *Graph, q Query, lang Language, opts Options) (*Results, error) {
-	return AskCtx(context.Background(), g, q, lang, opts)
-}
-
-// AskCtx is Ask under a context; see Eval for the limit semantics.
+// AskCtx evaluates a TriQ query over an RDF graph with the chase: Eval of a
+// Datalog Request; see Eval for the limit semantics.
 func AskCtx(ctx context.Context, g *Graph, q Query, lang Language, opts Options) (*Results, error) {
 	return Eval(ctx, g, Request{Query: q, Language: lang, Options: opts})
 }
@@ -387,16 +384,11 @@ func EvalSPARQL(q *SPARQLQuery, g *Graph) (*MappingSet, error) { return q.Select
 // Construct evaluates a CONSTRUCT query, producing an RDF graph.
 func Construct(q *SPARQLQuery, g *Graph) (*Graph, error) { return q.Construct(g) }
 
-// AskSPARQL evaluates a SELECT query over a graph under the chosen regime by
-// translating it to a TriQ query and running the Datalog machinery: Eval
-// with a background context. The boolean reports inconsistency (⊤), which
-// can arise only under the entailment regimes; the mapping set is nil then.
-func AskSPARQL(q *SPARQLQuery, g *Graph, regime Regime, opts Options) (*MappingSet, bool, error) {
-	return AskSPARQLCtx(context.Background(), q, g, regime, opts)
-}
-
-// AskSPARQLCtx is AskSPARQL under a context. The boolean is the
-// inconsistency flag, not exactness (read Response.Exact off Eval for that).
+// AskSPARQLCtx evaluates a SELECT query over a graph under the chosen regime
+// by translating it to a TriQ query and running the Datalog machinery: Eval
+// of a SPARQL Request. The boolean reports inconsistency (⊤), which can arise
+// only under the entailment regimes; the mapping set is nil then. It is not
+// exactness (read Response.Exact off Eval for that).
 // Budget trips degrade to a sound partial MappingSet with ms.Incomplete and
 // ms.Truncation set; see Eval for the rest of the limit semantics.
 func AskSPARQLCtx(ctx context.Context, q *SPARQLQuery, g *Graph, regime Regime, opts Options) (ms *MappingSet, inconsistent bool, err error) {

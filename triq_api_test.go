@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -41,7 +42,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if err := Validate(q, TriQLite10); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Ask(g, q, TriQLite10, Options{})
+	res, err := AskCtx(context.Background(), g, q, TriQLite10, Options{})
 	if errors.Is(err, limits.ErrInjected) {
 		t.Skip("injected fault (TRIQ_FAULTS armed)")
 	}
@@ -79,7 +80,7 @@ func TestPublicAPISPARQL(t *testing.T) {
 	if direct.Len() != 1 {
 		t.Errorf("direct answers = %s", direct)
 	}
-	viaDatalog, inconsistent, err := AskSPARQL(q, g, PlainRegime, Options{})
+	viaDatalog, inconsistent, err := AskSPARQLCtx(context.Background(), q, g, PlainRegime, Options{})
 	if err != nil || inconsistent {
 		t.Fatal(err, inconsistent)
 	}
