@@ -12,7 +12,6 @@ import (
 
 	"repro"
 	"repro/internal/limits"
-	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -222,33 +221,25 @@ func TestSparqlEvaluate(t *testing.T) {
 	}
 }
 
-// TestSparqlTraceAndMetrics checks that -trace produces a valid JSONL trace
-// containing the translation compile spans, per-operator spans, and the chase
-// spans from the evaluation.
+// TestSparqlTraceAndMetrics checks that -trace writes one span tree holding
+// the translation compile spans, per-operator spans, and the chase spans from
+// the evaluation.
 func TestSparqlTraceAndMetrics(t *testing.T) {
 	cfg := base()
 	cfg.sparql = writeFile(t, "q.rq", authorsQuery)
 	cfg.data = writeFile(t, "g.nt", authorsData)
-	cfg.trace = filepath.Join(t.TempDir(), "trace.jsonl")
+	cfg.trace = filepath.Join(t.TempDir(), "trace.json")
 	cfg.metrics = true
 	if err := run(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(cfg.trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, err := obs.ParseTrace(raw)
-	if err != nil {
-		t.Fatalf("invalid JSONL: %v", err)
-	}
 	kinds := map[string]bool{}
-	for _, k := range obs.TraceKinds(recs) {
-		kinds[k] = true
+	for _, sp := range readTrace(t, cfg.trace) {
+		kinds[sp.Name] = true
 	}
 	for _, k := range []string{"translate.compile", "translate.op", "translate.load_db", "translate.decode", "chase.run", "chase.round", "chase.rule", "triq.eval"} {
 		if !kinds[k] {
-			t.Errorf("missing span kind %q (got %v)", k, obs.TraceKinds(recs))
+			t.Errorf("missing span kind %q (got %v)", k, kinds)
 		}
 	}
 }
@@ -270,7 +261,7 @@ func TestSparqlErrors(t *testing.T) {
 		mod(func(c *config) { c.sparql = q + ".nope" }),
 		mod(func(c *config) { c.sparql = bad }),
 		mod(func(c *config) { c.data = "/nope.nt" }),
-		mod(func(c *config) { c.trace = filepath.Join(q, "nope", "t.jsonl") }),
+		mod(func(c *config) { c.trace = filepath.Join(q, "nope", "t.json") }),
 		mod(func(c *config) { c.analyze = true }),
 	} {
 		if err := run(context.Background(), cfg); err == nil || exitCode(err) != exitUsage {

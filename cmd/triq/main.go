@@ -27,8 +27,8 @@
 // Observability (see README "Observability"): -explain prints the per-query
 // EXPLAIN report (per-rule chase stats with provenance, stage times), -metrics
 // prints the per-rule chase breakdown and the metrics registry to stderr,
-// -trace streams the JSONL span trace to a file, and -pprof serves
-// net/http/pprof.
+// -trace writes the run's span tree to a file as the OTLP/JSON document triqd
+// serves at /debug/trace?id=<id>, and -pprof serves net/http/pprof.
 package main
 
 import (
@@ -37,6 +37,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	_ "net/http/pprof"
@@ -82,7 +83,7 @@ type config struct {
 	maxFacts  int           // chase fact budget (0 = none)
 	maxRounds int           // chase round budget (0 = none)
 	maxVisits int           // proof-search visit budget (0 = default)
-	trace     string        // JSONL span trace file ("" = off)
+	trace     string        // OTLP/JSON span trace file ("" = off)
 	explain   bool          // print the per-query EXPLAIN report to stderr
 	metrics   bool          // print metrics summary to stderr
 	pprof     string        // pprof listen address ("" = off)
@@ -110,7 +111,7 @@ func defineFlags(fs *flag.FlagSet) *config {
 	fs.IntVar(&cfg.maxFacts, "max-facts", 0, "abort the chase once the instance holds this many facts (0 = unlimited; partial answers + exit 3)")
 	fs.IntVar(&cfg.maxRounds, "max-rounds", 0, "abort the chase after this many rounds per stratum (0 = unlimited; partial answers + exit 3)")
 	fs.IntVar(&cfg.maxVisits, "max-visits", 0, "proof-search component-visit budget for -prove/-exact (0 = default; exit 3 on trip)")
-	fs.StringVar(&cfg.trace, "trace", "", "write a JSONL span trace to this file")
+	fs.StringVar(&cfg.trace, "trace", "", "write the run's span tree to this file as OTLP/JSON, the document triqd serves at /debug/trace?id=<id>")
 	fs.BoolVar(&cfg.explain, "explain", false, "print the EXPLAIN report (per-rule chase stats with provenance, stage times) to stderr; with -json it is embedded in the response")
 	fs.BoolVar(&cfg.metrics, "metrics", false, "print the per-rule chase breakdown and metrics registry to stderr")
 	fs.StringVar(&cfg.pprof, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
@@ -126,13 +127,7 @@ func main() {
 		fmt.Println(obs.VersionString("triq"))
 		return
 	}
-	ctx := context.Background()
-	if cfg.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.timeout)
-		defer cancel()
-	}
-	if err := run(ctx, *cfg); err != nil {
+	if err := run(context.Background(), *cfg); err != nil {
 		if cfg.jsonOut {
 			// The same failure body a triqd error response carries.
 			_ = serve.EncodeJSON(os.Stdout, limits.ToWire(err))
@@ -158,27 +153,35 @@ func exitCode(err error) int {
 	return exitUsage
 }
 
-// setupObs builds the observability handle from the trace/metrics flags. The
-// returned closer flushes and closes the trace file. With both flags off it
-// returns a nil handle: no registry, no spans, no I/O.
-func setupObs(cfg config) (*obs.Obs, func() error, error) {
-	if cfg.trace == "" && !cfg.metrics {
-		return nil, func() error { return nil }, nil
+// startTrace attaches a recording trace, with a triq.cli root span open, to
+// ctx when path names a file. It creates the file at once, so a bad path fails
+// before the evaluation. The returned function ends the root span, finishes
+// the trace (closing any span an abort left open) and writes it to the file
+// as the OTLP/JSON document triqd serves at /debug/trace?id=<id>; run calls it
+// on every exit path. Without a path the trace is off: no spans, no I/O.
+func startTrace(ctx context.Context, path string) (context.Context, func() error, error) {
+	if path == "" {
+		return ctx, func() error { return nil }, nil
 	}
-	if cfg.trace == "" {
-		return obs.New(), func() error { return nil }, nil
-	}
-	f, err := os.Create(cfg.trace)
+	f, err := os.Create(path)
 	if err != nil {
-		return nil, nil, err
+		return ctx, nil, err
 	}
-	o := obs.NewWithSink(f)
-	return o, func() error {
-		if err := o.SinkErr(); err != nil {
-			f.Close()
+	ids := obs.NewIDSource(0)
+	tr := obs.NewTrace(ids.TraceID(), ids, true)
+	tr.SetMaxSpans(math.MaxInt)
+	ctx, root := obs.StartSpan(obs.ContextWithTrace(ctx, tr), nil, "triq.cli")
+	return ctx, func() error {
+		root.End()
+		tr.Finish()
+		err := serve.EncodeJSON(f, obs.NewTraceStore(1, "triq").OTLP(tr))
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			return fmt.Errorf("writing trace: %w", err)
 		}
-		return f.Close()
+		return nil
 	}, nil
 }
 
@@ -263,9 +266,23 @@ func run(ctx context.Context, cfg config) (err error) {
 	if cfg.data == "" && req.SPARQL == nil {
 		return errors.New("-data is required")
 	}
-	o, closeObs, err := setupObs(cfg)
+	if cfg.timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, cfg.timeout)
+		defer cancel()
+	}
+	ctx, endTrace, err := startTrace(ctx, cfg.trace)
 	if err != nil {
 		return err
+	}
+	defer func() {
+		if terr := endTrace(); err == nil {
+			err = terr
+		}
+	}()
+	var o *obs.Obs
+	if cfg.metrics {
+		o = obs.New()
 	}
 	// What the wire cannot say: the depth bound, the proof-search budget
 	// (read by -exact and -prove only) and where the telemetry goes.
@@ -273,25 +290,23 @@ func run(ctx context.Context, cfg config) (err error) {
 	req.Options.Chase.Obs = o
 	req.Options.MaxVisits = cfg.maxVisits
 	if cfg.data == "" {
-		err = printTranslation(cfg, req, o)
-	} else if g, gerr := owl.LoadGraph(cfg.data, cfg.ontology); gerr != nil {
-		err = gerr
-	} else if cfg.prove != "" {
-		err = runProve(ctx, cfg, g, req.Query.Program, o)
-	} else {
-		err = runQuery(ctx, cfg, g, req)
+		return printTranslation(ctx, cfg, req, o)
 	}
-	if cerr := closeObs(); err == nil {
-		err = cerr
+	g, err := owl.LoadGraph(cfg.data, cfg.ontology)
+	if err != nil {
+		return err
 	}
-	return err
+	if cfg.prove != "" {
+		return runProve(ctx, cfg, g, req.Query.Program, o)
+	}
+	return runQuery(ctx, cfg, g, req)
 }
 
 // printTranslation prints the TriQ query a SPARQL query translates to under
 // the regime, behind a header naming the pattern, the regime and the answer
 // predicate.
-func printTranslation(cfg config, req repro.Request, o *obs.Obs) error {
-	tr, err := translate.Traced(req.SPARQL.Pattern(), req.Regime, o)
+func printTranslation(ctx context.Context, cfg config, req repro.Request, o *obs.Obs) error {
+	tr, err := translate.TracedCtx(ctx, req.SPARQL.Pattern(), req.Regime, o)
 	if err != nil {
 		return err
 	}

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/flagledger"
 	"repro/internal/limits"
@@ -142,20 +143,20 @@ func TestCLIOntologyAndRegime(t *testing.T) {
 }
 
 // TestCLITraceAndMetrics runs a query and a proof with -trace and -metrics on
-// and checks the trace file is valid JSONL covering the chase round, per-rule,
-// and prover span kinds (the ISSUE acceptance criterion).
+// and checks the trace file is an OTLP/JSON document covering the chase
+// round, per-rule, and prover span kinds.
 func TestCLITraceAndMetrics(t *testing.T) {
 	cfg := base()
 	cfg.data = writeFile(t, "g.nt", cliData)
 	cfg.program = writeFile(t, "p.dlog", cliProgram)
-	cfg.trace = filepath.Join(t.TempDir(), "trace.jsonl")
+	cfg.trace = filepath.Join(t.TempDir(), "trace.json")
 	cfg.metrics = true
 	if err := run(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	prove := cfg
 	prove.prove = "ts(A311)"
-	prove.trace = filepath.Join(t.TempDir(), "prove.jsonl")
+	prove.trace = filepath.Join(t.TempDir(), "prove.json")
 	if err := run(context.Background(), prove); err != nil {
 		t.Fatal(err)
 	}
@@ -165,24 +166,127 @@ func TestCLITraceAndMetrics(t *testing.T) {
 		prove.trace: {"prover.prove"},
 	}
 	for file, want := range wantKinds {
-		raw, err := os.ReadFile(file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs, err := obs.ParseTrace(raw)
-		if err != nil {
-			t.Fatalf("%s: invalid JSONL: %v", file, err)
-		}
-		if len(recs) == 0 {
-			t.Fatalf("%s: empty trace", file)
-		}
 		kinds := map[string]bool{}
-		for _, k := range obs.TraceKinds(recs) {
-			kinds[k] = true
+		for _, sp := range readTrace(t, file) {
+			kinds[sp.Name] = true
 		}
 		for _, k := range want {
 			if !kinds[k] {
-				t.Errorf("%s: missing span kind %q (got %v)", file, k, obs.TraceKinds(recs))
+				t.Errorf("%s: missing span kind %q (got %v)", file, k, kinds)
+			}
+		}
+	}
+}
+
+// traceSpan is a span of a -trace file.
+type traceSpan struct {
+	ID, Parent, Name string
+	Ended            bool
+}
+
+// readTrace decodes a -trace file, fails the test unless it holds one
+// complete span tree — one root, every parent in the file, every span ended,
+// none dropped at the span cap — and returns its spans by id.
+func readTrace(t *testing.T, file string) map[string]traceSpan {
+	t.Helper()
+	raw, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc obs.OTLPDocument
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("%s: not an OTLP/JSON document: %v", file, err)
+	}
+	if len(doc.ResourceSpans) != 1 || len(doc.ResourceSpans[0].ScopeSpans) != 1 {
+		t.Fatalf("%s: want one resource and one scope", file)
+	}
+	if doc.Account.SpansDropped != 0 {
+		t.Errorf("%s: %d spans dropped", file, doc.Account.SpansDropped)
+	}
+	spans := map[string]traceSpan{}
+	for _, sp := range doc.ResourceSpans[0].ScopeSpans[0].Spans {
+		spans[sp.SpanID] = traceSpan{ID: sp.SpanID, Parent: sp.ParentSpanID, Name: sp.Name,
+			Ended: sp.EndTimeUnixNano != "" && sp.EndTimeUnixNano != "0"}
+	}
+	roots := 0
+	for _, sp := range spans {
+		if sp.Parent == "" {
+			roots++
+		} else if _, ok := spans[sp.Parent]; !ok {
+			t.Errorf("%s: %s span's parent %s is not in the file", file, sp.Name, sp.Parent)
+		}
+		if !sp.Ended {
+			t.Errorf("%s: %s span has no end time", file, sp.Name)
+		}
+	}
+	if roots != 1 {
+		t.Errorf("%s: %d root spans, want 1", file, roots)
+	}
+	return spans
+}
+
+// TestCLITraceComplete: -trace writes one complete span tree however the run
+// ends — exit 0, a budget trip (exit 3), -timeout expiry (exit 124) — for
+// the transport program and for the university SPARQL request under `all`,
+// with chase.deepen → chase.run → chase.round → chase.rule nested in it.
+func TestCLITraceComplete(t *testing.T) {
+	golden := filepath.Join("..", "..", "testdata", "golden")
+	empty := writeFile(t, "empty.nt", "")
+	inputs := []struct {
+		name     string
+		set      func(*config)
+		maxFacts int
+	}{
+		{"transport", func(c *config) {
+			c.data = filepath.Join(golden, "transport", "graph.nt")
+			c.program = filepath.Join(golden, "transport", "program.dlog")
+		}, 15},
+		{"university", func(c *config) {
+			c.data = empty
+			c.ontology = filepath.Join(golden, "university-person", "ontology.owl")
+			c.sparql = filepath.Join(golden, "university-person", "query.rq")
+			c.regime = "all"
+		}, 200},
+	}
+	for _, in := range inputs {
+		for _, exit := range []int{0, exitBudget, exitTimeout} {
+			cfg := base()
+			in.set(&cfg)
+			cfg.trace = filepath.Join(t.TempDir(), "trace.json")
+			restore := func() {}
+			switch exit {
+			case exitBudget:
+				cfg.maxFacts = in.maxFacts
+			case exitTimeout:
+				// The third rule turn outsleeps the deadline, with a margin for
+				// the context's timer to fire, so the run is cut inside the
+				// chase with rule spans open.
+				cfg.timeout = 100 * time.Millisecond
+				restore = limits.SetGlobal(limits.NewPlan(limits.Fault{Point: "chase.rule", Action: limits.ActHook,
+					After: 2, Times: 1, Hook: func() { time.Sleep(3 * cfg.timeout) }}))
+			}
+			var err error
+			captureStdout(t, func() { err = run(context.Background(), cfg) })
+			restore()
+			got := 0
+			if err != nil {
+				got = exitCode(err)
+			}
+			if got != exit {
+				t.Errorf("%s: exit %d (%v), want %d", in.name, got, err, exit)
+			}
+			spans := readTrace(t, cfg.trace)
+			nested := false
+			for _, rule := range spans {
+				round := spans[rule.Parent]
+				chaseRun := spans[round.Parent]
+				if rule.Name == "chase.rule" && round.Name == "chase.round" && chaseRun.Name == "chase.run" &&
+					spans[chaseRun.Parent].Name == "chase.deepen" {
+					nested = true
+				}
+			}
+			if !nested {
+				t.Errorf("%s, exit %d: no chase.deepen → chase.run → chase.round → chase.rule chain", in.name, exit)
 			}
 		}
 	}
@@ -222,7 +326,7 @@ func TestCLIErrors(t *testing.T) {
 		{"bad program path", mod(func(c *config) { c.program = prog + ".nope" })},
 		{"bad goal", mod(func(c *config) { c.prove = "?X" })},
 		{"bad ontology path", mod(func(c *config) { c.ontology = "/nope.owl" })},
-		{"bad trace path", mod(func(c *config) { c.trace = filepath.Join(data, "nope", "t.jsonl") })},
+		{"bad trace path", mod(func(c *config) { c.trace = filepath.Join(data, "nope", "t.json") })},
 	}
 	for _, tc := range cases {
 		if err := run(context.Background(), tc.cfg); err == nil {

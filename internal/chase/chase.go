@@ -46,9 +46,6 @@ type Options struct {
 	// round, instance size, triggers fired) that an operator endpoint can
 	// sample while the run is in flight. It never affects evaluation.
 	Progress *Progress
-	// Parent optionally nests the chase.run span under an enclosing span
-	// (e.g. the iterative-deepening driver). Ignored when Obs is nil.
-	Parent *obs.Span
 	// Faults arms a per-evaluation fault-injection plan checked at the
 	// chase.round and chase.rule sites (the process-global TRIQ_FAULTS plan
 	// is always consulted too). Nil disables per-evaluation injection.
@@ -282,8 +279,8 @@ func (e *engine) snapshotStats() Stats {
 }
 
 // abort builds a typed limits error for the tripped limit, attaching the
-// Truncation report (progress counters and per-rule stats) and emitting the
-// limits.aborted observability event.
+// Truncation report (progress counters and per-rule stats) and counting it in
+// limits.aborted.
 func (e *engine) abort(kind error, budget, reached int64) error {
 	return e.fail(limits.NewError(kind, limits.Truncation{Budget: budget, Reached: reached}))
 }
@@ -298,8 +295,8 @@ func (e *engine) interrupted() error {
 }
 
 // fail decorates a typed limits error (including injected faults) with the
-// engine's progress and emits the limits.aborted event. Non-limits errors
-// pass through untouched.
+// engine's progress, names the limit and the instance size on the chase.run
+// span and counts limits.aborted. Non-limits errors pass through untouched.
 func (e *engine) fail(err error) error {
 	tr, ok := limits.TruncationOf(err)
 	if !ok {
@@ -316,13 +313,9 @@ func (e *engine) fail(err error) error {
 			FactsDerived:      rs.FactsDerived,
 		})
 	}
-	if e.opts.Obs != nil {
-		e.opts.Obs.Event("limits.aborted",
-			obs.F("limit", tr.Limit),
-			obs.F("rounds", tr.Rounds),
-			obs.F("facts", tr.Facts))
-		e.opts.Obs.Count("limits.aborted", 1)
-	}
+	e.span.Attr("limit", tr.Limit)
+	e.span.Attr("facts", tr.Facts)
+	e.opts.Obs.Count("limits.aborted", 1)
 	return err
 }
 
@@ -606,9 +599,6 @@ func (e *engine) fire(c *compiledRule, ev env) error {
 			}
 		}
 		if d > e.opts.MaxDepth {
-			if !e.stats.DepthTruncated && e.opts.Obs != nil {
-				e.opts.Obs.Event("chase.truncated", obs.F("depth", e.opts.MaxDepth))
-			}
 			e.stats.DepthTruncated = true
 			if e.closeKind == 0 {
 				// Park the trigger for a step with a higher bound. Naive
@@ -799,11 +789,7 @@ func (e *engine) step() error {
 	opts.Progress.runStart()
 	defer opts.Progress.runEnd()
 	if opts.Obs != nil || e.ruleLabels {
-		if opts.Parent != nil {
-			e.span = opts.Parent.Span("chase.run")
-		} else {
-			_, e.span = obs.StartSpan(e.ctx, opts.Obs, "chase.run")
-		}
+		_, e.span = obs.StartSpan(e.ctx, opts.Obs, "chase.run")
 		e.span.Attr("rules", len(e.perRule))
 		e.span.Attr("strata", len(e.strata))
 		e.span.Attr("db_facts", e.inst.Len()-e.stats.FactsDerived)

@@ -165,8 +165,10 @@ func (r *GroundResult) OpenGoals(preds ...string) ([]datalog.Atom, error) {
 	if e == nil {
 		return nil, errors.New("chase: open goals need a program that negates no derived predicate and whose evaluation ended truncated")
 	}
-	_, sp := obs.StartSpan(e.ctx, e.opts.Obs, "chase.open_goals", obs.F("depth", r.Depth))
-	e.opts.Parent = sp
+	ctx := e.ctx
+	var sp *obs.Span
+	e.ctx, sp = obs.StartSpan(ctx, e.opts.Obs, "chase.open_goals", obs.F("depth", r.Depth))
+	defer func() { e.ctx = ctx }()
 	m := e.mark()
 	e.collect = true
 	_, err := e.closingStep(summaryKey)

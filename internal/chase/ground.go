@@ -168,8 +168,8 @@ func stableGround(ctx context.Context, db *Instance, prog *datalog.Program, opts
 		depth, uncounted = 0, 2
 	}
 	for ; ; depth = min(depth+2, ceiling) {
-		_, sp := obs.StartSpan(ctx, opts.Obs, "chase.deepen", obs.F("depth", depth))
-		opts.MaxDepth, opts.Parent = depth, sp
+		sctx, sp := obs.StartSpan(ctx, opts.Obs, "chase.deepen", obs.F("depth", depth))
+		opts.MaxDepth = depth
 		st := DeepenStep{Depth: depth}
 		var err error
 		var before engineMark // the engine before the step
@@ -177,7 +177,7 @@ func stableGround(ctx context.Context, db *Instance, prog *datalog.Program, opts
 		if e != nil {
 			before = e.mark()
 			st.Resumed, st.Refired = true, e.parkedTriggers()
-			e.opts = opts
+			e.opts, e.ctx = opts, sctx
 			if err = e.step(); err == errNegatedGrew {
 				opts.Obs.Count("chase.deepen_restarts", 1)
 				e = nil
@@ -187,7 +187,7 @@ func stableGround(ctx context.Context, db *Instance, prog *datalog.Program, opts
 			}
 		}
 		if e == nil {
-			if e, err = prepare(ctx, db.Overlay(), prog, opts); err != nil {
+			if e, err = prepare(sctx, db.Overlay(), prog, opts); err != nil {
 				sp.End(obs.F("error", true))
 				return nil, err
 			}
@@ -226,7 +226,9 @@ func stableGround(ctx context.Context, db *Instance, prog *datalog.Program, opts
 			}
 		}
 		if err != nil || exact || stable >= window || depth == ceiling {
-			// depth == ceiling gives up; the result is the deepest one.
+			// depth == ceiling gives up; the result is the deepest one. OpenGoals
+			// opens its span on the evaluation's context, not on a step's.
+			e.ctx = ctx
 			res := &GroundResult{
 				inst:         e.inst,
 				Inconsistent: e.inst.inconsistent(),
@@ -249,8 +251,8 @@ func stableGround(ctx context.Context, db *Instance, prog *datalog.Program, opts
 // not, and without an error, the engine is as it was and the step lists nothing
 // that is still there.
 func closingStepOf(ctx context.Context, e *engine, st DeepenStep, closePass func(*engine) (bool, bool, error)) (cl DeepenStep, closed bool, err error) {
-	_, sp := obs.StartSpan(ctx, e.opts.Obs, "chase.deepen", obs.F("depth", st.Depth), obs.F("closing", true))
-	e.opts.Parent = sp
+	var sp *obs.Span
+	e.ctx, sp = obs.StartSpan(ctx, e.opts.Obs, "chase.deepen", obs.F("depth", st.Depth), obs.F("closing", true))
 	cl = DeepenStep{Depth: st.Depth, Resumed: true, Closing: true, Refired: st.Parked}
 	facts, ground := e.stats.FactsDerived, e.ground
 	closed, cl.Coarse, err = closePass(e)

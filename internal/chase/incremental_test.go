@@ -261,7 +261,7 @@ func incSchedule(t *testing.T, seed int64, axis string) {
 	if !settled("build", err) {
 		return
 	}
-	if o := inc.e.opts; o.Faults != nil || o.Obs != nil || o.Progress != nil || o.Parent != nil || inc.e.ctx != nil {
+	if o := inc.e.opts; o.Faults != nil || o.Obs != nil || o.Progress != nil || inc.e.ctx != nil {
 		fail("the installed engine still holds the build request's state: %+v", o)
 	}
 	for step := 0; step < 12; step++ {

@@ -1,7 +1,6 @@
 package chase
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"testing"
@@ -150,28 +149,33 @@ func TestGlobalFaultPlanViaEnvSyntax(t *testing.T) {
 	}
 }
 
+// TestAbortEmitsObsEvent: a budget trip names its limit and the instance size
+// on the chase.run span and counts limits.aborted.
 func TestAbortEmitsObsEvent(t *testing.T) {
-	var buf bytes.Buffer
-	o := obs.NewWithSink(&buf)
-	_, err := RunCtx(context.Background(), chainDB(8), datalog.MustParse(chainSrc), Options{MaxRounds: 1, Obs: o})
+	ctx, tr := recordingCtx()
+	o := obs.New()
+	_, err := RunCtx(ctx, chainDB(8), datalog.MustParse(chainSrc), Options{MaxRounds: 1, Obs: o})
 	if !errors.Is(err, limits.ErrRoundBudget) {
 		t.Fatalf("want ErrRoundBudget, got %v", err)
 	}
-	records, err := obs.ParseTrace(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tru, _ := limits.TruncationOf(err)
 	found := false
-	for _, r := range records {
-		if r["kind"] == "event" && r["name"] == "limits.aborted" {
-			attrs, _ := r["attrs"].(map[string]any)
-			if attrs["limit"] != limits.LimitRounds {
-				t.Fatalf("limits.aborted limit attr = %v, want %q", attrs["limit"], limits.LimitRounds)
-			}
-			found = true
+	for _, sp := range tr.Spans() {
+		if sp.Name != "chase.run" {
+			continue
+		}
+		found = true
+		if got := spanAttr(sp, "limit"); got != limits.LimitRounds {
+			t.Errorf("chase.run limit attr = %v, want %q", got, limits.LimitRounds)
+		}
+		if got := spanAttr(sp, "facts"); got != tru.Facts {
+			t.Errorf("chase.run facts attr = %v, want %d", got, tru.Facts)
 		}
 	}
 	if !found {
-		t.Fatal("trace has no limits.aborted event")
+		t.Fatal("trace has no chase.run span")
+	}
+	if got := o.Registry().Counter("limits.aborted"); got != 1 {
+		t.Errorf("limits.aborted counter = %d, want 1", got)
 	}
 }

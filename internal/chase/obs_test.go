@@ -1,7 +1,6 @@
 package chase
 
 import (
-	"bytes"
 	"context"
 	"strings"
 	"testing"
@@ -32,8 +31,8 @@ func TestObsOffMatchesObsOn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	on, err := RunCtx(context.Background(), obsTestDB(), datalog.MustParse(obsTestProgram), Options{Obs: obs.NewWithSink(&buf)})
+	ctx, tr := recordingCtx()
+	on, err := RunCtx(ctx, obsTestDB(), datalog.MustParse(obsTestProgram), Options{Obs: obs.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,8 +46,8 @@ func TestObsOffMatchesObsOn(t *testing.T) {
 		off.Stats.DepthTruncated != on.Stats.DepthTruncated {
 		t.Errorf("core stats differ: off=%+v on=%+v", off.Stats, on.Stats)
 	}
-	if buf.Len() == 0 {
-		t.Error("instrumented run wrote no trace")
+	if len(tr.Spans()) == 0 {
+		t.Error("instrumented run recorded no spans")
 	}
 }
 
@@ -112,35 +111,26 @@ func TestStatsString(t *testing.T) {
 	}
 }
 
-// TestChaseTrace runs a small fixed program with a JSONL sink and checks the
-// trace invariants: every line parses, the expected span kinds appear, and
-// the per-rule "fired" attrs sum to the headline counter.
+// TestChaseTrace runs a small fixed program under a recording trace and
+// checks the span tree's invariants: the expected span kinds appear, and the
+// per-rule "fired" attrs sum to the headline counter.
 func TestChaseTrace(t *testing.T) {
-	var buf bytes.Buffer
-	o := obs.NewWithSink(&buf)
-	res, err := RunCtx(context.Background(), obsTestDB(), datalog.MustParse(obsTestProgram), Options{Obs: o})
+	ctx, tr := recordingCtx()
+	o := obs.New()
+	res, err := RunCtx(ctx, obsTestDB(), datalog.MustParse(obsTestProgram), Options{Obs: o})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if err := o.SinkErr(); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := obs.ParseTrace(buf.Bytes())
-	if err != nil {
-		t.Fatalf("invalid JSONL: %v", err)
 	}
 	kinds := map[string]int{}
 	firedSum := 0
-	for _, r := range recs {
-		name, _ := r["name"].(string)
-		kinds[name]++
-		if name == "chase.rule" {
-			attrs, _ := r["attrs"].(map[string]any)
-			fired, ok := attrs["fired"].(float64)
+	for _, sp := range tr.Spans() {
+		kinds[sp.Name]++
+		if sp.Name == "chase.rule" {
+			fired, ok := spanAttr(sp, "fired").(int)
 			if !ok {
-				t.Fatalf("chase.rule span missing fired attr: %v", r)
+				t.Fatalf("chase.rule span missing fired attr: %+v", sp)
 			}
-			firedSum += int(fired)
+			firedSum += fired
 		}
 	}
 	for _, k := range []string{"chase.run", "chase.round", "chase.rule"} {
@@ -167,36 +157,43 @@ func TestChaseTrace(t *testing.T) {
 // TestStableGroundTrace checks the iterative-deepening driver nests chase.run
 // under chase.deepen.
 func TestStableGroundTrace(t *testing.T) {
-	var buf bytes.Buffer
-	o := obs.NewWithSink(&buf)
-	_, err := StableGroundCtx(context.Background(), obsTestDB(), datalog.MustParse(obsTestProgram), Options{Obs: o})
+	ctx, tr := recordingCtx()
+	_, err := StableGroundCtx(ctx, obsTestDB(), datalog.MustParse(obsTestProgram), Options{Obs: obs.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := obs.ParseTrace(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	deepenIDs := map[float64]bool{}
-	for _, r := range recs {
-		if r["name"] == "chase.deepen" {
-			deepenIDs[r["id"].(float64)] = true
+	spans := tr.Spans()
+	deepenIDs := map[obs.SpanID]bool{}
+	for _, sp := range spans {
+		if sp.Name == "chase.deepen" {
+			deepenIDs[sp.ID] = true
 		}
 	}
 	if len(deepenIDs) == 0 {
 		t.Fatal("no chase.deepen spans")
 	}
-	nested := false
-	for _, r := range recs {
-		if r["name"] == "chase.run" {
-			if parent, ok := r["parent"].(float64); ok && deepenIDs[parent] {
-				nested = true
-			}
+	for _, sp := range spans {
+		if sp.Name == "chase.run" && !deepenIDs[sp.Parent] {
+			t.Errorf("chase.run span %s is not parented under a chase.deepen span", sp.ID)
 		}
 	}
-	if !nested {
-		t.Error("no chase.run span is parented under a chase.deepen span")
+}
+
+// recordingCtx returns a context carrying a fresh recording trace.
+func recordingCtx() (context.Context, *obs.Trace) {
+	ids := obs.NewIDSource(1)
+	tr := obs.NewTrace(ids.TraceID(), ids, true)
+	return obs.ContextWithTrace(context.Background(), tr), tr
+}
+
+// spanAttr returns the value of the span's attribute k, or nil.
+func spanAttr(sp obs.TraceSpan, k string) any {
+	for _, a := range sp.Attrs {
+		if a.K == k {
+			return a.V
+		}
 	}
+	return nil
 }
 
 func benchmarkChase(b *testing.B, o *obs.Obs) {
@@ -223,11 +220,6 @@ func benchmarkChase(b *testing.B, o *obs.Obs) {
 // (the disabled path must stay negligible).
 func BenchmarkChaseObsOff(b *testing.B) { benchmarkChase(b, nil) }
 
-// BenchmarkChaseObsOn measures the fully-enabled path (registry + in-memory
-// discard sink).
-func BenchmarkChaseObsOn(b *testing.B) {
-	var sink bytes.Buffer
-	o := obs.NewWithSink(&sink)
-	b.Cleanup(func() { sink.Reset() })
-	benchmarkChase(b, o)
-}
+// BenchmarkChaseObsOn measures the path with a registry: counters and the
+// span.<name> histograms of every chase.run, chase.round and chase.rule span.
+func BenchmarkChaseObsOn(b *testing.B) { benchmarkChase(b, obs.New()) }

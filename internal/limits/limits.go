@@ -48,8 +48,8 @@ var (
 	ErrStorage = errors.New("limits: storage write error")
 )
 
-// Limit names, as they appear in Truncation.Limit and in the
-// "limits.aborted" observability event.
+// Limit names, as they appear in Truncation.Limit and in the "limit"
+// attribute of the chase.run or prover.prove span a limit cut short.
 const (
 	LimitCanceled = "canceled"
 	LimitDeadline = "deadline"

@@ -1,22 +1,12 @@
 package obs
 
 import (
-	"bytes"
-	"encoding/json"
+	"context"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
-
-// fakeClock returns a clock that advances step per call.
-func fakeClock(step time.Duration) func() time.Time {
-	t := time.Unix(0, 0)
-	return func() time.Time {
-		t = t.Add(step)
-		return t
-	}
-}
 
 func TestNilObsIsNoOp(t *testing.T) {
 	var o *Obs
@@ -27,14 +17,13 @@ func TestNilObsIsNoOp(t *testing.T) {
 	o.Count("c", 1)
 	o.Gauge("g", 2)
 	o.Observe("h", 3)
-	o.Event("e", F("k", "v"))
-	if o.Summary() != "" || o.Registry() != nil || o.SinkErr() != nil {
+	if o.Summary() != "" || o.Registry() != nil {
 		t.Fatal("nil Obs must return zero values")
 	}
-	sp := o.Span("root")
-	if sp != nil {
+	if _, sp := StartSpan(context.Background(), o, "root"); sp != nil {
 		t.Fatal("nil Obs must return nil spans")
 	}
+	var sp *Span
 	sp.Attr("k", 1)
 	child := sp.Span("child")
 	child.End()
@@ -115,100 +104,66 @@ func TestHistogramBoundedMemory(t *testing.T) {
 	}
 }
 
-func TestSpansEmitJSONL(t *testing.T) {
-	var buf bytes.Buffer
-	o := NewWithSink(&buf)
-	o.SetClock(fakeClock(time.Millisecond))
-	root := o.Span("run", F("mode", "skolem"))
-	child := root.Span("round")
-	child.End(F("facts", 3))
-	root.End()
-	o.Event("memo_hit", F("n", 1))
-	if err := o.SinkErr(); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := ParseTrace(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 3 {
-		t.Fatalf("got %d records, want 3", len(recs))
-	}
-	// Spans are written at End time: child first, then root, then the event.
-	if recs[0]["name"] != "round" || recs[0]["kind"] != "span" {
-		t.Fatalf("record 0 = %v", recs[0])
-	}
-	if recs[0]["parent"].(float64) != recs[1]["id"].(float64) {
-		t.Fatal("child must point at root's id")
-	}
-	if recs[1]["name"] != "run" {
-		t.Fatalf("record 1 = %v", recs[1])
-	}
-	if _, has := recs[1]["parent"]; has {
-		t.Fatal("root span must omit parent")
-	}
-	if recs[2]["kind"] != "event" || recs[2]["name"] != "memo_hit" {
-		t.Fatalf("record 2 = %v", recs[2])
-	}
-	attrs := recs[0]["attrs"].(map[string]any)
-	if attrs["facts"].(float64) != 3 {
-		t.Fatalf("child attrs = %v", attrs)
-	}
-	// Durations are in the registry too.
-	if _, ok := o.Registry().Hist("span.round"); !ok {
-		t.Fatal("span duration histogram missing")
-	}
-}
-
-// TestGoldenJSONL pins the exact trace bytes of a fixed span pattern under a
-// deterministic clock; any schema change must update this golden.
-func TestGoldenJSONL(t *testing.T) {
-	var buf bytes.Buffer
-	o := NewWithSink(&buf)
-	o.SetClock(fakeClock(time.Millisecond))
-	run := o.Span("chase.run", F("mode", "skolem"))
-	round := run.Span("chase.round", F("round", 1))
-	rule := round.Span("chase.rule", F("rule", 0))
-	rule.End(F("fired", 2))
-	round.End(F("delta", 2))
-	run.End(F("rounds", 1))
-	o.Event("prover.prove", F("ok", true))
-	golden := strings.Join([]string{
-		`{"kind":"span","name":"chase.rule","id":3,"parent":2,"t_us":3000,"dur_us":1000,"attrs":{"fired":2,"rule":0}}`,
-		`{"kind":"span","name":"chase.round","id":2,"parent":1,"t_us":2000,"dur_us":3000,"attrs":{"delta":2,"round":1}}`,
-		`{"kind":"span","name":"chase.run","id":1,"t_us":1000,"dur_us":5000,"attrs":{"mode":"skolem","rounds":1}}`,
-		`{"kind":"event","name":"prover.prove","t_us":7000,"attrs":{"ok":true}}`,
-	}, "\n") + "\n"
-	if got := buf.String(); got != golden {
-		t.Fatalf("golden mismatch:\n got: %s\nwant: %s", got, golden)
-	}
-}
-
+// TestConcurrentUseIsSafe has 32 goroutines open and end nested spans on one
+// recording trace and one registry: every span is a node of the one tree,
+// parented on the span it was opened under, and timed into the registry.
 func TestConcurrentUseIsSafe(t *testing.T) {
-	var buf bytes.Buffer
-	o := NewWithSink(&buf)
+	const workers, iters = 32, 50
+	o := New()
+	ids := NewIDSource(5)
+	tr := NewTrace(ids.TraceID(), ids, true)
+	tr.SetMaxSpans(1 + 3*workers*iters)
+	ctx, root := StartSpan(ContextWithTrace(context.Background(), tr), o, "root")
 	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
+	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := 0; j < 200; j++ {
+			for j := 0; j < iters; j++ {
 				o.Count("c", 1)
 				o.Observe("h", float64(j))
-				sp := o.Span("s")
-				sp.End()
+				wctx, outer := StartSpan(ctx, o, "outer", F("worker", i))
+				_, mid := StartSpan(wctx, o, "mid")
+				inner := mid.Span("inner")
+				inner.Attr("j", j)
+				inner.End()
+				mid.End()
+				outer.End(F("done", true))
 			}
 		}()
 	}
 	wg.Wait()
-	if got := o.Registry().Counter("c"); got != 1600 {
-		t.Fatalf("counter = %d, want 1600", got)
+	root.End()
+	tr.Finish()
+	if got := o.Registry().Counter("c"); got != workers*iters {
+		t.Fatalf("counter = %d, want %d", got, workers*iters)
 	}
-	// Every emitted line must still parse as standalone JSON.
-	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
-		var m map[string]any
-		if err := json.Unmarshal([]byte(line), &m); err != nil {
-			t.Fatalf("corrupt line %q: %v", line, err)
+	for _, name := range []string{"outer", "mid", "inner"} {
+		if h, ok := o.Registry().Hist("span." + name); !ok || h.Count != workers*iters {
+			t.Errorf("span.%s histogram = %+v, want %d samples", name, h, workers*iters)
+		}
+	}
+	spans := tr.Spans()
+	if len(spans) != 1+3*workers*iters || tr.Account().SpansDropped != 0 {
+		t.Fatalf("trace holds %d spans (%d dropped), want %d", len(spans), tr.Account().SpansDropped, 1+3*workers*iters)
+	}
+	byID := map[SpanID]TraceSpan{}
+	for _, sp := range spans {
+		byID[sp.ID] = sp
+	}
+	wantParent := map[string]string{"outer": "root", "mid": "outer", "inner": "mid"}
+	for _, sp := range spans {
+		if sp.End.IsZero() {
+			t.Fatalf("span %s left open", sp.Name)
+		}
+		if sp.Name == "root" {
+			if !sp.Parent.IsZero() {
+				t.Errorf("root has parent %s", sp.Parent)
+			}
+			continue
+		}
+		if p, ok := byID[sp.Parent]; !ok || p.Name != wantParent[sp.Name] {
+			t.Fatalf("span %s parented on %q, want %q", sp.Name, p.Name, wantParent[sp.Name])
 		}
 	}
 }
@@ -232,25 +187,5 @@ func TestFormatDuration(t *testing.T) {
 		if got := FormatDuration(c.d); got != c.want {
 			t.Errorf("FormatDuration(%v) = %q, want %q", c.d, got, c.want)
 		}
-	}
-}
-
-func TestParseTraceRejectsGarbage(t *testing.T) {
-	if _, err := ParseTrace([]byte("{\"ok\":1}\nnot json\n")); err == nil {
-		t.Fatal("expected parse error")
-	}
-	recs, err := ParseTrace([]byte(""))
-	if err != nil || recs != nil {
-		t.Fatalf("empty trace: %v %v", recs, err)
-	}
-}
-
-func TestTraceKinds(t *testing.T) {
-	recs := []map[string]any{
-		{"name": "b"}, {"name": "a"}, {"name": "b"}, {"kind": "x"},
-	}
-	got := TraceKinds(recs)
-	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("kinds = %v", got)
 	}
 }

@@ -1,9 +1,8 @@
 // Request-scoped distributed tracing: W3C traceparent propagation, seedable
 // trace/span identifiers, deterministic head sampling, and context-carried
-// span trees. A Trace is the per-request container; the Span type in obs.go
-// doubles as the tree node builder, so every existing instrumentation site
-// (chase rounds, translation ops, prover proofs) joins the tree without
-// changes — only root-ish spans switch to the ctx-aware StartSpan.
+// span trees. A Trace is the per-request container, and every Span (obs.go)
+// opened under a recording one is a node of its tree: StartSpan parents on the
+// context's ambient span, (*Span).Span on its receiver.
 //
 // Like the rest of the package, everything is nil-safe: a nil *Trace is the
 // canonical "tracing off" handle and all methods on it are cheap no-ops.
@@ -210,7 +209,6 @@ type Trace struct {
 
 	mu       sync.Mutex
 	spans    []*TraceSpan
-	dropped  int64
 	account  Account
 	start    time.Time
 	end      time.Time
@@ -340,7 +338,6 @@ func (t *Trace) newNode(name string, parent SpanID, start time.Time) *TraceSpan 
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(t.spans) >= t.maxSpans {
-		t.dropped++
 		t.account.SpansDropped++
 		return nil
 	}
@@ -409,37 +406,17 @@ func SpanFrom(ctx context.Context) *Span {
 	return s
 }
 
-// StartSpan opens a span parented on the context's ambient span, wired both
-// into the Obs registry/sink (when o, or the ambient span's handle, is
-// non-nil) and into the context's trace tree (when it is recording). The
-// returned context carries the new span as the ambient parent. With neither
-// an Obs nor a recording trace it returns (ctx, nil) — the usual nil-safe
-// no-op span.
+// StartSpan opens a span parented on the context's ambient span: a node of
+// the context's trace tree when that trace is recording, timed into o's
+// registry (or, when o is nil, the ambient span's). The returned context
+// carries the new span as the ambient parent. With neither a registry nor a
+// recording trace it returns (ctx, nil), the usual nil-safe no-op span.
 func StartSpan(ctx context.Context, o *Obs, name string, kv ...KV) (context.Context, *Span) {
 	parent := SpanFrom(ctx)
-	tr := TraceFrom(ctx)
 	if o == nil && parent != nil {
 		o = parent.o // keep registry timings flowing even if the callee lost the handle
 	}
-	var sp *Span
-	if o != nil {
-		pid := int64(0)
-		if parent != nil && parent.o == o {
-			pid = parent.id
-		}
-		sp = o.startSpan(name, pid, kv)
-	}
-	if tr.Recording() {
-		if sp == nil {
-			sp = &Span{name: name, start: time.Now(), attrs: kv}
-		}
-		var pnode SpanID
-		if parent != nil && parent.tr == tr && parent.node != nil {
-			pnode = parent.node.ID
-		}
-		sp.tr = tr
-		sp.node = tr.newNode(name, pnode, sp.start)
-	}
+	sp := newSpan(o, TraceFrom(ctx), parent, name, kv)
 	if sp == nil {
 		return ctx, nil
 	}

@@ -263,7 +263,7 @@ func runChaos(t *testing.T, sendSpec, recvSpec string, seed int64) {
 	// Phase 3: the primary dies for good; the caught-up replica promotes and
 	// must hold every acknowledged write, then keep taking new ones.
 	fd.down()
-	rep.Promote("chaos failover")
+	rep.Promote()
 	promotedEpoch := replica.Current()
 	if promotedEpoch.Seq != primary2.Current().Seq || !promotedEpoch.Graph.Equal(acked2) {
 		t.Fatalf("promoted node at epoch %d lost acked writes", promotedEpoch.Seq)

@@ -145,7 +145,7 @@ func TestManualPromote(t *testing.T) {
 	rep := startReplica(t, repl.Config{Primary: srv.URL, Store: replica, Obs: obs.New()})
 	waitConverged(t, primary, replica)
 
-	rep.Promote("operator")
+	rep.Promote()
 	if !rep.IsPromoted() || rep.State().State != repl.StatePromoted {
 		t.Fatalf("state after promote = %+v", rep.State())
 	}
@@ -154,7 +154,7 @@ func TestManualPromote(t *testing.T) {
 	if e.Seq != primary.Current().Seq+1 {
 		t.Fatalf("promoted epoch = %d, want %d", e.Seq, primary.Current().Seq+1)
 	}
-	rep.Promote("again") // idempotent
+	rep.Promote() // idempotent
 }
 
 func TestPromoteOnLoss(t *testing.T) {

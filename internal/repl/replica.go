@@ -145,7 +145,7 @@ func (r *Replica) Stop() {
 // Promote turns the replica into a writable primary: the stream stops and
 // the serve layer (watching IsPromoted) opens the write path over the
 // replicated, WAL-recovered state. Idempotent.
-func (r *Replica) Promote(reason string) {
+func (r *Replica) Promote() {
 	r.promoteOnce.Do(func() {
 		r.mu.Lock()
 		r.promoted = true
@@ -156,7 +156,6 @@ func (r *Replica) Promote(reason string) {
 			cancel()
 		}
 		r.cfg.Obs.Count("repl.promotions", 1)
-		r.cfg.Obs.Event("repl.promoted", obs.F("reason", reason), obs.F("epoch", r.cfg.Store.Current().Seq))
 	})
 }
 
@@ -243,7 +242,7 @@ func (r *Replica) loop(ctx context.Context) {
 		if ctx.Err() != nil || r.IsPromoted() {
 			return
 		}
-		err := r.stream(ctx)
+		_ = r.stream(ctx) // why the link dropped is not kept: repl.reconnects counts it
 		r.mu.Lock()
 		r.connected = false
 		silent := time.Since(r.lastContact)
@@ -254,11 +253,8 @@ func (r *Replica) loop(ctx context.Context) {
 		}
 		r.setState(StateConnecting)
 		r.cfg.Obs.Count("repl.reconnects", 1)
-		if err != nil {
-			r.cfg.Obs.Event("repl.disconnect", obs.F("error", err.Error()))
-		}
 		if r.cfg.PromoteOnLoss && silent >= r.cfg.PromoteGrace {
-			r.Promote(fmt.Sprintf("primary silent for %s", obs.FormatDuration(silent)))
+			r.Promote()
 			return
 		}
 		select {

@@ -87,7 +87,7 @@ func (p *autoProfiler) maybeCapture(total time.Duration, traceID string) (cpuFil
 	if traceID == "" {
 		traceID = "untraced"
 	}
-	return p.capture(traceID, obs.F("total_us", total.Microseconds()))
+	return p.capture(traceID)
 }
 
 // forceCapture bypasses the latency threshold — the SLO watchdog calls it on
@@ -97,11 +97,11 @@ func (p *autoProfiler) forceCapture(tag string) (cpuFile, heapFile string) {
 	if p == nil {
 		return "", ""
 	}
-	return p.capture(tag, obs.F("forced", true))
+	return p.capture(tag)
 }
 
 // capture runs one rate-limited CPU+heap capture tagged into the file names.
-func (p *autoProfiler) capture(tag string, extra ...obs.KV) (cpuFile, heapFile string) {
+func (p *autoProfiler) capture(tag string) (cpuFile, heapFile string) {
 	p.mu.Lock()
 	now := time.Now()
 	if p.active || p.captures >= p.cfg.MaxCaptures ||
@@ -131,7 +131,6 @@ func (p *autoProfiler) capture(tag string, extra ...obs.KV) (cpuFile, heapFile s
 		cpuFile = ""
 	}
 	p.obs.Count("serve.autoprofile_captures", 1)
-	p.obs.Event("serve.autoprofile", append([]obs.KV{obs.F("tag", tag)}, extra...)...)
 
 	p.wg.Add(1)
 	go func() {

@@ -536,7 +536,7 @@ func (s *Server) servePromote(w http.ResponseWriter, _ *http.Request) {
 		s.fail(w, http.StatusConflict, errors.New("serve: not a replica"), "")
 		return
 	}
-	rep.Promote("api request")
+	rep.Promote()
 	s.count("serve.promotions")
 	writeJSON(w, http.StatusOK, rep.State())
 }

@@ -446,8 +446,6 @@ func diffHist(base, latest obs.HistSnapshot) obs.HistSnapshot {
 
 // logTransition appends one alert-transition line to the JSONL log.
 func (w *Watchdog) logTransition(a Alert) {
-	w.cfg.Obs.Event("slo.alert", obs.F("name", a.Name), obs.F("state", a.State),
-		obs.F("fast", a.Fast), obs.F("slow", a.Slow), obs.F("threshold", a.Threshold))
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.logf == nil {

@@ -7,7 +7,6 @@ package translate_test
 // in package translate.
 
 import (
-	"bytes"
 	"context"
 	"math/rand"
 	"sort"
@@ -331,10 +330,10 @@ func TestEvaluateFull(t *testing.T) {
 		},
 		R: sparql.BGP{Triples: []sparql.TriplePattern{sparql.TP(v("X"), iri("knows"), v("N"))}},
 	}
-	var buf bytes.Buffer
-	o := obs.NewWithSink(&buf)
-	resp, err := repro.Eval(context.Background(), g, repro.Request{SPARQL: &sparql.Query{Where: p},
-		Options: triq.Options{Chase: chase.Options{Obs: o}}})
+	ids := obs.NewIDSource(1)
+	tr := obs.NewTrace(ids.TraceID(), ids, true)
+	resp, err := repro.Eval(obs.ContextWithTrace(context.Background(), tr), g, repro.Request{SPARQL: &sparql.Query{Where: p},
+		Options: triq.Options{Chase: chase.Options{Obs: obs.New()}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,17 +351,13 @@ func TestEvaluateFull(t *testing.T) {
 	if !resp.Mappings.Equal(plain) {
 		t.Error("the traced and the untraced evaluation disagree on the mappings")
 	}
-	recs, err := obs.ParseTrace(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
 	kinds := map[string]bool{}
-	for _, k := range obs.TraceKinds(recs) {
-		kinds[k] = true
+	for _, sp := range tr.Spans() {
+		kinds[sp.Name] = true
 	}
 	for _, k := range []string{"translate.load_db", "translate.decode", "triq.eval"} {
 		if !kinds[k] {
-			t.Errorf("trace missing span kind %q (got %v)", k, obs.TraceKinds(recs))
+			t.Errorf("trace missing span kind %q (got %v)", k, kinds)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 package translate
 
 import (
-	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/obs"
@@ -26,8 +26,8 @@ func TestTracedMatchesTranslate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	traced, err := Traced(p, Plain, obs.NewWithSink(&buf))
+	ctx, _ := recordingCtx()
+	traced, err := TracedCtx(ctx, p, Plain, obs.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,24 +39,21 @@ func TestTracedMatchesTranslate(t *testing.T) {
 // TestTranslateSpans: the compiler emits one translate.compile root and one
 // translate.op span per algebra operator.
 func TestTranslateSpans(t *testing.T) {
-	var buf bytes.Buffer
-	o := obs.NewWithSink(&buf)
-	if _, err := Traced(tracedTestPattern(), Plain, o); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := obs.ParseTrace(buf.Bytes())
-	if err != nil {
+	ctx, tr := recordingCtx()
+	if _, err := TracedCtx(ctx, tracedTestPattern(), Plain, nil); err != nil {
 		t.Fatal(err)
 	}
 	compile, ops := 0, map[string]int{}
-	for _, r := range recs {
-		switch r["name"] {
+	for _, sp := range tr.Spans() {
+		switch sp.Name {
 		case "translate.compile":
 			compile++
 		case "translate.op":
-			attrs, _ := r["attrs"].(map[string]any)
-			kind, _ := attrs["kind"].(string)
-			ops[kind]++
+			for _, a := range sp.Attrs {
+				if a.K == "kind" {
+					ops[a.V.(string)]++
+				}
+			}
 		}
 	}
 	if compile != 1 {
@@ -66,4 +63,11 @@ func TestTranslateSpans(t *testing.T) {
 	if ops["UNION"] != 1 || ops["OPT"] != 1 || ops["BGP"] != 3 {
 		t.Errorf("unexpected translate.op kinds: %v", ops)
 	}
+}
+
+// recordingCtx returns a context carrying a fresh recording trace.
+func recordingCtx() (context.Context, *obs.Trace) {
+	ids := obs.NewIDSource(1)
+	tr := obs.NewTrace(ids.TraceID(), ids, true)
+	return obs.ContextWithTrace(context.Background(), tr), tr
 }

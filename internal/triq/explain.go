@@ -114,8 +114,9 @@ type ExplainReport struct {
 // measured region (the facade translates and decodes SPARQL there, so the
 // translate.* spans land in the report's stage table). If the caller had an
 // Obs attached, the private registry is folded back into it afterwards, so
-// long-lived metrics (triqd's /metrics) still see the run. Span JSONL sinks
-// are not forwarded. On an error there is no report.
+// long-lived metrics (triqd's /metrics) still see the run. The spans join the
+// trace eval's context carries, as without EXPLAIN. On an error there is no
+// report.
 func Explained(kind string, opts Options, eval func(Options) (*Result, error)) (*Result, *ExplainReport, error) {
 	priv, orig := obs.New(), opts.Chase.Obs
 	opts.Chase.Obs = priv

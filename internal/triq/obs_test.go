@@ -1,7 +1,6 @@
 package triq
 
 import (
-	"bytes"
 	"context"
 	"testing"
 
@@ -32,14 +31,14 @@ func figure1Prog() *datalog.Program {
 // counters: re-proving an already-memoized goal must register memo hits and
 // zero new expansions.
 func TestProverMemoMetrics(t *testing.T) {
-	var buf bytes.Buffer
-	o := obs.NewWithSink(&buf)
+	ctx, tr := recordingCtx()
+	o := obs.New()
 	pv, err := NewProver(figure1DB(), figure1Prog(), ProofOptions{Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}
 	goal := datalog.MustParseAtom("p(a, a)")
-	ok, err := pv.Proves(goal)
+	_, ok, err := pv.ProveCtx(ctx, goal)
 	if err != nil || !ok {
 		t.Fatalf("p(a,a) should be provable: ok=%v err=%v", ok, err)
 	}
@@ -54,7 +53,7 @@ func TestProverMemoMetrics(t *testing.T) {
 		t.Errorf("canonicalization time not collected with Obs set: %+v", first)
 	}
 
-	ok, err = pv.Proves(goal)
+	_, ok, err = pv.ProveCtx(ctx, goal)
 	if err != nil || !ok {
 		t.Fatalf("re-prove failed: ok=%v err=%v", ok, err)
 	}
@@ -68,23 +67,15 @@ func TestProverMemoMetrics(t *testing.T) {
 
 	// The trace carries one prover.prove span per Prove call with the visit
 	// budget attached.
-	if err := o.SinkErr(); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := obs.ParseTrace(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
 	proveSpans := 0
-	for _, r := range recs {
-		if r["name"] == "prover.prove" {
+	for _, sp := range tr.Spans() {
+		if sp.Name == "prover.prove" {
 			proveSpans++
-			attrs, _ := r["attrs"].(map[string]any)
-			if _, ok := attrs["visit_budget"]; !ok {
-				t.Errorf("prover.prove span missing visit_budget attr: %v", r)
+			if spanAttr(sp, "visit_budget") == nil {
+				t.Errorf("prover.prove span missing visit_budget attr: %+v", sp)
 			}
-			if _, ok := attrs["memo_hits"]; !ok {
-				t.Errorf("prover.prove span missing memo_hits attr: %v", r)
+			if spanAttr(sp, "memo_hits") == nil {
+				t.Errorf("prover.prove span missing memo_hits attr: %+v", sp)
 			}
 		}
 	}
@@ -120,11 +111,11 @@ func TestProverMetricsReflectOptions(t *testing.T) {
 	}
 }
 
-// TestEvalTrace: Eval with an Obs handle emits the triq.eval root span over
-// the chase spans.
+// TestEvalTrace: Eval under a recording trace opens the triq.eval root span
+// over the chase spans.
 func TestEvalTrace(t *testing.T) {
-	var buf bytes.Buffer
-	o := obs.NewWithSink(&buf)
+	ctx, tr := recordingCtx()
+	o := obs.New()
 	db := chase.NewInstance(
 		datalog.MustParseAtom("e(a, b)"),
 		datalog.MustParseAtom("e(b, c)"),
@@ -134,7 +125,7 @@ func TestEvalTrace(t *testing.T) {
 		e(?X, ?Y), tc(?Y, ?Z) -> tc(?X, ?Z).
 		tc(?X, ?Y) -> query(?X, ?Y).
 	`)
-	res, err := EvalCtx(context.Background(), db, datalog.NewQuery(prog, "query"), TriQLite10, Options{
+	res, err := EvalCtx(ctx, db, datalog.NewQuery(prog, "query"), TriQLite10, Options{
 		Chase: chase.Options{Obs: o},
 	})
 	if err != nil {
@@ -143,21 +134,42 @@ func TestEvalTrace(t *testing.T) {
 	if len(res.Answers.Tuples) != 3 {
 		t.Fatalf("want 3 answers, got %d", len(res.Answers.Tuples))
 	}
-	recs, err := obs.ParseTrace(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
+	names := map[obs.SpanID]string{}
+	for _, sp := range tr.Spans() {
+		names[sp.ID] = sp.Name
 	}
-	kinds := map[string]bool{}
-	for _, k := range obs.TraceKinds(recs) {
-		kinds[k] = true
-	}
-	for _, k := range []string{"triq.eval", "chase.deepen", "chase.run", "chase.round", "chase.rule"} {
-		if !kinds[k] {
-			t.Errorf("trace missing span kind %q (got %v)", k, obs.TraceKinds(recs))
+	// Each span sits under the one before it in the chain.
+	chain := []string{"triq.eval", "chase.deepen", "chase.run", "chase.round", "chase.rule"}
+	for i, k := range chain {
+		found := false
+		for _, sp := range tr.Spans() {
+			if sp.Name == k && (i == 0 && sp.Parent.IsZero() || i > 0 && names[sp.Parent] == chain[i-1]) {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("trace has no %s span in place (spans %v)", k, names)
 		}
 	}
 	// Per-rule stats surfaced through the Result.
 	if len(res.Stats.PerRule) == 0 {
 		t.Error("Eval result carries no per-rule stats")
 	}
+}
+
+// recordingCtx returns a context carrying a fresh recording trace.
+func recordingCtx() (context.Context, *obs.Trace) {
+	ids := obs.NewIDSource(1)
+	tr := obs.NewTrace(ids.TraceID(), ids, true)
+	return obs.ContextWithTrace(context.Background(), tr), tr
+}
+
+// spanAttr returns the value of the span's attribute k, or nil.
+func spanAttr(sp obs.TraceSpan, k string) any {
+	for _, a := range sp.Attrs {
+		if a.K == k {
+			return a.V
+		}
+	}
+	return nil
 }

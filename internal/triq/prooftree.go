@@ -168,18 +168,14 @@ type Prover struct {
 }
 
 // fail records a typed abort, decorating its Truncation with the prover's
-// progress and emitting the limits.aborted observability event. It returns
-// false so call sites can `return nil, pv.fail(err)`-style collapse.
+// progress and counting it in limits.aborted (ProveCtx names the limit on the
+// prover.prove span). It returns false so call sites can
+// `return nil, pv.fail(err)`-style collapse.
 func (pv *Prover) fail(err error) bool {
 	if tr, ok := limits.TruncationOf(err); ok {
 		tr.Visits = pv.visits
 		tr.Elapsed = time.Since(pv.start)
-		if pv.opts.Obs != nil {
-			pv.opts.Obs.Event("limits.aborted",
-				obs.F("limit", tr.Limit),
-				obs.F("visits", tr.Visits))
-			pv.opts.Obs.Count("limits.aborted", 1)
-		}
+		pv.opts.Obs.Count("limits.aborted", 1)
 	}
 	pv.err = err
 	return false
@@ -376,6 +372,10 @@ func (pv *Prover) ProveCtx(ctx context.Context, goal datalog.Atom) (*ProofNode, 
 	// account (no-op without a trace on ctx).
 	obs.TraceFrom(ctx).AddProver(int64(after.MemoHits-before.MemoHits), int64(after.MemoMisses-before.MemoMisses))
 	if o != nil || sp != nil {
+		if tr, ok := limits.TruncationOf(pv.err); ok {
+			sp.Attr("limit", tr.Limit)
+			sp.Attr("visits", tr.Visits)
+		}
 		sp.End(
 			obs.F("ok", ok && pv.err == nil),
 			obs.F("components", after.Components-before.Components),

@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"testing"
@@ -159,30 +158,33 @@ func TestEvalSPARQLCtxCanceled(t *testing.T) {
 	}
 }
 
+// TestAskAbortEmitsObsEventWithLimitName: a degraded run names the limit on
+// its chase.run span and counts limits.aborted.
 func TestAskAbortEmitsObsEventWithLimitName(t *testing.T) {
 	g, q := facadeQuery(t)
-	var buf bytes.Buffer
+	ids := obs.NewIDSource(3)
+	tr := obs.NewTrace(ids.TraceID(), ids, true)
 	opts := Options{}
 	opts.Chase.MaxFacts = 6
-	opts.Chase.Obs = obs.NewWithSink(&buf)
-	res, err := AskCtx(context.Background(), g, q, TriQLite10, opts)
+	opts.Chase.Obs = obs.New()
+	res, err := AskCtx(obs.ContextWithTrace(context.Background(), tr), g, q, TriQLite10, opts)
 	if err != nil || !res.Incomplete {
 		t.Fatalf("expected degraded run, got res=%+v err=%v", res, err)
 	}
-	records, err := obs.ParseTrace(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
+	if got := opts.Chase.Obs.Registry().Counter("limits.aborted"); got != 1 {
+		t.Errorf("limits.aborted counter = %d, want 1", got)
 	}
-	for _, r := range records {
-		if r["kind"] == "event" && r["name"] == "limits.aborted" {
-			attrs, _ := r["attrs"].(map[string]any)
-			if attrs["limit"] != limits.LimitFacts {
-				t.Fatalf("limits.aborted limit attr = %v, want %q", attrs["limit"], limits.LimitFacts)
+	for _, sp := range tr.Spans() {
+		for _, a := range sp.Attrs {
+			if sp.Name == "chase.run" && a.K == "limit" {
+				if a.V != limits.LimitFacts {
+					t.Fatalf("chase.run limit attr = %v, want %q", a.V, limits.LimitFacts)
+				}
+				return
 			}
-			return
 		}
 	}
-	t.Fatal("trace has no limits.aborted event")
+	t.Fatal("no chase.run span names the limit")
 }
 
 func TestAskExactCtxDeadline(t *testing.T) {
