@@ -45,15 +45,22 @@ const (
 	// at every bound, 139 604.
 	universityAllocCeiling = 4_650
 	// Loading τ_db(G) for the 10 001-triple graph from the graph's encoding
-	// measures 81 allocations and 1.10 MB: one relation sized once and its
-	// index, each map made at its final size, over the graph's own symbol
-	// table. Rebuilding the dictionary map from the encoding on every load took
-	// 115 and 1.76 MB; decoding every triple into an atom and encoding it
-	// again, 5 199 and 3.8 MB, of which 5 001 rendered a literal (5 154 when
-	// the instance held the atoms); sorting the graph and adding the atoms one
-	// at a time, 42 821.
-	loadDBAllocCeiling = 100
-	loadDBBytesCeiling = 1_380_000
+	// measures 12 allocations and 1 096 bytes: a frozen relation over the
+	// encoding's rows and symbol table, which builds its set and its index on
+	// first use, and the seed fact. Building the set and the index of all
+	// three positions at load took 81 and 1.10 MB; rebuilding the dictionary
+	// map from the encoding on every load as well, 115 and 1.76 MB; decoding
+	// every triple into an atom and encoding it again, 5 199 and 3.8 MB, of
+	// which 5 001 rendered a literal (5 154 when the instance held the atoms);
+	// sorting the graph and adding the atoms one at a time, 42 821.
+	loadDBAllocCeiling = 15
+	loadDBBytesCeiling = 1_400
+	// The lookup request's load and chase together measure 724 allocations
+	// and 192 KB: TestLookupAllocCeiling's 708 plus the load, and the subject
+	// and predicate indexes the chase's first probes build (two CSR indexes of
+	// 70 KB each); the object position is never indexed.
+	lookupRequestAllocCeiling = 900
+	lookupRequestBytesCeiling = 240_000
 	// A cold materialized build is the chase plus a copy of the database:
 	// 3 702 allocations (27 945 with atom-valued facts, 99 116 when a second
 	// engine built it).
@@ -258,6 +265,44 @@ func TestLookupAllocCeiling(t *testing.T) {
 	}
 	if allocs > lookupAllocCeiling {
 		t.Errorf("10-fact lookup over %d facts: %.0f allocations per evaluation, ceiling %d", db.Len(), allocs, lookupAllocCeiling)
+	}
+}
+
+// TestLookupRequestAllocCeiling pins the lookup request's load and chase
+// together: τ_db(G) is loaded inside the measured function, so the index work
+// a frozen base defers from its load to its first probe is counted where the
+// request pays it.
+func TestLookupRequestAllocCeiling(t *testing.T) {
+	g := lookupGraph(t)
+	sq, err := repro.ParseSPARQL("SELECT ?Y ?E WHERE { <p3> <knows> ?Y . OPTIONAL { ?Y <email> ?E } }")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := translate.Translate(sq.Pattern(), translate.Plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	translate.DB(g) // the graph's first load encodes it
+	var res *triq.Result
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(5, func() {
+		res, err = triq.EvalCtx(context.Background(), translate.DB(g), tr.Query, triq.Unrestricted, triq.Options{})
+		skipInjected(t, err)
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	runtime.ReadMemStats(&after)
+	if res.Stats.FactsDerived != 10 || len(res.Answers.Tuples) != 2 {
+		t.Fatalf("lookup derived %d facts and %d answers, want 10 and 2", res.Stats.FactsDerived, len(res.Answers.Tuples))
+	}
+	if allocs > lookupRequestAllocCeiling {
+		t.Errorf("load + 10-fact lookup over %d triples: %.0f allocations, ceiling %d", g.Len(), allocs, lookupRequestAllocCeiling)
+	}
+	// AllocsPerRun calls the function once to warm up and five times to count.
+	if bytes := (after.TotalAlloc - before.TotalAlloc) / 6; bytes > lookupRequestBytesCeiling {
+		t.Errorf("load + 10-fact lookup over %d triples: %d bytes, ceiling %d", g.Len(), bytes, lookupRequestBytesCeiling)
 	}
 }
 

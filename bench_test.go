@@ -260,10 +260,12 @@ func BenchmarkEvalUniversity(b *testing.B) {
 // BenchmarkLoadDB measures loading τ_db(G) for the 10 001-triple graph of
 // the lookup_big workload into an instance. The graph is encoded on its first
 // load, and every load after that builds the instance from the encoding, as
-// every request over one epoch's graph does: one relation and its index over
-// the encoding's symbol table. On a 2-core Xeon VM that is 1.7–1.8 ms and
-// 1.11 MB; rebuilding the symbol table's map on every load took 2.6–3.0 ms
-// and 1.77 MB.
+// every request over one epoch's graph does: a frozen relation over the
+// encoding's rows and symbol table, whose set and index are built on first
+// use, so the load does nothing per row. On a 2-core Xeon VM that is 1.1–1.2
+// µs and 1.1 KB; building the set and the index of all three positions at
+// load took 1.2–1.7 ms and 1.11 MB, and rebuilding the symbol table's map on
+// every load as well, 2.6–3.0 ms and 1.77 MB.
 func BenchmarkLoadDB(b *testing.B) {
 	g := lookupGraph(b)
 	b.ReportAllocs()
@@ -290,9 +292,11 @@ func BenchmarkLoadDBFirst(b *testing.B) {
 
 // BenchmarkEvalLookup measures the lookup_big request in process: a point
 // lookup with OPTIONAL over the 10 001-triple graph through the facade, so
-// translation, τ_db(G), a chase deriving 10 facts, and decoding 2 mappings:
-// 2.1–2.4 ms and 1.24 MB on a 2-core Xeon VM, where loading with a symbol
-// table rebuilt per request took 2.8–3.3 ms and 1.90 MB.
+// translation, τ_db(G), a chase deriving 10 facts, which indexes the subject
+// and predicate positions on its first probes, and decoding 2 mappings:
+// 0.25–0.35 ms and 0.27 MB on a 2-core Xeon VM. Indexing all three positions
+// at load took 1.4–1.6 ms and 1.23 MB; loading with a symbol table rebuilt per
+// request as well, 2.8–3.3 ms and 1.90 MB.
 func BenchmarkEvalLookup(b *testing.B) {
 	g := lookupGraph(b)
 	sq, err := repro.ParseSPARQL("SELECT ?Y ?E WHERE { <p3> <knows> ?Y . OPTIONAL { ?Y <email> ?E } }")

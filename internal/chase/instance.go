@@ -106,7 +106,7 @@ func (i *Instance) load(atoms []datalog.Atom) {
 		}
 	}
 	for _, r := range i.rels {
-		r.buildIndex(0)
+		r.buildIndex()
 	}
 }
 
@@ -677,12 +677,17 @@ func (d *Dict) Terms() []datalog.Term { return d.terms }
 
 // FromRows builds the flat instance of one predicate's facts given as ids:
 // the fact pred(t[row[0]], …, t[row[arity-1]]) for each arity-long row of
-// rows, in order, where t is dict.Terms(). When dict lists its constants in
-// the order in which the rows first mention them, the instance is the one
-// NewInstance makes of the decoded atoms, down to its ids, without an atom
-// being built or a term hashed. The instance resolves its first ids through
-// dict and interns later terms above them, and it copies rows, so it writes
-// into neither: both may be shared by every instance loaded from them.
+// rows, in order, where t is dict.Terms(). The rows must be distinct, and
+// every id must be below len(t). When dict lists its constants in the order
+// in which the rows first mention them, the instance is the one NewInstance
+// makes of the decoded atoms, down to its ids and bucket orders, without an
+// atom being built or a term hashed.
+//
+// The load is O(1): the relation is frozen (relation.go), reading rows in
+// place and building its set and each position's index on first use. The
+// instance resolves its first ids through dict and interns later terms above
+// them, and its first write to the relation copies rows, so it writes into
+// neither: both may be shared by every instance loaded from them.
 func FromRows(pred string, dict *Dict, arity int, rows []uint32) *Instance {
 	if len(rows) == 0 {
 		return NewInstance()
@@ -690,20 +695,15 @@ func FromRows(pred string, dict *Dict, arity int, rows []uint32) *Instance {
 	if arity <= 0 || len(rows)%arity != 0 {
 		panic(fmt.Sprintf("chase: %d ids are not rows of arity %d", len(rows), arity))
 	}
-	i := &Instance{
+	r := newFrozen(pred, arity, len(dict.terms), rows)
+	return &Instance{
 		dict:      dict,
 		baseTerms: len(dict.terms),
 		preds:     []string{pred},
 		predID:    map[string]uint32{pred: 0},
+		rels:      []*relation{r},
+		n:         r.n,
 	}
-	r := i.newRel(0, arity, len(rows)/arity)
-	for k := 0; k < len(rows); k += arity {
-		if _, added := r.insert(rows[k : k+arity]); added {
-			i.n++
-		}
-	}
-	r.buildIndex(len(dict.terms))
-	return i
 }
 
 // packFact appends a key identifying a row of a predicate to buf.

@@ -130,15 +130,19 @@ func dictOf(names ...string) *Dict {
 	return NewDict(consts, ids)
 }
 
-// TestFromRows pins that the row constructor is NewInstance of the decoded
-// atoms, a repeated row dropped, and that it refuses rows it cannot cut.
+// TestFromRows pins that the row constructor over distinct rows is
+// NewInstance of the decoded atoms, and that it refuses rows it cannot cut.
+// Repeated rows are the encoder's to drop (owl's TestEncodingMatchesGraphToDB).
 func TestFromRows(t *testing.T) {
 	dict := dictOf("a", "b", "c")
-	rows := []uint32{0, 1, 0, 1, 2, 0, 0, 1}
+	rows := []uint32{0, 1, 2, 0, 0, 2, 1, 1}
 	got := FromRows("e", dict, 2, rows)
-	want := NewInstance(atom("e", "a", "b"), atom("e", "a", "b"), atom("e", "c", "a"), atom("e", "a", "b"))
-	if got.String() != want.String() || got.Len() != 2 || len(got.Lookup("e", 0, datalog.C("a"))) != 1 {
+	want := NewInstance(atom("e", "a", "b"), atom("e", "c", "a"), atom("e", "a", "c"), atom("e", "b", "b"))
+	if got.String() != want.String() || got.Len() != 4 || len(got.Lookup("e", 0, datalog.C("a"))) != 2 {
 		t.Fatalf("FromRows = %v, want %v", got, want)
+	}
+	if !got.Has(atom("e", "b", "b")) || got.Has(atom("e", "b", "a")) {
+		t.Fatal("FromRows answers Has wrongly")
 	}
 	defer func() {
 		if recover() == nil {

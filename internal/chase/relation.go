@@ -29,22 +29,97 @@ type relation struct {
 	// hold term at pos. A list a truncation empties keeps its number.
 	idx   []map[uint32]int32
 	lists [][]int32
+	// frozen is non-nil while the relation is a frozen base; thaw clears it.
+	frozen *frozen
 	// memo holds the rows decoded as atoms, a prefix of them or all; see atoms.
 	memo atomic.Pointer[[]datalog.Atom]
 	mu   sync.Mutex
+}
+
+// frozen is what a relation FromRows loads builds on first use, each piece
+// under a sync.Once, so that loading it does no work per row. Its data are the
+// caller's rows, borrowed with cap == len and never written, distinct, and
+// with every id below terms. The table is built on the first find. Each
+// position's index is built on the first rowsWith at it, as a CSR: the rows
+// holding id at the position are rows[off[id]:off[id+1]], ascending, in two
+// slices the collector does not scan. A frozen base is read by any number of
+// layers on any number of goroutines, as the atom memo is; its first write
+// thaws it into an ordinary relation.
+type frozen struct {
+	terms int
+	table sync.Once
+	pos   []csr
+}
+
+// csr is one position's index of a frozen relation.
+type csr struct {
+	once sync.Once
+	off  []int32 // len terms+1
+	rows []int32 // len n
+}
+
+// newFrozen returns the frozen relation over the given rows of one arity.
+func newFrozen(pred string, arity, terms int, rows []uint32) *relation {
+	return &relation{pred: pred, arity: arity, data: rows[:len(rows):len(rows)], n: len(rows) / arity,
+		frozen: &frozen{terms: terms, pos: make([]csr, arity)}}
+}
+
+// build fills the index of position pos with one counting sort: a pass that
+// counts each id's rows, a running sum that turns off[id] into where id's rows
+// end, and a pass over the rows from the last that places each row at
+// --off[id], leaving off[id] where they start and each bucket ascending.
+func (c *csr) build(r *relation, pos, terms int) {
+	off := make([]int32, terms+1)
+	for j := pos; j < len(r.data); j += r.arity {
+		off[r.data[j]]++
+	}
+	sum := int32(0)
+	for id, n := range off[:terms] {
+		sum += n
+		off[id] = sum
+	}
+	off[terms] = sum
+	rows := make([]int32, r.n)
+	for k, j := r.n-1, (r.n-1)*r.arity+pos; k >= 0; k, j = k-1, j-r.arity {
+		id := r.data[j]
+		off[id]--
+		rows[off[id]] = int32(k)
+	}
+	c.off, c.rows = off, rows
+}
+
+// thaw turns a frozen relation into an ordinary one before its first write:
+// the rows are copied, since they are borrowed, and the table and the map
+// index are built over them.
+func (r *relation) thaw() {
+	if r.frozen == nil {
+		return
+	}
+	r.frozen = nil
+	r.data = slices.Clone(r.data)
+	if r.table == nil {
+		r.rehash(tableSize(r.n))
+	}
+	r.buildIndex()
 }
 
 func newRelation(pred string, arity, rows int) *relation {
 	r := &relation{pred: pred, arity: arity}
 	if rows > 0 {
 		r.data = make([]uint32, 0, rows*arity)
-		size := 8
-		for 3*size < 4*rows {
-			size *= 2
-		}
-		r.table = make([]int32, size)
+		r.table = make([]int32, tableSize(rows))
 	}
 	return r
+}
+
+// tableSize returns the size of a table for the given rows: the least power of
+// two, at least 8, that they fill to at most three quarters.
+func tableSize(rows int) int {
+	size := 8
+	for 3*size < 4*rows {
+		size *= 2
+	}
+	return size
 }
 
 // reset empties a relation used as a plain set of rows of the given arity
@@ -93,6 +168,9 @@ func (r *relation) find(row []uint32) int {
 	if r == nil || r.n == 0 {
 		return -1
 	}
+	if f := r.frozen; f != nil {
+		f.table.Do(func() { r.rehash(tableSize(r.n)) })
+	}
 	_, k := r.probe(row)
 	return k
 }
@@ -115,6 +193,7 @@ func (r *relation) probe(row []uint32) (slot, k int) {
 // insert appends row unless the relation holds it, returning its number and
 // whether it was new. It does not index the row.
 func (r *relation) insert(row []uint32) (k int, added bool) {
+	r.thaw()
 	if 4*(r.n+1) > 3*len(r.table) {
 		r.rehash(max(8, 2*len(r.table)))
 	}
@@ -174,58 +253,27 @@ func (r *relation) indexRow(k int, row []uint32) {
 // buildIndex indexes every row of a relation filled by insert alone. The lists
 // are counted before they are filled and carved from one slab, each with cap
 // == len: the owner may still add rows, and an append to a list with spare
-// capacity would write into its neighbour. With terms > 0, which only
-// FromRows passes (one arity, every id below terms, and terms no more than the
-// relation's ids), the lists are numbered through one dense array per
-// position and each map is made at its final size instead of grown: on the
-// 10 001-triple load that saves about 15 % of a lookup request's CPU.
-// Otherwise (terms == 0) each list is numbered by a map probe.
-func (r *relation) buildIndex(terms int) {
+// capacity would write into its neighbour.
+func (r *relation) buildIndex() {
 	if r == nil {
 		return
 	}
 	var counts []int32
 	slots := make([]int32, 0, len(r.data)) // the list of every (row, position), in order
-	if terms > 0 {
-		dense := make([]int32, r.arity*terms) // by (position, id), list number + 1
-		sizes := make([]int, r.arity)
-		for k := range r.n {
-			for pos, id := range r.row(k) {
-				d := &dense[pos*terms+int(id)]
-				if *d == 0 {
-					counts = append(counts, 0)
-					*d = int32(len(counts))
-					sizes[pos]++
-				}
-				counts[*d-1]++
-				slots = append(slots, *d-1)
-			}
+	for k := range r.n {
+		row := r.row(k)
+		for len(r.idx) < len(row) {
+			r.idx = append(r.idx, make(map[uint32]int32))
 		}
-		r.idx = make([]map[uint32]int32, r.arity)
-		for pos := range r.idx {
-			r.idx[pos] = make(map[uint32]int32, sizes[pos])
-			for id, d := range dense[pos*terms : (pos+1)*terms] {
-				if d != 0 {
-					r.idx[pos][uint32(id)] = d - 1
-				}
+		for pos, id := range row {
+			b, ok := r.idx[pos][id]
+			if !ok {
+				b = int32(len(counts))
+				r.idx[pos][id] = b
+				counts = append(counts, 0)
 			}
-		}
-	} else {
-		for k := range r.n {
-			row := r.row(k)
-			for len(r.idx) < len(row) {
-				r.idx = append(r.idx, make(map[uint32]int32))
-			}
-			for pos, id := range row {
-				b, ok := r.idx[pos][id]
-				if !ok {
-					b = int32(len(counts))
-					r.idx[pos][id] = b
-					counts = append(counts, 0)
-				}
-				counts[b]++
-				slots = append(slots, b)
-			}
+			counts[b]++
+			slots = append(slots, b)
 		}
 	}
 	slab := make([]int32, len(slots))
@@ -245,10 +293,22 @@ func (r *relation) buildIndex(terms int) {
 	}
 }
 
-// rowsWith returns the numbers of the rows holding id at pos; the slice must
-// not be modified.
+// rowsWith returns the numbers of the rows holding id at pos, ascending; the
+// slice must not be modified.
 func (r *relation) rowsWith(pos int, id uint32) []int32 {
-	if r == nil || pos >= len(r.idx) {
+	if r == nil {
+		return nil
+	}
+	if f := r.frozen; f != nil {
+		if pos >= len(f.pos) || int(id) >= f.terms {
+			return nil
+		}
+		c := &f.pos[pos]
+		c.once.Do(func() { c.build(r, pos, f.terms) })
+		lo, hi := c.off[id], c.off[id+1]
+		return c.rows[lo:hi:hi]
+	}
+	if pos >= len(r.idx) {
 		return nil
 	}
 	if b, ok := r.idx[pos][id]; ok {
@@ -265,6 +325,7 @@ func (r *relation) truncate(keep int) {
 	if keep >= r.n {
 		return
 	}
+	r.thaw()
 	for k := r.n - 1; k >= keep; k-- {
 		row := r.row(k)
 		s, _ := r.probe(row)
@@ -289,6 +350,7 @@ func (r *relation) truncate(keep int) {
 // data, the decoded atoms and the index lists are filtered in place, and the
 // table is rebuilt.
 func (r *relation) compact(drop []bool) {
+	r.thaw()
 	var memo []datalog.Atom
 	if p := r.memo.Load(); p != nil {
 		memo = *p

@@ -164,9 +164,35 @@ func checkAgainstRef(t *testing.T, step string, i *Instance, ref refInstance, rn
 	}
 }
 
+// frozenLoad loads distinct binary p facts over constants through FromRows,
+// into a frozen base, and adds them to ref; the dictionary numbers the
+// constants in order of first occurrence, as owl's encoding does.
+func frozenLoad(rng *rand.Rand, ref refInstance) *Instance {
+	var names []string
+	ids := map[string]uint32{}
+	var rows []uint32
+	for range 1 + rng.Intn(20) {
+		a := atom("p", refTerms[rng.Intn(5)].Name, refTerms[rng.Intn(5)].Name)
+		if !ref.add(a) {
+			continue
+		}
+		for _, c := range a.Args {
+			id, ok := ids[c.Name]
+			if !ok {
+				id = uint32(len(names))
+				ids[c.Name] = id
+				names = append(names, c.Name)
+			}
+			rows = append(rows, id)
+		}
+	}
+	return FromRows("p", dictOf(names...), 2, rows)
+}
+
 // TestInstanceMatchesReference runs random sequences of bulk loads, Add,
 // mark/truncate, RemoveBatch, Overlay and Clone against refInstance, checking
-// after every operation.
+// after every operation. Every third seed starts from a frozen base loaded by
+// FromRows, so the operations also reach it before and after its thaw.
 func TestInstanceMatchesReference(t *testing.T) {
 	seeds := 60
 	if testing.Short() {
@@ -175,13 +201,18 @@ func TestInstanceMatchesReference(t *testing.T) {
 	for seed := range int64(seeds) {
 		rng := rand.New(rand.NewSource(seed))
 		ref := refInstance{}
-		var loaded []datalog.Atom
-		for range rng.Intn(30) {
-			a := refAtom(rng)
-			loaded = append(loaded, a)
-			ref.add(a)
+		var i *Instance
+		if seed%3 == 2 {
+			i = frozenLoad(rng, ref)
+		} else {
+			var loaded []datalog.Atom
+			for range rng.Intn(30) {
+				a := refAtom(rng)
+				loaded = append(loaded, a)
+				ref.add(a)
+			}
+			i = NewInstance(loaded...)
 		}
-		i := NewInstance(loaded...)
 		checkAgainstRef(t, fmt.Sprintf("seed %d: load", seed), i, ref, rng)
 		var m *layerMark
 		var atMark refInstance
@@ -265,4 +296,55 @@ func TestSharedBaseConcurrentDecode(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestFrozenBaseConcurrentFirstProbe has 32 goroutines, each with a layer over
+// one frozen base, race to make its first probes: the first rowsWith at each
+// position, which builds that position's index, and the first find, which
+// builds the table. Under -race it proves the lazy pieces safe to share; each
+// layer then checks every bucket and membership against NewInstance.
+func TestFrozenBaseConcurrentFirstProbe(t *testing.T) {
+	const n = 60
+	names := make([]string, n)
+	for k := range names {
+		names[k] = fmt.Sprint("v", k)
+	}
+	var rows []uint32
+	var atoms []datalog.Atom
+	for k := range n {
+		for _, d := range []int{1, 7, 13} {
+			rows = append(rows, uint32(k), uint32(d%3), uint32((k+d)%n))
+			atoms = append(atoms, atom("e", names[k], names[d%3], names[(k+d)%n]))
+		}
+	}
+	base, want := FromRows("e", dictOf(names...), 3, rows), NewInstance(atoms...)
+	var wg sync.WaitGroup
+	for g := range 32 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			l := base.Overlay()
+			pos := g % 3
+			for k := range n {
+				v := datalog.C(names[(k+g)%n])
+				if got, w := l.Lookup("e", pos, v), want.Lookup("e", pos, v); fmt.Sprint(got) != fmt.Sprint(w) {
+					t.Errorf("layer %d: Lookup(e, %d, %v) = %v, want %v", g, pos, v, got, w)
+					return
+				}
+			}
+			a := atoms[(g*5)%len(atoms)]
+			if !l.Has(a) || l.Add(a) || l.Has(atom("e", "v0", "v0", "v0")) {
+				t.Errorf("layer %d: the base misjudges which facts it holds", g)
+				return
+			}
+			own := atom("e", "own", names[g%3], names[g])
+			if !l.Add(own) || len(l.Lookup("e", 2, datalog.C(names[g]))) != len(want.Lookup("e", 2, datalog.C(names[g])))+1 {
+				t.Errorf("layer %d: its own fact is not indexed beside the base's", g)
+			}
+		}()
+	}
+	wg.Wait()
+	if base.Len() != len(atoms) || base.String() != want.String() {
+		t.Fatal("the layers changed their base")
+	}
 }

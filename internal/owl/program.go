@@ -1,6 +1,7 @@
 package owl
 
 import (
+	"strings"
 	"sync"
 
 	"repro/internal/chase"
@@ -78,10 +79,10 @@ var program = sync.OnceValue(func() *datalog.Program { return datalog.MustParse(
 
 // DB builds the database τ_db(G) over the relational schema {triple(·,·,·)}
 // (Section 5.1) as a chase instance, from the graph's encoding: the instance
-// FromFacts makes of GraphToDB(g), with the same ids, at the cost of one
-// relation and its index. Each call returns a fresh instance that shares
-// nothing it may write with any other: the symbol table it reads is the
-// encoding's, frozen.
+// FromFacts makes of GraphToDB(g), with the same ids, as a frozen relation
+// over the encoding's rows that indexes a position on its first probe. Each
+// call returns a fresh instance that shares nothing it may write with any
+// other: the symbol table and the rows it reads are the encoding's, frozen.
 func DB(g *rdf.Graph) *chase.Instance {
 	e := encodingOf(g)
 	return chase.FromRows("triple", e.dict, 3, e.rows)
@@ -93,7 +94,8 @@ func DB(g *rdf.Graph) *chase.Instance {
 // occurrence in Canonical(), subject before predicate before object; rows
 // holds three ids into dict per triple of Canonical(), in that order. Two
 // terms with one constant (an IRI spelled like a literal) share an id, so two
-// triples may encode as one row twice. Neither may be modified.
+// triples may encode as one row; it is kept once, where it first occurs, as
+// FromFacts(GraphToDB(g)) keeps it. Neither may be modified.
 type encoding struct {
 	dict *chase.Dict
 	rows []uint32
@@ -104,14 +106,22 @@ type encoding struct {
 func encodingOf(g *rdf.Graph) *encoding { return rdf.Encoded(g, encode).(*encoding) }
 
 // encode computes the encoding, one map probe per occurrence; the map that
-// numbers the constants becomes the dictionary's.
+// numbers the constants becomes the dictionary's. By TermConst two distinct
+// terms share a constant only when one is an IRI whose value starts with `"`
+// or "_:", so only a graph with such an IRI pays for dropping repeated rows.
+// A dropped row's constants all occur in the row it repeats, so the
+// dictionary's order does not change.
 func encode(g *rdf.Graph) any {
 	triples := g.Canonical()
 	rows := make([]uint32, 0, 3*len(triples))
 	var consts []datalog.Term
 	byConst := make(map[datalog.Term]uint32, len(triples))
+	collide := false
 	for _, t := range triples {
 		for _, x := range [3]rdf.Term{t.S, t.P, t.O} {
+			if x.Kind == rdf.IRI && (strings.HasPrefix(x.Value, `"`) || strings.HasPrefix(x.Value, "_:")) {
+				collide = true
+			}
 			c := TermConst(x)
 			n, ok := byConst[c]
 			if !ok {
@@ -122,7 +132,24 @@ func encode(g *rdf.Graph) any {
 			rows = append(rows, n)
 		}
 	}
+	if collide {
+		rows = distinctRows(rows)
+	}
 	return &encoding{dict: chase.NewDict(consts, byConst), rows: rows}
+}
+
+// distinctRows keeps the first of each repeated three-id row, in place.
+func distinctRows(rows []uint32) []uint32 {
+	seen := make(map[[3]uint32]struct{}, len(rows)/3)
+	out := rows[:0]
+	for k := 0; k < len(rows); k += 3 {
+		row := [3]uint32(rows[k : k+3])
+		if _, dup := seen[row]; !dup {
+			seen[row] = struct{}{}
+			out = append(out, row[:]...)
+		}
+	}
+	return out
 }
 
 // GraphToDB converts an RDF graph into the atoms of τ_db(G), the reference
