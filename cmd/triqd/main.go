@@ -1,11 +1,12 @@
 // Command triqd is the resilient TriQ query server: it serves TriQ
 // (Datalog) and SPARQL queries over HTTP with admission control, load
-// shedding, per-request deadlines, per-endpoint circuit breakers, and
-// graceful drain on SIGINT/SIGTERM — and, with -wal-dir, a durable live
-// write path: POST /insert and /delete apply N-Triples batches atomically
-// through an epoch-versioned copy-on-write store backed by a checksummed
-// write-ahead log, recovered on boot. Evaluation is deterministic, so a
-// failed one is reported, never re-run.
+// shedding, per-request deadlines, and graceful drain on SIGINT/SIGTERM —
+// and, with -wal-dir, a durable live write path: POST /insert and /delete
+// apply N-Triples batches atomically through an epoch-versioned copy-on-write
+// store backed by a checksummed write-ahead log, recovered on boot.
+// Evaluation is deterministic, so a failed one is reported, never re-run, and
+// says nothing about the next request: the server sheds by cost (queue,
+// deadlines, budgets), never by the history of earlier outcomes.
 //
 // Usage:
 //

@@ -24,9 +24,6 @@ var (
 	ErrQueueTimeout = errors.New("serve: queue deadline exceeded")
 	// ErrDraining is returned for requests arriving while the server drains.
 	ErrDraining = errors.New("serve: server draining")
-	// ErrBreakerOpen is returned while the endpoint's circuit breaker is
-	// open.
-	ErrBreakerOpen = errors.New("serve: circuit open")
 )
 
 // AdmissionConfig bounds concurrent work.

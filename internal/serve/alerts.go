@@ -32,7 +32,7 @@ func (s *Server) sloNow() *slo.Watchdog {
 }
 
 // MetricsRegistry returns the live registry with the point-in-time gauges
-// (store epoch, replica lag, breaker states, ...) refreshed — the same view
+// (store epoch, replica lag, queue depth, ...) refreshed — the same view
 // /metrics scrapes. The SLO watchdog samples through it so gauge objectives
 // like repl.lag_seconds see current values even between scrapes.
 func (s *Server) MetricsRegistry() *obs.Registry { return s.metricsRegistry() }
@@ -53,7 +53,7 @@ func (s *Server) TraceStore() *obs.TraceStore {
 // operator follows the alert's links.
 func (s *Server) OnSLOBreach(a slo.Alert) slo.Annotation {
 	var ann slo.Annotation
-	ann.ProfileCPU, ann.ProfileHeap = s.autoprof.forceCapture("slo-" + a.Name)
+	ann.ProfileCPU, ann.ProfileHeap = s.autoprof.capture("slo-" + a.Name)
 	if s.traces != nil {
 		rows, _, _ := s.traces.store.List() // newest first
 		for _, row := range rows {
@@ -70,22 +70,16 @@ func (s *Server) OnSLOBreach(a slo.Alert) slo.Annotation {
 
 // serveAlerts renders GET /debug/alerts.
 func (s *Server) serveAlerts(w http.ResponseWriter) {
-	wd := s.sloNow()
-	if wd == nil {
-		writeJSON(w, http.StatusOK, struct {
-			Enabled bool        `json:"enabled"`
-			Firing  int         `json:"firing"`
-			Alerts  []slo.Alert `json:"alerts"`
-		}{false, 0, []slo.Alert{}})
-		return
-	}
-	alerts := wd.Alerts()
-	if alerts == nil {
-		alerts = []slo.Alert{}
-	}
-	writeJSON(w, http.StatusOK, struct {
+	out := struct {
 		Enabled bool        `json:"enabled"`
 		Firing  int         `json:"firing"`
 		Alerts  []slo.Alert `json:"alerts"`
-	}{true, wd.Firing(), alerts})
+	}{Alerts: []slo.Alert{}}
+	if wd := s.sloNow(); wd != nil {
+		if alerts := wd.Alerts(); alerts != nil {
+			out.Alerts = alerts
+		}
+		out.Enabled, out.Firing = true, wd.Firing()
+	}
+	writeJSON(w, http.StatusOK, out)
 }

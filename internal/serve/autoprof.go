@@ -12,44 +12,27 @@ import (
 	"repro/internal/obs"
 )
 
-// Slow-query auto-profiling: when a request's total time trips the
-// threshold, the server captures a bounded CPU profile and a heap profile
-// and links the file names from the slow-log entry. Captures are rate
-// limited (cooldown + lifetime cap) and at most one CPU profile runs at a
-// time, so a storm of slow queries costs a handful of profiles, not one per
-// request.
+// Slow-query auto-profiling: when a request is slow — the slow log's
+// threshold, judged once per request by Server.handle — the server captures
+// a bounded CPU profile and a heap profile and links the file names from the
+// slow-log entry. Captures are rate limited (autoProfileCooldown between
+// captures, autoProfileMaxCaptures over the server's lifetime) and at most
+// one CPU profile runs at a time, so a storm of slow queries costs a handful
+// of profiles, not one per request.
+
+const (
+	autoProfileCooldown    = time.Minute
+	autoProfileMaxCaptures = 16
+)
 
 // AutoProfileConfig configures slow-query auto-profiling. A zero Dir
-// disables it.
+// disables it. Without a slow-log threshold no request is slow, and only an
+// SLO breach captures.
 type AutoProfileConfig struct {
 	// Dir is where profile files are written; "" disables auto-profiling.
 	Dir string
-	// Threshold is the minimum total request time that trips a capture;
-	// 0 uses the slow-log threshold (auto-profiling needs one of the two to
-	// be set).
-	Threshold time.Duration
 	// CPUDuration bounds the CPU profile capture (default 2s).
 	CPUDuration time.Duration
-	// Cooldown is the minimum time between captures (default 1m).
-	Cooldown time.Duration
-	// MaxCaptures caps captures over the server's lifetime (default 16).
-	MaxCaptures int
-}
-
-func (c AutoProfileConfig) withDefaults(slowThreshold time.Duration) AutoProfileConfig {
-	if c.Threshold <= 0 {
-		c.Threshold = slowThreshold
-	}
-	if c.CPUDuration <= 0 {
-		c.CPUDuration = 2 * time.Second
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = time.Minute
-	}
-	if c.MaxCaptures <= 0 {
-		c.MaxCaptures = 16
-	}
-	return c
 }
 
 // autoProfiler owns the capture state.
@@ -64,48 +47,30 @@ type autoProfiler struct {
 	wg       sync.WaitGroup
 }
 
-func newAutoProfiler(cfg AutoProfileConfig, slowThreshold time.Duration, o *obs.Obs) *autoProfiler {
+func newAutoProfiler(cfg AutoProfileConfig, o *obs.Obs) *autoProfiler {
 	if cfg.Dir == "" {
 		return nil
 	}
-	cfg = cfg.withDefaults(slowThreshold)
-	if cfg.Threshold <= 0 {
-		return nil
+	if cfg.CPUDuration <= 0 {
+		cfg.CPUDuration = 2 * time.Second
 	}
 	return &autoProfiler{cfg: cfg, obs: o}
 }
 
-// maybeCapture trips a capture when total meets the threshold and the rate
-// limits allow one. It returns the CPU and heap profile file names (either
-// may be empty) for the slow-log entry; the files themselves are finalized
-// by a background goroutine so the serving path is never blocked on
-// profiling.
-func (p *autoProfiler) maybeCapture(total time.Duration, traceID string) (cpuFile, heapFile string) {
-	if p == nil || total < p.cfg.Threshold {
-		return "", ""
-	}
-	if traceID == "" {
-		traceID = "untraced"
-	}
-	return p.capture(traceID)
-}
-
-// forceCapture bypasses the latency threshold — the SLO watchdog calls it on
-// a burn-rate breach so the profile shows what the process was doing while
-// the budget burned — but still honors the cooldown and lifetime cap.
-func (p *autoProfiler) forceCapture(tag string) (cpuFile, heapFile string) {
+// capture runs one rate-limited CPU+heap capture tagged into the file names:
+// for a slow request (tagged with its trace id), or on an SLO burn-rate
+// breach so the profile shows what the process was doing while the budget
+// burned. It returns the CPU and heap profile file names (either may be
+// empty); the files themselves are finalized by a background goroutine so
+// the serving path is never blocked on profiling. Nil-safe.
+func (p *autoProfiler) capture(tag string) (cpuFile, heapFile string) {
 	if p == nil {
 		return "", ""
 	}
-	return p.capture(tag)
-}
-
-// capture runs one rate-limited CPU+heap capture tagged into the file names.
-func (p *autoProfiler) capture(tag string) (cpuFile, heapFile string) {
 	p.mu.Lock()
 	now := time.Now()
-	if p.active || p.captures >= p.cfg.MaxCaptures ||
-		(!p.last.IsZero() && now.Sub(p.last) < p.cfg.Cooldown) {
+	if p.active || p.captures >= autoProfileMaxCaptures ||
+		(!p.last.IsZero() && now.Sub(p.last) < autoProfileCooldown) {
 		p.mu.Unlock()
 		return "", ""
 	}

@@ -23,9 +23,6 @@ import (
 func newStoreServer(t *testing.T, cfg Config, scfg store.Config) (*Server, *store.Store, *httptest.Server) {
 	t.Helper()
 	cfg.Obs = obs.New()
-	if cfg.Breaker.Window == 0 {
-		cfg.Breaker.Disabled = true
-	}
 	s := New(cfg)
 	st, _, err := store.Open(scfg)
 	if err != nil {
@@ -209,7 +206,7 @@ func TestServeBodyCap413(t *testing.T) {
 }
 
 func TestServeReadyzStatesJSON(t *testing.T) {
-	s := New(Config{Breaker: BreakerConfig{Disabled: true}})
+	s := New(Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

@@ -38,9 +38,6 @@ func newPair(t *testing.T, primaryCfg, replicaCfg Config, rcfg repl.Config) (pri
 	_ = priSrv
 
 	replicaCfg.Obs = obs.New()
-	if replicaCfg.Breaker.Window == 0 {
-		replicaCfg.Breaker.Disabled = true
-	}
 	repSrv := New(replicaCfg)
 	var err error
 	repStore, _, err = store.Open(store.Config{})

@@ -1,8 +1,10 @@
 // Package serve is the resilient query-serving layer over the repro facade:
 // bounded-concurrency admission control with FIFO queueing and load
-// shedding, per-request deadlines mapped onto the limits error taxonomy,
-// a per-endpoint circuit breaker, and graceful drain. cmd/triqd is the thin
-// binary around it.
+// shedding, per-request deadlines mapped onto the limits error taxonomy, and
+// graceful drain. cmd/triqd is the thin binary around it. Shedding is by
+// cost, never by history: an answer is a function of the query and the data,
+// so one request failing says nothing about the next, and no earlier outcome
+// refuses a later request.
 //
 // The HTTP status contract (also documented in the README):
 //
@@ -12,9 +14,9 @@
 //	      lang/regime, dialect validation failure
 //	500 — internal error (recovered panic) or an injected fault; evaluation
 //	      is deterministic, so the server never re-runs one
-//	503 — load shed: queue full, queue deadline exceeded, circuit open,
-//	      draining, still recovering the WAL, or a bounded-staleness wait
-//	      that expired; always carries Retry-After
+//	503 — load shed: queue full, queue deadline exceeded, draining, still
+//	      recovering the WAL, or a bounded-staleness wait that expired;
+//	      always carries Retry-After
 //	504 — the per-request evaluation deadline expired
 //
 // Mutations (POST /insert, POST /delete) add:
@@ -63,8 +65,6 @@ import (
 type Config struct {
 	// Admission bounds concurrent evaluations and the wait queue.
 	Admission AdmissionConfig
-	// Breaker tunes the per-endpoint circuit breakers.
-	Breaker BreakerConfig
 	// DefaultTimeout is the per-request evaluation deadline when the request
 	// does not set one (default 10s).
 	DefaultTimeout time.Duration
@@ -160,8 +160,6 @@ type Server struct {
 	trackMu   sync.Mutex
 	trackCond *sync.Cond
 	trackN    int
-
-	breakers map[string]*breaker
 }
 
 // New builds a Server; it is not ready until SetGraph is called.
@@ -180,15 +178,11 @@ func New(cfg Config) *Server {
 		draining: make(chan struct{}),
 		hardStop: hardStop,
 		hardKill: hardKill,
-		breakers: map[string]*breaker{
-			"query":  newBreaker(cfg.Breaker),
-			"sparql": newBreaker(cfg.Breaker),
-		},
-		proxy: &http.Client{Timeout: 30 * time.Second},
+		proxy:    &http.Client{Timeout: 30 * time.Second},
 	}
 	s.trackCond = sync.NewCond(&s.trackMu)
-	s.traces = newTracer(cfg.Trace, cfg.Obs, cfg.SlowLog.Threshold)
-	s.autoprof = newAutoProfiler(cfg.AutoProfile, cfg.SlowLog.Threshold, cfg.Obs)
+	s.traces = newTracer(cfg.Trace, cfg.Obs)
+	s.autoprof = newAutoProfiler(cfg.AutoProfile, cfg.Obs)
 	if cfg.Obs.Enabled() {
 		s.health = obs.StartHealth(cfg.Obs.Registry(), 10*time.Second)
 	}
@@ -542,9 +536,9 @@ func (s *Server) servePromote(w http.ResponseWriter, _ *http.Request) {
 }
 
 // metricsRegistry returns the registry backing /metrics and /metrics.json
-// with the point-in-time server gauges (inflight, queue depth, breaker
-// states) refreshed. With observability disabled it builds a gauges-only
-// registry per call.
+// with the point-in-time server gauges (inflight, queue depth, store, replica
+// and materializer state) refreshed. With observability disabled it builds a
+// gauges-only registry per call.
 func (s *Server) metricsRegistry() *obs.Registry {
 	reg := s.obs.Registry()
 	if reg == nil {
@@ -573,9 +567,6 @@ func (s *Server) metricsRegistry() *obs.Registry {
 		reg.SetGauge("mat.programs", float64(mst.Programs))
 		reg.SetGauge("mat.facts", float64(mst.Facts))
 	}
-	for name, b := range s.breakers {
-		reg.SetGauge("serve.breaker_state."+name, breakerStateNum(b.snapshot()))
-	}
 	return reg
 }
 
@@ -585,21 +576,6 @@ func boolGauge(v bool) float64 {
 		return 1
 	}
 	return 0
-}
-
-// breakerStateNum maps a breaker state name to its gauge encoding:
-// closed=0, half-open=1, open=2, disabled=-1.
-func breakerStateNum(state string) float64 {
-	switch state {
-	case "closed":
-		return 0
-	case "half-open":
-		return 1
-	case "open":
-		return 2
-	default:
-		return -1
-	}
 }
 
 // count is a nil-safe metrics increment.
@@ -668,10 +644,12 @@ func failing(status int, err error) outcome { return outcome{status: status, err
 // and /delete. Going in, it counts the request, opens its trace — before
 // admission, so queue waits and sheds are visible in it and even a refused
 // request echoes a traceparent — and sheds while draining. Coming out, it
-// closes the trace (before the body is rendered, so the response and the
-// explain report carry the final resource account), writes the response the
-// outcome describes, and feeds the slow log: exactly once per evaluated
-// request, never for one shed before evaluation.
+// measures the request's wall time once and decides once whether it was
+// slow; closes the trace with that mark (before the body is rendered, so the
+// response and the explain report carry the final resource account); writes
+// the response the outcome describes; and, for a slow request that reached
+// its evaluation, records the slow-log entry and asks for a profile — never
+// for one shed before evaluation.
 func (s *Server) handle(w http.ResponseWriter, r *http.Request, endpoint string, body func(*request) outcome) {
 	s.count("serve.requests")
 	rq := &request{w: w, r: r, endpoint: endpoint, start: time.Now()}
@@ -688,7 +666,10 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request, endpoint string,
 	} else {
 		o = body(rq)
 	}
-	rq.rt.finish(o.status, rq.queueWait, o.exec, time.Since(rq.start))
+	total := time.Since(rq.start)
+	threshold := s.cfg.SlowLog.Threshold
+	slow := threshold > 0 && total >= threshold
+	rq.rt.finish(o.status, rq.queueWait, o.exec, total, slow)
 	switch {
 	case o.relayed: // the body already wrote the primary's response
 	case o.err != nil:
@@ -699,26 +680,15 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request, endpoint string,
 	default:
 		writeJSON(w, o.status, o.ok())
 	}
-	if o.evaluated {
-		s.recordSlow(rq, &o)
+	if slow && o.evaluated {
+		s.recordSlow(rq, &o, total)
 	}
 }
 
-// serveQuery is the body of the two query endpoints: breaker → admission →
-// parse → pin an epoch → evaluate.
+// serveQuery is the body of the two query endpoints: admission → parse →
+// pin an epoch → evaluate.
 func (s *Server) serveQuery(rq *request) (o outcome) {
 	w, r, rt := rq.w, rq.r, rq.rt
-	done, err := s.breakers[rq.endpoint].allow()
-	if err != nil {
-		s.count("serve.shed.breaker")
-		return shedding(err)
-	}
-	// Only server faults count against the breaker: a shed, a malformed
-	// request or a stale replica is not the endpoint's fault.
-	defer func() {
-		done(o.status == http.StatusInternalServerError || o.status == http.StatusGatewayTimeout)
-	}()
-
 	admSpan := rt.span("serve.admission")
 	release, err := s.adm.acquire(r.Context())
 	rq.queueWait = time.Since(rq.start)
@@ -1033,16 +1003,13 @@ func (s *Server) proxyMutation(w http.ResponseWriter, r *http.Request, primary s
 	return outcome{status: resp.StatusCode, relayed: true}
 }
 
-// recordSlow feeds the slow-query log and the auto-profiler from an
-// evaluated request's outcome (success or failure); it is a no-op when the
-// log is disabled or the request finished under the threshold. Mutation
-// entries have no queue wait; theirs is the whole of the request.
-func (s *Server) recordSlow(rq *request, o *outcome) {
-	rt, total := rq.rt, rq.queueWait+o.exec
-	cpuFile, heapFile := s.autoprof.maybeCapture(total, rt.traceID())
-	if !s.slow.enabled() {
-		return
-	}
+// recordSlow files a slow evaluated request's outcome (success or failure)
+// in the slow-query log, with the profiles the auto-profiler captured for
+// it. total is the request's wall time, the one handle judged slow.
+// Mutation entries have no queue wait.
+func (s *Server) recordSlow(rq *request, o *outcome, total time.Duration) {
+	rt := rq.rt
+	s.count("serve.slow_queries")
 	e := o.slow
 	e.Time = time.Now()
 	e.Endpoint = rq.endpoint
@@ -1052,7 +1019,11 @@ func (s *Server) recordSlow(rq *request, o *outcome) {
 	e.ExecUS = o.exec.Microseconds()
 	e.TotalUS = total.Microseconds()
 	e.TraceID = rt.traceID()
-	e.ProfileCPU, e.ProfileHeap = cpuFile, heapFile
+	tag := e.TraceID
+	if tag == "" {
+		tag = "untraced"
+	}
+	e.ProfileCPU, e.ProfileHeap = s.autoprof.capture(tag)
 	if rt != nil {
 		acct := rt.account()
 		e.Resources = &acct
@@ -1060,11 +1031,7 @@ func (s *Server) recordSlow(rq *request, o *outcome) {
 	if o.err != nil {
 		e.Error = o.err.Error()
 	}
-	// Bump the counter iff the entry is actually recorded.
-	if time.Duration(e.TotalUS)*time.Microsecond >= s.cfg.SlowLog.Threshold {
-		s.count("serve.slow_queries")
-	}
-	s.slow.maybeRecord(e)
+	s.slow.record(e)
 }
 
 // evaluate runs the evaluation the request asks for (QueryRequest.Request;

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -66,9 +67,6 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *obs.Ob
 	t.Helper()
 	o := obs.New()
 	cfg.Obs = o
-	if cfg.Breaker.Window == 0 {
-		cfg.Breaker.Disabled = true // most tests don't want breaker coupling
-	}
 	s := New(cfg)
 	g, err := repro.ParseGraph(testData)
 	if err != nil {
@@ -513,61 +511,67 @@ func TestServeClientDisconnectCancelsEvaluation(t *testing.T) {
 	}
 }
 
-// TestServeBreakerOpensAndRecovers drives the breaker through its whole
-// cycle over HTTP: persistent 500s open it, the open breaker sheds with
-// Retry-After, and after the open interval a healthy probe closes it.
-func TestServeBreakerOpensAndRecovers(t *testing.T) {
-	o := obs.New()
-	s := New(Config{
-		Obs:     o,
-		Breaker: BreakerConfig{Window: 8, MinSamples: 2, FailureRatio: 0.5, OpenFor: time.Hour, HalfOpenProbes: 1},
-	})
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	s.breakers["query"].now = clk.now
-	g, err := repro.ParseGraph(testData)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetGraph(g)
+// TestOneClientsDeadlinesDoNotShedAnother pins that the server sheds by
+// cost, not by history: a run of requests blowing their own 1 ms deadline
+// over a 300-node chain are each a 504, and a cheap request sent after them
+// — from any client — is still answered 200. A failure says only that the
+// same request will fail again, so no earlier outcome may refuse a later
+// request.
+func TestOneClientsDeadlinesDoNotShedAnother(t *testing.T) {
+	s := New(Config{})
+	s.SetGraph(chainGraph(t, 300))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	restore := limits.SetGlobal(limits.NewPlan(limits.Fault{Point: "chase.rule"}))
-	for i := 0; i < 2; i++ {
-		if status, _ := postJSON(t, ts.URL+"/query", QueryRequest{Program: testProgram}); status != http.StatusInternalServerError {
-			t.Fatalf("request %d: status = %d, want 500", i, status)
+	for i := 0; i < 12; i++ {
+		status, body := postJSON(t, ts.URL+"/query", QueryRequest{Program: chainProgram, TimeoutMS: 1})
+		if status != http.StatusGatewayTimeout {
+			t.Fatalf("slow request %d: status = %d (body %s), want 504", i, status, body)
 		}
 	}
-	// Breaker is open now: requests shed without evaluating.
-	status, body := postJSON(t, ts.URL+"/query", QueryRequest{Program: testProgram})
-	if status != http.StatusServiceUnavailable {
-		t.Fatalf("status with open breaker = %d (body %s), want 503", status, body)
+	status, body := postJSON(t, ts.URL+"/query", QueryRequest{
+		Program: "triple(?X, next, ?Y) -> query(?X, ?Y).",
+	})
+	if status != http.StatusOK {
+		t.Fatalf("cheap request after the slow ones: status = %d (body %s), want 200", status, body)
 	}
-	if o.Registry().Counter("serve.shed.breaker") != 1 {
-		t.Fatal("serve.shed.breaker counter not bumped")
-	}
-	restore() // the fault clears
+}
 
-	// Still open before the interval elapses…
-	if status, _ := postJSON(t, ts.URL+"/query", QueryRequest{Program: testProgram}); status != http.StatusServiceUnavailable {
-		t.Fatalf("breaker closed too early: status = %d", status)
+// TestTimeoutOf pins how a request's timeout_ms resolves against the server's
+// default and cap: unset or non-positive takes the default, anything at or
+// past the cap is the cap — including values whose scaling to a Duration
+// would overflow int64 and wrap negative.
+func TestTimeoutOf(t *testing.T) {
+	const def, max = 10 * time.Second, 60 * time.Second
+	for _, tc := range []struct {
+		ms   int64
+		want time.Duration
+	}{
+		{0, def},
+		{-5, def},
+		{1500, 1500 * time.Millisecond},
+		{max.Milliseconds(), max},
+		{max.Milliseconds() + 1, max},
+		{1 << 62, max},
+		{math.MaxInt64, max},
+	} {
+		r := QueryRequest{TimeoutMS: tc.ms}
+		if got := r.timeoutOf(def, max); got != tc.want {
+			t.Errorf("timeoutOf(timeout_ms=%d) = %v, want %v", tc.ms, got, tc.want)
+		}
 	}
-	// …and after it, a healthy probe closes the circuit.
-	clk.advance(2 * time.Hour)
-	if status, _ := postJSON(t, ts.URL+"/query", QueryRequest{Program: testProgram}); status != http.StatusOK {
-		t.Fatalf("probe after open interval: status = %d, want 200", status)
-	}
-	if got := s.breakers["query"].snapshot(); got != "closed" {
-		t.Fatalf("breaker state = %s, want closed", got)
-	}
-	if status, _ := postJSON(t, ts.URL+"/query", QueryRequest{Program: testProgram}); status != http.StatusOK {
-		t.Fatalf("closed breaker must pass traffic: status = %d", status)
+	// Over HTTP, a timeout_ms far past the cap is capped, not wrapped into
+	// an already-expired deadline.
+	_, ts, _ := newTestServer(t, Config{})
+	status, body := postJSON(t, ts.URL+"/query", QueryRequest{Program: testProgram, TimeoutMS: 10000000000000})
+	if status != http.StatusOK {
+		t.Fatalf("timeout_ms=10000000000000: status = %d (body %s), want 200", status, body)
 	}
 }
 
 func TestServeHealthAndMetricsEndpoints(t *testing.T) {
 	o := obs.New()
-	s := New(Config{Obs: o, Breaker: BreakerConfig{Disabled: true}})
+	s := New(Config{Obs: o})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -604,7 +608,7 @@ func TestServeHealthAndMetricsEndpoints(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("metrics = %d, want 200", status)
 	}
-	for _, want := range []string{"serve_breaker_state_query", "serve_inflight", "serve_queue_depth", "serve_latency_us_bucket{le="} {
+	for _, want := range []string{"serve_inflight", "serve_queue_depth", "serve_latency_us_bucket{le="} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics missing %q:\n%s", want, metrics)
 		}
@@ -624,13 +628,9 @@ const topOntology = `SubClassOf(student, person) SubClassOf(∃advises⁻, stude
 // TestServeSPARQLInconsistent pins /sparql over ⊤: 200 {"inconsistent":true}
 // with no rows, with and without a report (the handler used to
 // nil-dereference the mapping set ⊤ does not have) and on the exact path as on
-// the default one, and each request counts serve.ok, reports to the breaker
-// and files its trace.
+// the default one, and each request counts serve.ok and files its trace.
 func TestServeSPARQLInconsistent(t *testing.T) {
-	s, ts, o := newTestServer(t, Config{
-		Trace:   TraceConfig{Sample: 1},
-		Breaker: BreakerConfig{Window: 8, MinSamples: 1, FailureRatio: 0.5},
-	})
+	s, ts, o := newTestServer(t, Config{Trace: TraceConfig{Sample: 1}})
 	onto, err := repro.ParseOntology(topOntology)
 	if err != nil {
 		t.Fatal(err)
@@ -659,14 +659,6 @@ func TestServeSPARQLInconsistent(t *testing.T) {
 	}
 	if got := o.Registry().Counter("serve.ok"); got != 4 {
 		t.Errorf("serve.ok = %d, want 4", got)
-	}
-	b := s.breakers["sparql"]
-	b.mu.Lock()
-	reported, failures := b.filled, b.failures
-	b.mu.Unlock()
-	if reported != 4 || failures != 0 || b.snapshot() != "closed" {
-		t.Errorf("breaker saw %d outcomes (%d failures), state %s; want 4 clean outcomes, closed",
-			reported, failures, b.snapshot())
 	}
 }
 

@@ -11,23 +11,26 @@ import (
 	"repro/internal/obs"
 )
 
-// SlowLogConfig configures the slow-query log: every request whose total
-// time (queue wait + evaluation) meets Threshold is recorded exactly once in
-// an in-memory ring served at /debug/slowlog, and — when a Sink is attached —
-// appended to it as one JSON line.
+// SlowLogConfig configures the slow-query log: every evaluated request
+// whose wall time meets Threshold is recorded exactly once in an in-memory
+// ring of the last slowLogCapacity entries, served at /debug/slowlog, and —
+// when a Sink is attached — appended to it as one JSON line.
 type SlowLogConfig struct {
-	// Threshold is the minimum total request time to record; 0 disables the
-	// log entirely.
+	// Threshold is the minimum request wall time to record; 0 disables the
+	// log entirely. The same threshold marks a request's trace slow and
+	// trips the auto-profiler.
 	Threshold time.Duration
-	// Capacity bounds the in-memory ring (default 128).
-	Capacity int
 	// Sink, when non-nil, receives one JSON line per slow entry (JSONL). The
 	// caller owns its lifetime.
 	Sink io.Writer
 }
 
-// maxSlowQueryLen caps the query text captured per entry.
-const maxSlowQueryLen = 2048
+const (
+	// slowLogCapacity bounds the in-memory ring.
+	slowLogCapacity = 128
+	// maxSlowQueryLen caps the query text captured per entry.
+	maxSlowQueryLen = 2048
+)
 
 // SlowEntry is one recorded slow query.
 type SlowEntry struct {
@@ -45,7 +48,8 @@ type SlowEntry struct {
 	QueueWaitUS int64 `json:"queue_wait_us"`
 	// ExecUS is the evaluation time (parse + chase + decode).
 	ExecUS int64 `json:"exec_us"`
-	// TotalUS is the whole request (queue wait + execution).
+	// TotalUS is the whole request: its wall time, queue wait and execution
+	// included.
 	TotalUS int64 `json:"total_us"`
 	// Incomplete / Truncation report a budget-truncated answer set.
 	Incomplete bool               `json:"incomplete,omitempty"`
@@ -88,20 +92,17 @@ func newSlowLog(cfg SlowLogConfig) *slowLog {
 	if cfg.Threshold <= 0 {
 		return nil
 	}
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = 128
-	}
-	return &slowLog{cfg: cfg, ring: make([]SlowEntry, 0, cfg.Capacity)}
+	return &slowLog{cfg: cfg, ring: make([]SlowEntry, 0, slowLogCapacity)}
 }
 
 // enabled is nil-safe.
 func (l *slowLog) enabled() bool { return l != nil }
 
-// maybeRecord records the entry iff its total time meets the threshold.
-// Called exactly once per request, so an over-threshold query produces
-// exactly one entry.
-func (l *slowLog) maybeRecord(e SlowEntry) {
-	if l == nil || time.Duration(e.TotalUS)*time.Microsecond < l.cfg.Threshold {
+// record files one entry. Server.handle calls it at most once per request,
+// after deciding the request was slow, so a slow query produces exactly one
+// entry.
+func (l *slowLog) record(e SlowEntry) {
+	if l == nil {
 		return
 	}
 	l.mu.Lock()

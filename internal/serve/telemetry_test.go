@@ -127,7 +127,7 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 		}
 		prev = v
 	}
-	for _, gauge := range []string{"serve_inflight", "serve_queue_depth", "serve_breaker_state_query", "serve_breaker_state_sparql"} {
+	for _, gauge := range []string{"serve_inflight", "serve_queue_depth"} {
 		if _, ok := samples[gauge]; !ok {
 			t.Errorf("missing gauge %s", gauge)
 		}
@@ -166,7 +166,7 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 func TestSlowLogExactlyOncePerSlowQuery(t *testing.T) {
 	var sink bytes.Buffer
 	// Threshold 1ns: every query is "slow", so counting is deterministic.
-	s, ts, _ := newTestServer(t, Config{SlowLog: SlowLogConfig{Threshold: time.Nanosecond, Capacity: 8, Sink: &sink}})
+	s, ts, _ := newTestServer(t, Config{SlowLog: SlowLogConfig{Threshold: time.Nanosecond, Sink: &sink}})
 	defer ts.Close()
 	g, err := repro.ParseGraph(testData)
 	if err != nil {
@@ -213,6 +213,10 @@ func TestSlowLogExactlyOncePerSlowQuery(t *testing.T) {
 			t.Errorf("entry %d: slow entry missing EXPLAIN summary", i)
 		} else if e.Explain.TriggersFired == 0 {
 			t.Errorf("entry %d: EXPLAIN has no trigger stats", i)
+		}
+		// The one slow decision marks the entry's trace too.
+		if tr := s.traces.store.Get(e.TraceID); tr == nil || !tr.Slow() {
+			t.Errorf("entry %d: trace %q missing from the store or not marked slow", i, e.TraceID)
 		}
 	}
 	// The sink saw the same five entries, one JSON line each.

@@ -12,9 +12,10 @@ import (
 // carrying its resource account; a head-sampled fraction (or any request
 // arriving with a sampled W3C traceparent) additionally records the full
 // span tree. Finished traces land in an in-memory store served at
-// /debug/trace, where tail sampling keeps slow traces preferentially. The
-// request's traceparent is honored on the way in and echoed on the way out,
-// so callers can stitch the server's tree under their own spans.
+// /debug/trace (the last traceStoreCapacity of them), where tail sampling
+// keeps slow traces preferentially. The request's traceparent is honored on
+// the way in and echoed on the way out, so callers can stitch the server's
+// tree under their own spans.
 
 // TraceConfig configures request tracing. The zero value enables tracing
 // with defaults; set Disable to turn it off.
@@ -24,17 +25,17 @@ type TraceConfig struct {
 	// the traceparent sampled flag are always recorded regardless. Every
 	// request, sampled or not, still gets a resource account.
 	Sample float64
-	// Capacity bounds the in-memory trace store (default 256).
-	Capacity int
 	// Seed seeds trace-id generation and the sampler; 0 derives a seed from
 	// the clock. A fixed seed makes sampling decisions reproducible.
 	Seed int64
-	// MaxSpans caps recorded spans per trace (default obs.DefaultMaxSpans).
-	MaxSpans int
 	// Disable turns request tracing off entirely: no store, no traceparent
 	// echo, no accounts.
 	Disable bool
 }
+
+// traceStoreCapacity bounds the in-memory trace store. Each trace records at
+// most obs.DefaultMaxSpans spans.
+const traceStoreCapacity = 256
 
 func (c TraceConfig) withDefaults() TraceConfig {
 	if c.Sample == 0 {
@@ -53,10 +54,9 @@ type tracer struct {
 	sampler *obs.Sampler
 	store   *obs.TraceStore
 	obs     *obs.Obs
-	slow    time.Duration // slowlog threshold, for MarkSlow tail sampling
 }
 
-func newTracer(cfg TraceConfig, o *obs.Obs, slowThreshold time.Duration) *tracer {
+func newTracer(cfg TraceConfig, o *obs.Obs) *tracer {
 	if cfg.Disable {
 		return nil
 	}
@@ -65,9 +65,8 @@ func newTracer(cfg TraceConfig, o *obs.Obs, slowThreshold time.Duration) *tracer
 		cfg:     cfg,
 		ids:     obs.NewIDSource(cfg.Seed),
 		sampler: obs.NewSampler(cfg.Sample, cfg.Seed),
-		store:   obs.NewTraceStore(cfg.Capacity, "triqd"),
+		store:   obs.NewTraceStore(traceStoreCapacity, "triqd"),
 		obs:     o,
-		slow:    slowThreshold,
 	}
 }
 
@@ -102,7 +101,6 @@ func (t *tracer) start(w http.ResponseWriter, r *http.Request, endpoint string) 
 		tid = t.ids.TraceID()
 	}
 	tr := obs.NewTrace(tid, t.ids, forced || t.sampler.Sampled(tid))
-	tr.SetMaxSpans(t.cfg.MaxSpans)
 	tr.SetRemoteParent(remote)
 
 	rt := &reqTrace{t: t, tr: tr, heap0: obs.HeapAllocBytes()}
@@ -169,16 +167,17 @@ func (rt *reqTrace) account() obs.Account {
 }
 
 // finish closes the root span, fills the timing and heap fields of the
-// account, applies the slow tail-sampling mark, and files the trace in the
-// store. Server.handle calls it once per request.
-func (rt *reqTrace) finish(status int, queueWait, exec, total time.Duration) {
+// account, applies the slow tail-sampling mark when Server.handle judged the
+// request slow, and files the trace in the store. Server.handle calls it once
+// per request.
+func (rt *reqTrace) finish(status int, queueWait, exec, total time.Duration, slow bool) {
 	if rt == nil {
 		return
 	}
 	rt.root.End(obs.F("status", status))
 	rt.tr.SetTimes(total.Microseconds(), queueWait.Microseconds(), exec.Microseconds())
 	rt.tr.SetHeapAlloc(obs.HeapAllocBytes() - rt.heap0)
-	if rt.t.slow > 0 && total >= rt.t.slow {
+	if slow {
 		rt.tr.MarkSlow()
 	}
 	rt.tr.Finish()

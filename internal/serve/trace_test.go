@@ -291,18 +291,16 @@ func TestTraceDeadlineTripClosesSpans(t *testing.T) {
 	}
 }
 
-// A slow query trips the auto-profiler exactly once per cooldown: the slowlog
-// entry references the CPU and heap profile files, and both exist on disk
-// after the capture drains.
+// A slow query trips the auto-profiler exactly once per cooldown (a minute,
+// far longer than the test): the slowlog entry references the CPU and heap
+// profile files, and both exist on disk after the capture drains.
 func TestAutoProfileCaptureOnSlowQuery(t *testing.T) {
 	dir := t.TempDir()
 	s, ts, _ := newTestServer(t, Config{
 		SlowLog: SlowLogConfig{Threshold: time.Nanosecond},
 		AutoProfile: AutoProfileConfig{
 			Dir:         dir,
-			Threshold:   time.Nanosecond,
 			CPUDuration: 50 * time.Millisecond,
-			Cooldown:    time.Hour, // only the first query captures
 		},
 		Trace: TraceConfig{Sample: 1},
 	})

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro"
@@ -224,14 +225,20 @@ func parseRegime(name string) (repro.Regime, error) {
 	}
 }
 
-// timeoutOf resolves the effective evaluation deadline for a request.
+// timeoutOf resolves the effective evaluation deadline for a request: its
+// timeout_ms when positive, else def, capped by max (max <= 0 caps nothing).
+// timeout_ms is compared with the cap before it is scaled to a Duration, so a
+// huge value is capped instead of wrapping into an already-expired deadline.
 func (r *QueryRequest) timeoutOf(def, max time.Duration) time.Duration {
+	if max <= 0 {
+		max = math.MaxInt64
+	}
 	d := def
 	if r.TimeoutMS > 0 {
+		if r.TimeoutMS > max.Milliseconds() {
+			return max
+		}
 		d = time.Duration(r.TimeoutMS) * time.Millisecond
 	}
-	if max > 0 && d > max {
-		d = max
-	}
-	return d
+	return min(d, max)
 }

@@ -162,7 +162,7 @@ smoke_telemetry() {
   post "$URL/query?explain=1" "$CLOSURE"
   expect "$OUT" '"explain"' '"rules"'
   get "$URL/metrics" '^# TYPE serve_latency_us histogram' 'serve_latency_us_bucket{le="+Inf"}' \
-    '^serve_ok 2$' '^serve_breaker_state_query 0$' '^serve_queue_depth 0$'
+    '^serve_ok 2$' '^serve_queue_depth 0$'
   get "$URL/metrics.json" '"p99"'
   get "$URL/debug/slowlog" '"enabled":true' '"explain"'
   expect "$D/slow.jsonl" '"endpoint"' # JSONL sink got entries too
