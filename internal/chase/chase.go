@@ -347,7 +347,14 @@ func newEngine(ctx context.Context, inst *Instance, opts Options) *engine {
 // its defaults. Constraints are compiled as the rules that derive the
 // inconsistency marker (datalog.ConstraintsAsRules), so ⊤ is a fact the chase
 // derives like any other.
+//
+// A program Compose joined with a fixed library was validated and stratified
+// when it was composed, and the library's rules were compiled once per
+// process: only the query's rules are compiled here (prepareComposed).
 func prepare(ctx context.Context, inst *Instance, prog *datalog.Program, opts Options) (*engine, error) {
+	if plan := prog.Composed(); plan != nil {
+		return prepareComposed(ctx, inst, plan, opts), nil
+	}
 	if err := prog.Validate(); err != nil {
 		return nil, err
 	}
@@ -386,32 +393,90 @@ func prepare(ctx context.Context, inst *Instance, prog *datalog.Program, opts Op
 	return e, nil
 }
 
+// prepareComposed is prepare for a composed program, from the evaluation plan
+// Compose made of it: each library rule is the engine's copy of its compiled
+// form, with the index of its place in this program, and only the query's
+// rules are compiled.
+func prepareComposed(ctx context.Context, inst *Instance, plan *datalog.Composed, opts Options) *engine {
+	lib, k := compiledOf(plan.Library), 0
+	if plan.SingleHead {
+		k = 1
+	}
+	libRules := lib.instance(k)
+	n := 0
+	for _, rules := range plan.Strata {
+		n += len(rules)
+	}
+	stats := make([]RuleStats, n)
+	e := newEngine(ctx, inst, opts)
+	e.ruleLabels = obs.RecordingTrace(ctx)
+	e.perRule = make([]*RuleStats, 0, n)
+	for _, rules := range plan.Strata {
+		if len(rules) == 0 {
+			continue
+		}
+		s := newStratum(len(rules))
+		for i, r := range rules {
+			idx := len(e.perRule)
+			rs := &stats[idx]
+			var c *compiledRule
+			if r.Lib >= 0 {
+				c = &libRules[r.Lib]
+				c.idx = idx
+				*rs = RuleStats{Index: idx, Rule: lib.names[k][r.Lib], Origin: r.Rule.Provenance}
+			} else {
+				c = compileRule(r.Rule, idx)
+				*rs = RuleStats{Index: idx, Rule: r.Rule.String(), Origin: r.Rule.Provenance}
+			}
+			e.perRule = append(e.perRule, rs)
+			s.add(i, c, rs)
+		}
+		e.strata = append(e.strata, s.done())
+	}
+	opts.Obs.Count("chase.runs", 1)
+	return e
+}
+
 // newStratum compiles one stratum's rules and registers their stats slots.
 func (e *engine) newStratum(rules []datalog.Rule) *stratum {
-	s := &stratum{
-		comp:    make([]*compiledRule, len(rules)),
-		stats:   make([]*RuleStats, len(rules)),
-		parked:  make([]triggerBuf, len(rules)),
-		started: make(map[string]int),
-	}
+	s := newStratum(len(rules))
 	for i, r := range rules {
 		// The index names the rule in its Skolem keys, so it counts across
 		// the program: two strata must never share a key, or a null.
 		rs := e.newRuleStats(r)
-		c := compileRule(r, rs.Index)
-		s.comp[i], s.stats[i] = c, rs
-		for _, p := range c.bodyPos {
-			if _, dup := s.started[p.pred]; !dup {
-				s.started[p.pred] = 0
-				s.bodyPreds = append(s.bodyPreds, p.pred)
-			}
-		}
-		for _, p := range c.bodyNeg {
-			if !slices.Contains(s.negPreds, p.pred) {
-				s.negPreds = append(s.negPreds, p.pred)
-			}
+		s.add(i, compileRule(r, rs.Index), rs)
+	}
+	return s.done()
+}
+
+// newStratum returns a stratum of n rules, which add fills in.
+func newStratum(n int) *stratum {
+	return &stratum{
+		comp:    make([]*compiledRule, n),
+		stats:   make([]*RuleStats, n),
+		parked:  make([]triggerBuf, n),
+		started: make(map[string]int),
+	}
+}
+
+// add makes c, with its stats slot rs, the stratum's rule i.
+func (s *stratum) add(i int, c *compiledRule, rs *RuleStats) {
+	s.comp[i], s.stats[i] = c, rs
+	for _, p := range c.bodyPos {
+		if _, dup := s.started[p.pred]; !dup {
+			s.started[p.pred] = 0
+			s.bodyPreds = append(s.bodyPreds, p.pred)
 		}
 	}
+	for _, p := range c.bodyNeg {
+		if !slices.Contains(s.negPreds, p.pred) {
+			s.negPreds = append(s.negPreds, p.pred)
+		}
+	}
+}
+
+// done completes a stratum add has filled in.
+func (s *stratum) done() *stratum {
 	s.negLens = make([]int, len(s.negPreds))
 	return s
 }

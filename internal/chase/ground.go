@@ -158,11 +158,9 @@ func stableGround(ctx context.Context, db *Instance, prog *datalog.Program, opts
 		steps  []DeepenStep
 		stable int
 	)
-	// closable: the program can end a step truncated (it has an existential
-	// rule) and the closing pass is sound for it. Such a program starts with the
-	// probe at bound 0, and the window does not count its first `uncounted`
-	// steps.
-	closable := prog.HasExistentials() && (!prog.HasNegation() || datalog.CheckGroundedNegation(prog) == nil)
+	// A closable program starts with the probe at bound 0, and the window does
+	// not count its first `uncounted` steps.
+	closable := closable(prog)
 	depth, uncounted := min(2, ceiling), 0
 	if closable {
 		depth, uncounted = 0, 2
@@ -243,6 +241,42 @@ func stableGround(ctx context.Context, db *Instance, prog *datalog.Program, opts
 			return res, err
 		}
 	}
+}
+
+// closable reports whether the program can end a step truncated (it has an
+// existential rule) and the closing pass is sound for it (its negation, if
+// any, is grounded).
+func closable(prog *datalog.Program) bool {
+	return prog.HasExistentials() && (!prog.HasNegation() || datalog.CheckGroundedNegation(prog) == nil)
+}
+
+// Plan is what the chase makes of a program before it chases anything.
+type Plan struct {
+	// Strata lists each stratum's rules, rendered, in evaluation order. A
+	// rule's place in that order across the strata is its RuleStats.Index, the
+	// index its Skolem keys name it by.
+	Strata [][]string
+	// Closable says the closing pass may prove a truncated evaluation complete
+	// (see StableGroundCtx).
+	Closable bool
+}
+
+// PlanOf validates, stratifies and compiles the program as an evaluation of
+// it would, and reports the result; the errors are the evaluation's.
+func PlanOf(prog *datalog.Program) (Plan, error) {
+	e, err := prepare(context.Background(), NewInstance(), prog, Options{}.withDefaults())
+	if err != nil {
+		return Plan{}, err
+	}
+	p := Plan{Closable: closable(prog)}
+	for _, s := range e.strata {
+		var names []string
+		for _, rs := range s.stats {
+			names = append(names, rs.Rule)
+		}
+		p.Strata = append(p.Strata, names)
+	}
+	return p, nil
 }
 
 // closingStepOf runs the closing pass on an engine whose step st has just ended

@@ -32,46 +32,42 @@ func someBodyAtomCovers(r Rule, vars map[Term]bool) bool {
 
 // CheckGuarded reports whether Π is guarded: every rule has a positive body
 // atom containing all body variables.
-func CheckGuarded(p *Program) error {
-	pos := p.Positive()
-	for _, r := range pos.Rules {
-		all := make(map[Term]bool)
-		for _, v := range r.BodyVars() {
-			all[v] = true
-		}
-		if !someBodyAtomCovers(r, all) {
-			return fmt.Errorf("datalog: rule %v is not guarded: no body atom contains all body variables", r)
-		}
+func CheckGuarded(p *Program) error { return checkRules(p, false, guardedRule) }
+
+func guardedRule(_ *Analysis, r Rule) error {
+	all := make(map[Term]bool)
+	for _, v := range r.BodyVars() {
+		all[v] = true
+	}
+	if !someBodyAtomCovers(r, all) {
+		return fmt.Errorf("datalog: rule %v is not guarded: no body atom contains all body variables", r)
 	}
 	return nil
 }
 
 // CheckWeaklyGuarded reports whether Π is weakly-guarded: every rule has a
 // positive body atom containing all Π-harmful body variables.
-func CheckWeaklyGuarded(p *Program) error {
-	pos := p.Positive()
-	an := Analyze(pos)
-	for _, r := range pos.Rules {
-		vc := an.Classify(r)
-		if !someBodyAtomCovers(r, vc.Harmful) {
-			return fmt.Errorf("datalog: rule %v is not weakly-guarded: no body atom contains the harmful variables %v", r, sortedVars(vc.Harmful))
-		}
+func CheckWeaklyGuarded(p *Program) error { return checkRules(p, true, weaklyGuardedRule) }
+
+func weaklyGuardedRule(an *Analysis, r Rule) error {
+	vc := an.Classify(r)
+	if !someBodyAtomCovers(r, vc.Harmful) {
+		return fmt.Errorf("datalog: rule %v is not weakly-guarded: no body atom contains the harmful variables %v", r, sortedVars(vc.Harmful))
 	}
 	return nil
 }
 
 // CheckFrontierGuarded reports whether Π is frontier-guarded: every rule has
 // a positive body atom containing all frontier variables.
-func CheckFrontierGuarded(p *Program) error {
-	pos := p.Positive()
-	for _, r := range pos.Rules {
-		fr := make(map[Term]bool)
-		for _, v := range r.Frontier() {
-			fr[v] = true
-		}
-		if !someBodyAtomCovers(r, fr) {
-			return fmt.Errorf("datalog: rule %v is not frontier-guarded: no body atom contains the frontier %v", r, sortedVars(fr))
-		}
+func CheckFrontierGuarded(p *Program) error { return checkRules(p, false, frontierGuardedRule) }
+
+func frontierGuardedRule(_ *Analysis, r Rule) error {
+	fr := make(map[Term]bool)
+	for _, v := range r.Frontier() {
+		fr[v] = true
+	}
+	if !someBodyAtomCovers(r, fr) {
+		return fmt.Errorf("datalog: rule %v is not frontier-guarded: no body atom contains the frontier %v", r, sortedVars(fr))
 	}
 	return nil
 }
@@ -80,13 +76,13 @@ func CheckFrontierGuarded(p *Program) error {
 // every rule has a positive body atom containing all Π-dangerous variables.
 // This is the defining condition of TriQ 1.0 (Definition 4.2).
 func CheckWeaklyFrontierGuarded(p *Program) error {
-	pos := p.Positive()
-	an := Analyze(pos)
-	for _, r := range pos.Rules {
-		vc := an.Classify(r)
-		if !someBodyAtomCovers(r, vc.Dangerous) {
-			return fmt.Errorf("datalog: rule %v is not weakly-frontier-guarded: no body atom contains the dangerous variables %v", r, sortedVars(vc.Dangerous))
-		}
+	return checkRules(p, true, weaklyFrontierGuardedRule)
+}
+
+func weaklyFrontierGuardedRule(an *Analysis, r Rule) error {
+	vc := an.Classify(r)
+	if !someBodyAtomCovers(r, vc.Dangerous) {
+		return fmt.Errorf("datalog: rule %v is not weakly-frontier-guarded: no body atom contains the dangerous variables %v", r, sortedVars(vc.Dangerous))
 	}
 	return nil
 }
@@ -95,21 +91,37 @@ func CheckWeaklyFrontierGuarded(p *Program) error {
 // (Section 6.2): every rule is frontier-guarded or all its body variables
 // are Π-harmless.
 func CheckNearlyFrontierGuarded(p *Program) error {
+	return checkRules(p, true, nearlyFrontierGuardedRule)
+}
+
+func nearlyFrontierGuardedRule(an *Analysis, r Rule) error {
+	fr := make(map[Term]bool)
+	for _, v := range r.Frontier() {
+		fr[v] = true
+	}
+	if someBodyAtomCovers(r, fr) {
+		return nil
+	}
+	vc := an.Classify(r)
+	if len(vc.Harmful) == 0 {
+		return nil
+	}
+	return fmt.Errorf("datalog: rule %v is not nearly frontier-guarded: it is not frontier-guarded and has harmful variables %v", r, sortedVars(vc.Harmful))
+}
+
+// checkRules runs a per-rule condition over the rules of ex(Π)+, under the
+// affected-position analysis of ex(Π)+ when the condition needs one, and
+// returns the first violation.
+func checkRules(p *Program, analysed bool, rule func(*Analysis, Rule) error) error {
 	pos := p.Positive()
-	an := Analyze(pos)
+	var an *Analysis
+	if analysed {
+		an = Analyze(pos)
+	}
 	for _, r := range pos.Rules {
-		fr := make(map[Term]bool)
-		for _, v := range r.Frontier() {
-			fr[v] = true
+		if err := rule(an, r); err != nil {
+			return err
 		}
-		if someBodyAtomCovers(r, fr) {
-			continue
-		}
-		vc := an.Classify(r)
-		if len(vc.Harmful) == 0 {
-			continue
-		}
-		return fmt.Errorf("datalog: rule %v is not nearly frontier-guarded: it is not frontier-guarded and has harmful variables %v", r, sortedVars(vc.Harmful))
 	}
 	return nil
 }
@@ -153,14 +165,12 @@ func wardSharesOnlyHarmless(r Rule, wardIdx int, vc VarClass) bool {
 
 // CheckWarded reports whether Π is warded (Definition 6.1): every rule either
 // has no dangerous variables or has a ward.
-func CheckWarded(p *Program) error {
-	pos := p.Positive()
-	an := Analyze(pos)
-	for _, r := range pos.Rules {
-		if _, ok := FindWard(an, r); !ok {
-			vc := an.Classify(r)
-			return fmt.Errorf("datalog: rule %v is not warded: dangerous variables %v admit no ward", r, sortedVars(vc.Dangerous))
-		}
+func CheckWarded(p *Program) error { return checkRules(p, true, wardedRule) }
+
+func wardedRule(an *Analysis, r Rule) error {
+	if _, ok := FindWard(an, r); !ok {
+		vc := an.Classify(r)
+		return fmt.Errorf("datalog: rule %v is not warded: dangerous variables %v admit no ward", r, sortedVars(vc.Dangerous))
 	}
 	return nil
 }
@@ -171,30 +181,22 @@ func CheckWarded(p *Program) error {
 // at most once outside the ward; and the atom b containing the escaped
 // occurrence satisfies var(b) \ {?V} ⊆ harmless.
 func CheckWardedMinimalInteraction(p *Program) error {
-	pos := p.Positive()
-	an := Analyze(pos)
-	for _, r := range pos.Rules {
-		vc := an.Classify(r)
-		if len(vc.Dangerous) == 0 {
-			// Without dangerous variables there is no ward and nothing to
-			// check: the rule is trivially warded.
-			continue
-		}
-		ok := false
-		for i, a := range r.BodyPos {
-			if !covers(a, vc.Dangerous) {
-				continue
-			}
-			if minimalInteractionAt(r, i, vc) {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return fmt.Errorf("datalog: rule %v violates minimal interaction", r)
+	return checkRules(p, true, wardedMinimalInteractionRule)
+}
+
+func wardedMinimalInteractionRule(an *Analysis, r Rule) error {
+	vc := an.Classify(r)
+	if len(vc.Dangerous) == 0 {
+		// Without dangerous variables there is no ward and nothing to
+		// check: the rule is trivially warded.
+		return nil
+	}
+	for i, a := range r.BodyPos {
+		if covers(a, vc.Dangerous) && minimalInteractionAt(r, i, vc) {
+			return nil
 		}
 	}
-	return nil
+	return fmt.Errorf("datalog: rule %v violates minimal interaction", r)
 }
 
 func minimalInteractionAt(r Rule, wardIdx int, vc VarClass) bool {
@@ -243,19 +245,29 @@ func minimalInteractionAt(r Rule, wardIdx int, vc VarClass) bool {
 // uses only constants and ex(Π)+-harmless variables, i.e. whether the
 // negation is grounded in the sense of Datalog^{∃,¬sg,⊥} (Section 6.1).
 func CheckGroundedNegation(p *Program) error {
+	if c := p.composition(); c != nil && c.grounded {
+		return nil
+	}
 	an := Analyze(p.Positive())
 	for _, r := range p.Rules {
-		vc := an.Classify(r)
-		for _, a := range r.BodyNeg {
-			for _, t := range a.Args {
-				if t.IsConst() {
-					continue
-				}
-				if t.IsVar() && vc.Harmless[t] {
-					continue
-				}
-				return fmt.Errorf("datalog: rule %v: negated atom %v uses term %v which is neither a constant nor harmless", r, a, t)
+		if err := groundedRule(an, r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func groundedRule(an *Analysis, r Rule) error {
+	vc := an.Classify(r)
+	for _, a := range r.BodyNeg {
+		for _, t := range a.Args {
+			if t.IsConst() {
+				continue
 			}
+			if t.IsVar() && vc.Harmless[t] {
+				continue
+			}
+			return fmt.Errorf("datalog: rule %v: negated atom %v uses term %v which is neither a constant nor harmless", r, a, t)
 		}
 	}
 	return nil
@@ -314,38 +326,54 @@ func (d Dialect) String() string {
 // always also checks stratification (all of the paper's languages are
 // stratified).
 func CheckDialect(p *Program, d Dialect) error {
+	if c := p.composition(); c != nil && c.holds(d) {
+		return nil
+	}
 	if err := p.Validate(); err != nil {
 		return err
 	}
 	if _, err := Stratify(p); err != nil {
 		return err
 	}
-	switch d {
-	case AnyDialect:
-		return nil
-	case Guarded:
-		return CheckGuarded(p)
-	case WeaklyGuarded:
-		return CheckWeaklyGuarded(p)
-	case FrontierGuarded:
-		return CheckFrontierGuarded(p)
-	case WeaklyFrontierGuarded:
-		return CheckWeaklyFrontierGuarded(p)
-	case NearlyFrontierGuarded:
-		return CheckNearlyFrontierGuarded(p)
-	case Warded:
-		return CheckWarded(p)
-	case TriQLite:
-		if err := CheckWarded(p); err != nil {
-			return err
-		}
-		return CheckGroundedNegation(p)
-	case WardedMinimalInteraction:
-		if err := CheckWardedMinimalInteraction(p); err != nil {
-			return err
-		}
-		return CheckGroundedNegation(p)
-	default:
+	rule, analysed, grounded, ok := dialectRule(d)
+	if !ok {
 		return fmt.Errorf("datalog: unknown dialect %v", d)
 	}
+	if rule != nil {
+		if err := checkRules(p, analysed, rule); err != nil {
+			return err
+		}
+	}
+	if grounded {
+		return CheckGroundedNegation(p)
+	}
+	return nil
+}
+
+// dialectRule returns the dialect's condition on each rule of ex(Π)+ (nil for
+// AnyDialect), whether it needs the affected-position analysis, and whether
+// the dialect also requires grounded negation; ok is false for an unknown
+// dialect.
+func dialectRule(d Dialect) (rule func(*Analysis, Rule) error, analysed, grounded, ok bool) {
+	switch d {
+	case AnyDialect:
+		return nil, false, false, true
+	case Guarded:
+		return guardedRule, false, false, true
+	case WeaklyGuarded:
+		return weaklyGuardedRule, true, false, true
+	case FrontierGuarded:
+		return frontierGuardedRule, false, false, true
+	case WeaklyFrontierGuarded:
+		return weaklyFrontierGuardedRule, true, false, true
+	case NearlyFrontierGuarded:
+		return nearlyFrontierGuardedRule, true, false, true
+	case Warded:
+		return wardedRule, true, false, true
+	case TriQLite:
+		return wardedRule, true, true, true
+	case WardedMinimalInteraction:
+		return wardedMinimalInteractionRule, true, true, true
+	}
+	return nil, false, false, false
 }

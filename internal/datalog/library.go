@@ -1,0 +1,469 @@
+package datalog
+
+import "strconv"
+
+// Library is a fixed rule library — the program of an entailment regime,
+// τ_owl2ql_core or ρdf, that every query under the regime is joined with —
+// checked and analysed once: its validation verdict, its strata, its affected
+// positions and its verdict under each dialect. Compose joins a query's rules
+// with it, and on the program Compose returns the checks of this package
+// (Program.Validate, Query.Validate, CheckDialect, CheckGroundedNegation,
+// HasExistentials) look at the query's rules alone; the chase compiles only
+// those, beside the library's rules compiled once (chase.Compile).
+//
+// That is sound as long as no query rule defines a predicate of the library:
+// the library's strata and affected positions are then a function of the
+// library alone, since both flow from rule bodies to rule heads only (see
+// DESIGN.md "Compile the fixed program once"). A program whose query part
+// does define one, or fails a check, takes the from-scratch path, which also
+// words any error exactly as it would for the same program built by hand.
+//
+// A Library is made once per process per fixed program (owl.Library,
+// owl.RDFSLibrary) and is read-only after NewLibrary.
+type Library struct {
+	prog *Program
+	// ok says the library is valid, stratified and uses each predicate at one
+	// arity. A program joined with a library that is not is checked and
+	// evaluated from scratch.
+	ok bool
+	// schema is sch(Π⊥): the library's predicates with their arities, the
+	// inconsistency marker included when it has constraints.
+	schema map[string]int
+	an     *Analysis // affected(Π) of ex(Π)+
+	// dialect holds the library's verdict under each dialect, grounded its
+	// CheckGroundedNegation verdict.
+	dialect      [WardedMinimalInteraction + 1]error
+	grounded     error
+	existentials bool
+	negation     bool
+	multiHead    bool
+	// work[0] holds the rules the chase evaluates for the library alone, its
+	// rules and then its constraints as rules (ConstraintsAsRules), work[1]
+	// the same single-headed (SingleHead); level[k] is the stratification of
+	// work[k]. Rule i of work[0] is work[1][at[i]:at[i+1]], and aux[i] names
+	// the fresh predicate SingleHead gave it ("" for a single-head rule).
+	work  [2][]Rule
+	level [2]map[string]int
+	at    []int
+	aux   []string
+}
+
+// NewLibrary checks and analyses a fixed program. The program must not change
+// afterwards.
+func NewLibrary(p *Program) *Library {
+	l := &Library{prog: p}
+	work := ConstraintsAsRules(p)
+	sch, err := work.Schema()
+	if err != nil || p.Validate() != nil {
+		return l
+	}
+	fresh := newFreshPredicates(work)
+	for _, r := range work.Rules {
+		l.at = append(l.at, len(l.work[1]))
+		l.work[1] = appendSingleHead(l.work[1], r, fresh.next)
+		aux := ""
+		if len(r.Head) > 1 {
+			aux = l.work[1][len(l.work[1])-len(r.Head)-1].Head[0].Pred
+			l.multiHead = true
+		}
+		l.aux = append(l.aux, aux)
+	}
+	l.at = append(l.at, len(l.work[1]))
+	l.work[0] = work.Rules
+	for k := range l.work {
+		strat, err := Stratify(&Program{Rules: l.work[k]})
+		if err != nil {
+			return l
+		}
+		l.level[k] = strat.Level
+	}
+	l.schema = sch
+	l.an = Analyze(p.Positive())
+	for d := range l.dialect {
+		l.dialect[d] = CheckDialect(p, Dialect(d))
+	}
+	l.grounded = CheckGroundedNegation(p)
+	l.existentials, l.negation = p.HasExistentials(), p.HasNegation()
+	l.ok = true
+	return l
+}
+
+// Program returns the library's program, which is shared and read-only.
+func (l *Library) Program() *Program { return l.prog }
+
+// Work returns the rules the chase evaluates for the library alone: its rules
+// and then its constraints as rules, each multi-head rule rewritten by
+// SingleHead when singleHead is set. ComposedRule.Lib indexes them.
+func (l *Library) Work(singleHead bool) []Rule {
+	if singleHead {
+		return l.work[1]
+	}
+	return l.work[0]
+}
+
+// Compose joins a query's rules and constraints with a library's into a
+// program of its own: the library's first when libraryFirst is set, after the
+// query's otherwise, and each library rule without a provenance labelled
+// provenance. The order matters, because the rule indexes the chase names
+// nulls by follow it: a translated query puts its library last, a hand-written
+// program asking for a regime puts it first.
+//
+// The result records the join, so the checks of this package and the chase
+// treat its library part as checked and compiled already. It must not be
+// modified afterwards: a change to its rule or constraint counts, or to one of
+// its library rules, makes it an ordinary program again, and a query rule
+// edited in place goes unnoticed.
+func Compose(q *Program, lib *Library, libraryFirst bool, provenance string) *Program {
+	lp := lib.prog
+	first, second := q, lp
+	if libraryFirst {
+		first, second = lp, q
+	}
+	out := &Program{
+		Rules:       append(append(make([]Rule, 0, len(q.Rules)+len(lp.Rules)), first.Rules...), second.Rules...),
+		Constraints: append(append([]Constraint(nil), first.Constraints...), second.Constraints...),
+	}
+	c := &composition{lib: lib, first: libraryFirst, rules: len(out.Rules), constraints: len(out.Constraints)}
+	if provenance != "" {
+		for i := range lp.Rules {
+			if r := &out.Rules[c.libRule(i)]; r.Provenance == "" {
+				r.Provenance = provenance
+			}
+		}
+	}
+	out.comp = c
+	c.ok = lib.ok && c.analyse(out)
+	return out
+}
+
+// composition is what Compose found a program to be.
+type composition struct {
+	lib   *Library
+	first bool // the library's rules and constraints come first
+	// rules and constraints are the program's counts when it was composed.
+	rules, constraints int
+	// ok says the query's part passed what the composed checks rely on; nothing
+	// below is set otherwise, and the program takes the from-scratch path.
+	ok bool
+	// query is the query's part of the program, positive its rules without
+	// their negated atoms (ex(Π)+), qschema its schema.
+	query    *Program
+	positive []Rule
+	qschema  map[string]int
+	// an extends the library's analysis with the query's rules.
+	an           *Analysis
+	existentials bool
+	negation     bool
+	grounded     bool // CheckGroundedNegation holds
+	strata       *Composed
+}
+
+// composition returns the program's composition when the program is still the
+// one Compose returned and its query part passed Compose's checks; nil
+// otherwise.
+func (p *Program) composition() *composition {
+	c := p.comp
+	if c == nil || !c.ok || len(p.Rules) != c.rules || len(p.Constraints) != c.constraints {
+		return nil
+	}
+	// A rule copied from the library shares its atom slices with the library.
+	for i, r := range c.lib.prog.Rules {
+		if &p.Rules[c.libRule(i)].Head[0] != &r.Head[0] {
+			return nil
+		}
+	}
+	for i, k := range c.lib.prog.Constraints {
+		if &p.Constraints[c.libConstraint(i)].Body[0] != &k.Body[0] {
+			return nil
+		}
+	}
+	return c
+}
+
+// libRule and libConstraint map the library's rule or constraint i to its
+// index in the composed program.
+func (c *composition) libRule(i int) int {
+	if c.first {
+		return i
+	}
+	return c.rules - len(c.lib.prog.Rules) + i
+}
+
+func (c *composition) libConstraint(i int) int {
+	if c.first {
+		return i
+	}
+	return c.constraints - len(c.lib.prog.Constraints) + i
+}
+
+// analyse checks the query's part of the composed program p and computes what
+// the composed checks answer with, reporting whether the composed path applies:
+// the query's rules and constraints are valid, use every predicate at the one
+// arity the library does, define no predicate of the library, and the whole is
+// stratified.
+func (c *composition) analyse(p *Program) bool {
+	lib := c.lib
+	nr, nc := len(lib.prog.Rules), len(lib.prog.Constraints)
+	c.query = &Program{Rules: p.Rules[:len(p.Rules)-nr], Constraints: p.Constraints[:len(p.Constraints)-nc]}
+	if c.first {
+		c.query = &Program{Rules: p.Rules[nr:], Constraints: p.Constraints[nc:]}
+	}
+	q := c.query
+	sch, err := q.Schema()
+	if err != nil || q.Validate() != nil {
+		return false
+	}
+	for pred, arity := range sch {
+		if l, ok := lib.schema[pred]; pred == InconsistencyMarker || ok && l != arity {
+			return false
+		}
+	}
+	c.qschema = sch
+	multiHead := lib.multiHead
+	for _, r := range q.Rules {
+		for _, h := range r.Head {
+			if _, ok := lib.schema[h.Pred]; ok {
+				return false // the query defines a predicate of the library
+			}
+		}
+		multiHead = multiHead || len(r.Head) > 1
+	}
+	c.existentials = lib.existentials || q.HasExistentials()
+	c.negation = lib.negation || q.HasNegation()
+	if !c.stratify(p, c.negation && multiHead) {
+		return false
+	}
+	c.positive = q.Positive().Rules
+	c.an = &Analysis{affected: make(map[Position]bool), base: lib.an}
+	c.an.extend(c.positive)
+	c.grounded = lib.grounded == nil
+	for _, r := range q.Rules {
+		c.grounded = c.grounded && (len(r.BodyNeg) == 0 || groundedRule(c.an, r) == nil)
+	}
+	return true
+}
+
+// holds reports whether the composed program is known to belong to the
+// dialect: the library does, and so does every query rule under the composed
+// analysis. A false answer sends CheckDialect the from-scratch way.
+func (c *composition) holds(d Dialect) bool {
+	rule, _, grounded, ok := dialectRule(d)
+	if !ok || c.lib.dialect[d] != nil || grounded && !c.grounded {
+		return false
+	}
+	for _, r := range c.positive {
+		if rule != nil && rule(c.an, r) != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// outputUnread reports whether the output predicate occurs in no rule body
+// and no constraint of the composed program; false sends Query.Validate the
+// from-scratch way.
+func (c *composition) outputUnread(output string) bool {
+	if _, ok := c.lib.schema[output]; ok {
+		return false
+	}
+	if _, ok := c.qschema[output]; !ok {
+		return true
+	}
+	for _, r := range c.query.Rules {
+		for _, atoms := range [2][]Atom{r.BodyPos, r.BodyNeg} {
+			for _, a := range atoms {
+				if a.Pred == output {
+					return false
+				}
+			}
+		}
+	}
+	for _, k := range c.query.Constraints {
+		for _, a := range k.Body {
+			if a.Pred == output {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// Composed is the evaluation plan of a composed program: the rules the chase
+// evaluates — the program's rules, then its constraints as rules, each
+// multi-head rule rewritten by SingleHead when the program has negation — in
+// the strata Stratify and Strata put them in, each library rule tagged with
+// its index among the library's own evaluation rules. It is what
+// ConstraintsAsRules, SingleHead, Stratify and Strata make of the program,
+// computed once when it was composed.
+type Composed struct {
+	Library *Library
+	// SingleHead says which of the library's rule lists Lib indexes
+	// (Library.Work).
+	SingleHead bool
+	Strata     [][]ComposedRule
+}
+
+// ComposedRule is one rule of a composed program's evaluation plan.
+type ComposedRule struct {
+	Rule Rule
+	// Lib is the rule's index in Library.Work(SingleHead), or −1 for a rule
+	// of the query.
+	Lib int
+}
+
+// Composed returns the evaluation plan of a composed program, or nil for any
+// other program and for one whose query part takes the from-scratch path.
+func (p *Program) Composed() *Composed {
+	if c := p.composition(); c != nil {
+		return c.strata
+	}
+	return nil
+}
+
+// stratify computes the composed program's evaluation plan the way prepare
+// computes it from scratch — ConstraintsAsRules, SingleHead when single is set,
+// Stratify, Strata — but stratifies the query's rules only, over the library's
+// levels. It reports false where the plan would differ from the library's
+// cached one (a fresh predicate SingleHead would name differently) or the
+// query's rules do not stratify within their bound; the from-scratch path
+// then decides.
+func (c *composition) stratify(p *Program, single bool) bool {
+	lib, k := c.lib, 0
+	if single {
+		k = 1
+	}
+	// SingleHead's fresh predicates avoid the whole program's schema and are
+	// numbered in rule order across the query's and the library's rules.
+	n := 0
+	fresh := func(prefix string) string {
+		for {
+			name := prefix + "#" + strconv.Itoa(n)
+			n++
+			if _, ok := lib.schema[name]; !ok {
+				if _, ok := c.qschema[name]; !ok {
+					return name
+				}
+			}
+		}
+	}
+	// The query's evaluation rules, as they appear in the program's order:
+	// its rules, then its constraints as rules.
+	var qwork []Rule
+	addQuery := func(rules []Rule) {
+		for _, r := range rules {
+			if single {
+				qwork = appendSingleHead(qwork, r, fresh)
+			} else {
+				qwork = append(qwork, r)
+			}
+		}
+	}
+	libRules := func() bool {
+		for i := range lib.prog.Rules {
+			if single && lib.aux[i] != "" && fresh("h") != lib.aux[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if c.first {
+		if !libRules() {
+			return false
+		}
+		addQuery(c.query.Rules)
+	} else {
+		addQuery(c.query.Rules)
+		if !libRules() {
+			return false
+		}
+	}
+	nqr := len(qwork)
+	for _, con := range c.query.Constraints {
+		qwork = append(qwork, con.asRule())
+	}
+	// The minimal levels of the query's head predicates over the library's,
+	// which no query rule changes; the marker collects both parts' constraints.
+	level := make(map[string]int)
+	if len(lib.prog.Constraints) > 0 {
+		level[InconsistencyMarker] = lib.level[k][InconsistencyMarker]
+	}
+	levelOf := func(pred string) int {
+		if l, ok := level[pred]; ok {
+			return l
+		}
+		return lib.level[k][pred]
+	}
+	maxLevel := len(lib.schema) + len(c.qschema) + len(qwork)
+	for changed := true; changed; {
+		changed = false
+		for _, r := range qwork {
+			for _, h := range r.Head {
+				hl := levelOf(h.Pred)
+				for _, a := range r.BodyPos {
+					hl = max(hl, levelOf(a.Pred))
+				}
+				for _, a := range r.BodyNeg {
+					hl = max(hl, levelOf(a.Pred)+1)
+				}
+				if l, ok := level[h.Pred]; !ok || hl > l {
+					if hl > maxLevel {
+						return false
+					}
+					level[h.Pred] = hl
+					changed = true
+				}
+			}
+		}
+	}
+	top := 0
+	for _, l := range lib.level[k] {
+		top = max(top, l)
+	}
+	for _, l := range level {
+		top = max(top, l)
+	}
+	plan := &Composed{Library: lib, SingleHead: single, Strata: make([][]ComposedRule, top+1)}
+	place := func(r Rule, libIdx int) {
+		l := levelOf(r.Head[0].Pred)
+		plan.Strata[l] = append(plan.Strata[l], ComposedRule{Rule: r, Lib: libIdx})
+	}
+	// The library's evaluation rules, rule i of its program or, from
+	// len(Rules) on, constraint i−len(Rules), taking the provenance their copy
+	// in p carries.
+	placeLib := func(from, to int) {
+		for i := from; i < to; i++ {
+			prov := ""
+			if i < len(lib.prog.Rules) {
+				prov = p.Rules[c.libRule(i)].Provenance
+			}
+			lo, hi := i, i+1
+			if single {
+				lo, hi = lib.at[i], lib.at[i+1]
+			}
+			for j := lo; j < hi; j++ {
+				r := lib.work[k][j]
+				r.Provenance = prov
+				place(r, j)
+			}
+		}
+	}
+	placeQuery := func(rules []Rule) {
+		for _, r := range rules {
+			place(r, -1)
+		}
+	}
+	nlr := len(lib.prog.Rules)
+	if c.first {
+		placeLib(0, nlr)
+		placeQuery(qwork[:nqr])
+		placeLib(nlr, len(lib.work[0]))
+		placeQuery(qwork[nqr:])
+	} else {
+		placeQuery(qwork[:nqr])
+		placeLib(0, nlr)
+		placeQuery(qwork[nqr:])
+		placeLib(nlr, len(lib.work[0]))
+	}
+	c.strata = plan
+	return true
+}

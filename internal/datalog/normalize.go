@@ -40,20 +40,27 @@ func SingleHead(p *Program) *Program {
 	fresh := newFreshPredicates(p)
 	out := &Program{Constraints: append([]Constraint(nil), p.Constraints...)}
 	for _, r := range p.Rules {
-		if len(r.Head) == 1 {
-			out.Add(r)
-			continue
-		}
-		frontier := r.Frontier()
-		ex := r.ExistentialVars()
-		args := append(append([]Term(nil), frontier...), ex...)
-		aux := Atom{Pred: fresh.next("h"), Args: args}
-		out.Add(Rule{BodyPos: r.BodyPos, BodyNeg: r.BodyNeg, Head: []Atom{aux}, Provenance: r.Provenance})
-		for _, h := range r.Head {
-			out.Add(Rule{BodyPos: []Atom{aux}, Head: []Atom{h}, Provenance: r.Provenance})
-		}
+		out.Rules = appendSingleHead(out.Rules, r, fresh.next)
 	}
 	return out
+}
+
+// appendSingleHead appends the rule to rules as SingleHead rewrites it: as it
+// is when it has one head atom, else as the rule that derives its fresh
+// predicate, named by fresh("h"), and one rule per head atom.
+func appendSingleHead(rules []Rule, r Rule, fresh func(prefix string) string) []Rule {
+	if len(r.Head) == 1 {
+		return append(rules, r)
+	}
+	frontier := r.Frontier()
+	ex := r.ExistentialVars()
+	args := append(append([]Term(nil), frontier...), ex...)
+	aux := Atom{Pred: fresh("h"), Args: args}
+	rules = append(rules, Rule{BodyPos: r.BodyPos, BodyNeg: r.BodyNeg, Head: []Atom{aux}, Provenance: r.Provenance})
+	for _, h := range r.Head {
+		rules = append(rules, Rule{BodyPos: []Atom{aux}, Head: []Atom{h}, Provenance: r.Provenance})
+	}
+	return rules
 }
 
 // SingleExistential applies the normalization N(ρ) of Section 6.3 so that
@@ -261,7 +268,12 @@ func ConstraintsAsRules(p *Program) *Program {
 	rules := make([]Rule, len(p.Rules), len(p.Rules)+len(p.Constraints))
 	copy(rules, p.Rules)
 	for _, c := range p.Constraints {
-		rules = append(rules, Rule{BodyPos: c.Body, Head: []Atom{{Pred: InconsistencyMarker}}})
+		rules = append(rules, c.asRule())
 	}
 	return &Program{Rules: rules}
+}
+
+// asRule is the constraint as the rule that derives the inconsistency marker.
+func (c Constraint) asRule() Rule {
+	return Rule{BodyPos: c.Body, Head: []Atom{{Pred: InconsistencyMarker}}}
 }

@@ -9,6 +9,10 @@ import "sort"
 type Analysis struct {
 	affected map[Position]bool
 	schema   map[string]int
+	// base, when set, is the analysis of the library a composed program was
+	// joined with (Compose), which this one extends with the query's rules: a
+	// position affected there is affected here.
+	base *Analysis
 }
 
 // Analyze computes affected(Π) by the fixpoint of Section 4.1:
@@ -17,12 +21,30 @@ type Analysis struct {
 //     rule head are affected;
 //  2. if a variable occurs in a rule's positive body only at affected
 //     positions and also occurs in the head at position π, then π is affected.
+//
+// For a composed program the library's part comes from its Library, and only
+// the query's rules are analysed.
 func Analyze(p *Program) *Analysis {
 	sch, _ := p.Schema()
+	if c := p.composition(); c != nil {
+		an := &Analysis{affected: make(map[Position]bool), schema: sch}
+		for _, layer := range []*Analysis{c.lib.an, c.an} {
+			for pos := range layer.affected {
+				an.affected[pos] = true
+			}
+		}
+		return an
+	}
 	an := &Analysis{affected: make(map[Position]bool), schema: sch}
+	an.extend(p.Rules)
+	return an
+}
 
+// extend adds what the rules make affected to the analysis: their existential
+// head positions, then what propagates from there through their bodies.
+func (an *Analysis) extend(rules []Rule) {
 	// Seed: existential positions in heads.
-	for _, r := range p.Rules {
+	for _, r := range rules {
 		ex := make(map[Term]bool)
 		for _, v := range r.ExistentialVars() {
 			ex[v] = true
@@ -40,7 +62,7 @@ func Analyze(p *Program) *Analysis {
 	// contaminates its head positions.
 	for changed := true; changed; {
 		changed = false
-		for _, r := range p.Rules {
+		for _, r := range rules {
 			for _, v := range VarsOf(r.BodyPos) {
 				if !an.allBodyOccurrencesAffected(r, v) {
 					continue
@@ -48,7 +70,7 @@ func Analyze(p *Program) *Analysis {
 				for _, h := range r.Head {
 					for i, t := range h.Args {
 						pos := Position{h.Pred, i + 1}
-						if t == v && !an.affected[pos] {
+						if t == v && !an.isAffected(pos) {
 							an.affected[pos] = true
 							changed = true
 						}
@@ -57,7 +79,10 @@ func Analyze(p *Program) *Analysis {
 			}
 		}
 	}
-	return an
+}
+
+func (an *Analysis) isAffected(pos Position) bool {
+	return an.affected[pos] || an.base != nil && an.base.affected[pos]
 }
 
 func (an *Analysis) allBodyOccurrencesAffected(r Rule, v Term) bool {
@@ -66,7 +91,7 @@ func (an *Analysis) allBodyOccurrencesAffected(r Rule, v Term) bool {
 		for i, t := range a.Args {
 			if t == v {
 				found = true
-				if !an.affected[Position{a.Pred, i + 1}] {
+				if !an.isAffected(Position{a.Pred, i + 1}) {
 					return false
 				}
 			}
@@ -76,7 +101,7 @@ func (an *Analysis) allBodyOccurrencesAffected(r Rule, v Term) bool {
 }
 
 // IsAffected reports whether the position belongs to affected(Π).
-func (an *Analysis) IsAffected(pos Position) bool { return an.affected[pos] }
+func (an *Analysis) IsAffected(pos Position) bool { return an.isAffected(pos) }
 
 // AffectedPositions returns affected(Π), sorted.
 func (an *Analysis) AffectedPositions() []Position {
@@ -103,7 +128,7 @@ func (an *Analysis) NonAffectedPositions() []Position {
 	sort.Strings(preds)
 	for _, p := range preds {
 		for i := 1; i <= an.schema[p]; i++ {
-			if !an.affected[Position{p, i}] {
+			if !an.isAffected(Position{p, i}) {
 				out = append(out, Position{p, i})
 			}
 		}
@@ -150,7 +175,7 @@ func (an *Analysis) Classify(r Rule) VarClass {
 func (an *Analysis) hasNonAffectedOccurrence(r Rule, v Term) bool {
 	for _, a := range r.BodyPos {
 		for i, t := range a.Args {
-			if t == v && !an.affected[Position{a.Pred, i + 1}] {
+			if t == v && !an.isAffected(Position{a.Pred, i + 1}) {
 				return true
 			}
 		}

@@ -180,6 +180,9 @@ func (c Constraint) String() string {
 type Program struct {
 	Rules       []Rule
 	Constraints []Constraint
+	// comp is set by Compose on the program it returns: the query's rules
+	// joined with a fixed library, analysed once (see Library).
+	comp *composition
 }
 
 // Clone returns a copy of the program whose rules and constraints, and the
@@ -223,6 +226,9 @@ func (p *Program) Merge(qs ...*Program) *Program {
 
 // Validate checks every rule and constraint.
 func (p *Program) Validate() error {
+	if p.composition() != nil {
+		return nil // Compose checked the query's part, NewLibrary the library's
+	}
 	for _, r := range p.Rules {
 		if err := r.Validate(); err != nil {
 			return err
@@ -305,6 +311,9 @@ func (p *Program) NegatedIDB() []string {
 
 // HasNegation reports whether any rule has a negated body atom.
 func (p *Program) HasNegation() bool {
+	if c := p.composition(); c != nil {
+		return c.negation
+	}
 	for _, r := range p.Rules {
 		if len(r.BodyNeg) > 0 {
 			return true
@@ -315,6 +324,9 @@ func (p *Program) HasNegation() bool {
 
 // HasExistentials reports whether any rule invents nulls.
 func (p *Program) HasExistentials() bool {
+	if c := p.composition(); c != nil {
+		return c.existentials
+	}
 	for _, r := range p.Rules {
 		if r.HasExistential() {
 			return true
@@ -363,6 +375,9 @@ func NewQuery(p *Program, output string) Query { return Query{Program: p, Output
 func (q Query) Validate() error {
 	if q.Program == nil {
 		return fmt.Errorf("query: nil program")
+	}
+	if c := q.Program.composition(); c != nil && c.outputUnread(q.Output) {
+		return nil
 	}
 	if err := q.Program.Validate(); err != nil {
 		return err

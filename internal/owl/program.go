@@ -73,9 +73,14 @@ triple1(?X, ?U, ?Y), triple1(?X, ?V, ?Y), disj_property(?U, ?V) -> false.
 // that adds rules merges it into a program of its own. The program is warded
 // with no negation, so it is (the rule part of) a TriQ-Lite 1.0 query for any
 // output rules added on top.
-func Program() *datalog.Program { return program() }
+func Program() *datalog.Program { return Library().Program() }
 
-var program = sync.OnceValue(func() *datalog.Program { return datalog.MustParse(ProgramSrc) })
+// Library returns τ_owl2ql_core as a fixed library, checked and analysed once
+// per process; a query joined with it (datalog.Compose) is checked and
+// compiled for its own rules only.
+func Library() *datalog.Library { return library() }
+
+var library = sync.OnceValue(func() *datalog.Library { return datalog.NewLibrary(datalog.MustParse(ProgramSrc)) })
 
 // DB builds the database τ_db(G) over the relational schema {triple(·,·,·)}
 // (Section 5.1) as a chase instance, from the graph's encoding: the instance

@@ -40,6 +40,10 @@ triple1(?A, rdfs:range, ?R), triple1(?X, ?A, ?Y) ->
 
 // RDFSProgram returns the fixed ρdf library, parsed once per process. Like
 // Program, it is shared and read-only.
-func RDFSProgram() *datalog.Program { return rdfsProgram() }
+func RDFSProgram() *datalog.Program { return RDFSLibrary().Program() }
 
-var rdfsProgram = sync.OnceValue(func() *datalog.Program { return datalog.MustParse(RDFSProgramSrc) })
+// RDFSLibrary returns the ρdf library checked and analysed once per process,
+// as Library does τ_owl2ql_core.
+func RDFSLibrary() *datalog.Library { return rdfsLibrary() }
+
+var rdfsLibrary = sync.OnceValue(func() *datalog.Library { return datalog.NewLibrary(datalog.MustParse(RDFSProgramSrc)) })

@@ -162,9 +162,7 @@ func (r *QueryRequest) Request(sparql bool) (repro.Request, error) {
 	if req.Query, err = repro.ParseQuery(r.Program, output); err != nil {
 		return req, badRequest(err)
 	}
-	if fixed := req.Regime.Program(); fixed != nil {
-		req.Query.Program = new(repro.Program).Merge(fixed, req.Query.Program)
-	}
+	req.Query.Program = req.Regime.Join(req.Query.Program, true, "")
 	if err := repro.Validate(req.Query, req.Language); err != nil {
 		return req, badRequest(err)
 	}

@@ -114,10 +114,7 @@ func TranslateConstruct(q *sparql.Query, regime Regime) (*ConstructTranslation, 
 	if c.needEq {
 		c.emitEqRules()
 	}
-	if fixed := regime.Program(); fixed != nil {
-		c.prog.Merge(fixed)
-	}
-	query := datalog.NewQuery(c.prog, ConstructPred)
+	query := datalog.NewQuery(regime.Join(c.prog, false, ""), ConstructPred)
 	if err := query.Validate(); err != nil {
 		return nil, fmt.Errorf("translate: internal: %w", err)
 	}

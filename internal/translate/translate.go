@@ -68,17 +68,38 @@ func (r Regime) String() string {
 
 // Program returns the regime's fixed rule library — τ_owl2ql_core for the two
 // OWL 2 QL core regimes, the ρdf rules for RDFS — parsed once per process and
-// shared, so read-only, or nil for the plain semantics. A translated query
-// carries its rules; a hand-written program asking for the regime gets them
-// prepended, in a program of its own.
+// shared, so read-only, or nil for the plain semantics. A query gets its rules
+// by Join, which every site that needs them calls.
 func (r Regime) Program() *datalog.Program {
-	switch r {
-	case ActiveDomain, All:
-		return owl.Program()
-	case RDFS:
-		return owl.RDFSProgram()
+	if lib := r.library(); lib != nil {
+		return lib.Program()
 	}
 	return nil
+}
+
+func (r Regime) library() *datalog.Library {
+	switch r {
+	case ActiveDomain, All:
+		return owl.Library()
+	case RDFS:
+		return owl.RDFSLibrary()
+	}
+	return nil
+}
+
+// Join returns the query's program joined with the regime's library
+// (datalog.Compose), or q itself under the plain semantics. A translated query
+// carries the library after its own rules, its rules labelled "ontology"
+// (TracedCtx) or unlabelled (a CONSTRUCT); a hand-written program asking for
+// the regime gets the library first (libraryFirst). The order fixes the rule
+// indexes that name the chase's nulls, so each site keeps its own. The joined
+// program is checked and compiled for the query's rules only: the library's
+// part was done once per process.
+func (r Regime) Join(q *datalog.Program, libraryFirst bool, provenance string) *datalog.Program {
+	if lib := r.library(); lib != nil {
+		return datalog.Compose(q, lib, libraryFirst, provenance)
+	}
+	return q
 }
 
 // Translation is the compiled query P_dat (resp. P^U_dat, P^All_dat).
@@ -150,11 +171,7 @@ func TracedCtx(ctx context.Context, p sparql.Pattern, regime Regime, o *obs.Obs)
 		c.emitEqRules()
 		c.claimRules(eqStart, "EQ")
 	}
-	ontStart := len(c.prog.Rules)
-	if fixed := regime.Program(); fixed != nil {
-		c.prog.Merge(fixed)
-	}
-	c.claimRules(ontStart, "ontology")
+	c.prog = regime.Join(c.prog, false, "ontology")
 	q := datalog.NewQuery(c.prog, AnswerPred)
 	if err := q.Validate(); err != nil {
 		return nil, fmt.Errorf("translate: internal: %w", err)
