@@ -170,6 +170,7 @@ type compiledRule struct {
 	frontier  []int // body slots propagated to the head
 	fullOrder []int
 	seeded    [][]int // seeded[j]: order of the remaining atoms when atom j matched delta
+	joinOrder string  // fullOrder as the chase.rule spans of a first round render it
 }
 
 func compileRule(r datalog.Rule, idx int) *compiledRule {
@@ -202,7 +203,24 @@ func compileRule(r datalog.Rule, idx int) *compiledRule {
 	for j := range c.bodyPos {
 		c.seeded[j] = orderPatterns(c.bodyPos, &c.bodyPos[j], j)
 	}
+	c.joinOrder = renderOrder(c.fullOrder)
 	return c
+}
+
+// renderOrder renders a join order as fmt.Sprint does, "[2 0 1]", in one
+// allocation.
+func renderOrder(order []int) string {
+	var b strings.Builder
+	b.Grow(2 + 4*len(order))
+	b.WriteByte('[')
+	for i, k := range order {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString(strconv.Itoa(k))
+	}
+	b.WriteByte(']')
+	return b.String()
 }
 
 // engine holds the mutable chase state shared across strata and, when the
@@ -227,6 +245,9 @@ type engine struct {
 	tick       int       // trigger-attempt counter gating the in-round ctx checks
 	ruleLabels bool      // attach per-rule pprof labels (recording traces only)
 	seen       *relation // apply's dedup set, reused across turns
+	ev         env       // the environment enumerate, refire and apply take in turn
+	added      []int     // enumerate's record of the slots a match binds
+	seeds      []rowSet  // the seed sets of the rule taking its turn, by body position
 	keyBuf     []byte    // scratch for the fact keys Incremental probes its sets with
 	skBuf      []byte    // scratch for the Skolem keys fire probes its table with
 	row        []uint32  // scratch for a row fire or apply writes
@@ -252,8 +273,12 @@ type stratum struct {
 	// Own-layer buckets only grow, so "the facts the stratum has not matched
 	// yet" needs no instance of its own: per positive body predicate it is the
 	// tail its bucket has grown since the stratum's latest round started.
+	// started holds, by bodyPreds index, each bucket's length when that round
+	// started, and delta that round's tails; a positive body atom knows its
+	// predicate's index (pattern.at).
 	bodyPreds []string
-	started   map[string]int
+	started   []int
+	delta     []rowSet
 	// negPreds are the predicates the stratum negates, negLens their bucket
 	// lengths when it last reached its fixpoint (see errNegatedGrew).
 	negPreds []string
@@ -452,19 +477,19 @@ func (e *engine) newStratum(rules []datalog.Rule) *stratum {
 // newStratum returns a stratum of n rules, which add fills in.
 func newStratum(n int) *stratum {
 	return &stratum{
-		comp:    make([]*compiledRule, n),
-		stats:   make([]*RuleStats, n),
-		parked:  make([]triggerBuf, n),
-		started: make(map[string]int),
+		comp:   make([]*compiledRule, n),
+		stats:  make([]*RuleStats, n),
+		parked: make([]triggerBuf, n),
 	}
 }
 
 // add makes c, with its stats slot rs, the stratum's rule i.
 func (s *stratum) add(i int, c *compiledRule, rs *RuleStats) {
 	s.comp[i], s.stats[i] = c, rs
-	for _, p := range c.bodyPos {
-		if _, dup := s.started[p.pred]; !dup {
-			s.started[p.pred] = 0
+	for j := range c.bodyPos {
+		p := &c.bodyPos[j]
+		if p.at = slices.Index(s.bodyPreds, p.pred); p.at < 0 {
+			p.at = len(s.bodyPreds)
 			s.bodyPreds = append(s.bodyPreds, p.pred)
 		}
 	}
@@ -477,6 +502,8 @@ func (s *stratum) add(i int, c *compiledRule, rs *RuleStats) {
 
 // done completes a stratum add has filled in.
 func (s *stratum) done() *stratum {
+	s.started = make([]int, len(s.bodyPreds))
+	s.delta = make([]rowSet, len(s.bodyPreds))
 	s.negLens = make([]int, len(s.negPreds))
 	return s
 }
@@ -523,7 +550,8 @@ func (e *engine) freshNull(key []byte, d int) uint32 {
 // enumerate matches the rule against the instance as of the start of its
 // turn, then apply fires the buffered triggers in canonical order. Rules
 // earlier in the round feed the instance that later rules enumerate against,
-// and the round reaches its fixpoint when no rule derives a new fact.
+// and the round reaches its fixpoint when no rule derives a new fact. A rule
+// takes its turn only when it can match something (see turn).
 //
 // A stratum that already reached a fixpoint under a lower depth bound resumes
 // instead of starting over: in its first round every rule first re-fires the
@@ -553,28 +581,28 @@ func (e *engine) chaseStratum(s *stratum) error {
 		}
 		e.stats.Rounds++
 		e.opts.Progress.setRound(int64(e.stats.Rounds), int64(e.inst.Len()))
-		var delta map[string]rowSet // nil = match everything: the stratum's first round
-		if s.ran && !e.opts.NaiveEvaluation {
-			delta = make(map[string]rowSet, len(s.bodyPreds))
-		}
-		for _, p := range s.bodyPreds {
+		// The stratum's first round, and every round of naive evaluation,
+		// matches the whole instance; the others match what the last one added.
+		all := !s.ran || e.opts.NaiveEvaluation
+		gained := 0
+		for i, p := range s.bodyPreds {
 			n := e.inst.ownLen(p)
-			if delta != nil && n > s.started[p] {
+			s.delta[i] = rowSet{}
+			if !all && n > s.started[i] {
 				pid, _ := e.inst.predOf(p, false)
-				delta[p] = rowSet{rel: e.inst.rel(pid), lo: s.started[p], n: n - s.started[p]}
+				s.delta[i] = rowSet{rel: e.inst.rel(pid), lo: s.started[i], n: n - s.started[i]}
+				gained += s.delta[i].n
 			}
-			s.started[p] = n
+			s.started[i] = n
 		}
 		s.ran = true
 		var roundSpan *obs.Span
 		if e.span != nil {
 			deltaSize := e.inst.Len()
-			if delta != nil {
+			if !all {
 				deltaSize = lastRoundFacts
 				if round == 0 { // resumed: what the strata below added since
-					for _, d := range delta {
-						deltaSize += d.n
-					}
+					deltaSize = gained
 				}
 			}
 			roundSpan = e.span.Span("chase.round",
@@ -583,66 +611,18 @@ func (e *engine) chaseStratum(s *stratum) error {
 				obs.F("instance", e.inst.Len()))
 		}
 		roundFacts := e.stats.FactsDerived
-		for ci, c := range s.comp {
-			rs, parked := s.stats[ci], &s.parked[ci]
-			var ruleSpan *obs.Span
-			if roundSpan != nil {
-				joinOrder := "seeded(delta)"
-				if delta == nil {
-					joinOrder = fmt.Sprint(c.fullOrder)
-				}
-				ruleSpan = roundSpan.Span("chase.rule",
-					obs.F("rule", rs.Index),
-					obs.F("pred", c.rule.Head[0].Pred),
-					obs.F("join_order", joinOrder))
-			}
-			before := *rs
-			t0 := time.Now()
-			var fireErr error
-			ruleTurn := func() {
-				if err := limits.Hit(e.opts.Faults, "chase.rule"); err != nil {
-					fireErr = e.fail(err)
-				} else if err := e.interrupted(); err != nil {
-					fireErr = err
-				}
-				if fireErr == nil {
-					fireErr = e.enumerate(c, delta, &e.found)
-				}
-				if fireErr == nil {
-					e.cur, e.park = rs, parked
-					if round == 0 && parked.n > 0 {
-						fireErr = e.refire(c, parked)
-					}
-					if fireErr == nil {
-						fireErr = e.apply(c, rs, &e.found, delta != nil)
-					}
-					e.cur, e.park = nil, nil
-				}
-			}
-			if e.ruleLabels {
-				// CPU samples of traced requests attribute to the rule
-				// (alongside the request-level trace_id label on ctx).
-				pprof.Do(e.ctx, pprof.Labels("rule", c.rule.Head[0].Pred), func(context.Context) { ruleTurn() })
-			} else {
-				ruleTurn()
-			}
-			rs.Time += time.Since(t0)
-			e.opts.Progress.addTriggers(int64(rs.TriggersFired - before.TriggersFired))
-			e.opts.Progress.setFacts(int64(e.inst.Len()))
-			ruleSpan.End(
-				obs.F("attempted", rs.TriggersAttempted-before.TriggersAttempted),
-				obs.F("fired", rs.TriggersFired-before.TriggersFired),
-				obs.F("facts", rs.FactsDerived-before.FactsDerived),
-				obs.F("nulls", rs.NullsInvented-before.NullsInvented))
-			if fireErr != nil {
+		for ci := range s.comp {
+			if err := e.turn(s, ci, all, round == 0, roundSpan); err != nil {
 				roundSpan.End(obs.F("error", true))
-				return fireErr
+				return err
 			}
 		}
 		lastRoundFacts = e.stats.FactsDerived - roundFacts
-		roundSpan.End(
-			obs.F("facts", lastRoundFacts),
-			obs.F("next_delta", lastRoundFacts))
+		if roundSpan != nil {
+			roundSpan.End(
+				obs.F("facts", lastRoundFacts),
+				obs.F("next_delta", lastRoundFacts))
+		}
 		if lastRoundFacts == 0 {
 			for i, p := range s.negPreds {
 				s.negLens[i] = e.inst.ownLen(p)
@@ -650,6 +630,115 @@ func (e *engine) chaseStratum(s *stratum) error {
 			return nil
 		}
 	}
+}
+
+// turn gives rule ci of stratum s its turn in a round: all says the round
+// matches the whole instance, first that it is the stratum's first round of
+// this step, in which the rule re-fires the triggers it parked.
+//
+// A rule whose positive body gained no rows since the last round, and that has
+// no parked trigger to re-fire, takes no turn: seeded from empty delta sets it
+// would enumerate nothing, so its turn could not change the instance, Stats,
+// the parked triggers or the null names. It passes the chase.rule fault site
+// all the same, so a fault plan counts the hits it counts when every rule
+// takes every turn, and does nothing else: no span, label, clock read or
+// matching.
+func (e *engine) turn(s *stratum, ci int, all, first bool, roundSpan *obs.Span) error {
+	c, rs := s.comp[ci], s.stats[ci]
+	refire := first && s.parked[ci].n > 0
+	var seeds []rowSet // nil: match the whole instance
+	match := all
+	if !all {
+		seeds = e.seeds[:0]
+		for k := range c.bodyPos {
+			d := s.delta[c.bodyPos[k].at]
+			seeds = append(seeds, d)
+			match = match || d.n > 0
+		}
+		e.seeds = seeds
+	}
+	if !match && !refire {
+		if err := limits.Hit(e.opts.Faults, "chase.rule"); err != nil {
+			return e.fail(err)
+		}
+		return nil
+	}
+	var ruleSpan *obs.Span
+	if roundSpan != nil {
+		joinOrder := "seeded(delta)"
+		if all {
+			joinOrder = c.joinOrder
+		}
+		ruleSpan = roundSpan.Span("chase.rule",
+			obs.F("rule", rs.Index),
+			obs.F("pred", c.rule.Head[0].Pred),
+			obs.F("join_order", joinOrder))
+	}
+	before := *rs
+	t0 := time.Now()
+	e.cur, e.park = rs, &s.parked[ci]
+	var err error
+	if e.ruleLabels {
+		err = e.labelledTurn(c, seeds, match, refire)
+	} else {
+		err = e.ruleTurn(c, seeds, match, refire)
+	}
+	e.cur, e.park = nil, nil
+	rs.Time += time.Since(t0)
+	e.opts.Progress.addTriggers(int64(rs.TriggersFired - before.TriggersFired))
+	e.opts.Progress.setFacts(int64(e.inst.Len()))
+	if ruleSpan != nil {
+		ruleSpan.End(
+			obs.F("attempted", rs.TriggersAttempted-before.TriggersAttempted),
+			obs.F("fired", rs.TriggersFired-before.TriggersFired),
+			obs.F("facts", rs.FactsDerived-before.FactsDerived),
+			obs.F("nulls", rs.NullsInvented-before.NullsInvented))
+	}
+	return err
+}
+
+// labelledTurn is ruleTurn under the rule's pprof label: CPU samples of traced
+// requests attribute to the rule (alongside the request-level trace_id label
+// on the context).
+func (e *engine) labelledTurn(c *compiledRule, seeds []rowSet, match, refire bool) error {
+	defer pprof.SetGoroutineLabels(e.ctx)
+	pprof.SetGoroutineLabels(pprof.WithLabels(e.ctx, pprof.Labels("rule", c.rule.Head[0].Pred)))
+	return e.ruleTurn(c, seeds, match, refire)
+}
+
+// ruleTurn is the work of a turn taken: the fault site and the cancellation
+// check, then enumerate when the rule can match, refire when it has parked
+// triggers to re-fire, and apply. e.cur and e.park name the rule's stats and
+// parked triggers.
+func (e *engine) ruleTurn(c *compiledRule, seeds []rowSet, match, refire bool) error {
+	if err := limits.Hit(e.opts.Faults, "chase.rule"); err != nil {
+		return e.fail(err)
+	}
+	if err := e.interrupted(); err != nil {
+		return err
+	}
+	e.found.reset()
+	if match {
+		if err := e.enumerate(c, seeds, &e.found); err != nil {
+			return err
+		}
+	}
+	if refire {
+		if err := e.refire(c, e.park); err != nil {
+			return err
+		}
+	}
+	return e.apply(c, e.cur, &e.found, seeds != nil)
+}
+
+// scratchEnv returns the engine's environment, n slots, all unbound.
+func (e *engine) scratchEnv(n int) env {
+	if cap(e.ev) < n {
+		e.ev = make(env, n)
+	}
+	ev := e.ev[:n]
+	ev.reset()
+	return ev
 }
 
 // fire applies one trigger, adding the head atoms that are new: it writes
@@ -729,7 +818,7 @@ func (e *engine) refire(c *compiledRule, parked *triggerBuf) error {
 	buf := *parked
 	*parked = triggerBuf{}
 	resolveAll(c.heads, e.inst, true)
-	ev := newEnv(len(c.st.vars))
+	ev := e.scratchEnv(len(c.st.vars))
 	for i := 0; i < buf.n; i++ {
 		if e.tick++; e.tick&63 == 0 {
 			if err := e.interrupted(); err != nil {

@@ -2,7 +2,6 @@ package chase
 
 import (
 	"errors"
-	"maps"
 	"slices"
 
 	"repro/internal/datalog"
@@ -55,7 +54,7 @@ type engineMark struct {
 // restored any number of times.
 type stratumMark struct {
 	parked  []triggerBuf
-	started map[string]int
+	started []int
 	negLens []int
 }
 
@@ -73,7 +72,7 @@ func (e *engine) mark() engineMark {
 		m.perRule[i] = *rs
 	}
 	for i, s := range e.strata {
-		m.strata[i] = stratumMark{slices.Clone(s.parked), maps.Clone(s.started), slices.Clone(s.negLens)}
+		m.strata[i] = stratumMark{slices.Clone(s.parked), slices.Clone(s.started), slices.Clone(s.negLens)}
 	}
 	return m
 }
@@ -94,7 +93,8 @@ func (e *engine) restore(m engineMark) {
 	for i, s := range e.strata {
 		sm := m.strata[i]
 		copy(s.parked, sm.parked)
-		s.started, s.negLens = maps.Clone(sm.started), slices.Clone(sm.negLens)
+		copy(s.started, sm.started)
+		copy(s.negLens, sm.negLens)
 	}
 }
 

@@ -205,8 +205,8 @@ func (inc *Incremental) Delete(ctx context.Context, atoms []datalog.Atom) (Maint
 		}
 		st.OverDeleted = e.inst.removeFacts(gone)
 		for _, s := range e.strata {
-			for _, p := range s.bodyPreds {
-				s.started[p] = e.inst.ownLen(p)
+			for i, p := range s.bodyPreds {
+				s.started[i] = e.inst.ownLen(p)
 			}
 		}
 		return e.rederive(gone)
@@ -248,16 +248,25 @@ func (inc *Incremental) overDelete(removed []fact, st *MaintainStats) (gone []fa
 		collect(f.pid, f.row)
 	}
 	for len(wave) > 0 {
-		seeds := wave
+		prev := wave
 		wave = make(map[string]rowSet)
 		for _, s := range e.strata {
 			for _, c := range s.comp {
+				// Seeded from nothing, a rule enumerates nothing.
+				seeds, hit := e.seeds[:0], false
+				for j := range c.bodyPos {
+					w := prev[c.bodyPos[j].pred]
+					seeds, hit = append(seeds, w), hit || w.n > 0
+				}
+				if e.seeds = seeds; !hit {
+					continue
+				}
 				if err := e.enumerate(c, seeds, &e.found); err != nil {
 					return nil, err
 				}
 				st.Triggers += e.found.n
 				resolveAll(c.heads, e.inst, false)
-				ev := newEnv(len(c.st.vars))
+				ev := e.scratchEnv(len(c.st.vars))
 			triggers:
 				for i := 0; i < e.found.n; i++ {
 					e.found.load(i, c.bodySlots, ev)
@@ -293,7 +302,7 @@ func (e *engine) rederive(gone []fact) error {
 		for ci, c := range s.comp {
 			resolveAll(c.bodyPos, e.inst, false)
 			resolveAll(c.heads, e.inst, true)
-			ev := newEnv(len(c.st.vars))
+			ev := e.scratchEnv(len(c.st.vars))
 			var bound []int
 			for hi := range c.heads {
 				h := &c.heads[hi]

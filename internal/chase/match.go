@@ -30,17 +30,12 @@ type pattern struct {
 	args  []patArg
 	pid   uint32
 	known bool
+	at    int // of a positive body atom: its predicate's index in the stratum's bodyPreds
 }
 
 // env is a slice environment of term ids, unbound where no match bound the
 // slot.
 type env []uint32
-
-func newEnv(n int) env {
-	e := make(env, n)
-	e.reset()
-	return e
-}
 
 func (e env) reset() {
 	for i := range e {

@@ -2,6 +2,7 @@ package chase
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -112,8 +113,10 @@ func TestStatsString(t *testing.T) {
 }
 
 // TestChaseTrace runs a small fixed program under a recording trace and
-// checks the span tree's invariants: the expected span kinds appear, and the
-// per-rule "fired" attrs sum to the headline counter.
+// checks the span tree's invariants: the expected span kinds appear, a round
+// has one chase.rule span per rule that takes its turn — every rule in the
+// stratum's first round, after it every rule whose body gained rows in the
+// round before — and the per-rule "fired" attrs sum to the headline counter.
 func TestChaseTrace(t *testing.T) {
 	ctx, tr := recordingCtx()
 	o := obs.New()
@@ -123,14 +126,20 @@ func TestChaseTrace(t *testing.T) {
 	}
 	kinds := map[string]int{}
 	firedSum := 0
+	var rounds []obs.SpanID
+	rulesOf := map[obs.SpanID][]obs.TraceSpan{} // round → its rule spans
 	for _, sp := range tr.Spans() {
 		kinds[sp.Name]++
-		if sp.Name == "chase.rule" {
+		switch sp.Name {
+		case "chase.round":
+			rounds = append(rounds, sp.ID)
+		case "chase.rule":
 			fired, ok := spanAttr(sp, "fired").(int)
 			if !ok {
 				t.Fatalf("chase.rule span missing fired attr: %+v", sp)
 			}
 			firedSum += fired
+			rulesOf[sp.Parent] = append(rulesOf[sp.Parent], sp)
 		}
 	}
 	for _, k := range []string{"chase.run", "chase.round", "chase.rule"} {
@@ -141,9 +150,29 @@ func TestChaseTrace(t *testing.T) {
 	if kinds["chase.run"] != 1 {
 		t.Errorf("want exactly one chase.run span, got %d", kinds["chase.run"])
 	}
-	if kinds["chase.rule"] != kinds["chase.round"]*3 {
-		t.Errorf("want 3 chase.rule spans per round: rounds=%d rules=%d",
-			kinds["chase.round"], kinds["chase.rule"])
+	// The positive body predicates of obsTestProgram's rules.
+	body := [][]string{{"e"}, {"e", "tc"}, {"tc"}}
+	gained := map[string]bool{} // the predicates the previous round added to
+	for i, round := range rounds {
+		var want, got []int
+		for r, preds := range body {
+			if i == 0 || slices.ContainsFunc(preds, func(p string) bool { return gained[p] }) {
+				want = append(want, r)
+			}
+		}
+		clear(gained)
+		for _, sp := range rulesOf[round] {
+			got = append(got, spanAttr(sp, "rule").(int))
+			if spanAttr(sp, "facts").(int) > 0 {
+				gained[spanAttr(sp, "pred").(string)] = true
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("round %d: chase.rule spans of rules %v, want %v", i+1, got, want)
+		}
+	}
+	if kinds["chase.rule"] >= 3*len(rounds) {
+		t.Errorf("%d chase.rule spans over %d rounds: no rule skipped a turn", kinds["chase.rule"], len(rounds))
 	}
 	if firedSum != res.Stats.TriggersFired {
 		t.Errorf("sum of rule span fired attrs = %d, want %d", firedSum, res.Stats.TriggersFired)

@@ -26,6 +26,9 @@ type triggerBuf struct {
 	n    int
 }
 
+// reset empties the buffer and keeps its storage.
+func (b *triggerBuf) reset() { b.vals, b.n = b.vals[:0], 0 }
+
 func (b *triggerBuf) push(ev env, slots int) {
 	b.vals = append(b.vals, ev[:slots]...)
 	b.n++
@@ -39,17 +42,19 @@ func (b *triggerBuf) load(i, slots int, ev env) {
 }
 
 // enumerate is phase one: read-only matching of rule c against the engine
-// instance into buf, whose storage it reuses. delta holds, per body predicate,
-// the rows the previous round derived, and each body position in turn is
-// seeded from them (the seed pattern's matchInto drops the ones its constants
-// rule out); a nil delta — the stratum's first round, and naive evaluation —
-// matches the whole instance, seeded from the first pattern of the precomputed
-// join order. The context is polled every 64 candidates and emissions, so a
-// canceled chase stops within milliseconds even inside one huge turn.
-func (e *engine) enumerate(c *compiledRule, delta map[string]rowSet, buf *triggerBuf) error {
-	buf.vals, buf.n = buf.vals[:0], 0
-	ev := newEnv(len(c.st.vars))
-	if delta == nil && len(c.bodyPos) == 0 {
+// instance into buf, whose storage it reuses. seeds[j] holds the rows body
+// position j is seeded from, the tail of its predicate the previous round
+// derived (the seed pattern's matchInto drops the ones its constants rule
+// out); nil seeds — the stratum's first round, and naive evaluation — match
+// the whole instance, seeded from the first pattern of the precomputed join
+// order. The context is polled every 64 candidates and emissions, so a
+// canceled chase stops within milliseconds even inside one huge turn. The
+// environment and the record of bound slots are engine scratch; the callbacks
+// do not escape, so a turn allocates only what buf grows by.
+func (e *engine) enumerate(c *compiledRule, seeds []rowSet, buf *triggerBuf) error {
+	buf.reset()
+	ev := e.scratchEnv(len(c.st.vars))
+	if seeds == nil && len(c.bodyPos) == 0 {
 		buf.push(ev, c.bodySlots) // an empty positive body has exactly one — empty — trigger
 		return nil
 	}
@@ -75,7 +80,7 @@ func (e *engine) enumerate(c *compiledRule, delta map[string]rowSet, buf *trigge
 		buf.push(ev, c.bodySlots)
 		return poll()
 	}
-	var added []int
+	added := e.added[:0]
 	seed := func(seedPat *pattern, order []int, cands rowSet) {
 		for k := range cands.n {
 			if ctxErr != nil || !poll() {
@@ -88,17 +93,17 @@ func (e *engine) enumerate(c *compiledRule, delta map[string]rowSet, buf *trigge
 			}
 		}
 	}
-	if delta == nil {
+	if seeds == nil {
 		first := &c.bodyPos[c.fullOrder[0]]
 		base, own := candidatesFor(e.inst, first, ev)
 		seed(first, c.fullOrder[1:], base)
 		seed(first, c.fullOrder[1:], own)
 	} else {
 		for j := range c.bodyPos {
-			p := &c.bodyPos[j]
-			seed(p, c.seeded[j], delta[p.pred])
+			seed(&c.bodyPos[j], c.seeded[j], seeds[j])
 		}
 	}
+	e.added = added
 	if ctxErr != nil {
 		return e.abort(ctxErr, 0, 0)
 	}
@@ -122,7 +127,7 @@ func (e *engine) apply(c *compiledRule, rs *RuleStats, buf *triggerBuf, dedup bo
 	}
 	resolveAll(c.bodyNeg, e.inst, false)
 	resolveAll(c.heads, e.inst, true)
-	ev := newEnv(len(c.st.vars))
+	ev := e.scratchEnv(len(c.st.vars))
 	for i := 0; i < buf.n; i++ {
 		buf.load(i, c.bodySlots, ev)
 		if seen != nil {

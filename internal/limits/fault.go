@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -269,31 +270,21 @@ func Hit(p *Plan, point string) error {
 	return FaultPoint(point)
 }
 
-var (
-	globalMu   sync.Mutex
-	globalPlan *Plan
-)
+// globalPlan is the process-global plan. Every rule turn and round of every
+// request loads it, so it is read without a lock.
+var globalPlan atomic.Pointer[Plan]
 
 // FaultPoint checks the process-global plan only.
 func FaultPoint(point string) error {
-	globalMu.Lock()
-	p := globalPlan
-	globalMu.Unlock()
-	return p.Check(point)
+	return globalPlan.Load().Check(point)
 }
 
 // SetGlobal installs a process-global plan (nil clears it) and returns a
-// restore function; tests pair the two with defer.
+// restore function that reinstalls the plan it replaced; tests pair the two
+// with defer.
 func SetGlobal(p *Plan) (restore func()) {
-	globalMu.Lock()
-	old := globalPlan
-	globalPlan = p
-	globalMu.Unlock()
-	return func() {
-		globalMu.Lock()
-		globalPlan = old
-		globalMu.Unlock()
-	}
+	old := globalPlan.Swap(p)
+	return func() { globalPlan.Store(old) }
 }
 
 // ParsePlan parses the TRIQ_FAULTS syntax: comma-separated entries of the
@@ -376,6 +367,6 @@ func init() {
 			fmt.Fprintln(os.Stderr, "limits: ignoring TRIQ_FAULTS:", err)
 			return
 		}
-		globalPlan = p
+		globalPlan.Store(p)
 	}
 }

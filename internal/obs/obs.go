@@ -142,7 +142,7 @@ func (s *Span) TraceSpanID() SpanID {
 // End closes the span: its trace node (if any) is stamped with the end time
 // and the attributes, and its duration is recorded in the histogram
 // "span.<name>" (microseconds). Extra attributes may be supplied at close
-// time.
+// time. A span that is not recording allocates nothing here.
 func (s *Span) End(kv ...KV) {
 	if s == nil {
 		return
@@ -152,7 +152,9 @@ func (s *Span) End(kv ...KV) {
 		attrs := make([]KV, 0, len(s.attrs)+len(kv))
 		s.tr.closeNode(s.node, end, append(append(attrs, s.attrs...), kv...))
 	}
-	s.o.Observe("span."+s.name, float64(end.Sub(s.start).Microseconds()))
+	if s.o != nil {
+		s.o.reg.observeSpan(s.name, float64(end.Sub(s.start).Microseconds()))
+	}
 }
 
 // FormatDuration renders a duration on a fixed µs/ms/s unit ladder with two

@@ -189,3 +189,26 @@ func TestFormatDuration(t *testing.T) {
 		}
 	}
 }
+
+// TestRecordingAllocatesNothing pins that recording is allocation-free once a
+// metric exists: Observe on an existing histogram, and End on a span that
+// times itself into the registry without a recording trace. The span's
+// histogram is still exposed as "span.<name>".
+func TestRecordingAllocatesNothing(t *testing.T) {
+	o := New()
+	o.Observe("h", 1)
+	if n := testing.AllocsPerRun(100, func() { o.Observe("h", 2) }); n != 0 {
+		t.Errorf("Observe on an existing histogram: %.0f allocations, want 0", n)
+	}
+	_, sp := StartSpan(context.Background(), o, "chase.rule")
+	sp.End()
+	if n := testing.AllocsPerRun(100, func() { sp.End() }); n != 0 {
+		t.Errorf("End on a non-recording span: %.0f allocations, want 0", n)
+	}
+	if h, ok := o.Registry().Hist("span.chase.rule"); !ok || h.Count != 102 {
+		t.Errorf("span.chase.rule histogram = %+v, want 102 samples", h)
+	}
+	if sum := o.Summary(); !strings.Contains(sum, "span.chase.rule ") {
+		t.Errorf("summary does not name span.chase.rule:\n%s", sum)
+	}
+}

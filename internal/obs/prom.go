@@ -52,10 +52,7 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	for n, v := range r.gauges {
 		gauges[n] = v
 	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for n, h := range r.hists {
-		hists[n] = h
-	}
+	hists := r.histsLocked()
 	r.mu.Unlock()
 
 	type family struct {
@@ -161,10 +158,7 @@ func (r *Registry) Snapshot() MetricsSnapshot {
 	for n, v := range r.gauges {
 		snap.Gauges[n] = v
 	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for n, h := range r.hists {
-		hists[n] = h
-	}
+	hists := r.histsLocked()
 	r.mu.Unlock()
 	for n, h := range hists {
 		s := h.Snapshot()

@@ -2,9 +2,11 @@ package obs
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Registry is a process-local metrics store: monotonically increasing
@@ -16,15 +18,24 @@ type Registry struct {
 	counters map[string]int64
 	gauges   map[string]float64
 	hists    map[string]*Histogram
+	// spans holds the span histograms by bare span name; they are exposed as
+	// "span.<name>". Span.End looks one up on every span, so the map is
+	// replaced, not written, when a span name is new, and read without the lock.
+	spans atomic.Pointer[map[string]*Histogram]
 }
+
+// spanPrefix is the exposition prefix of the span histograms.
+const spanPrefix = "span."
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
+	r := &Registry{
 		counters: make(map[string]int64),
 		gauges:   make(map[string]float64),
 		hists:    make(map[string]*Histogram),
 	}
+	r.spans.Store(&map[string]*Histogram{})
+	return r
 }
 
 // Add increments a counter by delta.
@@ -77,8 +88,21 @@ func (r *Registry) Observe(name string, v float64) {
 	r.getHist(name).Observe(v)
 }
 
+// observeSpan records one duration sample of the span name (bare, without
+// spanPrefix): once the span has a histogram, without a lock or an allocation.
+func (r *Registry) observeSpan(name string, v float64) {
+	h := (*r.spans.Load())[name]
+	if h == nil {
+		h = r.spanHist(name)
+	}
+	h.Observe(v)
+}
+
 // getHist returns the named histogram, creating it on first use.
 func (r *Registry) getHist(name string) *Histogram {
+	if span, ok := strings.CutPrefix(name, spanPrefix); ok {
+		return r.spanHist(span)
+	}
 	r.mu.Lock()
 	h := r.hists[name]
 	if h == nil {
@@ -87,6 +111,43 @@ func (r *Registry) getHist(name string) *Histogram {
 	}
 	r.mu.Unlock()
 	return h
+}
+
+// spanHist returns the histogram of the span name, creating it on first use.
+func (r *Registry) spanHist(name string) *Histogram {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	spans := *r.spans.Load()
+	if h := spans[name]; h != nil {
+		return h
+	}
+	next := maps.Clone(spans)
+	h := NewHistogram()
+	next[name] = h
+	r.spans.Store(&next)
+	return h
+}
+
+// lookup returns the named histogram, nil when there is none.
+func (r *Registry) lookup(name string) *Histogram {
+	if span, ok := strings.CutPrefix(name, spanPrefix); ok {
+		return (*r.spans.Load())[span]
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.hists[name]
+}
+
+// histsLocked copies every histogram by its exposition name; r.mu must be
+// held.
+func (r *Registry) histsLocked() map[string]*Histogram {
+	spans := *r.spans.Load()
+	out := make(map[string]*Histogram, len(r.hists)+len(spans))
+	maps.Copy(out, r.hists)
+	for n, h := range spans {
+		out[spanPrefix+n] = h
+	}
+	return out
 }
 
 // HistStats is a histogram summary.
@@ -101,9 +162,7 @@ func (r *Registry) Hist(name string) (HistStats, bool) {
 	if r == nil {
 		return HistStats{}, false
 	}
-	r.mu.Lock()
-	h := r.hists[name]
-	r.mu.Unlock()
+	h := r.lookup(name)
 	if h == nil {
 		return HistStats{}, false
 	}
@@ -121,9 +180,7 @@ func (r *Registry) HistSnapshot(name string) (HistSnapshot, bool) {
 	if r == nil {
 		return HistSnapshot{}, false
 	}
-	r.mu.Lock()
-	h := r.hists[name]
-	r.mu.Unlock()
+	h := r.lookup(name)
 	if h == nil {
 		return HistSnapshot{}, false
 	}
@@ -148,10 +205,7 @@ func (r *Registry) MergeFrom(other *Registry) {
 	for n, v := range other.gauges {
 		gauges[n] = v
 	}
-	hists := make(map[string]*Histogram, len(other.hists))
-	for n, h := range other.hists {
-		hists[n] = h
-	}
+	hists := other.histsLocked()
 	other.mu.Unlock()
 	for n, v := range counters {
 		r.Add(n, v)
@@ -180,7 +234,7 @@ func (r *Registry) Summary() string {
 	for n, v := range r.gauges {
 		lines = append(lines, fmt.Sprintf("%-40s %g", n, v))
 	}
-	for n, h := range r.hists {
+	for n, h := range r.histsLocked() {
 		snap := h.Snapshot()
 		if snap.Count == 0 {
 			continue
