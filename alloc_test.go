@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/datalog"
 	"repro/internal/limits"
 	"repro/internal/mat"
+	"repro/internal/obs"
 	"repro/internal/rdf"
 	"repro/internal/translate"
 	"repro/internal/triq"
@@ -31,9 +33,10 @@ import (
 const (
 	transportAllocCeiling = 4_350
 	lookupAllocCeiling    = 870
-	// An explained warm read measures 88, of which the private registry and
-	// the report are all but the plain read's share.
-	warmExplainedAllocCeiling = 110
+	// An explained warm read measures 83, of which the private registry and
+	// the report are all but the plain read's 72 (87 and 76 while every read
+	// copied and sorted its answer).
+	warmExplainedAllocCeiling = 105
 	// The university evaluation takes the probe (bound 0, no null) and a
 	// closing pass on rung 1 that proves it complete, and reads its answers off
 	// the chased instance: 1 641 allocations and 240 KB. A rule takes a turn
@@ -88,11 +91,18 @@ const (
 	// 30.9 MB.
 	commitCopyAllocCeiling = 12_000
 	commitCopyBytesCeiling = 3 << 20
+	// A second warm read of the write mix's 3 240 transport rows at one epoch
+	// measures 3 566 allocations and 468 KB: a row of decoded terms per
+	// answer, and nothing else per row. While every read copied the output
+	// atoms out of the instance and sorted their tuples it took 3 583 and
+	// 1.08 MB.
+	warmReadAllocCeiling = 4_450
+	warmReadBytesCeiling = 585_000
 )
 
 // skipInjected skips a test whose evaluation an armed TRIQ_FAULTS plan cut
 // short; what the ceilings pin is the evaluation, not the fault.
-func skipInjected(t *testing.T, err error) {
+func skipInjected(t testing.TB, err error) {
 	t.Helper()
 	if errors.Is(err, limits.ErrInjected) {
 		t.Skipf("injected fault (TRIQ_FAULTS armed)")
@@ -335,7 +345,7 @@ func TestLookupRequestAllocCeiling(t *testing.T) {
 // change the order of Eval's steps: the materializer is consulted before
 // τ_db(G) is loaded, so an explained warm read over the 10 000-triple graph
 // costs its report and not a copy of the graph (37 918 allocations when the
-// explain path loaded the graph first; the plain warm read takes 80).
+// explain path loaded the graph first; the plain warm read takes 72).
 func TestWarmExplainedReadAllocCeiling(t *testing.T) {
 	g := lookupGraph(t)
 	q, err := repro.ParseQuery("triple(p3, knows, ?Y) -> query(?Y).", "query")
@@ -369,5 +379,81 @@ func TestWarmExplainedReadAllocCeiling(t *testing.T) {
 	}
 	if allocs > warmExplainedAllocCeiling {
 		t.Errorf("explained warm read over %d triples: %.0f allocations, ceiling %d", ep.Graph.Len(), allocs, warmExplainedAllocCeiling)
+	}
+}
+
+// warmTransport is the write mix's read in process: a materializer fed by a
+// volatile store that holds the 10 001-triple directory graph and the
+// 128-triple transport network, and the transport query, whose 3 240 rows
+// the first read builds and installs.
+type warmTransport struct {
+	st  *repro.Store
+	m   *mat.Materializer
+	obs *obs.Obs
+	req repro.Request
+}
+
+func newWarmTransport(tb testing.TB) *warmTransport {
+	tb.Helper()
+	o := obs.New()
+	m := mat.New(mat.Config{Obs: o})
+	st, _, err := repro.OpenStore(repro.StoreConfig{OnCommit: m.OnCommit})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { st.Close() })
+	m.Reset(st.Current().Seq)
+	triples := append(lookupGraph(tb).Triples(), workload.TransportGraph(16, 3, 6, "t").Triples()...)
+	if _, _, err := st.Insert(triples); err != nil {
+		tb.Fatal(err)
+	}
+	w := &warmTransport{st: st, m: m, obs: o, req: repro.Request{Query: workload.TransportQuery(), Language: repro.TriQLite10}}
+	resp := w.read(tb)
+	if w.counter("mat.builds") == 0 && os.Getenv("TRIQ_FAULTS") != "" {
+		tb.Skip("injected fault (TRIQ_FAULTS armed) cut the cold build")
+	}
+	if len(resp.Tuples) != 3240 || w.counter("mat.builds") != 1 {
+		tb.Fatalf("cold read: %d rows and %d builds, want 3240 and 1", len(resp.Tuples), w.counter("mat.builds"))
+	}
+	return w
+}
+
+func (w *warmTransport) counter(name string) int64 { return w.obs.Registry().Counter(name) }
+
+// read evaluates the request at the store's current epoch.
+func (w *warmTransport) read(tb testing.TB) *repro.Response {
+	ep := w.st.Current()
+	req := w.req
+	req.Options = repro.Options{Mat: w.m, MatEpoch: ep.Seq}
+	resp, err := repro.Eval(context.Background(), ep.Graph, req)
+	skipInjected(tb, err)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return resp
+}
+
+// TestWarmReadAllocCeiling pins that a warm read shares its epoch's answer:
+// the write mix's read of 3 240 transport rows over 10 129 triples, a second
+// time at one epoch, copies and sorts nothing and pays only the decode of its
+// rows.
+func TestWarmReadAllocCeiling(t *testing.T) {
+	w := newWarmTransport(t)
+	var resp *repro.Response
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(5, func() { resp = w.read(t) })
+	runtime.ReadMemStats(&after)
+	if len(resp.Tuples) != 3240 || w.counter("mat.hits") != 6 || w.counter("mat.view_builds") != 0 {
+		t.Fatalf("warm reads: %d rows, %d hits, %d view builds; want 3240, 6 and none",
+			len(resp.Tuples), w.counter("mat.hits"), w.counter("mat.view_builds"))
+	}
+	// AllocsPerRun calls the function once to warm up and five times to count.
+	bytes := (after.TotalAlloc - before.TotalAlloc) / 6
+	if allocs > warmReadAllocCeiling {
+		t.Errorf("warm read of 3 240 rows: %.0f allocations, ceiling %d", allocs, warmReadAllocCeiling)
+	}
+	if bytes > warmReadBytesCeiling {
+		t.Errorf("warm read of 3 240 rows: %d bytes, ceiling %d", bytes, warmReadBytesCeiling)
 	}
 }

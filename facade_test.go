@@ -160,7 +160,7 @@ func TestConstructDeterministic(t *testing.T) {
 // chase.
 type countingMat struct {
 	warm           bool
-	answer         []datalog.Atom
+	answer         [][]datalog.Term
 	serves, builds int
 }
 
@@ -189,7 +189,7 @@ func TestEvalAsksMaterializerOnce(t *testing.T) {
 		warm                   bool
 		wantServes, wantBuilds int
 	}{{true, 1, 0}, {false, 1, 1}} {
-		m := &countingMat{warm: tc.warm, answer: []datalog.Atom{datalog.NewAtom("out", datalog.C("a"), datalog.C("b"))}}
+		m := &countingMat{warm: tc.warm, answer: [][]datalog.Term{{datalog.C("a"), datalog.C("b")}}}
 		res, err := AskCtx(context.Background(), g, q, TriQLite10, Options{Mat: m, MatEpoch: 1})
 		if err != nil {
 			t.Fatal(err)

@@ -6,7 +6,10 @@
 // re-derive) on the same engine. Queries pinned to the epoch the
 // materializer is at are answered straight from the warm instance instead of
 // re-chasing the whole graph; everything else falls back to the from-scratch
-// chase, which stays authoritative.
+// chase, which stays authoritative. Between two commits a program has one
+// answer, so each entry keeps, per output predicate, the sorted answer view
+// of the current epoch: the first read builds it and every later read of the
+// epoch shares it.
 //
 // Entries are built lazily: the first (cold) evaluation of a program builds
 // the materialization through triq's BuildServe hook, and subsequent commits
@@ -50,13 +53,16 @@ type Config struct {
 type entry struct {
 	inc  *chase.Incremental
 	used int64 // LRU tick of the last serve/build
+	// views holds, per output predicate, the answer served at the
+	// materializer's epoch; a commit clears it.
+	views map[string]*triq.MatServed
 }
 
 // Materializer implements triq.Materializer over a set of incrementally
 // maintained program materializations, all pinned to one store epoch. It is
 // safe for concurrent use; maintenance and serving serialize on one lock
-// (maintenance runs under the store's commit lock anyway, and serving copies
-// answers out so evaluation never holds the lock).
+// (maintenance runs under the store's commit lock anyway, and serving hands
+// out a read-only answer view so evaluation never holds the lock).
 type Materializer struct {
 	cfg Config
 
@@ -155,6 +161,7 @@ func (m *Materializer) OnCommit(ev store.CommitEvent) {
 	}
 	ctx := context.Background()
 	for key, e := range m.entries {
+		clear(e.views)
 		start := time.Now()
 		var st chase.MaintainStats
 		var err error
@@ -208,8 +215,10 @@ func (m *Materializer) gaugesLocked() {
 
 // Serve implements triq.Materializer: it answers from a warm entry when the
 // program is materialized, the pinned epoch matches exactly, and the chase
-// bounds are compatible. Answers are copied out under the lock (maintenance
-// filters instance buckets in place).
+// bounds are compatible. The first read of an output at an epoch builds its
+// view under the lock (maintenance filters instance buckets in place, and a
+// view built outside it would have to check the epoch again before
+// publishing); every later read of the epoch returns the same view.
 func (m *Materializer) Serve(prog *datalog.Program, epoch uint64, output string, copts chase.Options) *triq.MatServed {
 	key := prog.String() // rendered before taking the lock maintenance shares
 	m.mu.Lock()
@@ -224,19 +233,46 @@ func (m *Materializer) Serve(prog *datalog.Program, epoch uint64, output string,
 	m.tick++
 	e.used = m.tick
 	m.cfg.Obs.Count("mat.hits", 1)
-	return served(e.inc, output)
+	v := e.views[output]
+	if v == nil {
+		v = served(e.inc, output)
+		e.views[output] = v
+		m.cfg.Obs.Count("mat.view_builds", 1)
+	}
+	return v
 }
 
-// served extracts the constant-ground answer for one output predicate.
+// served builds the answer view of one output predicate: Q(D) read off the
+// instance by triq.AnswersOf, the one copy of its tuples sized in advance and
+// sorted.
 func served(inc *chase.Incremental, output string) *triq.MatServed {
-	out := &triq.MatServed{Facts: inc.Facts(), Depth: inc.Depth()}
-	if len(inc.Instance().AtomsOf(datalog.InconsistencyMarker)) > 0 {
-		out.Inconsistent = true
-		return out
+	in := inc.Instance()
+	top := len(in.AtomsOf(datalog.InconsistencyMarker)) > 0
+	var atoms []datalog.Atom
+	if !top {
+		atoms = constantGround(in.AtomsOf(output))
 	}
-	for _, a := range inc.Instance().AtomsOf(output) {
+	ans := triq.AnswersOf(top, atoms)
+	return &triq.MatServed{Output: ans.Tuples, Inconsistent: ans.Inconsistent,
+		Facts: inc.Facts(), Depth: inc.Depth()}
+}
+
+// constantGround returns the atoms that hold no null: atoms itself when none
+// does, which is the common case.
+func constantGround(atoms []datalog.Atom) []datalog.Atom {
+	n := 0
+	for _, a := range atoms {
 		if a.IsConstantGround() {
-			out.Output = append(out.Output, a)
+			n++
+		}
+	}
+	if n == len(atoms) {
+		return atoms
+	}
+	out := make([]datalog.Atom, 0, n)
+	for _, a := range atoms {
+		if a.IsConstantGround() {
+			out = append(out, a)
 		}
 	}
 	return out
@@ -245,10 +281,11 @@ func served(inc *chase.Incremental, output string) *triq.MatServed {
 // BuildServe implements the cold half of triq.Materializer: when the program
 // is not materialized yet, build its fixpoint from the database the caller
 // already constructed, serve the answer, and — provided the store did not
-// move on while building — install the entry so the next commits keep it
-// warm. It declines ((nil, nil)) when the epoch is stale, the bounds are
-// incompatible, the program is not maintainable (negation), or
-// the build trips a budget; the caller then falls back to the chase.
+// move on while building — install the entry, with the answer as its view of
+// the epoch, so the next reads share it and the next commits keep it warm. It
+// declines ((nil, nil)) when the epoch is stale, the bounds are incompatible,
+// the program is not maintainable (negation), or the build trips a budget;
+// the caller then falls back to the chase.
 func (m *Materializer) BuildServe(ctx context.Context, db *chase.Instance, prog *datalog.Program, epoch uint64, output string, copts chase.Options) (*triq.MatServed, error) {
 	m.mu.Lock()
 	if !m.haveEpoch || epoch != m.epoch || !m.compatible(copts) {
@@ -272,11 +309,12 @@ func (m *Materializer) BuildServe(ctx context.Context, db *chase.Instance, prog 
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	out := served(inc, output)
 	if m.haveEpoch && m.epoch == epoch {
 		// Still at the build's epoch: install (evicting the stalest entry
 		// over MaxPrograms) so commits maintain it from here on.
 		m.tick++
-		m.entries[key] = &entry{inc: inc, used: m.tick}
+		m.entries[key] = &entry{inc: inc, used: m.tick, views: map[string]*triq.MatServed{output: out}}
 		for len(m.entries) > m.cfg.MaxPrograms {
 			var oldKey string
 			oldest := int64(1<<63 - 1)
@@ -292,5 +330,5 @@ func (m *Materializer) BuildServe(ctx context.Context, db *chase.Instance, prog 
 	}
 	// Either way the answer is valid for the pinned epoch the db was read at.
 	m.cfg.Obs.Count("mat.builds", 1)
-	return served(inc, output), nil
+	return out, nil
 }

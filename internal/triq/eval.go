@@ -89,7 +89,9 @@ type Options struct {
 
 // Result is the outcome of evaluating a TriQ query.
 type Result struct {
-	// Answers is Q(D): ⊤ (Inconsistent) or the set of constant tuples.
+	// Answers is Q(D): ⊤ (Inconsistent) or the set of constant tuples. Its
+	// tuples may be shared with other results (a materialized epoch serves
+	// one sorted answer to every read), so they must not be modified.
 	Answers *Answers
 	// Exact reports that the answer set is provably complete: the chase
 	// terminated within its depth bound, or its closing pass proved the ground
@@ -171,7 +173,7 @@ func EvalCtx(ctx context.Context, db *chase.Instance, q datalog.Query, lang Lang
 	res.Stats = gr.Stats
 	accountChase(ctx, res.Stats)
 	// Marker derivation is monotone, so ⊤ is sound even on a truncated run.
-	ans := answersOf(gr.Inconsistent, gr.GroundAtomsOf(q.Output))
+	ans := AnswersOf(gr.Inconsistent, gr.GroundAtomsOf(q.Output))
 	res.Answers = ans
 	if ans.Inconsistent {
 		sp.End(obs.F("inconsistent", true), obs.F("depth", res.Depth))
@@ -206,10 +208,12 @@ func (a *Answers) HasConstants(names ...string) bool {
 	return a.Has(tuple...)
 }
 
-// answersOf is the tail every evaluation path shares, from a ground part to
+// AnswersOf is the tail every evaluation path shares, from a ground part to
 // Q(D) of Section 3.2: ⊤ when the inconsistency marker was derived, the
-// sorted argument tuples of the output atoms otherwise.
-func answersOf(inconsistent bool, output []datalog.Atom) *Answers {
+// sorted argument tuples of the output atoms otherwise. The tuples are the
+// atoms' argument slices, not copies. It is the one constructor of Answers,
+// so a chased and a materialized answer list the same rows in the same order.
+func AnswersOf(inconsistent bool, output []datalog.Atom) *Answers {
 	ans := &Answers{Inconsistent: inconsistent}
 	if inconsistent || len(output) == 0 {
 		return ans

@@ -81,7 +81,7 @@ func EvalExactCtx(ctx context.Context, db *chase.Instance, q datalog.Query, opts
 			output = append(slices.Clip(output), a)
 		}
 	}
-	res.Answers = answersOf(inconsistent, output)
+	res.Answers = AnswersOf(inconsistent, output)
 	sp.End(
 		obs.F("answers", len(res.Answers.Tuples)),
 		obs.F("inconsistent", res.Answers.Inconsistent),

@@ -57,7 +57,7 @@ func TestExactGroundAgreesWithStableGround(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got, want := fmt.Sprint(res.Answers), fmt.Sprint(answersOf(false, gr.Ground().AtomsOf(pred))); !res.Exact || got != want {
+				if got, want := fmt.Sprint(res.Answers), fmt.Sprint(AnswersOf(false, gr.Ground().AtomsOf(pred))); !res.Exact || got != want {
 					t.Errorf("%s: exact path %s (exact %v), chase to depth 24 %s", pred, got, res.Exact, want)
 				}
 			}
@@ -148,7 +148,7 @@ func TestEvalExactWideNegation(t *testing.T) {
 		if err != nil || deep.Stats.DepthTruncated {
 			t.Fatalf("%d constants: the chase to depth 24 must terminate: %v", n, err)
 		}
-		want := fmt.Sprint(answersOf(false, deep.Instance.GroundPart().AtomsOf("ans")).Tuples)
+		want := fmt.Sprint(AnswersOf(false, deep.Instance.GroundPart().AtomsOf("ans")).Tuples)
 		if got := fmt.Sprint(res.Answers.Tuples); !res.Exact || got != want || len(res.Answers.Tuples) != n-1 {
 			t.Errorf("%d constants: exact path %s (exact %v), the chase to depth 24 %s", n, got, res.Exact, want)
 		}

@@ -8,13 +8,14 @@ import (
 )
 
 // MatServed is a query answer served from a warm materialization instead of
-// a chase: the constant-ground atoms of the query's output predicate at the
-// pinned epoch, exactly as a from-scratch chase of the same database would
-// produce them.
+// a chase: Q(D) of the query's output predicate at the pinned epoch, exactly
+// as a from-scratch chase of the same database would produce it. One
+// MatServed may answer every read of its epoch, so it is read-only: neither
+// it nor its tuples may be modified.
 type MatServed struct {
-	// Output holds the constant-ground output atoms (ignored when
-	// Inconsistent). Order is not significant; EvalCtx sorts tuples.
-	Output []datalog.Atom
+	// Output holds the argument tuples of the constant-ground output atoms,
+	// sorted as AnswersOf sorts them (nil when Inconsistent).
+	Output [][]datalog.Term
 	// Inconsistent is ⊤: the materialization contains the inconsistency
 	// marker (datalog.InconsistencyMarker), so some constraint fired.
 	Inconsistent bool
@@ -32,7 +33,7 @@ type MatServed struct {
 //   - Serve answers from an existing materialization if one matches the
 //     program, the epoch, and compatible chase bounds; it returns nil on any
 //     miss and must be cheap. ServeMaterialized asks it, before the database
-//     is built.
+//     is built. It may hand every read of an epoch the same MatServed.
 //   - BuildServe may build (and retain) a materialization from the given
 //     database first. It returns (nil, nil) to decline — wrong mode,
 //     negation, stale epoch, over budget — in which case the caller falls
@@ -77,12 +78,13 @@ const (
 	PathChase = "chase"
 )
 
-// servedResult converts a materialization hit into a Result. A served answer
-// is always Exact: the materialization layer never installs an instance
-// whose build or maintenance tripped a bound.
+// servedResult converts a materialization hit into a Result, sharing the
+// served tuples: they are already Q(D), sorted. A served answer is always
+// Exact: the materialization layer never installs an instance whose build or
+// maintenance tripped a bound.
 func servedResult(served *MatServed, path string) *Result {
-	res := &Result{Exact: true, Depth: served.Depth, Path: path}
+	res := &Result{Exact: true, Depth: served.Depth, Path: path,
+		Answers: &Answers{Inconsistent: served.Inconsistent, Tuples: served.Output}}
 	res.Stats.FactsDerived = served.Facts
-	res.Answers = answersOf(served.Inconsistent, served.Output)
 	return res
 }

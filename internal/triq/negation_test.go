@@ -62,7 +62,7 @@ func TestEliminateNegationSimple(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := exactAnswers(t, db, prog, "un"), fmt.Sprint(answersOf(false, orig.Instance.AtomsOf("un")).Tuples); got != want {
+	if got, want := exactAnswers(t, db, prog, "un"), fmt.Sprint(AnswersOf(false, orig.Instance.AtomsOf("un")).Tuples); got != want {
 		t.Errorf("un: exact path %s, the chase %s", got, want)
 	}
 }

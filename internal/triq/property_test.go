@@ -233,7 +233,7 @@ func diffExact(t *testing.T, db *chase.Instance, prog *datalog.Program, o *obs.O
 		if err != nil {
 			t.Fatalf("%s: %v", pred, err)
 		}
-		if deep := fmt.Sprint(answersOf(false, far.Instance.GroundPart().AtomsOf(pred)).Tuples); !far.Stats.DepthTruncated && deep != got {
+		if deep := fmt.Sprint(AnswersOf(false, far.Instance.GroundPart().AtomsOf(pred)).Tuples); !far.Stats.DepthTruncated && deep != got {
 			t.Errorf("%s: exact path %s, the chase to depth %d %s", pred, got, res.Depth+4, deep)
 		}
 	}
@@ -321,7 +321,7 @@ func proofTreeOracle(ctx context.Context, db *chase.Instance, prog *datalog.Prog
 			out = append(out, a)
 		}
 	})
-	return answersOf(false, out), err
+	return AnswersOf(false, out), err
 }
 
 // complementPred names Step 1's complement relation of a predicate.
