@@ -45,17 +45,7 @@ func (r *GroundResult) Ground() *Instance {
 // GroundAtomsOf returns the atoms of Π(D)↓ with the given predicate, in the
 // order Ground().AtomsOf(pred) lists them; the slice must not be modified.
 func (r *GroundResult) GroundAtomsOf(pred string) []datalog.Atom {
-	all := r.inst.AtomsOf(pred)
-	if r.inst.nullFree() {
-		return all
-	}
-	var out []datalog.Atom
-	for _, a := range all {
-		if a.IsConstantGround() {
-			out = append(out, a)
-		}
-	}
-	return out
+	return r.inst.GroundAtomsOf(pred)
 }
 
 // DeepenStep is what one depth step of StableGroundCtx did, in the JSON shape

@@ -535,6 +535,23 @@ func (i *Instance) nullFree() bool {
 	return !i.hasNull && (i.base == nil || !i.base.hasNull)
 }
 
+// GroundAtomsOf returns the atoms with the given predicate whose arguments
+// are all constants, in the order AtomsOf lists them: AtomsOf's own slice
+// when the instance holds no null. The slice must not be modified.
+func (i *Instance) GroundAtomsOf(pred string) []datalog.Atom {
+	all := i.AtomsOf(pred)
+	if i.nullFree() {
+		return all
+	}
+	var out []datalog.Atom
+	for _, a := range all {
+		if a.IsConstantGround() {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
 // GroundPart returns the Π(D)↓-style restriction: the atoms whose arguments
 // are all constants. An instance without nulls is its own ground part and is
 // returned as is, so callers must treat the result as read-only. A layer

@@ -540,12 +540,15 @@ func TestMatBuildReportsToItsRequestOnly(t *testing.T) {
 	}
 	var priv *obs.Obs
 	opts := triq.Options{Mat: h.m, MatEpoch: ep.Seq, Chase: chase.Options{Obs: h.obs}}
+	reg := h.obs.Registry()
+	declined, builds := reg.Counter("mat.build_declined"), reg.Counter("mat.builds")
 	res, _, err := triq.Explained("query", opts, func(o triq.Options) (*triq.Result, error) {
 		priv = o.Chase.Obs
 		return triq.EvalCtx(ctx, db, q, triq.Unrestricted, o)
 	})
 	matSkipInjected(t, err)
-	if err == nil && res.Path == triq.PathChase && matFaultsArmed() {
+	if err == nil && res.Path == triq.PathChase && matFaultsArmed() &&
+		reg.Counter("mat.build_declined") == declined+1 && reg.Counter("mat.builds") == builds {
 		// A fault that cuts the build is no query error: BuildServe
 		// declines and the request chases, so there is no build to check.
 		t.Skip("injected fault (TRIQ_FAULTS armed) cut the cold build")

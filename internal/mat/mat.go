@@ -250,32 +250,11 @@ func served(inc *chase.Incremental, output string) *triq.MatServed {
 	top := len(in.AtomsOf(datalog.InconsistencyMarker)) > 0
 	var atoms []datalog.Atom
 	if !top {
-		atoms = constantGround(in.AtomsOf(output))
+		atoms = in.GroundAtomsOf(output)
 	}
 	ans := triq.AnswersOf(top, atoms)
 	return &triq.MatServed{Output: ans.Tuples, Inconsistent: ans.Inconsistent,
 		Facts: inc.Facts(), Depth: inc.Depth()}
-}
-
-// constantGround returns the atoms that hold no null: atoms itself when none
-// does, which is the common case.
-func constantGround(atoms []datalog.Atom) []datalog.Atom {
-	n := 0
-	for _, a := range atoms {
-		if a.IsConstantGround() {
-			n++
-		}
-	}
-	if n == len(atoms) {
-		return atoms
-	}
-	out := make([]datalog.Atom, 0, n)
-	for _, a := range atoms {
-		if a.IsConstantGround() {
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 // BuildServe implements the cold half of triq.Materializer: when the program
@@ -306,10 +285,12 @@ func (m *Materializer) BuildServe(ctx context.Context, db *chase.Instance, prog 
 	}
 	m.cfg.Obs.Observe("mat.build_us", float64(time.Since(start).Microseconds()))
 	key := prog.String()
+	// No other goroutine sees inc before it is installed, so its view is
+	// built before taking the lock that commits and warm reads wait on.
+	out := served(inc, output)
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := served(inc, output)
 	if m.haveEpoch && m.epoch == epoch {
 		// Still at the build's epoch: install (evicting the stalest entry
 		// over MaxPrograms) so commits maintain it from here on.
