@@ -59,7 +59,7 @@ func BenchmarkAblationProofTreeVsChase(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			ok, err := pv.Proves(goal)
+			ok, err := pv.ProvesCtx(context.Background(), goal)
 			if err != nil || !ok {
 				b.Fatal(ok, err)
 			}

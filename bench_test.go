@@ -58,7 +58,7 @@ func BenchmarkF1_ProofTree(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ok, err := pv.Proves(goal)
+		ok, err := pv.ProvesCtx(context.Background(), goal)
 		if err != nil || !ok {
 			b.Fatalf("proof failed: %v %v", ok, err)
 		}

@@ -175,7 +175,7 @@ func TestEvalMatrix(t *testing.T) {
 				for _, explain := range []bool{false, true} {
 					t.Run(fmt.Sprintf("%s/%s/exact=%v/explain=%v", sc.name, in.name, exact, explain), func(t *testing.T) {
 						req := in.req
-						req.Exact, req.Explain = exact, explain
+						req.Options.Exact, req.Explain = exact, explain
 						if sc.tune != nil {
 							sc.tune(&req.Options)
 						}
@@ -322,7 +322,8 @@ func TestExactUniversityIsTheChase(t *testing.T) {
 	o := obs.New()
 	var resps []*Response
 	for _, exact := range []bool{false, true} {
-		req := Request{SPARQL: sq, Regime: ActiveDomainRegime, Exact: exact}
+		req := Request{SPARQL: sq, Regime: ActiveDomainRegime}
+		req.Options.Exact = exact
 		req.Options.Chase.Obs = o
 		resp, err := Eval(t.Context(), g, req)
 		skipInjected(t, err)

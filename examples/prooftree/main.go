@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -54,8 +55,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	ctx := context.Background()
 	goal := datalog.MustParseAtom("p(a, a)")
-	node, ok, err := pv.Prove(goal)
+	node, ok, err := pv.ProveCtx(ctx, goal)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -68,14 +70,14 @@ func main() {
 
 	// r(a,a,a) is also derivable (p(a,a) and q(a,a) both hold)…
 	also := datalog.MustParseAtom("r(a, a, a)")
-	_, ok, err = pv.Prove(also)
+	_, ok, err = pv.ProveCtx(ctx, also)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\n%v provable: %v\n", also, ok)
 	// …while a goal that no chase derivation reaches is refuted finitely.
 	bad := datalog.MustParseAtom("s(a, sfact3, a)")
-	_, ok, err = pv.Prove(bad)
+	_, ok, err = pv.ProveCtx(ctx, bad)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -102,7 +102,7 @@ func TestFacadeAskExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Eval(t.Context(), g, Request{Query: q, Language: TriQLite10, Exact: true})
+	res, err := Eval(t.Context(), g, Request{Query: q, Language: TriQLite10, Options: Options{Exact: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,8 @@ func (m *countingMat) BuildServe(context.Context, *chase.Instance, *datalog.Prog
 }
 
 // TestEvalAsksMaterializerOnce: a request reads the materializer once,
-// before τ_db(G) is loaded, and on a miss asks it once to build.
+// before τ_db(G) is loaded, and on a miss asks it once to build. An exact
+// request asks it nothing, warm or not: triq skips it under Options.Exact.
 func TestEvalAsksMaterializerOnce(t *testing.T) {
 	g, _ := ParseGraph("a p b .")
 	q, err := ParseQuery(`triple(?X, p, ?Y) -> out(?X, ?Y).`, "out")
@@ -186,20 +187,20 @@ func TestEvalAsksMaterializerOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		warm                   bool
+		warm, exact            bool
 		wantServes, wantBuilds int
-	}{{true, 1, 0}, {false, 1, 1}} {
+	}{{true, false, 1, 0}, {false, false, 1, 1}, {true, true, 0, 0}, {false, true, 0, 0}} {
 		m := &countingMat{warm: tc.warm, answer: [][]datalog.Term{{datalog.C("a"), datalog.C("b")}}}
-		res, err := AskCtx(context.Background(), g, q, TriQLite10, Options{Mat: m, MatEpoch: 1})
+		res, err := AskCtx(context.Background(), g, q, TriQLite10, Options{Exact: tc.exact, Mat: m, MatEpoch: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rows := res.Rows(); len(rows) != 1 || rows[0] != "<a> <b>" {
-			t.Errorf("warm=%v: rows %q, want [<a> <b>]", tc.warm, rows)
+		if rows := res.Rows(); len(rows) != 1 || rows[0] != "<a> <b>" || tc.exact && !res.Exact {
+			t.Errorf("warm=%v exact=%v: rows %q (exact %v), want [<a> <b>]", tc.warm, tc.exact, rows, res.Exact)
 		}
 		if m.serves != tc.wantServes || m.builds != tc.wantBuilds {
-			t.Errorf("warm=%v: %d Serve and %d BuildServe calls, want %d and %d",
-				tc.warm, m.serves, m.builds, tc.wantServes, tc.wantBuilds)
+			t.Errorf("warm=%v exact=%v: %d Serve and %d BuildServe calls, want %d and %d",
+				tc.warm, tc.exact, m.serves, m.builds, tc.wantServes, tc.wantBuilds)
 		}
 	}
 }

@@ -169,7 +169,7 @@ func RunF1() *Table {
 		t.Notes = append(t.Notes, "prover construction failed: "+err.Error())
 		return t
 	}
-	node, ok, err := pv.Prove(datalog.MustParseAtom("p(a, a)"))
+	node, ok, err := pv.ProveCtx(context.Background(), datalog.MustParseAtom("p(a, a)"))
 	if err != nil || !ok {
 		t.OK = false
 	}
@@ -183,7 +183,7 @@ func RunF1() *Table {
 	// Negative control.
 	db2 := chase.NewInstance(datalog.MustParseAtom("s(a, a, a)"))
 	pv2, _ := triq.NewProver(db2, prog, triq.ProofOptions{})
-	ok2, _ := pv2.Proves(datalog.MustParseAtom("p(a, a)"))
+	ok2, _ := pv2.ProvesCtx(context.Background(), datalog.MustParseAtom("p(a, a)"))
 	if ok2 {
 		t.OK = false
 	}

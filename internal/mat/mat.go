@@ -13,20 +13,24 @@
 //
 // Entries are built lazily: the first (cold) evaluation of a program builds
 // the materialization through triq's BuildServe hook, and subsequent commits
-// keep it warm. A maintenance pass that trips a bound (depth, facts, rounds)
-// or fails in any way drops the entry — a partial materialization is never
-// served — and the next query simply rebuilds or chases. Wholesale state
-// replacements (bootstrap, replica snapshot install, recovery) reset the
-// materializer; entries rebuild lazily from the new graph.
+// keep it warm. A build the data declines — it trips a bound (depth, facts,
+// rounds) — is not tried again before the next commit. A maintenance pass
+// that trips a bound or fails in any way drops the entry — a partial
+// materialization is never served — and the next query simply rebuilds or
+// chases. Wholesale state replacements (bootstrap, replica snapshot install,
+// recovery) reset the materializer; entries rebuild lazily from the new
+// graph.
 package mat
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"time"
 
 	"repro/internal/chase"
 	"repro/internal/datalog"
+	"repro/internal/limits"
 	"repro/internal/obs"
 	"repro/internal/owl"
 	"repro/internal/store"
@@ -71,7 +75,15 @@ type Materializer struct {
 	haveEpoch bool
 	entries   map[string]*entry // by the program's full rendering
 	tick      int64
+	// declined holds the programs whose build the data at the current epoch
+	// declined (see BuildServe); a commit or Reset clears it.
+	declined map[string]bool
 }
+
+// maxDeclined bounds the decline memo: a server that sees no commit may be
+// sent any number of distinct programs, and past the bound the memo starts
+// over instead of growing.
+const maxDeclined = 64
 
 // New builds an empty Materializer. Call Reset with the store's recovered
 // epoch before serving, then feed every commit through OnCommit (wire it as
@@ -84,7 +96,7 @@ func New(cfg Config) *Materializer {
 	if cfg.MaxPrograms <= 0 {
 		cfg.MaxPrograms = 4
 	}
-	return &Materializer{cfg: cfg, entries: make(map[string]*entry)}
+	return &Materializer{cfg: cfg, entries: make(map[string]*entry), declined: make(map[string]bool)}
 }
 
 // compatible reports whether answers materialized under the configured chase
@@ -137,6 +149,7 @@ func (m *Materializer) Reset(epoch uint64) {
 
 func (m *Materializer) resetLocked(epoch uint64) {
 	m.entries = make(map[string]*entry)
+	clear(m.declined)
 	m.epoch = epoch
 	m.haveEpoch = true
 	m.gaugesLocked()
@@ -177,6 +190,7 @@ func (m *Materializer) OnCommit(ev store.CommitEvent) {
 		}
 		m.maintainMetrics(st, time.Since(start))
 	}
+	clear(m.declined)
 	m.epoch = ev.Epoch
 	m.haveEpoch = true
 	m.gaugesLocked()
@@ -264,10 +278,14 @@ func served(inc *chase.Incremental, output string) *triq.MatServed {
 // the epoch, so the next reads share it and the next commits keep it warm. It
 // declines ((nil, nil)) when the epoch is stale, the bounds are incompatible,
 // the program is not maintainable (negation), or the build trips a budget;
-// the caller then falls back to the chase.
+// the caller then falls back to the chase. A build is a function of the
+// epoch's data, so one that tripped the depth or a fact or round bound is
+// remembered and declined without a build until the next commit; one the
+// request's context cut short is not.
 func (m *Materializer) BuildServe(ctx context.Context, db *chase.Instance, prog *datalog.Program, epoch uint64, output string, copts chase.Options) (*triq.MatServed, error) {
+	key := prog.String() // rendered before taking the lock maintenance shares
 	m.mu.Lock()
-	if !m.haveEpoch || epoch != m.epoch || !m.compatible(copts) {
+	if !m.haveEpoch || epoch != m.epoch || !m.compatible(copts) || m.declined[key] {
 		m.mu.Unlock()
 		return nil, nil
 	}
@@ -281,10 +299,19 @@ func (m *Materializer) BuildServe(ctx context.Context, db *chase.Instance, prog 
 	inc, err := chase.NewIncremental(ctx, db, prog, bopts)
 	if err != nil || inc.Facts() > m.cfg.MaxFacts {
 		m.cfg.Obs.Count("mat.build_declined", 1)
+		if err == nil || errors.Is(err, chase.ErrMaintainDepth) || limits.IsBudget(err) {
+			m.mu.Lock()
+			if m.haveEpoch && m.epoch == epoch {
+				if len(m.declined) >= maxDeclined {
+					clear(m.declined)
+				}
+				m.declined[key] = true
+			}
+			m.mu.Unlock()
+		}
 		return nil, nil
 	}
 	m.cfg.Obs.Observe("mat.build_us", float64(time.Since(start).Microseconds()))
-	key := prog.String()
 	// No other goroutine sees inc before it is installed, so its view is
 	// built before taking the lock that commits and warm reads wait on.
 	out := served(inc, output)

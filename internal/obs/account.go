@@ -6,9 +6,9 @@
 // Ownership of the fields:
 //
 //   - serve fills the wall/queue/exec times and the heap-allocation delta;
-//   - triq.EvalCtx/EvalExactCtx set the chase counters from the final
-//     evaluation's chase.Stats — the same snapshot EXPLAIN reports, so the
-//     account and Stats agree exactly;
+//   - triq.EvalCtx sets the chase counters from the final evaluation's
+//     chase.Stats — the same snapshot EXPLAIN reports, so the account and
+//     Stats agree exactly;
 //   - the prover adds memo hit/miss deltas per proof search;
 //   - the trace itself maintains the span counts.
 package obs

@@ -139,7 +139,8 @@ type Failure struct {
 // and materializer, the CLI its depth bound and trace — it sets on the
 // returned Request's Options.
 func (r *QueryRequest) Request(sparql bool) (repro.Request, error) {
-	req := repro.Request{Exact: r.Exact, Explain: r.Explain}
+	req := repro.Request{Explain: r.Explain}
+	req.Options.Exact = r.Exact
 	req.Options.Chase.MaxFacts = r.MaxFacts
 	req.Options.Chase.MaxRounds = r.MaxRounds
 	var err error

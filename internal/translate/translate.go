@@ -66,17 +66,10 @@ func (r Regime) String() string {
 	}
 }
 
-// Program returns the regime's fixed rule library — τ_owl2ql_core for the two
-// OWL 2 QL core regimes, the ρdf rules for RDFS — parsed once per process and
-// shared, so read-only, or nil for the plain semantics. A query gets its rules
-// by Join, which every site that needs them calls.
-func (r Regime) Program() *datalog.Program {
-	if lib := r.library(); lib != nil {
-		return lib.Program()
-	}
-	return nil
-}
-
+// library returns the regime's fixed rule library — τ_owl2ql_core for the
+// two OWL 2 QL core regimes, the ρdf rules for RDFS — parsed once per process
+// and shared, so read-only, or nil for the plain semantics. A query gets its
+// rules by Join, which every site that needs them calls.
 func (r Regime) library() *datalog.Library {
 	switch r {
 	case ActiveDomain, All:

@@ -71,9 +71,18 @@ func Validate(q datalog.Query, lang Language) error {
 type Options struct {
 	// Chase bounds the underlying chase engine.
 	Chase chase.Options
-	// MaxVisits caps the proof-search component expansions with which the
-	// exact path (EvalExactCtx) decides the goals its chase leaves open; 0
-	// selects the ProofOptions default. Ignored by EvalCtx.
+	// Exact asks for an answer that is provably all of Q(D), or marked
+	// Incomplete: the chase and its closing pass run as without it, and
+	// where they do not prove the answer complete, ProofTree (Section 6.3)
+	// decides the goals the pass leaves open, after each negated derived
+	// predicate has been certified the same way and copied into the database,
+	// where its negation is a lookup. The query must be TriQ-Lite 1.0, which
+	// the regime translations are by Corollaries 5.4 and 6.2, whatever
+	// language the caller names. Materializations are not consulted.
+	Exact bool
+	// MaxVisits caps the proof-search component expansions with which an
+	// Exact evaluation decides the goals its chase leaves open; 0 selects the
+	// ProofOptions default. Ignored unless Exact.
 	MaxVisits int
 	// Mat, when non-nil, lets evaluation answer from an incrementally
 	// maintained materialization instead of chasing, provided Mat holds
@@ -96,10 +105,10 @@ type Result struct {
 	// Exact reports that the answer set is provably complete: the chase
 	// terminated within its depth bound, or its closing pass proved the ground
 	// part complete at that bound (Stats.Deepening then ends with the pass),
-	// or — on the exact path — ProofTree decided the goals the pass left open.
-	// When false the answers are the stable fixpoint of iterative deepening, a
-	// heuristic stop (see chase.StableGroundCtx); on the exact path it is false
-	// only when Incomplete.
+	// or — under Options.Exact — ProofTree decided the goals the pass left
+	// open. When false the answers are the stable fixpoint of iterative
+	// deepening, a heuristic stop (see chase.StableGroundCtx); under
+	// Options.Exact it is false only when Incomplete.
 	Exact bool
 	// Incomplete is true when a resource budget (facts, rounds, or visits)
 	// tripped and the answers are the sound partial set computed before the
@@ -122,30 +131,39 @@ type Result struct {
 
 // EvalCtx evaluates the query over the database as defined in Section 3.2:
 // Q(D) = ⊤ when D is inconsistent w.r.t. Π, and the set of constant output
-// tuples otherwise. The query must belong to the given language.
+// tuples otherwise. The query must belong to the given language (to
+// TriQ-Lite 1.0 under opts.Exact).
 //
 // The chase turns constraints into rules that derive an inconsistency marker
 // (datalog.ConstraintsAsRules), so a single monotone chase answers both the
-// consistency question and the query.
+// consistency question and the query. Under opts.Exact, where the chase does
+// not end Exact, ProofTree decides what it leaves open ("The exact path" in
+// exact.go).
 //
-// With opts.Mat set, the materializer builds and installs the fixpoint from
-// db and answers from it; a warm materialization is asked before db is built
-// (ServeMaterialized), not here.
+// With opts.Mat set (and opts.Exact not), the materializer builds and installs
+// the fixpoint from db and answers from it; a warm materialization is asked
+// before db is built (ServeMaterialized), not here.
 //
 // Cancellation and deadlines abort with a typed limits error (ErrCanceled /
-// ErrDeadline, carrying a Truncation report). Budget exhaustion — MaxFacts or
-// MaxRounds tripping — degrades gracefully instead: the sound partial answer
-// set computed before the abort is returned with Result.Incomplete set and the
-// Truncation attached, and err is nil.
+// ErrDeadline, carrying a Truncation report). Budget exhaustion — MaxFacts,
+// MaxRounds or MaxVisits tripping — degrades gracefully instead: the sound
+// partial answer set computed before the abort is returned with
+// Result.Incomplete set and the Truncation attached, and err is nil (under
+// opts.Exact the set is empty when the trip came before every negated derived
+// predicate was certified: nothing is known to be sound until then).
 func EvalCtx(ctx context.Context, db *chase.Instance, q datalog.Query, lang Language, opts Options) (*Result, error) {
+	span := "triq.eval"
+	if opts.Exact {
+		lang, span = TriQLite10, "triq.exact"
+	}
 	if err := Validate(q, lang); err != nil {
 		return nil, err
 	}
-	ctx, sp := obs.StartSpan(ctx, opts.Chase.Obs, "triq.eval",
+	ctx, sp := obs.StartSpan(ctx, opts.Chase.Obs, span,
 		obs.F("lang", lang.String()),
 		obs.F("output", q.Output),
 		obs.F("db_facts", db.Len()))
-	if opts.Mat != nil {
+	if opts.Mat != nil && !opts.Exact {
 		if served, merr := opts.Mat.BuildServe(ctx, db, q.Program, opts.MatEpoch, q.Output, opts.Chase); merr == nil && served != nil {
 			res := servedResult(served, PathMaterializedBuild)
 			sp.End(obs.F("path", res.Path), obs.F("depth", res.Depth))
@@ -155,6 +173,23 @@ func EvalCtx(ctx context.Context, db *chase.Instance, q datalog.Query, lang Lang
 		// is not a query error — the chase remains authoritative.
 	}
 	gr, err := chase.StableGroundCtx(ctx, db, q.Program, opts.Chase)
+	// sound says that the ground part of gr is sound where a limit cut it
+	// short; an exact evaluation of a program that negates a derived
+	// predicate knows nothing to be sound until those are certified.
+	sound := !opts.Exact || len(q.Program.NegatedIDB()) == 0
+	var proven []datalog.Atom
+	if opts.Exact && err == nil && !gr.Exact {
+		prog := q.Program
+		if !sound {
+			if db, prog, err = certifyNegated(ctx, db, prog, opts); err == nil {
+				sound = true
+				gr, err = chase.StableGroundCtx(ctx, db, prog, opts.Chase)
+			}
+		}
+		if err == nil {
+			proven, err = prove(ctx, db, prog, gr, []string{datalog.InconsistencyMarker, q.Output}, opts)
+		}
+	}
 	res := &Result{Path: PathChase}
 	if err != nil {
 		if gr == nil || !limits.IsBudget(err) {
@@ -164,26 +199,32 @@ func EvalCtx(ctx context.Context, db *chase.Instance, q datalog.Query, lang Lang
 		// Budget trip with a partial instance: degrade to the sound partial
 		// answers instead of discarding the work.
 		res.Incomplete = true
-		if tr, ok := limits.TruncationOf(err); ok {
-			res.Truncation = tr
-		}
+		res.Truncation, _ = limits.TruncationOf(err)
 	}
-	res.Exact = gr.Exact
-	res.Depth = gr.Depth
-	res.Stats = gr.Stats
+	res.Exact = gr.Exact || opts.Exact && err == nil
+	res.Depth, res.Stats = gr.Depth, gr.Stats
 	accountChase(ctx, res.Stats)
 	// Marker derivation is monotone, so ⊤ is sound even on a truncated run.
-	ans := AnswersOf(gr.Inconsistent, gr.GroundAtomsOf(q.Output))
-	res.Answers = ans
-	if ans.Inconsistent {
-		sp.End(obs.F("inconsistent", true), obs.F("depth", res.Depth))
-		return res, nil
+	var inconsistent bool
+	var output []datalog.Atom
+	if sound || err == nil {
+		inconsistent, output = gr.Inconsistent, gr.GroundAtomsOf(q.Output)
 	}
+	for _, a := range proven {
+		if a.Pred == datalog.InconsistencyMarker {
+			inconsistent = true
+		} else {
+			output = append(slices.Clip(output), a)
+		}
+	}
+	res.Answers = AnswersOf(inconsistent, output)
 	sp.End(
-		obs.F("answers", len(ans.Tuples)),
+		obs.F("answers", len(res.Answers.Tuples)),
+		obs.F("inconsistent", res.Answers.Inconsistent),
 		obs.F("depth", res.Depth),
 		obs.F("exact", res.Exact),
-		obs.F("incomplete", res.Incomplete))
+		obs.F("incomplete", res.Incomplete),
+		obs.F("proven", len(proven)))
 	return res, nil
 }
 

@@ -119,7 +119,7 @@ func TestEvalInfiniteChaseWarded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, err := pv.Proves(atom("out", "a"))
+	ok, err := pv.ProvesCtx(t.Context(), atom("out", "a"))
 	if err != nil || !ok {
 		t.Errorf("ProofTree disagrees: out(a) = %v, %v", ok, err)
 	}

@@ -79,7 +79,8 @@ func exactOf(ctx context.Context, db *chase.Instance, prog *datalog.Program, pre
 	}
 	withGoal := prog.Clone()
 	withGoal.Add(datalog.Rule{BodyPos: []datalog.Atom{{Pred: pred, Args: args}}, Head: []datalog.Atom{{Pred: "goal#", Args: args}}})
-	return EvalExactCtx(ctx, db, datalog.Query{Program: withGoal, Output: "goal#"}, opts)
+	opts.Exact = true
+	return EvalCtx(ctx, db, datalog.Query{Program: withGoal, Output: "goal#"}, TriQLite10, opts)
 }
 
 // deepChain derives q(a) at the end of a chain r1 … r8 of nulls, so at null
@@ -138,7 +139,7 @@ func TestEvalExactWideNegation(t *testing.T) {
 	for _, n := range []int{32, 42} {
 		db, prog := wideNegation(n)
 		o := obs.New()
-		res, err := EvalExactCtx(t.Context(), db, datalog.Query{Program: prog, Output: "ans"}, Options{Chase: chase.Options{Obs: o}})
+		res, err := EvalCtx(t.Context(), db, datalog.Query{Program: prog, Output: "ans"}, TriQLite10, Options{Exact: true, Chase: chase.Options{Obs: o}})
 		skipInjected(t, err)
 		if err != nil {
 			t.Fatalf("%d constants: %v", n, err)
@@ -163,7 +164,7 @@ func TestEvalExactWideNegation(t *testing.T) {
 // certified copy of q that the negation reads holds it.
 func TestEvalExactDeepNegation(t *testing.T) {
 	db, prog := deepNegationFixture()
-	res, err := EvalExactCtx(t.Context(), db, datalog.Query{Program: prog, Output: "ans"}, Options{})
+	res, err := EvalCtx(t.Context(), db, datalog.Query{Program: prog, Output: "ans"}, TriQLite10, Options{Exact: true})
 	skipInjected(t, err)
 	if err != nil {
 		t.Fatal(err)
@@ -178,15 +179,16 @@ func TestEvalExactDeepNegation(t *testing.T) {
 	}
 	// A visit budget that trips on q(a) before q is certified leaves nothing
 	// known to be sound: the chase's ans(a) is not reported.
-	res, err = EvalExactCtx(t.Context(), db, datalog.Query{Program: prog, Output: "ans"}, Options{MaxVisits: 1})
+	res, err = EvalCtx(t.Context(), db, datalog.Query{Program: prog, Output: "ans"}, TriQLite10, Options{Exact: true, MaxVisits: 1})
 	skipInjected(t, err)
 	if err != nil || !res.Incomplete || res.Exact || res.Truncation.Limit != limits.LimitVisits || len(res.Answers.Tuples) != 0 {
 		t.Errorf("got %+v, %v; want an incomplete empty answer on a visits trip", res, err)
 	}
 }
 
-// TestEvalExactMatchesEval: where the chase terminates the exact path is that
-// chase, and asks ProofTree nothing.
+// TestEvalExactMatchesEval: where the chase terminates, EvalCtx under
+// Options.Exact is that chase — the same depth, chase work and rows — and
+// asks ProofTree nothing.
 func TestEvalExactMatchesEval(t *testing.T) {
 	db := chase.NewInstance(
 		atom("triple", "TheAirline", "partOf", "transportService"),
@@ -207,39 +209,24 @@ func TestEvalExactMatchesEval(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := obs.New()
-	exact, err := EvalExactCtx(t.Context(), db, q, Options{Chase: chase.Options{Obs: o}})
+	exact, err := EvalCtx(t.Context(), db, q, TriQLite10, Options{Exact: true, Chase: chase.Options{Obs: o}})
 	skipInjected(t, err)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exact.Depth != fast.Depth || exact.Stats.FactsDerived != fast.Stats.FactsDerived || o.Registry().Counter("prover.proofs") != 0 {
-		t.Errorf("exact: depth %d, %d facts, %d proofs; the chase: depth %d, %d facts",
-			exact.Depth, exact.Stats.FactsDerived, o.Registry().Counter("prover.proofs"), fast.Depth, fast.Stats.FactsDerived)
+	work := func(st chase.Stats) [4]int {
+		return [4]int{st.Rounds, st.TriggersFired, st.FactsDerived, st.NullsInvented}
 	}
-	if len(fast.Answers.Tuples) != len(exact.Answers.Tuples) {
-		t.Fatalf("answer counts differ: fast %d vs exact %d",
-			len(fast.Answers.Tuples), len(exact.Answers.Tuples))
+	if exact.Depth != fast.Depth || work(exact.Stats) != work(fast.Stats) || o.Registry().Counter("prover.proofs") != 0 {
+		t.Errorf("exact: depth %d, work %v, %d proofs; the chase: depth %d, work %v",
+			exact.Depth, work(exact.Stats), o.Registry().Counter("prover.proofs"), fast.Depth, work(fast.Stats))
 	}
-	for i := range fast.Answers.Tuples {
-		if !isSameTuple(fast.Answers.Tuples[i], exact.Answers.Tuples[i]) {
-			t.Errorf("tuple %d differs: %v vs %v", i, fast.Answers.Tuples[i], exact.Answers.Tuples[i])
-		}
+	if got, want := fmt.Sprint(exact.Answers), fmt.Sprint(fast.Answers); got != want || len(fast.Answers.Tuples) == 0 {
+		t.Errorf("exact rows %s, the chase's %s", got, want)
 	}
-	if !exact.Exact {
-		t.Error("EvalExact must report exactness")
+	if !exact.Exact || !fast.Exact {
+		t.Errorf("exact %v, the chase %v: a terminating chase is exact either way", exact.Exact, fast.Exact)
 	}
-}
-
-func isSameTuple(a, b []datalog.Term) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func TestEvalExactConstraints(t *testing.T) {
@@ -248,7 +235,7 @@ func TestEvalExactConstraints(t *testing.T) {
 		type(?X, ?Y), type(?X, ?Z), disj(?Y, ?Z) -> false.
 	`, "out")
 	bad := chase.NewInstance(atom("type", "a", "C1"), atom("type", "a", "C2"), atom("disj", "C1", "C2"))
-	res, err := EvalExactCtx(t.Context(), bad, q, Options{})
+	res, err := EvalCtx(t.Context(), bad, q, TriQLite10, Options{Exact: true})
 	skipInjected(t, err)
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +244,7 @@ func TestEvalExactConstraints(t *testing.T) {
 		t.Error("EvalExact should detect ⊤")
 	}
 	good := chase.NewInstance(atom("type", "a", "C1"))
-	res, err = EvalExactCtx(t.Context(), good, q, Options{})
+	res, err = EvalCtx(t.Context(), good, q, TriQLite10, Options{Exact: true})
 	skipInjected(t, err)
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +260,7 @@ func TestEvalExactConstraints(t *testing.T) {
 	for _, neg := range []string{"", "p(?X), not q(?X) -> ans(?X).\n"} {
 		prog := datalog.MustParse(src + neg + "p(?X) -> out(?X).\nq(?X), p(?X) -> false.")
 		o := obs.New()
-		res, err := EvalExactCtx(t.Context(), db, datalog.Query{Program: prog, Output: "out"}, Options{Chase: chase.Options{Obs: o}})
+		res, err := EvalCtx(t.Context(), db, datalog.Query{Program: prog, Output: "out"}, TriQLite10, Options{Exact: true, Chase: chase.Options{Obs: o}})
 		skipInjected(t, err)
 		if err != nil {
 			t.Fatalf("%q: %v", neg, err)
@@ -291,7 +278,7 @@ func TestEvalExactRejectsNonTriQLite(t *testing.T) {
 		s(?X, ?Y) -> s(?Y, ?X).
 		s(?X, ?Y), s(?Y, ?W) -> out(?X).
 	`).String(), "out")
-	if _, err := EvalExactCtx(t.Context(), chase.NewInstance(), q, Options{}); err == nil {
+	if _, err := EvalCtx(t.Context(), chase.NewInstance(), q, TriQLite10, Options{Exact: true}); err == nil {
 		t.Error("non-warded query must be rejected")
 	}
 }

@@ -150,8 +150,8 @@ func TestExplainMergesBackIntoCallerRegistry(t *testing.T) {
 func TestExplainExactCarriesProver(t *testing.T) {
 	db, src := deepChain()
 	q := datalog.MustParseQuery(src, "q")
-	res, rep, err := Explained("triq-exact", Options{}, func(opts Options) (*Result, error) {
-		return EvalExactCtx(t.Context(), db, q, opts)
+	res, rep, err := Explained("triq-exact", Options{Exact: true}, func(opts Options) (*Result, error) {
+		return EvalCtx(t.Context(), db, q, TriQLite10, opts)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -124,8 +124,7 @@ func TestProverMemoFaultPoint(t *testing.T) {
 func TestEvalExactDegradesOnVisitBudget(t *testing.T) {
 	db, src := deepChain()
 	q := datalog.MustParseQuery(src, "q")
-	opts := Options{MaxVisits: 1}
-	res, err := EvalExactCtx(context.Background(), db, q, opts)
+	res, err := EvalCtx(context.Background(), db, q, TriQLite10, Options{Exact: true, MaxVisits: 1})
 	skipInjected(t, err)
 	if err != nil {
 		t.Fatalf("visit-budget trips must degrade, not error: %v", err)
@@ -137,7 +136,7 @@ func TestEvalExactDegradesOnVisitBudget(t *testing.T) {
 		t.Fatalf("Truncation = %+v, want visits", res.Truncation)
 	}
 	// Full run for comparison: the partial answers must be a subset.
-	fullRes, err := EvalExactCtx(context.Background(), db, q, Options{})
+	fullRes, err := EvalCtx(context.Background(), db, q, TriQLite10, Options{Exact: true})
 	skipInjected(t, err)
 	if err != nil {
 		t.Fatal(err)

@@ -49,12 +49,12 @@ type Materializer interface {
 
 // ServeMaterialized answers the query from a warm materialization without
 // touching the database: it validates the query and asks opts.Mat for an
-// epoch-exact hit. It never builds. The boolean reports whether the
-// materialization served; on false the caller should evaluate normally
-// (facades use this to skip loading the graph into an Instance at all — the
-// point of serving warm).
+// epoch-exact hit. It never builds, and an Exact evaluation it leaves to
+// EvalCtx. The boolean reports whether the materialization served; on false
+// the caller should evaluate normally (facades use this to skip loading the
+// graph into an Instance at all — the point of serving warm).
 func ServeMaterialized(q datalog.Query, lang Language, opts Options) (*Result, bool) {
-	if opts.Mat == nil {
+	if opts.Mat == nil || opts.Exact {
 		return nil, false
 	}
 	if err := Validate(q, lang); err != nil {

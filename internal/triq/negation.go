@@ -60,7 +60,11 @@ func certifyNegated(ctx context.Context, db *chase.Instance, prog *datalog.Progr
 			}
 		}
 		if len(preds) > 0 {
-			gr, extent, err := certify(ctx, dbPlus, progPlus, preds, opts)
+			gr, err := chase.StableGroundCtx(ctx, dbPlus, progPlus, opts.Chase)
+			if err != nil {
+				return nil, nil, err
+			}
+			extent, err := prove(ctx, dbPlus, progPlus, gr, preds, opts)
 			if err != nil {
 				return nil, nil, err
 			}

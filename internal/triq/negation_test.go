@@ -10,7 +10,7 @@ import (
 )
 
 // The tests named for Step 1 of Section 6.3 hold its fixtures and answers on
-// the path that replaced its complements: EvalExactCtx answers as the chase
+// the path that replaced its complements: an Exact EvalCtx answers as the chase
 // does, and certifyNegated copies each negated derived predicate's certified
 // extent into the database, so the program it returns negates database
 // predicates only.
@@ -117,7 +117,7 @@ func TestEliminateNegationRejects(t *testing.T) {
 		`,
 	} {
 		prog := datalog.MustParse(src + `d(?X) -> out(?X).`)
-		if _, err := EvalExactCtx(t.Context(), db, datalog.Query{Program: prog, Output: "out"}, Options{}); err == nil {
+		if _, err := EvalCtx(t.Context(), db, datalog.Query{Program: prog, Output: "out"}, TriQLite10, Options{Exact: true}); err == nil {
 			t.Errorf("%s negation must be rejected", name)
 		}
 	}
@@ -137,10 +137,10 @@ func TestProverWithNegation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok, err := pv.Proves(atom("out", "c")); err != nil || !ok {
+	if ok, err := pv.ProvesCtx(t.Context(), atom("out", "c")); err != nil || !ok {
 		t.Errorf("out(c) should be provable: %v %v", ok, err)
 	}
-	if ok, err := pv.Proves(atom("out", "d")); err != nil || ok {
+	if ok, err := pv.ProvesCtx(t.Context(), atom("out", "d")); err != nil || ok {
 		t.Errorf("out(d) should not be provable: %v %v", ok, err)
 	}
 }

@@ -99,7 +99,7 @@ func TestProverMetricsReflectOptions(t *testing.T) {
 	}
 	// Without Obs, canonicalization timing stays off (zero-overhead path) but
 	// counters still accumulate.
-	if _, err := pv.Proves(datalog.MustParseAtom("p(a, a)")); err != nil {
+	if _, err := pv.ProvesCtx(t.Context(), datalog.MustParseAtom("p(a, a)")); err != nil {
 		t.Fatal(err)
 	}
 	m := pv.Metrics()

@@ -85,7 +85,7 @@ func (n *ProofNode) Size() int {
 type ProofOptions struct {
 	// MaxVisits caps the number of component expansions (default 2,000,000).
 	MaxVisits int
-	// Obs attaches the observability layer: when non-nil each Prove emits a
+	// Obs attaches the observability layer: when non-nil each ProveCtx emits a
 	// prover.prove span with its search-space metrics, the registry gains
 	// prover.* counters, and canonicalization time is measured. Nil (the
 	// default) disables all of it.
@@ -97,7 +97,7 @@ type ProofOptions struct {
 }
 
 // ProofMetrics is the cumulative search-space accounting of a Prover. It
-// grows monotonically across Prove calls on the same Prover, so callers
+// grows monotonically across ProveCtx calls on the same Prover, so callers
 // snapshot it before and after a call to attribute work to one goal.
 type ProofMetrics struct {
 	// Components counts component states visited (the paper's alternating
@@ -129,11 +129,11 @@ type ProofMetrics struct {
 // predicate's extent is D's, so ¬s(t) holds exactly when s(t) ∉ D: a
 // resolution whose instantiated negated atom D holds is dropped. That lookup
 // is the membership test of Step 1's complement (Section 6.3) without the
-// complement. The exact path (EvalExactCtx) gives a program that negates a
-// derived predicate this shape by copying that predicate's certified extent
-// into D first.
+// complement. The exact path (EvalCtx under Options.Exact) gives a program
+// that negates a derived predicate this shape by copying that predicate's
+// certified extent into D first.
 //
-// A Prover is safe for concurrent use: Prove/ProveCtx calls from multiple
+// A Prover is safe for concurrent use: ProveCtx calls from multiple
 // goroutines serialize on an internal mutex. The search state (the canonical
 // memo table, visit counters, the in-flight context) is deliberately shared
 // across calls — an exact evaluation decides all its open goals with one
@@ -150,7 +150,7 @@ type Prover struct {
 	domain []datalog.Term // dom(D) ∪ constants of Π
 	opts   ProofOptions
 
-	// mu serializes Prove calls: everything below it is per-call or
+	// mu serializes ProveCtx calls: everything below it is per-call or
 	// cross-call mutable state.
 	mu     sync.Mutex
 	memo   map[string]*memoEntry
@@ -162,8 +162,8 @@ type Prover struct {
 	depthNow int
 	timing   bool // collect CanonTime (set when opts.Obs != nil)
 
-	ctx   context.Context // the context of the in-flight Prove, nil between calls
-	start time.Time       // start of the in-flight Prove
+	ctx   context.Context // the context of the in-flight ProveCtx, nil between calls
+	start time.Time       // start of the in-flight ProveCtx
 	tick  int             // µ-enumeration counter gating the ctx checks
 }
 
@@ -181,7 +181,7 @@ func (pv *Prover) fail(err error) bool {
 	return false
 }
 
-// interrupted aborts the search when the Prove context has been canceled or
+// interrupted aborts the search when the ProveCtx context has been canceled or
 // its deadline passed.
 func (pv *Prover) interrupted() bool {
 	if pv.err != nil {
@@ -194,7 +194,7 @@ func (pv *Prover) interrupted() bool {
 }
 
 // Metrics snapshots the prover's cumulative search-space accounting. It
-// blocks while a Prove call is in flight on another goroutine.
+// blocks while a ProveCtx call is in flight on another goroutine.
 func (pv *Prover) Metrics() ProofMetrics {
 	pv.mu.Lock()
 	defer pv.mu.Unlock()
@@ -330,32 +330,23 @@ func NewProver(db *chase.Instance, prog *datalog.Program, opts ProofOptions) (*P
 	return pv, nil
 }
 
-// Proves reports whether the constant-ground atom is in Π(D).
-func (pv *Prover) Proves(goal datalog.Atom) (bool, error) {
-	_, ok, err := pv.Prove(goal)
-	return ok, err
-}
-
-// ProvesCtx is Proves under a context.
+// ProvesCtx reports whether the constant-ground atom is in Π(D): ProveCtx
+// without the proof-tree.
 func (pv *Prover) ProvesCtx(ctx context.Context, goal datalog.Atom) (bool, error) {
 	_, ok, err := pv.ProveCtx(ctx, goal)
 	return ok, err
 }
 
-// Prove decides membership and returns the proof-tree on success.
-func (pv *Prover) Prove(goal datalog.Atom) (*ProofNode, bool, error) {
-	return pv.ProveCtx(context.Background(), goal)
-}
-
-// ProveCtx is Prove under a context: cancellation and deadlines are checked
-// at every component visit and throughout µ-enumeration, so a canceled
-// search stops within one expansion; the visit budget aborts with a typed
-// ErrVisitBudget carrying a Truncation report.
+// ProveCtx decides membership and returns the proof-tree on success.
+// Cancellation and deadlines are checked at every component visit and
+// throughout µ-enumeration, so a canceled search stops within one expansion;
+// the visit budget aborts with a typed ErrVisitBudget carrying a Truncation
+// report.
 func (pv *Prover) ProveCtx(ctx context.Context, goal datalog.Atom) (*ProofNode, bool, error) {
 	if !goal.IsConstantGround() {
 		return nil, false, fmt.Errorf("triq: goal %v must be a constant-ground atom", goal)
 	}
-	// Serialize concurrent Prove calls: the memo table and counters are
+	// Serialize concurrent ProveCtx calls: the memo table and counters are
 	// shared across calls by design (see the Prover doc comment).
 	pv.mu.Lock()
 	defer pv.mu.Unlock()

@@ -34,7 +34,7 @@ func TestProofTreeFigure1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	node, ok, err := pv.Prove(atom("p", "a", "a"))
+	node, ok, err := pv.ProveCtx(t.Context(), atom("p", "a", "a"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestProofTreeFigure1(t *testing.T) {
 		t.Errorf("rendered tree missing root:\n%s", rendered)
 	}
 	// q(a,a) is derivable directly from s(a,a,a) twice.
-	if ok, err := pv.Proves(atom("q", "a", "a")); err != nil || !ok {
+	if ok, err := pv.ProvesCtx(t.Context(), atom("q", "a", "a")); err != nil || !ok {
 		t.Errorf("q(a,a) should be provable: %v %v", ok, err)
 	}
 }
@@ -61,11 +61,11 @@ func TestProofTreeNegativeGoal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok, err := pv.Proves(atom("p", "a", "a")); err != nil || ok {
+	if ok, err := pv.ProvesCtx(t.Context(), atom("p", "a", "a")); err != nil || ok {
 		t.Errorf("p(a,a) should not be provable, got %v %v", ok, err)
 	}
 	// q(a,a) still is.
-	if ok, _ := pv.Proves(atom("q", "a", "a")); !ok {
+	if ok, _ := pv.ProvesCtx(t.Context(), atom("q", "a", "a")); !ok {
 		t.Error("q(a,a) should still be provable")
 	}
 }
@@ -82,16 +82,16 @@ func TestProofTreeInfiniteChaseTerminates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok, err := pv.Proves(atom("out", "a")); err != nil || !ok {
+	if ok, err := pv.ProvesCtx(t.Context(), atom("out", "a")); err != nil || !ok {
 		t.Errorf("out(a) should be provable: %v %v", ok, err)
 	}
-	if ok, err := pv.Proves(atom("out", "b")); err != nil || ok {
+	if ok, err := pv.ProvesCtx(t.Context(), atom("out", "b")); err != nil || ok {
 		t.Errorf("out(b) should NOT be provable: %v %v", ok, err)
 	}
-	if ok, _ := pv.Proves(atom("e", "a", "b")); !ok {
+	if ok, _ := pv.ProvesCtx(t.Context(), atom("e", "a", "b")); !ok {
 		t.Error("database fact should be provable")
 	}
-	if ok, _ := pv.Proves(atom("e", "b", "a")); ok {
+	if ok, _ := pv.ProvesCtx(t.Context(), atom("e", "b", "a")); ok {
 		t.Error("e(b,a) should not be provable")
 	}
 }
@@ -109,12 +109,12 @@ func TestProofTreeDatalogCycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := pv.Proves(atom("p", "a")); ok {
+	if ok, _ := pv.ProvesCtx(t.Context(), atom("p", "a")); ok {
 		t.Error("p(a) should not be provable without a base fact")
 	}
 	db2 := chase.NewInstance(atom("r", "a"))
 	pv2, _ := NewProver(db2, prog, ProofOptions{})
-	if ok, _ := pv2.Proves(atom("q", "a")); !ok {
+	if ok, _ := pv2.ProvesCtx(t.Context(), atom("q", "a")); !ok {
 		t.Error("q(a) should be provable via r(a) → p(a) → q(a)")
 	}
 }
@@ -156,10 +156,10 @@ func TestProveRejectsNonGroundGoal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pv.Proves(datalog.NewAtom("b", datalog.V("X"))); err == nil {
+	if _, err := pv.ProvesCtx(t.Context(), datalog.NewAtom("b", datalog.V("X"))); err == nil {
 		t.Error("variable goal must be rejected")
 	}
-	if _, err := pv.Proves(datalog.NewAtom("b", datalog.N("z"))); err == nil {
+	if _, err := pv.ProvesCtx(t.Context(), datalog.NewAtom("b", datalog.N("z"))); err == nil {
 		t.Error("null goal must be rejected")
 	}
 }
@@ -213,7 +213,7 @@ func crossValidate(t *testing.T, name string, db *chase.Instance, prog *datalog.
 		for _, tup := range tuples(arity) {
 			goal := datalog.Atom{Pred: pred, Args: tup}
 			want := gr.Ground().Has(goal)
-			got, err := pv.Proves(goal)
+			got, err := pv.ProvesCtx(t.Context(), goal)
 			if err != nil {
 				t.Fatalf("%s: prove %v: %v", name, goal, err)
 			}
@@ -291,7 +291,7 @@ func TestProofTreeVisitBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pv.Proves(atom("out", "a")); err == nil {
+	if _, err := pv.ProvesCtx(t.Context(), atom("out", "a")); err == nil {
 		t.Error("tiny budget should produce an error")
 	}
 }

@@ -114,7 +114,7 @@ func TestPropertyProofTreeAgreesWithChaseRandom(t *testing.T) {
 			for _, tup := range tuples {
 				goal := datalog.Atom{Pred: pred, Args: tup}
 				want := gr.Ground().Has(goal)
-				got, err := pv.Proves(goal)
+				got, err := pv.ProvesCtx(t.Context(), goal)
 				if err != nil {
 					t.Fatalf("round %d: prove %v: %v\n%s", round, goal, err, prog)
 				}

@@ -189,7 +189,8 @@ func soakIteration(g *Graph, q, exactQ Query, sq *SPARQLQuery, tr *Translation,
 			return fmt.Errorf("Translation: got %d tuples, want %d", len(res.Tuples), wantMappings)
 		}
 	default:
-		res, err := Eval(ctx, g, Request{Query: exactQ, Language: TriQLite10, Exact: true, Options: opts})
+		opts.Exact = true
+		res, err := Eval(ctx, g, Request{Query: exactQ, Language: TriQLite10, Options: opts})
 		if err != nil {
 			return checkErr(err)
 		}

@@ -178,8 +178,8 @@ func Validate(q Query, lang Language) error { return triq.Validate(q, lang) }
 // Request is one evaluation over a graph. Exactly one input language is
 // set: a Datalog Query, checked against Language, or — when SPARQL is
 // non-nil — a SPARQL SELECT query, translated to a TriQ query under Regime
-// (Sections 5.1–5.3). Exact and Explain choose how the answer is computed
-// and what is reported about it; neither changes what the answer is.
+// (Sections 5.1–5.3). Explain and Options.Exact choose what is reported
+// about the answer and how it is computed; neither changes what it is.
 type Request struct {
 	// Query is the Datalog^{∃,¬s,⊥} query (Π, p); ignored when SPARQL is set.
 	Query Query
@@ -189,21 +189,13 @@ type Request struct {
 	SPARQL *SPARQLQuery
 	// Regime is the semantics SPARQL is translated under.
 	Regime Regime
-	// Exact asks for an answer that is provably all of Q(G), or marked
-	// Incomplete: the chase and its closing pass run as without it, and
-	// where they do not prove the answer complete, ProofTree (Section 6.3)
-	// decides the goals the pass leaves open, after each negated derived
-	// predicate has been certified the same way and copied into the database,
-	// where its negation is a lookup. The query must be TriQ-Lite 1.0, which
-	// the regime translations are by Corollaries 5.4 and 6.2.
-	// Materializations are not consulted.
-	Exact bool
 	// Explain runs the evaluation under a private metrics registry and
 	// distills it into Response.Explain. If Options.Chase.Obs is set, the
 	// per-query observations are folded back into it afterwards, so
 	// long-lived metrics still see the run.
 	Explain bool
-	// Options bound and instrument the evaluation.
+	// Options bound and instrument the evaluation; Options.Exact asks for an
+	// answer that is provably all of Q(G), or marked Incomplete.
 	Options Options
 }
 
@@ -220,9 +212,9 @@ type Response struct {
 	// Exact reports that the rows are provably all of Q(G): the chase
 	// terminated within its depth bound, or its closing pass proved that no
 	// deeper bound adds a constant-only fact (see internal/chase.StableGroundCtx;
-	// Stats.Deepening says which), or — on a Request.Exact — ProofTree decided
-	// every goal the pass left open. An exact request is Exact unless it is
-	// Incomplete.
+	// Stats.Deepening says which), or — under Options.Exact — ProofTree
+	// decided every goal the pass left open. An exact request is Exact unless
+	// it is Incomplete.
 	Exact bool
 	// Incomplete is true when a resource budget tripped and the rows are the
 	// sound partial answer set derived before the abort. For positive
@@ -275,9 +267,10 @@ func (r *Response) Rows() []string {
 // order, so how a request asks never changes what it is told. The steps:
 // translate (SPARQL only); answer from a materialization of the program
 // pinned to Options.MatEpoch when there is one; only on a miss load the graph
-// as the database τ_db(G) over triple(·,·,·) and run the chase (on an exact
-// request, with ProofTree on the goals it leaves open); decode the answers as
-// RDF terms or solution mappings.
+// as the database τ_db(G) over triple(·,·,·) and evaluate it with
+// triq.EvalCtx (which, under Options.Exact, skips the materializer and asks
+// ProofTree about the goals the chase leaves open); decode the answers as RDF
+// terms or solution mappings.
 //
 // Cancellation and deadlines return typed errors (ErrCanceled, ErrDeadline);
 // budget trips (MaxFacts, MaxRounds, MaxVisits) degrade gracefully to a
@@ -301,22 +294,14 @@ func Eval(ctx context.Context, g *Graph, req Request) (_ *Response, err error) {
 		// A warm materialization answers without τ_db(G) being built at all,
 		// so it is asked before the graph is loaded. (On a miss, EvalCtx
 		// still gets a chance to build one from the loaded instance.)
-		if !req.Exact {
-			res, _ = triq.ServeMaterialized(q, lang, opts)
-		}
-		if res == nil {
+		if res, _ = triq.ServeMaterialized(q, lang, opts); res == nil {
 			var db *chase.Instance
 			if tr != nil {
 				db = tr.LoadDB(ctx, g, opts) // τ_db(G) plus the seed fact of the empty pattern
 			} else {
 				db = owl.DB(g)
 			}
-			if req.Exact {
-				res, err = triq.EvalExactCtx(ctx, db, q, opts)
-			} else {
-				res, err = triq.EvalCtx(ctx, db, q, lang, opts)
-			}
-			if err != nil {
+			if res, err = triq.EvalCtx(ctx, db, q, lang, opts); err != nil {
 				return nil, err
 			}
 		}
@@ -343,14 +328,14 @@ func Eval(ctx context.Context, g *Graph, req Request) (_ *Response, err error) {
 		if req.SPARQL != nil {
 			kind = "sparql"
 		}
-		if req.Exact {
+		if req.Options.Exact {
 			kind += "-exact"
 		}
 		if res, resp.Explain, err = triq.Explained(kind, req.Options, eval); err == nil {
 			switch {
 			case req.SPARQL != nil:
 				resp.Explain.Regime = req.Regime.String()
-			case req.Exact: // the exact path validates against TriQ-Lite 1.0
+			case req.Options.Exact: // the exact path validates against TriQ-Lite 1.0
 				resp.Explain.Language = TriQLite10.String()
 			default:
 				resp.Explain.Language = req.Language.String()

@@ -119,12 +119,12 @@ func TestPublicAPIProver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, err := pv.Proves(datalog.MustParseAtom(`triple(a, follows, b)`))
+	ok, err := pv.ProvesCtx(t.Context(), datalog.MustParseAtom(`triple(a, follows, b)`))
 	if err != nil || !ok {
 		t.Errorf("database fact should be provable: %v %v", ok, err)
 	}
-	node, ok, err := pv.Prove(datalog.MustParseAtom(`triple(a, follows, b)`))
+	node, ok, err := pv.ProveCtx(t.Context(), datalog.MustParseAtom(`triple(a, follows, b)`))
 	if err != nil || !ok || node == nil {
-		t.Errorf("Prove should return a tree: %v %v %v", node, ok, err)
+		t.Errorf("ProveCtx should return a tree: %v %v %v", node, ok, err)
 	}
 }
