@@ -30,7 +30,12 @@ type ruleCounts [4]int
 // TestBenchmarkRequestCounts pins the chase counts of the two chase-bound
 // benchmark requests, which the traced benchmark also reads and compares
 // across changes: how many rounds, triggers and facts a request costs is a
-// function of the program and the database, whatever the engine skips.
+// function of the program and the database, whatever the engine skips. The
+// university request starts from the fixpoint of τ_owl2ql_core's database
+// part, rules #3–#19 (the first request over the graph builds it, every later
+// one finds it, and both count alike): those take no turn and count nothing,
+// and the 279 facts they derive are no request's (891 facts and 2 211
+// attempted triggers when every request derived them).
 func TestBenchmarkRequestCounts(t *testing.T) {
 	t.Run("university_regime", func(t *testing.T) {
 		g, req := universityRequest(t)
@@ -41,13 +46,13 @@ func TestBenchmarkRequestCounts(t *testing.T) {
 		}
 		st := resp.Stats
 		want := []ruleCounts{
-			{32, 32, 32, 0}, {32, 32, 32, 0}, {32, 32, 32, 0}, {106, 51, 69, 0},
-			{39, 39, 39, 0}, {1, 1, 1, 0}, {8, 8, 8, 0}, {8, 8, 8, 0},
-			{10, 10, 10, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {106, 106, 106, 0},
-			{11, 1, 1, 0}, {8, 8, 8, 0}, {24, 0, 0, 0}, {20, 10, 10, 0},
-			{15, 7, 7, 0}, {127, 12, 12, 0}, {0, 0, 0, 0}, {0, 0, 0, 0},
-			{282, 4, 4, 0}, {252, 105, 105, 0}, {76, 75, 75, 2}, {244, 166, 166, 0},
-			{490, 99, 99, 0}, {288, 67, 67, 0}, {0, 0, 0, 0}, {0, 0, 0, 0},
+			{32, 32, 32, 0}, {32, 32, 32, 0}, {32, 32, 32, 0}, {0, 0, 0, 0},
+			{0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0},
+			{0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0},
+			{0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0},
+			{0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0},
+			{246, 4, 4, 0}, {220, 105, 105, 0}, {76, 75, 75, 2}, {205, 166, 166, 0},
+			{430, 99, 99, 0}, {256, 67, 67, 0}, {0, 0, 0, 0}, {0, 0, 0, 0},
 		}
 		if len(st.PerRule) != len(want) {
 			t.Fatalf("%d rules, want %d", len(st.PerRule), len(want))
@@ -59,12 +64,12 @@ func TestBenchmarkRequestCounts(t *testing.T) {
 				t.Errorf("rule #%d %s: attempted/fired/facts/nulls %v, want %v", r.Index, r.Rule, got, want[i])
 			}
 		}
-		if st.Rounds != 17 || attempted != 2211 || st.TriggersFired != 873 || st.FactsDerived != 891 || st.NullsInvented != 2 {
-			t.Errorf("%d rounds, %d attempted, %d fired, %d facts, %d nulls; want 17, 2211, 873, 891, 2",
+		if st.Rounds != 17 || attempted != 1529 || st.TriggersFired != 612 || st.FactsDerived != 612 || st.NullsInvented != 2 {
+			t.Errorf("%d rounds, %d attempted, %d fired, %d facts, %d nulls; want 17, 1529, 612, 612, 2",
 				st.Rounds, attempted, st.TriggersFired, st.FactsDerived, st.NullsInvented)
 		}
 		wantSteps := []chase.DeepenStep{
-			{Depth: 0, Parked: 60, NewFacts: 687, NewGround: 687},
+			{Depth: 0, Parked: 60, NewFacts: 408, NewGround: 408},
 			{Depth: 0, Resumed: true, Closing: true, Coarse: true, Refired: 60, NewFacts: 204},
 		}
 		if len(st.Deepening) != len(wantSteps) {
@@ -95,8 +100,10 @@ func TestBenchmarkRequestCounts(t *testing.T) {
 
 // TestUniversityRuleSiteHits counts the chase.rule fault site over the
 // university request, traced: every rule passes the site once a round,
-// whether or not its body gained rows, so a fault plan trips where it tripped
-// when every rule took every turn; only the 122 turns taken have a span.
+// whether or not its body gained rows and whether or not it belongs to the
+// library's database part, so a fault plan trips where it tripped when every
+// rule took every turn; only the 99 turns taken have a span (122 while the
+// database part's rules took theirs).
 func TestUniversityRuleSiteHits(t *testing.T) {
 	g, req := universityRequest(t)
 	hits := 0
@@ -114,7 +121,7 @@ func TestUniversityRuleSiteHits(t *testing.T) {
 			spans++
 		}
 	}
-	if hits != 476 || spans != 122 {
-		t.Errorf("chase.rule site hit %d times, %d turns taken; want 476 and 122", hits, spans)
+	if hits != 476 || spans != 99 {
+		t.Errorf("chase.rule site hit %d times, %d turns taken; want 476 and 99", hits, spans)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/chase"
 	"repro/internal/datalog"
@@ -155,25 +156,28 @@ func TestConstructDeterministic(t *testing.T) {
 	}
 }
 
-// countingMat is a triq.Materializer that counts the calls it gets. Serve
-// hits with answer when warm; BuildServe declines, so a miss ends in the
-// chase.
+// countingMat is a triq.Materializer that counts the calls it gets and keeps
+// the keys it was asked by. ServeKey hits with answer when warm; BuildServeKey
+// declines, so a miss ends in the chase.
 type countingMat struct {
 	warm           bool
 	answer         [][]datalog.Term
 	serves, builds int
+	keys           []string
 }
 
-func (m *countingMat) Serve(*datalog.Program, uint64, string, chase.Options) *triq.MatServed {
+func (m *countingMat) ServeKey(key string, _ uint64, _ string, _ chase.Options) *triq.MatServed {
 	m.serves++
+	m.keys = append(m.keys, key)
 	if !m.warm {
 		return nil
 	}
 	return &triq.MatServed{Output: m.answer}
 }
 
-func (m *countingMat) BuildServe(context.Context, *chase.Instance, *datalog.Program, uint64, string, chase.Options) (*triq.MatServed, error) {
+func (m *countingMat) BuildServeKey(_ context.Context, _ *chase.Instance, _ *datalog.Program, key string, _ uint64, _ string, _ chase.Options) (*triq.MatServed, error) {
 	m.builds++
+	m.keys = append(m.keys, key)
 	return nil, nil
 }
 
@@ -199,8 +203,16 @@ func TestEvalAsksMaterializerOnce(t *testing.T) {
 			t.Errorf("warm=%v exact=%v: rows %q (exact %v), want [<a> <b>]", tc.warm, tc.exact, rows, res.Exact)
 		}
 		if m.serves != tc.wantServes || m.builds != tc.wantBuilds {
-			t.Errorf("warm=%v exact=%v: %d Serve and %d BuildServe calls, want %d and %d",
+			t.Errorf("warm=%v exact=%v: %d ServeKey and %d BuildServeKey calls, want %d and %d",
 				tc.warm, tc.exact, m.serves, m.builds, tc.wantServes, tc.wantBuilds)
+		}
+		// One rendering per request: a miss asks to build by the very string
+		// it was served by, not by an equal one rendered again.
+		for _, k := range m.keys {
+			if k != q.Program.String() || unsafe.StringData(k) != unsafe.StringData(m.keys[0]) {
+				t.Errorf("warm=%v exact=%v: keys %q are not one rendering of the program", tc.warm, tc.exact, m.keys)
+				break
+			}
 		}
 	}
 }

@@ -171,6 +171,9 @@ type compiledRule struct {
 	fullOrder []int
 	seeded    [][]int // seeded[j]: order of the remaining atoms when atom j matched delta
 	joinOrder string  // fullOrder as the chase.rule spans of a first round render it
+	// inert marks a rule of the library's database part in an engine that
+	// chases over the part's fixpoint (part.go): it takes no turn.
+	inert bool
 }
 
 func compileRule(r datalog.Rule, idx int) *compiledRule {
@@ -262,6 +265,9 @@ type engine struct {
 	collect      bool
 	closeKeys    []string
 	coarseFailed bool
+	// partBuild is set on the engine that builds the fixpoint of a library's
+	// database part (part.go), which passes no fault site.
+	partBuild bool
 }
 
 // stratum is the resumable state of one stratum: what chaseStratum needs to
@@ -308,6 +314,16 @@ func (e *engine) snapshotStats() Stats {
 // limits.aborted.
 func (e *engine) abort(kind error, budget, reached int64) error {
 	return e.fail(limits.NewError(kind, limits.Truncation{Budget: budget, Reached: reached}))
+}
+
+// hit checks the fault plans, the evaluation's and the process-global one, at
+// a site: the chase.round site once a round, the chase.rule site once per
+// rule and round.
+func (e *engine) hit(point string) error {
+	if e.partBuild {
+		return nil
+	}
+	return limits.Hit(e.opts.Faults, point)
 }
 
 // interrupted returns a typed abort when the context has been canceled or
@@ -375,10 +391,12 @@ func newEngine(ctx context.Context, inst *Instance, opts Options) *engine {
 //
 // A program Compose joined with a fixed library was validated and stratified
 // when it was composed, and the library's rules were compiled once per
-// process: only the query's rules are compiled here (prepareComposed).
-func prepare(ctx context.Context, inst *Instance, prog *datalog.Program, opts Options) (*engine, error) {
+// process: only the query's rules are compiled here (prepareComposed). With
+// onPart set, inst holds the fixpoint of the library's database part already,
+// and the part's rules take no turn.
+func prepare(ctx context.Context, inst *Instance, prog *datalog.Program, opts Options, onPart bool) (*engine, error) {
 	if plan := prog.Composed(); plan != nil {
-		return prepareComposed(ctx, inst, plan, opts), nil
+		return prepareComposed(ctx, inst, plan, opts, onPart), nil
 	}
 	if err := prog.Validate(); err != nil {
 		return nil, err
@@ -421,8 +439,9 @@ func prepare(ctx context.Context, inst *Instance, prog *datalog.Program, opts Op
 // prepareComposed is prepare for a composed program, from the evaluation plan
 // Compose made of it: each library rule is the engine's copy of its compiled
 // form, with the index of its place in this program, and only the query's
-// rules are compiled.
-func prepareComposed(ctx context.Context, inst *Instance, plan *datalog.Composed, opts Options) *engine {
+// rules are compiled. With onPart set each rule of the library's database part
+// is inert.
+func prepareComposed(ctx context.Context, inst *Instance, plan *datalog.Composed, opts Options, onPart bool) *engine {
 	lib, k := compiledOf(plan.Library), 0
 	if plan.SingleHead {
 		k = 1
@@ -447,7 +466,7 @@ func prepareComposed(ctx context.Context, inst *Instance, plan *datalog.Composed
 			var c *compiledRule
 			if r.Lib >= 0 {
 				c = &libRules[r.Lib]
-				c.idx = idx
+				c.idx, c.inert = idx, onPart && r.Part
 				*rs = RuleStats{Index: idx, Rule: lib.names[k][r.Lib], Origin: r.Rule.Provenance}
 			} else {
 				c = compileRule(r.Rule, idx)
@@ -573,7 +592,7 @@ func (e *engine) chaseStratum(s *stratum) error {
 		if round > e.opts.MaxRounds {
 			return e.abort(limits.ErrRoundBudget, int64(e.opts.MaxRounds), int64(round))
 		}
-		if err := limits.Hit(e.opts.Faults, "chase.round"); err != nil {
+		if err := e.hit("chase.round"); err != nil {
 			return e.fail(err)
 		}
 		if err := e.interrupted(); err != nil {
@@ -639,10 +658,10 @@ func (e *engine) chaseStratum(s *stratum) error {
 // A rule whose positive body gained no rows since the last round, and that has
 // no parked trigger to re-fire, takes no turn: seeded from empty delta sets it
 // would enumerate nothing, so its turn could not change the instance, Stats,
-// the parked triggers or the null names. It passes the chase.rule fault site
-// all the same, so a fault plan counts the hits it counts when every rule
-// takes every turn, and does nothing else: no span, label, clock read or
-// matching.
+// the parked triggers or the null names. Neither does an inert rule, whose
+// fixpoint the instance holds from the start. Either passes the chase.rule
+// fault site all the same, so a fault plan counts a hit per rule and round,
+// and does nothing else: no span, label, clock read or matching.
 func (e *engine) turn(s *stratum, ci int, all, first bool, roundSpan *obs.Span) error {
 	c, rs := s.comp[ci], s.stats[ci]
 	refire := first && s.parked[ci].n > 0
@@ -657,8 +676,8 @@ func (e *engine) turn(s *stratum, ci int, all, first bool, roundSpan *obs.Span) 
 		}
 		e.seeds = seeds
 	}
-	if !match && !refire {
-		if err := limits.Hit(e.opts.Faults, "chase.rule"); err != nil {
+	if c.inert || !match && !refire {
+		if err := e.hit("chase.rule"); err != nil {
 			return e.fail(err)
 		}
 		return nil
@@ -711,7 +730,7 @@ func (e *engine) labelledTurn(c *compiledRule, seeds []rowSet, match, refire boo
 // triggers to re-fire, and apply. e.cur and e.park name the rule's stats and
 // parked triggers.
 func (e *engine) ruleTurn(c *compiledRule, seeds []rowSet, match, refire bool) error {
-	if err := limits.Hit(e.opts.Faults, "chase.rule"); err != nil {
+	if err := e.hit("chase.rule"); err != nil {
 		return e.fail(err)
 	}
 	if err := e.interrupted(); err != nil {
@@ -918,7 +937,7 @@ const (
 // that partial instance is a sound under-approximation of Π(D), which is
 // what the graceful-degradation paths upstream rely on.
 func RunCtx(ctx context.Context, db *Instance, prog *datalog.Program, opts Options) (*Result, error) {
-	e, err := prepare(ctx, db.Overlay(), prog, opts.withDefaults())
+	e, err := prepare(ctx, db.Overlay(), prog, opts.withDefaults(), false)
 	if err != nil {
 		return nil, err
 	}

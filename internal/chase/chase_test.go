@@ -202,7 +202,7 @@ func TestEnumerateSkipsRuleOverEmptyRelation(t *testing.T) {
 		db      *Instance
 		visited bool
 	}{{empty, false}, {inPlay, true}} {
-		e, err := prepare(ctx, c.db.Overlay(), datalog.MustParse(src), Options{}.withDefaults())
+		e, err := prepare(ctx, c.db.Overlay(), datalog.MustParse(src), Options{}.withDefaults(), false)
 		if err != nil {
 			t.Fatal(err)
 		}

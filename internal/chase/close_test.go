@@ -220,7 +220,7 @@ func TestRestoreIsRepeatable(t *testing.T) {
 	db := NewInstance(atom("p", "a"), atom("p", "b"))
 	prog := datalog.MustParse(depthChain)
 	engineAt := func(depths ...int) *engine {
-		e, err := prepare(context.Background(), db.Overlay(), prog, Options{}.withDefaults())
+		e, err := prepare(context.Background(), db.Overlay(), prog, Options{}.withDefaults(), false)
 		if err != nil {
 			t.Fatal(err)
 		}

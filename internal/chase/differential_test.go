@@ -469,7 +469,7 @@ func diffEngineSteps(t *testing.T, label string, c diffCase, opts Options, resta
 	var resumed *engine
 	for _, depth := range []int{2, 4, 6, 7} {
 		opts.MaxDepth = depth
-		fresh, err := prepare(context.Background(), c.db.Overlay(), c.program, opts)
+		fresh, err := prepare(context.Background(), c.db.Overlay(), c.program, opts, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -483,7 +483,7 @@ func diffEngineSteps(t *testing.T, label string, c diffCase, opts Options, resta
 			if resumed != nil {
 				restarted.Add(1)
 			}
-			if resumed, err = prepare(context.Background(), c.db.Overlay(), c.program, opts); err != nil {
+			if resumed, err = prepare(context.Background(), c.db.Overlay(), c.program, opts, false); err != nil {
 				t.Fatal(err)
 			}
 			gotErr = resumed.step()

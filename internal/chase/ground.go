@@ -26,6 +26,11 @@ type GroundResult struct {
 	// steps it took (Stats.Deepening lists them): FactsDerived is what the
 	// evaluation added to the database, not what its last step added.
 	Stats Stats
+	// LibraryBase is set when the evaluation started from the fixpoint of its
+	// library's database part (see StableGroundCtx); Stats then count nothing
+	// for the part's rules, and they are the same whether the evaluation built
+	// the fixpoint or found it.
+	LibraryBase *LibraryBase
 
 	inst   *Instance // the chased instance the ground part is read off
 	ground *Instance // Ground's result, once built
@@ -124,6 +129,14 @@ type DeepenStep struct {
 // decision procedure (internal/triq) certifies single atoms independently and
 // the test-suite cross-checks both stops with it.
 //
+// A program composed with a library (datalog.Compose) over an untouched load
+// of a graph's encoding starts from the fixpoint of the library's database
+// part (datalog.Library.DatabasePart), which the first such evaluation over
+// the load builds and every later one finds (part.go); the part's rules take
+// no turn, and GroundResult.LibraryBase reports the fixpoint. Any other
+// database — a Clone, one written to, one built by hand, one with facts of a
+// predicate the part reads — is chased whole.
+//
 // On a limit abort it returns the partial GroundResult reached — everything
 // the earlier steps derived plus the interrupted step's part — together with
 // the typed error, so callers can degrade to the sound partial ground part
@@ -148,6 +161,11 @@ func stableGround(ctx context.Context, db *Instance, prog *datalog.Program, opts
 		steps  []DeepenStep
 		stable int
 	)
+	start := db.Overlay
+	base, lb := partBaseOf(ctx, db, prog, opts)
+	if base != nil {
+		start = func() *Instance { return base.layerWith(db) }
+	}
 	// A closable program starts with the probe at bound 0, and the window does
 	// not count its first `uncounted` steps.
 	closable := closable(prog)
@@ -175,7 +193,7 @@ func stableGround(ctx context.Context, db *Instance, prog *datalog.Program, opts
 			}
 		}
 		if e == nil {
-			if e, err = prepare(sctx, db.Overlay(), prog, opts); err != nil {
+			if e, err = prepare(sctx, start(), prog, opts, base != nil); err != nil {
 				sp.End(obs.F("error", true))
 				return nil, err
 			}
@@ -223,6 +241,7 @@ func stableGround(ctx context.Context, db *Instance, prog *datalog.Program, opts
 				Exact:        exact,
 				Depth:        depth,
 				Stats:        e.snapshotStats(),
+				LibraryBase:  lb,
 			}
 			res.Stats.Deepening = steps
 			if err == nil && !exact && len(prog.NegatedIDB()) == 0 {
@@ -254,7 +273,7 @@ type Plan struct {
 // PlanOf validates, stratifies and compiles the program as an evaluation of
 // it would, and reports the result; the errors are the evaluation's.
 func PlanOf(prog *datalog.Program) (Plan, error) {
-	e, err := prepare(context.Background(), NewInstance(), prog, Options{}.withDefaults())
+	e, err := prepare(context.Background(), NewInstance(), prog, Options{}.withDefaults(), false)
 	if err != nil {
 		return Plan{}, err
 	}

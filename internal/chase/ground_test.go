@@ -209,7 +209,7 @@ func TestResumeRefiresParkedTriggers(t *testing.T) {
 	// it), one that is still too deep at the next step parks again, and it
 	// fires once the bound allows it — without any rule matching again what
 	// it matched in an earlier step.
-	e, err := prepare(context.Background(), db.Overlay(), prog, Options{MaxDepth: 2}.withDefaults())
+	e, err := prepare(context.Background(), db.Overlay(), prog, Options{MaxDepth: 2}.withDefaults(), false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,7 +70,7 @@ func NewIncremental(ctx context.Context, db *Instance, prog *datalog.Program, op
 	if prog.HasNegation() {
 		return nil, fmt.Errorf("chase: incremental maintenance cannot handle negation")
 	}
-	e, err := prepare(ctx, NewInstance(), prog, opts)
+	e, err := prepare(ctx, NewInstance(), prog, opts, false)
 	if err != nil {
 		return nil, err
 	}

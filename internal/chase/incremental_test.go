@@ -223,7 +223,7 @@ func incSchedule(t *testing.T, seed int64, axis string) {
 	// maintained instance that equals the chase of the EDB.
 	settled := func(label string, err error) bool {
 		t.Helper()
-		want, serr := prepare(ctx, edb.Overlay(), prog, incOpts)
+		want, serr := prepare(ctx, edb.Overlay(), prog, incOpts, false)
 		if serr == nil {
 			serr = want.step()
 		}

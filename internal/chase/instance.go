@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/datalog"
 )
@@ -658,11 +659,16 @@ func FromFacts(atoms []datalog.Atom) (*Instance, error) {
 
 // Dict is a frozen symbol table: distinct constants numbered by position, and
 // the map that inverts them. FromRows loads instances over one, and nothing
-// writes it after NewDict, so any number of instances on any number of
-// goroutines may share it.
+// writes its table after NewDict, so any number of instances on any number of
+// goroutines may share it. It also keeps the memo of the library database
+// parts evaluated over its load, which is safe for concurrent use.
 type Dict struct {
 	terms []datalog.Term
 	ids   map[datalog.Term]uint32
+	// parts memoises, by *datalog.Library, the fixpoint of each library's
+	// database part over the load of this Dict (part.go); it dies with the
+	// Dict.
+	parts sync.Map
 }
 
 // NewDict returns the dictionary of the given constants, numbered by

@@ -1,6 +1,9 @@
 package datalog
 
-import "strconv"
+import (
+	"slices"
+	"strconv"
+)
 
 // Library is a fixed rule library — the program of an entailment regime,
 // τ_owl2ql_core or ρdf, that every query under the regime is joined with —
@@ -46,6 +49,12 @@ type Library struct {
 	level [2]map[string]int
 	at    []int
 	aux   []string
+	// part marks the rules of the database part by their index in prog.Rules,
+	// partRules lists them in that order and partReads holds the predicates
+	// their bodies read (DatabasePart).
+	part      []bool
+	partRules []Rule
+	partReads map[string]bool
 }
 
 // NewLibrary checks and analyses a fixed program. The program must not change
@@ -84,9 +93,69 @@ func NewLibrary(p *Program) *Library {
 	}
 	l.grounded = CheckGroundedNegation(p)
 	l.existentials, l.negation = p.HasExistentials(), p.HasNegation()
+	l.databasePart()
 	l.ok = true
 	return l
 }
+
+// databasePart computes the library's database part: the largest set S of its
+// rules without an existential variable or a negated atom whose body
+// predicates are each derived by no library rule, or by rules of S alone. S is
+// what remains of those rules once every rule reading a predicate that a rule
+// outside S derives has been taken out, until none is.
+func (l *Library) databasePart() {
+	p := l.prog
+	l.part = make([]bool, len(p.Rules))
+	for i, r := range p.Rules {
+		l.part[i] = len(r.BodyNeg) == 0 && !r.HasExistential()
+	}
+	for changed := true; changed; {
+		changed = false
+		outside := map[string]bool{InconsistencyMarker: true}
+		for i, r := range p.Rules {
+			for _, h := range r.Head {
+				outside[h.Pred] = outside[h.Pred] || !l.part[i]
+			}
+		}
+		for i, r := range p.Rules {
+			if l.part[i] && slices.ContainsFunc(r.BodyPos, func(a Atom) bool { return outside[a.Pred] }) {
+				l.part[i], changed = false, true
+			}
+		}
+	}
+	l.partReads = make(map[string]bool)
+	for i, r := range p.Rules {
+		if l.part[i] {
+			l.partRules = append(l.partRules, r)
+			for _, a := range r.BodyPos {
+				l.partReads[a.Pred] = true
+			}
+		}
+	}
+}
+
+// DatabasePart returns the rules of the library's database part, in the
+// library's order: the largest set S of its rules without an existential
+// variable or a negated atom whose body predicates are each derived by no
+// library rule, or by rules of S alone. No query Compose joins with the library
+// on the composed path defines a library predicate, so no query rule feeds S
+// either, and the fixpoint of S over a database of the predicates it reads is
+// a function of that database alone: it is the same for every query under the
+// library (DESIGN.md, "The library's database part, once per graph"). For
+// τ_owl2ql_core it is the active domain, the ontology extraction, the copy
+// into triple1 and the reasoning about properties, classes and disjointness;
+// for ρdf every rule. The slice is shared and must not be modified; it is nil
+// for a library that is not valid, stratified and of one arity per predicate.
+func (l *Library) DatabasePart() []Rule {
+	if !l.ok {
+		return nil
+	}
+	return l.partRules
+}
+
+// ReadByDatabasePart reports whether a rule of the database part reads the
+// predicate in its body.
+func (l *Library) ReadByDatabasePart(pred string) bool { return l.partReads[pred] }
 
 // Program returns the library's program, which is shared and read-only.
 func (l *Library) Program() *Program { return l.prog }
@@ -309,6 +378,9 @@ type ComposedRule struct {
 	// Lib is the rule's index in Library.Work(SingleHead), or −1 for a rule
 	// of the query.
 	Lib int
+	// Part says the rule is, or is a single-head piece of, a rule of the
+	// library's database part (Library.DatabasePart).
+	Part bool
 }
 
 // Composed returns the evaluation plan of a composed program, or nil for any
@@ -423,9 +495,9 @@ func (c *composition) stratify(p *Program, single bool) bool {
 		top = max(top, l)
 	}
 	plan := &Composed{Library: lib, SingleHead: single, Strata: make([][]ComposedRule, top+1)}
-	place := func(r Rule, libIdx int) {
+	place := func(r Rule, libIdx int, part bool) {
 		l := levelOf(r.Head[0].Pred)
-		plan.Strata[l] = append(plan.Strata[l], ComposedRule{Rule: r, Lib: libIdx})
+		plan.Strata[l] = append(plan.Strata[l], ComposedRule{Rule: r, Lib: libIdx, Part: part})
 	}
 	// The library's evaluation rules, rule i of its program or, from
 	// len(Rules) on, constraint i−len(Rules), taking the provenance their copy
@@ -436,6 +508,7 @@ func (c *composition) stratify(p *Program, single bool) bool {
 			if i < len(lib.prog.Rules) {
 				prov = p.Rules[c.libRule(i)].Provenance
 			}
+			part := i < len(lib.part) && lib.part[i]
 			lo, hi := i, i+1
 			if single {
 				lo, hi = lib.at[i], lib.at[i+1]
@@ -443,13 +516,13 @@ func (c *composition) stratify(p *Program, single bool) bool {
 			for j := lo; j < hi; j++ {
 				r := lib.work[k][j]
 				r.Provenance = prov
-				place(r, j)
+				place(r, j, part)
 			}
 		}
 	}
 	placeQuery := func(rules []Rule) {
 		for _, r := range rules {
-			place(r, -1)
+			place(r, -1, false)
 		}
 	}
 	nlr := len(lib.prog.Rules)

@@ -35,7 +35,7 @@ func TestMatDeclineRemembered(t *testing.T) {
 	read := func(ctx context.Context) {
 		t.Helper()
 		ep := h.st.Current()
-		if served, err := h.m.BuildServe(ctx, owl.DB(ep.Graph), prog, ep.Seq, "out", chase.Options{}); served != nil || err != nil {
+		if served, err := h.m.BuildServeKey(ctx, owl.DB(ep.Graph), prog, prog.String(), ep.Seq, "out", chase.Options{}); served != nil || err != nil {
 			t.Fatalf("a build that trips the depth bound served %v, %v", served, err)
 		}
 	}
@@ -71,7 +71,7 @@ func TestMatDeclineRemembered(t *testing.T) {
 			defer wg.Done()
 			for range 8 {
 				ep := h.st.Current()
-				if served, err := h.m.BuildServe(t.Context(), owl.DB(ep.Graph), prog, ep.Seq, "out", chase.Options{}); served != nil || err != nil {
+				if served, err := h.m.BuildServeKey(t.Context(), owl.DB(ep.Graph), prog, prog.String(), ep.Seq, "out", chase.Options{}); served != nil || err != nil {
 					t.Errorf("a build that trips the depth bound served %v, %v", served, err)
 				}
 			}

@@ -549,7 +549,7 @@ func TestMatBuildReportsToItsRequestOnly(t *testing.T) {
 	matSkipInjected(t, err)
 	if err == nil && res.Path == triq.PathChase && matFaultsArmed() &&
 		reg.Counter("mat.build_declined") == declined+1 && reg.Counter("mat.builds") == builds {
-		// A fault that cuts the build is no query error: BuildServe
+		// A fault that cuts the build is no query error: BuildServeKey
 		// declines and the request chases, so there is no build to check.
 		t.Skip("injected fault (TRIQ_FAULTS armed) cut the cold build")
 	}

@@ -12,7 +12,7 @@
 // epoch shares it.
 //
 // Entries are built lazily: the first (cold) evaluation of a program builds
-// the materialization through triq's BuildServe hook, and subsequent commits
+// the materialization through triq's BuildServeKey hook, and subsequent commits
 // keep it warm. A build the data declines — it trips a bound (depth, facts,
 // rounds) — is not tried again before the next commit. A maintenance pass
 // that trips a bound or fails in any way drops the entry — a partial
@@ -76,7 +76,7 @@ type Materializer struct {
 	entries   map[string]*entry // by the program's full rendering
 	tick      int64
 	// declined holds the programs whose build the data at the current epoch
-	// declined (see BuildServe); a commit or Reset clears it.
+	// declined (see BuildServeKey); a commit or Reset clears it.
 	declined map[string]bool
 }
 
@@ -227,14 +227,19 @@ func (m *Materializer) gaugesLocked() {
 	o.Gauge("mat.facts", float64(facts))
 }
 
-// Serve implements triq.Materializer: it answers from a warm entry when the
-// program is materialized, the pinned epoch matches exactly, and the chase
-// bounds are compatible. The first read of an output at an epoch builds its
-// view under the lock (maintenance filters instance buckets in place, and a
-// view built outside it would have to check the epoch again before
-// publishing); every later read of the epoch returns the same view.
+// Serve is ServeKey for a program the caller has not rendered yet.
 func (m *Materializer) Serve(prog *datalog.Program, epoch uint64, output string, copts chase.Options) *triq.MatServed {
-	key := prog.String() // rendered before taking the lock maintenance shares
+	return m.ServeKey(prog.String(), epoch, output, copts)
+}
+
+// ServeKey implements triq.Materializer: it answers from a warm entry when the
+// program whose rendering is key is materialized, the pinned epoch matches
+// exactly, and the chase bounds are compatible. The first read of an output at
+// an epoch builds its view under the lock (maintenance filters instance
+// buckets in place, and a view built outside it would have to check the epoch
+// again before publishing); every later read of the epoch returns the same
+// view.
+func (m *Materializer) ServeKey(key string, epoch uint64, output string, copts chase.Options) *triq.MatServed {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if !m.haveEpoch || epoch != m.epoch || !m.compatible(copts) {
@@ -271,19 +276,18 @@ func served(inc *chase.Incremental, output string) *triq.MatServed {
 		Facts: inc.Facts(), Depth: inc.Depth()}
 }
 
-// BuildServe implements the cold half of triq.Materializer: when the program
-// is not materialized yet, build its fixpoint from the database the caller
-// already constructed, serve the answer, and — provided the store did not
-// move on while building — install the entry, with the answer as its view of
-// the epoch, so the next reads share it and the next commits keep it warm. It
-// declines ((nil, nil)) when the epoch is stale, the bounds are incompatible,
-// the program is not maintainable (negation), or the build trips a budget;
-// the caller then falls back to the chase. A build is a function of the
-// epoch's data, so one that tripped the depth or a fact or round bound is
-// remembered and declined without a build until the next commit; one the
-// request's context cut short is not.
-func (m *Materializer) BuildServe(ctx context.Context, db *chase.Instance, prog *datalog.Program, epoch uint64, output string, copts chase.Options) (*triq.MatServed, error) {
-	key := prog.String() // rendered before taking the lock maintenance shares
+// BuildServeKey implements the cold half of triq.Materializer: when the
+// program, whose rendering is key, is not materialized yet, build its fixpoint
+// from the database the caller already constructed, serve the answer, and —
+// provided the store did not move on while building — install the entry, with
+// the answer as its view of the epoch, so the next reads share it and the next
+// commits keep it warm. It declines ((nil, nil)) when the epoch is stale, the
+// bounds are incompatible, the program is not maintainable (negation), or the
+// build trips a budget; the caller then falls back to the chase. A build is a
+// function of the epoch's data, so one that tripped the depth or a fact or
+// round bound is remembered and declined without a build until the next
+// commit; one the request's context cut short is not.
+func (m *Materializer) BuildServeKey(ctx context.Context, db *chase.Instance, prog *datalog.Program, key string, epoch uint64, output string, copts chase.Options) (*triq.MatServed, error) {
 	m.mu.Lock()
 	if !m.haveEpoch || epoch != m.epoch || !m.compatible(copts) || m.declined[key] {
 		m.mu.Unlock()

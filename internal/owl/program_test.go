@@ -151,3 +151,27 @@ func TestGraphToDB(t *testing.T) {
 		t.Error("assertion triple missing from τ_db(G)")
 	}
 }
+
+// TestLibraryDatabaseParts pins the database part of each regime library: for
+// τ_owl2ql_core every rule above "Reasoning about membership assertions", for
+// ρdf every rule.
+func TestLibraryDatabaseParts(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		lib  *datalog.Library
+		n    int
+	}{{"τ_owl2ql_core", Library(), 17}, {"ρdf", RDFSLibrary(), len(RDFSProgram().Rules)}} {
+		part, rules := c.lib.DatabasePart(), c.lib.Program().Rules
+		if len(part) != c.n {
+			t.Fatalf("%s: database part of %d rules, want %d", c.name, len(part), c.n)
+		}
+		for i, r := range part {
+			if r.String() != rules[i].String() {
+				t.Errorf("%s: database part rule %d is %s, want %s", c.name, i, r, rules[i])
+			}
+		}
+	}
+	if !Library().ReadByDatabasePart("triple") || Library().ReadByDatabasePart("type") || Library().ReadByDatabasePart("triple1") {
+		t.Error("τ_owl2ql_core's database part reads triple, and neither type nor triple1")
+	}
+}

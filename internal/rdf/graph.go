@@ -238,14 +238,19 @@ func (g *Graph) Terms() []Term {
 // internal package rather than a method so that no code outside the module
 // can reach the slot through an alias of Graph and fill it with another
 // type. The value is shared with every other caller and must not be
-// modified. Safe for concurrent use by readers.
+// modified. Safe for concurrent use by readers: readers racing on the first
+// use may each compute it, but all of them return the one kept, so everything
+// memoised per encoding (a library's database part, chase.Dict) is kept once
+// per graph.
 func Encoded(g *Graph, encode func(*Graph) any) any {
 	if p := g.enc.Load(); p != nil {
 		return *p
 	}
 	v := encode(g)
-	g.enc.Store(&v)
-	return v
+	if g.enc.CompareAndSwap(nil, &v) {
+		return v
+	}
+	return *g.enc.Load()
 }
 
 // Clone returns an independent copy of the graph. The copy starts with g's

@@ -15,6 +15,7 @@ import (
 	"repro"
 	"repro/internal/chase"
 	"repro/internal/datalog"
+	"repro/internal/obs"
 	"repro/internal/owl"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
@@ -101,9 +102,14 @@ func outcomeOf(q datalog.Query, db *chase.Instance) composedOutcome {
 
 // requireComposedEquivalent fails the test unless the composed query and its
 // from-scratch twin agree on everything composedOutcome records, and reports
-// whether the composed path was taken.
+// whether the composed path was taken. Both are chased over a copy of db:
+// over an untouched load a composed program starts from its library's
+// database part instead, which requireLibraryBaseEquivalent holds to this
+// path.
 func requireComposedEquivalent(t *testing.T, label string, q datalog.Query, db *chase.Instance) bool {
 	t.Helper()
+	requireLibraryBaseEquivalent(t, label, q, db)
+	db = db.Clone()
 	scratch := datalog.NewQuery(q.Program.Clone(), q.Output)
 	if scratch.Program.Composed() != nil {
 		t.Fatalf("%s: a clone of a composed program is marked composed", label)
@@ -124,6 +130,46 @@ func requireComposedEquivalent(t *testing.T, label string, q datalog.Query, db *
 		}
 	}
 	return q.Program.Composed() != nil
+}
+
+// requireLibraryBaseEquivalent evaluates the query over db and over db.Clone()
+// and fails the test unless the two agree on the answer rows (read off the
+// ground part as triq.EvalCtx reads them), Exact, Inconsistent, the depth, the
+// number of invented nulls, the error and the whole ground part. Over the
+// untouched load db a composed program starts from the fixpoint of its
+// library's database part (chase.StableGroundCtx); the copy takes the ordinary
+// path, which must not, and the load must do so exactly when the program is
+// composed. Answers hold no null, so null names show in neither; the count of
+// nulls does. The ground parts are compared without the facts of the
+// auxiliary predicates SingleHead names h#n: the fixpoint is built from the
+// part's rules as written, and only their single-head pieces, which take no
+// turn over it, read those predicates.
+func requireLibraryBaseEquivalent(t *testing.T, label string, q datalog.Query, db *chase.Instance) {
+	t.Helper()
+	eval := func(db *chase.Instance) (string, *chase.LibraryBase) {
+		gr, err := chase.StableGroundCtx(context.Background(), db, q.Program, chase.Options{MaxDepth: 4, MaxFacts: 20_000})
+		if gr == nil {
+			return errText(err), nil
+		}
+		ans := triq.AnswersOf(gr.Inconsistent, gr.GroundAtomsOf(q.Output))
+		out := fmt.Sprintf("%v %v exact=%v depth=%d nulls=%d %s", ans.Inconsistent, ans.Tuples, gr.Exact, gr.Depth, gr.Stats.NullsInvented, errText(err))
+		for _, a := range gr.Ground().Sorted() {
+			if !strings.HasPrefix(a.Pred, "h#") {
+				out += "\n" + a.String()
+			}
+		}
+		return out, gr.LibraryBase
+	}
+	got, base := eval(db)
+	want, cloneBase := eval(db.Clone())
+	if got != want {
+		t.Errorf("%s: over the library base\n%s\nthe ordinary path\n%s\nprogram:\n%s", label, got, want, q.Program)
+	}
+	// The load of an empty graph is an empty instance, no load of an encoding.
+	onBase := q.Program.Composed() != nil && len(db.AtomsOf("triple")) > 0
+	if cloneBase != nil || onBase != (base != nil) {
+		t.Errorf("%s: library base %+v over the load and %+v over its copy, want one over the load: %v", label, base, cloneBase, onBase)
+	}
 }
 
 var regimes = []translate.Regime{translate.ActiveDomain, translate.All, translate.RDFS}
@@ -423,10 +469,13 @@ func TestComposedMatchesScratchRandom(t *testing.T) {
 // TestRegimeFirstRequestConcurrent races 32 goroutines on the first regime
 // requests over one graph — SELECT and CONSTRUCT translations and a
 // hand-written program, under U, All and RDFS — while the libraries' compiled
-// forms are built and first shared, and checks every answer against a
-// sequential run afterwards. A library made in the test (not the process's
-// own) is raced into its first compile on every run of the test, also under
-// -count.
+// forms are built and first shared, and while the first requests over the
+// graph's encoding build the fixpoint of each library's database part, and
+// checks every answer against a sequential run afterwards. The graph is new on
+// every run of the test, and a library made in the test (not the process's
+// own) is raced into its first compile on every run, also under -count. Each
+// fixpoint is built once: for τ_owl2ql_core (U and All share it), for ρdf and
+// for the test's own library, three builds.
 func TestRegimeFirstRequestConcurrent(t *testing.T) {
 	src, err := os.ReadFile("../../testdata/golden/university-worksfor/ontology.owl")
 	if err != nil {
@@ -444,12 +493,14 @@ func TestRegimeFirstRequestConcurrent(t *testing.T) {
 	if datalog.Compose(hand, fresh, true, "").Composed() == nil {
 		t.Fatal("the hand-written program takes the from-scratch path")
 	}
+	o := obs.New()
 	type request func() (string, error)
 	var requests []request
 	for _, regime := range regimes {
 		requests = append(requests,
 			func() (string, error) {
-				resp, err := repro.Eval(context.Background(), g, repro.Request{SPARQL: sel, Regime: regime})
+				resp, err := repro.Eval(context.Background(), g, repro.Request{SPARQL: sel, Regime: regime,
+					Options: repro.Options{Chase: chase.Options{Obs: o}}})
 				if err != nil {
 					return "", err
 				}
@@ -476,7 +527,7 @@ func TestRegimeFirstRequestConcurrent(t *testing.T) {
 	}
 	requests = append(requests, func() (string, error) {
 		q := datalog.NewQuery(datalog.Compose(hand, fresh, true, ""), "query")
-		res, err := triq.EvalCtx(context.Background(), translate.DB(g), q, triq.TriQLite10, triq.Options{})
+		res, err := triq.EvalCtx(context.Background(), translate.DB(g), q, triq.TriQLite10, triq.Options{Chase: chase.Options{Obs: o}})
 		if err != nil {
 			return "", err
 		}
@@ -497,6 +548,9 @@ func TestRegimeFirstRequestConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	if builds := o.Registry().Counter("chase.library_base_builds"); builds != 3 {
+		t.Errorf("the racing first requests built %d library bases, want 3", builds)
+	}
 	for i := range goroutines {
 		want, err := requests[i%len(requests)]()
 		if err != nil {
@@ -504,6 +558,53 @@ func TestRegimeFirstRequestConcurrent(t *testing.T) {
 		}
 		if got[i] != want {
 			t.Errorf("goroutine %d: concurrent first request answered\n%s\nthe sequential run\n%s", i, got[i], want)
+		}
+	}
+}
+
+// TestLibraryBaseRandom holds 200 random patterns, each over a random graph
+// of OWL 2 QL axioms and data, to the ordinary path under every regime: over
+// the untouched load the composed translation starts from its library's
+// database part, over a copy it chases the whole program
+// (requireLibraryBaseEquivalent).
+func TestLibraryBaseRandom(t *testing.T) {
+	axioms := []owl.Axiom{
+		owl.SubClassOf(owl.Atom("a"), owl.Atom("b")),
+		owl.SubClassOf(owl.Atom("b"), owl.Some(owl.Prop("p"))),
+		owl.SubClassOf(owl.Some(owl.Inv("q")), owl.Atom("c")),
+		owl.SubPropertyOf(owl.Prop("p"), owl.Prop("q")),
+		owl.SubPropertyOf(owl.Inv("q"), owl.Prop("p")),
+		owl.DisjointClasses(owl.Atom("a"), owl.Atom("c")),
+		owl.DisjointProperties(owl.Prop("p"), owl.Inv("q")),
+		owl.ClassAssertion(owl.Atom("a"), "d"),
+		owl.ClassAssertion(owl.Some(owl.Prop("q")), "c"),
+		owl.PropertyAssertion("p", "a", "b"),
+	}
+	typed := sparql.BGP{Triples: []sparql.TriplePattern{sparql.TP(sparql.Var("A"), sparql.IRI("rdf:type"), sparql.IRI("b"))}}
+	rng := rand.New(rand.NewSource(51))
+	for round := range 200 {
+		o := owl.NewOntology()
+		for _, ax := range axioms {
+			if rng.Intn(3) != 0 {
+				o.Add(ax)
+			}
+		}
+		g := o.ToGraph()
+		g.Add(randomGraph(rng).Triples()...)
+		p := randomPattern(rng, 2)
+		if rng.Intn(3) == 0 {
+			p = sparql.And{L: p, R: typed}
+		}
+		db := translate.DB(g)
+		for _, r := range regimes {
+			tr, err := translate.Translate(p, r)
+			if err != nil {
+				t.Fatalf("round %d: %s under %v: %v", round, p, r, err)
+			}
+			requireLibraryBaseEquivalent(t, fmt.Sprintf("round %d: %s under %v", round, p, r), tr.Query, db)
+		}
+		if t.Failed() {
+			t.Fatalf("round %d over\n%s", round, g)
 		}
 	}
 }

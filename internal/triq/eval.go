@@ -94,6 +94,10 @@ type Options struct {
 	// MatEpoch is the store epoch the query is pinned to; a materialization
 	// serves only on an exact epoch match.
 	MatEpoch uint64
+
+	// matKey is the rendering of matProg that ServeMaterialized asked Mat by.
+	matKey  string
+	matProg *datalog.Program
 }
 
 // Result is the outcome of evaluating a TriQ query.
@@ -127,6 +131,10 @@ type Result struct {
 	// during this query), or PathChase (from-scratch chase).
 	Path  string
 	Stats chase.Stats
+	// LibraryBase is set when the chase started from the fixpoint of the
+	// library's database part over the database (chase.StableGroundCtx):
+	// whether this evaluation built it or found it, and its size.
+	LibraryBase *chase.LibraryBase
 }
 
 // EvalCtx evaluates the query over the database as defined in Section 3.2:
@@ -164,7 +172,7 @@ func EvalCtx(ctx context.Context, db *chase.Instance, q datalog.Query, lang Lang
 		obs.F("output", q.Output),
 		obs.F("db_facts", db.Len()))
 	if opts.Mat != nil && !opts.Exact {
-		if served, merr := opts.Mat.BuildServe(ctx, db, q.Program, opts.MatEpoch, q.Output, opts.Chase); merr == nil && served != nil {
+		if served, merr := opts.Mat.BuildServeKey(ctx, db, q.Program, opts.matKeyOf(q.Program), opts.MatEpoch, q.Output, opts.Chase); merr == nil && served != nil {
 			res := servedResult(served, PathMaterializedBuild)
 			sp.End(obs.F("path", res.Path), obs.F("depth", res.Depth))
 			return res, nil
@@ -202,7 +210,7 @@ func EvalCtx(ctx context.Context, db *chase.Instance, q datalog.Query, lang Lang
 		res.Truncation, _ = limits.TruncationOf(err)
 	}
 	res.Exact = gr.Exact || opts.Exact && err == nil
-	res.Depth, res.Stats = gr.Depth, gr.Stats
+	res.Depth, res.Stats, res.LibraryBase = gr.Depth, gr.Stats, gr.LibraryBase
 	accountChase(ctx, res.Stats)
 	// Marker derivation is monotone, so ⊤ is sound even on a truncated run.
 	var inconsistent bool

@@ -84,6 +84,12 @@ type ExplainReport struct {
 	FactsDerived  int `json:"facts_derived"`
 	NullsInvented int `json:"nulls_invented"`
 
+	// LibraryBase reports the fixpoint of the library's database part the
+	// chase started from, when it did: "built" by this evaluation or found
+	// "cached", and its facts, the database's included. FactsDerived and the
+	// per-rule counts leave out what it holds.
+	LibraryBase *chase.LibraryBase `json:"library_base,omitempty"`
+
 	// Deepening lists the depth steps the chase took, in order, the closing
 	// pass that ended them included; the counters above are their sum unless a
 	// step started over (a step past the first that did not resume, whose
@@ -138,12 +144,13 @@ func Explained(kind string, opts Options, eval func(Options) (*Result, error)) (
 // ran under into a report.
 func buildExplain(res *Result, reg *obs.Registry, elapsed time.Duration) *ExplainReport {
 	rep := &ExplainReport{
-		Path:       res.Path,
-		Exact:      res.Exact,
-		Incomplete: res.Incomplete,
-		Truncation: res.Truncation,
-		Depth:      res.Depth,
-		TotalUS:    elapsed.Microseconds(),
+		Path:        res.Path,
+		Exact:       res.Exact,
+		Incomplete:  res.Incomplete,
+		Truncation:  res.Truncation,
+		Depth:       res.Depth,
+		LibraryBase: res.LibraryBase,
+		TotalUS:     elapsed.Microseconds(),
 	}
 	if res.Answers != nil {
 		rep.Answers = len(res.Answers.Tuples)
@@ -234,6 +241,13 @@ func (r *ExplainReport) String() string {
 	}
 	fmt.Fprintf(&b, "chase: %d rounds at depth %d, %d triggers fired, %d facts, %d nulls\n",
 		r.Rounds, r.Depth, r.TriggersFired, r.FactsDerived, r.NullsInvented)
+	if lb := r.LibraryBase; lb != nil {
+		how := "cached"
+		if lb.Built {
+			how = "built"
+		}
+		fmt.Fprintf(&b, "library base: %s, %d facts\n", how, lb.Facts)
+	}
 	for i, d := range r.Deepening {
 		sep := " → "
 		if i == 0 {

@@ -30,41 +30,55 @@ type MatServed struct {
 // (internal/mat); evaluation only requires the two-phase contract, one phase
 // per request each:
 //
-//   - Serve answers from an existing materialization if one matches the
+//   - ServeKey answers from an existing materialization if one matches the
 //     program, the epoch, and compatible chase bounds; it returns nil on any
 //     miss and must be cheap. ServeMaterialized asks it, before the database
 //     is built. It may hand every read of an epoch the same MatServed.
-//   - BuildServe may build (and retain) a materialization from the given
+//   - BuildServeKey may build (and retain) a materialization from the given
 //     database first. It returns (nil, nil) to decline — wrong mode,
 //     negation, stale epoch, over budget — in which case the caller falls
 //     back to a from-scratch chase. EvalCtx asks it, after a miss.
 //
-// Both receive the query's program as written; the chase maintains its
-// constraints as rules that derive datalog.InconsistencyMarker, so serving
-// the marker predicate answers the consistency question too.
+// Both receive the query's program as written, by its key: the program's
+// rendering (Program.String), which a request makes once, for both phases
+// (ServeMaterialized hands it on to EvalCtx). The chase maintains the
+// program's constraints as rules that derive datalog.InconsistencyMarker, so
+// serving the marker predicate answers the consistency question too.
 type Materializer interface {
-	Serve(prog *datalog.Program, epoch uint64, output string, copts chase.Options) *MatServed
-	BuildServe(ctx context.Context, db *chase.Instance, prog *datalog.Program, epoch uint64, output string, copts chase.Options) (*MatServed, error)
+	ServeKey(key string, epoch uint64, output string, copts chase.Options) *MatServed
+	BuildServeKey(ctx context.Context, db *chase.Instance, prog *datalog.Program, key string, epoch uint64, output string, copts chase.Options) (*MatServed, error)
 }
 
 // ServeMaterialized answers the query from a warm materialization without
 // touching the database: it validates the query and asks opts.Mat for an
 // epoch-exact hit. It never builds, and an Exact evaluation it leaves to
-// EvalCtx. The boolean reports whether the materialization served; on false
-// the caller should evaluate normally (facades use this to skip loading the
-// graph into an Instance at all — the point of serving warm).
-func ServeMaterialized(q datalog.Query, lang Language, opts Options) (*Result, bool) {
+// EvalCtx. On a miss the result is nil and the caller should evaluate
+// normally (facades use this to skip loading the graph into an Instance at
+// all — the point of serving warm), with the options returned: they carry the
+// program's key, so EvalCtx offers its build under the same rendering
+// instead of making another.
+func ServeMaterialized(q datalog.Query, lang Language, opts Options) (*Result, Options) {
 	if opts.Mat == nil || opts.Exact {
-		return nil, false
+		return nil, opts
 	}
 	if err := Validate(q, lang); err != nil {
-		return nil, false
+		return nil, opts
 	}
-	served := opts.Mat.Serve(q.Program, opts.MatEpoch, q.Output, opts.Chase)
+	opts.matKey, opts.matProg = q.Program.String(), q.Program
+	served := opts.Mat.ServeKey(opts.matKey, opts.MatEpoch, q.Output, opts.Chase)
 	if served == nil {
-		return nil, false
+		return nil, opts
 	}
-	return servedResult(served, PathMaterialized), true
+	return servedResult(served, PathMaterialized), opts
+}
+
+// matKeyOf returns the program's materialization key: the rendering
+// ServeMaterialized made of it, or a new one.
+func (o Options) matKeyOf(prog *datalog.Program) string {
+	if o.matProg == prog && o.matKey != "" {
+		return o.matKey
+	}
+	return prog.String()
 }
 
 // Path values reported by Result.Path.

@@ -294,7 +294,7 @@ func Eval(ctx context.Context, g *Graph, req Request) (_ *Response, err error) {
 		// A warm materialization answers without τ_db(G) being built at all,
 		// so it is asked before the graph is loaded. (On a miss, EvalCtx
 		// still gets a chance to build one from the loaded instance.)
-		if res, _ = triq.ServeMaterialized(q, lang, opts); res == nil {
+		if res, opts = triq.ServeMaterialized(q, lang, opts); res == nil {
 			var db *chase.Instance
 			if tr != nil {
 				db = tr.LoadDB(ctx, g, opts) // τ_db(G) plus the seed fact of the empty pattern
