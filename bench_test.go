@@ -245,8 +245,10 @@ func BenchmarkEvalTransport(b *testing.B) {
 // rules only; what it no longer does for τ_owl2ql_core is
 // BenchmarkCompileLibrary's, once per process, and chasing the library's
 // database part is the graph's first request's, once per graph. On a 2-core
-// Xeon VM that is 0.75–0.92 ms, 182 KB and 1 214 allocations (1.31 ms, 240 KB
-// and 1 641 while every request chased the database part).
+// Xeon VM that is 0.64–0.90 ms, 152 KB and 1 208 allocations (0.75–0.92 ms,
+// 182 KB and 1 214 while every engine copied the library's compiled
+// patterns; 1.31 ms, 240 KB and 1 641 while every request chased the
+// database part).
 func BenchmarkEvalUniversity(b *testing.B) {
 	g := workload.University(4, 2, 3, false).ToGraph()
 	sq, err := repro.ParseSPARQL("SELECT ?X WHERE { ?X rdf:type person }")
@@ -266,9 +268,10 @@ func BenchmarkEvalUniversity(b *testing.B) {
 // regime over the 10 001-triple graph of the lookup ceilings, after the
 // graph's first request: loading τ_db(G) and chasing the query's rules over
 // the fixpoint of τ_owl2ql_core's database part, which that first request
-// built, to derive 6 facts. On a 2-core Xeon VM that is 51–56 µs and 40 KB;
-// while every request derived the part itself, 17 512 facts, it took 11.9–12.9
-// ms and 4.12 MB.
+// built, to derive 6 facts. On a 2-core Xeon VM that is 32–42 µs and 18 KB
+// (36–53 µs and 40 KB while every engine copied the library's compiled
+// patterns); while every request derived the part itself, 17 512 facts, it
+// took 11.9–12.9 ms and 4.12 MB.
 func BenchmarkEvalRegimeLookup(b *testing.B) {
 	g, tr := lookupGraph(b), regimeLookup(b)
 	if _, err := triq.EvalCtx(context.Background(), translate.DB(g), tr.Query, triq.Unrestricted, triq.Options{}); err != nil {

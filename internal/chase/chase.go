@@ -156,10 +156,12 @@ type Result struct {
 }
 
 // compiledRule is a rule lowered to slot-indexed patterns with precomputed
-// join orders (one per semi-naive seed position, plus the unseeded order).
+// join orders (one per semi-naive seed position, plus the unseeded order). It
+// is read-only once compileRule returns: a library's compiled rules are shared
+// by every engine that runs the library, and what an engine keeps of a rule
+// is its ruleRun.
 type compiledRule struct {
 	rule      datalog.Rule
-	idx       int
 	st        *slotTable
 	bodyPos   []pattern
 	bodyNeg   []pattern
@@ -171,13 +173,24 @@ type compiledRule struct {
 	fullOrder []int
 	seeded    [][]int // seeded[j]: order of the remaining atoms when atom j matched delta
 	joinOrder string  // fullOrder as the chase.rule spans of a first round render it
+}
+
+// ruleRun is a compiled rule as one engine runs it, in one of its strata.
+type ruleRun struct {
+	*compiledRule
+	// rs is the rule's stats slot. Its Index, the rule's place in the
+	// program's evaluation order, names the rule in its Skolem keys.
+	rs *RuleStats
 	// inert marks a rule of the library's database part in an engine that
 	// chases over the part's fixpoint (part.go): it takes no turn.
 	inert bool
+	// at holds, by positive body atom, its predicate's index in the stratum's
+	// bodyPreds.
+	at []int
 }
 
-func compileRule(r datalog.Rule, idx int) *compiledRule {
-	c := &compiledRule{rule: r, idx: idx, st: newSlotTable()}
+func compileRule(r datalog.Rule) *compiledRule {
+	c := &compiledRule{rule: r, st: newSlotTable()}
 	for _, a := range r.BodyPos {
 		c.bodyPos = append(c.bodyPos, compileAtom(a, c.st))
 	}
@@ -238,12 +251,12 @@ type engine struct {
 	nextNull   int
 	deepest    int // the largest invention depth of any null
 	stats      Stats
-	ground     int          // constant-only facts derived: how far Π(D)↓ has grown
-	perRule    []*RuleStats // one entry per rule, across strata
-	cur        *RuleStats   // the rule currently being matched/fired
-	park       *triggerBuf  // where fire parks a trigger of that rule the depth bound blocks
-	found      triggerBuf   // the triggers enumerate found in that rule's turn, reused across turns
-	span       *obs.Span    // the current step's chase.run span (nil when tracing is off)
+	ground     int         // constant-only facts derived: how far Π(D)↓ has grown
+	perRule    []RuleStats // one entry per rule, across strata; the rules' stats slots
+	cur        *RuleStats  // the rule currently being matched/fired
+	park       *triggerBuf // where fire parks a trigger of that rule the depth bound blocks
+	found      triggerBuf  // the triggers enumerate found in that rule's turn, reused across turns
+	span       *obs.Span   // the current step's chase.run span (nil when tracing is off)
 	start      time.Time
 	tick       int       // trigger-attempt counter gating the in-round ctx checks
 	ruleLabels bool      // attach per-rule pprof labels (recording traces only)
@@ -254,6 +267,10 @@ type engine struct {
 	keyBuf     []byte    // scratch for the fact keys Incremental probes its sets with
 	skBuf      []byte    // scratch for the Skolem keys fire probes its table with
 	row        []uint32  // scratch for a row fire or apply writes
+	// body, neg and heads hold the patterns of the rule at work resolved
+	// against the instance: its positive body atoms, its negated ones and its
+	// heads.
+	body, neg, heads resolution
 	// closeKind is set while the closing pass runs (see close.go), to the kind of
 	// Skolem key its rung gives summary nulls: fire closes a trigger the depth
 	// bound blocks with one instead of parking it, and gives up at the first
@@ -273,15 +290,15 @@ type engine struct {
 // stratum is the resumable state of one stratum: what chaseStratum needs to
 // continue from its last fixpoint once the depth bound has been raised.
 type stratum struct {
-	comp   []*compiledRule
-	stats  []*RuleStats
+	rules  []ruleRun
 	parked []triggerBuf // per rule, the triggers the depth bound blocked
+	at     []int        // where the rules' at point
 	// Own-layer buckets only grow, so "the facts the stratum has not matched
 	// yet" needs no instance of its own: per positive body predicate it is the
 	// tail its bucket has grown since the stratum's latest round started.
 	// started holds, by bodyPreds index, each bucket's length when that round
 	// started, and delta that round's tails; a positive body atom knows its
-	// predicate's index (pattern.at).
+	// predicate's index (ruleRun.at).
 	bodyPreds []string
 	started   []int
 	delta     []rowSet
@@ -303,8 +320,8 @@ var errNegatedGrew = errors.New("chase: a negated predicate grew under a finishe
 // reports what it did.
 func (e *engine) snapshotStats() Stats {
 	s := e.stats
-	for _, rs := range e.perRule {
-		s.PerRule = append(s.PerRule, *rs)
+	if len(e.perRule) > 0 {
+		s.PerRule = slices.Clone(e.perRule)
 	}
 	return s
 }
@@ -360,17 +377,11 @@ func (e *engine) fail(err error) error {
 	return err
 }
 
-// newRuleStats registers a per-rule stats slot in evaluation order.
-func (e *engine) newRuleStats(r datalog.Rule) *RuleStats {
-	rs := &RuleStats{Index: len(e.perRule), Rule: r.String(), Origin: r.Provenance}
-	e.perRule = append(e.perRule, rs)
-	return rs
-}
-
-// newEngine starts a run that chases into inst. A query hands it a layer over
-// its database: the run appends to that layer and never writes the database,
-// which any number of concurrent runs may share.
-func newEngine(ctx context.Context, inst *Instance, opts Options) *engine {
+// newEngine starts a run of a program of n rules, which add places, that
+// chases into inst. A
+// query hands it a layer over its database: the run appends to that layer and
+// never writes the database, which any number of concurrent runs may share.
+func newEngine(ctx context.Context, inst *Instance, opts Options, n int) *engine {
 	// A null of the database has depth 0, which is what depth answers for an
 	// id it does not hold.
 	return &engine{
@@ -380,6 +391,12 @@ func newEngine(ctx context.Context, inst *Instance, opts Options) *engine {
 		depth:  make(map[uint32]int),
 		skolem: make(map[string]uint32),
 		start:  time.Now(),
+		// Per-rule pprof labels let CPU profiles attribute chase work to rules
+		// (and, via the request labels already on ctx, to trace ids). The extra
+		// label swap per rule turn is only paid when the request is actually
+		// being traced.
+		ruleLabels: obs.RecordingTrace(ctx),
+		perRule:    make([]RuleStats, 0, n),
 	}
 }
 
@@ -421,59 +438,60 @@ func prepare(ctx context.Context, inst *Instance, prog *datalog.Program, opts Op
 	if err != nil {
 		return nil, err
 	}
-	e := newEngine(ctx, inst, opts)
-	// Per-rule pprof labels let CPU profiles attribute chase work to rules
-	// (and, via the request labels already on ctx, to trace ids). The extra
-	// label swap per rule turn is only paid when the request is actually
-	// being traced.
-	e.ruleLabels = obs.RecordingTrace(ctx)
+	n := 0
 	for _, rules := range strata {
-		if len(rules) > 0 {
-			e.strata = append(e.strata, e.newStratum(rules))
+		n += len(rules)
+	}
+	e := newEngine(ctx, inst, opts, n)
+	for _, rules := range strata {
+		if len(rules) == 0 {
+			continue
 		}
+		atoms := 0
+		for _, r := range rules {
+			atoms += len(r.BodyPos)
+		}
+		s := newStratum(len(rules), atoms)
+		for _, r := range rules {
+			e.add(s, compileRule(r), r.String(), r.Provenance, false)
+		}
+		e.strata = append(e.strata, s.done())
 	}
 	opts.Obs.Count("chase.runs", 1)
 	return e, nil
 }
 
 // prepareComposed is prepare for a composed program, from the evaluation plan
-// Compose made of it: each library rule is the engine's copy of its compiled
-// form, with the index of its place in this program, and only the query's
-// rules are compiled. With onPart set each rule of the library's database part
-// is inert.
+// Compose made of it: each library rule is the library's compiled rule, which
+// every engine of the library shares, and only the query's rules are compiled.
+// With onPart set each rule of the library's database part is inert.
 func prepareComposed(ctx context.Context, inst *Instance, plan *datalog.Composed, opts Options, onPart bool) *engine {
 	lib, k := compiledOf(plan.Library), 0
 	if plan.SingleHead {
 		k = 1
 	}
-	libRules := lib.instance(k)
-	n := 0
-	for _, rules := range plan.Strata {
-		n += len(rules)
-	}
-	stats := make([]RuleStats, n)
-	e := newEngine(ctx, inst, opts)
-	e.ruleLabels = obs.RecordingTrace(ctx)
-	e.perRule = make([]*RuleStats, 0, n)
-	for _, rules := range plan.Strata {
-		if len(rules) == 0 {
+	e := newEngine(ctx, inst, opts, plan.Rules)
+	for l := range plan.Levels() {
+		runs := plan.Level(l)
+		n, atoms := 0, 0
+		for _, run := range runs {
+			n += len(run)
+			for _, r := range run {
+				atoms += len(r.Rule.BodyPos)
+			}
+		}
+		if n == 0 {
 			continue
 		}
-		s := newStratum(len(rules))
-		for i, r := range rules {
-			idx := len(e.perRule)
-			rs := &stats[idx]
-			var c *compiledRule
-			if r.Lib >= 0 {
-				c = &libRules[r.Lib]
-				c.idx, c.inert = idx, onPart && r.Part
-				*rs = RuleStats{Index: idx, Rule: lib.names[k][r.Lib], Origin: r.Rule.Provenance}
-			} else {
-				c = compileRule(r.Rule, idx)
-				*rs = RuleStats{Index: idx, Rule: r.Rule.String(), Origin: r.Rule.Provenance}
+		s := newStratum(n, atoms)
+		for _, run := range runs {
+			for _, r := range run {
+				if r.Lib >= 0 {
+					e.add(s, &lib.rules[k][r.Lib], lib.names[k][r.Lib], plan.Origin(r), onPart && r.Part)
+				} else {
+					e.add(s, compileRule(r.Rule), r.Rule.String(), plan.Origin(r), false)
+				}
 			}
-			e.perRule = append(e.perRule, rs)
-			s.add(i, c, rs)
 		}
 		e.strata = append(e.strata, s.done())
 	}
@@ -481,41 +499,41 @@ func prepareComposed(ctx context.Context, inst *Instance, plan *datalog.Composed
 	return e
 }
 
-// newStratum compiles one stratum's rules and registers their stats slots.
-func (e *engine) newStratum(rules []datalog.Rule) *stratum {
-	s := newStratum(len(rules))
-	for i, r := range rules {
-		// The index names the rule in its Skolem keys, so it counts across
-		// the program: two strata must never share a key, or a null.
-		rs := e.newRuleStats(r)
-		s.add(i, compileRule(r, rs.Index), rs)
-	}
-	return s.done()
-}
-
-// newStratum returns a stratum of n rules, which add fills in.
-func newStratum(n int) *stratum {
-	return &stratum{
-		comp:   make([]*compiledRule, n),
-		stats:  make([]*RuleStats, n),
-		parked: make([]triggerBuf, n),
-	}
-}
-
-// add makes c, with its stats slot rs, the stratum's rule i.
-func (s *stratum) add(i int, c *compiledRule, rs *RuleStats) {
-	s.comp[i], s.stats[i] = c, rs
+// add makes c, rendered name and with the provenance label origin, the next
+// rule of stratum s, and the next in the program's evaluation order, whose
+// index names the rule in its Skolem keys: two strata must never share a key,
+// or a null.
+func (e *engine) add(s *stratum, c *compiledRule, name, origin string, inert bool) {
+	// Within the capacity newEngine gave it, the append moves no slot a
+	// ruleRun points at.
+	e.perRule = append(e.perRule, RuleStats{Index: len(e.perRule), Rule: name, Origin: origin})
+	r := ruleRun{compiledRule: c, rs: &e.perRule[len(e.perRule)-1], inert: inert}
+	start := len(s.at)
 	for j := range c.bodyPos {
-		p := &c.bodyPos[j]
-		if p.at = slices.Index(s.bodyPreds, p.pred); p.at < 0 {
-			p.at = len(s.bodyPreds)
-			s.bodyPreds = append(s.bodyPreds, p.pred)
+		pred := c.bodyPos[j].pred
+		at := slices.Index(s.bodyPreds, pred)
+		if at < 0 {
+			at = len(s.bodyPreds)
+			s.bodyPreds = append(s.bodyPreds, pred)
 		}
+		s.at = append(s.at, at)
 	}
+	r.at = s.at[start:len(s.at):len(s.at)]
+	s.rules = append(s.rules, r)
 	for _, p := range c.bodyNeg {
 		if !slices.Contains(s.negPreds, p.pred) {
 			s.negPreds = append(s.negPreds, p.pred)
 		}
+	}
+}
+
+// newStratum returns a stratum of n rules with m positive body atoms between
+// them, which add fills in.
+func newStratum(n, m int) *stratum {
+	return &stratum{
+		rules:  make([]ruleRun, 0, n),
+		parked: make([]triggerBuf, n),
+		at:     make([]int, 0, m),
 	}
 }
 
@@ -630,7 +648,7 @@ func (e *engine) chaseStratum(s *stratum) error {
 				obs.F("instance", e.inst.Len()))
 		}
 		roundFacts := e.stats.FactsDerived
-		for ci := range s.comp {
+		for ci := range s.rules {
 			if err := e.turn(s, ci, all, round == 0, roundSpan); err != nil {
 				roundSpan.End(obs.F("error", true))
 				return err
@@ -663,14 +681,15 @@ func (e *engine) chaseStratum(s *stratum) error {
 // fault site all the same, so a fault plan counts a hit per rule and round,
 // and does nothing else: no span, label, clock read or matching.
 func (e *engine) turn(s *stratum, ci int, all, first bool, roundSpan *obs.Span) error {
-	c, rs := s.comp[ci], s.stats[ci]
+	c := &s.rules[ci]
+	rs := c.rs
 	refire := first && s.parked[ci].n > 0
 	var seeds []rowSet // nil: match the whole instance
 	match := all
 	if !all {
 		seeds = e.seeds[:0]
 		for k := range c.bodyPos {
-			d := s.delta[c.bodyPos[k].at]
+			d := s.delta[c.at[k]]
 			seeds = append(seeds, d)
 			match = match || d.n > 0
 		}
@@ -719,7 +738,7 @@ func (e *engine) turn(s *stratum, ci int, all, first bool, roundSpan *obs.Span) 
 // labelledTurn is ruleTurn under the rule's pprof label: CPU samples of traced
 // requests attribute to the rule (alongside the request-level trace_id label
 // on the context).
-func (e *engine) labelledTurn(c *compiledRule, seeds []rowSet, match, refire bool) error {
+func (e *engine) labelledTurn(c *ruleRun, seeds []rowSet, match, refire bool) error {
 	defer pprof.SetGoroutineLabels(e.ctx)
 	pprof.SetGoroutineLabels(pprof.WithLabels(e.ctx, pprof.Labels("rule", c.rule.Head[0].Pred)))
 	return e.ruleTurn(c, seeds, match, refire)
@@ -729,7 +748,7 @@ func (e *engine) labelledTurn(c *compiledRule, seeds []rowSet, match, refire boo
 // check, then enumerate when the rule can match, refire when it has parked
 // triggers to re-fire, and apply. e.cur and e.park name the rule's stats and
 // parked triggers.
-func (e *engine) ruleTurn(c *compiledRule, seeds []rowSet, match, refire bool) error {
+func (e *engine) ruleTurn(c *ruleRun, seeds []rowSet, match, refire bool) error {
 	if err := e.hit("chase.rule"); err != nil {
 		return e.fail(err)
 	}
@@ -738,7 +757,7 @@ func (e *engine) ruleTurn(c *compiledRule, seeds []rowSet, match, refire bool) e
 	}
 	e.found.reset()
 	if match {
-		if err := e.enumerate(c, seeds, &e.found); err != nil {
+		if err := e.enumerate(c.compiledRule, seeds, &e.found); err != nil {
 			return err
 		}
 	}
@@ -760,9 +779,10 @@ func (e *engine) scratchEnv(n int) env {
 	return ev
 }
 
-// fire applies one trigger, adding the head atoms that are new: it writes
-// each head's row from the environment and the head's resolved constants.
-func (e *engine) fire(c *compiledRule, ev env) error {
+// fire applies one trigger of rule c, adding the head atoms that are new: it
+// writes each head's row from the environment and the head's constants, heads
+// being c's heads resolved.
+func (e *engine) fire(c *ruleRun, heads []resolved, ev env) error {
 	if len(c.exSlots) > 0 {
 		// Depth control for null invention.
 		d, kind := 1, chaseKey
@@ -792,8 +812,8 @@ func (e *engine) fire(c *compiledRule, ev env) error {
 		defer ev[c.bodySlots:].reset()
 	}
 	added, overBudget := 0, false
-	for hi := range c.heads {
-		h := &c.heads[hi]
+	for hi := range heads {
+		h := &heads[hi]
 		e.row = h.fill(e.row[:0], ev)
 		// The fact budget is enforced per insertion, not per trigger or per
 		// round, so the instance never overshoots MaxFacts: an insertion that
@@ -833,10 +853,10 @@ func (e *engine) fire(c *compiledRule, ev env) error {
 // the order they were parked; fire parks the ones that are still too deep.
 // They passed the negation check when they were enumerated, and a resumed
 // stratum's negated predicates have not changed since (errNegatedGrew).
-func (e *engine) refire(c *compiledRule, parked *triggerBuf) error {
+func (e *engine) refire(c *ruleRun, parked *triggerBuf) error {
 	buf := *parked
 	*parked = triggerBuf{}
-	resolveAll(c.heads, e.inst, true)
+	heads := e.heads.of(c.heads, e.inst, true)
 	ev := e.scratchEnv(len(c.st.vars))
 	for i := 0; i < buf.n; i++ {
 		if e.tick++; e.tick&63 == 0 {
@@ -845,7 +865,7 @@ func (e *engine) refire(c *compiledRule, parked *triggerBuf) error {
 			}
 		}
 		buf.load(i, c.bodySlots, ev)
-		if err := e.fire(c, ev); err != nil {
+		if err := e.fire(c, heads, ev); err != nil {
 			return err
 		}
 	}
@@ -865,9 +885,9 @@ func (e *engine) refire(c *compiledRule, parked *triggerBuf) error {
 // one summary null; a coarse key erases the constants too and keeps only which
 // frontier positions hold one, so all triggers of the rule that agree on that
 // share one. The kind is the key's prefix, which keeps the kinds apart.
-func (e *engine) skolemKeyFor(buf []byte, c *compiledRule, exIdx int, ev env, kind byte) []byte {
+func (e *engine) skolemKeyFor(buf []byte, c *ruleRun, exIdx int, ev env, kind byte) []byte {
 	buf = append(buf, kind)
-	buf = strconv.AppendInt(buf, int64(c.idx), 10)
+	buf = strconv.AppendInt(buf, int64(c.rs.Index), 10)
 	buf = append(buf, '|')
 	buf = append(buf, c.exNames[exIdx]...)
 	buf = append(buf, '|')

@@ -206,7 +206,7 @@ func TestEnumerateSkipsRuleOverEmptyRelation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = e.enumerate(e.strata[0].comp[0], nil, &e.found)
+		err = e.enumerate(e.strata[0].rules[0].compiledRule, nil, &e.found)
 		if visited := err != nil; visited != c.visited || e.found.n != 0 {
 			t.Errorf("%d facts: visited candidates = %v (err %v), %d triggers; want %v and none",
 				c.db.Len(), visited, err, e.found.n, c.visited)

@@ -62,14 +62,11 @@ func (e *engine) mark() engineMark {
 	m := engineMark{
 		layer:    e.inst.mark(),
 		stats:    e.stats,
-		perRule:  make([]RuleStats, len(e.perRule)),
+		perRule:  slices.Clone(e.perRule),
 		ground:   e.ground,
 		nextNull: e.nextNull,
 		deepest:  e.deepest,
 		strata:   make([]stratumMark, len(e.strata)),
-	}
-	for i, rs := range e.perRule {
-		m.perRule[i] = *rs
 	}
 	for i, s := range e.strata {
 		m.strata[i] = stratumMark{slices.Clone(s.parked), slices.Clone(s.started), slices.Clone(s.negLens)}
@@ -87,9 +84,7 @@ func (e *engine) restore(m engineMark) {
 	}
 	e.closeKeys = e.closeKeys[:0]
 	e.stats, e.ground, e.nextNull, e.deepest = m.stats, m.ground, m.nextNull, m.deepest
-	for i, rs := range e.perRule {
-		*rs = m.perRule[i]
-	}
+	copy(e.perRule, m.perRule)
 	for i, s := range e.strata {
 		sm := m.strata[i]
 		copy(s.parked, sm.parked)

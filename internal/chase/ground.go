@@ -280,8 +280,8 @@ func PlanOf(prog *datalog.Program) (Plan, error) {
 	p := Plan{Closable: closable(prog)}
 	for _, s := range e.strata {
 		var names []string
-		for _, rs := range s.stats {
-			names = append(names, rs.Rule)
+		for _, r := range s.rules {
+			names = append(names, r.rs.Rule)
 		}
 		p.Strata = append(p.Strata, names)
 	}

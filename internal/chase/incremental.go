@@ -251,7 +251,8 @@ func (inc *Incremental) overDelete(removed []fact, st *MaintainStats) (gone []fa
 		prev := wave
 		wave = make(map[string]rowSet)
 		for _, s := range e.strata {
-			for _, c := range s.comp {
+			for ci := range s.rules {
+				c := &s.rules[ci]
 				// Seeded from nothing, a rule enumerates nothing.
 				seeds, hit := e.seeds[:0], false
 				for j := range c.bodyPos {
@@ -261,11 +262,11 @@ func (inc *Incremental) overDelete(removed []fact, st *MaintainStats) (gone []fa
 				if e.seeds = seeds; !hit {
 					continue
 				}
-				if err := e.enumerate(c, seeds, &e.found); err != nil {
+				if err := e.enumerate(c.compiledRule, seeds, &e.found); err != nil {
 					return nil, err
 				}
 				st.Triggers += e.found.n
-				resolveAll(c.heads, e.inst, false)
+				heads := e.heads.of(c.heads, e.inst, false)
 				ev := e.scratchEnv(len(c.st.vars))
 			triggers:
 				for i := 0; i < e.found.n; i++ {
@@ -278,8 +279,8 @@ func (inc *Incremental) overDelete(removed []fact, st *MaintainStats) (gone []fa
 						}
 						ev[s] = id
 					}
-					for hi := range c.heads {
-						if h := &c.heads[hi]; h.known {
+					for hi := range heads {
+						if h := &heads[hi]; h.known {
 							e.row = h.fill(e.row[:0], ev)
 							collect(h.pid, e.row)
 						}
@@ -299,14 +300,15 @@ func (inc *Incremental) overDelete(removed []fact, st *MaintainStats) (gone []fa
 // instance.
 func (e *engine) rederive(gone []fact) error {
 	for _, s := range e.strata {
-		for ci, c := range s.comp {
-			resolveAll(c.bodyPos, e.inst, false)
-			resolveAll(c.heads, e.inst, true)
+		for ci := range s.rules {
+			c := &s.rules[ci]
+			body := e.body.of(c.bodyPos, e.inst, false)
+			heads := e.heads.of(c.heads, e.inst, true)
 			ev := e.scratchEnv(len(c.st.vars))
 			var bound []int
-			for hi := range c.heads {
-				h := &c.heads[hi]
-				order := orderPatterns(c.bodyPos, h, -1)
+			for hi := range heads {
+				h := &heads[hi]
+				order := orderPatterns(c.bodyPos, &c.heads[hi], -1)
 				for _, f := range gone {
 					if f.pid != h.pid || e.inst.hasRow(f.pid, f.row) {
 						continue
@@ -317,7 +319,7 @@ func (e *engine) rederive(gone []fact) error {
 					}
 					derives := false
 					// Stopped at its first hit, matchPatterns leaves the body bound.
-					matchPatterns(e.inst, c.bodyPos, order, ev, &bound, func() bool {
+					matchPatterns(e.inst, body, order, ev, &bound, func() bool {
 						derives = true
 						for k, s := range c.exSlots {
 							e.skBuf = e.skolemKeyFor(e.skBuf[:0], c, k, ev, chaseKey)
@@ -331,8 +333,8 @@ func (e *engine) rederive(gone []fact) error {
 						continue
 					}
 					ev[c.bodySlots:].reset()
-					e.cur, e.park = s.stats[ci], &s.parked[ci]
-					err := e.fire(c, ev)
+					e.cur, e.park = c.rs, &s.parked[ci]
+					err := e.fire(c, heads, ev)
 					e.cur, e.park = nil, nil
 					if err != nil {
 						return err

@@ -15,22 +15,36 @@ type Binding map[datalog.Term]datalog.Term
 // ---------------------------------------------------------------------------
 
 // patArg is one argument of a compiled pattern: a variable slot (slot ≥ 0)
-// or a constant/null term (slot < 0), whose id resolve looks up.
+// or a constant/null term (slot < 0).
 type patArg struct {
 	slot int
 	term datalog.Term
-	id   uint32
 }
 
-// pattern is a compiled atom. Its predicate and constants are resolved against
-// one instance's dictionary at a time (see resolve); known is false when the
-// instance has never seen one of them, and the pattern then matches nothing.
+// pattern is a compiled atom. It is read-only once compiled, and a library's
+// patterns are shared by every engine that runs the library: what matches is
+// the pattern resolved against one instance, in the engine's scratch
+// (resolution).
 type pattern struct {
-	pred  string
-	args  []patArg
+	pred string
+	args []patArg
+}
+
+// resolved is a pattern resolved against one instance's dictionary: its
+// predicate's id and, per argument, the variable's slot or the constant's id.
+// known is false when the instance has never seen the predicate or one of the
+// constants, and it then matches nothing.
+type resolved struct {
 	pid   uint32
 	known bool
-	at    int // of a positive body atom: its predicate's index in the stratum's bodyPreds
+	args  []argID
+}
+
+// argID is an argument of a resolved pattern: a variable slot (slot ≥ 0), or a
+// constant's id (slot < 0).
+type argID struct {
+	slot int
+	id   uint32
 }
 
 // env is a slice environment of term ids, unbound where no match bound the
@@ -75,35 +89,59 @@ func compileAtom(a datalog.Atom, st *slotTable) pattern {
 	return p
 }
 
-// resolve looks the pattern's predicate and constants up in the instance's
-// dictionary, interning what it lacks when intern is set. Ids stay valid
-// while the instance only grows, so a rule resolves its patterns once per
-// turn: the body ones, which match, without interning, and the head ones,
-// which fire writes, with it.
-func (p *pattern) resolve(inst *Instance, intern bool) {
-	p.known = false
+// resolution is scratch an engine resolves one list of a rule's patterns
+// into, reused from turn to turn.
+type resolution struct {
+	atoms []resolved
+	args  []argID
+}
+
+// of resolves the patterns against the instance's dictionary, interning what
+// it lacks when intern is set, and returns them resolved, valid until the
+// next call. Ids stay valid while the instance only grows, so a rule resolves
+// its patterns once per turn: the body ones, which match, without interning,
+// and the head ones, which fire writes, with it.
+func (r *resolution) of(pats []pattern, inst *Instance, intern bool) []resolved {
+	n := 0
+	for k := range pats {
+		n += len(pats[k].args)
+	}
+	if cap(r.atoms) < len(pats) {
+		r.atoms = make([]resolved, len(pats))
+	}
+	if cap(r.args) < n {
+		r.args = make([]argID, n)
+	}
+	atoms, args := r.atoms[:len(pats)], r.args[:n]
+	for k := range pats {
+		m := len(pats[k].args)
+		atoms[k] = pats[k].resolve(args[:m:m], inst, intern)
+		args = args[m:]
+	}
+	return atoms
+}
+
+// resolve resolves the pattern, writing its arguments to args.
+func (p *pattern) resolve(args []argID, inst *Instance, intern bool) resolved {
+	a := resolved{args: args}
 	pid, ok := inst.predOf(p.pred, intern)
 	if !ok {
-		return
+		return a
 	}
-	for k := range p.args {
-		if a := &p.args[k]; a.slot < 0 {
-			if a.id, ok = inst.termOf(a.term, intern); !ok {
-				return
+	for k, pa := range p.args {
+		args[k] = argID{slot: pa.slot}
+		if pa.slot < 0 {
+			if args[k].id, ok = inst.termOf(pa.term, intern); !ok {
+				return a
 			}
 		}
 	}
-	p.pid, p.known = pid, true
+	a.pid, a.known = pid, true
+	return a
 }
 
-func resolveAll(pats []pattern, inst *Instance, intern bool) {
-	for k := range pats {
-		pats[k].resolve(inst, intern)
-	}
-}
-
-// fill appends the row of a resolved, fully-bound pattern to buf.
-func (p *pattern) fill(buf []uint32, e env) []uint32 {
+// fill appends the row of a fully-bound resolved pattern to buf.
+func (p *resolved) fill(buf []uint32, e env) []uint32 {
 	for _, a := range p.args {
 		if a.slot >= 0 {
 			buf = append(buf, e[a.slot])
@@ -117,7 +155,7 @@ func (p *pattern) fill(buf []uint32, e env) []uint32 {
 // matchInto extends the environment so that the pattern matches the row; it
 // records newly-bound slots in *added (indices into env) and reports success.
 // On failure it rolls back its own additions.
-func (p *pattern) matchInto(row []uint32, e env, added *[]int) bool {
+func (p *resolved) matchInto(row []uint32, e env, added *[]int) bool {
 	if len(p.args) != len(row) {
 		return false
 	}
@@ -144,7 +182,7 @@ func (p *pattern) matchInto(row []uint32, e env, added *[]int) bool {
 	return true
 }
 
-func (p *pattern) rollback(e env, added *[]int, start int) {
+func (p *resolved) rollback(e env, added *[]int, start int) {
 	for _, s := range (*added)[start:] {
 		e[s] = unbound
 	}
@@ -184,7 +222,7 @@ func listed(r *relation, ids []int32) rowSet {
 // the environment, via the most selective index position: the base's
 // candidates and then the own layer's, the order of a flat instance holding
 // both.
-func candidatesFor(inst *Instance, p *pattern, e env) (base, own rowSet) {
+func candidatesFor(inst *Instance, p *resolved, e env) (base, own rowSet) {
 	if !p.known {
 		return rowSet{}, rowSet{}
 	}
@@ -217,7 +255,7 @@ func candidatesFor(inst *Instance, p *pattern, e env) (base, own rowSet) {
 
 // count returns how many rows of the resolved pattern's predicate the
 // instance holds.
-func (inst *Instance) count(p *pattern) int {
+func (inst *Instance) count(p *resolved) int {
 	if !p.known {
 		return 0
 	}
@@ -294,7 +332,7 @@ func orderPatterns(pats []pattern, from *pattern, skip int) []int {
 // completed. added is the caller's scratch for the slots a match binds, which
 // it shares with matchInto: matchPatterns appends past what it holds and
 // takes back what it appended.
-func matchPatterns(inst *Instance, pats []pattern, order []int, e env, added *[]int, yield func() bool) bool {
+func matchPatterns(inst *Instance, pats []resolved, order []int, e env, added *[]int, yield func() bool) bool {
 	if len(order) == 0 {
 		return yield()
 	}

@@ -61,9 +61,9 @@ func (e *engine) enumerate(c *compiledRule, seeds []rowSet, buf *triggerBuf) err
 	// A body atom over a relation that holds nothing, or with a constant the
 	// instance has never seen, has no match, whatever the other atoms join to:
 	// the rule takes no turn.
-	resolveAll(c.bodyPos, e.inst, false)
-	for k := range c.bodyPos {
-		if e.inst.count(&c.bodyPos[k]) == 0 {
+	body := e.body.of(c.bodyPos, e.inst, false)
+	for k := range body {
+		if e.inst.count(&body[k]) == 0 {
 			return nil
 		}
 	}
@@ -81,7 +81,7 @@ func (e *engine) enumerate(c *compiledRule, seeds []rowSet, buf *triggerBuf) err
 		return poll()
 	}
 	added := e.added[:0]
-	seed := func(seedPat *pattern, order []int, cands rowSet) {
+	seed := func(seedPat *resolved, order []int, cands rowSet) {
 		for k := range cands.n {
 			if ctxErr != nil || !poll() {
 				return
@@ -89,18 +89,18 @@ func (e *engine) enumerate(c *compiledRule, seeds []rowSet, buf *triggerBuf) err
 			ev.reset()
 			added = added[:0]
 			if seedPat.matchInto(cands.row(k), ev, &added) {
-				matchPatterns(e.inst, c.bodyPos, order, ev, &added, emit)
+				matchPatterns(e.inst, body, order, ev, &added, emit)
 			}
 		}
 	}
 	if seeds == nil {
-		first := &c.bodyPos[c.fullOrder[0]]
+		first := &body[c.fullOrder[0]]
 		base, own := candidatesFor(e.inst, first, ev)
 		seed(first, c.fullOrder[1:], base)
 		seed(first, c.fullOrder[1:], own)
 	} else {
-		for j := range c.bodyPos {
-			seed(&c.bodyPos[j], c.seeded[j], seeds[j])
+		for j := range body {
+			seed(&body[j], c.seeded[j], seeds[j])
 		}
 	}
 	e.added = added
@@ -113,7 +113,7 @@ func (e *engine) enumerate(c *compiledRule, seeds []rowSet, buf *triggerBuf) err
 // apply is phase two: it replays the triggers enumerate buffered, in order.
 // dedup enables the cross-seed deduplication of semi-naive matching (a trigger
 // whose body holds two delta facts is enumerated once per seed position).
-func (e *engine) apply(c *compiledRule, rs *RuleStats, buf *triggerBuf, dedup bool) error {
+func (e *engine) apply(c *ruleRun, rs *RuleStats, buf *triggerBuf, dedup bool) error {
 	if buf.n == 0 {
 		return nil
 	}
@@ -125,8 +125,8 @@ func (e *engine) apply(c *compiledRule, rs *RuleStats, buf *triggerBuf, dedup bo
 		seen = e.seen
 		seen.reset(c.bodySlots)
 	}
-	resolveAll(c.bodyNeg, e.inst, false)
-	resolveAll(c.heads, e.inst, true)
+	neg := e.neg.of(c.bodyNeg, e.inst, false)
+	heads := e.heads.of(c.heads, e.inst, true)
 	ev := e.scratchEnv(len(c.st.vars))
 	for i := 0; i < buf.n; i++ {
 		buf.load(i, c.bodySlots, ev)
@@ -145,8 +145,8 @@ func (e *engine) apply(c *compiledRule, rs *RuleStats, buf *triggerBuf, dedup bo
 		// Stratified negation against the current instance (the negated
 		// predicates belong to lower strata and are final).
 		negated := false
-		for k := range c.bodyNeg {
-			if np := &c.bodyNeg[k]; np.known {
+		for k := range neg {
+			if np := &neg[k]; np.known {
 				if e.row = np.fill(e.row[:0], ev); e.inst.hasRow(np.pid, e.row) {
 					negated = true
 					break
@@ -156,7 +156,7 @@ func (e *engine) apply(c *compiledRule, rs *RuleStats, buf *triggerBuf, dedup bo
 		if negated {
 			continue
 		}
-		if err := e.fire(c, ev); err != nil {
+		if err := e.fire(c, heads, ev); err != nil {
 			return err
 		}
 	}

@@ -49,6 +49,12 @@ type Library struct {
 	level [2]map[string]int
 	at    []int
 	aux   []string
+	// placed[k] places work[k] by level[k] for every composed plan
+	// (Composed.Level): placed[k][l] holds the pieces of the library's rules at
+	// level l, in order, and cons[k] its constraints as rules, which sit at the
+	// inconsistency marker's level in the composed program.
+	placed [2][][]ComposedRule
+	cons   [2][]ComposedRule
 	// part marks the rules of the database part by their index in prog.Rules,
 	// partRules lists them in that order and partReads holds the predicates
 	// their bodies read (DatabasePart).
@@ -94,8 +100,36 @@ func NewLibrary(p *Program) *Library {
 	l.grounded = CheckGroundedNegation(p)
 	l.existentials, l.negation = p.HasExistentials(), p.HasNegation()
 	l.databasePart()
+	l.place()
 	l.ok = true
 	return l
+}
+
+// place places the library's evaluation rules by level, in both head forms.
+func (l *Library) place() {
+	nr := len(l.prog.Rules)
+	for k := range l.work {
+		top := 0
+		for _, lv := range l.level[k] {
+			top = max(top, lv)
+		}
+		l.placed[k] = make([][]ComposedRule, top+1)
+		for i := range l.aux {
+			lo, hi := i, i+1
+			if k == 1 {
+				lo, hi = l.at[i], l.at[i+1]
+			}
+			for j := lo; j < hi; j++ {
+				r := ComposedRule{Rule: l.work[k][j], Lib: j, Part: i < nr && l.part[i]}
+				if i >= nr {
+					l.cons[k] = append(l.cons[k], r)
+					continue
+				}
+				lv := l.level[k][r.Rule.Head[0].Pred]
+				l.placed[k][lv] = append(l.placed[k][lv], r)
+			}
+		}
+	}
 }
 
 // databasePart computes the library's database part: the largest set S of its
@@ -192,7 +226,7 @@ func Compose(q *Program, lib *Library, libraryFirst bool, provenance string) *Pr
 		Rules:       append(append(make([]Rule, 0, len(q.Rules)+len(lp.Rules)), first.Rules...), second.Rules...),
 		Constraints: append(append([]Constraint(nil), first.Constraints...), second.Constraints...),
 	}
-	c := &composition{lib: lib, first: libraryFirst, rules: len(out.Rules), constraints: len(out.Constraints)}
+	c := &composition{lib: lib, first: libraryFirst, label: provenance, rules: len(out.Rules), constraints: len(out.Constraints)}
 	if provenance != "" {
 		for i := range lp.Rules {
 			if r := &out.Rules[c.libRule(i)]; r.Provenance == "" {
@@ -208,7 +242,8 @@ func Compose(q *Program, lib *Library, libraryFirst bool, provenance string) *Pr
 // composition is what Compose found a program to be.
 type composition struct {
 	lib   *Library
-	first bool // the library's rules and constraints come first
+	first bool   // the library's rules and constraints come first
+	label string // the provenance the library's rules take when they carry none
 	// rules and constraints are the program's counts when it was composed.
 	rules, constraints int
 	// ok says the query's part passed what the composed checks rely on; nothing
@@ -299,7 +334,7 @@ func (c *composition) analyse(p *Program) bool {
 	}
 	c.existentials = lib.existentials || q.HasExistentials()
 	c.negation = lib.negation || q.HasNegation()
-	if !c.stratify(p, c.negation && multiHead) {
+	if !c.stratify(c.negation && multiHead) {
 		return false
 	}
 	c.positive = q.Positive().Rules
@@ -362,14 +397,23 @@ func (c *composition) outputUnread(output string) bool {
 // multi-head rule rewritten by SingleHead when the program has negation — in
 // the strata Stratify and Strata put them in, each library rule tagged with
 // its index among the library's own evaluation rules. It is what
-// ConstraintsAsRules, SingleHead, Stratify and Strata make of the program,
-// computed once when it was composed.
+// ConstraintsAsRules, SingleHead, Stratify and Strata make of the program:
+// the library's rules were placed by level once, by NewLibrary, and the plan
+// holds the query's, placed when the program was composed.
 type Composed struct {
 	Library *Library
 	// SingleHead says which of the library's rule lists Lib indexes
 	// (Library.Work).
 	SingleHead bool
-	Strata     [][]ComposedRule
+	// Rules counts the plan's rules, the library's included.
+	Rules int
+	first bool   // the library's rules come first at each level
+	label string // the provenance Compose gave the library's rules
+	// query holds the query's rules level by level, level l's ending at
+	// ends[l], and then its constraints as rules, which sit at level marker.
+	query  []ComposedRule
+	ends   []int
+	marker int
 }
 
 // ComposedRule is one rule of a composed program's evaluation plan.
@@ -381,6 +425,51 @@ type ComposedRule struct {
 	// Part says the rule is, or is a single-head piece of, a rule of the
 	// library's database part (Library.DatabasePart).
 	Part bool
+}
+
+// Levels returns the number of levels of the plan, empty ones included.
+func (p *Composed) Levels() int { return len(p.ends) }
+
+// Level returns the rules at level l in evaluation order, as four runs, some
+// of them empty: the library's rules there and the query's, then, at the
+// inconsistency marker's level, the query's constraints as rules and the
+// library's, each pair in the order Compose joined the two parts in. The
+// library's runs are shared by every plan and must not be modified.
+func (p *Composed) Level(l int) [4][]ComposedRule {
+	lib, k := p.Library, p.k()
+	var libRules, libCons, queryCons []ComposedRule
+	if l < len(lib.placed[k]) {
+		libRules = lib.placed[k][l]
+	}
+	lo := 0
+	if l > 0 {
+		lo = p.ends[l-1]
+	}
+	query := p.query[lo:p.ends[l]]
+	if l == p.marker {
+		libCons, queryCons = lib.cons[k], p.query[p.ends[len(p.ends)-1]:]
+	}
+	if p.first {
+		return [4][]ComposedRule{libRules, query, libCons, queryCons}
+	}
+	return [4][]ComposedRule{query, libRules, queryCons, libCons}
+}
+
+// Origin returns the provenance label the plan's rule r carries in the
+// composed program: its own or, for a rule of the library without one (a
+// constraint has none), the label Compose gave the library's rules.
+func (p *Composed) Origin(r ComposedRule) string {
+	if r.Rule.Provenance != "" || r.Lib < 0 || r.Lib >= len(p.Library.work[p.k()])-len(p.Library.cons[p.k()]) {
+		return r.Rule.Provenance
+	}
+	return p.label
+}
+
+func (p *Composed) k() int {
+	if p.SingleHead {
+		return 1
+	}
+	return 0
 }
 
 // Composed returns the evaluation plan of a composed program, or nil for any
@@ -399,7 +488,7 @@ func (p *Program) Composed() *Composed {
 // cached one (a fresh predicate SingleHead would name differently) or the
 // query's rules do not stratify within their bound; the from-scratch path
 // then decides.
-func (c *composition) stratify(p *Program, single bool) bool {
+func (c *composition) stratify(single bool) bool {
 	lib, k := c.lib, 0
 	if single {
 		k = 1
@@ -487,55 +576,25 @@ func (c *composition) stratify(p *Program, single bool) bool {
 			}
 		}
 	}
-	top := 0
-	for _, l := range lib.level[k] {
-		top = max(top, l)
-	}
+	top := len(lib.placed[k]) - 1
 	for _, l := range level {
 		top = max(top, l)
 	}
-	plan := &Composed{Library: lib, SingleHead: single, Strata: make([][]ComposedRule, top+1)}
-	place := func(r Rule, libIdx int, part bool) {
-		l := levelOf(r.Head[0].Pred)
-		plan.Strata[l] = append(plan.Strata[l], ComposedRule{Rule: r, Lib: libIdx, Part: part})
-	}
-	// The library's evaluation rules, rule i of its program or, from
-	// len(Rules) on, constraint i−len(Rules), taking the provenance their copy
-	// in p carries.
-	placeLib := func(from, to int) {
-		for i := from; i < to; i++ {
-			prov := ""
-			if i < len(lib.prog.Rules) {
-				prov = p.Rules[c.libRule(i)].Provenance
-			}
-			part := i < len(lib.part) && lib.part[i]
-			lo, hi := i, i+1
-			if single {
-				lo, hi = lib.at[i], lib.at[i+1]
-			}
-			for j := lo; j < hi; j++ {
-				r := lib.work[k][j]
-				r.Provenance = prov
-				place(r, j, part)
+	// The query's rules level by level, each level's in the order they come
+	// in, then its constraints.
+	plan := &Composed{Library: lib, SingleHead: single, Rules: len(lib.work[k]) + len(qwork),
+		first: c.first, label: c.label, marker: levelOf(InconsistencyMarker),
+		query: make([]ComposedRule, 0, len(qwork)), ends: make([]int, top+1)}
+	for l := range plan.ends {
+		for _, r := range qwork[:nqr] {
+			if levelOf(r.Head[0].Pred) == l {
+				plan.query = append(plan.query, ComposedRule{Rule: r, Lib: -1})
 			}
 		}
+		plan.ends[l] = len(plan.query)
 	}
-	placeQuery := func(rules []Rule) {
-		for _, r := range rules {
-			place(r, -1, false)
-		}
-	}
-	nlr := len(lib.prog.Rules)
-	if c.first {
-		placeLib(0, nlr)
-		placeQuery(qwork[:nqr])
-		placeLib(nlr, len(lib.work[0]))
-		placeQuery(qwork[nqr:])
-	} else {
-		placeQuery(qwork[:nqr])
-		placeLib(0, nlr)
-		placeQuery(qwork[nqr:])
-		placeLib(nlr, len(lib.work[0]))
+	for _, r := range qwork[nqr:] {
+		plan.query = append(plan.query, ComposedRule{Rule: r, Lib: -1})
 	}
 	c.strata = plan
 	return true
